@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 # (BENCH_*.json) are the exception: they are the deliverable, not litter.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet lint bench-alloc bench-swarm fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet lint bench-alloc bench-harness bench-swarm fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet lint test
 
@@ -37,11 +37,19 @@ lint: | $(ARTIFACTS)
 # static contract. Not run under -race (instrumentation allocates).
 bench-alloc: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkHotpath' -benchmem \
-		./internal/wire ./internal/trace ./internal/sim ./internal/netem > $(ARTIFACTS)/bench-alloc.txt || \
+		./internal/wire ./internal/trace ./internal/sim ./internal/netem ./internal/simpeer > $(ARTIFACTS)/bench-alloc.txt || \
 		{ cat $(ARTIFACTS)/bench-alloc.txt; exit 1; }
 	@cat $(ARTIFACTS)/bench-alloc.txt
 	@awk '/^BenchmarkHotpath/ { seen++; if ($$(NF-1) != 0) { print "bench-alloc: " $$1 " allocates " $$(NF-1) " allocs/op, want 0"; bad = 1 } } \
 		END { if (!seen) { print "bench-alloc: no hotpath benchmarks ran"; exit 1 }; if (bad) exit 1; print "bench-alloc: " seen " hotpath benchmarks at 0 allocs/op" }' $(ARTIFACTS)/bench-alloc.txt
+
+# bench-harness: cmd/bench is a module of its own (see its README), so
+# the root build/vet/test targets never see it. Its tests include a -smoke
+# pass of every workload, which checks the pinned smoke-scale digests and
+# simpeer counts in cmd/bench/expected.json.
+bench-harness:
+	$(GO) vet -C cmd/bench ./...
+	$(GO) test -C cmd/bench ./...
 
 # bench-swarm: regenerate the swarm-scale emulation perf artifact —
 # 10k-peer incremental run vs the forced-full recompute baseline on the

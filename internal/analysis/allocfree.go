@@ -208,9 +208,11 @@ func checkHotpathCall(pass *Pass, call *ast.CallExpr, hinted map[types.Object]bo
 			pass.Reportf(call.Pos(), "%s.%s allocates in a //lint:hotpath function; use package-level sentinels or preformatted values", pkg.Name(), fn.Name())
 			return
 		}
-		if moduleInternal(pass.ModulePath, pkg.Path()) && !local[fn] {
+		// A method of an instantiated generic type is an object of its own;
+		// the marker and its fact live on the declared one.
+		if decl := fn.Origin(); moduleInternal(pass.ModulePath, pkg.Path()) && !local[decl] {
 			var hp hotpathFact
-			if !pass.ImportObjectFact(fn, &hp) {
+			if !pass.ImportObjectFact(decl, &hp) {
 				pass.Reportf(call.Pos(), "//lint:hotpath function calls %s, which is not marked //lint:hotpath; mark it or suppress with a justification", funcDisplay(fn))
 				return
 			}

@@ -7,3 +7,13 @@ func Fast(x int) int { return x + 1 }
 
 // Slow carries no hotpath marker; hot callers must be flagged.
 func Slow(x int) int { return x + 2 }
+
+// Box is generic: hot callers reach its methods through an instantiation,
+// and the marker on the declaration must still cover them.
+type Box[K comparable] struct{ m map[K]int }
+
+//lint:hotpath covered by the fixture's contract
+func (b *Box[K]) Get(k K) int { return b.m[k] }
+
+// Len carries no hotpath marker.
+func (b *Box[K]) Len() int { return len(b.m) }

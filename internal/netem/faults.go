@@ -40,12 +40,12 @@ func (n *Network) SetLinkDown(id NodeID, down bool) error {
 	return nil
 }
 
-// LinkIsDown reports whether a node's links are administratively down.
+// LinkIsDown reports whether a node's links are administratively down
+// (false for an unknown node).
+//
+//lint:hotpath simpeer asks once per candidate source per pool fill
 func (n *Network) LinkIsDown(id NodeID) bool {
-	if n.checkID(id) != nil {
-		return false
-	}
-	return n.nodes[id].offline
+	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].offline
 }
 
 // LinkStep is one point of a link up/down schedule.

@@ -154,9 +154,13 @@ func (f *Flow) Src() NodeID { return f.src }
 func (f *Flow) Dst() NodeID { return f.dst }
 
 // Size returns the transfer size in bytes.
+//
+//lint:hotpath simpeer reads relay progress per candidate source
 func (f *Flow) Size() int64 { return f.size }
 
 // Remaining returns the bytes not yet transferred.
+//
+//lint:hotpath simpeer reads relay progress per candidate source
 func (f *Flow) Remaining() int64 {
 	f.net.advance(f)
 	if math.IsInf(f.remaining, 1) {
@@ -388,6 +392,8 @@ func (l *link) removeFlow(i int) {
 // so the result is identical no matter how many intermediate events
 // called advance — the incremental reallocator relies on this to leave
 // flows in clean components untouched.
+//
+//lint:hotpath under Remaining
 func (n *Network) advance(f *Flow) {
 	now := n.eng.Now()
 	if f.state == flowActive && now > f.anchorAt {

@@ -465,6 +465,12 @@ func TestDuplicatePieceDeliveryIsIdempotent(t *testing.T) {
 	if got := viewer.Stats().DownloadedBytes; got != total {
 		t.Fatalf("DownloadedBytes = %d, want exactly %d: duplicated blocks must not double-count", got, total)
 	}
+	// The viewer completes on the first copy of the last block; the seeder
+	// may still be writing the second.
+	deadline := time.Now().Add(5 * time.Second)
+	for seeder.Stats().UploadedBytes < 2*total && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := seeder.Stats().UploadedBytes; got < 2*total {
 		t.Fatalf("seeder UploadedBytes = %d, want >= %d (every PIECE sent twice)", got, 2*total)
 	}

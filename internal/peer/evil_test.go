@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 // evilPeer accepts swarm connections, claims to hold every segment, and
 // serves garbage bytes of the correct length for every request.
 type evilPeer struct {
-	ln       net.Listener
-	infoHash wire.InfoHash
-	segments int
-	served   chan struct{} // closed once it has served at least one block
+	ln         net.Listener
+	infoHash   wire.InfoHash
+	segments   int
+	served     chan struct{} // closed once it has served at least one block
+	servedOnce sync.Once     // connections are served concurrently
 }
 
 func startEvilPeer(t *testing.T, ih wire.InfoHash, segments int) *evilPeer {
@@ -31,7 +33,6 @@ func startEvilPeer(t *testing.T, ih wire.InfoHash, segments int) *evilPeer {
 }
 
 func (e *evilPeer) run() {
-	servedOnce := false
 	for {
 		c, err := e.ln.Accept()
 		if err != nil {
@@ -71,10 +72,7 @@ func (e *evilPeer) run() {
 				}); err != nil {
 					return
 				}
-				if !servedOnce {
-					servedOnce = true
-					close(e.served)
-				}
+				e.servedOnce.Do(func() { close(e.served) })
 			}
 		}(c)
 	}
@@ -104,14 +102,20 @@ func TestViewerSurvivesMaliciousPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The deadline is WaitComplete's alone: the viewer may well finish off
+	// the seeder before it ever asks the evil peer, so waiting for a garbage
+	// serve first would spend the whole budget and then race the deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	complete := make(chan error, 1)
+	go func() { complete <- viewer.WaitComplete(ctx) }()
 	select {
 	case <-evil.served:
-	case <-ctx.Done():
-		t.Log("note: evil peer was never asked for a block (scheduler preferred the seeder)")
+		err = <-complete
+	case err = <-complete:
+		t.Log("note: the viewer completed before the evil peer served a block (scheduler preferred the seeder)")
 	}
-	if err := viewer.WaitComplete(ctx); err != nil {
+	if err != nil {
 		t.Fatalf("viewer failed to complete despite honest seeder: %v", err)
 	}
 	// Every stored segment must verify against the manifest — garbage from

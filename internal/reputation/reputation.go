@@ -230,6 +230,7 @@ func (t *Table[K]) decay(e *entry, now time.Duration) {
 	e.at = now
 }
 
+//lint:hotpath under State
 func (t *Table[K]) stateOf(e *entry, now time.Duration) State {
 	switch {
 	case now < e.quarUntil:
@@ -296,6 +297,8 @@ func (t *Table[K]) Score(k K, now time.Duration) float64 {
 
 // State returns k's standing at now. Pure read: safe to call from stall
 // classifiers and other observers without perturbing the table.
+//
+//lint:hotpath selectors ask once per candidate source per scheduling pass
 func (t *Table[K]) State(k K, now time.Duration) State {
 	e := t.entries[k]
 	if e == nil {
@@ -305,6 +308,8 @@ func (t *Table[K]) State(k K, now time.Duration) State {
 }
 
 // Quarantined reports whether k is quarantined at now.
+//
+//lint:hotpath selectors ask once per candidate source per scheduling pass
 func (t *Table[K]) Quarantined(k K, now time.Duration) bool {
 	return t.State(k, now) == Quarantined
 }

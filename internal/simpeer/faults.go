@@ -164,9 +164,6 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 	if pct > 0 {
 		p.corruptPct = pct
 		p.corruptStartAt = s.eng.Now()
-		if p.segAttempts == nil {
-			p.segAttempts = make(map[int]int)
-		}
 		s.emit(p.id, -1, trace.CatFault, trace.EvCorrupt,
 			trace.Float64("percent", pct))
 		return

@@ -2,7 +2,6 @@ package simpeer
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"p2psplice/internal/core"
@@ -12,17 +11,6 @@ import (
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/trace"
 )
-
-// sortedKeys returns the map's keys in ascending order for deterministic
-// iteration.
-func sortedKeys(m map[int]*download) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
 
 // peerState is one node's swarm state (seeder or leecher).
 type peerState struct {
@@ -36,13 +24,19 @@ type peerState struct {
 	haveCount int
 
 	// Leecher-only fields.
-	player   *player.Player
-	inFlight map[int]*download // segment index -> active download
-	uploads  int               // concurrent uploads this node serves
-	est      *core.BandwidthEstimator
-	estGuess int64
-	joined   time.Duration
-	departed bool
+	player *player.Player
+	// inFlight is indexed by segment: the active download, or nil. Index
+	// order is the deterministic teardown order. inFlightN counts the
+	// non-nil entries and firstMissing is the lowest segment not yet held
+	// (have only ever gains entries, so it only moves forward).
+	inFlight     []*download
+	inFlightN    int
+	firstMissing int
+	uploads      int // concurrent uploads this node serves
+	est          *core.BandwidthEstimator
+	estGuess     int64
+	joined       time.Duration
+	departed     bool
 
 	// Crash state (fault plans only). A crashed peer keeps its segment
 	// store across rejoin (process-restart model) but serves and fetches
@@ -69,7 +63,8 @@ type peerState struct {
 	// segAttempts counts download attempts per segment so every retry of
 	// a discarded segment gets a fresh deterministic corruption draw
 	// (a fixed per-segment draw would livelock at high percentages).
-	segAttempts map[int]int
+	// Allocated on the first draw: fault-free runs never need it.
+	segAttempts []int
 	// Adversary window state (fault plans only). advKind != AdvNone while
 	// a window is open on this peer — misbehavior AS A SOURCE: corrupter
 	// and polluter serves fail verification at the requester, stale-have
@@ -101,7 +96,7 @@ type peerState struct {
 	// this node is currently sending. A node never sends the same segment
 	// twice in parallel: the second requester chains off the first copy
 	// (see pickSource), which is how the piece-level protocol behaves.
-	uploading map[int]int
+	uploading []int
 	// retryPending marks a scheduled source-retry so fill does not stack
 	// duplicate timers while the peer waits for an eligible source.
 	retryPending bool
@@ -139,40 +134,42 @@ func (s *swarm) bandwidth(p *peerState) int64 {
 }
 
 // wanted reports whether p still needs segment idx and is not fetching it.
+//
+//lint:hotpath
 func (p *peerState) wanted(idx int) bool {
-	if p.have[idx] {
-		return false
-	}
-	_, fetching := p.inFlight[idx]
-	return !fetching
+	return !p.have[idx] && p.inFlight[idx] == nil
 }
 
-// nextWanted returns the index of the next segment to request, or -1.
+// dropFlight removes p's download of segment idx and returns the upload
+// slot it held to its source. The caller cancels the flow if it is live.
+func (p *peerState) dropFlight(idx int) {
+	d := p.inFlight[idx]
+	p.inFlight[idx] = nil
+	p.inFlightN--
+	d.src.uploads--
+	d.src.uploading[idx]--
+}
+
+// nextWanted returns the index of the next segment to request, or -1. The
+// scan resumes at the first-missing cursor, so it costs the in-flight
+// window (plus the rarest-first lookahead), not the clip.
+//
+//lint:hotpath runs at the top of every fill
 func (s *swarm) nextWanted(p *peerState) int {
-	first := -1
-	for idx := 0; idx < len(s.segs); idx++ {
-		if !p.wanted(idx) {
-			continue
-		}
-		if first == -1 {
-			first = idx
-		}
-		if s.cfg.Selection == SelectSequential {
-			return idx
-		}
-		break
+	first := p.firstMissing
+	for first < len(s.segs) && !p.wanted(first) {
+		first++
 	}
-	if first == -1 || s.cfg.Selection != SelectRarestFirst {
+	if first == len(s.segs) {
+		return -1
+	}
+	if s.cfg.Selection != SelectRarestFirst {
 		return first
 	}
 	// Rarest-first within a lookahead window of wanted segments.
-	window := s.cfg.RarestWindow
-	if window <= 0 {
-		window = 8
-	}
-	best, bestHolders := -1, int(^uint(0)>>1)
+	best, bestHolders := first, int(^uint(0)>>1)
 	seen := 0
-	for idx := first; idx < len(s.segs) && seen < window; idx++ {
+	for idx := first; idx < len(s.segs) && seen < s.rarestWindow; idx++ {
 		if !p.wanted(idx) {
 			continue
 		}
@@ -182,13 +179,12 @@ func (s *swarm) nextWanted(p *peerState) int {
 			best, bestHolders = idx, holders
 		}
 	}
-	if best == -1 {
-		return first
-	}
 	return best
 }
 
 // holderCount counts active peers holding segment idx.
+//
+//lint:hotpath rarest-first calls it per lookahead segment in nextWanted
 func (s *swarm) holderCount(idx int) int {
 	n := 0
 	for _, q := range s.peers {
@@ -210,37 +206,34 @@ func (s *swarm) crashedHolder(idx int) bool {
 	return false
 }
 
-// uploadSlots resolves the per-peer upload cap: the configured value, the
-// default of 4 when unset, or 0 (unlimited) when negative.
-func (s *swarm) uploadSlots() int {
-	switch {
-	case s.cfg.MaxUploadsPerPeer > 0:
-		return s.cfg.MaxUploadsPerPeer
-	case s.cfg.MaxUploadsPerPeer < 0:
-		return 0
-	default:
-		return 4
-	}
+// servesWholeClip reports whether q answers for every segment of the clip
+// regardless of what leechers have fetched: the seeder, or a stale-have
+// liar (or slowloris), which claims every segment while its window is
+// open — that is the attack: requesters believe the HAVE and assign it
+// downloads that will only die by serve timeout.
+//
+//lint:hotpath
+func (q *peerState) servesWholeClip() bool {
+	return q.isSeeder || q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris
 }
 
 // sourceProgress returns how much of segment idx the candidate q can serve:
 // 1.0 for a full holder, the download progress for a relaying leecher, and
-// -1 if q cannot serve the segment at all.
+// -1 if q cannot serve the segment at all. Reading a relay's progress
+// advances its flow's byte count to now, which perturbs nothing: netem
+// recomputes progress from the last rate-change anchor, so the value is
+// the same however many reads came before.
+//
+//lint:hotpath runs per candidate source per wanted segment
 func (s *swarm) sourceProgress(q *peerState, idx int) float64 {
-	// A stale-have liar (or slowloris) claims every segment while its
-	// window is open — that is the attack: requesters believe the HAVE
-	// and assign it downloads that will only die by serve timeout.
-	if q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris {
+	if q.have[idx] || q.servesWholeClip() {
 		return 1
 	}
-	if q.have[idx] {
-		return 1
-	}
-	if s.cfg.DisableRelay || q.isSeeder {
+	if s.cfg.DisableRelay {
 		return -1
 	}
-	d, ok := q.inFlight[idx]
-	if !ok || d.flow == nil {
+	d := q.inFlight[idx]
+	if d == nil || d.flow == nil {
 		return -1
 	}
 	size := d.flow.Size()
@@ -248,11 +241,7 @@ func (s *swarm) sourceProgress(q *peerState, idx int) float64 {
 		return -1
 	}
 	progress := 1 - float64(d.flow.Remaining())/float64(size)
-	threshold := s.cfg.RelayThreshold
-	if threshold <= 0 {
-		threshold = defaultRelayThreshold
-	}
-	if progress < threshold {
+	if progress < s.relayThreshold {
 		return -1
 	}
 	return progress
@@ -266,44 +255,131 @@ const defaultRelayThreshold = 0.02
 // protocol (there is no protocol event for "a relay crossed its threshold").
 const sourceRetryDelay = 250 * time.Millisecond
 
-// eligible reports whether q can serve segment idx to p right now.
-// allowQuarantined opens the sole-source escape hatch: the second
-// selection pass considers quarantined sources rather than sacrifice
-// liveness (a fully quarantined swarm must still drain off its one
-// honest seeder — or, at worst, off the quarantined peers themselves).
-func (s *swarm) eligible(p, q *peerState, idx int, allowQuarantined bool) bool {
-	if q == p || q.departed || q.crashed || s.net.LinkIsDown(q.node) {
-		return false
-	}
-	if !allowQuarantined && s.rep != nil && s.rep.Quarantined(q.id, s.eng.Now()) {
-		return false
-	}
-	if s.sourceProgress(q, idx) < 0 {
-		return false
-	}
-	if cap := s.uploadSlots(); cap > 0 && q.uploads >= cap {
-		return false
-	}
-	// q already sending this segment to someone: a duplicate upload would
-	// split the frontier rate. The requester chains off the in-flight copy
-	// once it crosses the relay threshold.
-	return q.uploading[idx] == 0
+// candidate is one member of a fill's source set.
+type candidate struct {
+	q *peerState
+	// quarantined sources are skipped by the first selection pass and
+	// admitted by the second (the sole-source escape hatch).
+	quarantined bool
 }
 
-// pickSource chooses the uploader for segment idx: non-quarantined swarm
-// sources first, then the CDN fallback, then — only when reputation is
-// active and nothing else can serve — quarantined sources (the liveness
-// escape hatch). With reputation disabled this is exactly the legacy
-// selection.
-func (s *swarm) pickSource(p *peerState, idx int) *peerState {
-	if src := s.pickSourceFrom(p, idx, false); src != nil {
+// sourceSet is the segment-independent half of source eligibility,
+// evaluated once per fill: every peer other than the requester that is
+// present, up, reachable and below its upload cap, in peer order. fill
+// keeps it current as its own launches fill upload slots.
+type sourceSet struct {
+	cands []candidate
+	// sticky is the requester's previous source when it is in the set
+	// (q == nil otherwise).
+	sticky candidate
+	// wholeClip counts the members that serve segments nobody has fetched
+	// yet (see servesWholeClip).
+	wholeClip int
+	// cdnOK is the paper's hybrid rule: a client downloads at most one
+	// segment at a time from the CDN.
+	cdnOK bool
+}
+
+// buildSourceSet evaluates the source set for a fill of p at now.
+//
+//lint:hotpath runs once per fill that has pool room
+func (s *swarm) buildSourceSet(p *peerState, now time.Duration) {
+	set := &s.set
+	set.cands = set.cands[:0]
+	set.sticky = candidate{}
+	set.wholeClip = 0
+	for _, q := range s.peers {
+		if q == p || q.departed || q.crashed || s.atUploadCap(q) || s.net.LinkIsDown(q.node) {
+			continue
+		}
+		c := candidate{q: q, quarantined: s.rep != nil && s.rep.Quarantined(q.id, now)}
+		//lint:ignore allocfree amortized: the scratch grows to the swarm size once and is reused
+		set.cands = append(set.cands, c)
+		if q == p.lastSrc {
+			set.sticky = c
+		}
+		if q.servesWholeClip() {
+			set.wholeClip++
+		}
+	}
+	set.cdnOK = s.cdn != nil && s.cdnEligible(p)
+}
+
+// atUploadCap reports whether q has no free upload slot.
+//
+//lint:hotpath
+func (s *swarm) atUploadCap(q *peerState) bool {
+	return s.slots > 0 && q.uploads >= s.slots
+}
+
+// noteLaunch brings the source set up to date after fill started a
+// download from src: src is now the sticky source, unless the launch took
+// its last upload slot (or the CDN's one-at-a-time slot).
+func (s *swarm) noteLaunch(src *peerState) {
+	set := &s.set
+	set.sticky = candidate{}
+	if src.isCDN {
+		set.cdnOK = false
+		return
+	}
+	for i, c := range set.cands {
+		if c.q != src {
+			continue
+		}
+		if !s.atUploadCap(src) {
+			set.sticky = c
+			return
+		}
+		set.cands = append(set.cands[:i], set.cands[i+1:]...)
+		if src.servesWholeClip() {
+			set.wholeClip--
+		}
+		return
+	}
+}
+
+// beyondReach reports whether nothing in the source set can serve segment
+// idx or any later one. The availability frontier is the highest segment
+// any leecher has ever started fetching; past it no leecher holds or
+// relays anything, so only whole-clip holders and the CDN can serve.
+func (s *swarm) beyondReach(idx int) bool {
+	return idx > s.frontier && s.set.wholeClip == 0 && !s.set.cdnOK
+}
+
+// serves returns c's progress on segment idx if it may serve it in this
+// selection pass, and -1 otherwise. allowQuarantined opens the
+// sole-source escape hatch: the second selection pass considers
+// quarantined sources rather than sacrifice liveness (a fully quarantined
+// swarm must still drain off its one honest seeder — or, at worst, off
+// the quarantined peers themselves).
+//
+//lint:hotpath runs per candidate source per wanted segment
+func (s *swarm) serves(c candidate, idx int, allowQuarantined bool) float64 {
+	// A source already sending this segment to someone would split the
+	// frontier rate with a duplicate upload. The requester chains off the
+	// in-flight copy once it crosses the relay threshold.
+	if (c.quarantined && !allowQuarantined) || c.q.uploading[idx] != 0 {
+		return -1
+	}
+	return s.sourceProgress(c.q, idx)
+}
+
+// pickSource chooses the uploader for segment idx from the current source
+// set: non-quarantined swarm sources first, then the CDN fallback, then —
+// only when reputation is active and nothing else can serve — quarantined
+// sources (the liveness escape hatch). With reputation disabled this is
+// exactly the legacy selection.
+//
+//lint:hotpath runs per wanted segment in the pool window
+func (s *swarm) pickSource(idx int) *peerState {
+	if src := s.pickSourceFrom(idx, false); src != nil {
 		return src
 	}
-	if s.cdn != nil && s.cdnEligible(p) {
+	if s.set.cdnOK {
 		return s.cdn
 	}
 	if s.rep != nil {
-		return s.pickSourceFrom(p, idx, true)
+		return s.pickSourceFrom(idx, true)
 	}
 	return nil
 }
@@ -315,30 +391,36 @@ func (s *swarm) pickSource(p *peerState, idx int) *peerState {
 // progress and then by lowest peer ID (deterministic). The CDN, when
 // configured, is a fallback only: swarm sources offload it (the paper's
 // hybrid architecture serves "by peers as well as a CDN").
-func (s *swarm) pickSourceFrom(p *peerState, idx int, allowQuarantined bool) *peerState {
-	if p.lastSrc != nil && !p.lastSrc.isCDN && s.eligible(p, p.lastSrc, idx, allowQuarantined) {
-		return p.lastSrc
+//
+//lint:hotpath runs per wanted segment in the pool window
+func (s *swarm) pickSourceFrom(idx int, allowQuarantined bool) *peerState {
+	set := &s.set
+	if set.sticky.q != nil && s.serves(set.sticky, idx, allowQuarantined) >= 0 {
+		return set.sticky.q
 	}
 	var best *peerState
 	var bestProgress float64
-	for _, q := range s.peers {
-		if !s.eligible(p, q, idx, allowQuarantined) {
+	for _, c := range set.cands {
+		progress := s.serves(c, idx, allowQuarantined)
+		if progress < 0 {
 			continue
 		}
-		progress := s.sourceProgress(q, idx)
-		if best == nil || q.uploads < best.uploads ||
-			(q.uploads == best.uploads && progress > bestProgress) {
-			best, bestProgress = q, progress
+		if best == nil || c.q.uploads < best.uploads ||
+			(c.q.uploads == best.uploads && progress > bestProgress) {
+			best, bestProgress = c.q, progress
 		}
 	}
 	return best
 }
 
 // cdnEligible enforces the paper's hybrid rule: a client downloads at most
-// one segment at a time from the CDN.
+// one segment at a time from the CDN. p's downloads all lie between its
+// first missing segment and the availability frontier.
+//
+//lint:hotpath part of the source-set build
 func (s *swarm) cdnEligible(p *peerState) bool {
-	for _, d := range p.inFlight {
-		if d.src.isCDN {
+	for idx := p.firstMissing; idx <= s.frontier; idx++ {
+		if d := p.inFlight[idx]; d != nil && d.src.isCDN {
 			return false
 		}
 	}
@@ -363,24 +445,39 @@ func (s *swarm) fill(p *peerState) {
 	segBytes := s.segs[next].Bytes
 	target := s.cfg.Policy.PoolSize(b, buffered, segBytes)
 	s.sm.poolK.Observe(int64(target))
-	inFlightBefore := len(p.inFlight)
+	inFlightBefore := p.inFlightN
 	if inFlightBefore >= target {
 		return
 	}
 	// The pool is the next `target` wanted segments; request every one with
 	// an eligible source, skipping over segments that are momentarily
-	// sourceless so a fixed pool still pipelines.
+	// sourceless so a fixed pool still pipelines. The scan ends early where
+	// nothing in the source set can reach: every later segment is wanted
+	// (no leecher has fetched past the frontier) and blocked.
+	s.buildSourceSet(p, now)
 	blocked := false
 	launched := 0
-	for idx := next; idx < len(s.segs) && len(p.inFlight) < target; idx++ {
+	for idx := next; idx < len(s.segs) && p.inFlightN < target; idx++ {
 		if !p.wanted(idx) {
 			continue
 		}
-		if src := s.pickSource(p, idx); src != nil {
+		var src *peerState
+		beyond := s.beyondReach(idx)
+		if !beyond {
+			src = s.pickSource(idx)
+		}
+		if s.pickCheck != nil {
+			s.pickCheck(p, idx, src, beyond)
+		}
+		if src != nil {
 			s.startDownload(p, src, idx)
+			s.noteLaunch(src)
 			launched++
-		} else {
-			blocked = true
+			continue
+		}
+		blocked = true
+		if beyond {
+			break
 		}
 	}
 	if launched > 0 {
@@ -391,7 +488,7 @@ func (s *swarm) fill(p *peerState) {
 	// bit-identical to this in-process one.
 	s.ss.bufferedUS.Observe(now, buffered.Microseconds())
 	s.ss.poolTarget.Observe(now, int64(target))
-	s.ss.inflight.Observe(now, int64(len(p.inFlight)))
+	s.ss.inflight.Observe(now, int64(p.inFlightN))
 	if s.cfg.Tracer.Enabled() {
 		flag := int64(0)
 		if blocked {
@@ -436,11 +533,16 @@ func (s *swarm) fill(p *peerState) {
 func (s *swarm) startDownload(p, src *peerState, idx int) {
 	if s.cfg.Trace {
 		fmt.Printf("%8.2fs peer%d <- peer%d seg%d (srcUploads=%d inflight=%d T=%v)\n",
-			s.eng.Now().Seconds(), p.id, src.id, idx, src.uploads, len(p.inFlight),
+			s.eng.Now().Seconds(), p.id, src.id, idx, src.uploads, p.inFlightN,
 			p.player.BufferedAhead(s.eng.Now()).Round(100*time.Millisecond))
 	}
 	src.uploads++
 	src.uploading[idx]++
+	p.inFlightN++
+	p.lastSrc = src
+	if idx > s.frontier {
+		s.frontier = idx
+	}
 	// A stale-have or slowloris source accepted the request but will never
 	// deliver the segment inside the serve timeout: model the hang as a
 	// pending download with no netem flow, reaped by a scheduled timeout.
@@ -450,7 +552,6 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	if src.advKind == fault.AdvStaleHave || src.advKind == fault.AdvSlowloris {
 		d := &download{src: src, pending: src.advKind}
 		p.inFlight[idx] = d
-		p.lastSrc = src
 		if s.cfg.Tracer.Enabled() {
 			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 				trace.Int64("flow", -1),
@@ -467,7 +568,6 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 		panic("simpeer: start transfer: " + err.Error())
 	}
 	p.inFlight[idx] = &download{flow: flow, src: src}
-	p.lastSrc = src
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 			trace.Int64("flow", int64(flow.ID())),
@@ -497,9 +597,7 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 	if p.inFlight[idx] != d {
 		return // already reaped by crash/departure teardown
 	}
-	delete(p.inFlight, idx)
-	src.uploads--
-	src.uploading[idx]--
+	p.dropFlight(idx)
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvServeTimeout,
 			trace.Int64("src", int64(src.id)),
@@ -522,12 +620,10 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 			s.eng.Now().Seconds(), p.id, idx, src.id, f.Elapsed().Seconds(),
 			float64(f.Size())/f.Elapsed().Seconds())
 	}
-	src.uploads--
-	src.uploading[idx]--
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
-	k := int64(len(p.inFlight))
-	delete(p.inFlight, idx)
+	k := int64(p.inFlightN)
+	p.dropFlight(idx)
 	if p.departed {
 		return
 	}
@@ -555,6 +651,9 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	// source is charged a reputation verify-fail.
 	advSrc := src.advKind == fault.AdvCorrupter || src.advKind == fault.AdvPolluter
 	if (p.corruptPct > 0 || advSrc) && !p.have[idx] {
+		if p.segAttempts == nil {
+			p.segAttempts = make([]int, len(s.segs))
+		}
 		attempt := p.segAttempts[idx]
 		p.segAttempts[idx] = attempt + 1
 		discard := false
@@ -593,6 +692,9 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	if !p.have[idx] {
 		p.have[idx] = true
 		p.haveCount++
+		for p.firstMissing < len(p.have) && p.have[p.firstMissing] {
+			p.firstMissing++
+		}
 	}
 	if err := p.player.OnSegmentComplete(idx, now); err != nil {
 		panic("simpeer: segment complete: " + err.Error()) // unreachable

@@ -293,13 +293,8 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 		}
 	}
 
-	eng := sim.New(cfg.Seed)
-	net := netem.New(eng, cfg.Net)
-	sw := &swarm{eng: eng, net: net, cfg: cfg, segs: segs,
-		sm: newSimMetrics(cfg.Metrics, cfg.MetricsScheme),
-		ss: newSimSeries(cfg.Series)}
-
-	if err := sw.setup(); err != nil {
+	sw, err := newSwarm(cfg, segs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -307,7 +302,7 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 	if maxEvents <= 0 {
 		maxEvents = 20_000_000
 	}
-	if err := eng.Run(maxEvents); err != nil {
+	if err := sw.eng.Run(maxEvents); err != nil {
 		return nil, fmt.Errorf("simpeer: %w", err)
 	}
 	if cfg.Tracer.Enabled() {
@@ -316,6 +311,20 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 	}
 
 	return sw.collect(), nil
+}
+
+// newSwarm builds a validated config's swarm with every join, fault and
+// cross-traffic flow scheduled, ready for the engine to run.
+func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
+	eng := sim.New(cfg.Seed)
+	sw := &swarm{eng: eng, net: netem.New(eng, cfg.Net), cfg: cfg, segs: segs,
+		sm:       newSimMetrics(cfg.Metrics, cfg.MetricsScheme),
+		ss:       newSimSeries(cfg.Series),
+		frontier: -1}
+	if err := sw.setup(); err != nil {
+		return nil, err
+	}
+	return sw, nil
 }
 
 // swarm is the run-scoped state.
@@ -351,6 +360,22 @@ type swarm struct {
 	// rep is the per-peer reputation table, or nil when the subsystem is
 	// disabled (the legacy-selection path).
 	rep *reputation.Table[int]
+
+	// Scheduler state (peer.go). slots, relayThreshold and rarestWindow are
+	// the config's values with defaults resolved: slots is the per-peer
+	// upload cap (0 = unlimited). frontier is the availability frontier:
+	// the highest segment any leecher has ever started fetching, -1 before
+	// the first download. set is the running fill's source set (scratch,
+	// reused across fills; fill never re-enters).
+	slots          int
+	relayThreshold float64
+	rarestWindow   int
+	frontier       int
+	set            sourceSet
+	// pickCheck, when set, sees every selection fill makes before it acts
+	// on it (beyond marks a scan cut at the frontier). Tests only: the
+	// differential oracle hangs the retained full-scan picker here.
+	pickCheck func(p *peerState, idx int, src *peerState, beyond bool)
 }
 
 // nodePlan resolves the per-node link parameters, either from the scalar
@@ -388,6 +413,18 @@ func (s *swarm) nodePlan() (seeder netem.NodeConfig, leechers, traffic []netem.N
 }
 
 func (s *swarm) setup() error {
+	s.slots = 4
+	if s.cfg.MaxUploadsPerPeer != 0 {
+		s.slots = max(s.cfg.MaxUploadsPerPeer, 0) // negative: unlimited
+	}
+	s.relayThreshold = s.cfg.RelayThreshold
+	if s.relayThreshold <= 0 {
+		s.relayThreshold = defaultRelayThreshold
+	}
+	s.rarestWindow = s.cfg.RarestWindow
+	if s.rarestWindow <= 0 {
+		s.rarestWindow = 8
+	}
 	if s.cfg.Reputation != nil && s.cfg.Reputation.Enabled() {
 		s.rep = reputation.NewTable[int](*s.cfg.Reputation)
 	}
@@ -417,7 +454,7 @@ func (s *swarm) setup() error {
 	seeder := &peerState{
 		id: 0, node: seederNode, isSeeder: true,
 		have:      make([]bool, len(s.segs)),
-		uploading: make(map[int]int),
+		uploading: make([]int, len(s.segs)),
 	}
 	for i := range seeder.have {
 		seeder.have[i] = true
@@ -440,7 +477,7 @@ func (s *swarm) setup() error {
 		cdn := &peerState{
 			id: -1, node: cdnNode, isSeeder: true, isCDN: true,
 			have:      make([]bool, len(s.segs)),
-			uploading: make(map[int]int),
+			uploading: make([]int, len(s.segs)),
 		}
 		for i := range cdn.have {
 			cdn.have[i] = true
@@ -489,14 +526,10 @@ func (s *swarm) setup() error {
 			node:      node,
 			have:      make([]bool, len(s.segs)),
 			player:    pl,
-			inFlight:  make(map[int]*download),
-			uploading: make(map[int]int),
-			// Pre-allocated (not lazily, as setCorrupt does) because any
-			// peer can become the victim of an adversarial source and needs
-			// per-segment attempt counters for its pollution draws.
-			segAttempts: make(map[int]int),
-			est:         est,
-			estGuess:    guess,
+			inFlight:  make([]*download, len(s.segs)),
+			uploading: make([]int, len(s.segs)),
+			est:       est,
+			estGuess:  guess,
 		}
 		s.peers = append(s.peers, p)
 
@@ -589,17 +622,16 @@ func (s *swarm) depart(p *peerState) {
 // the affected segments to their requesters' pools immediately (no
 // timeout wait). Shared by departure (churn) and crash (fault plan).
 func (s *swarm) cancelPeerFlows(p *peerState) {
-	// Abort this peer's downloads, returning the upload slots it held.
-	// Iterate in sorted key order: map order is randomized and cancellation
-	// order influences event sequencing, which must stay deterministic.
-	for _, idx := range sortedKeys(p.inFlight) {
-		d := p.inFlight[idx]
+	// Abort this peer's downloads, returning the upload slots it held, in
+	// segment order: cancellation order influences event sequencing.
+	for idx, d := range p.inFlight {
+		if d == nil {
+			continue
+		}
 		if d.flow != nil { // pending adversary serves have no flow
 			d.flow.Cancel()
 		}
-		d.src.uploads--
-		d.src.uploading[idx]--
-		delete(p.inFlight, idx)
+		p.dropFlight(idx)
 	}
 	// Abort uploads served by this peer: every other leecher loses any
 	// in-flight download sourced here and will re-request elsewhere.
@@ -616,16 +648,14 @@ func (s *swarm) cancelUploadsFrom(p *peerState) {
 		if q == p || q.departed {
 			continue
 		}
-		for _, idx := range sortedKeys(q.inFlight) {
-			d := q.inFlight[idx]
-			if d.src == p {
-				if d.flow != nil {
-					d.flow.Cancel()
-				}
-				delete(q.inFlight, idx)
-				p.uploads--
-				p.uploading[idx]--
+		for idx, d := range q.inFlight {
+			if d == nil || d.src != p {
+				continue
 			}
+			if d.flow != nil {
+				d.flow.Cancel()
+			}
+			q.dropFlight(idx)
 		}
 	}
 }

@@ -156,7 +156,7 @@ func (s *swarm) onPlayerTransition(p *peerState, tr player.Transition) {
 // timestamp: player transitions surface lazily, so a stall observed
 // after a rejoin may have begun inside the crash window.
 func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inflight, frozen int) {
-	inflight = len(p.inFlight)
+	inflight = p.inFlightN
 	// The peer itself is (or was, at the stall's timestamp) crashed:
 	// the outage is the cause regardless of pool state.
 	if p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt) {
@@ -211,7 +211,7 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	// serving nothing (stale-have) or a useless trickle (slowloris).
 	pending, trickling := 0, 0
 	for _, d := range p.inFlight {
-		if d.flow == nil {
+		if d != nil && d.flow == nil {
 			pending++
 			if d.pending == fault.AdvSlowloris {
 				trickling++
@@ -226,7 +226,7 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	}
 	linkDown := 0
 	for _, d := range p.inFlight {
-		if d.flow == nil {
+		if d == nil || d.flow == nil {
 			continue
 		}
 		if d.flow.Frozen() {
@@ -253,13 +253,12 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	// Burst loss: the peer's own access link, or the link of a source
 	// serving one of its in-flight downloads, is (or was, at the stall's
 	// timestamp) in the Gilbert–Elliott bad state — the crushed Mathis
-	// caps, not ordinary congestion, explain the slow flows. The map
-	// iteration order is irrelevant: any match yields the same cause.
+	// caps, not ordinary congestion, explain the slow flows.
 	if s.inBurstWindow(p, at) {
 		return trace.CauseBurstLoss, inflight, 0
 	}
 	for _, d := range p.inFlight {
-		if s.inBurstWindow(d.src, at) {
+		if d != nil && s.inBurstWindow(d.src, at) {
 			return trace.CauseBurstLoss, inflight, 0
 		}
 	}
@@ -285,13 +284,12 @@ func (s *swarm) allHoldersQuarantined(p *peerState, idx int, at time.Duration) b
 }
 
 // allInFlightSourcesQuarantined reports whether every in-flight
-// download's source was quarantined at the stall's timestamp (map
-// iteration order is irrelevant: boolean AND).
+// download's source was quarantined at the stall's timestamp.
 func (s *swarm) allInFlightSourcesQuarantined(p *peerState, at time.Duration) bool {
 	for _, d := range p.inFlight {
-		if d.src.isCDN || !s.rep.Quarantined(d.src.id, at) {
+		if d != nil && (d.src.isCDN || !s.rep.Quarantined(d.src.id, at)) {
 			return false
 		}
 	}
-	return len(p.inFlight) > 0
+	return p.inFlightN > 0
 }
