@@ -1,13 +1,12 @@
 GO       ?= go
 FUZZTIME ?= 30s
 # Every generated smoke/bench byproduct lands under $(ARTIFACTS) (ignored
-# by git) instead of littering the repo root. Committed perf artifacts
-# (BENCH_*.json) are the exception: they are the deliverable, not litter.
+# by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet lint bench-alloc bench-harness bench-swarm fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
-all: build vet lint test
+all: build vet fmt-check lint test
 
 $(ARTIFACTS):
 	@mkdir -p $(ARTIFACTS)
@@ -23,6 +22,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check: gofmt over every Go file of the root module and of cmd/bench
+# (a module of its own, but gofmt walks directories, not modules).
+fmt-check:
+	@out="$$(gofmt -l *.go cmd examples internal)"; \
+		if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # splicelint: the repo's own static-analysis suite (internal/analysis),
 # with the full analyzer set, dead-suppression reporting, and a JSON
@@ -50,16 +55,6 @@ bench-alloc: | $(ARTIFACTS)
 bench-harness:
 	$(GO) vet -C cmd/bench ./...
 	$(GO) test -C cmd/bench ./...
-
-# bench-swarm: regenerate the swarm-scale emulation perf artifact —
-# 10k-peer incremental run vs the forced-full recompute baseline on the
-# identical (digest-checked) workload, plus the harness's
-# self-observation section (traced overhead gate, CPU profile top
-# functions). One benchmark pass first as a smoke check that the
-# measured configuration still runs.
-bench-swarm:
-	$(GO) test -run='^$$' -bench='^BenchmarkSwarmEmulation10k$$' -benchtime=1x .
-	$(GO) run ./cmd/benchswarm -out BENCH_10.json
 
 # bench-json: quick-scale figure regeneration as a machine-readable
 # artifact (the bench trajectory's stable format), plus one pass of the
@@ -91,10 +86,7 @@ trace-smoke: | $(ARTIFACTS)
 # time-series CSV from each, and requires byte-identity — the windowing
 # is commutative integer aggregation, so neither reruns nor parallelism
 # may move a single byte. Stall attribution must stay total on the same
-# traces. Then the swarm-scale self-observation gate: a 10k-peer
-# benchswarm run with telemetry + sampled tracing attached must keep
-# the untraced digest and stay within the 5% overhead budget (gated
-# inside cmd/benchswarm).
+# traces.
 timeseries-smoke: | $(ARTIFACTS)
 	$(GO) run ./cmd/experiment -quick -figure 2 -trace $(ARTIFACTS)/ts-trace-w1 -workers 1 > /dev/null
 	$(GO) run ./cmd/experiment -quick -figure 2 -trace $(ARTIFACTS)/ts-trace-w4 -workers 4 > /dev/null
@@ -105,8 +97,7 @@ timeseries-smoke: | $(ARTIFACTS)
 	cmp $(ARTIFACTS)/timeseries-a.csv $(ARTIFACTS)/timeseries-b.csv
 	cmp $(ARTIFACTS)/timeseries-a.csv $(ARTIFACTS)/timeseries-w4.csv
 	$(GO) run ./cmd/splicetrace timeseries $(ARTIFACTS)/ts-trace-w1 -o $(ARTIFACTS)/timeseries-report.txt
-	$(GO) run ./cmd/benchswarm -baseline-events 20000 -out $(ARTIFACTS)/bench-swarm-observed.json
-	@echo "timeseries-smoke: CSV byte-identical across runs and workers, overhead within budget"
+	@echo "timeseries-smoke: CSV byte-identical across runs and workers"
 
 # metrics-smoke: launch the quickstart real-TCP swarm with -debug-addr,
 # wait for /healthz, and validate the /metrics Prometheus exposition
@@ -114,64 +105,24 @@ timeseries-smoke: | $(ARTIFACTS)
 metrics-smoke:
 	GO="$(GO)" sh scripts/metrics-smoke.sh
 
-# fault-smoke: the churn figure (seeded fault injection) must be
-# bit-reproducible. Run the quick-scale sweep twice at workers=1 and
-# byte-compare the JSON; then once at workers=4 and compare again with
-# the legitimately varying fields (elapsed_ms, workers) stripped.
-fault-smoke: | $(ARTIFACTS)
-	$(GO) run ./cmd/experiment -quick -figure churn -json -workers 1 > $(ARTIFACTS)/fault-smoke-a.json
-	$(GO) run ./cmd/experiment -quick -figure churn -json -workers 1 > $(ARTIFACTS)/fault-smoke-b.json
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/fault-smoke-a.json > $(ARTIFACTS)/fault-smoke-a.stripped
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/fault-smoke-b.json > $(ARTIFACTS)/fault-smoke-b.stripped
-	cmp $(ARTIFACTS)/fault-smoke-a.stripped $(ARTIFACTS)/fault-smoke-b.stripped
-	$(GO) run ./cmd/experiment -quick -figure churn -json -workers 4 > $(ARTIFACTS)/fault-smoke-c.json
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/fault-smoke-a.json > $(ARTIFACTS)/fault-smoke-aw.stripped
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/fault-smoke-c.json > $(ARTIFACTS)/fault-smoke-cw.stripped
-	cmp $(ARTIFACTS)/fault-smoke-aw.stripped $(ARTIFACTS)/fault-smoke-cw.stripped
-	@echo "fault-smoke: churn figure bit-identical across runs and workers"
+# fault-smoke, burst-smoke, adversary-smoke: the extension figures (churn:
+# seeded fault injection; burst: Gilbert–Elliott burst loss + segment
+# corruption; adversary: polluter fractions × reputation on/off) must be
+# bit-reproducible across runs and worker counts — every fault plan, GE
+# sojourn and pollution draw derives from its own cell's seed. The traced
+# ones must also attribute every stall, and the adversary report must
+# carry the reputation rollup. One recipe, scripts/figure-smoke.sh; the
+# rows below are <figure> <artifact prefix> [attributed [report-must-contain]].
+FIGURE_SMOKE = GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/figure-smoke.sh
 
-# burst-smoke: the correlated-impairment figure (Gilbert–Elliott burst
-# loss + segment corruption) must be bit-reproducible — the GE chains
-# draw sojourns from each run's own engine RNG and the corruption draws
-# are pure hashes, so nothing may vary across runs or worker counts.
-# Then regenerate it with per-cell traces and require 100% stall
-# attribution: every stall under the impairment plans carries a cause.
-burst-smoke: | $(ARTIFACTS)
-	$(GO) run ./cmd/experiment -quick -figure burst -json -workers 1 > $(ARTIFACTS)/burst-smoke-a.json
-	$(GO) run ./cmd/experiment -quick -figure burst -json -workers 1 > $(ARTIFACTS)/burst-smoke-b.json
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/burst-smoke-a.json > $(ARTIFACTS)/burst-smoke-a.stripped
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/burst-smoke-b.json > $(ARTIFACTS)/burst-smoke-b.stripped
-	cmp $(ARTIFACTS)/burst-smoke-a.stripped $(ARTIFACTS)/burst-smoke-b.stripped
-	$(GO) run ./cmd/experiment -quick -figure burst -json -workers 4 > $(ARTIFACTS)/burst-smoke-c.json
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/burst-smoke-a.json > $(ARTIFACTS)/burst-smoke-aw.stripped
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/burst-smoke-c.json > $(ARTIFACTS)/burst-smoke-cw.stripped
-	cmp $(ARTIFACTS)/burst-smoke-aw.stripped $(ARTIFACTS)/burst-smoke-cw.stripped
-	$(GO) run ./cmd/experiment -quick -figure burst -trace $(ARTIFACTS)/burst-trace-quick > /dev/null
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/burst-trace-quick -require-attributed > $(ARTIFACTS)/burst-trace-report.txt
-	@echo "burst-smoke: burst figure bit-identical across runs and workers, stalls fully attributed"
+fault-smoke:
+	$(FIGURE_SMOKE) churn fault
 
-# adversary-smoke: the adversarial-peer figure (polluter fractions ×
-# reputation on/off) must be bit-reproducible — pollution decisions are
-# pure hashes of each cell's seed and the reputation tables are
-# per-swarm state, so nothing may vary across runs or worker counts.
-# Then regenerate it with per-cell traces and require 100% stall
-# attribution: every stall under pollution and quarantine carries a
-# cause (peer_quarantined included).
-adversary-smoke: | $(ARTIFACTS)
-	$(GO) run ./cmd/experiment -quick -figure adversary -json -workers 1 > $(ARTIFACTS)/adversary-smoke-a.json
-	$(GO) run ./cmd/experiment -quick -figure adversary -json -workers 1 > $(ARTIFACTS)/adversary-smoke-b.json
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/adversary-smoke-a.json > $(ARTIFACTS)/adversary-smoke-a.stripped
-	grep -v '"elapsed_ms"' $(ARTIFACTS)/adversary-smoke-b.json > $(ARTIFACTS)/adversary-smoke-b.stripped
-	cmp $(ARTIFACTS)/adversary-smoke-a.stripped $(ARTIFACTS)/adversary-smoke-b.stripped
-	$(GO) run ./cmd/experiment -quick -figure adversary -json -workers 4 > $(ARTIFACTS)/adversary-smoke-c.json
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/adversary-smoke-a.json > $(ARTIFACTS)/adversary-smoke-aw.stripped
-	grep -v '"elapsed_ms"\|"workers"' $(ARTIFACTS)/adversary-smoke-c.json > $(ARTIFACTS)/adversary-smoke-cw.stripped
-	cmp $(ARTIFACTS)/adversary-smoke-aw.stripped $(ARTIFACTS)/adversary-smoke-cw.stripped
-	$(GO) run ./cmd/experiment -quick -figure adversary -trace $(ARTIFACTS)/adversary-trace-quick > /dev/null
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/adversary-trace-quick -require-attributed > $(ARTIFACTS)/adversary-trace-report.txt
-	@grep -q "penalized peer" $(ARTIFACTS)/adversary-trace-report.txt || \
-		{ echo "adversary-smoke: report missing the reputation rollup"; exit 1; }
-	@echo "adversary-smoke: adversary figure bit-identical across runs and workers, stalls fully attributed"
+burst-smoke:
+	$(FIGURE_SMOKE) burst burst attributed
+
+adversary-smoke:
+	$(FIGURE_SMOKE) adversary adversary attributed "penalized peer"
 
 # Short fuzz pass over every fuzz target; go's fuzzer accepts one -fuzz
 # pattern per package invocation, so targets run sequentially.

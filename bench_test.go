@@ -359,10 +359,10 @@ func BenchmarkSwarmEmulationPaperScale(b *testing.B) {
 }
 
 // BenchmarkSwarmEmulation10k runs one 10k-peer locality-clustered swarm
-// per iteration on the incremental reallocator — the swarm-scale
-// configuration behind the BENCH_7.json artifact (`make bench-swarm`
-// re-measures it against the forced-full baseline). Reported metrics are
-// per-iteration throughput, so they are comparable to the artifact's.
+// per iteration on the incremental reallocator — the calibration-scale
+// configuration of cmd/bench's netem_clustered workload, which is where
+// it is measured with repetitions, a noise floor and a pinned digest.
+// Reported metrics are per-iteration throughput.
 func BenchmarkSwarmEmulation10k(b *testing.B) {
 	var events, reallocs uint64
 	for i := 0; i < b.N; i++ {

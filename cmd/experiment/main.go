@@ -3,9 +3,11 @@
 //
 // Usage:
 //
-//	experiment [-figure all|2|3|4|5|6|table|churn|burst|adversary] [-quick] [-runs N] [-leechers N]
-//	           [-clip 2m] [-seed N] [-workers N] [-json] [-trace DIR] [-churn] [-burst] [-adversary]
-//	           [-ablation churn|estimator|relay|rarest|cross|varbw]
+//	experiment [-figure KEY[,KEY...]] [-quick] [-runs N] [-leechers N] [-clip 2m] [-seed N]
+//	           [-workers N] [-json] [-csv DIR] [-trace DIR] [-ablation NAME] [-real]
+//
+// Figure keys come from experiment.Figures and ablation names from the
+// ablations table below; -h lists both.
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"p2psplice/internal/core"
@@ -28,21 +31,18 @@ import (
 
 func main() {
 	var (
-		figure    = flag.String("figure", "all", "which figure to regenerate: all, 2, 3, 4, 5, 6, or table")
-		quick     = flag.Bool("quick", false, "use the scaled-down quick parameters")
-		runs      = flag.Int("runs", 0, "override repetitions per sweep point")
-		leechers  = flag.Int("leechers", 0, "override the number of viewers")
-		clip      = flag.Duration("clip", 0, "override the clip duration")
-		seed      = flag.Int64("seed", 0, "override the base seed")
-		ablation  = flag.String("ablation", "", "run an ablation instead: churn, estimator, relay, rarest, cross, varbw, hetero, cdn")
-		real      = flag.Bool("real", false, "cross-validate: run one small swarm on BOTH the emulator and real TCP sockets")
-		csvDir    = flag.String("csv", "", "also write each figure as CSV into this directory")
-		workers   = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable figure results as JSON on stdout instead of text tables")
-		traceDir  = flag.String("trace", "", "write per-cell trace artifacts (.jsonl, .trace.json, .timeline.json) into this directory; figure values are unchanged")
-		churn     = flag.Bool("churn", false, "also run the churn figure (seeded fault injection); implied by -figure churn")
-		burst     = flag.Bool("burst", false, "also run the burst figure (correlated loss + corruption); implied by -figure burst")
-		adversary = flag.Bool("adversary", false, "also run the adversary figure (polluters vs reputation); implied by -figure adversary")
+		figure   = flag.String("figure", allFigures, "comma-separated figures to regenerate: "+allFigures+" (= "+strings.Join(figureKeys(true), ",")+") or any of "+strings.Join(figureKeys(false), ", "))
+		quick    = flag.Bool("quick", false, "use the scaled-down quick parameters")
+		runs     = flag.Int("runs", 0, "override repetitions per sweep point")
+		leechers = flag.Int("leechers", 0, "override the number of viewers")
+		clip     = flag.Duration("clip", 0, "override the clip duration")
+		seed     = flag.Int64("seed", 0, "override the base seed")
+		ablation = flag.String("ablation", "", "run an ablation instead: "+strings.Join(ablationNames(), ", "))
+		real     = flag.Bool("real", false, "cross-validate: run one small swarm on BOTH the emulator and real TCP sockets")
+		csvDir   = flag.String("csv", "", "also write each figure as CSV into this directory")
+		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
+		jsonOut  = flag.Bool("json", false, "emit machine-readable figure results as JSON on stdout instead of text tables")
+		traceDir = flag.String("trace", "", "write per-cell trace artifacts (.jsonl, .trace.json, .timeline.json) into this directory; figure values are unchanged")
 	)
 	flag.Parse()
 
@@ -91,39 +91,10 @@ func main() {
 		return
 	}
 
-	type gen struct {
-		name string
-		run  func([]int64) (*experiment.FigureResult, error)
-	}
-	gens := map[string]gen{
-		"2":     {"Figure 2", p.Fig2Stalls},
-		"3":     {"Figure 3", p.Fig3StallDuration},
-		"4":     {"Figure 4", p.Fig4Startup},
-		"5":     {"Figure 5", p.Fig5Pooling},
-		"6":     {"Figure 6 (extension)", p.Fig6AdaptiveSplicing},
-		"table": {"Splicing table", func([]int64) (*experiment.FigureResult, error) { return p.SpliceOverheadTable() }},
-		"churn": {"Churn figure (extension)", func([]int64) (*experiment.FigureResult, error) { return p.FigChurn(nil) }},
-		"burst": {"Burst figure (extension)", func([]int64) (*experiment.FigureResult, error) { return p.FigBurst(nil) }},
-		"adversary": {"Adversary figure (extension)", func([]int64) (*experiment.FigureResult, error) {
-			return p.FigAdversary(nil)
-		}},
-	}
-	order := []string{"2", "3", "4", "5", "6", "table"}
-	if *churn {
-		order = append(order, "churn")
-	}
-	if *burst {
-		order = append(order, "burst")
-	}
-	if *adversary {
-		order = append(order, "adversary")
-	}
-	if *figure != "all" {
-		if _, ok := gens[*figure]; !ok {
-			fmt.Fprintf(os.Stderr, "experiment: unknown figure %q\n", *figure)
-			os.Exit(2)
-		}
-		order = []string{*figure}
+	figures, err := selectFigures(*figure)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiment:", err)
+		os.Exit(2)
 	}
 	start := time.Now()
 	report := jsonReport{
@@ -136,15 +107,15 @@ func main() {
 			Workers:     p.Workers,
 		},
 	}
-	for _, key := range order {
-		res, err := gens[key].run(nil)
+	for _, f := range figures {
+		res, err := f.Run(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment: %s: %v\n", gens[key].name, err)
+			fmt.Fprintf(os.Stderr, "experiment: %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		if *jsonOut {
 			report.Figures = append(report.Figures, jsonFigure{
-				Key:    key,
+				Key:    f.Key,
 				Title:  res.Figure.Title,
 				XLabel: res.Figure.XLabel,
 				X:      res.Figure.XValues,
@@ -154,7 +125,7 @@ func main() {
 			fmt.Println(res.Figure.Render())
 		}
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, key, res); err != nil {
+			if err := writeCSV(*csvDir, f.Key, res); err != nil {
 				fmt.Fprintln(os.Stderr, "experiment:", err)
 				os.Exit(1)
 			}
@@ -178,6 +149,40 @@ func main() {
 	}
 	fmt.Printf("(%d leechers, %v clip, %d runs/point, elapsed %v)\n",
 		p.Leechers, p.ClipDuration, p.Runs, time.Since(start).Round(time.Millisecond))
+}
+
+// allFigures is the -figure key that expands to the registry's paper set.
+const allFigures = "all"
+
+// figureKeys lists the registry's keys in order, or only the paper set's.
+func figureKeys(paperOnly bool) []string {
+	var keys []string
+	for _, f := range experiment.Figures {
+		if f.Paper || !paperOnly {
+			keys = append(keys, f.Key)
+		}
+	}
+	return keys
+}
+
+// selectFigures resolves a -figure value — comma-separated registry keys,
+// with "all" standing for the paper set — to registry entries, in the
+// order given.
+func selectFigures(spec string) ([]experiment.Figure, error) {
+	var out []experiment.Figure
+	for _, key := range strings.Split(spec, ",") {
+		n := len(out)
+		for _, f := range experiment.Figures {
+			if f.Key == key || (key == allFigures && f.Paper) {
+				out = append(out, f)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("unknown figure %q (want %s or any of %s)",
+				key, allFigures, strings.Join(figureKeys(false), ", "))
+		}
+	}
+	return out, nil
 }
 
 // jsonReport is the -json artifact: the machine-readable form of every
@@ -271,15 +276,10 @@ func runRealValidation() error {
 	p.Encoder.BytesPerSecond = rate
 	p.Leechers = viewers
 	p.Runs = 1
-	segs, err := p.Segments(sp)
-	if err != nil {
-		return err
-	}
 	emu, err := p.Sweep(sp, core.AdaptivePool{}, []int64{shapeKB}, nil)
 	if err != nil {
 		return err
 	}
-	_ = segs
 
 	// Real TCP over loopback, shaped to the same access rate.
 	fmt.Printf("cross-validation: %v clip at %d B/s, %d viewers, 2s segments, %d kB/s links\n",
@@ -305,89 +305,99 @@ func runRealValidation() error {
 	return nil
 }
 
-// runAblation exercises the extension mechanisms DESIGN.md calls out and
-// prints a small before/after table.
-func runAblation(p experiment.Params, name string) error {
-	bandwidths := []int64{128, 256, 512}
+// variant is one arm of an ablation: a label and the config hook that
+// turns the mechanism under study on or off (nil = the baseline).
+type variant struct {
+	label string
+	mod   func(*simpeer.SwarmConfig)
+}
 
-	type variant struct {
-		label string
-		mod   func(*simpeer.SwarmConfig)
-	}
-	var variants []variant
-	switch name {
-	case "churn":
-		variants = []variant{
-			{"no churn", nil},
-			{"mean online 45s", func(c *simpeer.SwarmConfig) {
-				c.Churn = simpeer.ChurnModel{MeanOnline: 45 * time.Second, MinRemaining: 3}
-			}},
-		}
-	case "estimator":
-		variants = []variant{
-			{"oracle B", nil},
-			{"EWMA B", func(c *simpeer.SwarmConfig) { c.OracleBandwidth = false }},
-		}
-	case "relay":
-		variants = []variant{
-			{"piece relay", nil},
-			{"store-and-forward", func(c *simpeer.SwarmConfig) { c.DisableRelay = true }},
-		}
-	case "rarest":
-		variants = []variant{
-			{"sequential", nil},
-			{"rarest-first", func(c *simpeer.SwarmConfig) { c.Selection = simpeer.SelectRarestFirst }},
-		}
-	case "cross":
-		variants = []variant{
-			{"idle network", nil},
-			{"4 cross flows", func(c *simpeer.SwarmConfig) { c.CrossTraffic = 4 }},
-		}
-	case "cdn":
-		variants = []variant{
-			{"pure P2P", nil},
-			{"CDN assist (1 MB/s)", func(c *simpeer.SwarmConfig) {
-				c.CDN = &simpeer.CDNAssist{BandwidthBytesPerSec: 1024 * 1024}
-			}},
-		}
-	case "hetero":
-		half := make([]int64, 10)
-		for i := range half {
-			if i%2 == 0 {
+// ablations is the ordered table of -ablation names: each exercises one
+// extension mechanism DESIGN.md calls out against its baseline.
+var ablations = []struct {
+	name     string
+	variants []variant
+}{
+	{"churn", []variant{
+		{"no churn", nil},
+		{"mean online 45s", func(c *simpeer.SwarmConfig) {
+			c.Churn = simpeer.ChurnModel{MeanOnline: 45 * time.Second, MinRemaining: 3}
+		}},
+	}},
+	{"estimator", []variant{
+		{"oracle B", nil},
+		{"EWMA B", func(c *simpeer.SwarmConfig) { c.OracleBandwidth = false }},
+	}},
+	{"relay", []variant{
+		{"piece relay", nil},
+		{"store-and-forward", func(c *simpeer.SwarmConfig) { c.DisableRelay = true }},
+	}},
+	{"rarest", []variant{
+		{"sequential", nil},
+		{"rarest-first", func(c *simpeer.SwarmConfig) { c.Selection = simpeer.SelectRarestFirst }},
+	}},
+	{"cross", []variant{
+		{"idle network", nil},
+		{"4 cross flows", func(c *simpeer.SwarmConfig) { c.CrossTraffic = 4 }},
+	}},
+	{"varbw", []variant{
+		{"fixed bandwidth", nil},
+		{"drops to half mid-clip", func(c *simpeer.SwarmConfig) {
+			c.BandwidthSchedule = []netem.BandwidthStep{
+				{At: 40 * time.Second, BytesPerSec: c.BandwidthBytesPerSec / 2},
+				{At: 80 * time.Second, BytesPerSec: c.BandwidthBytesPerSec},
+			}
+		}},
+	}},
+	{"hetero", []variant{
+		{"homogeneous", nil},
+		{"half the peers at 64kB/s", func(c *simpeer.SwarmConfig) {
+			half := make([]int64, 10)
+			for i := 0; i < len(half); i += 2 {
 				half[i] = 64 * 1024 // every other peer on a half-rate link
 			}
-		}
-		variants = []variant{
-			{"homogeneous", nil},
-			{"half the peers at 64kB/s", func(c *simpeer.SwarmConfig) {
-				c.LeecherBandwidths = half
-			}},
-		}
-	case "varbw":
-		variants = []variant{
-			{"fixed bandwidth", nil},
-			{"drops to half mid-clip", func(c *simpeer.SwarmConfig) {
-				c.BandwidthSchedule = []netem.BandwidthStep{
-					{At: 40 * time.Second, BytesPerSec: c.BandwidthBytesPerSec / 2},
-					{At: 80 * time.Second, BytesPerSec: c.BandwidthBytesPerSec},
-				}
-			}},
-		}
-	default:
-		return fmt.Errorf("unknown ablation %q", name)
-	}
+			c.LeecherBandwidths = half
+		}},
+	}},
+	{"cdn", []variant{
+		{"pure P2P", nil},
+		{"CDN assist (1 MB/s)", func(c *simpeer.SwarmConfig) {
+			c.CDN = &simpeer.CDNAssist{BandwidthBytesPerSec: 1024 * 1024}
+		}},
+	}},
+}
 
+func ablationNames() []string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return names
+}
+
+// runAblation runs the named ablation on 4 s splicing with adaptive
+// pooling and prints a small before/after table.
+func runAblation(p experiment.Params, name string) error {
+	var variants []variant
+	for _, a := range ablations {
+		if a.name == name {
+			variants = a.variants
+		}
+	}
+	if variants == nil {
+		return fmt.Errorf("unknown ablation %q (want one of %s)", name, strings.Join(ablationNames(), ", "))
+	}
+	bandwidths := []int64{128, 256, 512}
 	fmt.Printf("Ablation %q (4s splicing, adaptive pooling)\n", name)
 	fmt.Printf("%-24s | %-8s | %8s | %10s | %9s\n", "variant", "kB/s", "stalls", "stall sec", "startup")
 	for _, v := range variants {
-		for _, bw := range bandwidths {
-			pts, err := p.Sweep(splicer.DurationSplicer{Target: 4 * time.Second}, core.AdaptivePool{}, []int64{bw}, v.mod)
-			if err != nil {
-				return err
-			}
-			pt := pts[0]
+		pts, err := p.Sweep(splicer.DurationSplicer{Target: 4 * time.Second}, core.AdaptivePool{}, bandwidths, v.mod)
+		if err != nil {
+			return err
+		}
+		for _, pt := range pts {
 			fmt.Printf("%-24s | %-8d | %8.1f | %10.1f | %9.1f\n",
-				v.label, bw, pt.Stalls, pt.StallSeconds, pt.StartupSecs)
+				v.label, pt.BandwidthKB, pt.Stalls, pt.StallSeconds, pt.StartupSecs)
 		}
 	}
 	return nil

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
 	"p2psplice/internal/core"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/splicer"
 )
 
@@ -25,79 +23,42 @@ func (p Params) Fig6AdaptiveSplicing(bandwidths []int64) (*FigureResult, error) 
 	if len(bandwidths) == 0 {
 		bandwidths = Fig2Bandwidths
 	}
-	fig := metrics.Figure{
-		Title:   "Figure 6 (extension): adaptive splicing vs fixed durations",
-		XLabel:  "Available Bandwidth (kB/s)",
-		XValues: bandwidthLabels(bandwidths),
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-
-	// Fixed-duration baselines: one spec each over the full axis.
-	fixed := []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second}
-	specs := make([]sweepSpec, 0, len(fixed)+len(bandwidths))
-	for _, target := range fixed {
-		sp := splicer.DurationSplicer{Target: target}
-		segs, err := p.Segments(sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sp.Name(), err)
-		}
-		specs = append(specs, sweepSpec{
-			name:       sp.Name(),
-			label:      "Figure 6/" + sp.Name(),
-			segs:       segs,
-			policy:     core.AdaptivePool{},
-			bandwidths: bandwidths,
-		})
+	f := bandwidthFigure("Figure 6 (extension): adaptive splicing vs fixed durations", bandwidths,
+		combinedBadness, func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) })
+	for _, sp := range durationSet() {
+		f.rows = append(f.rows, p.sweepRow(sp.Name(), "Figure 6/"+sp.Name(), sp, core.AdaptivePool{}, nil, bandwidths))
 	}
 
 	// Adaptive splicing: the segment duration is chosen per bandwidth with
 	// the OptimalDuration algorithm (the smallest duration whose
-	// overhead-inflated demand fits the link), so each bandwidth gets its
-	// own splicing — one single-bandwidth spec per sweep point.
-	targets := make([]string, len(bandwidths))
+	// overhead-inflated demand fits the link), so each x index gets its
+	// own splicing.
 	v, err := p.Video()
 	if err != nil {
 		return nil, err
 	}
+	targets := make([]time.Duration, len(bandwidths))
+	targetNames := make([]string, len(bandwidths))
 	for i, bw := range bandwidths {
 		// Safety 0.6: a swarm peer's link also carries relaying and
 		// pipeline-chain overheads that a point-to-point demand model does
 		// not see, so leave substantial headroom.
-		target, err := splicer.OptimalDuration(v, bw*1024, 50*time.Millisecond, 0.6)
+		targets[i], err = splicer.OptimalDuration(v, bw*1024, 50*time.Millisecond, 0.6)
 		if err != nil {
 			return nil, err
 		}
-		targets[i] = target.String()
-		segs, err := p.Segments(splicer.DurationSplicer{Target: target})
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, sweepSpec{
-			name:       "adaptive",
-			label:      "Figure 6/adaptive@" + strconv.FormatInt(bw, 10),
-			segs:       segs,
-			policy:     core.AdaptivePool{},
-			bandwidths: []int64{bw},
-		})
+		targetNames[i] = targets[i].String()
 	}
+	f.rows = append(f.rows, row{name: "adaptive", at: func(i int) (cell, error) {
+		return p.cellFor("Figure 6/adaptive@"+strconv.FormatInt(bandwidths[i], 10),
+			splicer.DurationSplicer{Target: targets[i]}, bandwidths[i], core.AdaptivePool{}, nil)
+	}})
 
-	points, err := p.runSweeps(specs)
+	res, err := p.run(f)
 	if err != nil {
 		return nil, err
 	}
-	for i := range fixed {
-		sp := splicer.DurationSplicer{Target: fixed[i]}
-		res.Values[sp.Name()] = series(points[i], combinedBadness)
-		fig.AddSeries(sp.Name(), renderSeries(res.Values[sp.Name()]))
-	}
-	nums := make([]float64, len(bandwidths))
-	for i := range bandwidths {
-		nums[i] = combinedBadness(points[len(fixed)+i][0])
-	}
-	res.Values["adaptive"] = nums
-	fig.AddSeries("adaptive", renderSeries(nums))
-	fig.AddSeries("adaptive target", targets)
-	res.Figure = fig
+	res.Figure.AddSeries("adaptive target", targetNames)
 	return res, nil
 }
 
@@ -105,19 +66,3 @@ func (p Params) Fig6AdaptiveSplicing(bandwidths []int64) (*FigureResult, error) 
 // seconds — the viewer-visible waiting a splicing causes. (Stall count alone
 // hides the granularity trade-off; see EXPERIMENTS.md.)
 func combinedBadness(pt Point) float64 { return pt.StartupSecs + pt.StallSeconds }
-
-func series(points []Point, f func(Point) float64) []float64 {
-	out := make([]float64, len(points))
-	for i, pt := range points {
-		out[i] = f(pt)
-	}
-	return out
-}
-
-func renderSeries(vals []float64) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = strconv.FormatFloat(v, 'f', 1, 64)
-	}
-	return out
-}

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"p2psplice/internal/core"
 	"p2psplice/internal/fault"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
@@ -32,10 +30,6 @@ func AdversaryLevels() []AdversaryLevel {
 		{Name: "50% polluters", PolluterPct: 50},
 	}
 }
-
-// adversaryBandwidthKB fixes the access bandwidth for the adversary
-// sweep: the axis under study is the polluter fraction, not bandwidth.
-const adversaryBandwidthKB = 256
 
 // adversaryPollutePct is each polluter's per-attempt pollution rate. The
 // draws are pure hashes of (seed, src, dst, seg, attempt), so an honest
@@ -71,7 +65,7 @@ func (p Params) adversaryMod(lv AdversaryLevel, rep *reputation.Config) func(*si
 		if lv.PolluterPct <= 0 {
 			return
 		}
-		horizon := 2*p.ClipDuration + 30*time.Second
+		horizon := p.faultHorizon()
 		nodes := polluterNodes(cfg.Leechers, lv.PolluterPct)
 		plans := make([]fault.Plan, 0, len(nodes))
 		for _, node := range nodes {
@@ -95,64 +89,17 @@ func (p Params) FigAdversary(levels []AdversaryLevel) (*FigureResult, error) {
 		levels = AdversaryLevels()
 	}
 	repOn := reputation.Default()
-	series := []struct {
-		name string
-		sp   splicer.Splicer
-		rep  *reputation.Config
-	}{
-		{"gop rep-on", splicer.GOPSplicer{}, &repOn},
-		{"gop rep-off", splicer.GOPSplicer{}, nil},
-		{"4s rep-on", splicer.DurationSplicer{Target: 4 * time.Second}, &repOn},
-		{"4s rep-off", splicer.DurationSplicer{Target: 4 * time.Second}, nil},
+	withRep := func(rep *reputation.Config) func(int) func(*simpeer.SwarmConfig) {
+		return func(i int) func(*simpeer.SwarmConfig) { return p.adversaryMod(levels[i], rep) }
 	}
-	names := make([]string, len(levels))
-	for i, lv := range levels {
-		names[i] = lv.Name
-	}
-	fig := metrics.Figure{
-		Title:   "Adversary: honest-viewer startup + stall seconds vs polluter fraction (256 kB/s)",
-		XLabel:  "Adversaries",
-		XValues: names,
-	}
-
-	var cells []cell
-	for _, s := range series {
-		segs, err := p.Segments(s.sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.sp.Name(), err)
-		}
-		for _, lv := range levels {
-			mod := p.adversaryMod(lv, s.rep)
-			for r := 0; r < p.Runs; r++ {
-				cells = append(cells, cell{
-					label:       "Adversary/" + s.name + "/" + lv.Name,
-					segs:        segs,
-					bandwidthKB: adversaryBandwidthKB,
-					policy:      core.AdaptivePool{},
-					mod:         mod,
-					run:         r,
-				})
-			}
-		}
-	}
-	outs, err := p.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	k := 0
-	for _, s := range series {
-		nums := make([]float64, len(levels))
-		strs := make([]string, len(levels))
-		for j := range levels {
-			pt := averageCells(adversaryBandwidthKB, outs[k:k+p.Runs])
-			k += p.Runs
-			nums[j] = pt.StartupSecs + pt.StallSeconds
-			strs[j] = metrics.FormatSeconds(nums[j])
-		}
-		res.Values[s.name] = nums
-		fig.AddSeries(s.name, strs)
-	}
-	res.Figure = fig
-	return res, nil
+	gop, dur4 := splicer.GOPSplicer{}, splicer.DurationSplicer{Target: 4 * time.Second}
+	return p.levelFigure("Adversary",
+		"Adversary: honest-viewer startup + stall seconds vs polluter fraction (256 kB/s)",
+		"Adversaries", levelNames(levels, func(lv AdversaryLevel) string { return lv.Name }),
+		[]levelSeries{
+			{"gop rep-on", gop, core.AdaptivePool{}, withRep(&repOn)},
+			{"gop rep-off", gop, core.AdaptivePool{}, withRep(nil)},
+			{"4s rep-on", dur4, core.AdaptivePool{}, withRep(&repOn)},
+			{"4s rep-off", dur4, core.AdaptivePool{}, withRep(nil)},
+		})
 }

@@ -78,34 +78,10 @@ func TestFigAdversaryShape(t *testing.T) {
 	// rep-on and rep-off see identical swarms, so their measurements are
 	// bit-identical.
 	for _, scheme := range []string{"gop", "4s"} {
-		on, off := res.Series(scheme+" rep-on")[0], res.Series(scheme+" rep-off")[0]
+		on, off := res.Series(scheme + " rep-on")[0], res.Series(scheme + " rep-off")[0]
 		if on != off {
 			t.Errorf("%s: honest-swarm badness differs with reputation on (%v) vs off (%v)",
 				scheme, on, off)
 		}
-	}
-}
-
-// TestFigAdversaryDeterministicAcrossWorkers requires the adversary
-// sweep to be bit-identical between the serial and the parallel runner:
-// polluter draws are pure hashes of each cell's own seed, and the
-// reputation tables live per-swarm, never in shared state.
-func TestFigAdversaryDeterministicAcrossWorkers(t *testing.T) {
-	serial := adversaryTestParams()
-	serial.Workers = 1
-	parallel := adversaryTestParams()
-	parallel.Workers = 4
-
-	a, err := serial.FigAdversary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.FigAdversary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Values, b.Values) {
-		t.Errorf("adversary figure differs between workers=1 and workers=4:\nserial:   %v\nparallel: %v",
-			a.Values, b.Values)
 	}
 }

@@ -1,14 +1,8 @@
 package experiment
 
 import (
-	"fmt"
-	"time"
-
-	"p2psplice/internal/core"
 	"p2psplice/internal/fault"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
-	"p2psplice/internal/splicer"
 )
 
 // BurstLevel is one x-axis point of the burst figure: an impairment mix
@@ -41,10 +35,6 @@ func BurstLevels() []BurstLevel {
 	}
 }
 
-// burstBandwidthKB fixes the access bandwidth for the burst sweep: the
-// axis under study is loss correlation, not bandwidth.
-const burstBandwidthKB = 256
-
 // burstMod returns the per-cell config hook for one impairment level.
 // It runs after the cell's seed is set; the GE chains then draw their
 // sojourn times from the run's own engine RNG and the corruption draws
@@ -59,7 +49,7 @@ func (p Params) burstMod(lv BurstLevel) func(*simpeer.SwarmConfig) {
 		// setting the baseline to the good-state rate keeps the brief
 		// pre/post-window edges consistent with the good state.
 		cfg.LossRate = lv.GE.PGood
-		horizon := 2*p.ClipDuration + 30*time.Second
+		horizon := p.faultHorizon()
 		plans := make([]fault.Plan, 0, 2*cfg.Leechers+1)
 		for node := 0; node <= cfg.Leechers; node++ {
 			plans = append(plans, fault.BurstLoss(node, 0, horizon, *lv.GE))
@@ -84,64 +74,7 @@ func (p Params) FigBurst(levels []BurstLevel) (*FigureResult, error) {
 	if len(levels) == 0 {
 		levels = BurstLevels()
 	}
-	series := []struct {
-		name string
-		sp   splicer.Splicer
-		pol  core.Policy
-	}{
-		{"gop adaptive", splicer.GOPSplicer{}, core.AdaptivePool{}},
-		{"gop fixed-4", splicer.GOPSplicer{}, core.FixedPool{K: 4}},
-		{"4s adaptive", splicer.DurationSplicer{Target: 4 * time.Second}, core.AdaptivePool{}},
-		{"4s fixed-4", splicer.DurationSplicer{Target: 4 * time.Second}, core.FixedPool{K: 4}},
-	}
-	names := make([]string, len(levels))
-	for i, lv := range levels {
-		names[i] = lv.Name
-	}
-	fig := metrics.Figure{
-		Title:   "Burst: startup + stall seconds as 5% average loss correlates (256 kB/s)",
-		XLabel:  "Impairment",
-		XValues: names,
-	}
-
-	var cells []cell
-	for _, s := range series {
-		segs, err := p.Segments(s.sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.sp.Name(), err)
-		}
-		for _, lv := range levels {
-			mod := p.burstMod(lv)
-			for r := 0; r < p.Runs; r++ {
-				cells = append(cells, cell{
-					label:       "Burst/" + s.name + "/" + lv.Name,
-					segs:        segs,
-					bandwidthKB: burstBandwidthKB,
-					policy:      s.pol,
-					mod:         mod,
-					run:         r,
-				})
-			}
-		}
-	}
-	outs, err := p.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	k := 0
-	for _, s := range series {
-		nums := make([]float64, len(levels))
-		strs := make([]string, len(levels))
-		for j := range levels {
-			pt := averageCells(burstBandwidthKB, outs[k:k+p.Runs])
-			k += p.Runs
-			nums[j] = pt.StartupSecs + pt.StallSeconds
-			strs[j] = metrics.FormatSeconds(nums[j])
-		}
-		res.Values[s.name] = nums
-		fig.AddSeries(s.name, strs)
-	}
-	res.Figure = fig
-	return res, nil
+	return p.levelFigure("Burst", "Burst: startup + stall seconds as 5% average loss correlates (256 kB/s)",
+		"Impairment", levelNames(levels, func(lv BurstLevel) string { return lv.Name }),
+		splicingByPooling(func(i int) func(*simpeer.SwarmConfig) { return p.burstMod(levels[i]) }))
 }

@@ -1,14 +1,10 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
-	"p2psplice/internal/core"
 	"p2psplice/internal/fault"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
-	"p2psplice/internal/splicer"
 )
 
 // ChurnLevel is one x-axis point of the churn figure: a mean online
@@ -28,10 +24,6 @@ func ChurnLevels() []ChurnLevel {
 		{Name: "high", MeanOnline: 20 * time.Second},
 	}
 }
-
-// churnBandwidthKB fixes the access bandwidth for the churn sweep: the
-// axis under study is fault intensity, not bandwidth.
-const churnBandwidthKB = 256
 
 // churnMeanOffline is the mean crash-to-rejoin gap for churned peers.
 const churnMeanOffline = 8 * time.Second
@@ -56,8 +48,7 @@ func (p Params) churnMod(lv ChurnLevel) func(*simpeer.SwarmConfig) {
 		for id := 1; id <= cfg.Leechers; id += 2 {
 			churners = append(churners, id)
 		}
-		horizon := 2*p.ClipDuration + 30*time.Second
-		cfg.Faults = fault.Churn(cfg.Seed, churners, horizon, lv.MeanOnline, churnMeanOffline)
+		cfg.Faults = fault.Churn(cfg.Seed, churners, p.faultHorizon(), lv.MeanOnline, churnMeanOffline)
 	}
 }
 
@@ -71,67 +62,7 @@ func (p Params) FigChurn(levels []ChurnLevel) (*FigureResult, error) {
 	if len(levels) == 0 {
 		levels = ChurnLevels()
 	}
-	series := []struct {
-		name string
-		sp   splicer.Splicer
-		pol  core.Policy
-	}{
-		{"gop adaptive", splicer.GOPSplicer{}, core.AdaptivePool{}},
-		{"gop fixed-4", splicer.GOPSplicer{}, core.FixedPool{K: 4}},
-		{"4s adaptive", splicer.DurationSplicer{Target: 4 * time.Second}, core.AdaptivePool{}},
-		{"4s fixed-4", splicer.DurationSplicer{Target: 4 * time.Second}, core.FixedPool{K: 4}},
-	}
-	names := make([]string, len(levels))
-	for i, lv := range levels {
-		names[i] = lv.Name
-	}
-	fig := metrics.Figure{
-		Title:   "Churn: startup + stall seconds under increasing peer churn (256 kB/s)",
-		XLabel:  "Churn level",
-		XValues: names,
-	}
-
-	// Fan every (series × level × run) cell out on the worker pool, the
-	// same decomposition runSweeps uses with churn level standing in for
-	// the bandwidth axis.
-	var cells []cell
-	for _, s := range series {
-		segs, err := p.Segments(s.sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.sp.Name(), err)
-		}
-		for _, lv := range levels {
-			mod := p.churnMod(lv)
-			for r := 0; r < p.Runs; r++ {
-				cells = append(cells, cell{
-					label:       "Churn/" + s.name + "/" + lv.Name,
-					segs:        segs,
-					bandwidthKB: churnBandwidthKB,
-					policy:      s.pol,
-					mod:         mod,
-					run:         r,
-				})
-			}
-		}
-	}
-	outs, err := p.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	k := 0
-	for _, s := range series {
-		nums := make([]float64, len(levels))
-		strs := make([]string, len(levels))
-		for j := range levels {
-			pt := averageCells(churnBandwidthKB, outs[k:k+p.Runs])
-			k += p.Runs
-			nums[j] = pt.StartupSecs + pt.StallSeconds
-			strs[j] = metrics.FormatSeconds(nums[j])
-		}
-		res.Values[s.name] = nums
-		fig.AddSeries(s.name, strs)
-	}
-	res.Figure = fig
-	return res, nil
+	return p.levelFigure("Churn", "Churn: startup + stall seconds under increasing peer churn (256 kB/s)",
+		"Churn level", levelNames(levels, func(lv ChurnLevel) string { return lv.Name }),
+		splicingByPooling(func(i int) func(*simpeer.SwarmConfig) { return p.churnMod(levels[i]) }))
 }

@@ -4,31 +4,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // These tests enforce the runner's headline guarantee: fanning the figure
-// cells out on a worker pool changes nothing. For every figure, the
-// parallel FigureResult must be float-bit-identical (math.Float64bits — the
-// measurement packages ban float ==) to the Workers=1 output for the same
-// seeds.
-
-// figureGen names one figure generator at its reduced test axis.
-type figureGen struct {
-	name string
-	bws  []int64
-	run  func(Params, []int64) (*FigureResult, error)
-}
-
-func figureGens() []figureGen {
-	return []figureGen{
-		{"Fig2Stalls", []int64{128, 512, 1024}, func(p Params, bws []int64) (*FigureResult, error) { return p.Fig2Stalls(bws) }},
-		{"Fig3StallDuration", []int64{128, 512}, func(p Params, bws []int64) (*FigureResult, error) { return p.Fig3StallDuration(bws) }},
-		{"Fig4Startup", []int64{128, 1024}, func(p Params, bws []int64) (*FigureResult, error) { return p.Fig4Startup(bws) }},
-		{"Fig5Pooling", []int64{128, 768}, func(p Params, bws []int64) (*FigureResult, error) { return p.Fig5Pooling(bws) }},
-		{"Fig6AdaptiveSplicing", []int64{256, 768}, func(p Params, bws []int64) (*FigureResult, error) { return p.Fig6AdaptiveSplicing(bws) }},
-	}
-}
+// cells out on a worker pool changes nothing. For every figure in the
+// registry, the parallel FigureResult must be float-bit-identical
+// (math.Float64bits — the measurement packages ban float ==) to the
+// Workers=1 output for the same seeds.
 
 // assertBitIdentical fails unless a and b hold exactly the same series with
 // exactly the same float bits.
@@ -56,33 +40,57 @@ func assertBitIdentical(t *testing.T, context string, serial, parallel map[strin
 	}
 }
 
-// TestParallelMatchesSerial runs every figure at QuickParams scale with
-// Workers=1 and again at Workers ∈ {2, GOMAXPROCS}, and requires
-// bit-identical values.
+// TestParallelMatchesSerial runs every registry figure at QuickParams scale
+// with Workers=1 and again at Workers ∈ {2, GOMAXPROCS}, and requires
+// bit-identical values. The extension figures are the sharp end of the
+// check: their fault plans, burst chains and pollution draws must derive
+// from each cell's own seed, never from shared or scheduling-dependent
+// state.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-figure equivalence sweep")
 	}
 	workerCounts := []int{2, runtime.GOMAXPROCS(0)}
-	for _, g := range figureGens() {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
+	for _, f := range Figures {
+		t.Run(f.Key, func(t *testing.T) {
 			serialP := QuickParams()
 			serialP.Workers = 1
-			serial, err := g.run(serialP, g.bws)
+			serial, err := f.Run(serialP)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
 				par := QuickParams()
 				par.Workers = w
-				got, err := g.run(par, g.bws)
+				got, err := f.Run(par)
 				if err != nil {
 					t.Fatalf("Workers=%d: %v", w, err)
 				}
-				assertBitIdentical(t, fmt.Sprintf("%s Workers=%d", g.name, w), serial.Values, got.Values)
+				assertBitIdentical(t, fmt.Sprintf("%s Workers=%d", f.Name, w), serial.Values, got.Values)
 			}
 		})
+	}
+}
+
+// TestFiguresRegistry pins the registry's contract: unique keys, and the
+// default set is the paper's evaluation in the paper's order.
+func TestFiguresRegistry(t *testing.T) {
+	seen := make(map[string]bool)
+	var paper []string
+	for _, f := range Figures {
+		if f.Key == "" || f.Name == "" || f.Run == nil {
+			t.Errorf("incomplete registry entry %+v", f)
+		}
+		if seen[f.Key] {
+			t.Errorf("duplicate figure key %q", f.Key)
+		}
+		seen[f.Key] = true
+		if f.Paper {
+			paper = append(paper, f.Key)
+		}
+	}
+	if got, want := strings.Join(paper, ","), "2,3,4,5,6,table"; got != want {
+		t.Errorf("paper set = %s, want %s", got, want)
 	}
 }
 

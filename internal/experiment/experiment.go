@@ -1,9 +1,10 @@
-// Package experiment regenerates the paper's evaluation: one function per
-// figure (Figures 2-5), each sweeping the parameters Section V describes and
-// rendering the same series the paper plots, plus the ablations DESIGN.md
-// calls out. Absolute numbers are model-specific; the harness exists to
-// reproduce the figures' shapes (who wins, by how much, where the crossovers
-// fall).
+// Package experiment regenerates the paper's evaluation: the Figures
+// registry lists every figure, each a sweep of the parameters Section V
+// describes (or of an extension axis: churn, burst loss, adversaries)
+// rendered as the series the paper plots, all run by one driver
+// (runner.go); Sweep serves the ablations DESIGN.md calls out. Absolute
+// numbers are model-specific; the harness exists to reproduce the figures'
+// shapes (who wins, by how much, where the crossovers fall).
 package experiment
 
 import (
@@ -147,34 +148,21 @@ type Point struct {
 // failures to the figure and series that scheduled the point.
 func (p Params) runPoint(label string, segs []simpeer.SegmentMeta, bandwidthKB int64,
 	policy core.Policy, mod func(*simpeer.SwarmConfig)) (Point, error) {
-	cells := make([]cell, p.Runs)
-	for r := 0; r < p.Runs; r++ {
-		cells[r] = cell{label: label, segs: segs, bandwidthKB: bandwidthKB,
-			policy: policy, mod: mod, run: r}
-	}
-	outs, err := p.runCells(cells)
+	points, err := p.points([]row{{at: func(int) (cell, error) {
+		return cell{label: label, segs: segs, bandwidthKB: bandwidthKB, policy: policy, mod: mod}, nil
+	}}}, 1)
 	if err != nil {
 		return Point{}, err
 	}
-	return averageCells(bandwidthKB, outs), nil
+	return points[0][0], nil
 }
 
 // Sweep runs one series over the bandwidth axis, fanning the (bandwidth ×
 // run) cells out on the worker pool.
 func (p Params) Sweep(sp splicer.Splicer, policy core.Policy, bandwidthsKB []int64,
 	mod func(*simpeer.SwarmConfig)) ([]Point, error) {
-	segs, err := p.Segments(sp)
-	if err != nil {
-		return nil, err
-	}
-	points, err := p.runSweeps([]sweepSpec{{
-		name:       sp.Name(),
-		label:      "sweep/" + sp.Name(),
-		segs:       segs,
-		policy:     policy,
-		mod:        mod,
-		bandwidths: bandwidthsKB,
-	}})
+	points, err := p.points([]row{p.sweepRow(sp.Name(), "sweep/"+sp.Name(), sp, policy, mod, bandwidthsKB)},
+		len(bandwidthsKB))
 	if err != nil {
 		return nil, err
 	}

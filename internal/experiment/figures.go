@@ -31,6 +31,10 @@ func SplicingSet() []splicer.Splicer {
 	}
 }
 
+// durationSet is SplicingSet without GOP splicing: the fixed 2/4/8 s
+// durations Figures 4 and 6 compare.
+func durationSet() []splicer.Splicer { return SplicingSet()[1:] }
+
 func bandwidthLabels(bws []int64) []string {
 	out := make([]string, len(bws))
 	for i, b := range bws {
@@ -39,78 +43,93 @@ func bandwidthLabels(bws []int64) []string {
 	return out
 }
 
-// splicingSweep runs Figures 2 and 3's sweep once and extracts the chosen
-// measure from each point. All four series fan out together on the worker
-// pool; figName attributes any cell failure ("Figure 2/gop").
-func (p Params) splicingSweep(bandwidths []int64, measure func(Point) float64,
-	format func(float64) string, figName, title string) (*FigureResult, error) {
-	fig := metrics.Figure{
-		Title:   title,
-		XLabel:  "Available Bandwidth (kB/s)",
-		XValues: bandwidthLabels(bandwidths),
+// Figure is one entry of the figure registry.
+type Figure struct {
+	// Key selects the figure (cmd/experiment -figure) and names its CSV
+	// and JSON output.
+	Key string
+	// Name is the display name used in diagnostics.
+	Name string
+	// Paper marks the default set: the paper's evaluation, the Section II
+	// table, and the Figure 6 experiment its conclusion proposes.
+	Paper bool
+	// Run regenerates the figure on its default axis.
+	Run func(Params) (*FigureResult, error)
+}
+
+// Figures is the ordered registry of every figure this package can
+// regenerate, and the only list of them: the CLI's dispatch and help, the
+// golden and parallel-equivalence tests and the smoke targets all range
+// over it. Adding a figure is one entry here plus the function behind it.
+var Figures = []Figure{
+	{"2", "Figure 2", true, func(p Params) (*FigureResult, error) { return p.Fig2Stalls(nil) }},
+	{"3", "Figure 3", true, func(p Params) (*FigureResult, error) { return p.Fig3StallDuration(nil) }},
+	{"4", "Figure 4", true, func(p Params) (*FigureResult, error) { return p.Fig4Startup(nil) }},
+	{"5", "Figure 5", true, func(p Params) (*FigureResult, error) { return p.Fig5Pooling(nil) }},
+	{"6", "Figure 6 (extension)", true, func(p Params) (*FigureResult, error) { return p.Fig6AdaptiveSplicing(nil) }},
+	{"table", "Splicing table", true, Params.SpliceOverheadTable},
+	{"churn", "Churn figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigChurn(nil) }},
+	{"burst", "Burst figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigBurst(nil) }},
+	{"adversary", "Adversary figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigAdversary(nil) }},
+}
+
+// bandwidthFigure starts a figure over a bandwidth axis.
+func bandwidthFigure(title string, bandwidths []int64, measure func(Point) float64,
+	format func(float64) string) figure {
+	return figure{
+		title:   title,
+		xLabel:  "Available Bandwidth (kB/s)",
+		x:       bandwidthLabels(bandwidths),
+		measure: measure,
+		format:  format,
 	}
-	specs := make([]sweepSpec, 0, 4)
+}
+
+// sweepRow is a series that holds one splicing, policy and config hook
+// fixed along a bandwidth axis. label attributes any cell failure
+// ("Figure 2/gop").
+func (p Params) sweepRow(name, label string, sp splicer.Splicer, policy core.Policy,
+	mod func(*simpeer.SwarmConfig), bandwidths []int64) row {
+	return row{name: name, at: func(i int) (cell, error) {
+		return p.cellFor(label, sp, bandwidths[i], policy, mod)
+	}}
+}
+
+// formatCount renders a stall count rounded to the nearest integer, as
+// the paper's figures do.
+func formatCount(v float64) string { return strconv.Itoa(int(v + 0.5)) }
+
+// splicingFigure is Figures 2 and 3: the four splicings under adaptive
+// pooling, differing only in the plotted measure.
+func (p Params) splicingFigure(name, title string, bandwidths []int64,
+	measure func(Point) float64, format func(float64) string) (*FigureResult, error) {
+	if len(bandwidths) == 0 {
+		bandwidths = Fig2Bandwidths
+	}
+	f := bandwidthFigure(title, bandwidths, measure, format)
 	for _, sp := range SplicingSet() {
-		segs, err := p.Segments(sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sp.Name(), err)
-		}
-		name := sp.Name()
+		series := sp.Name()
 		if sp.Kind() == splicer.KindGOP {
-			name = "gop"
+			series = "gop"
 		}
-		specs = append(specs, sweepSpec{
-			name:       name,
-			label:      figName + "/" + name,
-			segs:       segs,
-			policy:     core.AdaptivePool{},
-			bandwidths: bandwidths,
-		})
+		f.rows = append(f.rows, p.sweepRow(series, name+"/"+series, sp, core.AdaptivePool{}, nil, bandwidths))
 	}
-	points, err := p.runSweeps(specs)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	for i, spec := range specs {
-		nums := make([]float64, len(points[i]))
-		cells := make([]string, len(points[i]))
-		for j, pt := range points[i] {
-			nums[j] = measure(pt)
-			cells[j] = format(nums[j])
-		}
-		res.Values[spec.name] = nums
-		fig.AddSeries(spec.name, cells)
-	}
-	res.Figure = fig
-	return res, nil
+	return p.run(f)
 }
 
 // Fig2Stalls reproduces Figure 2: total number of stalls for GOP and 2/4/8 s
 // duration splicing across the bandwidth sweep (50 ms peer latency, 5% loss,
 // adaptive pooling, sequential viewing).
 func (p Params) Fig2Stalls(bandwidths []int64) (*FigureResult, error) {
-	if len(bandwidths) == 0 {
-		bandwidths = Fig2Bandwidths
-	}
-	return p.splicingSweep(bandwidths,
-		func(pt Point) float64 { return pt.Stalls },
-		func(v float64) string { return strconv.Itoa(int(v + 0.5)) },
-		"Figure 2",
-		"Figure 2: Total number of stalls for different bandwidths")
+	return p.splicingFigure("Figure 2", "Figure 2: Total number of stalls for different bandwidths",
+		bandwidths, func(pt Point) float64 { return pt.Stalls }, formatCount)
 }
 
 // Fig3StallDuration reproduces Figure 3: total stall duration (seconds) for
 // the same sweep as Figure 2.
 func (p Params) Fig3StallDuration(bandwidths []int64) (*FigureResult, error) {
-	if len(bandwidths) == 0 {
-		bandwidths = Fig2Bandwidths
-	}
-	return p.splicingSweep(bandwidths,
-		func(pt Point) float64 { return pt.StallSeconds },
-		metrics.FormatSeconds,
-		"Figure 3",
-		"Figure 3: Total stall duration for different bandwidths")
+	return p.splicingFigure("Figure 3", "Figure 3: Total stall duration for different bandwidths",
+		bandwidths, func(pt Point) float64 { return pt.StallSeconds }, metrics.FormatSeconds)
 }
 
 // Fig4Startup reproduces Figure 4: startup time for 2/4/8 s segments with
@@ -122,47 +141,18 @@ func (p Params) Fig4Startup(bandwidths []int64) (*FigureResult, error) {
 	if len(bandwidths) == 0 {
 		bandwidths = Fig4Bandwidths
 	}
-	fig := metrics.Figure{
-		Title:   "Figure 4: Startup time for different bandwidths",
-		XLabel:  "Available Bandwidth (kB/s)",
-		XValues: bandwidthLabels(bandwidths),
+	f := bandwidthFigure("Figure 4: Startup time for different bandwidths", bandwidths,
+		func(pt Point) float64 { return pt.StartupSecs }, metrics.FormatSeconds)
+	farSeeder := func(cfg *simpeer.SwarmConfig) {
+		cfg.SeederAccessDelay = 475 * time.Millisecond
+		cfg.LossRate = 0
 	}
-	specs := make([]sweepSpec, 0, 3)
-	for _, target := range []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second} {
-		sp := splicer.DurationSplicer{Target: target}
-		segs, err := p.Segments(sp)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sp.Name(), err)
-		}
-		specs = append(specs, sweepSpec{
-			name:   sp.Name(),
-			label:  "Figure 4/" + sp.Name(),
-			segs:   segs,
-			policy: core.AdaptivePool{},
-			mod: func(cfg *simpeer.SwarmConfig) {
-				cfg.SeederAccessDelay = 475 * time.Millisecond
-				cfg.LossRate = 0
-			},
-			bandwidths: bandwidths,
-		})
+	for _, sp := range durationSet() {
+		r := p.sweepRow(sp.Name(), "Figure 4/"+sp.Name(), sp, core.AdaptivePool{}, farSeeder, bandwidths)
+		r.header = sp.Name() + " segment"
+		f.rows = append(f.rows, r)
 	}
-	points, err := p.runSweeps(specs)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	for i, spec := range specs {
-		nums := make([]float64, len(points[i]))
-		cells := make([]string, len(points[i]))
-		for j, pt := range points[i] {
-			nums[j] = pt.StartupSecs
-			cells[j] = metrics.FormatSeconds(nums[j])
-		}
-		res.Values[spec.name] = nums
-		fig.AddSeries(spec.name+" segment", cells)
-	}
-	res.Figure = fig
-	return res, nil
+	return p.run(f)
 }
 
 // PolicySet returns Figure 5's download policies.
@@ -181,48 +171,75 @@ func (p Params) Fig5Pooling(bandwidths []int64) (*FigureResult, error) {
 	if len(bandwidths) == 0 {
 		bandwidths = Fig5Bandwidths
 	}
-	segs, err := p.Segments(splicer.DurationSplicer{Target: 4 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-	fig := metrics.Figure{
-		Title:   "Figure 5: Total number of stalls for different pool sizes",
-		XLabel:  "Available Bandwidth (kB/s)",
-		XValues: bandwidthLabels(bandwidths),
-	}
-	policies := PolicySet()
-	specs := make([]sweepSpec, 0, len(policies))
-	for _, pol := range policies {
-		specs = append(specs, sweepSpec{
-			name:       pol.Name(),
-			label:      "Figure 5/" + pol.Name(),
-			segs:       segs,
-			policy:     pol,
-			bandwidths: bandwidths,
-		})
-	}
-	points, err := p.runSweeps(specs)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Values: make(map[string][]float64)}
-	for i, spec := range specs {
-		nums := make([]float64, len(points[i]))
-		cells := make([]string, len(points[i]))
-		for j, pt := range points[i] {
-			nums[j] = pt.Stalls
-			cells[j] = strconv.Itoa(int(nums[j] + 0.5))
+	f := bandwidthFigure("Figure 5: Total number of stalls for different pool sizes", bandwidths,
+		func(pt Point) float64 { return pt.Stalls }, formatCount)
+	for _, pol := range PolicySet() {
+		r := p.sweepRow(pol.Name(), "Figure 5/"+pol.Name(), splicer.DurationSplicer{Target: 4 * time.Second},
+			pol, nil, bandwidths)
+		if pol.Name() == "adaptive" {
+			r.header = "adaptive pooling"
 		}
-		name := spec.name
-		if name == "adaptive" {
-			name = "adaptive pooling"
-		}
-		res.Values[spec.name] = nums
-		fig.AddSeries(name, cells)
+		f.rows = append(f.rows, r)
 	}
-	res.Figure = fig
-	return res, nil
+	return p.run(f)
 }
+
+// levelBandwidthKB fixes the access bandwidth of the extension figures
+// (churn, burst, adversary): the axis under study is a fault or adversary
+// level, not bandwidth.
+const levelBandwidthKB = 256
+
+// levelSeries is one series of a level figure: a splicing and a policy
+// under a per-level config hook.
+type levelSeries struct {
+	name   string
+	sp     splicer.Splicer
+	policy core.Policy
+	// mod returns the config hook for x index level. It runs after the
+	// cell's seed is set, so fault plans derive from the cell's own seed.
+	mod func(level int) func(*simpeer.SwarmConfig)
+}
+
+// splicingByPooling is the series table the churn and burst figures
+// share: GOP versus 4 s duration splicing, each under adaptive and
+// fixed-4 pooling.
+func splicingByPooling(mod func(level int) func(*simpeer.SwarmConfig)) []levelSeries {
+	gop, dur4 := splicer.GOPSplicer{}, splicer.DurationSplicer{Target: 4 * time.Second}
+	return []levelSeries{
+		{"gop adaptive", gop, core.AdaptivePool{}, mod},
+		{"gop fixed-4", gop, core.FixedPool{K: 4}, mod},
+		{"4s adaptive", dur4, core.AdaptivePool{}, mod},
+		{"4s fixed-4", dur4, core.FixedPool{K: 4}, mod},
+	}
+}
+
+// levelFigure runs an extension figure: series over named levels at
+// levelBandwidthKB, measuring combined badness. name prefixes the cell
+// labels ("Churn/gop adaptive/low").
+func (p Params) levelFigure(name, title, xLabel string, levels []string,
+	series []levelSeries) (*FigureResult, error) {
+	f := figure{title: title, xLabel: xLabel, x: levels,
+		measure: combinedBadness, format: metrics.FormatSeconds}
+	for _, s := range series {
+		f.rows = append(f.rows, row{name: s.name, at: func(i int) (cell, error) {
+			return p.cellFor(name+"/"+s.name+"/"+levels[i], s.sp, levelBandwidthKB, s.policy, s.mod(i))
+		}})
+	}
+	return p.run(f)
+}
+
+// levelNames extracts the x-axis labels of a level axis.
+func levelNames[L any](levels []L, name func(L) string) []string {
+	out := make([]string, len(levels))
+	for i, lv := range levels {
+		out[i] = name(lv)
+	}
+	return out
+}
+
+// faultHorizon bounds the fault plans of the extension figures: long
+// enough to cover any run of the clip, stalls included.
+func (p Params) faultHorizon() time.Duration { return 2*p.ClipDuration + 30*time.Second }
 
 // SpliceOverheadTable summarizes Section II's byte-overhead comparison: per
 // technique, segment counts, total bytes, overhead ratio and size spread.

@@ -10,12 +10,14 @@ import (
 	"p2psplice/internal/core"
 	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
+	"p2psplice/internal/splicer"
 	"p2psplice/internal/trace"
 )
 
-// This file is the parallel experiment runner. Every figure decomposes into
-// independent cells — one emulated swarm per (series × bandwidth × run) —
-// and each cell already owns everything that determines its result: the
+// This file is the experiment runner: the worker pool and, on top of it,
+// the one driver every figure runs through. Every figure decomposes into
+// independent cells — one emulated swarm per (series × x × run) — and
+// each cell already owns everything that determines its result: the
 // spliced segment list, the swarm config, and its seed (BaseSeed + run).
 // Cells therefore run on a bounded worker pool in any order and merge back
 // positionally, which keeps the output bit-identical to the serial path
@@ -150,36 +152,59 @@ func (p Params) runCells(cells []cell) ([]cellOut, error) {
 	return out, nil
 }
 
-// sweepSpec describes one figure series: a prepared segment list swept over
-// a bandwidth axis under one policy.
-type sweepSpec struct {
-	// name keys the series in FigureResult.Values.
-	name string
-	// label attributes cell failures ("Figure 4/2s segment").
-	label      string
-	segs       []simpeer.SegmentMeta
-	policy     core.Policy
-	mod        func(*simpeer.SwarmConfig)
-	bandwidths []int64
+// figure describes one figure as data: rows (series) over an x axis, one
+// averaged Point per (row, x), one measure of that Point and one format for
+// the rendered table. Every sweep figure of the evaluation is a value of
+// this type handed to Params.run; adding a figure is one such value plus
+// its entry in Figures.
+type figure struct {
+	title  string
+	xLabel string
+	// x holds the x-axis labels; len(x) is the sweep length.
+	x    []string
+	rows []row
+	// measure picks the plotted value out of a Point; format renders it.
+	measure func(Point) float64
+	format  func(float64) string
 }
 
-// runSweeps fans every (series × bandwidth × run) cell of specs out on the
-// worker pool and merges the results back positionally: points[i][j] is
-// spec i at bandwidth j, averaged over Runs exactly as the serial runner
-// averaged (same accumulation order, so the floats are bit-identical).
-func (p Params) runSweeps(specs []sweepSpec) ([][]Point, error) {
-	var cells []cell
-	for _, s := range specs {
-		for _, bw := range s.bandwidths {
-			for r := 0; r < p.Runs; r++ {
-				cells = append(cells, cell{
-					label:       s.label,
-					segs:        s.segs,
-					bandwidthKB: bw,
-					policy:      s.policy,
-					mod:         s.mod,
-					run:         r,
-				})
+// row is one figure series.
+type row struct {
+	// name keys the series in FigureResult.Values.
+	name string
+	// header is the rendered column header when it differs from name.
+	header string
+	// at yields the cell simulated at x index i; the driver fills in run.
+	at func(i int) (cell, error)
+}
+
+// cellFor assembles the cell that streams sp's splicing of the clip.
+func (p Params) cellFor(label string, sp splicer.Splicer, bandwidthKB int64,
+	policy core.Policy, mod func(*simpeer.SwarmConfig)) (cell, error) {
+	segs, err := p.Segments(sp)
+	if err != nil {
+		return cell{}, fmt.Errorf("%s: %w", sp.Name(), err)
+	}
+	return cell{label: label, segs: segs, bandwidthKB: bandwidthKB, policy: policy, mod: mod}, nil
+}
+
+// points fans every (row × x × run) cell out on the worker pool and merges
+// the results back positionally: points[r][i] is row r at x index i,
+// averaged over Runs exactly as the serial runner averaged (same
+// accumulation order, so the floats are bit-identical).
+func (p Params) points(rows []row, nx int) ([][]Point, error) {
+	points := make([][]Point, len(rows))
+	cells := make([]cell, 0, len(rows)*nx*p.Runs)
+	for r, row := range rows {
+		points[r] = make([]Point, nx)
+		for i := range points[r] {
+			c, err := row.at(i)
+			if err != nil {
+				return nil, err
+			}
+			points[r][i].BandwidthKB = c.bandwidthKB
+			for c.run = 0; c.run < p.Runs; c.run++ {
+				cells = append(cells, c)
 			}
 		}
 	}
@@ -187,16 +212,40 @@ func (p Params) runSweeps(specs []sweepSpec) ([][]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	points := make([][]Point, len(specs))
-	k := 0
-	for i, s := range specs {
-		points[i] = make([]Point, len(s.bandwidths))
-		for j, bw := range s.bandwidths {
-			points[i][j] = averageCells(bw, outs[k:k+p.Runs])
-			k += p.Runs
+	for r := range points {
+		for i := range points[r] {
+			points[r][i] = averageCells(points[r][i].BandwidthKB, outs[:p.Runs])
+			outs = outs[p.Runs:]
 		}
 	}
 	return points, nil
+}
+
+// run simulates f and renders it: the one driver behind every sweep figure.
+func (p Params) run(f figure) (*FigureResult, error) {
+	points, err := p.points(f.rows, len(f.x))
+	if err != nil {
+		return nil, err
+	}
+	res := &FigureResult{
+		Figure: metrics.Figure{Title: f.title, XLabel: f.xLabel, XValues: f.x},
+		Values: make(map[string][]float64, len(f.rows)),
+	}
+	for r, row := range f.rows {
+		nums := make([]float64, len(f.x))
+		strs := make([]string, len(f.x))
+		for i, pt := range points[r] {
+			nums[i] = f.measure(pt)
+			strs[i] = f.format(nums[i])
+		}
+		res.Values[row.name] = nums
+		header := row.header
+		if header == "" {
+			header = row.name
+		}
+		res.Figure.AddSeries(header, strs)
+	}
+	return res, nil
 }
 
 // averageCells folds one point's repetitions into the figure measurement,

@@ -1,7 +1,6 @@
 package simpeer
 
 import (
-	"fmt"
 	"time"
 
 	"p2psplice/internal/core"
@@ -531,11 +530,6 @@ func (s *swarm) fill(p *peerState) {
 
 // startDownload launches one segment transfer.
 func (s *swarm) startDownload(p, src *peerState, idx int) {
-	if s.cfg.Trace {
-		fmt.Printf("%8.2fs peer%d <- peer%d seg%d (srcUploads=%d inflight=%d T=%v)\n",
-			s.eng.Now().Seconds(), p.id, src.id, idx, src.uploads, p.inFlightN,
-			p.player.BufferedAhead(s.eng.Now()).Round(100*time.Millisecond))
-	}
 	src.uploads++
 	src.uploading[idx]++
 	p.inFlightN++
@@ -615,11 +609,6 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 
 // onDownloadComplete handles a finished segment transfer.
 func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
-	if s.cfg.Trace {
-		fmt.Printf("%8.2fs peer%d DONE seg%d from peer%d in %.2fs (%.0f B/s)\n",
-			s.eng.Now().Seconds(), p.id, idx, src.id, f.Elapsed().Seconds(),
-			float64(f.Size())/f.Elapsed().Seconds())
-	}
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
 	k := int64(p.inFlightN)

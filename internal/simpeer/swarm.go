@@ -176,8 +176,6 @@ type SwarmConfig struct {
 	Net netem.Config
 	// MaxEvents bounds the simulation (0 = default of 20 million).
 	MaxEvents int
-	// Trace dumps per-download decisions to stdout (debugging aid).
-	Trace bool
 	// Tracer receives structured events: flow lifecycles, pool-fill
 	// decisions with their live Equation-1 inputs, source picks, and
 	// playback transitions with attributed stall causes. Tracing is inert:
