@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint loc bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -36,6 +36,12 @@ lint: | $(ARTIFACTS)
 	$(GO) run ./cmd/splicelint -deadignores -json ./... > $(ARTIFACTS)/splicelint.json || \
 		{ cat $(ARTIFACTS)/splicelint.json; exit 1; }
 	$(GO) run ./cmd/splicelint -deadignores ./...
+
+# loc: the size ledger — non-blank Go lines per package, non-test and
+# test. A PR that deletes code quotes its before/after rows in CHANGES.md.
+loc: | $(ARTIFACTS)
+	sh scripts/loc.sh > $(ARTIFACTS)/loc.txt
+	@tail -n 2 $(ARTIFACTS)/loc.txt
 
 # bench-alloc: run the //lint:hotpath benchmarks with -benchmem and fail
 # on any nonzero allocs/op — the runtime half of the allocfree analyzer's

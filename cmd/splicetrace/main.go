@@ -5,7 +5,8 @@
 //	splicetrace report DIR [-json] [-o FILE] [-require-attributed]
 //	    Aggregate report: stall-cause breakdown (total/mean/p95), per-file
 //	    peer-timeline rollup, flow-utilization summary. -require-attributed
-//	    exits nonzero unless 100% of stalls carry a cause.
+//	    exits nonzero unless the traces hold a playback peer and 100% of
+//	    stalls carry a cause.
 //
 //	splicetrace diff DIR_A DIR_B [-json] [-o FILE]
 //	    Compare two trace directories (e.g. adaptive vs fixed-4, faulted
@@ -104,23 +105,28 @@ func parseArgs(fs *flag.FlagSet, args []string) ([]string, error) {
 	return pos, nil
 }
 
-// output opens -o (or stdout) and returns a close func.
-func output(path string) (io.Writer, func() error, error) {
+// writeOut renders to -o (or stdout), closing the file and returning
+// the first error.
+func writeOut(path string, render func(io.Writer) error) error {
 	if path == "" {
-		return os.Stdout, func() error { return nil }, nil
+		return render(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, f.Close, nil
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	out := fs.String("o", "", "write to this file instead of stdout")
-	requireAttr := fs.Bool("require-attributed", false, "exit nonzero unless every stall names a cause")
+	requireAttr := fs.Bool("require-attributed", false, "exit nonzero unless a playback peer is traced and every stall names a cause")
 	pos, err := parseArgs(fs, args)
 	if err != nil {
 		return err
@@ -132,22 +138,20 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closeOut, err := output(*out)
-	if err != nil {
+	err = writeOut(*out, func(w io.Writer) error {
+		if *asJSON {
+			return tracereport.WriteJSON(w, a.Report)
+		}
+		return tracereport.WriteTable(w, a.Report)
+	})
+	if err != nil || !*requireAttr {
 		return err
 	}
-	if *asJSON {
-		err = tracereport.WriteJSON(w, a.Report)
-	} else {
-		err = tracereport.WriteTable(w, a.Report)
+	if a.Report.Peers == 0 {
+		// Zero stalls out of zero peers is not evidence of attribution.
+		return fmt.Errorf("report: no playback peer in %s", pos[0])
 	}
-	if cerr := closeOut(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if *requireAttr && a.Report.Stalls.Attributed != a.Report.Stalls.Count {
+	if a.Report.Stalls.Attributed != a.Report.Stalls.Count {
 		return fmt.Errorf("report: %d of %d stalls unattributed",
 			a.Report.Stalls.Count-a.Report.Stalls.Attributed, a.Report.Stalls.Count)
 	}
@@ -174,19 +178,12 @@ func cmdDiff(args []string) error {
 		return err
 	}
 	d := tracereport.Diff(pos[0], a.Report, pos[1], b.Report)
-	w, closeOut, err := output(*out)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		err = tracereport.WriteDiffJSON(w, d)
-	} else {
-		err = tracereport.WriteDiffTable(w, d)
-	}
-	if cerr := closeOut(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeOut(*out, func(w io.Writer) error {
+		if *asJSON {
+			return tracereport.WriteDiffJSON(w, d)
+		}
+		return tracereport.WriteDiffTable(w, d)
+	})
 }
 
 func cmdCDF(args []string) error {
@@ -215,15 +212,7 @@ func cmdCDF(args []string) error {
 	default:
 		return fmt.Errorf("cdf: unknown -kind %q (want stall, segment, or startup)", *kind)
 	}
-	w, closeOut, err := output(*out)
-	if err != nil {
-		return err
-	}
-	err = tracereport.WriteCDF(w, *kind, samples)
-	if cerr := closeOut(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeOut(*out, func(w io.Writer) error { return tracereport.WriteCDF(w, *kind, samples) })
 }
 
 func cmdTimeSeries(args []string) error {
@@ -248,19 +237,10 @@ func cmdTimeSeries(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closeOut, err := output(*out)
-	if err != nil {
-		return err
-	}
 	if *asCSV {
-		err = snap.WriteCSV(w)
-	} else {
-		err = snap.WriteText(w)
+		return writeOut(*out, snap.WriteCSV)
 	}
-	if cerr := closeOut(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeOut(*out, snap.WriteText)
 }
 
 // seriesList is a repeatable -series flag.

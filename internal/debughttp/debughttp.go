@@ -152,6 +152,14 @@ func Handler(reg *trace.Registry, start time.Time, ready func() error) http.Hand
 	return mux
 }
 
+// Request-read bounds: a client that trickles (or never sends) its
+// request is disconnected, not held. Responses stay unbounded — a pprof
+// profile streams for its ?seconds=. Variables so a test can shorten them.
+var (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+)
+
 // Start listens on cfg.Addr and serves the debug surface until Close.
 func Start(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
@@ -170,7 +178,11 @@ func Start(cfg Config) (*Server, error) {
 		logf:  logf,
 		start: time.Now(),
 	}
-	s.srv = &http.Server{Handler: Handler(cfg.Registry, s.start, cfg.Ready)}
+	s.srv = &http.Server{
+		Handler:           Handler(cfg.Registry, s.start, cfg.Ready),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

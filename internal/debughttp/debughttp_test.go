@@ -2,6 +2,7 @@ package debughttp
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -151,5 +152,44 @@ func TestCloseIdempotent(t *testing.T) {
 func TestStartRequiresAddr(t *testing.T) {
 	if _, err := Start(Config{}); err == nil {
 		t.Fatal("Start with empty addr must fail")
+	}
+}
+
+// A client that connects and never finishes its request headers must be
+// disconnected by the server, not held open; a well-behaved client on
+// the same server is unaffected.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	prevHeader, prevRead := readHeaderTimeout, readTimeout
+	readHeaderTimeout, readTimeout = 100*time.Millisecond, 200*time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout, readTimeout = prevHeader, prevRead })
+
+	srv, err := Start(Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Half a request line, then silence.
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The read returns when the server gives up on the request: with
+	// the connection closed (possibly after a 408), never by our own
+	// deadline, which is far beyond the server's.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("slow-header connection still held after %v: %v", time.Since(begin), err)
+	}
+
+	if code, body := get(t, "http://"+srv.Addr()+"/healthz"); code != http.StatusOK || !strings.HasPrefix(body, "ok") {
+		t.Fatalf("healthz after a slow client = %d %q", code, body)
 	}
 }

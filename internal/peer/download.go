@@ -37,7 +37,7 @@ func (n *Node) schedule() {
 	n.mu.Lock()
 	if !n.closed && !n.store.Complete() {
 		target = n.poolTargetLocked()
-		n.nm.poolK.Observe(int64(target))
+		n.qoe.PoolK.Observe(int64(target))
 		// Fill the pool with the first `target` missing segments some
 		// connected peer can serve. Segments already in flight or currently
 		// unservable (choked or absent sources) are skipped without
@@ -262,8 +262,8 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 	}
 	n.observePeer(c.id, obs)
 	n.nm.segsDone.Inc()
-	n.nm.segSeconds.ObserveDuration(elapsed)
-	n.nm.segBytes.Observe(int64(d.size))
+	n.qoe.SegSeconds.ObserveDuration(elapsed)
+	n.qoe.SegBytes.Observe(int64(d.size))
 	n.emitAt(n.now(), trace.CatSched, trace.EvSegComplete, idx,
 		trace.Int64("bytes", int64(d.size)),
 		trace.Int64("elapsed_us", elapsed.Microseconds()))

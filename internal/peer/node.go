@@ -135,8 +135,11 @@ type Node struct {
 
 	tr *trace.Tracer // immutable after construction; nil-safe
 	nm nodeMetrics   // immutable after construction; handles are no-ops without a registry
+	// qoe records playback telemetry into the tracer and registry. Its
+	// handles are lock-free; its transition methods run under mu.
+	qoe *trace.QoE
 
-	mu     sync.Mutex // guards conns, active, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep, serveDuplicate, openStallAt and openStallCause
+	mu     sync.Mutex // guards conns, active, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
 	conns  map[wire.PeerID]*conn
 	active map[int]*segDownload // in-flight segment downloads
 	// rep scores remote peers by ID — the stable identity a repeat
@@ -159,11 +162,7 @@ type Node struct {
 	trackerDown    bool                    // last announce failed; degraded to cachedPeers
 	cachedPeers    []tracker.PeerInfo      // last successful announce result
 	dialState      map[string]*dialBackoff // per-address reconnect backoff
-	// openStallAt/openStallCause track the in-progress stall so its full
-	// duration lands in the cause-labeled histogram at stall end.
-	openStallAt    time.Duration
-	openStallCause string
-	completeC      chan struct{} // closed when the store completes
+	completeC      chan struct{}           // closed when the store completes
 	completeOnce   sync.Once
 
 	ctx    context.Context
@@ -311,7 +310,8 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		seeder:    seeder,
 		started:   time.Now(),
 		tr:        cfg.Trace,
-		nm:        newNodeMetrics(cfg.Metrics, m.Splicing),
+		nm:        newNodeMetrics(cfg.Metrics),
+		qoe:       trace.NewQoE(cfg.Trace, cfg.Metrics, "p2p", m.Splicing, nil, 1),
 		conns:     make(map[wire.PeerID]*conn),
 		active:    make(map[int]*segDownload),
 		dialState: make(map[string]*dialBackoff),

@@ -30,23 +30,12 @@ type nodeMetrics struct {
 	repPenalties trace.Counter
 	quarantines  trace.Counter
 
-	// QoE/transport histograms (the distributions the paper's figures
-	// summarize, live on a real node). All are nil-safe no-ops without a
-	// registry, like the counters above.
-	startup     trace.Histogram // p2p_startup_seconds
-	segSeconds  trace.Histogram // p2p_segment_download_seconds{scheme=...}
-	segBytes    trace.Histogram // p2p_segment_bytes{scheme=...}
-	poolK       trace.Histogram // p2p_pool_size_k
 	announceRTT trace.Histogram // p2p_announce_rtt_seconds
-	// stallSeconds maps each attributable cause to its labeled duration
-	// histogram; the cause set is closed (trace.StallCauses), so every
-	// series registers up front and the recording path never takes the
-	// registry lock.
-	stallSeconds map[string]trace.Histogram
 }
 
-func newNodeMetrics(r *trace.Registry, scheme string) nodeMetrics {
-	nm := nodeMetrics{
+func newNodeMetrics(r *trace.Registry) nodeMetrics {
+	r.SetHelp("p2p_announce_rtt_seconds", "Tracker announce round-trip time (successful announces).")
+	return nodeMetrics{
 		schedCalls:  r.Counter("sched_calls"),
 		launches:    r.Counter("sched_launches"),
 		blocksRx:    r.Counter("blocks_rx"),
@@ -62,81 +51,35 @@ func newNodeMetrics(r *trace.Registry, scheme string) nodeMetrics {
 		dialFails:     r.Counter("dial_failures"),
 		repPenalties:  r.Counter("rep_penalties"),
 		quarantines:   r.Counter("rep_quarantines"),
+
+		announceRTT: r.SecondsHistogram("p2p_announce_rtt_seconds"),
 	}
-	if r == nil {
-		return nm
-	}
-	schemeLabel := ""
-	if scheme != "" {
-		schemeLabel = `{scheme="` + scheme + `"}`
-	}
-	r.SetHelp("p2p_startup_seconds", "Time from join to first rendered frame.")
-	r.SetHelp("p2p_stall_seconds", "Playback stall durations by attributed cause.")
-	r.SetHelp("p2p_segment_download_seconds", "Per-segment transfer latency.")
-	r.SetHelp("p2p_segment_bytes", "Per-segment wire size.")
-	r.SetHelp("p2p_pool_size_k", "Equation 1 pool-size decisions.")
-	r.SetHelp("p2p_announce_rtt_seconds", "Tracker announce round-trip time (successful announces).")
-	nm.startup = r.SecondsHistogram("p2p_startup_seconds")
-	nm.segSeconds = r.SecondsHistogram("p2p_segment_download_seconds" + schemeLabel)
-	nm.segBytes = r.Histogram("p2p_segment_bytes" + schemeLabel)
-	nm.poolK = r.Histogram("p2p_pool_size_k")
-	nm.announceRTT = r.SecondsHistogram("p2p_announce_rtt_seconds")
-	nm.stallSeconds = make(map[string]trace.Histogram, 8)
-	for _, cause := range trace.StallCauses() {
-		nm.stallSeconds[cause] = r.SecondsHistogram(`p2p_stall_seconds{cause="` + cause + `"}`)
-	}
-	return nm
 }
 
-// stallFor returns the duration histogram for a cause (no-op when
-// unmetered).
-func (nm nodeMetrics) stallFor(cause string) trace.Histogram { return nm.stallSeconds[cause] }
-
-// emitAt sends one trace event at the given playback-clock time. A node
-// without a tracer pays only this nil check.
+// emitAt sends one trace event at the given playback-clock time; a no-op
+// on a node without a tracer.
 func (n *Node) emitAt(at time.Duration, cat, name string, seg int, args ...trace.Arg) {
-	if !n.tr.Enabled() {
-		return
-	}
 	n.tr.Emit(trace.Event{At: at, Peer: -1, Seg: seg, Cat: cat, Name: name, Args: args})
 }
 
-// playbackTransitionLocked receives player state changes. It always runs
-// with n.mu held: every player call on a published node happens under the
-// node lock, and the observer fires synchronously from those calls.
+// playbackTransitionLocked feeds player state changes to the QoE
+// recorder on the playback clock (time since join, so startup is the
+// transition's own timestamp). It always runs with n.mu held: every
+// player call on a published node happens under the node lock, and the
+// observer fires synchronously from those calls.
 func (n *Node) playbackTransitionLocked(t player.Transition) {
 	switch {
 	case t.From == player.StateWaiting && t.To == player.StatePlaying:
-		n.emitAt(t.At, trace.CatPlayer, trace.EvStartup, -1,
-			trace.Int64("startup_us", t.At.Microseconds()))
-		n.nm.startup.ObserveDuration(t.At)
+		n.qoe.Started(t.At, -1, t.At)
 	case t.To == player.StateStalled:
 		n.nm.stalls.Inc()
-		cause := n.stallCauseLocked()
-		n.openStallAt, n.openStallCause = t.At, cause
-		n.emitAt(t.At, trace.CatPlayer, trace.EvStallBegin, -1)
-		n.emitAt(t.At, trace.CatPlayer, trace.EvStallCause, -1,
-			trace.Str("cause", cause),
+		n.qoe.Stalled(t.At, -1, n.stallCauseLocked(),
 			trace.Int64("inflight", int64(len(n.active))))
 	case t.From == player.StateStalled && t.To == player.StatePlaying:
-		n.emitAt(t.At, trace.CatPlayer, trace.EvStallEnd, -1)
-		n.closeOpenStallLocked(t.At)
+		n.qoe.Resumed(t.At, -1)
 	case t.To == player.StateFinished:
-		n.emitAt(t.At, trace.CatPlayer, trace.EvFinished, -1)
-		if t.From == player.StateStalled {
-			n.closeOpenStallLocked(t.At)
-		}
+		n.qoe.Finished(t.At, -1)
 	}
-}
-
-// closeOpenStallLocked records the finished stall's duration into its
-// cause-labeled histogram (n.mu held).
-func (n *Node) closeOpenStallLocked(at time.Duration) {
-	if n.openStallCause == "" {
-		return
-	}
-	n.nm.stallFor(n.openStallCause).ObserveDuration(at - n.openStallAt)
-	n.openStallCause = ""
 }
 
 // stallCauseLocked attributes a beginning stall to its proximate cause by

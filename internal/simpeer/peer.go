@@ -76,9 +76,9 @@ type peerState struct {
 	advStartAt  time.Duration
 	advEndAt    time.Duration
 	adversarial bool
-	// Burst-loss window observations. Observer-owned like openStall*:
-	// written only by onLossState (attached only when tracing or
-	// metering) and read only by stall attribution, never by scheduling.
+	// Burst-loss window observations. Observer-owned: written only by
+	// onLossState (attached only when tracing or metering) and read only
+	// by stall attribution, never by scheduling.
 	geBursts int
 	geBadAt  time.Duration
 	geGoodAt time.Duration
@@ -99,13 +99,6 @@ type peerState struct {
 	// retryPending marks a scheduled source-retry so fill does not stack
 	// duplicate timers while the peer waits for an eligible source.
 	retryPending bool
-
-	// openStallAt/openStallCause track the in-progress stall for the QoE
-	// histograms. Observer-owned: written only from onPlayerTransition
-	// (attached only when tracing or metering) and read by nothing in the
-	// scheduling path, so maintaining them cannot perturb the run.
-	openStallAt    time.Duration
-	openStallCause string
 }
 
 // download is one in-flight segment transfer with its chosen source.
@@ -443,7 +436,7 @@ func (s *swarm) fill(p *peerState) {
 	buffered := p.player.BufferedAhead(now)
 	segBytes := s.segs[next].Bytes
 	target := s.cfg.Policy.PoolSize(b, buffered, segBytes)
-	s.sm.poolK.Observe(int64(target))
+	s.qoe.PoolK.Observe(int64(target))
 	inFlightBefore := p.inFlightN
 	if inFlightBefore >= target {
 		return
@@ -485,9 +478,9 @@ func (s *swarm) fill(p *peerState) {
 	// Windowed telemetry mirrors the pool_fill event exactly (same site,
 	// same timestamp, same values) so the trace-derived time series is
 	// bit-identical to this in-process one.
-	s.ss.bufferedUS.Observe(now, buffered.Microseconds())
-	s.ss.poolTarget.Observe(now, int64(target))
-	s.ss.inflight.Observe(now, int64(p.inFlightN))
+	s.qoe.BufferedUS.Observe(now, buffered.Microseconds())
+	s.qoe.PoolTarget.Observe(now, int64(target))
+	s.qoe.Inflight.Observe(now, int64(p.inFlightN))
 	if s.cfg.Tracer.Enabled() {
 		flag := int64(0)
 		if blocked {
@@ -669,9 +662,9 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 		}
 	}
 	s.observeRepSuccess(src, f)
-	s.sm.segSeconds.ObserveDuration(f.Elapsed())
-	s.sm.segBytes.Observe(f.Size())
-	s.ss.segsDone.Inc(now)
+	s.qoe.SegSeconds.ObserveDuration(f.Elapsed())
+	s.qoe.SegBytes.Observe(f.Size())
+	s.qoe.SegsDone.Inc(now)
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSegComplete,
 			trace.Int64("bytes", f.Size()),

@@ -36,12 +36,12 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 		}
 	}
 	if obs != reputation.ObsSuccess {
-		s.sm.repPenalties.Inc()
+		s.repPenalties.Inc()
 	}
 	if !up.Quarantined {
 		return
 	}
-	s.sm.quarantines.Inc()
+	s.quarantines.Inc()
 	if s.cfg.Tracer.Enabled() {
 		s.emit(src.id, -1, trace.CatRep, trace.EvQuarantine,
 			trace.Float64("score", up.Score),

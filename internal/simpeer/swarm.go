@@ -316,12 +316,15 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	eng := sim.New(cfg.Seed)
 	sw := &swarm{eng: eng, net: netem.New(eng, cfg.Net), cfg: cfg, segs: segs,
-		sm:       newSimMetrics(cfg.Metrics, cfg.MetricsScheme),
-		ss:       newSimSeries(cfg.Series),
-		frontier: -1}
+		repPenalties: cfg.Metrics.Counter("sim_rep_penalties_total"),
+		quarantines:  cfg.Metrics.Counter("sim_quarantines_total"),
+		frontier:     -1}
+	cfg.Metrics.SetHelp("sim_rep_penalties_total", "Reputation penalty observations recorded.")
+	cfg.Metrics.SetHelp("sim_quarantines_total", "Quarantine windows opened on peers.")
 	if err := sw.setup(); err != nil {
 		return nil, err
 	}
+	sw.qoe = trace.NewQoE(cfg.Tracer, cfg.Metrics, "sim", cfg.MetricsScheme, cfg.Series, len(sw.peers)-1)
 	return sw, nil
 }
 
@@ -337,15 +340,12 @@ type swarm struct {
 	// cross holds background traffic flows; they are cancelled once every
 	// leecher has finished downloading so the event queue can drain.
 	cross []*netem.Flow
-	// sm holds the cached histogram handles (all no-ops when
-	// cfg.Metrics is nil), so recording sites never branch.
-	sm simMetrics
-	// ss holds the cached windowed time-series handles (all no-ops when
-	// cfg.Series is nil); stalledNow is the running stalled-peer count
-	// its gauge samples. Both are observer-owned: nothing in scheduling
-	// reads them.
-	ss         simSeries
-	stalledNow int
+	// qoe records playback telemetry into cfg.Tracer, cfg.Metrics and
+	// cfg.Series (each may be nil). Observer-owned: nothing in scheduling
+	// reads it. The two reputation counters are no-ops without a registry.
+	qoe          *trace.QoE
+	repPenalties trace.Counter
+	quarantines  trace.Counter
 	// nodeToPeer attributes netem flow events to peer IDs; populated only
 	// when tracing.
 	nodeToPeer map[netem.NodeID]int

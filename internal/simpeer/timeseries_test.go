@@ -3,9 +3,11 @@ package simpeer
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"p2psplice/internal/fault"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracereport"
@@ -46,26 +48,76 @@ func TestTimeSeriesIsInert(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesCoherent proves the two observation paths cannot drift:
-// the series recorded in-process during a run and the series rebuilt
-// from that same run's serialized JSONL trace are bit-identical —
-// window by window, bucket by bucket.
+// TestTimeSeriesCoherent proves the three telemetry backends cannot
+// drift: replaying a run's events into a fresh recorder reproduces the
+// live registry histograms and the live windowed series bit for bit —
+// bucket by bucket, window by window — on a burst-loss run where
+// several stall causes occur. pool_size_k is not compared: fills that
+// return at a full pool observe it without emitting an event.
 func TestTimeSeriesCoherent(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, time.Minute, 2)
-	cfg := baseConfig(128 * 1024)
-	cfg.Seed = 7
-	cfg.LossRate = 0.1
-	ts := trace.NewTimeSeries(trace.TimeSeriesConfig{Window: time.Second, MaxWindows: 512})
-	cfg.Series = ts
-	buf := trace.NewBuffer()
-	cfg.Tracer = trace.New(buf)
+	cfg := baseConfig(96 * 1024)
+	cfg.Seed = 3
+	cfg.LossRate = 0.005
+	cfg.JoinSpread = 2 * time.Second
+	var plans []fault.Plan
+	for n := 0; n <= cfg.Leechers; n++ {
+		plans = append(plans, fault.BurstLoss(n, 5*time.Second, 80*time.Second, geTest))
+	}
+	cfg.Faults = fault.Merge(plans...)
+	tsCfg := trace.TimeSeriesConfig{Window: time.Second, MaxWindows: 512}
+	reg, ts, buf := trace.NewRegistry(), trace.NewTimeSeries(tsCfg), trace.NewBuffer()
+	cfg.Metrics, cfg.MetricsScheme, cfg.Series, cfg.Tracer = reg, "4s", ts, trace.New(buf)
 	if _, err := RunSwarm(cfg, segs); err != nil {
 		t.Fatal(err)
 	}
 
-	// Round-trip the events through the JSONL encoding: the derived
-	// builder must agree with the recorder at the serialization's
-	// microsecond resolution, not just on in-memory events.
+	reg2, ts2 := trace.NewRegistry(), trace.NewTimeSeries(tsCfg)
+	trace.NewQoE(nil, reg2, "sim", "4s", ts2, cfg.Leechers).Replay(buf.Events())
+
+	qoeHists := func(r *trace.Registry) map[string]trace.HistStat {
+		out := map[string]trace.HistStat{}
+		for _, h := range r.Snap().Hists {
+			if h.Name != "sim_pool_size_k" {
+				out[h.Name] = h
+			}
+		}
+		return out
+	}
+	live, replayed := qoeHists(reg), qoeHists(reg2)
+	causes := 0
+	for name, h := range live {
+		if !reflect.DeepEqual(h, replayed[name]) {
+			t.Errorf("%s diverges:\nlive:     %+v\nreplayed: %+v", name, h, replayed[name])
+		}
+		if strings.HasPrefix(name, "sim_stall_seconds{") && h.Count > 0 {
+			causes++
+		}
+	}
+	if len(replayed) != len(live) {
+		t.Errorf("replay registered %d QoE histograms, live %d", len(replayed), len(live))
+	}
+	if causes < 2 {
+		t.Errorf("%d stall causes occurred; the run must exercise several", causes)
+	}
+	for _, name := range []string{"sim_startup_seconds", `sim_segment_download_seconds{scheme="4s"}`, `sim_segment_bytes{scheme="4s"}`} {
+		if live[name].Count == 0 {
+			t.Errorf("%s recorded nothing live", name)
+		}
+	}
+	inproc := ts.Snap()
+	if derived := ts2.Snap(); !reflect.DeepEqual(inproc, derived) {
+		t.Errorf("replayed time series differs from the in-process recording:\nlive:     %+v\nreplayed: %+v", inproc, derived)
+	}
+	for _, s := range inproc.Series {
+		if s.Total() == 0 {
+			t.Errorf("series %s recorded nothing; coherence on it is vacuous", s.Name)
+		}
+	}
+
+	// The series must also survive the JSONL encoding's microsecond
+	// resolution and the builder's per-file peer-count inference, which
+	// is what splicetrace timeseries reads.
 	var jsonl bytes.Buffer
 	if err := trace.WriteJSONL(&jsonl, buf.Events()); err != nil {
 		t.Fatal(err)
@@ -74,32 +126,9 @@ func TestTimeSeriesCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{
-		Window:     time.Second,
-		MaxWindows: 512,
-		Peers:      cfg.Leechers,
-	})
+	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{Window: time.Second, MaxWindows: 512})
 	b.AddEvents(events)
-	derived := b.Snap()
-	inproc := ts.Snap()
-
-	if !reflect.DeepEqual(inproc, derived) {
-		for i := range inproc.Series {
-			if i < len(derived.Series) && !reflect.DeepEqual(inproc.Series[i], derived.Series[i]) {
-				t.Errorf("series %s diverges:\nin-process: %+v\nderived:    %+v",
-					inproc.Series[i].Name, inproc.Series[i], derived.Series[i])
-			}
-		}
-		t.Fatal("trace-derived time series differs from the in-process recording")
-	}
-	var hasObs bool
-	for _, s := range inproc.Series {
-		if s.Total() > 0 {
-			hasObs = true
-		}
-	}
-	if !hasObs {
-		t.Fatal("coherence proved on an empty recording; run produced no observations")
+	if derived := b.Snap(); !reflect.DeepEqual(inproc, derived) {
+		t.Errorf("JSONL-derived time series differs from the in-process recording:\nlive:    %+v\nderived: %+v", inproc, derived)
 	}
 }

@@ -65,10 +65,9 @@ func (s *swarm) onFlowEvent(ev netem.FlowEvent) {
 
 // onLossState observes Gilbert–Elliott state transitions on peers'
 // access links. It records the most recent bad window's bounds on the
-// peer (observer-owned fields, like openStall*: read only by stall
-// attribution, never by scheduling) and, when tracing, emits the
-// transition. Attached whenever tracing or metering is on — both need
-// stall attribution.
+// peer (observer-owned fields: read only by stall attribution, never by
+// scheduling) and, when tracing, emits the transition. Attached whenever
+// tracing or metering is on — both need stall attribution.
 func (s *swarm) onLossState(ev netem.LossStateEvent) {
 	peer := -1
 	if id, ok := s.nodeToPeer[ev.Node]; ok {
@@ -109,44 +108,21 @@ func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
 	return p.geGoodAt <= p.geBadAt || at < p.geGoodAt
 }
 
-// onPlayerTransition translates playback state changes, attributing every
-// beginning stall to its proximate cause.
+// onPlayerTransition feeds playback state changes to the QoE recorder,
+// attributing every beginning stall to its proximate cause.
 func (s *swarm) onPlayerTransition(p *peerState, tr player.Transition) {
 	switch {
 	case tr.From == player.StateWaiting && tr.To == player.StatePlaying:
-		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStartup,
-			trace.Int64("startup_us", (tr.At-p.joined).Microseconds()))
-		s.sm.startup.ObserveDuration(tr.At - p.joined)
+		s.qoe.Started(tr.At, p.id, tr.At-p.joined)
 	case tr.To == player.StateStalled:
 		cause, inflight, frozen := s.classifyStall(p, tr.At)
-		p.openStallAt, p.openStallCause = tr.At, cause
-		s.stalledNow++
-		s.observeStalled(tr.At)
-		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallBegin)
-		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallCause,
-			trace.Str("cause", cause),
+		s.qoe.Stalled(tr.At, p.id, cause,
 			trace.Int64("inflight", int64(inflight)),
 			trace.Int64("frozen", int64(frozen)))
 	case tr.From == player.StateStalled && tr.To == player.StatePlaying:
-		s.stalledNow--
-		s.observeStalled(tr.At)
-		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallEnd)
-		if p.openStallCause != "" {
-			s.sm.stallFor(p.openStallCause).ObserveDuration(tr.At - p.openStallAt)
-			p.openStallCause = ""
-		}
+		s.qoe.Resumed(tr.At, p.id)
 	case tr.To == player.StateFinished:
-		if tr.From == player.StateStalled {
-			s.stalledNow--
-			s.observeStalled(tr.At)
-		}
-		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvFinished)
-		if tr.From == player.StateStalled && p.openStallCause != "" {
-			// A run can finish straight out of a stall; close it so the
-			// histogram's total matches the attributed stall time.
-			s.sm.stallFor(p.openStallCause).ObserveDuration(tr.At - p.openStallAt)
-			p.openStallCause = ""
-		}
+		s.qoe.Finished(tr.At, p.id)
 	}
 }
 

@@ -241,7 +241,7 @@ func TestSnapshotOrderingContract(t *testing.T) {
 	if promA != promB {
 		t.Fatalf("WriteProm depends on registration order:\n%q\nvs\n%q", promA, promB)
 	}
-	stats := a.Snapshot()
+	stats := a.Snap().Stats
 	if len(stats) != 2 || stats[0].Name != "alpha" || stats[1].Name != "zeta" {
 		t.Fatalf("Snapshot not name-sorted: %+v", stats)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzPromRoundTrip drives arbitrary metric values — counters, gauges,
-// histograms, and the time-series-derived p2p_ts_* gauges — through
+// histograms, and the time-series-derived labelled gauges — through
 // WriteProm and back through ParsePromText, requiring every series to
 // be recovered exactly. This is the property behind the "one snapshot
 // path" contract: if the exposition writer and the strict mini-parser
@@ -39,8 +39,8 @@ func FuzzPromRoundTrip(f *testing.F) {
 			hSum += v
 		}
 
-		// Windowed telemetry published into the same registry, the way
-		// swarm harnesses surface it on /metrics.
+		// Windowed telemetry published into the same registry as
+		// inline-labelled gauges, one family with a series per label.
 		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Millisecond, MaxWindows: 32})
 		ctr := ts.Counter(TSSegmentsCompleted)
 		g := ts.Gauge(TSBufferOccupancyUS)
@@ -52,7 +52,12 @@ func FuzzPromRoundTrip(f *testing.F) {
 			ph.Observe(at, int64(b%9))
 		}
 		snap := ts.Snap()
-		snap.PublishGauges(reg)
+		for _, s := range snap.Series {
+			label := `{series="` + s.Name + `"}`
+			reg.Gauge("fz_ts_windows" + label).Set(int64(len(s.Windows)))
+			reg.Gauge("fz_ts_observations" + label).Set(s.Total())
+			reg.Gauge("fz_ts_clamped" + label).Set(s.Clamped)
+		}
 
 		var buf strings.Builder
 		if err := reg.WriteProm(&buf); err != nil {
@@ -79,9 +84,9 @@ func FuzzPromRoundTrip(f *testing.F) {
 		check("fz_bytes_sum", float64(hSum))
 		check(`fz_bytes_bucket{le="+Inf"}`, float64(len(raw)))
 		for _, s := range snap.Series {
-			check(`p2p_ts_windows{series="`+s.Name+`"}`, float64(len(s.Windows)))
-			check(`p2p_ts_observations{series="`+s.Name+`"}`, float64(s.Total()))
-			check(`p2p_ts_clamped{series="`+s.Name+`"}`, float64(s.Clamped))
+			check(`fz_ts_windows{series="`+s.Name+`"}`, float64(len(s.Windows)))
+			check(`fz_ts_observations{series="`+s.Name+`"}`, float64(s.Total()))
+			check(`fz_ts_clamped{series="`+s.Name+`"}`, float64(s.Clamped))
 		}
 	})
 }

@@ -210,16 +210,6 @@ func (r *Registry) Snap() RegistrySnapshot {
 	return snap
 }
 
-// Snapshot returns the scalar stats (counters and gauges) sorted by
-// name. Kept for callers that predate histograms; it is a view of the
-// same Snap() the renderers use.
-func (r *Registry) Snapshot() []Stat {
-	if r == nil {
-		return nil
-	}
-	return r.Snap().Stats
-}
-
 // WriteText renders the snapshot as aligned "name value" lines:
 // counters and gauges first, then one summary line per histogram with
 // its count, sum, and interpolated p50/p95/p99 in display units. The

@@ -28,7 +28,8 @@ type PeerTimeline struct {
 // BuildTimeline folds a trace into per-peer stall timelines: every
 // EvStallBegin opens a record, the following EvStallCause for the same
 // peer attributes it, and EvStallEnd closes it. Peers appear in
-// ascending id order.
+// ascending id order; a real node's log carries no ids and is one
+// timeline, Peer -1.
 func BuildTimeline(events []Event) []PeerTimeline {
 	byPeer := map[int]*PeerTimeline{}
 	open := map[int]int{} // peer -> index into its Stalls of the open record
@@ -43,7 +44,7 @@ func BuildTimeline(events []Event) []PeerTimeline {
 		return tl
 	}
 	for _, ev := range events {
-		if ev.Cat != CatPlayer || ev.Peer < 0 {
+		if ev.Cat != CatPlayer {
 			continue
 		}
 		switch ev.Name {
@@ -85,19 +86,6 @@ func Unattributed(tls []PeerTimeline) []StallRecord {
 	for _, tl := range tls {
 		for _, s := range tl.Stalls {
 			if s.Cause == "" {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
-// OpenStalls returns the stalls that never ended within the trace.
-func OpenStalls(tls []PeerTimeline) []StallRecord {
-	var out []StallRecord
-	for _, tl := range tls {
-		for _, s := range tl.Stalls {
-			if s.EndUS < 0 {
 				out = append(out, s)
 			}
 		}

@@ -17,7 +17,7 @@ import (
 // flows per second, the stall fraction as a swarm warms up.
 //
 // The determinism contract matches the rest of the package (DESIGN.md
-// §8, §15): observing reads no clock (every observation carries its own
+// §8): observing reads no clock (every observation carries its own
 // virtual timestamp), draws from no RNG, and aggregates only with
 // commutative integer operations (sums, counts, CAS min/max, bucket
 // increments), so concurrent observers produce bit-identical windows in
@@ -57,10 +57,7 @@ const (
 	TSKindHist    = "hist"
 )
 
-// Canonical emulation series names, shared by the in-process recorder
-// (simpeer) and the trace-derived builder (tracereport): both sides must
-// produce the same series from the same run, and the coherence tests
-// compare them by these names.
+// The series the QoE recorder registers, live or replaying a trace.
 const (
 	// TSBufferOccupancyUS samples each peer's buffered playback lead
 	// (microseconds) at every pool-fill decision.
@@ -347,9 +344,9 @@ func (s TSSeriesStat) Total() int64 {
 }
 
 // TSSnapshot is one coherent view of every series. Like
-// RegistrySnapshot it is the single read path: the CSV export, the text
-// report, and the derived registry gauges all render from the same
-// Snap() result, so they cannot disagree.
+// RegistrySnapshot it is the single read path: the CSV export and the
+// text report render from the same Snap() result, so they cannot
+// disagree.
 type TSSnapshot struct {
 	// WindowNanos is the window width in nanoseconds.
 	WindowNanos int64 `json:"window_nanos"`
@@ -566,23 +563,4 @@ func (snap TSSnapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// PublishGauges derives end-state registry gauges from the snapshot —
-// per-series window span, total observations, and clamp counts — so the
-// /metrics exposition reflects the time-series layer through the same
-// single read path. Derived names carry the series as an inline label.
-func (snap TSSnapshot) PublishGauges(reg *Registry) {
-	if reg == nil {
-		return
-	}
-	reg.SetHelp("p2p_ts_windows", "Windows spanned per time series.")
-	reg.SetHelp("p2p_ts_observations", "Total observations per time series.")
-	reg.SetHelp("p2p_ts_clamped", "Observations clamped into the final window per time series.")
-	for _, s := range snap.Series {
-		label := fmt.Sprintf("{series=%q}", s.Name)
-		reg.Gauge("p2p_ts_windows" + label).Set(int64(len(s.Windows)))
-		reg.Gauge("p2p_ts_observations" + label).Set(s.Total())
-		reg.Gauge("p2p_ts_clamped" + label).Set(s.Clamped)
-	}
 }

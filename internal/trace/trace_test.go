@@ -192,9 +192,6 @@ func TestBuildTimeline(t *testing.T) {
 	if got := Unattributed(tls); len(got) != 0 {
 		t.Fatalf("unattributed = %v, want none", got)
 	}
-	if got := OpenStalls(tls); len(got) != 0 {
-		t.Fatalf("open = %v, want none", got)
-	}
 }
 
 func TestTimelineFlagsProblems(t *testing.T) {
@@ -205,8 +202,8 @@ func TestTimelineFlagsProblems(t *testing.T) {
 	if got := Unattributed(tls); len(got) != 1 {
 		t.Fatalf("unattributed = %v, want 1 entry", got)
 	}
-	if got := OpenStalls(tls); len(got) != 1 {
-		t.Fatalf("open = %v, want 1 entry", got)
+	if end := tls[0].Stalls[0].EndUS; end != -1 {
+		t.Fatalf("open stall EndUS = %d, want -1", end)
 	}
 }
 
@@ -220,7 +217,7 @@ func TestRegistry(t *testing.T) {
 	g := r.Gauge("active")
 	g.Set(3)
 	g.Add(-1)
-	snap := r.Snapshot()
+	snap := r.Snap().Stats
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %v, want 2 stats", snap)
 	}
@@ -249,7 +246,7 @@ func TestNilRegistryHandsOutNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil-registry handles retained values")
 	}
-	if r.Snapshot() != nil {
+	if r.Snap().Stats != nil {
 		t.Fatal("nil registry snapshot not nil")
 	}
 }

@@ -1,21 +1,16 @@
 package tracereport
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"p2psplice/internal/trace"
 )
 
-// This file rebuilds the emulation's windowed time series from trace
-// events alone. The in-process recorder (simpeer's simSeries) and this
-// builder observe the same quantities at the same timestamps — pool-fill
-// args, player transitions, segment completions — so for a single run
-// the two snapshots are bit-identical (TestTimeSeriesCoherent), and a
-// trace directory written by the experiment runner yields the same
+// This file rebuilds the windowed time series from trace events alone,
+// by replaying each log into the recorder the live run wrote through
+// (trace.QoE). Replay and live are the same code, so a run's rebuilt
+// snapshot is bit-identical to its in-process one, and a trace
+// directory written by the experiment runner yields the same
 // byte-for-byte CSV on every rerun and worker count.
 
 // TimeSeriesOptions configures the trace-derived builder.
@@ -32,88 +27,35 @@ type TimeSeriesOptions struct {
 
 // TimeSeriesBuilder folds event logs into a TimeSeries.
 type TimeSeriesBuilder struct {
-	opts TimeSeriesOptions
-	ts   *trace.TimeSeries
-	s    struct {
-		bufferedUS    trace.TSGauge
-		poolTarget    trace.TSHist
-		inflight      trace.TSGauge
-		stalled       trace.TSGauge
-		stallPermille trace.TSGauge
-		segsDone      trace.TSCounter
-	}
+	peers int // TimeSeriesOptions.Peers; 0 infers per log
+	ts    *trace.TimeSeries
 }
 
-// NewTimeSeriesBuilder returns an empty builder with every emulation
-// series registered (so snapshots list the full set even when a quiet
-// run never observes one of them, mirroring the in-process recorder).
+// NewTimeSeriesBuilder returns an empty builder.
 func NewTimeSeriesBuilder(opts TimeSeriesOptions) *TimeSeriesBuilder {
-	b := &TimeSeriesBuilder{
-		opts: opts,
+	return &TimeSeriesBuilder{
+		peers: opts.Peers,
 		ts: trace.NewTimeSeries(trace.TimeSeriesConfig{
 			Window:     opts.Window,
 			MaxWindows: opts.MaxWindows,
 		}),
 	}
-	b.s.bufferedUS = b.ts.Gauge(trace.TSBufferOccupancyUS)
-	b.s.poolTarget = b.ts.Histogram(trace.TSPoolTargetK)
-	b.s.inflight = b.ts.Gauge(trace.TSInflightFlows)
-	b.s.stalled = b.ts.Gauge(trace.TSStalledPeers)
-	b.s.stallPermille = b.ts.Gauge(trace.TSStallFractionPermille)
-	b.s.segsDone = b.ts.Counter(trace.TSSegmentsCompleted)
-	return b
 }
 
 // AddEvents folds one event log (one run's trace, in emission order).
-// Stall state is tracked per log: each file is an independent swarm.
+// Each file is an independent swarm, so each gets a fresh recorder (and
+// with it fresh stall state) over the shared series.
 func (b *TimeSeriesBuilder) AddEvents(events []trace.Event) {
-	peers := b.opts.Peers
+	peers := b.peers
 	if peers == 0 {
+		peers = 1 // a log without peer ids is one real node's own
 		for _, ev := range events {
 			if ev.Peer > peers {
 				peers = ev.Peer
 			}
 		}
 	}
-	stalled := make(map[int]bool)
-	stalledNow := 0
-	observeStalled := func(at time.Duration) {
-		b.s.stalled.Observe(at, int64(stalledNow))
-		if peers > 0 {
-			b.s.stallPermille.Observe(at, int64(stalledNow)*1000/int64(peers))
-		}
-	}
-	for _, ev := range events {
-		switch {
-		case ev.Cat == trace.CatPool && ev.Name == trace.EvPoolFill:
-			b.s.bufferedUS.Observe(ev.At, ev.ArgInt64("buffered_us", 0))
-			b.s.poolTarget.Observe(ev.At, ev.ArgInt64("target", 0))
-			// The in-process gauge samples the post-fill pool depth.
-			b.s.inflight.Observe(ev.At, ev.ArgInt64("inflight", 0)+ev.ArgInt64("launched", 0))
-		case ev.Cat == trace.CatPool && ev.Name == trace.EvSegComplete:
-			b.s.segsDone.Inc(ev.At)
-		case ev.Cat == trace.CatPlayer && ev.Name == trace.EvStallBegin:
-			if !stalled[ev.Peer] {
-				stalled[ev.Peer] = true
-				stalledNow++
-				observeStalled(ev.At)
-			}
-		case ev.Cat == trace.CatPlayer && ev.Name == trace.EvStallEnd:
-			if stalled[ev.Peer] {
-				delete(stalled, ev.Peer)
-				stalledNow--
-				observeStalled(ev.At)
-			}
-		case ev.Cat == trace.CatPlayer && ev.Name == trace.EvFinished:
-			// Finishing straight out of a stall closes it without a
-			// stall_end, exactly as the in-process recorder counts it.
-			if stalled[ev.Peer] {
-				delete(stalled, ev.Peer)
-				stalledNow--
-				observeStalled(ev.At)
-			}
-		}
-	}
+	trace.NewQoE(nil, nil, "", "", b.ts, peers).Replay(events)
 }
 
 // Snap returns the accumulated snapshot.
@@ -125,26 +67,10 @@ func (b *TimeSeriesBuilder) Snap() trace.TSSnapshot { return b.ts.Snap() }
 // different worker counts that produced the same per-cell logs yield a
 // byte-identical CSV.
 func BuildTimeSeriesDir(dir string, opts TimeSeriesOptions) (trace.TSSnapshot, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
-	if err != nil {
-		return trace.TSSnapshot{}, fmt.Errorf("tracereport: %w", err)
-	}
-	if len(paths) == 0 {
-		return trace.TSSnapshot{}, fmt.Errorf("tracereport: no *.jsonl traces in %s", dir)
-	}
-	sort.Strings(paths)
 	b := NewTimeSeriesBuilder(opts)
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return trace.TSSnapshot{}, fmt.Errorf("tracereport: %w", err)
-		}
-		events, err := trace.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return trace.TSSnapshot{}, fmt.Errorf("tracereport: %s: %w", filepath.Base(path), err)
-		}
-		b.AddEvents(events)
+	err := walkDir(dir, func(_ string, events []trace.Event) { b.AddEvents(events) })
+	if err != nil {
+		return trace.TSSnapshot{}, err
 	}
 	return b.Snap(), nil
 }

@@ -188,29 +188,38 @@ type flowState struct {
 	frozenAt int64 // microseconds; -1 when not frozen
 }
 
-// AnalyzeDir reads every *.jsonl under dir (sorted by name) and folds
-// them into one Analysis.
-func AnalyzeDir(dir string) (*Analysis, error) {
+// walkDir calls fn with every *.jsonl under dir, sorted by name — the
+// order every directory-level result is defined over.
+func walkDir(dir string, fn func(name string, events []trace.Event)) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
-		return nil, fmt.Errorf("tracereport: %w", err)
+		return fmt.Errorf("tracereport: %w", err)
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("tracereport: no *.jsonl traces in %s", dir)
+		return fmt.Errorf("tracereport: no *.jsonl traces in %s", dir)
 	}
 	sort.Strings(paths)
-	a := newAccum()
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, fmt.Errorf("tracereport: %w", err)
+			return fmt.Errorf("tracereport: %w", err)
 		}
 		events, err := trace.ReadJSONL(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("tracereport: %s: %w", filepath.Base(path), err)
+			return fmt.Errorf("tracereport: %s: %w", filepath.Base(path), err)
 		}
-		a.addFile(filepath.Base(path), events)
+		fn(filepath.Base(path), events)
+	}
+	return nil
+}
+
+// AnalyzeDir reads every *.jsonl under dir (sorted by name) and folds
+// them into one Analysis.
+func AnalyzeDir(dir string) (*Analysis, error) {
+	a := newAccum()
+	if err := walkDir(dir, a.addFile); err != nil {
+		return nil, err
 	}
 	return a.finish(), nil
 }

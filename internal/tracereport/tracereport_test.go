@@ -71,8 +71,8 @@ func TestStallAttributionAndCauses(t *testing.T) {
 	if r.Peers != 3 || r.Finished != 3 {
 		t.Errorf("peers=%d finished=%d, want 3 3", r.Peers, r.Finished)
 	}
-	if r.Stalls.Count != 3 || r.Stalls.Attributed != 3 || r.Stalls.AttributedPct != 100 {
-		t.Errorf("stalls = %+v, want 3 attributed 100%%", r.Stalls)
+	if r.Stalls.Count != 3 || r.Stalls.Attributed != 3 || r.Stalls.AttributedPct != 100 || r.Stalls.Open != 0 {
+		t.Errorf("stalls = %+v, want 3 attributed 100%%, none open", r.Stalls)
 	}
 	if r.Stalls.Durations.TotalUS != 8000 {
 		t.Errorf("stall total = %d, want 8000", r.Stalls.Durations.TotalUS)
