@@ -138,5 +138,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/container
 	$(GO) test -run='^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=$(FUZZTIME) ./internal/container
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/topology
+	$(GO) test -run='^$$' -fuzz='^FuzzPlan$$' -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz='^FuzzReallocate$$' -fuzztime=$(FUZZTIME) ./internal/netem
 	$(GO) test -run='^$$' -fuzz='^FuzzPromRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/trace

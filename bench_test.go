@@ -308,12 +308,14 @@ func BenchmarkWirePieceRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	var buf bytes.Buffer
+	wr, rd := wire.NewWriter(&buf), wire.NewReader(&buf)
+	var got wire.Message
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := wire.Write(&buf, msg); err != nil {
+		if err := wr.WriteMsg(msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.Read(&buf); err != nil {
+		if err := rd.ReadInto(&got); err != nil {
 			b.Fatal(err)
 		}
 	}

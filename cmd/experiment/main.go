@@ -352,7 +352,7 @@ var ablations = []struct {
 	{"hetero", []variant{
 		{"homogeneous", nil},
 		{"half the peers at 64kB/s", func(c *simpeer.SwarmConfig) {
-			half := make([]int64, 10)
+			half := make([]int64, c.Leechers)
 			for i := 0; i < len(half); i += 2 {
 				half[i] = 64 * 1024 // every other peer on a half-rate link
 			}

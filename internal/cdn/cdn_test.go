@@ -2,8 +2,10 @@ package cdn
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,34 +244,65 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
+// The client's playhead under a scripted clock: the first 4 s segment
+// lands at t=1 (startup 1 s), the second only at t=8 — the playhead hit
+// the 4 s frontier at t=5 — and the tail arrives with it.
 func TestTimelinePlayerStallAccounting(t *testing.T) {
-	tp := newTimelinePlayer(10 * time.Second)
-	if err := tp.start(0); err != nil {
+	cfg := media.DefaultEncoderConfig()
+	cfg.BytesPerSecond = 16 * 1024
+	cfg.FPS = 25 // 40 ms frames: the 4 s splicing cuts on whole seconds
+	v, err := media.Synthesize(cfg, 10*time.Second, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tp.start(0); err == nil {
-		t.Error("double start: want error")
+	o := NewOrigin()
+	m, blobs := buildVariant(t, v, 4*time.Second)
+	if err := o.AddVariant("4s", m, blobs); err != nil {
+		t.Fatal(err)
 	}
-	// 4s of video arrives at t=1: startup 1s, playing.
-	tp.advanceFrontier(4*time.Second, time.Second)
-	if got := tp.bufferedAhead(2 * time.Second); got != 3*time.Second {
-		t.Errorf("buffered = %v, want 3s", got)
+	if len(m.Segments) != 3 || m.Segments[1].Start != 4*time.Second || m.Segments[2].Start != 8*time.Second {
+		t.Fatalf("want a 4s+4s+2s layout, got %+v", m.Segments)
 	}
-	// Next 6s arrive at t=8: the playhead hit the 4s frontier at t=5.
-	tp.advanceFrontier(10*time.Second, 8*time.Second)
-	m := tp.metrics(8 * time.Second)
-	if m.StartupTime != time.Second {
-		t.Errorf("startup = %v, want 1s", m.StartupTime)
+	// The clock is the download schedule: serving segment i moves it to
+	// arrivals[i].
+	arrivals := map[string]time.Duration{"/segment/4s/0": time.Second, "/segment/4s/1": 8 * time.Second}
+	var clock atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if at, ok := arrivals[r.URL.Path]; ok {
+			clock.Store(int64(at))
+		}
+		o.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c, err := NewClient(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Stalls != 1 || m.TotalStall != 3*time.Second {
-		t.Errorf("stalls = %d/%v, want 1/3s", m.Stalls, m.TotalStall)
+	ctx := context.Background()
+	if err := c.Load(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if m.State != player.StateFinished {
-		t.Errorf("projected state = %v, want finished", m.State)
+	c.now = func() time.Duration { return time.Duration(clock.Load()) }
+	res, err := c.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := res.Metrics
+	if pm.StartupTime != time.Second {
+		t.Errorf("startup = %v, want 1s", pm.StartupTime)
+	}
+	if pm.Stalls != 1 || pm.TotalStall != 3*time.Second {
+		t.Errorf("stalls = %d/%v, want 1/3s", pm.Stalls, pm.TotalStall)
+	}
+	if len(pm.StallIntervals) != 1 || pm.StallIntervals[0] != (player.Interval{Start: 5 * time.Second, End: 8 * time.Second}) {
+		t.Errorf("stall intervals = %v, want [5s, 8s]", pm.StallIntervals)
+	}
+	if pm.State != player.StateFinished {
+		t.Errorf("projected state = %v, want finished", pm.State)
 	}
 	// Played 4s (1..5), stalled (5..8), played 6s (8..14).
-	if m.FinishedAt != 14*time.Second {
-		t.Errorf("FinishedAt = %v, want 14s", m.FinishedAt)
+	if pm.FinishedAt != 14*time.Second {
+		t.Errorf("FinishedAt = %v, want 14s", pm.FinishedAt)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -161,18 +162,23 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 	}
 	clip := c.manifests[0].Video.Duration
 
-	// The playback buffer is tracked in clip time; a single virtual
-	// "timeline segment" per fetch keeps the player in sync with the
-	// variant-switching frontier.
-	res := &StreamResult{}
-	var frontier time.Duration
-	var buffered func() time.Duration
-	pl := newTimelinePlayer(clip)
-	if err := pl.start(now()); err != nil {
+	// One playhead serves every variant: the player's segments are the
+	// slices between the union of all variants' boundaries, and each
+	// fetched segment completes the run of slices it covers.
+	bounds := boundaries(c.manifests)
+	durs := make([]time.Duration, len(bounds)-1)
+	for i := range durs {
+		durs[i] = bounds[i+1] - bounds[i]
+	}
+	pl, err := player.New(player.Config{SegmentDurations: durs})
+	if err != nil {
+		return nil, fmt.Errorf("cdn: %w", err)
+	}
+	if err := pl.Start(now()); err != nil {
 		return nil, err
 	}
-	buffered = func() time.Duration { return pl.bufferedAhead(now()) }
-
+	res := &StreamResult{}
+	var frontier time.Duration
 	for frontier < clip {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -181,7 +187,7 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		if bandwidth <= 0 {
 			bandwidth = c.manifests[0].Video.BytesPerSecond
 		}
-		choice, ok := ChooseSegment(c.manifests, c.names, frontier, bandwidth, buffered())
+		choice, ok := ChooseSegment(c.manifests, c.names, frontier, bandwidth, pl.BufferedAhead(now()))
 		if !ok {
 			return nil, fmt.Errorf("cdn: no variant has a boundary at %v", frontier)
 		}
@@ -201,12 +207,28 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		res.Choices = append(res.Choices, choice)
 
 		frontier += seg.Duration
-		pl.advanceFrontier(frontier, now())
+		at := now()
+		for i := pl.NextMissing(); i < len(durs) && bounds[i+1] <= frontier; i++ {
+			_ = pl.OnSegmentComplete(i, at) // i is in range by construction
+		}
 	}
-	// Let playback drain.
-	pl.finish(now())
-	res.Metrics = pl.metrics(now())
+	// Everything is downloaded, so no more stalls can occur and projecting
+	// past the end of the clip gives the exact playback outcome.
+	res.Metrics = pl.Metrics(now() + clip + time.Second)
 	return res, nil
+}
+
+// boundaries returns the union of every variant's segment boundaries in
+// ascending order, from 0 to the end of the clip.
+func boundaries(manifests []*container.Manifest) []time.Duration {
+	b := []time.Duration{manifests[0].Video.Duration}
+	for _, m := range manifests {
+		for _, s := range m.Segments {
+			b = append(b, s.Start)
+		}
+	}
+	slices.Sort(b)
+	return slices.Compact(b)
 }
 
 func indexOf(names []string, name string) int {

@@ -1,11 +1,13 @@
 // Package fault is the deterministic fault-injection subsystem: a Plan
-// is a seeded, reproducible schedule of typed events — peer crash and
-// rejoin (churn), seeder outage windows, tracker unavailability windows,
-// and per-node link flaps or rate degradation. The emulated stack
-// compiles a Plan against the sim clock (internal/simpeer); the real
-// stack fires the same Plan on wall-clock timers (Scheduler).
+// is a seeded, reproducible schedule of typed events, each one whole
+// fault — a crash-until-rejoin session (churn), a seeder or tracker
+// outage, a link flap, a burst-loss, corruption, adversary or
+// duplication window, or a link-rate step. Consumers read a Plan as
+// Edges, the instants windows begin and end: the emulated stack
+// compiles them against the sim clock (internal/simpeer); the real
+// stack fires the same edges on wall-clock timers (Scheduler).
 //
-// Determinism contract (DESIGN.md §9): generators draw only from their
+// Determinism contract (DESIGN.md §9.2): generators draw only from their
 // own seeded rand.Rand, never a global or engine RNG, so a Plan is a
 // pure function of its arguments. An empty Plan schedules nothing and
 // must leave every consumer bit-identical to a run without the fault
@@ -19,97 +21,74 @@ import (
 	"time"
 )
 
-// Kind is the type of an injected fault event.
+// Kind is the type of an injected fault. Every kind but KindLinkRate is
+// a window: it holds from Event.At for Event.Dur and then ends.
 type Kind int
 
 const (
-	// KindPeerCrash takes a node offline: its flows are cancelled, its
-	// in-flight segments return to the swarm pool immediately.
+	// KindPeerCrash takes a node offline for the window: its flows are
+	// cancelled and its in-flight segments return to the swarm pool
+	// immediately. At the end it rejoins with its on-disk segments (a
+	// process restart).
 	KindPeerCrash Kind = iota
-	// KindPeerRejoin brings a crashed node back (process restart: it
-	// keeps its on-disk segments).
-	KindPeerRejoin
 	// KindLinkDown administratively downs a node's links, freezing every
-	// flow that touches it.
+	// flow that touches it, and restores them at the end.
 	KindLinkDown
-	// KindLinkUp restores a downed link.
-	KindLinkUp
-	// KindLinkRate degrades (or restores) a node's link bandwidth to
-	// BytesPerSec without downing it.
+	// KindLinkRate sets a node's link bandwidth to BytesPerSec without
+	// downing it. It is a step, not a window: Dur is zero and the rate
+	// holds until the next KindLinkRate (see RateDip).
 	KindLinkRate
 	// KindTrackerDown makes the tracker unavailable: joins and rejoins
-	// defer until recovery; connected peers keep trading.
+	// defer until the window ends; connected peers keep trading.
 	KindTrackerDown
-	// KindTrackerUp restores the tracker and drains deferred joins.
-	KindTrackerUp
 	// KindBurstLoss installs a Gilbert–Elliott burst-loss model (the
 	// Loss field) on a node's access link, shadowing its baseline
-	// i.i.d. loss rate; KindBurstLossEnd removes it.
+	// i.i.d. loss rate for the window.
 	KindBurstLoss
-	// KindBurstLossEnd closes a burst-loss window.
-	KindBurstLossEnd
-	// KindCorrupt opens a payload-corruption window on a node: each
+	// KindCorrupt is a payload-corruption window on a node: each
 	// downloaded segment fails checksum verification with probability
 	// Percent/100 per attempt and must be fetched again.
 	KindCorrupt
-	// KindCorruptEnd closes a corruption window.
-	KindCorruptEnd
-	// KindAdversary opens an adversarial-behavior window on a node: the
+	// KindAdversary is an adversarial-behavior window on a node: the
 	// peer misbehaves AS A SOURCE according to the Adversary field
 	// (persistent corrupter, intermittent polluter, stale-have liar, or
 	// slowloris). Unlike KindCorrupt — which models a victim's flaky
 	// path — the adversary window marks the serving peer as the byzantine
 	// party, which is what per-peer reputation must detect.
 	KindAdversary
-	// KindAdversaryEnd closes an adversary window.
-	KindAdversaryEnd
-	// KindDuplicate opens a duplicated-delivery window on a node: every
+	// KindDuplicate is a duplicated-delivery window on a node: every
 	// PIECE it serves is sent twice. Receivers must be idempotent — no
 	// double-counted bytes, no state corruption (the pumba netem
 	// "duplication" impairment). Per-packet duplication is below the
 	// fluid flow model's granularity, so the emulation traces the window
 	// without behavioral effect; the real stack delivers real duplicates.
 	KindDuplicate
-	// KindDuplicateEnd closes a duplication window.
-	KindDuplicateEnd
 )
 
-// String returns the canonical wire/trace name of the kind.
+// kindNames is the one table of canonical wire/trace names: what a
+// kind's window is called where it begins and where it ends (a step has
+// no end). The trace.Ev* fault constants spell the same strings.
+var kindNames = [...]struct{ begin, end string }{
+	KindPeerCrash:   {"peer_crash", "peer_rejoin"},
+	KindLinkDown:    {"link_down", "link_up"},
+	KindLinkRate:    {"link_rate", ""},
+	KindTrackerDown: {"tracker_down", "tracker_up"},
+	KindBurstLoss:   {"burst_loss_start", "burst_loss_end"},
+	KindCorrupt:     {"corrupt_start", "corrupt_end"},
+	KindAdversary:   {"adversary_start", "adversary_end"},
+	KindDuplicate:   {"duplicate_start", "duplicate_end"},
+}
+
+// valid reports whether k is one of the declared kinds.
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(kindNames) }
+
+// String returns the canonical name of the kind: the name its window
+// begins under.
 func (k Kind) String() string {
-	switch k {
-	case KindPeerCrash:
-		return "peer_crash"
-	case KindPeerRejoin:
-		return "peer_rejoin"
-	case KindLinkDown:
-		return "link_down"
-	case KindLinkUp:
-		return "link_up"
-	case KindLinkRate:
-		return "link_rate"
-	case KindTrackerDown:
-		return "tracker_down"
-	case KindTrackerUp:
-		return "tracker_up"
-	case KindBurstLoss:
-		return "burst_loss_start"
-	case KindBurstLossEnd:
-		return "burst_loss_end"
-	case KindCorrupt:
-		return "corrupt_start"
-	case KindCorruptEnd:
-		return "corrupt_end"
-	case KindAdversary:
-		return "adversary_start"
-	case KindAdversaryEnd:
-		return "adversary_end"
-	case KindDuplicate:
-		return "duplicate_start"
-	case KindDuplicateEnd:
-		return "duplicate_end"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
+	return kindNames[k].begin
 }
 
 // AdversaryKind selects the misbehavior of a KindAdversary window.
@@ -167,14 +146,17 @@ type GEModel struct {
 	P31   float64
 }
 
-// Event is one scheduled fault. Node addresses the swarm's peers by
-// index (0 = seeder, 1..N = leechers) and is ignored for tracker
-// events. BytesPerSec is used by KindLinkRate and the slowloris
-// adversary (trickle rate), Loss only by KindBurstLoss, Percent by
-// KindCorrupt and the polluter adversary, and Adversary only by
-// KindAdversary.
+// Event is one scheduled fault, and a whole one: a window carries its
+// duration, so a fault that begins always ends. The window is
+// [At, At+Dur); KindLinkRate alone is a step and leaves Dur zero. Node
+// addresses the swarm's peers by index (0 = seeder, 1..N = leechers)
+// and is ignored for tracker events. BytesPerSec is used by
+// KindLinkRate and the slowloris adversary (trickle rate), Loss only by
+// KindBurstLoss, Percent by KindCorrupt and the polluter adversary, and
+// Adversary only by KindAdversary.
 type Event struct {
 	At          time.Duration
+	Dur         time.Duration
 	Kind        Kind
 	Node        int
 	BytesPerSec int64
@@ -191,183 +173,117 @@ type Plan struct {
 // Empty reports whether the plan schedules nothing.
 func (p Plan) Empty() bool { return len(p.Events) == 0 }
 
-// Sorted returns a copy of the plan with events in ascending At order.
-// The sort is stable so same-instant events keep their authored order
-// (e.g. a rejoin authored before a crash at the same instant stays
-// before it), which keeps compilation deterministic.
-func (p Plan) Sorted() Plan {
-	evs := append([]Event(nil), p.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return Plan{Events: evs}
+// Edge is one instant at which a consumer acts on an Event: the
+// beginning of its window (or its step), or the window's end.
+type Edge struct {
+	Event               // the fault this edge belongs to
+	At    time.Duration // when the edge fires: Event.At, or Event.At+Dur for the end
+	End   bool
 }
 
-// Validate checks structural sanity: non-negative times, node indices
-// within [0, maxNode], and closed windows — every crash is followed by
-// a rejoin for the same node, every link-down by a link-up, every
-// tracker-down by a tracker-up. Closed windows are required because an
-// unclosed outage plus a sole segment holder gone would turn the
-// emulation's retry loop into a livelock that only the event budget
-// stops (DESIGN.md §9).
+// Name returns the canonical wire/trace name of the edge, e.g.
+// "peer_crash" for the beginning of a KindPeerCrash window and
+// "peer_rejoin" for its end.
+func (e Edge) Name() string {
+	if e.End && e.Kind.valid() {
+		return kindNames[e.Kind].end
+	}
+	return e.Kind.String()
+}
+
+// Edges returns what the plan asks consumers to do, in ascending time
+// order: each event's beginning and, Dur later, its end (a step — zero
+// Dur — has only a beginning). The sort is stable over authored order
+// (event by event, a beginning before its own end), so same-instant
+// edges fire in a deterministic order on every run.
+func (p Plan) Edges() []Edge {
+	edges := make([]Edge, 0, 2*len(p.Events))
+	for _, ev := range p.Events {
+		edges = append(edges, Edge{Event: ev, At: ev.At})
+		if ev.Dur > 0 {
+			edges = append(edges, Edge{Event: ev, At: ev.At + ev.Dur, End: true})
+		}
+	}
+	sort.SliceStable(edges, func(i, j int) bool { return edges[i].At < edges[j].At })
+	return edges
+}
+
+// Validate checks structural sanity in one pass over Edges, reporting
+// the first offending event in time order: non-negative times, a
+// positive Dur on every window (an outage that never ends plus a sole
+// segment holder gone would turn the emulation's retry loop into a
+// livelock that only the event budget stops — DESIGN.md §9.1), node
+// indices within [0, maxNode], per-kind parameters, and no two windows
+// of one kind open on one node at once.
 func (p Plan) Validate(maxNode int) error {
-	crashed := map[int]bool{}
-	linkDown := map[int]bool{}
-	burst := map[int]bool{}
-	corrupt := map[int]bool{}
-	adversary := map[int]bool{}
-	duplicate := map[int]bool{}
-	trackerDown := false
-	for i, ev := range p.Sorted().Events {
-		if ev.At < 0 {
-			return fmt.Errorf("fault: event %d (%s) at negative time %v", i, ev.Kind, ev.At)
+	type key struct {
+		kind Kind
+		node int
+	}
+	open := map[key]bool{}
+	for _, e := range p.Edges() {
+		w := key{e.Kind, e.Node}
+		if e.Kind == KindTrackerDown {
+			w.node = 0 // one tracker: Node is ignored
 		}
-		switch ev.Kind {
-		case KindTrackerDown:
-			if trackerDown {
-				return fmt.Errorf("fault: tracker_down at %v while already down", ev.At)
-			}
-			trackerDown = true
-			continue
-		case KindTrackerUp:
-			if !trackerDown {
-				return fmt.Errorf("fault: tracker_up at %v without a prior tracker_down", ev.At)
-			}
-			trackerDown = false
+		if e.End {
+			delete(open, w)
 			continue
 		}
-		if ev.Node < 0 || ev.Node > maxNode {
-			return fmt.Errorf("fault: event %d (%s) node %d out of range [0,%d]", i, ev.Kind, ev.Node, maxNode)
+		if err := e.Event.check(maxNode); err != nil {
+			return err
 		}
-		switch ev.Kind {
-		case KindPeerCrash:
-			if crashed[ev.Node] {
-				return fmt.Errorf("fault: peer_crash node %d at %v while already crashed", ev.Node, ev.At)
-			}
-			crashed[ev.Node] = true
-		case KindPeerRejoin:
-			if !crashed[ev.Node] {
-				return fmt.Errorf("fault: peer_rejoin node %d at %v without a prior crash", ev.Node, ev.At)
-			}
-			crashed[ev.Node] = false
-		case KindLinkDown:
-			if linkDown[ev.Node] {
-				return fmt.Errorf("fault: link_down node %d at %v while already down", ev.Node, ev.At)
-			}
-			linkDown[ev.Node] = true
-		case KindLinkUp:
-			if !linkDown[ev.Node] {
-				return fmt.Errorf("fault: link_up node %d at %v without a prior link_down", ev.Node, ev.At)
-			}
-			linkDown[ev.Node] = false
-		case KindLinkRate:
-			if ev.BytesPerSec <= 0 {
-				return fmt.Errorf("fault: link_rate node %d at %v with non-positive rate %d", ev.Node, ev.At, ev.BytesPerSec)
-			}
-		case KindBurstLoss:
-			if burst[ev.Node] {
-				return fmt.Errorf("fault: burst_loss node %d at %v while a burst window is already open", ev.Node, ev.At)
-			}
-			m := ev.Loss
-			if m.PGood < 0 || m.PGood >= 1 || m.PBad < 0 || m.PBad >= 1 {
-				return fmt.Errorf("fault: burst_loss node %d at %v with loss rates outside [0, 1): pg=%v pb=%v", ev.Node, ev.At, m.PGood, m.PBad)
-			}
-			if m.P13 <= 0 || m.P31 <= 0 {
-				return fmt.Errorf("fault: burst_loss node %d at %v with non-positive transition rates p13=%v p31=%v", ev.Node, ev.At, m.P13, m.P31)
-			}
-			burst[ev.Node] = true
-		case KindBurstLossEnd:
-			if !burst[ev.Node] {
-				return fmt.Errorf("fault: burst_loss_end node %d at %v without an open burst window", ev.Node, ev.At)
-			}
-			burst[ev.Node] = false
-		case KindCorrupt:
-			if corrupt[ev.Node] {
-				return fmt.Errorf("fault: corrupt node %d at %v while a corruption window is already open", ev.Node, ev.At)
-			}
-			if !(ev.Percent > 0 && ev.Percent <= 100) {
-				return fmt.Errorf("fault: corrupt node %d at %v with percent %v outside (0, 100]", ev.Node, ev.At, ev.Percent)
-			}
-			corrupt[ev.Node] = true
-		case KindCorruptEnd:
-			if !corrupt[ev.Node] {
-				return fmt.Errorf("fault: corrupt_end node %d at %v without an open corruption window", ev.Node, ev.At)
-			}
-			corrupt[ev.Node] = false
-		case KindAdversary:
-			if adversary[ev.Node] {
-				return fmt.Errorf("fault: adversary node %d at %v while an adversary window is already open", ev.Node, ev.At)
-			}
-			switch ev.Adversary {
-			case AdvCorrupter, AdvStaleHave:
-				// No parameters.
-			case AdvPolluter:
-				if !(ev.Percent > 0 && ev.Percent <= 100) {
-					return fmt.Errorf("fault: polluter node %d at %v with percent %v outside (0, 100]", ev.Node, ev.At, ev.Percent)
-				}
-			case AdvSlowloris:
-				if ev.BytesPerSec <= 0 {
-					return fmt.Errorf("fault: slowloris node %d at %v with non-positive trickle rate %d", ev.Node, ev.At, ev.BytesPerSec)
-				}
-			default:
-				return fmt.Errorf("fault: adversary node %d at %v with invalid kind %d", ev.Node, ev.At, int(ev.Adversary))
-			}
-			adversary[ev.Node] = true
-		case KindAdversaryEnd:
-			if !adversary[ev.Node] {
-				return fmt.Errorf("fault: adversary_end node %d at %v without an open adversary window", ev.Node, ev.At)
-			}
-			adversary[ev.Node] = false
-		case KindDuplicate:
-			if duplicate[ev.Node] {
-				return fmt.Errorf("fault: duplicate node %d at %v while a duplication window is already open", ev.Node, ev.At)
-			}
-			duplicate[ev.Node] = true
-		case KindDuplicateEnd:
-			if !duplicate[ev.Node] {
-				return fmt.Errorf("fault: duplicate_end node %d at %v without an open duplication window", ev.Node, ev.At)
-			}
-			duplicate[ev.Node] = false
-		default:
-			return fmt.Errorf("fault: event %d has unknown kind %d", i, int(ev.Kind))
+		if open[w] {
+			return fmt.Errorf("fault: %s: begins while an earlier %s window is still open", e.desc(), e.Kind)
+		}
+		if e.Dur > 0 {
+			open[w] = true
 		}
 	}
-	for node, down := range crashed {
-		if down {
-			return fmt.Errorf("fault: node %d crashes but never rejoins (unclosed window)", node)
-		}
+	return nil
+}
+
+// desc names the event in error messages.
+func (ev Event) desc() string {
+	if ev.Kind == KindTrackerDown {
+		return fmt.Sprintf("%s at %v", ev.Kind, ev.At)
 	}
-	for node, down := range linkDown {
-		if down {
-			return fmt.Errorf("fault: node %d link goes down but never comes up (unclosed window)", node)
-		}
-	}
-	for node, open := range burst {
-		if open {
-			return fmt.Errorf("fault: node %d burst-loss window never closes", node)
-		}
-	}
-	for node, open := range corrupt {
-		if open {
-			return fmt.Errorf("fault: node %d corruption window never closes", node)
-		}
-	}
-	for node, open := range adversary {
-		if open {
-			return fmt.Errorf("fault: node %d adversary window never closes", node)
-		}
-	}
-	for node, open := range duplicate {
-		if open {
-			return fmt.Errorf("fault: node %d duplication window never closes", node)
-		}
-	}
-	if trackerDown {
-		return fmt.Errorf("fault: tracker goes down but never comes up (unclosed window)")
+	return fmt.Sprintf("%s node %d at %v", ev.Kind, ev.Node, ev.At)
+}
+
+// check validates one event on its own: kind, time, duration, node and
+// the parameters its kind reads.
+func (ev Event) check(maxNode int) error {
+	m := ev.Loss
+	polluter := ev.Kind == KindAdversary && ev.Adversary == AdvPolluter
+	slowloris := ev.Kind == KindAdversary && ev.Adversary == AdvSlowloris
+	switch {
+	case !ev.Kind.valid():
+		return fmt.Errorf("fault: event at %v has unknown kind %d", ev.At, int(ev.Kind))
+	case ev.At < 0:
+		return fmt.Errorf("fault: %s: negative time", ev.desc())
+	case ev.Kind == KindLinkRate && ev.Dur != 0:
+		return fmt.Errorf("fault: %s: a rate step takes no duration, got %v (see RateDip)", ev.desc(), ev.Dur)
+	case ev.Kind != KindLinkRate && ev.Dur <= 0:
+		return fmt.Errorf("fault: %s: window needs a positive duration, got %v", ev.desc(), ev.Dur)
+	case ev.Kind != KindTrackerDown && (ev.Node < 0 || ev.Node > maxNode):
+		return fmt.Errorf("fault: %s: node out of range [0,%d]", ev.desc(), maxNode)
+	case ev.Kind == KindAdversary && (ev.Adversary <= AdvNone || ev.Adversary > AdvSlowloris):
+		return fmt.Errorf("fault: %s: invalid adversary kind %d", ev.desc(), int(ev.Adversary))
+	case (ev.Kind == KindLinkRate || slowloris) && ev.BytesPerSec <= 0:
+		return fmt.Errorf("fault: %s: non-positive rate %d", ev.desc(), ev.BytesPerSec)
+	case (ev.Kind == KindCorrupt || polluter) && !(ev.Percent > 0 && ev.Percent <= 100):
+		return fmt.Errorf("fault: %s: percent %v outside (0, 100]", ev.desc(), ev.Percent)
+	case ev.Kind == KindBurstLoss && (m.PGood < 0 || m.PGood >= 1 || m.PBad < 0 || m.PBad >= 1):
+		return fmt.Errorf("fault: %s: loss rates outside [0, 1): pg=%v pb=%v", ev.desc(), m.PGood, m.PBad)
+	case ev.Kind == KindBurstLoss && (m.P13 <= 0 || m.P31 <= 0):
+		return fmt.Errorf("fault: %s: non-positive transition rates p13=%v p31=%v", ev.desc(), m.P13, m.P31)
 	}
 	return nil
 }
 
 // Merge concatenates plans into one. The result preserves authored
-// order within each plan; consumers sort by At via Sorted.
+// order within each plan; consumers read it in time order via Edges.
 func Merge(plans ...Plan) Plan {
 	var out Plan
 	for _, p := range plans {
@@ -376,16 +292,19 @@ func Merge(plans ...Plan) Plan {
 	return out
 }
 
+// window is the plan of one window event.
+func window(ev Event) Plan { return Plan{Events: []Event{ev}} }
+
 // minOffline floors churn offline sessions so a rejoin never lands on
 // the same instant as its crash.
 const minOffline = 500 * time.Millisecond
 
 // Churn generates exponential on/off sessions for each node: online for
-// Exp(meanOnline), crash, offline for Exp(meanOffline) (floored at
-// 500ms), rejoin, repeat until horizon. Every crash is paired with a
-// rejoin — sessions that would cross the horizon are closed just inside
-// it, so the plan always validates. The schedule is a pure function of
-// (seed, nodes, horizon, meanOnline, meanOffline).
+// Exp(meanOnline), then offline — one KindPeerCrash window — for
+// Exp(meanOffline) (floored at 500ms), repeat until horizon. Sessions
+// that would cross the horizon end just inside it, so the plan always
+// validates. The schedule is a pure function of (seed, nodes, horizon,
+// meanOnline, meanOffline); events are authored node by node.
 func Churn(seed int64, nodes []int, horizon, meanOnline, meanOffline time.Duration) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	var p Plan
@@ -400,44 +319,33 @@ func Churn(seed int64, nodes []int, horizon, meanOnline, meanOffline time.Durati
 			if up >= horizon {
 				up = horizon - time.Millisecond
 				if up <= at {
-					break // no room to close the window; drop the crash
+					break // no room for the window; drop the crash
 				}
 			}
-			p.Events = append(p.Events,
-				Event{At: at, Kind: KindPeerCrash, Node: node},
-				Event{At: up, Kind: KindPeerRejoin, Node: node})
+			p.Events = append(p.Events, Event{At: at, Dur: up - at, Kind: KindPeerCrash, Node: node})
 			at = up + time.Duration(rng.ExpFloat64()*float64(meanOnline))
 		}
 	}
-	return p.Sorted()
+	return p
 }
 
 // SeederOutage takes the seeder (node 0) down for [start, start+dur).
 func SeederOutage(start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindPeerCrash, Node: 0},
-		{At: start + dur, Kind: KindPeerRejoin, Node: 0},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindPeerCrash, Node: 0})
 }
 
 // TrackerOutage makes the tracker unavailable for [start, start+dur).
 func TrackerOutage(start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindTrackerDown},
-		{At: start + dur, Kind: KindTrackerUp},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindTrackerDown})
 }
 
 // LinkFlap downs a node's links for [start, start+dur).
 func LinkFlap(node int, start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindLinkDown, Node: node},
-		{At: start + dur, Kind: KindLinkUp, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindLinkDown, Node: node})
 }
 
 // RateDip degrades a node's link rate to dipTo for [start, start+dur),
-// then restores it to the given rate.
+// then restores it to the given rate: two rate steps.
 func RateDip(node int, start, dur time.Duration, dipTo, restore int64) Plan {
 	return Plan{Events: []Event{
 		{At: start, Kind: KindLinkRate, Node: node, BytesPerSec: dipTo},
@@ -449,67 +357,46 @@ func RateDip(node int, start, dur time.Duration, dipTo, restore int64) Plan {
 // [start, start+dur). While open, the model's two-state chain shadows
 // the node's baseline i.i.d. loss rate.
 func BurstLoss(node int, start, dur time.Duration, m GEModel) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindBurstLoss, Node: node, Loss: m},
-		{At: start + dur, Kind: KindBurstLossEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindBurstLoss, Node: node, Loss: m})
 }
 
 // Corruption opens a payload-corruption window on a node for
 // [start, start+dur): each segment it downloads fails verification
 // with probability percent/100 per attempt and is fetched again.
 func Corruption(node int, start, dur time.Duration, percent float64) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindCorrupt, Node: node, Percent: percent},
-		{At: start + dur, Kind: KindCorruptEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindCorrupt, Node: node, Percent: percent})
 }
 
 // Corrupter marks a node as a persistent corrupter for
 // [start, start+dur): every segment served FROM it during the window
 // fails verification at the requester.
 func Corrupter(node int, start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindAdversary, Node: node, Adversary: AdvCorrupter},
-		{At: start + dur, Kind: KindAdversaryEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindAdversary, Node: node, Adversary: AdvCorrupter})
 }
 
 // Polluter marks a node as an intermittent polluter for
 // [start, start+dur): each serve fails verification with probability
 // percent/100, drawn per attempt from PolluteDraw.
 func Polluter(node int, start, dur time.Duration, percent float64) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindAdversary, Node: node, Adversary: AdvPolluter, Percent: percent},
-		{At: start + dur, Kind: KindAdversaryEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindAdversary, Node: node, Adversary: AdvPolluter, Percent: percent})
 }
 
 // StaleHaveLiar marks a node as a stale-have liar for
 // [start, start+dur): it advertises every segment but never serves a
 // byte, so requesters hang until their serve timeout.
 func StaleHaveLiar(node int, start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindAdversary, Node: node, Adversary: AdvStaleHave},
-		{At: start + dur, Kind: KindAdversaryEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindAdversary, Node: node, Adversary: AdvStaleHave})
 }
 
 // Slowloris marks a node as a slowloris for [start, start+dur): it
 // accepts requests and trickles bytes at trickleBytesPerSec, slow
 // enough that requesters hit their serve timeout mid-transfer.
 func Slowloris(node int, start, dur time.Duration, trickleBytesPerSec int64) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindAdversary, Node: node, Adversary: AdvSlowloris, BytesPerSec: trickleBytesPerSec},
-		{At: start + dur, Kind: KindAdversaryEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindAdversary, Node: node, Adversary: AdvSlowloris, BytesPerSec: trickleBytesPerSec})
 }
 
 // Duplication opens a duplicated-delivery window on a node for
 // [start, start+dur): every PIECE it serves is sent twice.
 func Duplication(node int, start, dur time.Duration) Plan {
-	return Plan{Events: []Event{
-		{At: start, Kind: KindDuplicate, Node: node},
-		{At: start + dur, Kind: KindDuplicateEnd, Node: node},
-	}}
+	return window(Event{At: start, Dur: dur, Kind: KindDuplicate, Node: node})
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,44 +30,54 @@ func TestChurnWindowsClosedAndValid(t *testing.T) {
 	if err := p.Validate(4); err != nil {
 		t.Fatalf("churn plan invalid: %v", err)
 	}
+	// One crash window per offline session, wholly inside the horizon,
+	// the sessions of one node in order.
+	lastUp := map[int]time.Duration{}
 	for _, ev := range p.Events {
-		if ev.At < 0 || ev.At >= horizon {
-			t.Fatalf("event %v at %v outside [0, %v)", ev.Kind, ev.At, horizon)
+		if ev.Kind != KindPeerCrash || ev.Dur <= 0 {
+			t.Fatalf("bad churn session %+v", ev)
 		}
-	}
-	// Crash/rejoin must strictly alternate per node.
-	down := map[int]bool{}
-	for _, ev := range p.Events {
-		switch ev.Kind {
-		case KindPeerCrash:
-			if down[ev.Node] {
-				t.Fatalf("node %d crashed twice without rejoin", ev.Node)
-			}
-			down[ev.Node] = true
-		case KindPeerRejoin:
-			if !down[ev.Node] {
-				t.Fatalf("node %d rejoined without crash", ev.Node)
-			}
-			down[ev.Node] = false
+		if ev.At < lastUp[ev.Node] || ev.At+ev.Dur >= horizon {
+			t.Fatalf("session %+v outside (%v, %v)", ev, lastUp[ev.Node], horizon)
 		}
+		lastUp[ev.Node] = ev.At + ev.Dur
 	}
 }
 
-func TestSortedStableAndNonMutating(t *testing.T) {
+func TestEdgesStableAndNonMutating(t *testing.T) {
 	p := Plan{Events: []Event{
-		{At: 2 * time.Second, Kind: KindPeerRejoin, Node: 1},
-		{At: time.Second, Kind: KindPeerCrash, Node: 1},
-		{At: 2 * time.Second, Kind: KindLinkUp, Node: 2},
+		{At: time.Second, Dur: time.Second, Kind: KindLinkDown, Node: 2},
+		{At: 0, Dur: 2 * time.Second, Kind: KindPeerCrash, Node: 1},
+		{At: 2 * time.Second, Kind: KindLinkRate, Node: 3, BytesPerSec: 1},
 	}}
-	s := p.Sorted()
-	if p.Events[0].Kind != KindPeerRejoin {
-		t.Fatal("Sorted mutated the receiver")
+	edges := p.Edges()
+	if p.Events[0].Kind != KindLinkDown {
+		t.Fatal("Edges mutated the receiver")
 	}
-	want := []Kind{KindPeerCrash, KindPeerRejoin, KindLinkUp}
-	for i, ev := range s.Events {
-		if ev.Kind != want[i] {
-			t.Fatalf("event %d: got %v want %v (stable same-instant order lost)", i, ev.Kind, want[i])
+	// Same-instant edges keep authored order: at 2s the flap (event 0)
+	// ends before the crash (event 1) does, and the step comes last.
+	want := []struct {
+		name string
+		at   time.Duration
+		end  bool
+	}{
+		{"peer_crash", 0, false},
+		{"link_down", time.Second, false},
+		{"link_up", 2 * time.Second, true},
+		{"peer_rejoin", 2 * time.Second, true},
+		{"link_rate", 2 * time.Second, false},
+	}
+	if len(edges) != len(want) {
+		t.Fatalf("got %d edges, want %d (a step has no end)", len(edges), len(want))
+	}
+	for i, e := range edges {
+		if e.Name() != want[i].name || e.At != want[i].at || e.End != want[i].end {
+			t.Fatalf("edge %d: got %s at %v end=%v, want %+v (stable same-instant order lost)",
+				i, e.Name(), e.At, e.End, want[i])
 		}
+	}
+	if first := edges[0]; first.Event != p.Events[1] {
+		t.Fatalf("edge does not carry its event: %+v", first)
 	}
 }
 
@@ -75,26 +86,28 @@ func TestValidateRejectsBrokenPlans(t *testing.T) {
 		name string
 		p    Plan
 	}{
-		{"unclosed crash", Plan{Events: []Event{{At: 0, Kind: KindPeerCrash, Node: 1}}}},
-		{"rejoin without crash", Plan{Events: []Event{{At: 0, Kind: KindPeerRejoin, Node: 1}}}},
-		{"unclosed link down", Plan{Events: []Event{{At: 0, Kind: KindLinkDown, Node: 1}}}},
-		{"unclosed tracker down", Plan{Events: []Event{{At: 0, Kind: KindTrackerDown}}}},
-		{"tracker up first", Plan{Events: []Event{{At: 0, Kind: KindTrackerUp}}}},
+		{"zero-Dur crash", Plan{Events: []Event{{At: 0, Kind: KindPeerCrash, Node: 1}}}},
+		{"negative-Dur crash", Plan{Events: []Event{{At: time.Second, Dur: -time.Second, Kind: KindPeerCrash, Node: 1}}}},
+		{"zero-Dur link down", Plan{Events: []Event{{At: 0, Kind: KindLinkDown, Node: 1}}}},
+		{"zero-Dur tracker down", Plan{Events: []Event{{At: 0, Kind: KindTrackerDown}}}},
 		{"node out of range", Merge(SeederOutage(0, time.Second), LinkFlap(9, 0, time.Second))},
+		{"negative node", LinkFlap(-1, 0, time.Second)},
 		{"negative time", SeederOutage(-time.Second, 500*time.Millisecond)},
 		{"zero link rate", Plan{Events: []Event{{At: 0, Kind: KindLinkRate, Node: 1}}}},
-		{"unclosed adversary", Plan{Events: []Event{{At: 0, Kind: KindAdversary, Node: 1, Adversary: AdvCorrupter}}}},
-		{"adversary end first", Plan{Events: []Event{{At: 0, Kind: KindAdversaryEnd, Node: 1}}}},
+		{"link rate with a duration", Plan{Events: []Event{{At: 0, Dur: time.Second, Kind: KindLinkRate, Node: 1, BytesPerSec: 1}}}},
+		{"zero-Dur adversary", Plan{Events: []Event{{At: 0, Kind: KindAdversary, Node: 1, Adversary: AdvCorrupter}}}},
 		{"double adversary", Merge(Corrupter(1, 0, 5*time.Second), StaleHaveLiar(1, time.Second, time.Second))},
 		{"adversary none kind", Plan{Events: []Event{
-			{At: 0, Kind: KindAdversary, Node: 1, Adversary: AdvNone},
-			{At: time.Second, Kind: KindAdversaryEnd, Node: 1},
+			{At: 0, Dur: time.Second, Kind: KindAdversary, Node: 1, Adversary: AdvNone},
 		}}},
 		{"polluter zero percent", Polluter(1, 0, time.Second, 0)},
 		{"polluter over 100", Polluter(1, 0, time.Second, 101)},
 		{"slowloris zero trickle", Slowloris(1, 0, time.Second, 0)},
-		{"unclosed duplicate", Plan{Events: []Event{{At: 0, Kind: KindDuplicate, Node: 1}}}},
-		{"duplicate end first", Plan{Events: []Event{{At: 0, Kind: KindDuplicateEnd, Node: 1}}}},
+		{"zero-Dur duplicate", Plan{Events: []Event{{At: 0, Kind: KindDuplicate, Node: 1}}}},
+		{"overlapping crashes", Merge(SeederOutage(0, 2*time.Second), SeederOutage(time.Second, 2*time.Second))},
+		{"overlapping tracker outages", Merge(TrackerOutage(0, 2*time.Second), TrackerOutage(time.Second, time.Second))},
+		{"unknown kind", Plan{Events: []Event{{At: 0, Dur: time.Second, Kind: KindDuplicate + 1, Node: 1}}}},
+		{"negative kind", Plan{Events: []Event{{At: 0, Dur: time.Second, Kind: -1, Node: 1}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.p.Validate(3); err == nil {
@@ -103,6 +116,7 @@ func TestValidateRejectsBrokenPlans(t *testing.T) {
 	}
 	ok := Merge(
 		SeederOutage(time.Second, 2*time.Second),
+		SeederOutage(3*time.Second, time.Second), // back to back is not an overlap
 		TrackerOutage(500*time.Millisecond, time.Second),
 		LinkFlap(2, 0, 3*time.Second),
 		RateDip(1, time.Second, time.Second, 16<<10, 64<<10),
@@ -117,27 +131,50 @@ func TestValidateRejectsBrokenPlans(t *testing.T) {
 	}
 }
 
+// Validate reports the first offender in time order, every time. (When
+// windows were begin/end event pairs, the "never closes" checks ranged
+// over maps and this plan's error named node 1, 2 or 3 depending on the
+// run.)
+func TestValidateErrorDeterministic(t *testing.T) {
+	p := Plan{Events: []Event{
+		{At: 0, Kind: KindPeerCrash, Node: 1},
+		{At: time.Second, Kind: KindPeerCrash, Node: 2},
+		{At: time.Second, Kind: KindPeerCrash, Node: 3},
+	}}
+	first := p.Validate(3)
+	if first == nil || !strings.Contains(first.Error(), "node 1 ") {
+		t.Fatalf("Validate = %v, want an error naming node 1, the first offender", first)
+	}
+	for i := 0; i < 100; i++ {
+		if err := p.Validate(3); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: Validate = %v, want %v every time", i, err, first)
+		}
+	}
+}
+
 func TestAdversaryConstructorsAndNames(t *testing.T) {
 	p := Polluter(2, time.Second, 3*time.Second, 25)
-	if len(p.Events) != 2 {
-		t.Fatalf("Polluter produced %d events, want 2", len(p.Events))
+	if len(p.Events) != 1 {
+		t.Fatalf("Polluter produced %d events, want 1", len(p.Events))
 	}
-	open, close := p.Events[0], p.Events[1]
-	if open.Kind != KindAdversary || open.Adversary != AdvPolluter || open.Percent != 25 || open.Node != 2 {
-		t.Fatalf("bad polluter open event: %+v", open)
+	w := p.Events[0]
+	if w.Kind != KindAdversary || w.Adversary != AdvPolluter || w.Percent != 25 || w.Node != 2 ||
+		w.At != time.Second || w.Dur != 3*time.Second {
+		t.Fatalf("bad polluter window: %+v", w)
 	}
-	if close.Kind != KindAdversaryEnd || close.At != 4*time.Second {
-		t.Fatalf("bad polluter close event: %+v", close)
+	edges := p.Edges()
+	if len(edges) != 2 || edges[0].Name() != "adversary_start" || edges[1].At != 4*time.Second || !edges[1].End {
+		t.Fatalf("bad polluter edges: %+v", edges)
 	}
 	names := map[string]string{
-		KindAdversary.String():    "adversary_start",
-		KindAdversaryEnd.String(): "adversary_end",
-		KindDuplicate.String():    "duplicate_start",
-		KindDuplicateEnd.String(): "duplicate_end",
-		AdvCorrupter.String():     "corrupter",
-		AdvPolluter.String():      "polluter",
-		AdvStaleHave.String():     "stale_have",
-		AdvSlowloris.String():     "slowloris",
+		KindAdversary.String(): "adversary_start",
+		edges[1].Name():        "adversary_end",
+		KindDuplicate.String(): "duplicate_start",
+		Kind(99).String():      "kind(99)",
+		AdvCorrupter.String():  "corrupter",
+		AdvPolluter.String():   "polluter",
+		AdvStaleHave.String():  "stale_have",
+		AdvSlowloris.String():  "slowloris",
 	}
 	for got, want := range names {
 		if got != want {
@@ -220,27 +257,26 @@ func TestBackoffDeterministicCappedJittered(t *testing.T) {
 
 func TestSchedulerFiresAndStops(t *testing.T) {
 	var mu sync.Mutex
-	fired := map[Kind]int{}
-	p := Plan{Events: []Event{
-		{At: 0, Kind: KindTrackerDown},
-		{At: 10 * time.Millisecond, Kind: KindTrackerUp},
-		{At: 5 * time.Second, Kind: KindPeerCrash, Node: 1}, // must be cancelled by Stop
-	}}
-	s := Start(p, func(ev Event) {
+	fired := map[string]int{}
+	p := Merge(
+		TrackerOutage(0, 10*time.Millisecond),
+		LinkFlap(1, 5*time.Second, time.Second), // must be cancelled by Stop
+	)
+	s := Start(p, func(e Edge) {
 		mu.Lock()
-		fired[ev.Kind]++
+		fired[e.Name()]++
 		mu.Unlock()
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
-		done := fired[KindTrackerDown] == 1 && fired[KindTrackerUp] == 1
+		done := fired["tracker_down"] == 1 && fired["tracker_up"] == 1
 		mu.Unlock()
 		if done {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("scheduler did not fire near-term events in time")
+			t.Fatal("scheduler did not fire near-term edges in time")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -249,7 +285,7 @@ func TestSchedulerFiresAndStops(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
-	if fired[KindPeerCrash] != 0 {
-		t.Fatal("Stop did not cancel the pending event")
+	if len(fired) != 2 {
+		t.Fatalf("Stop did not cancel the pending edges: fired %v", fired)
 	}
 }

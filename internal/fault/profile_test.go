@@ -96,19 +96,15 @@ func TestBurstAndCorruptionWindowsValidate(t *testing.T) {
 		t.Fatalf("valid burst+corruption plan rejected: %v", err)
 	}
 	bad := []Plan{
-		// Unclosed burst window.
+		// Zero-Dur burst window.
 		{Events: []Event{{Kind: KindBurstLoss, Node: 1, Loss: m}}},
-		// End without a start.
-		{Events: []Event{{Kind: KindBurstLossEnd, Node: 1}}},
 		// Nested burst windows on one node.
 		Merge(BurstLoss(1, 0, 20*time.Second, m), BurstLoss(1, 5*time.Second, 5*time.Second, m)),
 		// Invalid GE parameters.
 		BurstLoss(1, 0, time.Second, GEModel{PGood: 0.5, PBad: 1.5, P13: 0.1, P31: 0.1}),
 		BurstLoss(1, 0, time.Second, GEModel{PGood: 0.01, PBad: 0.3, P13: 0, P31: 0.1}),
-		// Unclosed corruption window.
+		// Zero-Dur corruption window.
 		{Events: []Event{{Kind: KindCorrupt, Node: 2, Percent: 10}}},
-		// End without a start.
-		{Events: []Event{{Kind: KindCorruptEnd, Node: 2}}},
 		// Percent outside (0, 100].
 		Corruption(2, 0, time.Second, 0),
 		Corruption(2, 0, time.Second, 101),

@@ -6,8 +6,8 @@ import (
 )
 
 // Scheduler fires a Plan on wall-clock timers for the real TCP stack.
-// Event times are relative to Start. The fire callback runs on timer
-// goroutines and must be safe for concurrent use; same-instant events
+// Edge times are relative to Start. The fire callback runs on timer
+// goroutines and must be safe for concurrent use; same-instant edges
 // may fire in any order (wall-clock runs have no total order to
 // preserve — the deterministic compilation lives in simpeer).
 type Scheduler struct {
@@ -16,28 +16,27 @@ type Scheduler struct {
 	stopped bool
 }
 
-// Start schedules every event in the plan and returns a handle that
-// cancels the outstanding timers on Stop.
-func Start(p Plan, fire func(Event)) *Scheduler {
+// Start schedules every edge of the plan — each window's beginning and
+// end — and returns a handle that cancels the outstanding timers on Stop.
+func Start(p Plan, fire func(Edge)) *Scheduler {
 	s := &Scheduler{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ev := range p.Sorted().Events {
-		ev := ev
-		s.timers = append(s.timers, time.AfterFunc(ev.At, func() {
+	for _, e := range p.Edges() {
+		s.timers = append(s.timers, time.AfterFunc(e.At, func() {
 			s.mu.Lock()
 			dead := s.stopped
 			s.mu.Unlock()
 			if !dead {
-				fire(ev)
+				fire(e)
 			}
 		}))
 	}
 	return s
 }
 
-// Stop cancels all pending events. Events already in flight may still
-// complete; events not yet fired are dropped.
+// Stop cancels all pending edges. Edges already in flight may still
+// complete; edges not yet fired are dropped.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

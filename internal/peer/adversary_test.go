@@ -97,12 +97,13 @@ func (p *misbehavingPeer) serveConn(c net.Conn) {
 	for i := range have {
 		have[i] = true
 	}
-	if err := wire.Write(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)}); err != nil {
+	rd, wr := wire.NewReader(c), wire.NewWriter(c)
+	if err := wr.WriteMsg(&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)}); err != nil {
 		return
 	}
 	for {
-		m, err := wire.Read(c)
-		if err != nil {
+		var m wire.Message
+		if err := rd.ReadInto(&m); err != nil {
 			return
 		}
 		if m.Type != wire.MsgRequest {
@@ -134,7 +135,7 @@ func (p *misbehavingPeer) serveConn(c net.Conn) {
 			time.Sleep(p.trickle)
 			data = p.blobs[idx][off : off+length]
 		}
-		if err := wire.Write(c, &wire.Message{
+		if err := wr.WriteMsg(&wire.Message{
 			Type: wire.MsgPiece, Index: m.Index, Offset: m.Offset, Data: data,
 		}); err != nil {
 			return
@@ -440,8 +441,8 @@ func TestDuplicatePieceDeliveryIsIdempotent(t *testing.T) {
 
 	plan := fault.Duplication(0, 0, time.Minute)
 	fired := make(chan struct{}, 2)
-	sched := fault.Start(plan, func(ev fault.Event) {
-		seeder.SetServeDuplication(ev.Kind == fault.KindDuplicate)
+	sched := fault.Start(plan, func(e fault.Edge) {
+		seeder.SetServeDuplication(!e.End)
 		fired <- struct{}{}
 	})
 	defer sched.Stop()

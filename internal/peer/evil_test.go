@@ -52,12 +52,13 @@ func (e *evilPeer) run() {
 			for i := range have {
 				have[i] = true
 			}
-			if err := wire.Write(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)}); err != nil {
+			rd, wr := wire.NewReader(c), wire.NewWriter(c)
+			if err := wr.WriteMsg(&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)}); err != nil {
 				return
 			}
 			for {
-				m, err := wire.Read(c)
-				if err != nil {
+				var m wire.Message
+				if err := rd.ReadInto(&m); err != nil {
 					return
 				}
 				if m.Type != wire.MsgRequest {
@@ -67,7 +68,7 @@ func (e *evilPeer) run() {
 				for i := range garbage {
 					garbage[i] = 0x66
 				}
-				if err := wire.Write(c, &wire.Message{
+				if err := wr.WriteMsg(&wire.Message{
 					Type: wire.MsgPiece, Index: m.Index, Offset: m.Offset, Data: garbage,
 				}); err != nil {
 					return
@@ -181,12 +182,12 @@ func TestServeUnknownBlockDropsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Request a block far outside any segment: the seeder must drop us.
-	if err := wire.Write(c, &wire.Message{Type: wire.MsgRequest, Index: 9999, Offset: 0, Length: 16384}); err != nil {
+	if err := wire.NewWriter(c).WriteMsg(&wire.Message{Type: wire.MsgRequest, Index: 9999, Offset: 0, Length: 16384}); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
-		if _, err := wire.Read(c); err != nil {
+	for rd := wire.NewReader(c); ; {
+		if err := rd.ReadInto(&wire.Message{}); err != nil {
 			return // connection closed or reset: correct
 		}
 	}
@@ -220,10 +221,10 @@ func startSilentPeer(t *testing.T, ih wire.InfoHash, segments int) net.Listener 
 				for i := range have {
 					have[i] = true
 				}
-				_ = wire.Write(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)})
+				_ = wire.NewWriter(c).WriteMsg(&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(have)})
 				// Read requests forever, never answering.
-				for {
-					if _, err := wire.Read(c); err != nil {
+				for rd := wire.NewReader(c); ; {
+					if err := rd.ReadInto(&wire.Message{}); err != nil {
 						return
 					}
 				}
@@ -310,9 +311,9 @@ func dialProbe(t *testing.T, addr string, ih wire.InfoHash, tag string) *probeCo
 func (p *probeConn) readUntil(t *testing.T, want ...wire.MessageType) *wire.Message {
 	t.Helper()
 	_ = p.c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for {
-		m, err := wire.Read(p.c)
-		if err != nil {
+	for rd := wire.NewReader(p.c); ; {
+		m := &wire.Message{}
+		if err := rd.ReadInto(m); err != nil {
 			t.Fatalf("probe read: %v", err)
 		}
 		for _, w := range want {
@@ -336,7 +337,7 @@ func TestUploadSlotsChokeAndUnchoke(t *testing.T) {
 
 	// Probe 1 takes the only slot.
 	p1 := dialProbe(t, seeder.Addr(), seeder.InfoHash(), "PROBE-ONE-PROBE-ONE-")
-	if err := wire.Write(p1.c, &wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
+	if err := wire.NewWriter(p1.c).WriteMsg(&wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p1.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgPiece {
@@ -345,7 +346,7 @@ func TestUploadSlotsChokeAndUnchoke(t *testing.T) {
 
 	// Probe 2 must be choked while probe 1 holds the slot.
 	p2 := dialProbe(t, seeder.Addr(), seeder.InfoHash(), "PROBE-TWO-PROBE-TWO-")
-	if err := wire.Write(p2.c, &wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
+	if err := wire.NewWriter(p2.c).WriteMsg(&wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p2.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgChoke {
@@ -358,7 +359,7 @@ func TestUploadSlotsChokeAndUnchoke(t *testing.T) {
 		t.Fatalf("probe 2 got %s, want unchoke", got.Type)
 	}
 	// And probe 2 can now be served.
-	if err := wire.Write(p2.c, &wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
+	if err := wire.NewWriter(p2.c).WriteMsg(&wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p2.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgPiece {

@@ -150,20 +150,18 @@ func TestSurvivesSeederCrashAndTrackerOutage(t *testing.T) {
 	}
 
 	// Mid-stream: the seeder crashes and the tracker goes away, together.
-	plan := fault.Plan{Events: []fault.Event{
-		{At: 0, Kind: fault.KindTrackerDown},
-		{At: 0, Kind: fault.KindPeerCrash, Node: 0},
-	}}
+	// Neither comes back within the test: only the windows' beginnings fire.
+	plan := fault.Merge(fault.TrackerOutage(0, time.Hour), fault.SeederOutage(0, time.Hour))
 	fired := make(chan fault.Kind, 2)
-	sched := fault.Start(plan, func(ev fault.Event) {
-		switch ev.Kind {
+	sched := fault.Start(plan, func(e fault.Edge) {
+		switch e.Kind {
 		case fault.KindTrackerDown:
 			srv.CloseClientConnections()
 			srv.Close()
 		case fault.KindPeerCrash:
 			_ = seeder.Close()
 		}
-		fired <- ev.Kind
+		fired <- e.Kind
 	})
 	defer sched.Stop()
 	for i := 0; i < 2; i++ {

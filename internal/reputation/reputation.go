@@ -14,7 +14,7 @@
 // ProbationSuccesses verified serves clear its score entirely, while
 // further misbehavior can re-quarantine it immediately.
 //
-// Determinism contract (DESIGN.md §14): the table never reads a clock —
+// Determinism contract (DESIGN.md §9.5): the table never reads a clock —
 // callers pass `now` explicitly (sim time or playback time) — and never
 // draws randomness, so identical observation sequences produce
 // identical scores, states, and snapshots. Snapshot iterates peers in

@@ -15,8 +15,8 @@ import (
 // fault → masked) causality.
 
 // compileFaults validates the configured plan and schedules one engine
-// event per fault. An empty plan schedules nothing — the fault layer is
-// provably inert when unused.
+// event per edge — each window's beginning and its end. An empty plan
+// schedules nothing — the fault layer is provably inert when unused.
 func (s *swarm) compileFaults() error {
 	if s.cfg.Faults.Empty() {
 		return nil
@@ -24,43 +24,51 @@ func (s *swarm) compileFaults() error {
 	if err := s.cfg.Faults.Validate(len(s.peers) - 1); err != nil {
 		return fmt.Errorf("simpeer: %w", err)
 	}
-	for _, ev := range s.cfg.Faults.Sorted().Events {
-		ev := ev
-		switch ev.Kind {
-		case fault.KindPeerCrash:
-			s.eng.At(ev.At, func() { s.crash(s.peers[ev.Node]) })
-		case fault.KindPeerRejoin:
-			s.eng.At(ev.At, func() { s.rejoin(s.peers[ev.Node]) })
-		case fault.KindLinkDown:
-			s.eng.At(ev.At, func() { s.setLink(s.peers[ev.Node], true) })
-		case fault.KindLinkUp:
-			s.eng.At(ev.At, func() { s.setLink(s.peers[ev.Node], false) })
-		case fault.KindLinkRate:
-			s.eng.At(ev.At, func() { s.setLinkRate(s.peers[ev.Node], ev.BytesPerSec) })
-		case fault.KindTrackerDown:
-			s.eng.At(ev.At, func() { s.setTracker(true) })
-		case fault.KindTrackerUp:
-			s.eng.At(ev.At, func() { s.setTracker(false) })
-		case fault.KindBurstLoss:
-			m := ev.Loss
-			s.eng.At(ev.At, func() { s.setBurstLoss(s.peers[ev.Node], &m) })
-		case fault.KindBurstLossEnd:
-			s.eng.At(ev.At, func() { s.setBurstLoss(s.peers[ev.Node], nil) })
-		case fault.KindCorrupt:
-			s.eng.At(ev.At, func() { s.setCorrupt(s.peers[ev.Node], ev.Percent) })
-		case fault.KindCorruptEnd:
-			s.eng.At(ev.At, func() { s.setCorrupt(s.peers[ev.Node], 0) })
-		case fault.KindAdversary:
-			s.eng.At(ev.At, func() { s.setAdversary(s.peers[ev.Node], ev) })
-		case fault.KindAdversaryEnd:
-			s.eng.At(ev.At, func() { s.clearAdversary(s.peers[ev.Node]) })
-		case fault.KindDuplicate:
-			s.eng.At(ev.At, func() { s.setDuplicate(s.peers[ev.Node], true) })
-		case fault.KindDuplicateEnd:
-			s.eng.At(ev.At, func() { s.setDuplicate(s.peers[ev.Node], false) })
-		}
+	for _, e := range s.cfg.Faults.Edges() {
+		s.eng.At(e.At, func() { s.applyFault(e) })
 	}
 	return nil
+}
+
+// applyFault begins or ends one fault on the swarm.
+func (s *swarm) applyFault(e fault.Edge) {
+	if e.Kind == fault.KindTrackerDown {
+		s.setTracker(!e.End)
+		return
+	}
+	p := s.peers[e.Node]
+	switch e.Kind {
+	case fault.KindPeerCrash:
+		if e.End {
+			s.rejoin(p)
+		} else {
+			s.crash(p)
+		}
+	case fault.KindLinkDown:
+		s.setLink(p, !e.End)
+	case fault.KindLinkRate:
+		s.setLinkRate(p, e.BytesPerSec)
+	case fault.KindBurstLoss:
+		if e.End {
+			s.setBurstLoss(p, nil)
+		} else {
+			s.setBurstLoss(p, &e.Loss)
+		}
+	case fault.KindCorrupt:
+		if e.End {
+			s.setCorrupt(p, 0)
+		} else {
+			s.setCorrupt(p, e.Percent)
+		}
+	case fault.KindAdversary:
+		if e.End {
+			s.clearAdversary(p)
+		} else {
+			s.setAdversary(p, e.Event)
+		}
+	case fault.KindDuplicate:
+		s.setDuplicate(p, !e.End)
+	}
 }
 
 // crash takes a peer (seeder included — node 0 models a seeder outage)
@@ -182,8 +190,6 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 	p.advKind = ev.Adversary
 	p.advPct = ev.Percent
-	p.advTrickle = ev.BytesPerSec
-	p.advStartAt = s.eng.Now()
 	p.adversarial = true
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversary,
 		trace.Str("kind", ev.Adversary.String()),
@@ -198,8 +204,6 @@ func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 func (s *swarm) clearAdversary(p *peerState) {
 	p.advKind = fault.AdvNone
 	p.advPct = 0
-	p.advTrickle = 0
-	p.advEndAt = s.eng.Now()
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversaryEnd)
 	s.fillAll()
 }

@@ -84,12 +84,11 @@ func TestPeerCrashAndRejoin(t *testing.T) {
 	}
 }
 
-// Plan2CrashRejoin builds a crash/rejoin pair for one node (test helper
-// kept exported-free of init-order issues).
+// Plan2CrashRejoin builds one node's crash window [down, up) (test
+// helper kept exported-free of init-order issues).
 func Plan2CrashRejoin(node int, down, up time.Duration) fault.Plan {
 	return fault.Plan{Events: []fault.Event{
-		{At: down, Kind: fault.KindPeerCrash, Node: node},
-		{At: up, Kind: fault.KindPeerRejoin, Node: node},
+		{At: down, Dur: up - down, Kind: fault.KindPeerCrash, Node: node},
 	}}
 }
 
@@ -313,14 +312,13 @@ func TestInvalidPlanRejected(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 30*time.Second, 1)
 	cfg := baseConfig(256 * 1024)
 	cfg.Faults = fault.Plan{Events: []fault.Event{
-		{At: time.Second, Kind: fault.KindPeerCrash, Node: 1}, // never rejoins
+		{At: time.Second, Kind: fault.KindPeerCrash, Node: 1}, // no Dur: never rejoins
 	}}
 	if _, err := RunSwarm(cfg, segs); err == nil {
-		t.Fatal("RunSwarm accepted a plan with an unclosed crash window")
+		t.Fatal("RunSwarm accepted a plan with a zero-length crash window")
 	}
 	cfg.Faults = fault.SeederOutage(0, time.Second)
 	cfg.Faults.Events[0].Node = 99
-	cfg.Faults.Events[1].Node = 99
 	if _, err := RunSwarm(cfg, segs); err == nil {
 		t.Fatal("RunSwarm accepted a plan addressing a nonexistent node")
 	}
@@ -341,6 +339,75 @@ func TestBackoffRetryCompletes(t *testing.T) {
 	for _, s := range res.Samples {
 		if !s.Finished {
 			t.Errorf("never-crashed peer %d did not finish under churn with backoff", s.Peer)
+		}
+	}
+}
+
+// fault's begin/end name table and the trace.Ev* fault constants (what
+// this emulation and the real node emit) are two spellings of one
+// vocabulary: pin every kind × {begin, end} so they cannot drift, and
+// check a run traces each edge of its plan under exactly that name.
+func TestFaultEdgeNamesMatchTraceEvents(t *testing.T) {
+	m := fault.GEModel{PGood: 0.005, PBad: 0.3, P13: 0.2, P31: 0.8}
+	plan := fault.Merge( // one event of every kind, in Kind order
+		fault.SeederOutage(10*time.Second, 2*time.Second),
+		fault.LinkFlap(1, 6*time.Second, 2*time.Second),
+		fault.Plan{Events: []fault.Event{{At: 7 * time.Second, Kind: fault.KindLinkRate, Node: 2, BytesPerSec: 128 << 10}}},
+		fault.TrackerOutage(time.Second, time.Second),
+		fault.BurstLoss(2, 3*time.Second, 4*time.Second, m),
+		fault.Corruption(3, 2*time.Second, 5*time.Second, 40),
+		fault.Polluter(4, 4*time.Second, 5*time.Second, 50),
+		fault.Duplication(0, 0, 5*time.Second),
+	)
+	want := [][2]string{
+		fault.KindPeerCrash:   {trace.EvPeerCrash, trace.EvPeerRejoin},
+		fault.KindLinkDown:    {trace.EvLinkDown, trace.EvLinkUp},
+		fault.KindLinkRate:    {trace.EvLinkRate, ""},
+		fault.KindTrackerDown: {trace.EvTrackerDown, trace.EvTrackerUp},
+		fault.KindBurstLoss:   {trace.EvBurstLoss, trace.EvBurstLossEnd},
+		fault.KindCorrupt:     {trace.EvCorrupt, trace.EvCorruptEnd},
+		fault.KindAdversary:   {trace.EvAdversary, trace.EvAdversaryEnd},
+		fault.KindDuplicate:   {trace.EvDuplicate, trace.EvDuplicateEnd},
+	}
+	if unknown := fault.Kind(len(want)); unknown.String() != "kind(8)" || len(plan.Events) != len(want) {
+		t.Fatalf("the table must cover every kind: Kind(%d) = %s, plan has %d events", len(want), unknown, len(plan.Events))
+	}
+	for k, ev := range plan.Events {
+		if int(ev.Kind) != k {
+			t.Fatalf("plan event %d is a %s", k, ev.Kind)
+		}
+		begin, end := fault.Edge{Event: ev}, fault.Edge{Event: ev, End: true}
+		if begin.Name() != want[k][0] || end.Name() != want[k][1] || ev.Kind.String() != want[k][0] {
+			t.Errorf("kind %d: fault names %q/%q, trace names %q/%q", k, begin.Name(), end.Name(), want[k][0], want[k][1])
+		}
+	}
+
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 30*time.Second, 1)
+	cfg := baseConfig(256 * 1024)
+	cfg.Faults = plan
+	buf := trace.NewBuffer()
+	cfg.Tracer = trace.New(buf)
+	if _, err := RunSwarm(cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+	type traced struct {
+		name string
+		at   time.Duration
+		peer int
+	}
+	seen := map[traced]bool{}
+	for _, ev := range buf.Events() {
+		if ev.Cat == trace.CatFault {
+			seen[traced{ev.Name, ev.At, ev.Peer}] = true
+		}
+	}
+	for _, e := range plan.Edges() {
+		peer := e.Node
+		if e.Kind == fault.KindTrackerDown {
+			peer = -1
+		}
+		if !seen[traced{e.Name(), e.At, peer}] {
+			t.Errorf("no %q fault event traced for peer %d at %v", e.Name(), peer, e.At)
 		}
 	}
 }

@@ -240,10 +240,9 @@ func (scenario) Generate(r *rand.Rand, _ int) reflect.Value {
 	dur := func() time.Duration { return time.Duration(2+r.Intn(20)) * time.Second }
 	var plans []fault.Plan
 	if flag("crash", r.Intn(3) == 0) {
-		n := take()
+		n, down := take(), at()
 		plans = append(plans, fault.Plan{Events: []fault.Event{
-			{At: at(), Kind: fault.KindPeerCrash, Node: n},
-			{At: 12*time.Second + dur(), Kind: fault.KindPeerRejoin, Node: n},
+			{At: down, Dur: 12*time.Second + dur() - down, Kind: fault.KindPeerCrash, Node: n},
 		}})
 	}
 	if flag("seeder-outage", r.Intn(5) == 0) {

@@ -33,7 +33,6 @@ type peerState struct {
 	firstMissing int
 	uploads      int // concurrent uploads this node serves
 	est          *core.BandwidthEstimator
-	estGuess     int64
 	joined       time.Duration
 	departed     bool
 
@@ -58,7 +57,6 @@ type peerState struct {
 	corruptStartAt  time.Duration
 	corruptEndAt    time.Duration
 	corruptDiscards int
-	lastDiscardAt   time.Duration
 	// segAttempts counts download attempts per segment so every retry of
 	// a discarded segment gets a fresh deterministic corruption draw
 	// (a fixed per-segment draw would livelock at high percentages).
@@ -72,9 +70,6 @@ type peerState struct {
 	// own playback from honest-swarm samples.
 	advKind     fault.AdversaryKind
 	advPct      float64 // polluter corruption probability, percent
-	advTrickle  int64   // slowloris advertised trickle rate (trace metadata)
-	advStartAt  time.Duration
-	advEndAt    time.Duration
 	adversarial bool
 	// Burst-loss window observations. Observer-owned: written only by
 	// onLossState (attached only when tracing or metering) and read only
@@ -111,6 +106,10 @@ type download struct {
 	pending fault.AdversaryKind
 }
 
+// initialBandwidthGuess is the B an estimating leecher feeds the policy
+// before its first download completes.
+const initialBandwidthGuess = 64 * 1024
+
 // bandwidth returns the B fed into the pooling policy.
 func (s *swarm) bandwidth(p *peerState) int64 {
 	if s.cfg.OracleBandwidth {
@@ -122,7 +121,7 @@ func (s *swarm) bandwidth(p *peerState) int64 {
 	if b := p.est.Estimate(); b > 0 {
 		return b
 	}
-	return p.estGuess
+	return initialBandwidthGuess
 }
 
 // wanted reports whether p still needs segment idx and is not fetching it.
@@ -642,7 +641,6 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 		if p.corruptPct > 0 && fault.CorruptDraw(s.cfg.Seed, p.id, idx, attempt)*100 < p.corruptPct {
 			discard = true
 			p.corruptDiscards++
-			p.lastDiscardAt = now
 		}
 		if !discard && advSrc {
 			discard = src.advKind == fault.AdvCorrupter ||

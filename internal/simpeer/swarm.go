@@ -90,10 +90,6 @@ type SwarmConfig struct {
 	// the policy (the paper "simulated the bandwidth on GENI"). When false,
 	// leechers estimate bandwidth with an EWMA over completed downloads.
 	OracleBandwidth bool
-	// InitialBandwidthGuess seeds the EWMA estimator before any download
-	// completes (only used when OracleBandwidth is false). Defaults to
-	// 64 kB/s.
-	InitialBandwidthGuess int64
 	// StartThreshold is how many leading segments a player buffers before
 	// starting playback. Defaults to 1.
 	StartThreshold int
@@ -135,9 +131,8 @@ type SwarmConfig struct {
 	// (peer crash/rejoin, link flaps and rate dips, tracker outages,
 	// Gilbert–Elliott burst-loss windows, segment-corruption windows),
 	// compiled against the sim clock at setup. The plan must validate
-	// against the swarm's node count and have closed windows (every crash
-	// paired with a rejoin, etc. — see fault.Plan.Validate). An empty plan
-	// schedules nothing: the run is bit-identical to one without the
+	// against the swarm's node count (see fault.Plan.Validate). An empty
+	// plan schedules nothing: the run is bit-identical to one without the
 	// fault layer, which the golden tests enforce.
 	Faults fault.Plan
 	// Reputation optionally enables the deterministic per-peer scoring and
@@ -172,8 +167,6 @@ type SwarmConfig struct {
 	// LossRate. Nodes with the traffic role become unbounded cross-traffic
 	// sources aimed at successive leechers.
 	Topology *topology.Spec
-	// Net tunes the TCP model (zero value uses netem defaults).
-	Net netem.Config
 	// MaxEvents bounds the simulation (0 = default of 20 million).
 	MaxEvents int
 	// Tracer receives structured events: flow lifecycles, pool-fill
@@ -315,7 +308,7 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 // cross-traffic flow scheduled, ready for the engine to run.
 func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	eng := sim.New(cfg.Seed)
-	sw := &swarm{eng: eng, net: netem.New(eng, cfg.Net), cfg: cfg, segs: segs,
+	sw := &swarm{eng: eng, net: netem.New(eng, netem.Config{}), cfg: cfg, segs: segs,
 		repPenalties: cfg.Metrics.Counter("sim_rep_penalties_total"),
 		quarantines:  cfg.Metrics.Counter("sim_quarantines_total"),
 		frontier:     -1}
@@ -491,11 +484,6 @@ func (s *swarm) setup() error {
 		durations[i] = sg.Duration
 	}
 
-	guess := s.cfg.InitialBandwidthGuess
-	if guess <= 0 {
-		guess = 64 * 1024
-	}
-
 	for i := 1; i <= len(leecherNCs); i++ {
 		nc := leecherNCs[i-1]
 		rate := nc.DownlinkBytesPerSec
@@ -527,7 +515,6 @@ func (s *swarm) setup() error {
 			inFlight:  make([]*download, len(s.segs)),
 			uploading: make([]int, len(s.segs)),
 			est:       est,
-			estGuess:  guess,
 		}
 		s.peers = append(s.peers, p)
 

@@ -10,7 +10,7 @@ import (
 func FuzzRead(f *testing.F) {
 	seed := func(m *Message) {
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
+		if err := NewWriter(&buf).WriteMsg(m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -24,12 +24,12 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(bytes.NewReader(data))
-		if err != nil {
+		var m Message
+		if err := NewReader(bytes.NewReader(data)).ReadInto(&m); err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
+		if err := NewWriter(&buf).WriteMsg(&m); err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
 		}
 		// The re-encoding must match the consumed prefix of the input.

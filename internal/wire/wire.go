@@ -19,8 +19,7 @@ import (
 
 // Sentinel decode/encode errors. The hot-path Encode/Decode/EncodedLen
 // methods return these unwrapped (building a formatted error per
-// message would allocate); the convenience Read/Write wrappers add
-// context with fmt.Errorf.
+// message would allocate); callers add context where they report them.
 var (
 	ErrPieceSize     = errors.New("wire: piece data size out of range")
 	ErrBitfieldSize  = errors.New("wire: bitfield size out of range")
@@ -277,26 +276,4 @@ func (wr *Writer) WriteMsg(m *Message) error {
 		return err
 	}
 	return nil
-}
-
-// Write encodes m to w. It allocates per call; senders on a hot path
-// hold a Writer instead.
-func Write(w io.Writer, m *Message) error {
-	wr := Writer{w: w}
-	if err := wr.WriteMsg(m); err != nil {
-		return fmt.Errorf("wire: write %s: %w", m.Type, err)
-	}
-	return nil
-}
-
-// Read decodes one message from r, enforcing the payload limits. The
-// returned Message owns its payload bytes. It allocates per call;
-// receivers on a hot path hold a Reader instead.
-func Read(r io.Reader) (*Message, error) {
-	rd := Reader{r: r}
-	m := &Message{}
-	if err := rd.ReadInto(m); err != nil {
-		return nil, fmt.Errorf("wire: read: %w", err)
-	}
-	return m, nil
 }

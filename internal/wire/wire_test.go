@@ -22,15 +22,16 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgBitfield, Bitfield: []byte{0xF0, 0x01}},
 	}
 	var buf bytes.Buffer
+	wr, rd := NewWriter(&buf), NewReader(&buf)
 	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
-			t.Fatalf("Write(%s): %v", m.Type, err)
+		if err := wr.WriteMsg(m); err != nil {
+			t.Fatalf("WriteMsg(%s): %v", m.Type, err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("Read(%s): %v", want.Type, err)
+		var got Message
+		if err := rd.ReadInto(&got); err != nil {
+			t.Fatalf("ReadInto(%s): %v", want.Type, err)
 		}
 		if got.Type != want.Type || got.Index != want.Index || got.Offset != want.Offset {
 			t.Errorf("round-trip mismatch: got %+v want %+v", got, want)
@@ -58,8 +59,8 @@ func TestWriteRejectsBadMessages(t *testing.T) {
 		{Type: MsgBitfield, Bitfield: make([]byte, MaxBitfieldLen+1)}, // oversized
 	}
 	for _, m := range bad {
-		if err := Write(io.Discard, m); err == nil {
-			t.Errorf("Write(%+v): want error", m)
+		if err := NewWriter(io.Discard).WriteMsg(m); err == nil {
+			t.Errorf("WriteMsg(%+v): want error", m)
 		}
 	}
 }
@@ -78,7 +79,7 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(in)); err == nil {
+			if err := NewReader(bytes.NewReader(in)).ReadInto(&Message{}); err == nil {
 				t.Error("want error, got nil")
 			}
 		})
@@ -219,19 +220,19 @@ func TestQuickBitfieldRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Write/Read round-trips arbitrary piece payloads.
+// Property: WriteMsg/ReadInto round-trips arbitrary piece payloads.
 func TestQuickPieceRoundTrip(t *testing.T) {
 	f := func(index, offset uint32, data []byte) bool {
 		if len(data) == 0 || len(data) > MaxBlockLen {
-			return true // Write rejects these by design
+			return true // WriteMsg rejects these by design
 		}
 		var buf bytes.Buffer
 		m := &Message{Type: MsgPiece, Index: index, Offset: offset, Data: data}
-		if err := Write(&buf, m); err != nil {
+		if err := NewWriter(&buf).WriteMsg(m); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
-		if err != nil {
+		var got Message
+		if err := NewReader(&buf).ReadInto(&got); err != nil {
 			return false
 		}
 		return got.Index == index && got.Offset == offset && bytes.Equal(got.Data, data)
