@@ -95,7 +95,7 @@ func (n *Node) dropConn(c *conn, err error) {
 		}
 	}
 	for _, d := range orphaned {
-		delete(n.active, d.index)
+		n.dropActiveLocked(d.index)
 		n.est.Finish(n.now())
 	}
 	n.mu.Unlock()
@@ -321,7 +321,7 @@ func (n *Node) abandonDownloadsOn(c *conn) {
 		}
 	}
 	for _, idx := range orphaned {
-		delete(n.active, idx)
+		n.dropActiveLocked(idx)
 		n.est.Finish(n.now())
 	}
 	n.mu.Unlock()

@@ -162,6 +162,18 @@ func (n *Node) pickConnPassLocked(idx int, busy map[*conn]int, allowQuarantined 
 	return best
 }
 
+// dropActiveLocked removes segment idx from the download pool (n.mu
+// held). It is the one place the pool shrinks, and the player is synced
+// first: transitions surface lazily, and the call that reveals a stall is
+// most often the completion that ends it, so stall attribution must see
+// the pool with the awaited download still in it.
+func (n *Node) dropActiveLocked(idx int) {
+	if n.play != nil {
+		n.play.Position(n.now())
+	}
+	delete(n.active, idx)
+}
+
 // requestAllBlocks pipelines every block request for a segment.
 func (n *Node) requestAllBlocks(c *conn, idx int) {
 	size := int(n.manifest.Segments[idx].Bytes)
@@ -213,7 +225,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.nm.bytesRx.Add(int64(len(m.Data)))
 	}
 	if d.remaining == 0 {
-		delete(n.active, idx)
+		n.dropActiveLocked(idx)
 		completed = d.buf
 		elapsed = time.Since(d.started)
 		n.est.Finish(n.now())
@@ -289,7 +301,7 @@ func (n *Node) expireStalled() {
 	n.mu.Lock()
 	for idx, d := range n.active {
 		if time.Since(d.progress) > n.cfg.DownloadTimeout {
-			delete(n.active, idx)
+			n.dropActiveLocked(idx)
 			n.est.Finish(n.now())
 			n.stats.ExpiredDownloads++
 			stalled = append(stalled, d)

@@ -83,8 +83,8 @@ func TestPickConnDeprioritizesVerifyFailers(t *testing.T) {
 	// The score outranks busyness, but a failing conn is still a last
 	// resort when it is the only source.
 	delete(n.conns, good.id)
-	delete(n.active, 1)
 	n.mu.Lock()
+	n.dropActiveLocked(1)
 	got = n.pickConnLocked(0)
 	n.mu.Unlock()
 	if got != bad {
@@ -148,8 +148,8 @@ func TestPickConnQuarantineAndEscapeHatch(t *testing.T) {
 	}
 
 	delete(n.conns, good.id)
-	delete(n.active, 1)
 	n.mu.Lock()
+	n.dropActiveLocked(1)
 	got = n.pickConnLocked(0)
 	n.mu.Unlock()
 	if got != bad {

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"p2psplice/internal/container"
+	"p2psplice/internal/core"
+	"p2psplice/internal/player"
 	"p2psplice/internal/shaper"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracereport"
@@ -87,5 +90,76 @@ func TestNodeTraceThroughAnalyzer(t *testing.T) {
 				t.Errorf("%s has no samples for %d stalls", s.Name, pm.Stalls)
 			}
 		}
+	}
+}
+
+// offlineLeecher builds a leecher that runs no goroutines (no listener,
+// tracker loop or watchdog): the test owns every player call, and may
+// move the playback clock by backdating n.started.
+func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node {
+	t.Helper()
+	n := pickTestNode()
+	n.cfg.Policy = core.FixedPool{K: 1}
+	n.manifest, n.tr = m, tr
+	n.qoe = trace.NewQoE(tr, nil, "p2p", m.Splicing, nil, 1)
+	n.completeC = make(chan struct{})
+	var err error
+	if n.store, err = NewStore(len(m.Segments)); err != nil {
+		t.Fatal(err)
+	}
+	if n.est, err = core.NewAggregateMeter(core.DefaultEWMAAlpha); err != nil {
+		t.Fatal(err)
+	}
+	durations := make([]time.Duration, len(m.Segments))
+	for i, s := range m.Segments {
+		durations[i] = s.Duration
+	}
+	if n.play, err = player.New(player.Config{SegmentDurations: durations}); err != nil {
+		t.Fatal(err)
+	}
+	n.play.SetObserver(n.playbackTransitionLocked)
+	if err := n.play.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// Player transitions surface lazily, and the call that most often reveals
+// a stall is the completion that ends it. The node's playhead has passed
+// its frontier while its only download is still in flight; when that
+// download completes, the stall must be attributed with the download
+// still in the pool — slow_flow inflight=1, not a scheduler gap.
+// (Pre-fix onPiece deleted the entry first: empty_pool inflight=0.)
+func TestStallClassifiedBeforePoolShrinks(t *testing.T) {
+	m, blobs := testSwarmData(t, 6*time.Second, 2*time.Second)
+	buf := trace.NewBuffer()
+	n := offlineLeecher(t, m, trace.New(buf))
+	all := make([]bool, len(m.Segments))
+	for i := range all {
+		all[i] = true
+	}
+	c := addFakeConn(t, n, 'a', all, false)
+
+	// Segment 0 starts playback; its completion schedules segment 1.
+	injectDownload(n, c, 0, len(blobs[0]), time.Now())
+	feedSegment(n, c, 0, blobs[0])
+	if act := activeIndices(n); len(act) != 1 || act[1] != c {
+		t.Fatalf("active = %v, want only segment 1 in flight", act)
+	}
+	// Ten seconds pass: the playhead ran out of video at 2 s.
+	n.started = n.started.Add(-10 * time.Second)
+	feedSegment(n, c, 1, blobs[1])
+
+	var causes []trace.Event
+	for _, ev := range buf.Events() {
+		if ev.Name == trace.EvStallCause {
+			causes = append(causes, ev)
+		}
+	}
+	if len(causes) != 1 {
+		t.Fatalf("%d stall_cause events, want 1", len(causes))
+	}
+	if cause, k := causes[0].ArgStr("cause", ""), causes[0].ArgInt64("inflight", -1); cause != trace.CauseSlowFlow || k != 1 {
+		t.Errorf("stall attributed %s inflight=%d, want %s inflight=1", cause, k, trace.CauseSlowFlow)
 	}
 }

@@ -133,7 +133,13 @@ func (p *peerState) wanted(idx int) bool {
 
 // dropFlight removes p's download of segment idx and returns the upload
 // slot it held to its source. The caller cancels the flow if it is live.
-func (p *peerState) dropFlight(idx int) {
+// It is the one place the pool shrinks, and the player is synced to now
+// first: transitions surface lazily, and the call that reveals a stall is
+// most often the completion that ends it, so stall attribution must see
+// the pool with the awaited download still in it. The sync moves no
+// player state (advanceTo computes the stall instant exactly).
+func (p *peerState) dropFlight(idx int, now time.Duration) {
+	p.player.Position(now)
 	d := p.inFlight[idx]
 	p.inFlight[idx] = nil
 	p.inFlightN--
@@ -583,7 +589,7 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 	if p.inFlight[idx] != d {
 		return // already reaped by crash/departure teardown
 	}
-	p.dropFlight(idx)
+	p.dropFlight(idx, s.eng.Now())
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvServeTimeout,
 			trace.Int64("src", int64(src.id)),
@@ -604,11 +610,11 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
 	k := int64(p.inFlightN)
-	p.dropFlight(idx)
+	now := s.eng.Now()
+	p.dropFlight(idx, now)
 	if p.departed {
 		return
 	}
-	now := s.eng.Now()
 	// Eq. 1 wants the peer's aggregate download bandwidth B, but one flow
 	// of a k-way pool delivers only ~B/k: feeding per-flow throughput into
 	// the estimator made it converge to B/k, inflating the pool size and

@@ -616,7 +616,7 @@ func (s *swarm) cancelPeerFlows(p *peerState) {
 		if d.flow != nil { // pending adversary serves have no flow
 			d.flow.Cancel()
 		}
-		p.dropFlight(idx)
+		p.dropFlight(idx, s.eng.Now())
 	}
 	// Abort uploads served by this peer: every other leecher loses any
 	// in-flight download sourced here and will re-request elsewhere.
@@ -640,7 +640,7 @@ func (s *swarm) cancelUploadsFrom(p *peerState) {
 			if d.flow != nil {
 				d.flow.Cancel()
 			}
-			q.dropFlight(idx)
+			q.dropFlight(idx, s.eng.Now())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"p2psplice/internal/core"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/trace"
 )
@@ -132,5 +133,40 @@ func TestTraceContainsFlowAndSummaryEvents(t *testing.T) {
 	}
 	if names[trace.EvSimSummary] != 1 {
 		t.Errorf("%d sim summary events, want 1", names[trace.EvSimSummary])
+	}
+}
+
+// Player transitions surface lazily, and the call that most often reveals
+// a stall is the completion that ends it. Attribution must look at the
+// pool before that completion leaves it: with a fixed pool of one on a
+// link slower than the clip, every stall waited on the one in-flight
+// download, so every one is slow_flow with inflight >= 1 and none is a
+// scheduler gap. (Pre-fix dropFlight ran first and all of them read
+// empty_pool inflight=0.)
+func TestStallClassifiedBeforePoolShrinks(t *testing.T) {
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 40*time.Second, 1)
+	cfg := baseConfig(64 * 1024)
+	cfg.Leechers = 1
+	cfg.LossRate = 0
+	cfg.Policy = core.FixedPool{K: 1}
+	buf := trace.NewBuffer()
+	cfg.Tracer = trace.New(buf)
+	if _, err := RunSwarm(cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+	stalls := 0
+	for _, ev := range buf.Events() {
+		if ev.Name != trace.EvStallCause {
+			continue
+		}
+		stalls++
+		cause, inflight := ev.ArgStr("cause", ""), ev.ArgInt64("inflight", -1)
+		if cause != trace.CauseSlowFlow || inflight < 1 {
+			t.Errorf("stall at %v: cause=%s inflight=%d, want %s with inflight >= 1",
+				ev.At, cause, inflight, trace.CauseSlowFlow)
+		}
+	}
+	if stalls == 0 {
+		t.Fatal("no stalls on a link at half the clip rate; the test exercises nothing")
 	}
 }
