@@ -130,14 +130,20 @@ burst-smoke:
 adversary-smoke:
 	$(FIGURE_SMOKE) adversary adversary attributed "penalized peer"
 
-# Short fuzz pass over every fuzz target; go's fuzzer accepts one -fuzz
-# pattern per package invocation, so targets run sequentially.
+# Short fuzz pass over every fuzz target (Target:./pkg pairs); go's
+# fuzzer accepts one -fuzz pattern per package invocation, so targets run
+# sequentially, and the first failing one fails the pass.
+FUZZ_TARGETS = \
+	FuzzRead:./internal/wire \
+	FuzzReadHandshake:./internal/wire \
+	FuzzDecode:./internal/container \
+	FuzzReadManifest:./internal/container \
+	FuzzReadJSON:./internal/topology \
+	FuzzPlan:./internal/fault \
+	FuzzReallocate:./internal/netem \
+	FuzzPromRoundTrip:./internal/trace
+
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzReadHandshake$$' -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/container
-	$(GO) test -run='^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=$(FUZZTIME) ./internal/container
-	$(GO) test -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/topology
-	$(GO) test -run='^$$' -fuzz='^FuzzPlan$$' -fuzztime=$(FUZZTIME) ./internal/fault
-	$(GO) test -run='^$$' -fuzz='^FuzzReallocate$$' -fuzztime=$(FUZZTIME) ./internal/netem
-	$(GO) test -run='^$$' -fuzz='^FuzzPromRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/trace
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		( set -x; $(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) "$${t#*:}" ); \
+	done

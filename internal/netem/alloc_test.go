@@ -24,7 +24,7 @@ import (
 func steadyNetwork(tb testing.TB) (*Network, *link, *link) {
 	tb.Helper()
 	eng := sim.New(1)
-	n := New(eng, Config{})
+	n := New(eng)
 	ids := make([]NodeID, 8)
 	for i := range ids {
 		id, err := n.AddNode(NodeConfig{

@@ -177,11 +177,11 @@ func (n *Network) fillRegion() {
 //lint:hotpath the incremental reallocator's inner loop; runs once per dirty component per flow event
 func (n *Network) fillComponent(links []*link, flows []*Flow) {
 	for _, l := range links {
-		excess := len(l.flows) - n.cfg.ConcurrencyFreeFlows
+		excess := len(l.flows) - n.model.concurrencyFreeFlows
 		if excess < 0 {
 			excess = 0
 		}
-		l.remaining = l.capacity / (1 + n.cfg.ConcurrencyPenalty*float64(excess))
+		l.remaining = l.capacity / (1 + n.model.concurrencyPenalty*float64(excess))
 		l.unfixed = len(l.flows)
 	}
 	nFixed := 0

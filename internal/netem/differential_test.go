@@ -53,8 +53,8 @@ func differentialScript(data []byte) error {
 	nNodes := 2 + int(decodeByte(data, &pos))%(diffMaxNodes-1)
 
 	p := &diffPair{engA: sim.New(seed), engB: sim.New(seed)}
-	p.netA = New(p.engA, Config{})
-	p.netB = New(p.engB, Config{})
+	p.netA = New(p.engA)
+	p.netB = New(p.engB)
 	p.netB.ForceFullReallocation(true)
 
 	for i := 0; i < nNodes; i++ {
@@ -257,18 +257,18 @@ func effRemaining(f *Flow, now time.Duration) float64 {
 // checkConservation verifies that the sum of allocated rates through every
 // link stays within its concurrency-derated effective capacity.
 func (p *diffPair) checkConservation(where string) error {
-	cfg := p.netA.cfg
+	cfg := p.netA.model
 	for _, nd := range p.netA.nodes {
 		for _, l := range []*link{nd.up, nd.down} {
 			var load float64
 			for _, f := range l.flows {
 				load += f.rate
 			}
-			excess := len(l.flows) - cfg.ConcurrencyFreeFlows
+			excess := len(l.flows) - cfg.concurrencyFreeFlows
 			if excess < 0 {
 				excess = 0
 			}
-			eff := l.capacity / (1 + cfg.ConcurrencyPenalty*float64(excess))
+			eff := l.capacity / (1 + cfg.concurrencyPenalty*float64(excess))
 			if load > eff*(1+1e-6)+allocEpsilon {
 				return fmt.Errorf("%s at %v: link ord %d overloaded: load %.3f > derated capacity %.3f",
 					where, p.engA.Now(), l.ord, load, eff)
@@ -317,7 +317,7 @@ func TestQuickIncrementalMatchesFull(t *testing.T) {
 // a capacity change must diverge from the oracle.
 func TestDifferentialCatchesBrokenIncremental(t *testing.T) {
 	eng := sim.New(7)
-	n := New(eng, Config{})
+	n := New(eng)
 	a, _ := n.AddNode(NodeConfig{UplinkBytesPerSec: 100_000, DownlinkBytesPerSec: 100_000})
 	b, _ := n.AddNode(NodeConfig{UplinkBytesPerSec: 100_000, DownlinkBytesPerSec: 100_000})
 	fl, err := n.StartTransfer(a, b, 1_000_000, TransferOptions{}, nil)

@@ -9,7 +9,7 @@ import (
 
 func TestLinkDownFreezesAndRevivesFlow(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 
@@ -53,7 +53,7 @@ func TestLinkDownFreezesAndRevivesFlow(t *testing.T) {
 
 func TestSetLinkDownEmitsFreezeEvents(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	c := addNode(t, n, 100_000, 100_000, 0, 0)
@@ -105,7 +105,7 @@ func TestSetLinkDownEmitsFreezeEvents(t *testing.T) {
 
 func TestLinkDownUnknownNode(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	if err := n.SetLinkDown(5, true); err == nil {
 		t.Error("SetLinkDown on unknown node must error")
 	}

@@ -120,7 +120,7 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 	// Ramping beyond what the access links can carry is pointless; stop there.
 	f.rampMax = math.Min(float64(n.nodes[src].cfg.UplinkBytesPerSec),
 		float64(n.nodes[dst].cfg.DownlinkBytesPerSec))
-	f.rampCap = float64(n.cfg.InitCwndSegments*n.cfg.MSS) / rtt.Seconds()
+	f.rampCap = float64(n.model.initCwndSegments*n.model.mss) / rtt.Seconds()
 
 	n.flowSeq++
 	f.flowsIdx = len(n.flows)
@@ -128,7 +128,7 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 
 	setupDelay := time.Duration(0)
 	if !opts.ReuseConnection {
-		setupDelay = time.Duration(n.cfg.HandshakeRTTs * float64(rtt))
+		setupDelay = time.Duration(n.model.handshakeRTTs * float64(rtt))
 	} else {
 		// A request on a warm connection still takes half an RTT to reach
 		// the uploader.
@@ -233,10 +233,10 @@ func (f *Flow) activate() {
 }
 
 // scheduleHazard arranges the next RTO check, one second out. At each check
-// the flow freezes with probability TimeoutHazard per flow beyond the
+// the flow freezes with probability timeoutHazard per flow beyond the
 // penalty-free count on its most crowded link.
 func (f *Flow) scheduleHazard() {
-	if f.net.cfg.TimeoutHazard <= 0 || f.net.cfg.TimeoutMeanFreeze <= 0 {
+	if f.net.model.timeoutHazard <= 0 || f.net.model.timeoutMeanFreeze <= 0 {
 		return
 	}
 	f.hazardTimer = f.net.eng.Schedule(time.Second, func() {
@@ -251,16 +251,16 @@ func (f *Flow) scheduleHazard() {
 		if d := len(f.ldown.flows); d > crowd {
 			crowd = d
 		}
-		excess := crowd - f.net.cfg.ConcurrencyFreeFlows
+		excess := crowd - f.net.model.concurrencyFreeFlows
 		if excess <= 0 {
 			return
 		}
-		p := f.net.cfg.TimeoutHazard * float64(excess)
+		p := f.net.model.timeoutHazard * float64(excess)
 		if f.net.eng.RNG().Float64() >= p {
 			return
 		}
 		// Freeze: exponential duration clamped to [0.2s, 8s].
-		d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.cfg.TimeoutMeanFreeze))
+		d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.model.timeoutMeanFreeze))
 		if d < 200*time.Millisecond {
 			d = 200 * time.Millisecond
 		}
@@ -309,7 +309,7 @@ func (n *Network) mathisCap(p float64, rtt time.Duration) float64 {
 	if !(p > 0) || rtt <= 0 {
 		return math.Inf(1)
 	}
-	return n.cfg.MathisC * float64(n.cfg.MSS) / (rtt.Seconds() * math.Sqrt(p))
+	return n.model.mathisC * float64(n.model.mss) / (rtt.Seconds() * math.Sqrt(p))
 }
 
 // capLimit returns the flow's own rate ceiling (slow start, loss model,

@@ -11,7 +11,7 @@ import (
 func geTestNet(t *testing.T, loss float64) (*sim.Engine, *Network, NodeID, NodeID) {
 	t.Helper()
 	eng := sim.New(11)
-	n := New(eng, Config{})
+	n := New(eng)
 	a, err := n.AddNode(NodeConfig{UplinkBytesPerSec: 1_000_000, DownlinkBytesPerSec: 1_000_000,
 		AccessDelay: 25 * time.Millisecond, LossRate: loss})
 	if err != nil {

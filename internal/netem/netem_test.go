@@ -8,13 +8,21 @@ import (
 	"p2psplice/internal/sim"
 )
 
-// lossless returns a config with no per-connection costs so transfer times
-// are pure bandwidth arithmetic, making assertions exact.
-func instantSetup() Config {
-	c := DefaultConfig()
-	c.HandshakeRTTs = -1         // disable: exact bandwidth arithmetic
-	c.InitCwndSegments = 1 << 20 // effectively disable slow start
-	c.ConcurrencyPenalty = -1
+// newWith is New with the TCP model replaced: tests vary one field of
+// defaultModel to isolate a mechanism.
+func newWith(eng *sim.Engine, m model) *Network {
+	n := New(eng)
+	n.model = m
+	return n
+}
+
+// instantSetup returns a model with no per-connection costs so transfer
+// times are pure bandwidth arithmetic, making assertions exact.
+func instantSetup() model {
+	c := defaultModel
+	c.handshakeRTTs = 0          // disable: exact bandwidth arithmetic
+	c.initCwndSegments = 1 << 20 // effectively disable slow start
+	c.concurrencyPenalty = 0
 	return c
 }
 
@@ -34,7 +42,7 @@ func addNode(t *testing.T, n *Network, up, down int64, delay time.Duration, loss
 
 func TestSingleFlowSaturatesBottleneck(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 50_000, 50_000, 0, 0)
 
@@ -60,7 +68,7 @@ func TestSingleFlowSaturatesBottleneck(t *testing.T) {
 
 func TestTwoFlowsShareFairly(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	// Two uploaders, one downloader: the downlink is the shared bottleneck.
 	u1 := addNode(t, n, 1_000_000, 1_000_000, 0, 0)
 	u2 := addNode(t, n, 1_000_000, 1_000_000, 0, 0)
@@ -93,7 +101,7 @@ func TestMaxMinRespectsPerFlowCaps(t *testing.T) {
 	// the clean flow should take up the slack the capped flow can't use.
 	eng := sim.New(1)
 	cfg := instantSetup()
-	n := New(eng, cfg)
+	n := newWith(eng, cfg)
 	// 5% loss on u1's uplink. With LossEventFactor 0.125, RTT 100 ms:
 	// cap = 1.22*1460/(0.1*sqrt(0.00625)) ~= 225 kB/s, below the 300 kB/s
 	// fair share of the 600 kB/s downlink, so the cap binds.
@@ -110,7 +118,7 @@ func TestMaxMinRespectsPerFlowCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(5 * time.Second)
-	capWant := cfg.MathisC * 1460 / (0.1 * math.Sqrt(0.05*cfg.LossEventFactor))
+	capWant := cfg.mathisC * 1460 / (0.1 * math.Sqrt(0.05*cfg.lossEventFactor))
 	if diff := math.Abs(f1.Rate() - capWant); diff > 1 {
 		t.Errorf("lossy flow rate %.0f, want Mathis cap %.0f", f1.Rate(), capWant)
 	}
@@ -127,8 +135,8 @@ func TestMaxMinRespectsPerFlowCaps(t *testing.T) {
 func TestHandshakeDelaysFirstByte(t *testing.T) {
 	eng := sim.New(1)
 	cfg := instantSetup()
-	cfg.HandshakeRTTs = 1.5
-	n := New(eng, cfg)
+	cfg.handshakeRTTs = 1.5
+	n := newWith(eng, cfg)
 	a := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
 	b := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
 
@@ -147,7 +155,7 @@ func TestHandshakeDelaysFirstByte(t *testing.T) {
 
 	// Reused connection: only half an RTT of request latency.
 	eng2 := sim.New(1)
-	n2 := New(eng2, cfg)
+	n2 := newWith(eng2, cfg)
 	a2 := addNode(t, n2, 100_000, 100_000, 25*time.Millisecond, 0)
 	b2 := addNode(t, n2, 100_000, 100_000, 25*time.Millisecond, 0)
 	var doneAt2 time.Duration
@@ -165,10 +173,10 @@ func TestHandshakeDelaysFirstByte(t *testing.T) {
 func TestSlowStartPenalizesSmallTransfers(t *testing.T) {
 	// With slow start, downloading 10 x 100kB takes longer than 1 x 1MB:
 	// the per-transfer ramp (and handshakes) dominate short flows.
-	cfg := DefaultConfig()
+	cfg := defaultModel
 	elapsed := func(pieces int, size int64) time.Duration {
 		eng := sim.New(1)
-		n := New(eng, cfg)
+		n := newWith(eng, cfg)
 		a := addNode(t, n, 1_000_000, 1_000_000, 25*time.Millisecond, 0)
 		b := addNode(t, n, 1_000_000, 1_000_000, 25*time.Millisecond, 0)
 		var finish time.Duration
@@ -197,7 +205,7 @@ func TestSlowStartPenalizesSmallTransfers(t *testing.T) {
 
 func TestUnboundedCrossTraffic(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	c := addNode(t, n, 100_000, 100_000, 0, 0)
@@ -229,7 +237,7 @@ func TestUnboundedCrossTraffic(t *testing.T) {
 
 func TestCancelDuringSetup(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	a := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
 	b := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
 	f, err := n.StartTransfer(a, b, 100_000, TransferOptions{}, func(*Flow) {
@@ -251,7 +259,7 @@ func TestCancelDuringSetup(t *testing.T) {
 
 func TestBandwidthSchedule(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 1_000_000, 1_000_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	if err := n.ScheduleBandwidth(b, []BandwidthStep{{At: time.Second, BytesPerSec: 50_000}}); err != nil {
@@ -272,7 +280,7 @@ func TestBandwidthSchedule(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	a := addNode(t, n, 100, 100, 0, 0)
 
 	if _, err := n.AddNode(NodeConfig{UplinkBytesPerSec: 0, DownlinkBytesPerSec: 1}); err == nil {
@@ -322,7 +330,7 @@ func TestValidationErrors(t *testing.T) {
 
 func TestDelays(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	seeder := addNode(t, n, 100, 100, 475*time.Millisecond, 0)
 	peer := addNode(t, n, 100, 100, 25*time.Millisecond, 0)
 	ow, err := n.OneWayDelay(seeder, peer)
@@ -351,7 +359,7 @@ func TestDelays(t *testing.T) {
 func TestDeterministicCompletion(t *testing.T) {
 	run := func() []time.Duration {
 		eng := sim.New(99)
-		n := New(eng, DefaultConfig())
+		n := New(eng)
 		var ids []NodeID
 		for i := 0; i < 6; i++ {
 			ids = append(ids, addNode(t, n, 200_000, 200_000, 25*time.Millisecond, 0.02))
@@ -384,7 +392,7 @@ func TestDeterministicCompletion(t *testing.T) {
 func TestConservationUnderLoad(t *testing.T) {
 	// Many flows into one downlink: aggregate rate must not exceed capacity.
 	eng := sim.New(5)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	d := addNode(t, n, 1_000_000, 300_000, 0, 0)
 	var flows []*Flow
 	for i := 0; i < 8; i++ {
@@ -412,10 +420,10 @@ func TestConcurrencyPenaltyDeratesLink(t *testing.T) {
 	// Four flows into one downlink exceed the 3 penalty-free flows by one:
 	// aggregate goodput is capacity / (1 + 0.1*1).
 	eng := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.HandshakeRTTs = 0
-	cfg.InitCwndSegments = 1 << 20
-	n := New(eng, cfg)
+	cfg := defaultModel
+	cfg.handshakeRTTs = 0
+	cfg.initCwndSegments = 1 << 20
+	n := newWith(eng, cfg)
 	d := addNode(t, n, 1_000_000, 400_000, 0, 0)
 	var flows []*Flow
 	for i := 0; i < 4; i++ {
@@ -447,7 +455,7 @@ func TestConcurrencyPenaltyDeratesLink(t *testing.T) {
 
 func TestFlowAccessors(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	f, err := n.StartTransfer(a, b, 100_000, TransferOptions{}, nil)
@@ -480,40 +488,11 @@ func TestFlowAccessors(t *testing.T) {
 	}
 }
 
-func TestConfigDefaultsAndSentinels(t *testing.T) {
-	d := Config{}.withDefaults()
-	def := DefaultConfig()
-	if d != def {
-		t.Errorf("zero config defaults = %+v, want %+v", d, def)
-	}
-	// Negative sentinels disable each mechanism.
-	off := Config{
-		HandshakeRTTs:        -1,
-		ConcurrencyPenalty:   -1,
-		ConcurrencyFreeFlows: -1,
-		TimeoutHazard:        -1,
-		TimeoutMeanFreeze:    -1,
-	}.withDefaults()
-	if off.ConcurrencyPenalty != 0 || off.ConcurrencyFreeFlows != 0 ||
-		off.TimeoutHazard != 0 || off.TimeoutMeanFreeze != 0 {
-		t.Errorf("negative sentinels not honoured: %+v", off)
-	}
-	// HandshakeRTTs < 0 means an explicitly free handshake.
-	if off.HandshakeRTTs != 0 {
-		t.Errorf("HandshakeRTTs = %v, want 0 for negative sentinel", off.HandshakeRTTs)
-	}
-	// Explicit values survive.
-	custom := Config{MSS: 9000, MathisC: 2, LossEventFactor: 0.5}.withDefaults()
-	if custom.MSS != 9000 || custom.MathisC != 2 || custom.LossEventFactor != 0.5 {
-		t.Errorf("explicit values overwritten: %+v", custom)
-	}
-}
-
 func TestNewNilEnginePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("want panic for nil engine")
 		}
 	}()
-	New(nil, Config{})
+	New(nil)
 }

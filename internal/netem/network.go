@@ -24,112 +24,62 @@ import (
 // NodeID identifies a node in the emulated network.
 type NodeID int
 
-// Config holds the TCP model parameters.
-type Config struct {
-	// MSS is the TCP maximum segment size in bytes. Default 1460.
-	MSS int
-	// InitCwndSegments is the initial congestion window in MSS units
-	// (RFC 6928 initial window). Default 10.
-	InitCwndSegments int
-	// MathisC is the constant in the Mathis throughput bound. Default 1.22.
-	MathisC float64
-	// LossEventFactor converts a raw packet-loss rate into the TCP
+// model holds the TCP model parameters. They are constants of the
+// emulation, calibrated once against the paper's testbed: every network
+// starts from defaultModel, and only this package's tests vary a field,
+// to isolate one mechanism.
+type model struct {
+	// mss is the TCP maximum segment size in bytes.
+	mss int
+	// initCwndSegments is the initial congestion window in MSS units
+	// (RFC 6928 initial window).
+	initCwndSegments int
+	// mathisC is the constant in the Mathis throughput bound.
+	mathisC float64
+	// lossEventFactor converts a raw packet-loss rate into the TCP
 	// loss-*event* rate used by the Mathis bound; modern stacks with SACK
 	// recover several drops per loss event, so the event rate is well below
-	// the packet-drop rate. Default 0.125, calibrated so that one flow over
+	// the packet-drop rate. 0.125 is calibrated so that one flow over
 	// the paper's 5%-loss, 100 ms-RTT path sustains ~160 kB/s — enough to
 	// carry the paper's 128 kB/s clip on one connection (as its testbed
 	// evidently did) while still capping per-flow throughput well below the
 	// faster links, which is what makes the download-pool size matter.
-	LossEventFactor float64
-	// HandshakeRTTs is the connection-establishment cost in RTTs before the
-	// first payload byte (TCP handshake plus the request). Default 1.5.
-	// Set to a negative value for a free handshake (treated as exactly 0).
-	HandshakeRTTs float64
-	// ConcurrencyPenalty models the aggregate goodput loss of running many
+	lossEventFactor float64
+	// handshakeRTTs is the connection-establishment cost in RTTs before the
+	// first payload byte (TCP handshake plus the request).
+	handshakeRTTs float64
+	// concurrencyPenalty models the aggregate goodput loss of running many
 	// simultaneous TCP flows through a small-buffer shaped link (retransmit
 	// waste, synchronized losses): a link carrying n flows delivers
-	// capacity / (1 + ConcurrencyPenalty*max(0, n-ConcurrencyFreeFlows)).
+	// capacity / (1 + concurrencyPenalty*max(0, n-concurrencyFreeFlows)).
 	// This is the "large pool size increases the network overload ... which
 	// increases the stalls" mechanism in the paper's Figure 5 discussion.
-	// Default 0.1. Set to a negative value to disable (treated as 0).
-	ConcurrencyPenalty float64
-	// ConcurrencyFreeFlows is the number of concurrent flows a link carries
+	concurrencyPenalty float64
+	// concurrencyFreeFlows is the number of concurrent flows a link carries
 	// without degradation (shaper buffers absorb a few flows cleanly).
-	// Default 3. Set to a negative value for 0.
-	ConcurrencyFreeFlows int
-	// TimeoutHazard is the per-second probability (per excess flow beyond
-	// ConcurrencyFreeFlows on the flow's most crowded link) that a flow
+	concurrencyFreeFlows int
+	// timeoutHazard is the per-second probability (per excess flow beyond
+	// concurrencyFreeFlows on the flow's most crowded link) that a flow
 	// suffers a retransmission timeout and freezes. RTOs — not smooth
 	// goodput loss — are how overloading a small-buffer shaped link with
 	// many TCP flows actually manifests: individual transfers stall for
-	// seconds. Default 0.02. Negative disables.
-	TimeoutHazard float64
-	// TimeoutMeanFreeze is the mean duration of an RTO freeze (exponential,
-	// clamped to [0.2s, 8s]). Default 1.5s. Negative disables freezing.
-	TimeoutMeanFreeze time.Duration
+	// seconds. Zero disables.
+	timeoutHazard float64
+	// timeoutMeanFreeze is the mean duration of an RTO freeze (exponential,
+	// clamped to [0.2s, 8s]). Zero disables freezing.
+	timeoutMeanFreeze time.Duration
 }
 
-// DefaultConfig returns the default TCP model parameters.
-func DefaultConfig() Config {
-	return Config{
-		MSS:                  1460,
-		InitCwndSegments:     10,
-		MathisC:              1.22,
-		LossEventFactor:      0.125,
-		HandshakeRTTs:        1.5,
-		ConcurrencyPenalty:   0.1,
-		ConcurrencyFreeFlows: 3,
-		TimeoutHazard:        0.05,
-		TimeoutMeanFreeze:    1500 * time.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.InitCwndSegments <= 0 {
-		c.InitCwndSegments = d.InitCwndSegments
-	}
-	if c.MathisC <= 0 {
-		c.MathisC = d.MathisC
-	}
-	if c.LossEventFactor <= 0 {
-		c.LossEventFactor = d.LossEventFactor
-	}
-	switch {
-	case c.HandshakeRTTs == 0:
-		c.HandshakeRTTs = d.HandshakeRTTs
-	case c.HandshakeRTTs < 0:
-		c.HandshakeRTTs = 0
-	}
-	switch {
-	case c.ConcurrencyPenalty == 0:
-		c.ConcurrencyPenalty = d.ConcurrencyPenalty
-	case c.ConcurrencyPenalty < 0:
-		c.ConcurrencyPenalty = 0
-	}
-	switch {
-	case c.ConcurrencyFreeFlows == 0:
-		c.ConcurrencyFreeFlows = d.ConcurrencyFreeFlows
-	case c.ConcurrencyFreeFlows < 0:
-		c.ConcurrencyFreeFlows = 0
-	}
-	switch {
-	case c.TimeoutHazard == 0:
-		c.TimeoutHazard = d.TimeoutHazard
-	case c.TimeoutHazard < 0:
-		c.TimeoutHazard = 0
-	}
-	switch {
-	case c.TimeoutMeanFreeze == 0:
-		c.TimeoutMeanFreeze = d.TimeoutMeanFreeze
-	case c.TimeoutMeanFreeze < 0:
-		c.TimeoutMeanFreeze = 0
-	}
-	return c
+var defaultModel = model{
+	mss:                  1460,
+	initCwndSegments:     10,
+	mathisC:              1.22,
+	lossEventFactor:      0.125,
+	handshakeRTTs:        1.5,
+	concurrencyPenalty:   0.1,
+	concurrencyFreeFlows: 3,
+	timeoutHazard:        0.05,
+	timeoutMeanFreeze:    1500 * time.Millisecond,
 }
 
 // NodeConfig describes one node's access link in the star topology.
@@ -166,7 +116,7 @@ func (nc NodeConfig) Validate() error {
 // must be called from the owning sim.Engine's event context (or before Run).
 type Network struct {
 	eng     *sim.Engine
-	cfg     Config
+	model   model
 	nodes   []*node
 	flows   []*Flow // live flows; swap-removed on detach (order not load-bearing)
 	flowSeq int     // next flow ID
@@ -220,11 +170,11 @@ type link struct {
 }
 
 // New creates an empty network on eng.
-func New(eng *sim.Engine, cfg Config) *Network {
+func New(eng *sim.Engine) *Network {
 	if eng == nil {
 		panic("netem: nil engine")
 	}
-	return &Network{eng: eng, cfg: cfg.withDefaults()}
+	return &Network{eng: eng, model: defaultModel}
 }
 
 // AddNode registers a node and returns its ID.
@@ -281,7 +231,7 @@ func (n *Network) RTT(a, b NodeID) (time.Duration, error) {
 // each endpoint's effective (loss-model-aware) loss rate.
 func (n *Network) pathLossEventRate(a, b NodeID) float64 {
 	raw := 1 - (1-n.nodes[a].lossRate())*(1-n.nodes[b].lossRate())
-	return raw * n.cfg.LossEventFactor
+	return raw * n.model.lossEventFactor
 }
 
 // SetUplink changes a node's uplink capacity (the paper's future-work

@@ -12,7 +12,7 @@ import (
 func TestFlowObserverSeesLifecycle(t *testing.T) {
 	run := func(observe bool) (events []FlowEvent, doneAt time.Duration) {
 		eng := sim.New(3)
-		n := New(eng, instantSetup())
+		n := newWith(eng, instantSetup())
 		a := addNode(t, n, 100_000, 100_000, 0, 0)
 		b := addNode(t, n, 50_000, 50_000, 0, 0)
 		if observe {
@@ -62,10 +62,10 @@ func TestFlowObserverSeesLifecycle(t *testing.T) {
 // Freeze/unfreeze events fire in RTO-hazard runs, and cancels are observed.
 func TestFlowObserverFreezeAndCancel(t *testing.T) {
 	eng := sim.New(5)
-	cfg := DefaultConfig()
-	cfg.ConcurrencyFreeFlows = 1
-	cfg.TimeoutHazard = 0.9
-	n := New(eng, cfg)
+	cfg := defaultModel
+	cfg.concurrencyFreeFlows = 1
+	cfg.timeoutHazard = 0.9
+	n := newWith(eng, cfg)
 	a := addNode(t, n, 50_000, 50_000, 5*time.Millisecond, 0)
 	b := addNode(t, n, 50_000, 50_000, 5*time.Millisecond, 0)
 
@@ -94,7 +94,7 @@ func TestFlowObserverFreezeAndCancel(t *testing.T) {
 // Slow-start doublings are observable on a link fast enough to ramp into.
 func TestFlowObserverSeesRamps(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	a := addNode(t, n, 10_000_000, 10_000_000, 50*time.Millisecond, 0)
 	b := addNode(t, n, 10_000_000, 10_000_000, 50*time.Millisecond, 0)
 	ramps := 0
@@ -117,7 +117,7 @@ func TestFlowObserverSeesRamps(t *testing.T) {
 // Flow IDs are unique and stable in creation order.
 func TestFlowIDsAreCreationOrdered(t *testing.T) {
 	eng := sim.New(1)
-	n := New(eng, instantSetup())
+	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	for i := 0; i < 3; i++ {

@@ -17,7 +17,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		eng := sim.New(seed)
-		n := New(eng, DefaultConfig())
+		n := New(eng)
 
 		nNodes := 3 + r.Intn(8)
 		ids := make([]NodeID, nNodes)
@@ -64,13 +64,13 @@ func TestQuickAllocationInvariants(t *testing.T) {
 			upCount[fl.Src()]++
 			downCount[fl.Dst()]++
 		}
-		defCfg := DefaultConfig()
+		defCfg := defaultModel
 		eff := func(capacity int64, count int) float64 {
-			excess := count - defCfg.ConcurrencyFreeFlows
+			excess := count - defCfg.concurrencyFreeFlows
 			if excess < 0 {
 				excess = 0
 			}
-			return float64(capacity) / (1 + defCfg.ConcurrencyPenalty*float64(excess))
+			return float64(capacity) / (1 + defCfg.concurrencyPenalty*float64(excess))
 		}
 		for id, load := range upLoad {
 			nc, _ := n.Node(id)
@@ -119,7 +119,7 @@ func TestQuickByteConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		eng := sim.New(seed)
-		n := New(eng, DefaultConfig())
+		n := New(eng)
 		down := int64(50_000 + r.Intn(200_000))
 		dst, err := n.AddNode(NodeConfig{UplinkBytesPerSec: 1 << 20, DownlinkBytesPerSec: down})
 		if err != nil {

@@ -16,15 +16,12 @@ import (
 func TestRTOStaggersCrowdedFlows(t *testing.T) {
 	run := func(hazard float64) (first, last time.Duration) {
 		eng := sim.New(7)
-		cfg := DefaultConfig()
-		cfg.HandshakeRTTs = -1
-		cfg.InitCwndSegments = 1 << 20
-		cfg.ConcurrencyPenalty = -1 // isolate the RTO effect
-		cfg.TimeoutHazard = hazard
-		if hazard == 0 {
-			cfg.TimeoutHazard = -1 // disable
-		}
-		n := New(eng, cfg)
+		cfg := defaultModel
+		cfg.handshakeRTTs = 0
+		cfg.initCwndSegments = 1 << 20
+		cfg.concurrencyPenalty = 0 // isolate the RTO effect
+		cfg.timeoutHazard = hazard // zero disables
+		n := newWith(eng, cfg)
 		d := addNode(t, n, 1_000_000, 200_000, 0, 0)
 		remaining := 8
 		for i := 0; i < 8; i++ {
@@ -65,12 +62,12 @@ func TestRTOStaggersCrowdedFlows(t *testing.T) {
 // TestRTONeverFiresUnderFreeFlows checks that uncrowded links never freeze.
 func TestRTONeverFiresUnderFreeFlows(t *testing.T) {
 	eng := sim.New(3)
-	cfg := DefaultConfig()
-	cfg.HandshakeRTTs = -1
-	cfg.InitCwndSegments = 1 << 20
-	cfg.ConcurrencyPenalty = -1
-	cfg.TimeoutHazard = 0.9 // would freeze constantly if eligible
-	n := New(eng, cfg)
+	cfg := defaultModel
+	cfg.handshakeRTTs = 0
+	cfg.initCwndSegments = 1 << 20
+	cfg.concurrencyPenalty = 0
+	cfg.timeoutHazard = 0.9 // would freeze constantly if eligible
+	n := newWith(eng, cfg)
 	a := addNode(t, n, 100_000, 100_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
 	var doneAt time.Duration
@@ -90,9 +87,9 @@ func TestRTONeverFiresUnderFreeFlows(t *testing.T) {
 func TestRTODeterministic(t *testing.T) {
 	run := func(seed int64) time.Duration {
 		eng := sim.New(seed)
-		cfg := DefaultConfig()
-		cfg.TimeoutHazard = 0.2
-		n := New(eng, cfg)
+		cfg := defaultModel
+		cfg.timeoutHazard = 0.2
+		n := newWith(eng, cfg)
 		d := addNode(t, n, 1_000_000, 150_000, 5*time.Millisecond, 0.02)
 		var last time.Duration
 		for i := 0; i < 6; i++ {
@@ -119,13 +116,13 @@ func TestRTODeterministic(t *testing.T) {
 // TestFrozenFlowRecovers checks a frozen flow resumes and finishes.
 func TestFrozenFlowRecovers(t *testing.T) {
 	eng := sim.New(5)
-	cfg := DefaultConfig()
-	cfg.HandshakeRTTs = -1
-	cfg.InitCwndSegments = 1 << 20
-	cfg.ConcurrencyPenalty = -1
-	cfg.TimeoutHazard = 1.0 // every eligible check freezes
-	cfg.TimeoutMeanFreeze = 500 * time.Millisecond
-	n := New(eng, cfg)
+	cfg := defaultModel
+	cfg.handshakeRTTs = 0
+	cfg.initCwndSegments = 1 << 20
+	cfg.concurrencyPenalty = 0
+	cfg.timeoutHazard = 1.0 // every eligible check freezes
+	cfg.timeoutMeanFreeze = 500 * time.Millisecond
+	n := newWith(eng, cfg)
 	d := addNode(t, n, 1_000_000, 400_000, 0, 0)
 	completions := 0
 	for i := 0; i < 5; i++ {

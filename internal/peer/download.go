@@ -163,10 +163,9 @@ func (n *Node) pickConnPassLocked(idx int, busy map[*conn]int, allowQuarantined 
 }
 
 // dropActiveLocked removes segment idx from the download pool (n.mu
-// held). It is the one place the pool shrinks, and the player is synced
-// first: transitions surface lazily, and the call that reveals a stall is
-// most often the completion that ends it, so stall attribution must see
-// the pool with the awaited download still in it.
+// held): the one place the pool shrinks. It syncs the player first, so a
+// stall this call reveals is attributed with the download still in the
+// pool (see trace.StallFacts).
 func (n *Node) dropActiveLocked(idx int) {
 	if n.play != nil {
 		n.play.Position(n.now())
@@ -264,15 +263,9 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
-	// A verified completion earns the server credit — unless it crawled in
-	// below the slow-serve floor (a polite slowloris that keeps beating the
-	// progress watchdog still gets charged).
-	obs := reputation.ObsSuccess
-	if floor := n.rep.Config().SlowServeBytesPerSec; floor > 0 && elapsed > 0 &&
-		float64(d.size)/elapsed.Seconds() < float64(floor) {
-		obs = reputation.ObsSlowServe
-	}
-	n.observePeer(c.id, obs)
+	// A verified completion earns the server credit, unless it crawled in
+	// below the slow-serve floor.
+	n.observePeer(c.id, n.rep.Config().ServeObservation(int64(d.size), elapsed))
 	n.nm.segsDone.Inc()
 	n.qoe.SegSeconds.ObserveDuration(elapsed)
 	n.qoe.SegBytes.Observe(int64(d.size))

@@ -68,86 +68,50 @@ func (n *Node) emitAt(at time.Duration, cat, name string, seg int, args ...trace
 // player call on a published node happens under the node lock, and the
 // observer fires synchronously from those calls.
 func (n *Node) playbackTransitionLocked(t player.Transition) {
-	switch {
-	case t.From == player.StateWaiting && t.To == player.StatePlaying:
-		n.qoe.Started(t.At, -1, t.At)
-	case t.To == player.StateStalled:
+	if t.To == player.StateStalled {
 		n.nm.stalls.Inc()
-		n.qoe.Stalled(t.At, -1, n.stallCauseLocked(),
-			trace.Int64("inflight", int64(len(n.active))))
-	case t.From == player.StateStalled && t.To == player.StatePlaying:
-		n.qoe.Resumed(t.At, -1)
-	case t.To == player.StateFinished:
-		n.qoe.Finished(t.At, -1)
 	}
+	n.qoe.Transition(t, -1, 0, n.stallFactsLocked)
 }
 
-// stallCauseLocked attributes a beginning stall to its proximate cause by
-// inspecting the download pool and connection set (n.mu held).
-func (n *Node) stallCauseLocked() string {
-	if len(n.active) > 0 {
-		// Every in-flight download rides a quarantined source: the
-		// escape hatch kept liveness, but the pool is degraded to its
-		// least-trusted serving set.
-		if n.allActiveQuarantinedLocked() {
-			return trace.CausePeerQuarantined
-		}
-		// Downloads are in flight but did not outrun the playhead.
-		return trace.CauseSlowFlow
-	}
-	next := -1
-	for i := 0; i < n.store.Segments(); i++ {
-		if !n.store.Have(i) {
-			next = i
-			break
-		}
-	}
-	if next < 0 {
-		return trace.CauseSlowFlow // store complete; playhead will catch up
-	}
-	holders, choked, quarantined := 0, 0, 0
-	for _, c := range n.conns {
-		if c.remoteHas(next) {
-			holders++
-			if c.remoteChoked() {
-				choked++
-			}
-			if n.rep.Quarantined(c.id, n.now()) {
-				quarantined++
-			}
-		}
-	}
-	switch {
-	case holders == 0:
-		if n.trackerDown {
-			// No connected peer holds the segment and the tracker is
-			// unreachable, so no new holder can be discovered: the outage
-			// is the binding constraint.
-			return trace.CauseTrackerDown
-		}
-		return trace.CauseNoSource
-	case quarantined == holders:
-		// Holders exist but reputation has every one of them in
-		// quarantine: progress waits on probation or on the escape
-		// hatch's next pick.
-		return trace.CausePeerQuarantined
-	case choked == holders:
-		return trace.CauseChokedSources
-	default:
-		// A willing source exists yet nothing is in flight: the scheduler
-		// left the pool empty (the failure mode of the old scan budget).
-		return trace.CauseEmptyPool
-	}
-}
-
-// allActiveQuarantinedLocked reports whether every in-flight download's
-// source is quarantined right now (n.mu held).
-func (n *Node) allActiveQuarantinedLocked() bool {
+// stallFactsLocked gathers what the node can see about a beginning stall
+// from its download pool and connection set (n.mu held); the facts it
+// cannot see (flow freezes, link and burst state, its own outages) stay
+// zero, and trace.StallFacts.Cause names the cause.
+func (n *Node) stallFactsLocked(time.Duration) trace.StallFacts {
 	now := n.now()
-	for _, d := range n.active {
-		if !n.rep.Quarantined(d.conn.id, now) {
-			return false
+	f := trace.StallFacts{InFlight: len(n.active)}
+	if f.InFlight > 0 {
+		f.AllQuarantined = true
+		for _, d := range n.active {
+			f.AllQuarantined = f.AllQuarantined && n.rep.Quarantined(d.conn.id, now)
+		}
+		return f
+	}
+	next := 0
+	for next < n.store.Segments() && n.store.Have(next) {
+		next++
+	}
+	if next == n.store.Segments() {
+		f.NothingMissing = true
+		return f
+	}
+	choked := 0
+	for _, c := range n.conns {
+		if !c.remoteHas(next) {
+			continue
+		}
+		f.Holders++
+		if c.remoteChoked() {
+			choked++
+		}
+		if n.rep.Quarantined(c.id, now) {
+			f.QuarantinedHolders++
 		}
 	}
-	return len(n.active) > 0
+	// No connected peer holds the segment: with the tracker unreachable
+	// no new holder can be discovered either.
+	f.TrackerDown = n.trackerDown
+	f.Blocked = choked == f.Holders
+	return f
 }

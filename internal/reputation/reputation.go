@@ -87,6 +87,18 @@ func Default() Config {
 	}
 }
 
+// ServeObservation scores a verified completion of bytes delivered over
+// elapsed: a clean serve, unless it crawled in below the slow-serve
+// floor (a polite slowloris that keeps beating the serve timeout still
+// gets charged). A zero floor, or a serve too fast to time, is a success.
+func (c Config) ServeObservation(bytes int64, elapsed time.Duration) Observation {
+	if c.SlowServeBytesPerSec > 0 && elapsed > 0 &&
+		float64(bytes)/elapsed.Seconds() < float64(c.SlowServeBytesPerSec) {
+		return ObsSlowServe
+	}
+	return ObsSuccess
+}
+
 // cost maps a penalty observation to its configured score cost.
 func (c Config) cost(o Observation) float64 {
 	switch o {

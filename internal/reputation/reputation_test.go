@@ -165,3 +165,25 @@ func TestObservationAndStateNames(t *testing.T) {
 		}
 	}
 }
+
+func TestServeObservation(t *testing.T) {
+	const floor = 4 << 10
+	for _, tc := range []struct {
+		name    string
+		floor   int64
+		bytes   int64
+		elapsed time.Duration
+		want    Observation
+	}{
+		{"below the floor", floor, floor - 1, time.Second, ObsSlowServe},
+		{"exactly at the floor", floor, floor, time.Second, ObsSuccess},
+		{"above the floor", floor, 2 * floor, time.Second, ObsSuccess},
+		{"same bytes, twice the time", floor, floor, 2 * time.Second, ObsSlowServe},
+		{"zero elapsed is too fast to time", floor, 1, 0, ObsSuccess},
+		{"floor 0 never charges", 0, 1, time.Hour, ObsSuccess},
+	} {
+		if got := (Config{SlowServeBytesPerSec: tc.floor}).ServeObservation(tc.bytes, tc.elapsed); got != tc.want {
+			t.Errorf("%s: ServeObservation(%d, %v) = %v, want %v", tc.name, tc.bytes, tc.elapsed, got, tc.want)
+		}
+	}
+}

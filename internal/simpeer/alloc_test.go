@@ -50,11 +50,11 @@ func steadySwarm(tb testing.TB, leechers int) (*swarm, *peerState) {
 	cfg := baseConfig(256 << 10)
 	cfg.Leechers = leechers
 	cfg.LossRate = 0
-	cfg.ManifestBytes = 64
 	sw, err := newSwarm(cfg, segs)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	sw.manifestBytes = 64
 	sw.eng.RunUntil(until)
 	for _, p := range sw.peers[1:] {
 		if !p.retryPending {

@@ -133,11 +133,10 @@ func (p *peerState) wanted(idx int) bool {
 
 // dropFlight removes p's download of segment idx and returns the upload
 // slot it held to its source. The caller cancels the flow if it is live.
-// It is the one place the pool shrinks, and the player is synced to now
-// first: transitions surface lazily, and the call that reveals a stall is
-// most often the completion that ends it, so stall attribution must see
-// the pool with the awaited download still in it. The sync moves no
-// player state (advanceTo computes the stall instant exactly).
+// It is the one place the pool shrinks, and it syncs the player first, so
+// a stall this call reveals is attributed with the download still in the
+// pool (see trace.StallFacts). The sync moves no player state: advanceTo
+// computes the stall instant exactly.
 func (p *peerState) dropFlight(idx int, now time.Duration) {
 	p.player.Position(now)
 	d := p.inFlight[idx]
@@ -190,17 +189,6 @@ func (s *swarm) holderCount(idx int) int {
 		}
 	}
 	return n
-}
-
-// crashedHolder reports whether a currently-crashed peer holds segment
-// idx — the stall-attribution signal for "my source crashed".
-func (s *swarm) crashedHolder(idx int) bool {
-	for _, q := range s.peers {
-		if q.crashed && q.have[idx] {
-			return true
-		}
-	}
-	return false
 }
 
 // servesWholeClip reports whether q answers for every segment of the clip
@@ -665,7 +653,9 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 			return
 		}
 	}
-	s.observeRepSuccess(src, f)
+	if s.rep != nil {
+		s.observeRep(src, s.rep.Config().ServeObservation(f.Size(), f.Elapsed()))
+	}
 	s.qoe.SegSeconds.ObserveDuration(f.Elapsed())
 	s.qoe.SegBytes.Observe(f.Size())
 	s.qoe.SegsDone.Inc(now)

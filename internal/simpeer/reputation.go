@@ -1,7 +1,6 @@
 package simpeer
 
 import (
-	"p2psplice/internal/netem"
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/trace"
 )
@@ -66,19 +65,4 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 		}
 		s.fillAll()
 	})
-}
-
-// observeRepSuccess scores a verified completion: a clean serve, unless
-// it crawled in below the slow-serve floor (a polite slowloris that
-// beats the serve timeout still gets charged).
-func (s *swarm) observeRepSuccess(src *peerState, f *netem.Flow) {
-	if s.rep == nil || src.isCDN {
-		return
-	}
-	obs := reputation.ObsSuccess
-	if floor := s.rep.Config().SlowServeBytesPerSec; floor > 0 && f.Elapsed() > 0 &&
-		float64(f.Size())/f.Elapsed().Seconds() < float64(floor) {
-		obs = reputation.ObsSlowServe
-	}
-	s.observeRep(src, obs)
 }

@@ -90,9 +90,6 @@ type SwarmConfig struct {
 	// the policy (the paper "simulated the bandwidth on GENI"). When false,
 	// leechers estimate bandwidth with an EWMA over completed downloads.
 	OracleBandwidth bool
-	// StartThreshold is how many leading segments a player buffers before
-	// starting playback. Defaults to 1.
-	StartThreshold int
 	// ResumeBuffer is the player's rebuffering depth after a stall (see
 	// player.Config.ResumeThreshold). Zero resumes on the next segment.
 	ResumeBuffer time.Duration
@@ -167,8 +164,6 @@ type SwarmConfig struct {
 	// LossRate. Nodes with the traffic role become unbounded cross-traffic
 	// sources aimed at successive leechers.
 	Topology *topology.Spec
-	// MaxEvents bounds the simulation (0 = default of 20 million).
-	MaxEvents int
 	// Tracer receives structured events: flow lifecycles, pool-fill
 	// decisions with their live Equation-1 inputs, source picks, and
 	// playback transitions with attributed stall causes. Tracing is inert:
@@ -190,12 +185,6 @@ type SwarmConfig struct {
 	// it is a pure observer: the run is bit-identical with and without it
 	// (TestTimeSeriesInert). Nil disables.
 	Series *trace.TimeSeries
-	// ManifestBytes is the size of the swarm/clip metadata a joining peer
-	// fetches from the seeder before requesting segments (the paper: "each
-	// peer contacts the seeder and gets different information about the
-	// video and the swarm"). Default 4096; this is why the seeder's 500 ms
-	// latency shows up in every startup time.
-	ManifestBytes int64
 }
 
 func (c SwarmConfig) validate() error {
@@ -270,6 +259,17 @@ type Result struct {
 // Summary aggregates the non-departed samples.
 func (r *Result) Summary() metrics.Summary { return metrics.Summarize(r.Samples) }
 
+const (
+	// maxEvents bounds one run's engine events (a runaway-simulation guard).
+	maxEvents = 20_000_000
+	// defaultManifestBytes is the size of the swarm/clip metadata a joining
+	// peer fetches from the seeder before requesting segments (the paper:
+	// "each peer contacts the seeder and gets different information about
+	// the video and the swarm"). This is why the seeder's 500 ms latency
+	// shows up in every startup time.
+	defaultManifestBytes = 4096
+)
+
 // RunSwarm executes one deterministic emulated run.
 func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -289,10 +289,6 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 		return nil, err
 	}
 
-	maxEvents := cfg.MaxEvents
-	if maxEvents <= 0 {
-		maxEvents = 20_000_000
-	}
 	if err := sw.eng.Run(maxEvents); err != nil {
 		return nil, fmt.Errorf("simpeer: %w", err)
 	}
@@ -308,10 +304,10 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 // cross-traffic flow scheduled, ready for the engine to run.
 func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	eng := sim.New(cfg.Seed)
-	sw := &swarm{eng: eng, net: netem.New(eng, netem.Config{}), cfg: cfg, segs: segs,
+	sw := &swarm{eng: eng, net: netem.New(eng), cfg: cfg, segs: segs,
 		repPenalties: cfg.Metrics.Counter("sim_rep_penalties_total"),
 		quarantines:  cfg.Metrics.Counter("sim_quarantines_total"),
-		frontier:     -1}
+		frontier:     -1, manifestBytes: defaultManifestBytes}
 	cfg.Metrics.SetHelp("sim_rep_penalties_total", "Reputation penalty observations recorded.")
 	cfg.Metrics.SetHelp("sim_quarantines_total", "Quarantine windows opened on peers.")
 	if err := sw.setup(); err != nil {
@@ -363,6 +359,10 @@ type swarm struct {
 	rarestWindow   int
 	frontier       int
 	set            sourceSet
+	// manifestBytes is what a joining peer fetches from the seeder first:
+	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
+	// warm-up would otherwise be a manifest flash crowd.
+	manifestBytes int64
 	// pickCheck, when set, sees every selection fill makes before it acts
 	// on it (beyond marks a scan cut at the frontier). Tests only: the
 	// differential oracle hangs the retained full-scan picker here.
@@ -496,7 +496,6 @@ func (s *swarm) setup() error {
 		}
 		pl, err := player.New(player.Config{
 			SegmentDurations: durations,
-			StartThreshold:   s.cfg.StartThreshold,
 			ResumeThreshold:  s.cfg.ResumeBuffer,
 		})
 		if err != nil {
@@ -560,7 +559,8 @@ func (s *swarm) join(p *peerState) {
 	if s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil || s.cfg.Series != nil {
 		// The observer feeds the trace stream, the QoE histograms, and the
 		// windowed time series; any consumer alone needs it attached.
-		p.player.SetObserver(func(tr player.Transition) { s.onPlayerTransition(p, tr) })
+		classify := func(at time.Duration) trace.StallFacts { return s.stallFacts(p, at) }
+		p.player.SetObserver(func(tr player.Transition) { s.qoe.Transition(tr, p.id, p.joined, classify) })
 	}
 	if err := p.player.Start(s.eng.Now()); err != nil {
 		panic(fmt.Sprintf("simpeer: start player: %v", err)) // unreachable by construction
@@ -569,11 +569,7 @@ func (s *swarm) join(p *peerState) {
 		online := time.Duration(s.eng.RNG().ExpFloat64() * float64(s.cfg.Churn.MeanOnline))
 		s.eng.Schedule(online, func() { s.depart(p) })
 	}
-	manifest := s.cfg.ManifestBytes
-	if manifest <= 0 {
-		manifest = 4096
-	}
-	if _, err := s.net.StartTransfer(s.peers[0].node, p.node, manifest, netem.TransferOptions{},
+	if _, err := s.net.StartTransfer(s.peers[0].node, p.node, s.manifestBytes, netem.TransferOptions{},
 		func(*netem.Flow) {
 			if !p.departed {
 				s.fill(p)

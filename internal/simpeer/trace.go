@@ -5,7 +5,6 @@ import (
 
 	"p2psplice/internal/fault"
 	"p2psplice/internal/netem"
-	"p2psplice/internal/player"
 	"p2psplice/internal/trace"
 )
 
@@ -108,164 +107,72 @@ func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
 	return p.geGoodAt <= p.geBadAt || at < p.geGoodAt
 }
 
-// onPlayerTransition feeds playback state changes to the QoE recorder,
-// attributing every beginning stall to its proximate cause.
-func (s *swarm) onPlayerTransition(p *peerState, tr player.Transition) {
-	switch {
-	case tr.From == player.StateWaiting && tr.To == player.StatePlaying:
-		s.qoe.Started(tr.At, p.id, tr.At-p.joined)
-	case tr.To == player.StateStalled:
-		cause, inflight, frozen := s.classifyStall(p, tr.At)
-		s.qoe.Stalled(tr.At, p.id, cause,
-			trace.Int64("inflight", int64(inflight)),
-			trace.Int64("frozen", int64(frozen)))
-	case tr.From == player.StateStalled && tr.To == player.StatePlaying:
-		s.qoe.Resumed(tr.At, p.id)
-	case tr.To == player.StateFinished:
-		s.qoe.Finished(tr.At, p.id)
-	}
-}
-
-// classifyStall inspects the stalling peer's download pool with pure
-// reads only (in particular flow.Frozen and flow.LinkDown, never
-// flow.Remaining, which advances flow progress). at is the stall's own
+// stallFacts gathers what attribution needs to know about p's stall that
+// began at at, with pure reads only (in particular flow.Frozen and
+// flow.LinkDown, never flow.Remaining, which advances flow progress);
+// trace.StallFacts.Cause names the cause. at is the stall's own
 // timestamp: player transitions surface lazily, so a stall observed
-// after a rejoin may have begun inside the crash window.
-func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inflight, frozen int) {
-	inflight = p.inFlightN
-	// The peer itself is (or was, at the stall's timestamp) crashed:
-	// the outage is the cause regardless of pool state.
-	if p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt) {
-		return trace.CausePeerCrash, inflight, 0
+// after a rejoin may have begun inside the crash window, and the windows
+// below are tested against at as well as against the live state.
+func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
+	f := trace.StallFacts{
+		InFlight:    p.inFlightN,
+		OwnCrash:    p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt),
+		OwnLinkDown: s.net.LinkIsDown(p.node) || (p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt),
+		// A window that made this peer throw away verified-bad segments.
+		Corrupting: p.corruptDiscards > 0 && at >= p.corruptStartAt && (p.corruptPct > 0 || at < p.corruptEndAt),
 	}
-	// The peer's own access link is (or was, at the stall's timestamp)
-	// administratively down: nothing can move whether or not downloads
-	// are in flight.
-	if s.net.LinkIsDown(p.node) ||
-		(p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt) {
-		return trace.CauseLinkDown, inflight, 0
+	if f.OwnCrash || f.OwnLinkDown || f.Corrupting {
+		return f // Cause looks no further: the pool is sized, not inspected
 	}
-	// A corruption window made this peer throw away verified-bad
-	// segments: the re-downloads, not the scheduler, are the proximate
-	// cause of a stall inside the window.
-	if p.corruptDiscards > 0 && at >= p.corruptStartAt &&
-		(p.corruptPct > 0 || at < p.corruptEndAt) {
-		return trace.CauseCorruptSegment, inflight, 0
-	}
-	if inflight == 0 {
+	if f.InFlight == 0 {
 		next := s.nextWanted(p)
-		if next >= 0 && s.holderCount(next) == 0 {
-			if s.trackerDown {
-				// No live holder and no tracker to discover one through:
-				// the tracker is the binding constraint, whatever took the
-				// holders away.
-				return trace.CauseTrackerDown, 0, 0
+		if next < 0 {
+			f.NothingMissing = true
+			return f
+		}
+		for _, q := range s.peers {
+			switch {
+			case q == p || !q.have[next]:
+			case q.crashed:
+				f.CrashedHolder = true
+			case q.departed:
+			default:
+				f.Holders++
+				if s.rep != nil && s.rep.Quarantined(q.id, at) {
+					f.QuarantinedHolders++
+				}
 			}
-			if s.crashedHolder(next) {
-				// A crashed peer holds it; the swarm lost the source.
-				return trace.CausePeerCrash, 0, 0
-			}
-			return trace.CauseNoSource, 0, 0
 		}
-		if s.rep != nil && next >= 0 && s.allHoldersQuarantined(p, next, at) {
-			// Holders exist but the reputation subsystem has every one of
-			// them in quarantine: progress waits on probation or on the
-			// sole-source escape hatch's next retry.
-			return trace.CausePeerQuarantined, 0, 0
-		}
-		if p.retryPending {
-			// Sources exist but none was eligible (upload slots full, relay
-			// threshold not crossed); the peer is waiting out a retry.
-			return trace.CauseChokedSources, 0, 0
-		}
-		// A source exists and no retry is pending: the scheduler simply
-		// left the pool empty.
-		return trace.CauseEmptyPool, 0, 0
+		f.TrackerDown = s.trackerDown
+		// Sources exist but none was eligible (upload slots full, relay
+		// threshold not crossed); the peer is waiting out a retry.
+		f.Blocked = p.retryPending
+		return f
 	}
-	// Pending adversary serves have no flow: if nothing else is moving
-	// either, the peer is hung on sources that accepted requests and are
-	// serving nothing (stale-have) or a useless trickle (slowloris).
-	pending, trickling := 0, 0
+	f.AllQuarantined = s.rep != nil
+	f.Burst = s.inBurstWindow(p, at)
 	for _, d := range p.inFlight {
-		if d != nil && d.flow == nil {
-			pending++
+		switch {
+		case d == nil:
+			continue
+		case d.flow == nil:
+			// A pending adversary serve: the source accepted the request
+			// and is serving nothing (stale-have) or a trickle (slowloris).
+			f.Pending++
 			if d.pending == fault.AdvSlowloris {
-				trickling++
+				f.Trickling++
+			}
+		default:
+			if d.flow.Frozen() {
+				f.Frozen++
+			}
+			if d.flow.LinkDown() { // the source's side; p's own link is OwnLinkDown
+				f.LinkDown++
 			}
 		}
+		f.AllQuarantined = f.AllQuarantined && !d.src.isCDN && s.rep.Quarantined(d.src.id, at)
+		f.Burst = f.Burst || s.inBurstWindow(d.src, at)
 	}
-	if pending == inflight {
-		if trickling > 0 {
-			return trace.CauseSlowServe, inflight, 0
-		}
-		return trace.CauseStaleHave, inflight, 0
-	}
-	linkDown := 0
-	for _, d := range p.inFlight {
-		if d == nil || d.flow == nil {
-			continue
-		}
-		if d.flow.Frozen() {
-			frozen++
-		}
-		if d.flow.LinkDown() {
-			linkDown++
-		}
-	}
-	if linkDown > 0 && linkDown == inflight-pending {
-		// Every in-flight download rides a downed link (the sources'
-		// side — the peer's own link was handled above).
-		return trace.CauseLinkDown, inflight, frozen
-	}
-	if frozen > 0 {
-		return trace.CauseFrozenFlow, inflight, frozen
-	}
-	if s.rep != nil && s.allInFlightSourcesQuarantined(p, at) {
-		// Every moving download comes from a quarantined source — the
-		// escape hatch kept liveness, but the swarm is degraded to its
-		// least-trusted serving set.
-		return trace.CausePeerQuarantined, inflight, frozen
-	}
-	// Burst loss: the peer's own access link, or the link of a source
-	// serving one of its in-flight downloads, is (or was, at the stall's
-	// timestamp) in the Gilbert–Elliott bad state — the crushed Mathis
-	// caps, not ordinary congestion, explain the slow flows.
-	if s.inBurstWindow(p, at) {
-		return trace.CauseBurstLoss, inflight, 0
-	}
-	for _, d := range p.inFlight {
-		if d != nil && s.inBurstWindow(d.src, at) {
-			return trace.CauseBurstLoss, inflight, 0
-		}
-	}
-	return trace.CauseSlowFlow, inflight, 0
-}
-
-// allHoldersQuarantined reports whether segment idx has at least one
-// live holder and every live holder was quarantined at the stall's
-// timestamp. Pure reads only (Table.Quarantined never mutates), like
-// the rest of stall attribution.
-func (s *swarm) allHoldersQuarantined(p *peerState, idx int, at time.Duration) bool {
-	holders := 0
-	for _, q := range s.peers {
-		if q == p || q.departed || q.crashed || !q.have[idx] {
-			continue
-		}
-		holders++
-		if !s.rep.Quarantined(q.id, at) {
-			return false
-		}
-	}
-	return holders > 0
-}
-
-// allInFlightSourcesQuarantined reports whether every in-flight
-// download's source was quarantined at the stall's timestamp.
-func (s *swarm) allInFlightSourcesQuarantined(p *peerState, at time.Duration) bool {
-	for _, d := range p.inFlight {
-		if d != nil && (d.src.isCDN || !s.rep.Quarantined(d.src.id, at)) {
-			return false
-		}
-	}
-	return p.inFlightN > 0
+	return f
 }

@@ -263,7 +263,7 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	seed := cfg.Seed + int64(shard)*0x9e3779b9
 	eng := sim.New(seed)
 	rng := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
-	net := netem.New(eng, netem.Config{})
+	net := netem.New(eng)
 	if cfg.FullRealloc {
 		net.ForceFullReallocation(true)
 	}

@@ -164,11 +164,11 @@ func (s *Spec) resolve(n NodeSpec) netem.NodeConfig {
 
 // Build instantiates the topology onto a fresh netem.Network and returns the
 // network plus a name-to-ID mapping.
-func (s *Spec) Build(eng *sim.Engine, cfg netem.Config) (*netem.Network, map[string]netem.NodeID, error) {
+func (s *Spec) Build(eng *sim.Engine) (*netem.Network, map[string]netem.NodeID, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	n := netem.New(eng, cfg)
+	n := netem.New(eng)
 	ids := make(map[string]netem.NodeID, len(s.Nodes))
 	for _, node := range s.Nodes {
 		id, err := n.AddNode(s.resolve(node))

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"p2psplice/internal/netem"
 	"p2psplice/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func TestStarSpec(t *testing.T) {
 func TestBuild(t *testing.T) {
 	sp := Star("t", 3, 256, 25*time.Millisecond, 5)
 	eng := sim.New(1)
-	n, ids, err := sp.Build(eng, netem.Config{})
+	n, ids, err := sp.Build(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestReadJSONRejects(t *testing.T) {
 
 func TestBuildRejectsInvalid(t *testing.T) {
 	var sp Spec
-	if _, _, err := sp.Build(sim.New(1), netem.Config{}); err == nil {
+	if _, _, err := sp.Build(sim.New(1)); err == nil {
 		t.Error("want error for invalid spec")
 	}
 }

@@ -1,6 +1,10 @@
 package trace
 
-import "time"
+import (
+	"time"
+
+	"p2psplice/internal/player"
+)
 
 // QoE is the playback-telemetry recorder: the one writer of the QoE
 // schema for the emulation (prefix "sim"), the real node (prefix "p2p")
@@ -82,34 +86,50 @@ func (q *QoE) emit(at time.Duration, peer int, name string, args ...Arg) {
 	q.tr.Emit(Event{At: at, Peer: peer, Seg: -1, Cat: CatPlayer, Name: name, Args: args})
 }
 
-// Started records the first rendered frame, startup after the peer's
-// join. at may be retroactive (player transitions surface lazily), as
-// for every transition below; peer is -1 on the real node.
-func (q *QoE) Started(at time.Duration, peer int, startup time.Duration) {
+// Transition records one playback state change: the one translation
+// from player transitions to the five player events, for both stacks.
+// tr.At may be retroactive (transitions surface lazily); peer is -1 on
+// the real node; joined is when the viewer pressed play on the same
+// clock. classify gathers the stack's StallFacts and runs once, for a
+// beginning stall only; the stall_cause event carries Cause() and the
+// pool evidence behind it.
+func (q *QoE) Transition(tr player.Transition, peer int, joined time.Duration, classify func(at time.Duration) StallFacts) {
+	switch {
+	case tr.From == player.StateWaiting && tr.To == player.StatePlaying:
+		q.started(tr.At, peer, tr.At-joined)
+	case tr.To == player.StateStalled:
+		f := classify(tr.At)
+		cause := f.Cause()
+		q.stallBegin(tr.At, peer, cause)
+		if q.tr.Enabled() {
+			q.emit(tr.At, peer, EvStallBegin)
+			q.emit(tr.At, peer, EvStallCause, Str("cause", cause),
+				Int64("inflight", int64(f.InFlight)),
+				Int64("frozen", int64(f.Frozen)))
+		}
+	case tr.From == player.StateStalled && tr.To == player.StatePlaying:
+		q.end(tr.At, peer, EvStallEnd)
+	case tr.To == player.StateFinished:
+		q.end(tr.At, peer, EvFinished)
+	}
+}
+
+// started records the first rendered frame, startup after the peer's join.
+func (q *QoE) started(at time.Duration, peer int, startup time.Duration) {
 	q.emit(at, peer, EvStartup, Int64("startup_us", startup.Microseconds()))
 	q.startup.ObserveDuration(startup)
 }
 
-// Stalled opens a stall attributed to cause; detail (the classifier's
-// evidence, which differs per stack) is appended to the stall_cause event.
-func (q *QoE) Stalled(at time.Duration, peer int, cause string, detail ...Arg) {
+// stallBegin opens a stall attributed to cause.
+func (q *QoE) stallBegin(at time.Duration, peer int, cause string) {
 	q.open[peer] = openStall{at: at, cause: cause}
 	q.observeStalled(at)
-	if q.tr.Enabled() {
-		q.emit(at, peer, EvStallBegin)
-		q.emit(at, peer, EvStallCause, append([]Arg{Str("cause", cause)}, detail...)...)
-	}
 }
 
-// Resumed closes the peer's stall on playback resuming.
-func (q *QoE) Resumed(at time.Duration, peer int) { q.end(at, peer, EvStallEnd) }
-
-// Finished records the end of playback. A run can finish straight out
-// of a stall; closing it here keeps the histograms' totals equal to the
-// attributed stall time.
-func (q *QoE) Finished(at time.Duration, peer int) { q.end(at, peer, EvFinished) }
-
-// end closes the peer's open stall, if any, and emits the transition.
+// end closes the peer's open stall, if any, and emits the transition
+// (playback resuming, or the end of playback: a run can finish straight
+// out of a stall, and closing it here keeps the histograms' totals equal
+// to the attributed stall time).
 func (q *QoE) end(at time.Duration, peer int, name string) {
 	if st, ok := q.open[peer]; ok {
 		delete(q.open, peer)
@@ -149,12 +169,12 @@ func (q *QoE) Replay(events []Event) {
 			q.SegBytes.Observe(ev.ArgInt64("bytes", 0))
 			q.SegsDone.Inc(ev.At)
 		case EvStartup:
-			q.Started(ev.At, ev.Peer, time.Duration(ev.ArgInt64("startup_us", 0))*time.Microsecond)
+			q.started(ev.At, ev.Peer, time.Duration(ev.ArgInt64("startup_us", 0))*time.Microsecond)
 		case EvStallBegin:
 			// A sampled or truncated log can lose the stall_end between
 			// two begins; the first one stands.
 			if _, dup := q.open[ev.Peer]; !dup {
-				q.Stalled(ev.At, ev.Peer, "")
+				q.stallBegin(ev.At, ev.Peer, "")
 			}
 		case EvStallCause:
 			if st, ok := q.open[ev.Peer]; ok {
@@ -162,9 +182,9 @@ func (q *QoE) Replay(events []Event) {
 				q.open[ev.Peer] = st
 			}
 		case EvStallEnd:
-			q.Resumed(ev.At, ev.Peer)
+			q.end(ev.At, ev.Peer, EvStallEnd)
 		case EvFinished:
-			q.Finished(ev.At, ev.Peer)
+			q.end(ev.At, ev.Peer, EvFinished)
 		}
 	}
 }

@@ -102,10 +102,13 @@ const (
 )
 
 // Stall causes attached to EvStallCause events. Every stall must carry
-// exactly one of these; the attribution tests enforce it.
+// exactly one of these; the attribution tests enforce it, and
+// StallFacts.Cause decides which (the order in which they outrank each
+// other is written there, once).
 const (
-	// CauseEmptyPool: nothing was in flight and the scheduler had not
-	// launched anything even though a source existed — a scheduler gap.
+	// CauseEmptyPool: nothing was in flight when the playhead ran dry and
+	// the scheduler had not launched anything even though a source
+	// existed — a scheduler gap.
 	CauseEmptyPool = "empty_pool"
 	// CauseChokedSources: nothing was in flight because every holder of
 	// the next segment was choked/busy (the peer is waiting on a retry).
@@ -116,7 +119,8 @@ const (
 	// CauseFrozenFlow: a download was in flight but frozen in an RTO.
 	CauseFrozenFlow = "frozen_flow"
 	// CauseSlowFlow: downloads were in flight and moving, just slower
-	// than playback.
+	// than playback (or nothing is missing any more and the playhead
+	// will catch up).
 	CauseSlowFlow = "slow_flow"
 	// CausePeerCrash: the stalled peer itself is crashed (its player
 	// observes the stall retroactively at rejoin), or the only holders of
