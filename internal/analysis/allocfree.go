@@ -359,9 +359,15 @@ func pointerShaped(t types.Type) bool {
 }
 
 // boxes reports whether assigning arg to a target of type target wraps
-// a concrete non-pointer-shaped value in an interface, allocating.
+// a concrete non-pointer-shaped value in an interface, allocating. A
+// type-parameter target is not an interface value, although
+// types.IsInterface says so of its constraint: the callee is
+// instantiated for the argument's type and nothing is boxed.
 func boxes(info *types.Info, target types.Type, arg ast.Expr) bool {
 	if target == nil || !types.IsInterface(target) {
+		return false
+	}
+	if _, isParam := types.Unalias(target).(*types.TypeParam); isParam {
 		return false
 	}
 	at := info.TypeOf(arg)

@@ -60,6 +60,12 @@ func Generic(b *dep.Box[int]) int {
 	return b.Get(1)
 }
 
+//lint:hotpath fixture: a type-parameter parameter is instantiated, an any parameter boxes
+func TypeParam(keys []uint64) uint64 {
+	_ = dep.Any(keys) // want "argument boxes \[\]uint64 into an interface"
+	return dep.Max(keys)
+}
+
 //lint:hotpath fixture: pointer-shaped values fit the interface word
 func PtrBox(p *point) { sink = p }
 

@@ -54,7 +54,7 @@ func steadyNetwork(tb testing.TB) (*Network, *link, *link) {
 }
 
 // TestZeroAllocReallocate pins the steady-state incremental pass at zero
-// allocations: region collection, component fills, heapsorts, and the
+// allocations: region collection, key sorts, component fills, and the
 // keep-timer apply path all run on reused scratch.
 func TestZeroAllocReallocate(t *testing.T) {
 	n, a, b := steadyNetwork(t)
@@ -86,6 +86,26 @@ func TestZeroAllocReallocateFull(t *testing.T) {
 // Each op is one steady-state dirty-pair reallocation over the mesh.
 func BenchmarkHotpathReallocate(b *testing.B) {
 	n, la, lb := steadyNetwork(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.reallocateOn(la, lb)
+	}
+}
+
+// BenchmarkHotpathReallocateStar is the same gate at the shape
+// figures_paper runs at: one pass over the star swarm's single 27-flow,
+// 18-link component, all ramps finished, in steady state. Mathis-capped
+// flows, two near-tied links and uplinks of three different rates make
+// the fill take several rounds.
+func BenchmarkHotpathReallocateStar(b *testing.B) {
+	eng, n := starSwarm(b, 1<<40, 0)
+	eng.RunUntil(60 * time.Second)
+	la, lb := n.nodes[0].up, n.nodes[1].down
+	n.reallocateOn(la, lb) // warm the region scratch to its high-water mark
+	if len(n.compBounds) != 1 || len(n.regionFlows) != 27 || len(n.regionLinks) != 18 {
+		b.Fatalf("star region is %d components, %d flows, %d links; want 1, 27, 18", len(n.compBounds), len(n.regionFlows), len(n.regionLinks))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -94,8 +95,8 @@ func (n *Network) beginRegion() {
 }
 
 // collectComponent walks the flow/link sharing graph from seed and
-// appends its connected component to the region, then sorts the
-// component's links by ord and flows by creation ID. The sort makes the
+// appends its connected component to the region, then orders the
+// component's links by ord and flows by creation ID. The order makes the
 // component's fill order canonical — independent of which dirty link the
 // walk entered through — which is what makes the incremental path
 // bit-identical to the full recompute. A nil, already-collected, or
@@ -139,8 +140,8 @@ func (n *Network) collectComponent(seed *link) {
 			}
 		}
 	}
-	sortLinksByOrd(n.regionLinks[l0:])
-	sortFlowsByID(n.regionFlows[f0:])
+	n.orderLinks(n.regionLinks[l0:])
+	n.orderFlows(n.regionFlows[f0:])
 	//lint:ignore allocfree amortized: component-bound scratch grows to the high-water mark once and is reused
 	n.compBounds = append(n.compBounds, compBound{l0: l0, l1: len(n.regionLinks), f0: f0, f1: len(n.regionFlows)})
 }
@@ -150,6 +151,7 @@ func (n *Network) collectComponent(seed *link) {
 // order. The apply order matters: rescheduled completion timers consume
 // engine sequence numbers, which break FIFO ties among simultaneous
 // events, so both reallocation paths must reschedule in the same order.
+// A region of one component is in that order as collected.
 func (n *Network) fillRegion() {
 	for _, f := range n.regionFlows {
 		n.advance(f)
@@ -159,7 +161,9 @@ func (n *Network) fillRegion() {
 	}
 	n.stats.Components += uint64(len(n.compBounds))
 	n.stats.FlowsFilled += uint64(len(n.regionFlows))
-	sortFlowsByID(n.regionFlows)
+	if len(n.compBounds) > 1 {
+		n.orderFlows(n.regionFlows)
+	}
 	n.applyRates(n.regionFlows)
 }
 
@@ -174,57 +178,76 @@ func (n *Network) fillRegion() {
 // retransmissions and synchronized loss, so each link's effective
 // capacity is derated by its concurrency before filling.
 //
+// A round scans only what is left: open and live index the links with an
+// unfixed flow and the unfixed flows, compacted in place (order kept) as
+// rounds fix them, and a flow's cap — constant within a pass — is read
+// once into caps.
+//
 //lint:hotpath the incremental reallocator's inner loop; runs once per dirty component per flow event
 func (n *Network) fillComponent(links []*link, flows []*Flow) {
-	for _, l := range links {
+	open, live, caps := n.openLinks[:0], n.liveFlows[:0], n.flowCaps[:0]
+	for i, l := range links {
 		excess := len(l.flows) - n.model.concurrencyFreeFlows
 		if excess < 0 {
 			excess = 0
 		}
 		l.remaining = l.capacity / (1 + n.model.concurrencyPenalty*float64(excess))
 		l.unfixed = len(l.flows)
+		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
+		open = append(open, int32(i))
 	}
-	nFixed := 0
-	for nFixed < len(flows) {
+	for i, f := range flows {
+		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
+		live = append(live, int32(i))
+		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
+		caps = append(caps, f.capLimit())
+	}
+	n.openLinks, n.liveFlows, n.flowCaps = open, live, caps
+	for len(live) > 0 {
 		minShare := math.Inf(1)
 		var bottleneck *link
-		for _, l := range links {
+		kept := 0
+		for _, li := range open {
+			l := links[li]
 			if l.unfixed == 0 {
 				continue
 			}
+			open[kept] = li
+			kept++
 			share := l.remaining / float64(l.unfixed)
 			if share < minShare-allocEpsilon {
 				minShare = share
 				bottleneck = l
 			}
 		}
+		open = open[:kept]
 		if bottleneck == nil {
 			// No unfixed flow traverses any link; nothing left to do.
 			break
 		}
-		anyCapped := false
-		for _, f := range flows {
-			if f.fixMark == n.allocGen {
-				continue
-			}
-			if f.capLimit() <= minShare+allocEpsilon {
-				n.fixFlow(f, f.capLimit())
-				nFixed++
-				anyCapped = true
+		kept = 0
+		for _, fi := range live {
+			if caps[fi] <= minShare+allocEpsilon {
+				n.fixFlow(flows[fi], caps[fi])
+			} else {
+				live[kept] = fi
+				kept++
 			}
 		}
-		if anyCapped {
+		if kept < len(live) {
+			live = live[:kept]
 			continue
 		}
-		for _, f := range flows {
-			if f.fixMark == n.allocGen {
-				continue
-			}
-			if f.lup == bottleneck || f.ldown == bottleneck {
+		kept = 0
+		for _, fi := range live {
+			if f := flows[fi]; f.lup == bottleneck || f.ldown == bottleneck {
 				n.fixFlow(f, minShare)
-				nFixed++
+			} else {
+				live[kept] = fi
+				kept++
 			}
 		}
+		live = live[:kept]
 	}
 }
 
@@ -276,70 +299,45 @@ func (n *Network) applyRates(flows []*Flow) {
 	}
 }
 
-// sortLinksByOrd heap-sorts links in place by their creation order
-// (node ID, uplink before downlink). Heapsort keeps the hot path
-// allocation-free; ord values are unique, so the lack of stability
-// cannot introduce nondeterminism.
+// orderLinks puts ls in creation order (node ID, uplink before downlink)
+// by sorting the ords as integers: an ord names its link, so no pointer
+// moves until the sorted ords are read back.
 //
 //lint:hotpath canonical link ordering for every collected component
-func sortLinksByOrd(ls []*link) {
-	k := len(ls)
-	for i := k/2 - 1; i >= 0; i-- {
-		siftLink(ls, i, k)
+func (n *Network) orderLinks(ls []*link) {
+	keys := n.sortKeys[:0]
+	for _, l := range ls {
+		//lint:ignore allocfree amortized: key scratch grows to the largest component once and is reused
+		keys = append(keys, uint64(l.ord))
 	}
-	for i := k - 1; i > 0; i-- {
-		ls[0], ls[i] = ls[i], ls[0]
-		siftLink(ls, 0, i)
+	slices.Sort(keys)
+	for i, k := range keys {
+		if nd := n.nodes[k>>1]; k&1 == 0 {
+			ls[i] = nd.up
+		} else {
+			ls[i] = nd.down
+		}
 	}
+	n.sortKeys = keys
 }
 
-//lint:hotpath heapsort helper for sortLinksByOrd
-func siftLink(ls []*link, i, k int) {
-	for {
-		c := 2*i + 1
-		if c >= k {
-			return
-		}
-		if c+1 < k && ls[c+1].ord > ls[c].ord {
-			c++
-		}
-		if ls[i].ord >= ls[c].ord {
-			return
-		}
-		ls[i], ls[c] = ls[c], ls[i]
-		i = c
-	}
-}
-
-// sortFlowsByID heap-sorts flows in place by creation ID. Flow IDs are
-// unique, so the result is deterministic.
+// orderFlows puts fs in creation-ID order. Each key is a flow's ID over
+// its position in fs (StartTransfer keeps IDs below 2³²), so sorting the
+// integers sorts the flows, and one gather through a scratch copy of fs
+// places them. IDs are unique, so the result is deterministic.
 //
-//lint:hotpath canonical flow ordering for every collected component and the global apply pass
-func sortFlowsByID(fs []*Flow) {
-	k := len(fs)
-	for i := k/2 - 1; i >= 0; i-- {
-		siftFlow(fs, i, k)
+//lint:hotpath canonical flow ordering for every collected component and the multi-component apply pass
+func (n *Network) orderFlows(fs []*Flow) {
+	keys := n.sortKeys[:0]
+	for i, f := range fs {
+		//lint:ignore allocfree amortized: key scratch grows to the largest component once and is reused
+		keys = append(keys, uint64(f.id)<<32|uint64(i))
 	}
-	for i := k - 1; i > 0; i-- {
-		fs[0], fs[i] = fs[i], fs[0]
-		siftFlow(fs, 0, i)
+	slices.Sort(keys)
+	//lint:ignore allocfree amortized: gather scratch grows to the largest region once and is reused
+	n.flowGather = append(n.flowGather[:0], fs...)
+	for i, k := range keys {
+		fs[i] = n.flowGather[uint32(k)]
 	}
-}
-
-//lint:hotpath heapsort helper for sortFlowsByID
-func siftFlow(fs []*Flow, i, k int) {
-	for {
-		c := 2*i + 1
-		if c >= k {
-			return
-		}
-		if c+1 < k && fs[c+1].id > fs[c].id {
-			c++
-		}
-		if fs[i].id >= fs[c].id {
-			return
-		}
-		fs[i], fs[c] = fs[c], fs[i]
-		i = c
-	}
+	n.sortKeys = keys
 }

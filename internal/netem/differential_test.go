@@ -16,7 +16,10 @@ import (
 // through the same decoded event script, stepping both engines in
 // lockstep and requiring every flow's state to be bit-identical after
 // every single event. It is shared by TestQuickIncrementalMatchesFull
-// (randomized scripts) and FuzzReallocate (fuzzer-mutated scripts).
+// (randomized scripts) and FuzzReallocate (fuzzer-mutated scripts). The
+// two networks share the collection and fill code, so after every event
+// the incremental one is also held to the test-only fill reference
+// (fillref_test.go).
 
 // diffPair is the paired incremental/full network under test.
 type diffPair struct {
@@ -24,6 +27,7 @@ type diffPair struct {
 	netA, netB *Network // A: incremental, B: full oracle
 	flowsA     []*Flow  // every flow ever started, creation order
 	flowsB     []*Flow
+	fill       fillFunc // what checkFill holds to the reference: fillComponent, or a mutant
 }
 
 const (
@@ -48,11 +52,17 @@ func decodeByte(data []byte, pos *int) byte {
 // violation. Script format: one seed byte and one node-count byte, four
 // bytes of link parameters per node, then opcodes with inline operands.
 func differentialScript(data []byte) error {
+	return differentialScriptFill(data, (*Network).fillComponent)
+}
+
+// differentialScriptFill is differentialScript with the fill that is
+// checked against the reference named, so a test can seed a mutant.
+func differentialScriptFill(data []byte, fill fillFunc) error {
 	pos := 0
 	seed := int64(decodeByte(data, &pos))*256 + int64(decodeByte(data, &pos))
 	nNodes := 2 + int(decodeByte(data, &pos))%(diffMaxNodes-1)
 
-	p := &diffPair{engA: sim.New(seed), engB: sim.New(seed)}
+	p := &diffPair{engA: sim.New(seed), engB: sim.New(seed), fill: fill}
 	p.netA = New(p.engA)
 	p.netB = New(p.engB)
 	p.netB.ForceFullReallocation(true)
@@ -203,7 +213,8 @@ func (p *diffPair) lockstep(k int) error {
 // virtual clock, same pending-event count, and for every flow the same
 // state, freeze flag, and Float64bits-identical rate and remaining. It
 // also checks conservation on the incremental network: the rates through
-// any link must not exceed its concurrency-derated capacity.
+// any link must not exceed its concurrency-derated capacity, and that its
+// region order and fill match the reference.
 func (p *diffPair) compare(where string) error {
 	if p.engA.Now() != p.engB.Now() {
 		return fmt.Errorf("%s: clock divergence: incremental %v full %v", where, p.engA.Now(), p.engB.Now())
@@ -237,6 +248,9 @@ func (p *diffPair) compare(where string) error {
 			return fmt.Errorf("%s at %v: flow %d remaining divergence: incremental %x full %x",
 				where, p.engA.Now(), fa.id, math.Float64bits(ra), math.Float64bits(rb))
 		}
+	}
+	if err := checkFill(p.netA, p.fill); err != nil {
+		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), err)
 	}
 	return p.checkConservation(where)
 }

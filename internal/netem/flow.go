@@ -92,6 +92,9 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 	if size <= 0 && !opts.Unbounded {
 		return nil, fmt.Errorf("netem: transfer size must be positive, got %d", size)
 	}
+	if uint64(n.flowSeq) >= 1<<32 {
+		return nil, fmt.Errorf("netem: flow ID %d does not fit the 32 bits orderFlows sorts it in", n.flowSeq)
+	}
 
 	rtt, err := n.RTT(src, dst)
 	if err != nil {
@@ -317,7 +320,7 @@ func (n *Network) mathisCap(p float64, rtt time.Duration) float64 {
 // allocator fixes the flow at rate 0 and cancels its completion timer;
 // a later reallocation (link up, freeze end) revives it.
 //
-//lint:hotpath read in the progressive-filling inner loop, twice per flow per round
+//lint:hotpath read once per flow per fill
 func (f *Flow) capLimit() float64 {
 	if f.frozen || f.net.nodes[f.src].offline || f.net.nodes[f.dst].offline {
 		return 0

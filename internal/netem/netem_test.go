@@ -488,6 +488,48 @@ func TestFlowAccessors(t *testing.T) {
 	}
 }
 
+// ActiveFlows counts flows from StartTransfer until they complete or are
+// cancelled, in setup or active, and a completing flow is already gone
+// when its own callback runs.
+func TestActiveFlowsCounts(t *testing.T) {
+	eng := sim.New(1)
+	n := New(eng)
+	a := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
+	b := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
+	c := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
+	want := func(k int, when string) {
+		t.Helper()
+		if got := n.ActiveFlows(); got != k {
+			t.Errorf("ActiveFlows %s = %d, want %d", when, got, k)
+		}
+	}
+	start := func(src, dst NodeID, onComplete func(*Flow)) *Flow {
+		t.Helper()
+		f, err := n.StartTransfer(src, dst, 200_000, TransferOptions{}, onComplete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want(0, "on an empty network")
+	inSetup := start(a, b, nil)
+	active := start(b, c, nil)
+	start(c, a, func(*Flow) { want(0, "inside the last flow's completion callback") })
+	want(3, "with three flows in setup")
+	inSetup.Cancel()
+	want(2, "after cancelling a flow in setup")
+	eng.RunUntil(time.Second)
+	if active.Rate() <= 0 {
+		t.Fatal("flow should be moving bytes after 1s")
+	}
+	active.Cancel()
+	want(1, "after cancelling an active flow")
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want(0, "after the last flow completed")
+}
+
 func TestNewNilEnginePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

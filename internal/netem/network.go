@@ -132,6 +132,11 @@ type Network struct {
 	regionFlows []*Flow
 	linkQueue   []*link
 	compBounds  []compBound
+	sortKeys    []uint64  // orderLinks/orderFlows: integer sort keys
+	flowGather  []*Flow   // orderFlows: unsorted copy the keys index into
+	openLinks   []int32   // fillComponent: links with an unfixed flow
+	liveFlows   []int32   // fillComponent: unfixed flows
+	flowCaps    []float64 // fillComponent: capLimit per flow, read once per pass
 	stats       AllocStats
 	forceFull   bool // reallocate via the full per-event oracle instead
 }
@@ -297,13 +302,6 @@ type BandwidthStep struct {
 }
 
 // ActiveFlows returns the number of in-progress transfers (including those
-// still in connection setup).
-func (n *Network) ActiveFlows() int {
-	count := len(n.flows)
-	for _, f := range n.flows {
-		if f.state == flowDone || f.state == flowCancelled {
-			count--
-		}
-	}
-	return count
-}
+// still in connection setup): completion and cancellation both detach a
+// flow from the live list before they return.
+func (n *Network) ActiveFlows() int { return len(n.flows) }

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -16,7 +15,7 @@ import (
 // what makes runs deterministic.
 type Engine struct {
 	now    time.Duration
-	events eventHeap
+	events []*Timer // binary min-heap on (at, seq)
 	seq    uint64
 	rng    *rand.Rand
 	onFire func(at time.Duration)
@@ -55,21 +54,25 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// Timer is a handle to a scheduled event.
+// Timer is a scheduled event and the caller's handle to it.
 type Timer struct {
-	ev *event
+	at        time.Duration
+	seq       uint64
+	fn        func()
+	cancelled bool
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op. A nil timer is safe to cancel.
+// already-cancelled timer is a no-op. A nil timer is safe to cancel. A
+// cancelled event stays queued and is dropped when it reaches the front.
 func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.cancelled = true
+	if t != nil {
+		t.cancelled = true
 	}
 }
 
 // Cancelled reports whether the timer was cancelled before firing.
-func (t *Timer) Cancelled() bool { return t != nil && t.ev != nil && t.ev.cancelled }
+func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (fires at the current instant, after already-queued events for
@@ -90,10 +93,10 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	tm := &Timer{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
+	e.push(tm)
+	return tm
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
@@ -101,8 +104,8 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 //
 //lint:hotpath the simulator's inner loop; the benchmarks assert 0 allocs/op
 func (e *Engine) Step() bool {
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*event)
+	for len(e.events) > 0 {
+		ev := e.pop()
 		if ev.cancelled {
 			continue
 		}
@@ -131,20 +134,13 @@ func (e *Engine) Run(maxEvents int) error {
 // RunUntil fires events with virtual time <= deadline, then sets the clock
 // to deadline. Events scheduled beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for e.events.Len() > 0 {
-		ev := e.events[0]
-		if ev.cancelled {
-			heap.Pop(&e.events)
-			continue
-		}
-		if ev.at > deadline {
+	for len(e.events) > 0 {
+		if ev := e.events[0]; ev.cancelled {
+			e.pop()
+		} else if ev.at > deadline {
 			break
-		}
-		heap.Pop(&e.events)
-		e.now = ev.at
-		ev.fn()
-		if e.onFire != nil {
-			e.onFire(ev.at)
+		} else {
+			e.Step()
 		}
 	}
 	if e.now < deadline {
@@ -152,50 +148,63 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
-type event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int
+// before is the queue's order: (time, insertion sequence), so simultaneous
+// events fire FIFO. Sequence numbers are unique, so the order is total and
+// the pop order does not depend on how the heap happens to be laid out.
+//
+//lint:hotpath compared on every schedule/fire
+func (t *Timer) before(u *Timer) bool {
+	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
 }
 
-// eventHeap orders by (time, insertion sequence) for deterministic FIFO
-// behaviour among simultaneous events.
-type eventHeap []*event
-
-//lint:hotpath heap op on every schedule/fire
-func (h eventHeap) Len() int { return len(h) }
-
-//lint:hotpath heap op on every schedule/fire
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//lint:hotpath heap op on every schedule/fire
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-//lint:hotpath heap op on every schedule/fire; *event values are pointer-shaped, so boxing into any is free
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+// push queues t. It sifts a hole up from the new leaf and writes t once,
+// instead of swapping at every level.
+//
+//lint:hotpath heap op on every schedule
+func (e *Engine) push(t *Timer) {
 	//lint:ignore allocfree amortized: the heap's backing array grows to the pending-event high-water mark once
-	*h = append(*h, ev)
+	e.events = append(e.events, t)
+	h := e.events
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = t
 }
 
-//lint:hotpath heap op on every schedule/fire; *event values are pointer-shaped, so boxing into any is free
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest queued event; the queue must not
+// be empty. The last leaf sifts down from the root through a moving hole.
+//
+//lint:hotpath heap op on every fire
+func (e *Engine) pop() *Timer {
+	h := e.events
+	top, n := h[0], len(h)-1
+	t := h[n]
+	h[n] = nil
+	h = h[:n]
+	e.events = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(t) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = t
+	}
+	return top
 }

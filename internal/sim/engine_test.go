@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -234,5 +236,140 @@ func TestFireObserverCountsFires(t *testing.T) {
 		if plain[i] != times[i] {
 			t.Fatalf("observer changed firing times: %v vs %v", plain, times)
 		}
+	}
+}
+
+// queueModel is the reference the event queue is checked against: the
+// live (scheduled, neither fired nor cancelled) events in a plain slice,
+// fired by sorting on (at, seq). It mirrors every engine call, including
+// the children some handlers schedule while they fire.
+type queueModel struct {
+	now   time.Duration
+	seq   int
+	live  []modelEvent
+	fired []int
+	child map[int]time.Duration // event id -> delay of the event its handler schedules
+}
+
+type modelEvent struct {
+	at      time.Duration
+	seq, id int
+}
+
+func (m *queueModel) add(at time.Duration) (id int) {
+	if at < m.now {
+		at = m.now
+	}
+	id = m.seq
+	m.live = append(m.live, modelEvent{at: at, seq: m.seq, id: id})
+	m.seq++
+	return id
+}
+
+func (m *queueModel) cancel(id int) {
+	for i, ev := range m.live {
+		if ev.id == id {
+			m.live = append(m.live[:i], m.live[i+1:]...)
+			return
+		}
+	}
+}
+
+// step fires the earliest live event no later than deadline.
+func (m *queueModel) step(deadline time.Duration) bool {
+	sort.Slice(m.live, func(i, j int) bool {
+		a, b := m.live[i], m.live[j]
+		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	})
+	if len(m.live) == 0 || m.live[0].at > deadline {
+		return false
+	}
+	ev := m.live[0]
+	m.live = m.live[1:]
+	m.now = ev.at
+	m.fired = append(m.fired, ev.id)
+	if d, ok := m.child[ev.id]; ok {
+		m.add(m.now + d)
+	}
+	return true
+}
+
+// Property: under any seeded interleaving of At, Schedule, Cancel, Step
+// and RunUntil — with past times, negative delays, ties, cancellations of
+// fired and of already-cancelled timers, and handlers that schedule from
+// inside a fire — events fire in exactly the order of the sorted model,
+// and the clock and Pending agree with it after every call.
+func TestQuickQueueMatchesSortedModel(t *testing.T) {
+	const never = time.Duration(1<<63 - 1)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		e := New(seed)
+		m := &queueModel{child: map[int]time.Duration{}}
+		var fired []int
+		var timers []*Timer // indexed by event id
+		var handler func(id int) func()
+		handler = func(id int) func() {
+			return func() {
+				fired = append(fired, id)
+				if d, ok := m.child[id]; ok {
+					timers = append(timers, e.Schedule(d, handler(len(timers))))
+				}
+			}
+		}
+		ms := func(lo, hi int) time.Duration { return time.Duration(lo+r.Intn(hi-lo)) * time.Millisecond }
+		for op := 0; op < 60+r.Intn(200); op++ {
+			switch k := r.Intn(10); {
+			case k < 3:
+				at := e.Now() + ms(-5, 40)
+				id := m.add(at)
+				if r.Intn(4) == 0 {
+					m.child[id] = ms(0, 20)
+				}
+				timers = append(timers, e.At(at, handler(id)))
+			case k < 5:
+				d := ms(-3, 30)
+				timers = append(timers, e.Schedule(d, handler(m.add(m.now+max(d, 0)))))
+			case k < 7:
+				if len(timers) > 0 {
+					id := r.Intn(len(timers))
+					timers[id].Cancel()
+					m.cancel(id)
+				}
+			case k < 9:
+				if e.Step() != m.step(never) {
+					t.Logf("seed %d: Step disagreed with the model", seed)
+					return false
+				}
+			default:
+				deadline := e.Now() + ms(0, 40)
+				e.RunUntil(deadline)
+				for m.step(deadline) {
+				}
+				m.now = deadline
+			}
+			if e.Now() != m.now || e.Pending() != len(m.live) {
+				t.Logf("seed %d: now %v pending %d, model now %v live %d", seed, e.Now(), e.Pending(), m.now, len(m.live))
+				return false
+			}
+		}
+		if err := e.Run(0); err != nil {
+			return false
+		}
+		for m.step(never) {
+		}
+		if len(fired) != len(m.fired) {
+			t.Logf("seed %d: fired %d events, model %d", seed, len(fired), len(m.fired))
+			return false
+		}
+		for i := range fired {
+			if fired[i] != m.fired[i] {
+				t.Logf("seed %d: fire %d was event %d, model says %d", seed, i, fired[i], m.fired[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
