@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint loc bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint loc identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -43,12 +43,20 @@ loc: | $(ARTIFACTS)
 	sh scripts/loc.sh > $(ARTIFACTS)/loc.txt
 	@tail -n 2 $(ARTIFACTS)/loc.txt
 
+# identity: the bit-identity gate for a change that must not move the
+# emulation — build PARENT and the working tree, run the fixed artifact
+# set on both (scripts/identity.sh lists it), print "identical" or the
+# first differing file and line.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
+	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/identity.sh "$(PARENT)"
+
 # bench-alloc: run the //lint:hotpath benchmarks with -benchmem and fail
 # on any nonzero allocs/op — the runtime half of the allocfree analyzer's
 # static contract. Not run under -race (instrumentation allocates).
 bench-alloc: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkHotpath' -benchmem \
-		./internal/wire ./internal/trace ./internal/sim ./internal/netem ./internal/simpeer > $(ARTIFACTS)/bench-alloc.txt || \
+		./internal/wire ./internal/trace ./internal/sim ./internal/netem ./internal/core ./internal/simpeer > $(ARTIFACTS)/bench-alloc.txt || \
 		{ cat $(ARTIFACTS)/bench-alloc.txt; exit 1; }
 	@cat $(ARTIFACTS)/bench-alloc.txt
 	@awk '/^BenchmarkHotpath/ { seen++; if ($$(NF-1) != 0) { print "bench-alloc: " $$1 " allocates " $$(NF-1) " allocs/op, want 0"; bad = 1 } } \

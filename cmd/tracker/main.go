@@ -11,11 +11,24 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"p2psplice/internal/debughttp"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracker"
 )
+
+// The tracker's read limits, debughttp's: a client that never finishes
+// its request is disconnected, not left pinning a goroutine and a socket.
+// Variables so a test can shorten them.
+var (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
 
 func main() {
 	var (
@@ -54,7 +67,7 @@ func main() {
 	}
 
 	fmt.Printf("tracker listening on http://%s (peer TTL %v)\n", *listen, *ttl)
-	if err := http.ListenAndServe(*listen, srv.Handler()); err != nil {
+	if err := newHTTPServer(*listen, srv.Handler()).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "tracker:", err)
 		os.Exit(1)
 	}

@@ -1,7 +1,8 @@
 // Package core implements the paper's download-policy contribution: the
 // adaptive pooling formula (Equation 1) that bounds how many segments a peer
 // downloads simultaneously, the fixed-pool baseline it is evaluated against,
-// and the Section IV segment-size rule for hybrid CDN/P2P systems.
+// the scheduler that fills that pool on both stacks (scheduler.go), and the
+// Section IV segment-size rule for hybrid CDN/P2P systems.
 package core
 
 import (

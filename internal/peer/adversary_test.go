@@ -254,7 +254,7 @@ func TestCorrupterQuarantinedAndViewerRecovers(t *testing.T) {
 // Sole-source liveness: the only source is an intermittent polluter
 // (pure-hash per-attempt draws, seed chosen so the first serve of at
 // least one segment pollutes). The viewer quarantines it after the first
-// failure yet still completes — the pickConn escape hatch re-admits a
+// failure yet still completes — the scheduler's escape hatch re-admits a
 // quarantined sole source, and the tracker-driven redial loop restores
 // the connection its verify failures keep closing.
 func TestPolluterSoleSourceEscapeHatchCompletes(t *testing.T) {

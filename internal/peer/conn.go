@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"p2psplice/internal/core"
 	"p2psplice/internal/wire"
 )
 
@@ -16,9 +18,13 @@ type conn struct {
 	raw    net.Conn
 	wmu    sync.Mutex   // serializes writes
 	wr     *wire.Writer // reusable encode buffer, guarded by wmu
-	mu     sync.Mutex   // guards have and closed
-	have   []bool       // remote's bitfield
-	closed bool
+	closed atomic.Bool  // set by close
+
+	// src is the remote as the scheduler sees it: ID the connection's
+	// arrival number, Have the remote's bitfield, Uploads our own downloads
+	// in flight on it (all of its load a node can see), Score and
+	// Quarantined as of the last schedule.
+	src core.Source // guarded by node.mu
 
 	// Upload-slot state: serving marks an occupied unchoke slot, waiting
 	// marks membership in the choked-waiters queue, and lastServe drives
@@ -27,9 +33,9 @@ type conn struct {
 	waiting   bool      // guarded by node.mu
 	lastServe time.Time // guarded by node.mu
 
-	// choked (guarded by c.mu) records that the REMOTE choked us: it will
-	// not answer requests until it unchokes.
-	choked bool
+	// choked records that the REMOTE choked us: it will not answer requests
+	// until it unchokes.
+	choked bool // guarded by node.mu
 }
 
 // startConn registers the connection, exchanges bitfields, and runs the
@@ -40,7 +46,7 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 		id:   id,
 		raw:  raw,
 		wr:   wire.NewWriter(raw),
-		have: make([]bool, n.store.Segments()),
+		src:  core.Source{Have: make([]bool, n.store.Segments())},
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -54,6 +60,8 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 		return nil // already connected (simultaneous dial) or self
 	}
 	n.conns[id] = c
+	c.src.Owner, c.src.ID = c, n.connSeq
+	n.connSeq++
 	n.mu.Unlock()
 
 	if err := c.send(&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(n.store.Bitfield())}); err != nil {
@@ -88,16 +96,7 @@ func (n *Node) dropConn(c *conn, err error) {
 			}
 		}
 	}
-	var orphaned []*segDownload
-	for _, d := range n.active {
-		if d.conn == c {
-			orphaned = append(orphaned, d)
-		}
-	}
-	for _, d := range orphaned {
-		n.dropActiveLocked(d.index)
-		n.est.Finish(n.now())
-	}
+	orphaned := n.orphanLocked(c)
 	n.mu.Unlock()
 	if unchoke != nil {
 		if err := unchoke.send(&wire.Message{Type: wire.MsgUnchoke}); err != nil {
@@ -107,9 +106,22 @@ func (n *Node) dropConn(c *conn, err error) {
 	if err != nil {
 		n.cfg.Logf("peer %s: conn %s: %v", n.peerID, c.id, err)
 	}
-	if len(orphaned) > 0 {
+	if orphaned > 0 {
 		n.schedule()
 	}
+}
+
+// orphanLocked takes every download assigned to c out of the pool (n.mu
+// held) and reports how many there were.
+func (n *Node) orphanLocked(c *conn) (orphaned int) {
+	for idx, d := range n.active {
+		if d.conn == c {
+			n.dropActiveLocked(idx)
+			n.est.Finish(n.now())
+			orphaned++
+		}
+	}
+	return orphaned
 }
 
 // send writes one message, serialized against concurrent senders. The
@@ -125,30 +137,9 @@ func (c *conn) send(m *wire.Message) error {
 
 // close shuts the underlying conn; safe to call multiple times.
 func (c *conn) close() {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !already {
+	if !c.closed.Swap(true) {
 		_ = c.raw.Close()
 	}
-}
-
-// isClosed reports whether close has run. The scheduler checks it
-// before assigning a download: between close() and the asynchronous
-// dropConn that removes the conn from n.conns, the dead conn is still
-// listed and would otherwise be picked again.
-func (c *conn) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// remoteHas reports whether the remote holds segment i.
-func (c *conn) remoteHas(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return i >= 0 && i < len(c.have) && c.have[i]
 }
 
 // readLoop processes inbound messages until the connection fails. The
@@ -171,18 +162,18 @@ func (c *conn) readLoop() error {
 			if err != nil {
 				return err
 			}
-			c.mu.Lock()
-			copy(c.have, have)
-			c.mu.Unlock()
+			c.node.mu.Lock()
+			copy(c.src.Have, have)
+			c.node.mu.Unlock()
 			c.node.schedule()
 		case wire.MsgHave:
 			idx := int(m.Index)
 			if idx >= c.node.store.Segments() {
 				return fmt.Errorf("peer: have for segment %d of %d", idx, c.node.store.Segments())
 			}
-			c.mu.Lock()
-			c.have[idx] = true
-			c.mu.Unlock()
+			c.node.mu.Lock()
+			c.src.Have[idx] = true
+			c.node.mu.Unlock()
 			c.node.schedule()
 		case wire.MsgRequest:
 			if err := c.serveBlock(m); err != nil {
@@ -191,14 +182,11 @@ func (c *conn) readLoop() error {
 		case wire.MsgPiece:
 			c.node.onPiece(c, m)
 		case wire.MsgChoke:
-			c.mu.Lock()
-			c.choked = true
-			c.mu.Unlock()
 			c.node.abandonDownloadsOn(c)
 		case wire.MsgUnchoke:
-			c.mu.Lock()
+			c.node.mu.Lock()
 			c.choked = false
-			c.mu.Unlock()
+			c.node.mu.Unlock()
 			c.node.schedule()
 		case wire.MsgCancel, wire.MsgKeepAlive,
 			wire.MsgInterested, wire.MsgNotInterested:
@@ -260,13 +248,6 @@ func (c *conn) serveBlock(m *wire.Message) error {
 	return nil
 }
 
-// remoteChoked reports whether the remote has choked us.
-func (c *conn) remoteChoked() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.choked
-}
-
 // releaseSlotLocked frees c's upload slot (node.mu held) and returns the
 // waiter to unchoke, if any.
 func (n *Node) releaseSlotLocked(c *conn) *conn {
@@ -310,22 +291,14 @@ func (n *Node) reapIdleSlots() {
 	}
 }
 
-// abandonDownloadsOn reschedules in-flight downloads assigned to a conn
-// that just choked us.
+// abandonDownloadsOn records that c's remote just choked us and
+// reschedules the downloads assigned to it.
 func (n *Node) abandonDownloadsOn(c *conn) {
 	n.mu.Lock()
-	var orphaned []int
-	for idx, d := range n.active {
-		if d.conn == c {
-			orphaned = append(orphaned, idx)
-		}
-	}
-	for _, idx := range orphaned {
-		n.dropActiveLocked(idx)
-		n.est.Finish(n.now())
-	}
+	c.choked = true
+	orphaned := n.orphanLocked(c)
 	n.mu.Unlock()
-	if len(orphaned) > 0 {
+	if orphaned > 0 {
 		n.schedule()
 	}
 }

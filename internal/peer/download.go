@@ -3,12 +3,15 @@ package peer
 import (
 	"time"
 
+	"p2psplice/internal/core"
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/wire"
 )
 
-// segDownload tracks one in-flight segment transfer.
+// segDownload tracks one in-flight segment transfer. started and progress
+// are on the playback clock (n.now), like every other time the scheduler
+// reads.
 type segDownload struct {
 	index     int
 	size      int
@@ -16,60 +19,41 @@ type segDownload struct {
 	buf       []byte
 	blocks    []bool // received flags
 	remaining int
-	started   time.Time
-	progress  time.Time // last block arrival (watchdog)
+	started   time.Duration
+	progress  time.Duration // last block arrival (watchdog)
 }
 
-// schedule tops up the download pool according to the policy. It is the
-// real-stack twin of the emulation's fill: called on join, on every
-// have/bitfield/piece event, and from the watchdog.
+// schedule tops up the download pool: the real stack's driver of
+// internal/core's scheduler, as simpeer.fill is the emulation's. Called on
+// join, on every have/bitfield/piece/unchoke event and by the watchdog, it
+// gathers the node's facts under n.mu and sends block requests unlocked.
 func (n *Node) schedule() {
 	if n.seeder {
 		return
 	}
-	type request struct {
-		c   *conn
-		idx int
-	}
-	var launches []request
+	var launches []*segDownload
 	var target, activeAfter int
 
 	n.mu.Lock()
-	if !n.closed && !n.store.Complete() {
-		target = n.poolTargetLocked()
+	if first := n.pool.FirstWanted(); !n.closed && first >= 0 {
+		now := n.now()
+		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
+		// before its first sample), T the playback buffer, W the size of first.
+		bandwidth := n.est.Estimate()
+		if bandwidth <= 0 {
+			bandwidth = n.manifest.Video.BytesPerSecond
+		}
+		target = n.cfg.Policy.PoolSize(bandwidth, n.play.BufferedAhead(now), n.manifest.Segments[first].Bytes)
 		n.qoe.PoolK.Observe(int64(target))
-		// Fill the pool with the first `target` missing segments some
-		// connected peer can serve. Segments already in flight or currently
-		// unservable (choked or absent sources) are skipped without
-		// consuming pool budget: an earlier version capped the scan at
-		// `target` considered segments, so a choked segment at the front of
-		// the window could exhaust the budget and leave the pool empty with
-		// servable segments just behind it — a scheduler-induced stall. (It
-		// also counted each launch twice, in n.active and in launches,
-		// halving the effective pool.)
-		for idx := 0; idx < n.store.Segments() && len(n.active) < target; idx++ {
-			if n.store.Have(idx) {
-				continue
-			}
-			if _, inFlight := n.active[idx]; inFlight {
-				continue
-			}
-			if c := n.pickConnLocked(idx); c != nil {
-				size := int(n.manifest.Segments[idx].Bytes)
-				d := &segDownload{
-					index:    idx,
-					size:     size,
-					conn:     c,
-					buf:      make([]byte, size),
-					blocks:   make([]bool, wire.BlockCount(int64(size), n.cfg.BlockLen)),
-					started:  time.Now(),
-					progress: time.Now(),
+		if n.pool.InFlight < target {
+			n.buildSourceSetLocked(now)
+			// The node cannot see a swarm-wide availability frontier, so
+			// the scan never cuts early.
+			n.set.Fill(&n.pool, first, target, len(n.pool.Have)-1, func(idx int, src *core.Source, _ bool) {
+				if src != nil {
+					launches = append(launches, n.launchLocked(src.Owner.(*conn), idx, now))
 				}
-				d.remaining = len(d.blocks)
-				n.active[idx] = d
-				n.est.Start(n.now())
-				launches = append(launches, request{c: c, idx: idx})
-			}
+			})
 		}
 		activeAfter = len(n.active)
 	}
@@ -88,78 +72,45 @@ func (n *Node) schedule() {
 			trace.Int64("target", int64(target)))
 	}
 
-	for _, l := range launches {
-		n.requestAllBlocks(l.c, l.idx)
+	for _, d := range launches {
+		n.requestAllBlocks(d)
 	}
 }
 
-// poolTargetLocked computes Equation 1's k with the node's live inputs:
-// B from the EWMA estimator (falling back to the clip rate before the first
-// sample), T from the playback buffer, W from the next missing segment.
-func (n *Node) poolTargetLocked() int {
-	bandwidth := n.est.Estimate()
-	if bandwidth <= 0 {
-		bandwidth = n.manifest.Video.BytesPerSecond
-	}
-	var buffered time.Duration
-	if n.play != nil {
-		buffered = n.play.BufferedAhead(n.now())
-	}
-	segBytes := int64(1)
-	for idx := 0; idx < n.store.Segments(); idx++ {
-		if !n.store.Have(idx) {
-			segBytes = n.manifest.Segments[idx].Bytes
-			break
-		}
-	}
-	return n.cfg.Policy.PoolSize(bandwidth, buffered, segBytes)
-}
-
-// pickConnLocked returns the connection to fetch idx from: among live,
-// non-quarantined conns whose remote has the segment, the one with the
-// lowest decayed reputation score, ties broken by least busy. When every
-// candidate is quarantined a second pass re-admits them — the sole-source
-// escape hatch: a swarm whose remaining sources all misbehaved must still
-// drain rather than strand the segment. Closed conns are skipped — a
-// verify failure closes the serving conn, and until its asynchronous
-// dropConn runs the conn is still in n.conns, so without the check the
-// immediate reschedule re-picked the dead conn and the segment stranded
-// until the drop or the watchdog.
-func (n *Node) pickConnLocked(idx int) *conn {
-	busy := make(map[*conn]int)
-	for _, d := range n.active {
-		busy[d.conn]++
-	}
-	if c := n.pickConnPassLocked(idx, busy, false); c != nil {
-		return c
-	}
-	return n.pickConnPassLocked(idx, busy, true)
-}
-
-// pickConnPassLocked runs one selection pass over the connection set
-// (n.mu held); allowQuarantined opens the escape hatch.
-func (n *Node) pickConnPassLocked(idx int, busy map[*conn]int, allowQuarantined bool) *conn {
-	now := n.now()
-	var best *conn
-	bestBusy := 0
-	bestScore := 0.0
+// buildSourceSetLocked gathers the socket's facts for a fill at now (n.mu
+// held): every connection that is open and has not choked us, with its
+// reputation as of now, full at MaxConcurrentPerConn of our downloads. A
+// conn closed by a verify failure stays in n.conns until its asynchronous
+// dropConn; skipping it keeps the immediate reschedule off the dead conn.
+func (n *Node) buildSourceSetLocked(now time.Duration) {
+	n.set.Reset(nil, n.cfg.MaxConcurrentPerConn)
 	for _, c := range n.conns {
-		if c.isClosed() || !c.remoteHas(idx) || c.remoteChoked() {
+		if c.choked || c.closed.Load() {
 			continue
 		}
-		if busy[c] >= n.cfg.MaxConcurrentPerConn {
-			continue
-		}
-		if !allowQuarantined && n.rep.Quarantined(c.id, now) {
-			continue
-		}
-		score := n.rep.Score(c.id, now)
-		if best == nil || score < bestScore ||
-			(score == bestScore && busy[c] < bestBusy) {
-			best, bestBusy, bestScore = c, busy[c], score
-		}
+		c.src.Score = n.rep.Score(c.id, now)
+		c.src.Quarantined = n.rep.Quarantined(c.id, now)
+		n.set.Add(&c.src)
 	}
-	return best
+}
+
+// launchLocked registers the download of segment idx from c (n.mu held);
+// the scheduler enters it into the pool and c's load.
+func (n *Node) launchLocked(c *conn, idx int, now time.Duration) *segDownload {
+	size := int(n.manifest.Segments[idx].Bytes)
+	d := &segDownload{
+		index:    idx,
+		size:     size,
+		conn:     c,
+		buf:      make([]byte, size),
+		blocks:   make([]bool, wire.BlockCount(int64(size), n.cfg.BlockLen)),
+		started:  now,
+		progress: now,
+	}
+	d.remaining = len(d.blocks)
+	n.active[idx] = d
+	n.est.Start(now)
+	return d
 }
 
 // dropActiveLocked removes segment idx from the download pool (n.mu
@@ -167,27 +118,25 @@ func (n *Node) pickConnPassLocked(idx int, busy map[*conn]int, allowQuarantined 
 // stall this call reveals is attributed with the download still in the
 // pool (see trace.StallFacts).
 func (n *Node) dropActiveLocked(idx int) {
-	if n.play != nil {
-		n.play.Position(n.now())
-	}
+	n.play.Position(n.now())
+	n.pool.Drop(idx, &n.active[idx].conn.src)
 	delete(n.active, idx)
 }
 
 // requestAllBlocks pipelines every block request for a segment.
-func (n *Node) requestAllBlocks(c *conn, idx int) {
-	size := int(n.manifest.Segments[idx].Bytes)
-	for off := 0; off < size; off += n.cfg.BlockLen {
+func (n *Node) requestAllBlocks(d *segDownload) {
+	for off := 0; off < d.size; off += n.cfg.BlockLen {
 		length := n.cfg.BlockLen
-		if off+length > size {
-			length = size - off
+		if off+length > d.size {
+			length = d.size - off
 		}
-		if err := c.send(&wire.Message{
+		if err := d.conn.send(&wire.Message{
 			Type:   wire.MsgRequest,
-			Index:  uint32(idx),
+			Index:  uint32(d.index),
 			Offset: uint32(off),
 			Length: uint32(length),
 		}); err != nil {
-			c.close()
+			d.conn.close()
 			return
 		}
 	}
@@ -217,17 +166,18 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		d.blocks[block] = true
 		d.remaining--
 		copy(d.buf[off:], m.Data)
-		d.progress = time.Now()
+		d.progress = n.now()
 		n.stats.DownloadedBytes += int64(len(m.Data))
 		n.est.Deliver(int64(len(m.Data)))
 		n.nm.blocksRx.Inc()
 		n.nm.bytesRx.Add(int64(len(m.Data)))
 	}
 	if d.remaining == 0 {
+		now := n.now()
 		n.dropActiveLocked(idx)
 		completed = d.buf
-		elapsed = time.Since(d.started)
-		n.est.Finish(n.now())
+		elapsed = now - d.started
+		n.est.Finish(now)
 	}
 	n.mu.Unlock()
 
@@ -263,6 +213,11 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
+	// Stored: tell the scheduler at once. Until then the segment is out of
+	// the pool and not yet held, and a concurrent schedule re-requests it.
+	n.mu.Lock()
+	n.pool.Store(idx)
+	n.mu.Unlock()
 	// A verified completion earns the server credit, unless it crawled in
 	// below the slow-serve floor.
 	n.observePeer(c.id, n.rep.Config().ServeObservation(int64(d.size), elapsed))
@@ -273,10 +228,8 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		trace.Int64("bytes", int64(d.size)),
 		trace.Int64("elapsed_us", elapsed.Microseconds()))
 	n.mu.Lock()
-	if n.play != nil {
-		// Errors are impossible: idx was validated against the store size.
-		_ = n.play.OnSegmentComplete(idx, n.now())
-	}
+	// Errors are impossible: idx was validated against the store size.
+	_ = n.play.OnSegmentComplete(idx, n.now())
 	complete := n.store.Complete()
 	n.mu.Unlock()
 
@@ -292,10 +245,11 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 func (n *Node) expireStalled() {
 	var stalled []*segDownload
 	n.mu.Lock()
+	now := n.now()
 	for idx, d := range n.active {
-		if time.Since(d.progress) > n.cfg.DownloadTimeout {
+		if now-d.progress > n.cfg.DownloadTimeout {
 			n.dropActiveLocked(idx)
-			n.est.Finish(n.now())
+			n.est.Finish(now)
 			n.stats.ExpiredDownloads++
 			stalled = append(stalled, d)
 		}

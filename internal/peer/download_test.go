@@ -45,9 +45,10 @@ func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn
 		node:   n,
 		id:     pid,
 		raw:    server,
-		have:   append([]bool(nil), have...),
+		src:    core.Source{ID: int(id), Have: append([]bool(nil), have...)},
 		choked: choked,
 	}
+	c.src.Owner = c
 	n.mu.Lock()
 	n.conns[pid] = c
 	n.mu.Unlock()
@@ -117,22 +118,18 @@ func (s *failPutStore) Put(i int, blob []byte) error {
 	return s.SegmentStore.Put(i, blob)
 }
 
-// injectDownload registers an in-flight segment download as the scheduler
-// would, with controllable progress freshness.
-func injectDownload(n *Node, c *conn, idx, size int, progress time.Time) {
-	d := &segDownload{
-		index:    idx,
-		size:     size,
-		conn:     c,
-		buf:      make([]byte, size),
-		blocks:   make([]bool, wire.BlockCount(int64(size), n.cfg.BlockLen)),
-		started:  progress,
-		progress: progress,
-	}
-	d.remaining = len(d.blocks)
+// injectDownload registers an in-flight download of segment idx on c as
+// the scheduler would, its last progress age ago. On a live node the
+// tracker loop's own schedule may have launched idx already; that
+// download is replaced.
+func injectDownload(n *Node, c *conn, idx int, age time.Duration) {
 	n.mu.Lock()
-	n.active[idx] = d
-	n.est.Start(n.now())
+	if n.active[idx] != nil {
+		n.dropActiveLocked(idx)
+		n.est.Finish(n.now())
+	}
+	n.pool.Start(idx, &c.src)
+	n.launchLocked(c, idx, n.now()-age)
 	n.mu.Unlock()
 }
 
@@ -174,7 +171,7 @@ func TestStoreFailureReschedulesImmediately(t *testing.T) {
 	ca := addFakeConn(t, n, 'a', all, false)
 	addFakeConn(t, n, 'b', all, false)
 
-	injectDownload(n, ca, 0, len(blobs[0]), time.Now())
+	injectDownload(n, ca, 0, 0)
 	feedSegment(n, ca, 0, blobs[0])
 
 	// The assertion runs synchronously after onPiece: the watchdog (1s
@@ -193,7 +190,7 @@ func TestStoreFailureReschedulesImmediately(t *testing.T) {
 // conn.close() → dropConn for the reschedule, a no-op on an
 // already-closed connection.
 func TestExpireStalledReschedulesOnLiveConn(t *testing.T) {
-	m, blobs := testSwarmData(t, 4*time.Second, 2*time.Second)
+	m, _ := testSwarmData(t, 4*time.Second, 2*time.Second)
 	cfg := fastConfig()
 	cfg.Policy = core.FixedPool{K: 1}
 	cfg.DownloadTimeout = 50 * time.Millisecond
@@ -210,7 +207,7 @@ func TestExpireStalledReschedulesOnLiveConn(t *testing.T) {
 	cb := addFakeConn(t, n, 'b', all, false)
 	ca.close()
 
-	injectDownload(n, ca, 0, len(blobs[0]), time.Now().Add(-time.Second))
+	injectDownload(n, ca, 0, time.Second)
 	n.expireStalled()
 
 	act := activeIndices(n)

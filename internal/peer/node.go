@@ -139,9 +139,14 @@ type Node struct {
 	// handles are lock-free; its transition methods run under mu.
 	qoe *trace.QoE
 
-	mu     sync.Mutex // guards conns, active, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
-	conns  map[wire.PeerID]*conn
-	active map[int]*segDownload // in-flight segment downloads
+	mu      sync.Mutex // guards conns, connSeq, active, pool, set, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
+	conns   map[wire.PeerID]*conn
+	connSeq int                  // connections registered so far: the next conn's source ID
+	active  map[int]*segDownload // in-flight segment downloads
+	// pool is this node as the scheduler sees it: Have mirrors the store,
+	// Fetching active's keys. set is schedule's source-set scratch.
+	pool core.Pool
+	set  core.SourceSet
 	// rep scores remote peers by ID — the stable identity a repeat
 	// offender keeps across reconnects. The scheduler deprioritizes high
 	// scores and skips quarantined peers, so a peer serving corrupt data
@@ -314,6 +319,7 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		qoe:       trace.NewQoE(cfg.Trace, cfg.Metrics, "p2p", m.Splicing, nil, 1),
 		conns:     make(map[wire.PeerID]*conn),
 		active:    make(map[int]*segDownload),
+		pool:      core.NewPool(store.Bitfield()),
 		dialState: make(map[string]*dialBackoff),
 		rep:       reputation.NewTable[wire.PeerID](*cfg.Reputation),
 		play:      play,

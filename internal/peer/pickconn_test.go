@@ -4,9 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"p2psplice/internal/container"
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/wire"
 )
+
+// The selection rules themselves — ranking, the two classes, the escape
+// hatch — are tested on internal/core (TestPickTable). The tests here are
+// the node's half: that the facts it gathers from its connection set,
+// download pool and reputation table make the core reach the choice each
+// of these regressions pinned when selection was the node's own code.
 
 func pickTestNode() *Node {
 	cfg := Config{}.withDefaults()
@@ -19,140 +26,207 @@ func pickTestNode() *Node {
 	}
 }
 
-func pickTestConn(n *Node, tag string, segments int) *conn {
-	var id wire.PeerID
-	copy(id[:], tag)
-	c := &conn{id: id, have: make([]bool, segments)}
-	for i := range c.have {
-		c.have[i] = true
+// pickManifest is a four-segment clip.
+func pickManifest(t *testing.T) *container.Manifest {
+	t.Helper()
+	m, _ := testSwarmData(t, 8*time.Second, 2*time.Second)
+	return m
+}
+
+// pickNode is an offline leecher (no goroutines, no sockets) on
+// pickManifest.
+func pickNode(t *testing.T) *Node {
+	t.Helper()
+	return offlineLeecher(t, pickManifest(t), nil)
+}
+
+// holder registers a fake connection whose remote holds every segment.
+func holder(t *testing.T, n *Node, id byte) *conn {
+	t.Helper()
+	all := make([]bool, len(n.pool.Have))
+	for i := range all {
+		all[i] = true
 	}
-	n.conns[id] = c
-	return c
+	return addFakeConn(t, n, id, all, false)
+}
+
+// pick gathers the node's facts and returns the connection the scheduler
+// would fetch segment idx from.
+func pick(n *Node, idx int) *conn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.buildSourceSetLocked(n.now())
+	if src := n.set.Pick(idx); src != nil {
+		return src.Owner.(*conn)
+	}
+	return nil
+}
+
+// drop removes c from the connection set and its downloads from the pool,
+// as dropConn does.
+func drop(n *Node, c *conn) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.conns, c.id)
+	for idx, d := range n.active {
+		if d.conn == c {
+			n.dropActiveLocked(idx)
+		}
+	}
 }
 
 // Regression: a verify failure closes the serving conn, but the conn
 // stays in n.conns until its reader goroutine runs dropConn. The
 // immediate reschedule must not hand the segment back to the dead conn
-// — pre-fix, pickConnLocked did exactly that and the segment stranded
-// until the watchdog.
+// — pre-fix the segment stranded until the watchdog.
 func TestPickConnSkipsClosedConns(t *testing.T) {
-	n := pickTestNode()
-	dead := pickTestConn(n, "DEAD-CONN-DEAD-CONN-", 4)
-	dead.closed = true
-
-	n.mu.Lock()
-	got := n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != nil {
-		t.Fatal("pickConnLocked returned a closed conn")
+	n := pickNode(t)
+	dead := holder(t, n, 'a')
+	dead.close()
+	if got := pick(n, 0); got != nil {
+		t.Fatal("picked a closed conn")
 	}
-
 	// With a live alternative present, the closed conn must lose even
 	// though it looks less busy (its downloads were orphaned).
-	live := pickTestConn(n, "LIVE-CONN-LIVE-CONN-", 4)
-	n.active[1] = &segDownload{index: 1, conn: live}
-	n.mu.Lock()
-	got = n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != live {
-		t.Fatalf("pickConnLocked = %v, want the live conn", got)
+	live := holder(t, n, 'b')
+	injectDownload(n, live, 1, 0)
+	if got := pick(n, 0); got != live {
+		t.Fatalf("picked %v, want the live conn", got)
 	}
 }
 
 // Regression: a peer that served corrupt data was re-picked over a clean
-// source whenever it was less busy, so a persistent corrupter (or a
-// malicious peer) could capture the schedule indefinitely. A recorded
-// verify failure now raises the peer's reputation score, which outranks
-// busyness.
+// source whenever it was less busy, so a persistent corrupter could
+// capture the schedule indefinitely. A recorded verify failure raises the
+// peer's reputation score, which outranks busyness.
 func TestPickConnDeprioritizesVerifyFailers(t *testing.T) {
-	n := pickTestNode()
-	bad := pickTestConn(n, "EVIL-CONN-EVIL-CONN-", 4)
-	good := pickTestConn(n, "GOOD-CONN-GOOD-CONN-", 4)
+	n := pickNode(t)
+	bad, good := holder(t, n, 'a'), holder(t, n, 'b')
 	n.rep.Observe(bad.id, n.now(), reputation.ObsVerifyFail)
-	// The clean conn is busier: pre-fix least-busy logic picked the
-	// corrupter.
-	n.active[1] = &segDownload{index: 1, conn: good}
-
-	n.mu.Lock()
-	got := n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != good {
-		t.Fatal("pickConnLocked preferred a conn with a recorded verify failure")
+	injectDownload(n, good, 1, 0) // the clean conn is busier
+	if got := pick(n, 0); got != good {
+		t.Fatal("preferred a conn with a recorded verify failure")
 	}
-
-	// The score outranks busyness, but a failing conn is still a last
-	// resort when it is the only source.
-	delete(n.conns, good.id)
-	n.mu.Lock()
-	n.dropActiveLocked(1)
-	got = n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != bad {
+	// A failing conn is still a last resort when it is the only source.
+	drop(n, good)
+	if got := pick(n, 0); got != bad {
 		t.Fatal("a sole source must still be picked despite verify failures")
 	}
 }
 
-// Regression for the scoring half of the old verifyFailsBy map: failure
-// counts never decayed, so one long-ago verify failure deprioritized a
-// peer forever against busier alternatives. Scores now decay
-// exponentially (reputation.Config.DecayHalfLife); after enough quiet
-// time the offender competes on busyness again. Pre-fix this failed —
-// the map's count was permanent.
+// Regression: failure counts never decayed, so one long-ago verify
+// failure deprioritized a peer forever against busier alternatives.
+// Scores decay exponentially (reputation.Config.DecayHalfLife); after
+// enough quiet time the offender competes on busyness again.
 func TestPickConnVerifyFailureDecays(t *testing.T) {
-	n := pickTestNode()
-	bad := pickTestConn(n, "EVIL-CONN-EVIL-CONN-", 4)
-	good := pickTestConn(n, "GOOD-CONN-GOOD-CONN-", 4)
+	n := pickNode(t)
+	bad, good := holder(t, n, 'a'), holder(t, n, 'b')
 	n.rep.Observe(bad.id, n.now(), reputation.ObsVerifyFail)
-	n.active[1] = &segDownload{index: 1, conn: good}
-
-	n.mu.Lock()
-	got := n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != good {
+	injectDownload(n, good, 1, 0)
+	if got := pick(n, 0); got != good {
 		t.Fatal("a fresh verify failure must deprioritize the offender")
 	}
-
 	// Ten quiet minutes (20 default half-lives): the score decays to the
-	// floor and snaps to zero, so least-busy wins again. The playback
-	// clock is advanced by backdating the node's start.
+	// floor and snaps to zero, so least-busy wins again. Every time the
+	// scheduler reads is on the playback clock, so backdating the node's
+	// start moves all of them.
 	n.started = n.started.Add(-10 * time.Minute)
-	n.mu.Lock()
-	got = n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != bad {
+	if got := pick(n, 0); got != bad {
 		t.Fatal("a decayed verify failure must not deprioritize the peer forever")
 	}
 }
 
 // Enough verify failures quarantine the conn outright: it loses to any
-// healthy source regardless of busyness, but remains reachable through
-// the second selection pass when it is the only source left (the
-// sole-source escape hatch).
+// healthy source regardless of busyness, but remains reachable when it is
+// the only source left (the sole-source escape hatch).
 func TestPickConnQuarantineAndEscapeHatch(t *testing.T) {
-	n := pickTestNode()
-	bad := pickTestConn(n, "EVIL-CONN-EVIL-CONN-", 4)
-	good := pickTestConn(n, "GOOD-CONN-GOOD-CONN-", 4)
+	n := pickNode(t)
+	bad, good := holder(t, n, 'a'), holder(t, n, 'b')
 	for i := 0; i < 3; i++ {
 		n.rep.Observe(bad.id, n.now(), reputation.ObsVerifyFail)
 	}
 	if !n.rep.Quarantined(bad.id, n.now()) {
 		t.Fatal("three verify failures at default costs must quarantine")
 	}
-	n.active[1] = &segDownload{index: 1, conn: good}
+	injectDownload(n, good, 1, 0)
+	if got := pick(n, 0); got != good {
+		t.Fatal("picked a quarantined conn over a healthy one")
+	}
+	drop(n, good)
+	if got := pick(n, 0); got != bad {
+		t.Fatal("escape hatch failed: a quarantined sole source must still be picked")
+	}
+}
 
-	n.mu.Lock()
-	got := n.pickConnLocked(0)
-	n.mu.Unlock()
-	if got != good {
-		t.Fatal("pickConnLocked picked a quarantined conn over a healthy one")
+// Equal score and equal load must break on the lowest source ID — the
+// oldest connection — every time. The parent ranged over the conns map
+// and kept the first best it met, so the choice among equals followed
+// Go's randomized map order.
+func TestPickTieBreaksOnLowestID(t *testing.T) {
+	m := pickManifest(t)
+	for rep := 0; rep < 100; rep++ {
+		n := offlineLeecher(t, m, nil)
+		var lowest *conn
+		for _, id := range []byte("hgfedcba") {
+			lowest = holder(t, n, id)
+		}
+		if got := pick(n, 0); got != lowest {
+			t.Fatalf("repetition %d: picked conn %q among equals, want the lowest ID %q", rep, got.id[0], lowest.id[0])
+		}
+	}
+}
+
+// The node supplies the scheduler exactly the facts DESIGN.md §4c's table
+// says it does: membership (open, unchoked, below MaxConcurrentPerConn),
+// the remote's bitfield, its own downloads on the conn as the load, the
+// reputation table's score and quarantine flag as of now — and zeros for
+// what a node cannot see.
+func TestNodeGathersSourceFacts(t *testing.T) {
+	n := pickNode(t)
+	n.cfg.MaxConcurrentPerConn = 2
+	segs := len(n.pool.Have)
+	only := func(i int) []bool { h := make([]bool, segs); h[i] = true; return h }
+	choked := addFakeConn(t, n, 'a', only(0), true)
+	closed := addFakeConn(t, n, 'b', only(1), false)
+	closed.close()
+	full := holder(t, n, 'c')
+	injectDownload(n, full, 0, 0)
+	injectDownload(n, full, 1, 0)
+	open := addFakeConn(t, n, 'd', only(2), false)
+	n.rep.Observe(open.id, n.now(), reputation.ObsSlowServe)
+	quar := addFakeConn(t, n, 'e', only(3), false)
+	for i := 0; i < 3; i++ {
+		n.rep.Observe(quar.id, n.now(), reputation.ObsVerifyFail)
 	}
 
-	delete(n.conns, good.id)
+	// Each remaining wanted segment has one holder outside {full}, so a nil
+	// pick means that holder is not in the set.
+	for idx, want := range []*conn{nil, nil, open, quar} {
+		if got := pick(n, idx); got != want {
+			t.Errorf("segment %d: picked %p, want %p of choked=%p closed=%p full=%p open=%p quarantined=%p",
+				idx, got, want, choked, closed, full, open, quar)
+		}
+	}
+	if full.src.Uploads != 2 || open.src.Uploads != 0 {
+		t.Errorf("loads = %d and %d, want the conns' 2 and 0 downloads in flight", full.src.Uploads, open.src.Uploads)
+	}
+	if open.src.Score <= 0 || open.src.Score > n.rep.Score(open.id, 0) || open.src.Quarantined {
+		t.Errorf("slow server gathered as score %v quarantined=%v", open.src.Score, open.src.Quarantined)
+	}
+	if !quar.src.Quarantined {
+		t.Error("quarantine flag not gathered")
+	}
+	for _, c := range []*conn{choked, closed, full, open, quar} {
+		if s := c.src; s.WholeClip || s.Sending != nil || s.Fetching != nil || s.Relay != nil {
+			t.Errorf("conn %q supplies a fact the node cannot see: %+v", c.id[0], s)
+		}
+	}
+	// Finishing a download returns the load.
+	drop(n, open)
 	n.mu.Lock()
 	n.dropActiveLocked(1)
-	got = n.pickConnLocked(0)
 	n.mu.Unlock()
-	if got != bad {
-		t.Fatal("escape hatch failed: a quarantined sole source must still be picked")
+	if full.src.Uploads != 1 || n.pool.InFlight != 1 || !n.pool.Wanted(1) {
+		t.Errorf("after one drop: load %d, in flight %d, wanted(1)=%v", full.src.Uploads, n.pool.InFlight, n.pool.Wanted(1))
 	}
 }

@@ -88,21 +88,18 @@ func (n *Node) stallFactsLocked(time.Duration) trace.StallFacts {
 		}
 		return f
 	}
-	next := 0
-	for next < n.store.Segments() && n.store.Have(next) {
-		next++
-	}
-	if next == n.store.Segments() {
+	next := n.pool.First
+	if next == len(n.pool.Have) {
 		f.NothingMissing = true
 		return f
 	}
 	choked := 0
 	for _, c := range n.conns {
-		if !c.remoteHas(next) {
+		if !c.src.Have[next] {
 			continue
 		}
 		f.Holders++
-		if c.remoteChoked() {
+		if c.choked {
 			choked++
 		}
 		if n.rep.Quarantined(c.id, now) {

@@ -107,6 +107,7 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if n.store, err = NewStore(len(m.Segments)); err != nil {
 		t.Fatal(err)
 	}
+	n.pool = core.NewPool(n.store.Bitfield())
 	if n.est, err = core.NewAggregateMeter(core.DefaultEWMAAlpha); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestStallClassifiedBeforePoolShrinks(t *testing.T) {
 	c := addFakeConn(t, n, 'a', all, false)
 
 	// Segment 0 starts playback; its completion schedules segment 1.
-	injectDownload(n, c, 0, len(blobs[0]), time.Now())
+	injectDownload(n, c, 0, 0)
 	feedSegment(n, c, 0, blobs[0])
 	if act := activeIndices(n); len(act) != 1 || act[1] != c {
 		t.Fatalf("active = %v, want only segment 1 in flight", act)

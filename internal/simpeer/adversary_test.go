@@ -197,7 +197,7 @@ func TestAllOtherLeechersAdversarialLiveness(t *testing.T) {
 
 // Sole-source escape hatch: a single leecher whose only source — the
 // seeder — is a polluter. The seeder gets quarantined, yet the run must
-// still complete (the second selection pass re-admits it), with stalls
+// still complete (the scheduler's escape hatch re-admits it), with stalls
 // during the quarantine windows attributed to peer_quarantined.
 func TestSoleSourceEscapeHatch(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 30*time.Second, 1)

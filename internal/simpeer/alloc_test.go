@@ -1,7 +1,7 @@
 // Zero-allocation gate for the //lint:hotpath contract on the download
-// scheduler: a pool fill that finds no source, and one source selection,
-// run entirely on per-segment slices and the swarm's reused source-set
-// scratch. Excluded under -race because race instrumentation inserts
+// scheduler as the emulation drives it: a pool fill that finds no source,
+// and one source selection, run entirely on per-segment slices and the
+// swarm's reused source-set scratch (internal/core has its own gate). Excluded under -race because race instrumentation inserts
 // allocations the production build does not have.
 
 //go:build !race
@@ -11,6 +11,8 @@ package simpeer
 import (
 	"testing"
 	"time"
+
+	"p2psplice/internal/core"
 )
 
 // steady is a swarm run into mid-stream with a leecher whose pool has
@@ -61,7 +63,7 @@ func steadySwarm(tb testing.TB, leechers int) (*swarm, *peerState) {
 			continue
 		}
 		picks, launches := 0, 0
-		sw.pickCheck = func(_ *peerState, _ int, src *peerState, _ bool) {
+		sw.pickCheck = func(_ *peerState, _ int, src *core.Source, _ bool) {
 			picks++
 			if src != nil {
 				launches++
@@ -96,7 +98,7 @@ func benchFillBlocked(b *testing.B, leechers int) {
 	}
 }
 
-var sinkSrc *peerState
+var sinkSrc *core.Source
 
 func benchPickSource(b *testing.B, leechers int) {
 	sw, p := steadySwarm(b, leechers)
@@ -105,7 +107,7 @@ func benchPickSource(b *testing.B, leechers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkSrc = sw.pickSource(next)
+		sinkSrc = sw.set.Pick(next)
 	}
 }
 

@@ -189,6 +189,7 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 // refilled — that is the lure.
 func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 	p.advKind = ev.Adversary
+	p.src.WholeClip = p.isSeeder || p.lying()
 	p.advPct = ev.Percent
 	p.adversarial = true
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversary,
@@ -203,6 +204,7 @@ func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 // cannot know the liar reformed), but new requests complete normally.
 func (s *swarm) clearAdversary(p *peerState) {
 	p.advKind = fault.AdvNone
+	p.src.WholeClip = p.isSeeder || p.lying()
 	p.advPct = 0
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversaryEnd)
 	s.fillAll()

@@ -8,16 +8,18 @@ import (
 	"testing/quick"
 	"time"
 
+	"p2psplice/internal/core"
 	"p2psplice/internal/fault"
 	"p2psplice/internal/splicer"
 )
 
-// The reference picker: the scheduler's source selection as it was before
-// the per-fill source set and the availability frontier — every wanted
-// segment × every peer × the full eligibility predicate, defaults resolved
-// per call. Kept verbatim (only the map probes became slice indexing) as
-// the differential oracle for the production picker, the way netem keeps
-// reallocateFull; unlike reallocateFull it is test-only.
+// The reference picker: source selection as a full scan over the swarm's
+// own state — every wanted segment × every peer × the full eligibility
+// predicate in two passes, defaults resolved per call, no source set, no
+// frontier. It shares nothing with internal/core's scheduler but the
+// fields it reads, and is the differential oracle for every selection
+// core.Window makes for the emulation (the way netem keeps
+// reallocateFull; unlike reallocateFull it is test-only).
 
 func refUploadSlots(s *swarm) int {
 	switch {
@@ -34,7 +36,7 @@ func refSourceProgress(s *swarm, q *peerState, idx int) float64 {
 	if q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris {
 		return 1
 	}
-	if q.have[idx] {
+	if q.src.Have[idx] {
 		return 1
 	}
 	if s.cfg.DisableRelay || q.isSeeder {
@@ -69,10 +71,10 @@ func refEligible(s *swarm, p, q *peerState, idx int, allowQuarantined bool) bool
 	if refSourceProgress(s, q, idx) < 0 {
 		return false
 	}
-	if cap := refUploadSlots(s); cap > 0 && q.uploads >= cap {
+	if cap := refUploadSlots(s); cap > 0 && q.src.Uploads >= cap {
 		return false
 	}
-	return q.uploading[idx] == 0
+	return q.src.Sending[idx] == 0
 }
 
 func refPickSource(s *swarm, p *peerState, idx int) *peerState {
@@ -89,8 +91,10 @@ func refPickSource(s *swarm, p *peerState, idx int) *peerState {
 }
 
 func refPickSourceFrom(s *swarm, p *peerState, idx int, allowQuarantined bool) *peerState {
-	if p.lastSrc != nil && !p.lastSrc.isCDN && refEligible(s, p, p.lastSrc, idx, allowQuarantined) {
-		return p.lastSrc
+	if p.lastSrc != nil {
+		if last := p.lastSrc.Owner.(*peerState); !last.isCDN && refEligible(s, p, last, idx, allowQuarantined) {
+			return last
+		}
 	}
 	var best *peerState
 	var bestProgress float64
@@ -99,8 +103,8 @@ func refPickSourceFrom(s *swarm, p *peerState, idx int, allowQuarantined bool) *
 			continue
 		}
 		progress := refSourceProgress(s, q, idx)
-		if best == nil || q.uploads < best.uploads ||
-			(q.uploads == best.uploads && progress > bestProgress) {
+		if best == nil || q.src.Uploads < best.src.Uploads ||
+			(q.src.Uploads == best.src.Uploads && progress > bestProgress) {
 			best, bestProgress = q, progress
 		}
 	}
@@ -136,25 +140,29 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		}
 		return fmt.Sprintf("peer%d", q.id)
 	}
-	sw.pickCheck = func(p *peerState, idx int, src *peerState, beyond bool) {
+	sw.pickCheck = func(p *peerState, idx int, from *core.Source, beyond bool) {
+		var src *peerState
+		if from != nil {
+			src = from.Owner.(*peerState)
+		}
 		now := sw.eng.Now()
 		// Frontier invariant: past the high-water mark no leecher — crashed,
 		// departed and adversarial ones included — holds or fetches anything.
 		for _, q := range sw.peers[1:] {
 			for j := sw.frontier + 1; j < len(sw.segs); j++ {
-				if q.have[j] || q.inFlight[j] != nil {
+				if q.src.Have[j] || q.inFlight[j] != nil {
 					fail("t=%v: peer%d has or fetches seg%d past the frontier %d", now, q.id, j, sw.frontier)
 				}
 			}
 		}
-		if !p.wanted(idx) {
+		if !p.pool.Wanted(idx) {
 			fail("t=%v: peer%d selecting for unwanted seg%d", now, p.id, idx)
 		}
 		st.picks++
 		if beyond {
 			st.cuts++
 			for j := idx; j < len(sw.segs); j++ {
-				if !p.wanted(j) {
+				if !p.pool.Wanted(j) {
 					fail("t=%v: peer%d does not want seg%d past the frontier %d", now, p.id, j, sw.frontier)
 				}
 				if ref := refPickSource(sw, p, j); ref != nil {
@@ -177,7 +185,7 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 			st.cdn++
 		case src.advKind == fault.AdvStaleHave || src.advKind == fault.AdvSlowloris:
 			st.liars++
-		case !src.have[idx]:
+		case !src.src.Have[idx]:
 			st.relays++
 		}
 		if idx > sw.frontier {
@@ -270,8 +278,8 @@ func (scenario) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(scenario{cfg: cfg, desc: desc})
 }
 
-// TestPickerMatchesFullScanOracle runs generated swarms with the retained
-// full-scan picker checking every selection of every fill, then proves the
+// TestPickerMatchesFullScanOracle runs generated swarms with the full-scan
+// picker checking every selection of every fill, then proves the
 // oracle itself inert: its extra flow-progress reads must leave the run
 // bit-identical to an unobserved one.
 func TestPickerMatchesFullScanOracle(t *testing.T) {

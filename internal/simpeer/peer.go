@@ -19,22 +19,21 @@ type peerState struct {
 	isSeeder bool
 	isCDN    bool
 
-	have      []bool
-	haveCount int
+	// src is this node as an uploader, the facts the scheduler ranks it by:
+	// what it holds, its uploads in all and per segment, whether it answers
+	// for the whole clip, and how far its own fetch of a segment has got.
+	src core.Source
 
 	// Leecher-only fields.
 	player *player.Player
-	// inFlight is indexed by segment: the active download, or nil. Index
-	// order is the deterministic teardown order. inFlightN counts the
-	// non-nil entries and firstMissing is the lowest segment not yet held
-	// (have only ever gains entries, so it only moves forward).
-	inFlight     []*download
-	inFlightN    int
-	firstMissing int
-	uploads      int // concurrent uploads this node serves
-	est          *core.BandwidthEstimator
-	joined       time.Duration
-	departed     bool
+	// pool is this node as a downloader (its Have is src.Have). inFlight
+	// holds the download behind each segment pool.Fetching marks; index
+	// order is the deterministic teardown order.
+	pool     core.Pool
+	inFlight []*download
+	est      *core.BandwidthEstimator
+	joined   time.Duration
+	departed bool
 
 	// Crash state (fault plans only). A crashed peer keeps its segment
 	// store across rejoin (process-restart model) but serves and fetches
@@ -83,14 +82,8 @@ type peerState struct {
 
 	// lastSrc is the source of this peer's most recent download. Peers keep
 	// stable relationships (the unchoke pairs of a piece-level protocol stay
-	// put for tens of seconds), which keeps the distribution chain — and
-	// each peer's pipeline depth in it — stable from segment to segment.
-	lastSrc *peerState
-	// uploading counts, per segment index, how many copies of that segment
-	// this node is currently sending. A node never sends the same segment
-	// twice in parallel: the second requester chains off the first copy
-	// (see pickSource), which is how the piece-level protocol behaves.
-	uploading []int
+	// put for tens of seconds), so the scheduler prefers it while eligible.
+	lastSrc *core.Source
 	// retryPending marks a scheduled source-retry so fill does not stack
 	// duplicate timers while the peer waits for an eligible source.
 	retryPending bool
@@ -124,13 +117,6 @@ func (s *swarm) bandwidth(p *peerState) int64 {
 	return initialBandwidthGuess
 }
 
-// wanted reports whether p still needs segment idx and is not fetching it.
-//
-//lint:hotpath
-func (p *peerState) wanted(idx int) bool {
-	return !p.have[idx] && p.inFlight[idx] == nil
-}
-
 // dropFlight removes p's download of segment idx and returns the upload
 // slot it held to its source. The caller cancels the flow if it is live.
 // It is the one place the pool shrinks, and it syncs the player first, so
@@ -141,9 +127,7 @@ func (p *peerState) dropFlight(idx int, now time.Duration) {
 	p.player.Position(now)
 	d := p.inFlight[idx]
 	p.inFlight[idx] = nil
-	p.inFlightN--
-	d.src.uploads--
-	d.src.uploading[idx]--
+	p.pool.Drop(idx, &d.src.src)
 }
 
 // nextWanted returns the index of the next segment to request, or -1. The
@@ -152,21 +136,15 @@ func (p *peerState) dropFlight(idx int, now time.Duration) {
 //
 //lint:hotpath runs at the top of every fill
 func (s *swarm) nextWanted(p *peerState) int {
-	first := p.firstMissing
-	for first < len(s.segs) && !p.wanted(first) {
-		first++
-	}
-	if first == len(s.segs) {
-		return -1
-	}
-	if s.cfg.Selection != SelectRarestFirst {
+	first := p.pool.FirstWanted()
+	if first < 0 || s.cfg.Selection != SelectRarestFirst {
 		return first
 	}
 	// Rarest-first within a lookahead window of wanted segments.
 	best, bestHolders := first, int(^uint(0)>>1)
 	seen := 0
 	for idx := first; idx < len(s.segs) && seen < s.rarestWindow; idx++ {
-		if !p.wanted(idx) {
+		if !p.pool.Wanted(idx) {
 			continue
 		}
 		seen++
@@ -184,39 +162,28 @@ func (s *swarm) nextWanted(p *peerState) int {
 func (s *swarm) holderCount(idx int) int {
 	n := 0
 	for _, q := range s.peers {
-		if !q.departed && !q.crashed && q.have[idx] {
+		if !q.departed && !q.crashed && q.src.Have[idx] {
 			n++
 		}
 	}
 	return n
 }
 
-// servesWholeClip reports whether q answers for every segment of the clip
-// regardless of what leechers have fetched: the seeder, or a stale-have
-// liar (or slowloris), which claims every segment while its window is
-// open — that is the attack: requesters believe the HAVE and assign it
-// downloads that will only die by serve timeout.
-//
-//lint:hotpath
-func (q *peerState) servesWholeClip() bool {
-	return q.isSeeder || q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris
+// lying reports whether q has an open stale-have or slowloris window: it
+// claims every segment (src.WholeClip) and requesters believe it, assigning
+// it downloads that will only die by serve timeout — that is the attack.
+func (q *peerState) lying() bool {
+	return q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris
 }
 
-// sourceProgress returns how much of segment idx the candidate q can serve:
-// 1.0 for a full holder, the download progress for a relaying leecher, and
-// -1 if q cannot serve the segment at all. Reading a relay's progress
-// advances its flow's byte count to now, which perturbs nothing: netem
+// relayProgress is q.src.Relay: how much of segment idx, which q does not
+// hold, q has fetched so far, or -1 below the relay threshold. Reading it
+// advances the flow's byte count to now, which perturbs nothing: netem
 // recomputes progress from the last rate-change anchor, so the value is
 // the same however many reads came before.
 //
-//lint:hotpath runs per candidate source per wanted segment
-func (s *swarm) sourceProgress(q *peerState, idx int) float64 {
-	if q.have[idx] || q.servesWholeClip() {
-		return 1
-	}
-	if s.cfg.DisableRelay {
-		return -1
-	}
+//lint:hotpath runs per non-holding candidate source per wanted segment
+func (s *swarm) relayProgress(q *peerState, idx int) float64 {
 	d := q.inFlight[idx]
 	if d == nil || d.flow == nil {
 		return -1
@@ -240,162 +207,24 @@ const defaultRelayThreshold = 0.02
 // protocol (there is no protocol event for "a relay crossed its threshold").
 const sourceRetryDelay = 250 * time.Millisecond
 
-// candidate is one member of a fill's source set.
-type candidate struct {
-	q *peerState
-	// quarantined sources are skipped by the first selection pass and
-	// admitted by the second (the sole-source escape hatch).
-	quarantined bool
-}
-
-// sourceSet is the segment-independent half of source eligibility,
-// evaluated once per fill: every peer other than the requester that is
-// present, up, reachable and below its upload cap, in peer order. fill
-// keeps it current as its own launches fill upload slots.
-type sourceSet struct {
-	cands []candidate
-	// sticky is the requester's previous source when it is in the set
-	// (q == nil otherwise).
-	sticky candidate
-	// wholeClip counts the members that serve segments nobody has fetched
-	// yet (see servesWholeClip).
-	wholeClip int
-	// cdnOK is the paper's hybrid rule: a client downloads at most one
-	// segment at a time from the CDN.
-	cdnOK bool
-}
-
-// buildSourceSet evaluates the source set for a fill of p at now.
+// buildSourceSet gathers the engine's facts for a fill of p at now: every
+// other peer that is present, up and reachable, with its quarantine flag;
+// and the CDN as the fallback while p fetches nothing from it (the paper's
+// hybrid rule: at most one segment at a time, after the swarm's sources).
 //
 //lint:hotpath runs once per fill that has pool room
 func (s *swarm) buildSourceSet(p *peerState, now time.Duration) {
-	set := &s.set
-	set.cands = set.cands[:0]
-	set.sticky = candidate{}
-	set.wholeClip = 0
+	s.set.Reset(p.lastSrc, s.slots)
 	for _, q := range s.peers {
-		if q == p || q.departed || q.crashed || s.atUploadCap(q) || s.net.LinkIsDown(q.node) {
+		if q == p || q.departed || q.crashed || s.net.LinkIsDown(q.node) {
 			continue
 		}
-		c := candidate{q: q, quarantined: s.rep != nil && s.rep.Quarantined(q.id, now)}
-		//lint:ignore allocfree amortized: the scratch grows to the swarm size once and is reused
-		set.cands = append(set.cands, c)
-		if q == p.lastSrc {
-			set.sticky = c
-		}
-		if q.servesWholeClip() {
-			set.wholeClip++
-		}
+		q.src.Quarantined = s.rep != nil && s.rep.Quarantined(q.id, now)
+		s.set.Add(&q.src)
 	}
-	set.cdnOK = s.cdn != nil && s.cdnEligible(p)
-}
-
-// atUploadCap reports whether q has no free upload slot.
-//
-//lint:hotpath
-func (s *swarm) atUploadCap(q *peerState) bool {
-	return s.slots > 0 && q.uploads >= s.slots
-}
-
-// noteLaunch brings the source set up to date after fill started a
-// download from src: src is now the sticky source, unless the launch took
-// its last upload slot (or the CDN's one-at-a-time slot).
-func (s *swarm) noteLaunch(src *peerState) {
-	set := &s.set
-	set.sticky = candidate{}
-	if src.isCDN {
-		set.cdnOK = false
-		return
+	if s.cdn != nil && s.cdnEligible(p) {
+		s.set.Fallback = &s.cdn.src
 	}
-	for i, c := range set.cands {
-		if c.q != src {
-			continue
-		}
-		if !s.atUploadCap(src) {
-			set.sticky = c
-			return
-		}
-		set.cands = append(set.cands[:i], set.cands[i+1:]...)
-		if src.servesWholeClip() {
-			set.wholeClip--
-		}
-		return
-	}
-}
-
-// beyondReach reports whether nothing in the source set can serve segment
-// idx or any later one. The availability frontier is the highest segment
-// any leecher has ever started fetching; past it no leecher holds or
-// relays anything, so only whole-clip holders and the CDN can serve.
-func (s *swarm) beyondReach(idx int) bool {
-	return idx > s.frontier && s.set.wholeClip == 0 && !s.set.cdnOK
-}
-
-// serves returns c's progress on segment idx if it may serve it in this
-// selection pass, and -1 otherwise. allowQuarantined opens the
-// sole-source escape hatch: the second selection pass considers
-// quarantined sources rather than sacrifice liveness (a fully quarantined
-// swarm must still drain off its one honest seeder — or, at worst, off
-// the quarantined peers themselves).
-//
-//lint:hotpath runs per candidate source per wanted segment
-func (s *swarm) serves(c candidate, idx int, allowQuarantined bool) float64 {
-	// A source already sending this segment to someone would split the
-	// frontier rate with a duplicate upload. The requester chains off the
-	// in-flight copy once it crosses the relay threshold.
-	if (c.quarantined && !allowQuarantined) || c.q.uploading[idx] != 0 {
-		return -1
-	}
-	return s.sourceProgress(c.q, idx)
-}
-
-// pickSource chooses the uploader for segment idx from the current source
-// set: non-quarantined swarm sources first, then the CDN fallback, then —
-// only when reputation is active and nothing else can serve — quarantined
-// sources (the liveness escape hatch). With reputation disabled this is
-// exactly the legacy selection.
-//
-//lint:hotpath runs per wanted segment in the pool window
-func (s *swarm) pickSource(idx int) *peerState {
-	if src := s.pickSourceFrom(idx, false); src != nil {
-		return src
-	}
-	if s.set.cdnOK {
-		return s.cdn
-	}
-	if s.rep != nil {
-		return s.pickSourceFrom(idx, true)
-	}
-	return nil
-}
-
-// pickSourceFrom runs one selection pass: the previous source if it is
-// still eligible (stable unchoke relationships keep the distribution
-// chain, and every peer's pipeline depth in it, steady across segments),
-// otherwise the least-loaded eligible source, ties broken by higher relay
-// progress and then by lowest peer ID (deterministic). The CDN, when
-// configured, is a fallback only: swarm sources offload it (the paper's
-// hybrid architecture serves "by peers as well as a CDN").
-//
-//lint:hotpath runs per wanted segment in the pool window
-func (s *swarm) pickSourceFrom(idx int, allowQuarantined bool) *peerState {
-	set := &s.set
-	if set.sticky.q != nil && s.serves(set.sticky, idx, allowQuarantined) >= 0 {
-		return set.sticky.q
-	}
-	var best *peerState
-	var bestProgress float64
-	for _, c := range set.cands {
-		progress := s.serves(c, idx, allowQuarantined)
-		if progress < 0 {
-			continue
-		}
-		if best == nil || c.q.uploads < best.uploads ||
-			(c.q.uploads == best.uploads && progress > bestProgress) {
-			best, bestProgress = c.q, progress
-		}
-	}
-	return best
 }
 
 // cdnEligible enforces the paper's hybrid rule: a client downloads at most
@@ -404,7 +233,7 @@ func (s *swarm) pickSourceFrom(idx int, allowQuarantined bool) *peerState {
 //
 //lint:hotpath part of the source-set build
 func (s *swarm) cdnEligible(p *peerState) bool {
-	for idx := p.firstMissing; idx <= s.frontier; idx++ {
+	for idx := p.pool.First; idx <= s.frontier; idx++ {
 		if d := p.inFlight[idx]; d != nil && d.src.isCDN {
 			return false
 		}
@@ -430,41 +259,23 @@ func (s *swarm) fill(p *peerState) {
 	segBytes := s.segs[next].Bytes
 	target := s.cfg.Policy.PoolSize(b, buffered, segBytes)
 	s.qoe.PoolK.Observe(int64(target))
-	inFlightBefore := p.inFlightN
+	inFlightBefore := p.pool.InFlight
 	if inFlightBefore >= target {
 		return
 	}
-	// The pool is the next `target` wanted segments; request every one with
-	// an eligible source, skipping over segments that are momentarily
-	// sourceless so a fixed pool still pipelines. The scan ends early where
-	// nothing in the source set can reach: every later segment is wanted
-	// (no leecher has fetched past the frontier) and blocked.
+	// The pool is the next `target` wanted segments with an eligible source;
+	// the scheduler decides which and from whom.
 	s.buildSourceSet(p, now)
-	blocked := false
 	launched := 0
-	for idx := next; idx < len(s.segs) && p.inFlightN < target; idx++ {
-		if !p.wanted(idx) {
-			continue
-		}
-		var src *peerState
-		beyond := s.beyondReach(idx)
-		if !beyond {
-			src = s.pickSource(idx)
-		}
+	blocked := s.set.Fill(&p.pool, next, target, s.frontier, func(idx int, from *core.Source, cut bool) {
 		if s.pickCheck != nil {
-			s.pickCheck(p, idx, src, beyond)
+			s.pickCheck(p, idx, from, cut)
 		}
-		if src != nil {
-			s.startDownload(p, src, idx)
-			s.noteLaunch(src)
+		if from != nil {
+			s.startDownload(p, from.Owner.(*peerState), idx)
 			launched++
-			continue
 		}
-		blocked = true
-		if beyond {
-			break
-		}
-	}
+	})
 	if launched > 0 {
 		p.retryAttempt = 0
 	}
@@ -473,7 +284,7 @@ func (s *swarm) fill(p *peerState) {
 	// bit-identical to this in-process one.
 	s.qoe.BufferedUS.Observe(now, buffered.Microseconds())
 	s.qoe.PoolTarget.Observe(now, int64(target))
-	s.qoe.Inflight.Observe(now, int64(p.inFlightN))
+	s.qoe.Inflight.Observe(now, int64(p.pool.InFlight))
 	if s.cfg.Tracer.Enabled() {
 		flag := int64(0)
 		if blocked {
@@ -514,12 +325,10 @@ func (s *swarm) fill(p *peerState) {
 	}
 }
 
-// startDownload launches one segment transfer.
+// startDownload launches one segment transfer the scheduler chose; the
+// scheduler enters it into p's pool and src's load.
 func (s *swarm) startDownload(p, src *peerState, idx int) {
-	src.uploads++
-	src.uploading[idx]++
-	p.inFlightN++
-	p.lastSrc = src
+	p.lastSrc = &src.src
 	if idx > s.frontier {
 		s.frontier = idx
 	}
@@ -529,7 +338,7 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	// (A slowloris trickles real bytes, but a trickle that cannot finish
 	// before the timeout is indistinguishable from silence in the fluid
 	// model; the trickle rate is trace metadata.)
-	if src.advKind == fault.AdvStaleHave || src.advKind == fault.AdvSlowloris {
+	if src.lying() {
 		d := &download{src: src, pending: src.advKind}
 		p.inFlight[idx] = d
 		if s.cfg.Tracer.Enabled() {
@@ -597,7 +406,7 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
-	k := int64(p.inFlightN)
+	k := int64(p.pool.InFlight)
 	now := s.eng.Now()
 	p.dropFlight(idx, now)
 	if p.departed {
@@ -625,7 +434,7 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	// inference is the same — "this source served me garbage" — so the
 	// source is charged a reputation verify-fail.
 	advSrc := src.advKind == fault.AdvCorrupter || src.advKind == fault.AdvPolluter
-	if (p.corruptPct > 0 || advSrc) && !p.have[idx] {
+	if (p.corruptPct > 0 || advSrc) && !p.src.Have[idx] {
 		if p.segAttempts == nil {
 			p.segAttempts = make([]int, len(s.segs))
 		}
@@ -665,13 +474,7 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 			trace.Int64("elapsed_us", f.Elapsed().Microseconds()),
 			trace.Int64("src", int64(src.id)))
 	}
-	if !p.have[idx] {
-		p.have[idx] = true
-		p.haveCount++
-		for p.firstMissing < len(p.have) && p.have[p.firstMissing] {
-			p.firstMissing++
-		}
-	}
+	p.pool.Store(idx)
 	if err := p.player.OnSegmentComplete(idx, now); err != nil {
 		panic("simpeer: segment complete: " + err.Error()) // unreachable
 	}
@@ -691,10 +494,7 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 // segment.
 func (s *swarm) allDownloadsDone() bool {
 	for _, q := range s.peers[1:] {
-		if q.departed {
-			continue
-		}
-		if q.haveCount != len(s.segs) {
+		if !q.departed && q.pool.First != len(s.segs) {
 			return false
 		}
 	}

@@ -348,7 +348,7 @@ type swarm struct {
 	// disabled (the legacy-selection path).
 	rep *reputation.Table[int]
 
-	// Scheduler state (peer.go). slots, relayThreshold and rarestWindow are
+	// Scheduler inputs (peer.go). slots, relayThreshold and rarestWindow are
 	// the config's values with defaults resolved: slots is the per-peer
 	// upload cap (0 = unlimited). frontier is the availability frontier:
 	// the highest segment any leecher has ever started fetching, -1 before
@@ -358,15 +358,15 @@ type swarm struct {
 	relayThreshold float64
 	rarestWindow   int
 	frontier       int
-	set            sourceSet
+	set            core.SourceSet
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
 	// warm-up would otherwise be a manifest flash crowd.
 	manifestBytes int64
-	// pickCheck, when set, sees every selection fill makes before it acts
-	// on it (beyond marks a scan cut at the frontier). Tests only: the
-	// differential oracle hangs the retained full-scan picker here.
-	pickCheck func(p *peerState, idx int, src *peerState, beyond bool)
+	// pickCheck, when set, sees every selection the scheduler makes for a
+	// fill before fill acts on it (cut marks a scan cut at the frontier).
+	// Tests only: the differential oracle hangs the full-scan picker here.
+	pickCheck func(p *peerState, idx int, src *core.Source, cut bool)
 }
 
 // nodePlan resolves the per-node link parameters, either from the scalar
@@ -442,16 +442,7 @@ func (s *swarm) setup() error {
 	if s.nodeToPeer != nil {
 		s.nodeToPeer[seederNode] = 0
 	}
-	seeder := &peerState{
-		id: 0, node: seederNode, isSeeder: true,
-		have:      make([]bool, len(s.segs)),
-		uploading: make([]int, len(s.segs)),
-	}
-	for i := range seeder.have {
-		seeder.have[i] = true
-	}
-	seeder.haveCount = len(s.segs)
-	s.peers = append(s.peers, seeder)
+	s.peers = append(s.peers, s.newOrigin(0, seederNode))
 
 	if s.cfg.CDN != nil {
 		cdnNode, err := s.net.AddNode(netem.NodeConfig{
@@ -465,18 +456,10 @@ func (s *swarm) setup() error {
 		if s.nodeToPeer != nil {
 			s.nodeToPeer[cdnNode] = -1
 		}
-		cdn := &peerState{
-			id: -1, node: cdnNode, isSeeder: true, isCDN: true,
-			have:      make([]bool, len(s.segs)),
-			uploading: make([]int, len(s.segs)),
-		}
-		for i := range cdn.have {
-			cdn.have[i] = true
-		}
-		cdn.haveCount = len(s.segs)
 		// The CDN is tracked outside s.peers: peers[0] must stay the seeder
 		// and peers[1:] the leechers for metric collection and churn.
-		s.cdn = cdn
+		s.cdn = s.newOrigin(-1, cdnNode)
+		s.cdn.isCDN = true
 	}
 
 	durations := make([]time.Duration, len(s.segs))
@@ -506,14 +489,19 @@ func (s *swarm) setup() error {
 			return err
 		}
 		p := &peerState{
-			id:        i,
-			rate:      rate,
-			node:      node,
-			have:      make([]bool, len(s.segs)),
-			player:    pl,
-			inFlight:  make([]*download, len(s.segs)),
-			uploading: make([]int, len(s.segs)),
-			est:       est,
+			id:       i,
+			rate:     rate,
+			node:     node,
+			src:      core.Source{ID: i, Have: make([]bool, len(s.segs)), Sending: make([]int, len(s.segs))},
+			player:   pl,
+			inFlight: make([]*download, len(s.segs)),
+			est:      est,
+		}
+		p.src.Owner = p
+		p.pool = core.NewPool(p.src.Have)
+		if !s.cfg.DisableRelay {
+			p.src.Fetching = p.pool.Fetching
+			p.src.Relay = func(idx int) float64 { return s.relayProgress(p, idx) }
 		}
 		s.peers = append(s.peers, p)
 
@@ -544,6 +532,19 @@ func (s *swarm) setup() error {
 		s.cross = append(s.cross, f)
 	}
 	return s.compileFaults()
+}
+
+// newOrigin returns a node that holds the whole clip from the start: the
+// seeder (id 0) or the CDN (id -1).
+func (s *swarm) newOrigin(id int, node netem.NodeID) *peerState {
+	have := make([]bool, len(s.segs))
+	for i := range have {
+		have[i] = true
+	}
+	p := &peerState{id: id, node: node, isSeeder: true,
+		src: core.Source{ID: id, Have: have, WholeClip: true, Sending: make([]int, len(s.segs))}}
+	p.src.Owner = p
+	return p
 }
 
 // join starts a leecher: the viewer presses play, the peer fetches the

@@ -116,7 +116,7 @@ func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
 // below are tested against at as well as against the live state.
 func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 	f := trace.StallFacts{
-		InFlight:    p.inFlightN,
+		InFlight:    p.pool.InFlight,
 		OwnCrash:    p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt),
 		OwnLinkDown: s.net.LinkIsDown(p.node) || (p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt),
 		// A window that made this peer throw away verified-bad segments.
@@ -133,7 +133,7 @@ func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 		}
 		for _, q := range s.peers {
 			switch {
-			case q == p || !q.have[next]:
+			case q == p || !q.src.Have[next]:
 			case q.crashed:
 				f.CrashedHolder = true
 			case q.departed:

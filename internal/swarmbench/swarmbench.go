@@ -8,7 +8,7 @@
 // regime the incremental reallocator is built for — each flow event
 // refills one component instead of the whole star. A globally connected
 // flow graph degrades the incremental path to component == swarm, i.e.
-// full-recompute cost; see DESIGN.md §12 for the honest framing.
+// full-recompute cost; see DESIGN.md §10 for the honest framing.
 //
 // A run is split into independent shards, each with its own sim.Engine
 // and netem.Network. Shards never share links, so they can be simulated

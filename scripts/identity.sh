@@ -1,0 +1,75 @@
+#!/bin/sh
+# identity: prove a change leaves every emulation output bit-identical to
+# a parent revision. Builds the parent (a `git archive` of PARENT, so no
+# network and nothing registered in .git to clean up) and the change (the
+# working tree as it stands), runs one fixed artifact set on each —
+#
+#   quick/     traced -quick run of all nine registry figures, text + traces
+#   report.json, timeseries.csv
+#              splicetrace report / timeseries -csv over those traces
+#   paper.txt  default-scale text output of the paper set (Figures 2-6, table)
+#   smoke/     everything the trace, timeseries, fault, burst and adversary
+#              smoke targets write
+#
+# — and compares the two trees file by file with wall-clock fields
+# (elapsed, elapsed_ms) blanked. Prints "identical" and exits 0, or the
+# first differing file and line and exits 1. A PR that intends a
+# difference quotes that output and says why.
+#
+# usage: identity.sh <parent-rev> [work-dir]     (make identity PARENT=<rev>)
+set -eu
+
+PARENT=${1:?usage: identity.sh <parent-rev> [work-dir]}
+WORK=${2:-${ARTIFACTS:-artifacts}/identity}
+GO="${GO:-go}"
+SMOKES="trace-smoke timeseries-smoke fault-smoke burst-smoke adversary-smoke"
+
+rm -rf "$WORK"
+mkdir -p "$WORK/parent-src"
+WORK=$(cd "$WORK" && pwd)
+# The parent's source tree goes again on exit: a second copy of the repo
+# under the work dir would be walked by `make loc` and `make lint`.
+trap 'rm -rf "$WORK/parent-src"' EXIT
+git archive "$PARENT" | tar -x -C "$WORK/parent-src"
+
+# produce <source dir> <output dir>: build, then run the artifact set.
+produce() (
+    out=$2
+    mkdir -p "$out/bin"
+    cd "$1"
+    "$GO" build -o "$out/bin/" ./cmd/experiment ./cmd/splicetrace
+    "$out/bin/experiment" -quick -figure all,churn,burst,adversary -trace "$out/quick/trace" > "$out/quick/figures.txt"
+    "$out/bin/splicetrace" report "$out/quick/trace" -json -o "$out/report.json"
+    "$out/bin/splicetrace" timeseries "$out/quick/trace" -csv -o "$out/timeseries.csv"
+    "$out/bin/experiment" > "$out/paper.txt"
+    # shellcheck disable=SC2086
+    make -s $SMOKES GO="$GO" ARTIFACTS="$out/smoke" > "$out/smoke.log" 2>&1 || { cat "$out/smoke.log" >&2; exit 1; }
+    rm -rf "$out/bin" "$out/smoke.log"
+)
+
+mkdir -p "$WORK/parent/quick" "$WORK/change/quick"
+produce "$WORK/parent-src" "$WORK/parent"
+produce . "$WORK/change"
+
+# blank <file>: the file with wall-clock fields blanked.
+blank() { sed -e 's/"elapsed_ms": *[0-9.]*/"elapsed_ms": 0/' -e 's/elapsed [0-9.]*[a-zµ]*s)/elapsed)/' "$1"; }
+
+(cd "$WORK/parent" && find . -type f | sort) > "$WORK/parent.list"
+(cd "$WORK/change" && find . -type f | sort) > "$WORK/change.list"
+if ! cmp -s "$WORK/parent.list" "$WORK/change.list"; then
+    echo "identity: the two sides wrote different file sets:"
+    diff "$WORK/parent.list" "$WORK/change.list" | head -5
+    exit 1
+fi
+while read -r f; do
+    blank "$WORK/parent/$f" > "$WORK/a"
+    blank "$WORK/change/$f" > "$WORK/b"
+    if ! cmp -s "$WORK/a" "$WORK/b"; then
+        line=$(cmp "$WORK/a" "$WORK/b" | sed 's/.*line //')
+        echo "identity: first difference: $f line $line"
+        echo "  parent: $(sed -n "${line}p" "$WORK/a" | cut -c1-200)"
+        echo "  change: $(sed -n "${line}p" "$WORK/b" | cut -c1-200)"
+        exit 1
+    fi
+done < "$WORK/parent.list"
+echo "identity: $(wc -l < "$WORK/parent.list") artifacts vs $PARENT: identical"
