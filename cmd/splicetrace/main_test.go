@@ -32,7 +32,7 @@ func writeTrace(t *testing.T, events []trace.Event) string {
 func TestRequireAttributedNeedsAPlaybackPeer(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.txt")
 	noPlayer := writeTrace(t, []trace.Event{
-		{At: time.Second, Peer: -1, Seg: 0, Cat: trace.CatSched, Name: trace.EvSegComplete},
+		{At: time.Second, Peer: -1, Seg: 0, Cat: trace.CatPool, Name: trace.EvSegComplete},
 	})
 	err := cmdReport([]string{noPlayer, "-require-attributed", "-o", out})
 	if err == nil || !strings.Contains(err.Error(), "no playback peer") {

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"p2psplice/internal/container"
-	"p2psplice/internal/trace"
 )
 
 // Variant is one splicing of the clip hosted by the origin.
@@ -39,40 +38,11 @@ type Origin struct {
 	mu       sync.RWMutex
 	variants map[string]*Variant
 	order    []string
-
-	// Per-endpoint request counters, delivered-byte total, and the
-	// segment-size histogram. No-op handles until SetMetrics.
-	reqVariants trace.Counter
-	reqManifest trace.Counter
-	reqPlaylist trace.Counter
-	reqSegment  trace.Counter
-	reqRejected trace.Counter
-	bytesSent   trace.Counter
-	segBytes    trace.Histogram
 }
 
 // NewOrigin returns an empty origin.
 func NewOrigin() *Origin {
 	return &Origin{variants: make(map[string]*Variant)}
-}
-
-// SetMetrics wires the origin's request counters and segment-size
-// histogram into reg. Call before mounting Handler; nil is a no-op.
-func (o *Origin) SetMetrics(reg *trace.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.SetHelp("cdn_requests_total", "Origin requests served, by endpoint.")
-	reg.SetHelp("cdn_rejected_total", "Origin requests rejected (unknown variant or bad index).")
-	reg.SetHelp("cdn_bytes_sent_total", "Segment payload bytes handed to the HTTP layer.")
-	reg.SetHelp("cdn_segment_bytes", "Sizes of segments served.")
-	o.reqVariants = reg.Counter(`cdn_requests_total{endpoint="variants"}`)
-	o.reqManifest = reg.Counter(`cdn_requests_total{endpoint="manifest"}`)
-	o.reqPlaylist = reg.Counter(`cdn_requests_total{endpoint="playlist"}`)
-	o.reqSegment = reg.Counter(`cdn_requests_total{endpoint="segment"}`)
-	o.reqRejected = reg.Counter("cdn_rejected_total")
-	o.bytesSent = reg.Counter("cdn_bytes_sent_total")
-	o.segBytes = reg.Histogram("cdn_segment_bytes")
 }
 
 // AddVariant registers a splicing variant. Blob i must verify against the
@@ -118,7 +88,6 @@ func (o *Origin) VariantNames() []string {
 func (o *Origin) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /variants", func(w http.ResponseWriter, _ *http.Request) {
-		o.reqVariants.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
 		_ = json.NewEncoder(w).Encode(o.VariantNames())
@@ -126,11 +95,9 @@ func (o *Origin) Handler() http.Handler {
 	mux.HandleFunc("GET /manifest/{name}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := o.variant(r.PathValue("name"))
 		if !ok {
-			o.reqRejected.Inc()
 			http.NotFound(w, r)
 			return
 		}
-		o.reqManifest.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
 		_ = v.Manifest.WriteJSON(w)
@@ -138,11 +105,9 @@ func (o *Origin) Handler() http.Handler {
 	mux.HandleFunc("GET /playlist/{name}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := o.variant(r.PathValue("name"))
 		if !ok {
-			o.reqRejected.Inc()
 			http.NotFound(w, r)
 			return
 		}
-		o.reqPlaylist.Inc()
 		w.Header().Set("Content-Type", "application/vnd.apple.mpegurl")
 		//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
 		_ = v.Manifest.WriteM3U8(w, "/segment/"+v.Name)
@@ -150,19 +115,14 @@ func (o *Origin) Handler() http.Handler {
 	mux.HandleFunc("GET /segment/{name}/{index}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := o.variant(r.PathValue("name"))
 		if !ok {
-			o.reqRejected.Inc()
 			http.NotFound(w, r)
 			return
 		}
 		idx, err := strconv.Atoi(r.PathValue("index"))
 		if err != nil || idx < 0 || idx >= len(v.blobs) {
-			o.reqRejected.Inc()
 			http.Error(w, "bad segment index", http.StatusBadRequest)
 			return
 		}
-		o.reqSegment.Inc()
-		o.bytesSent.Add(int64(len(v.blobs[idx])))
-		o.segBytes.Observe(int64(len(v.blobs[idx])))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
 		_, _ = w.Write(v.blobs[idx])

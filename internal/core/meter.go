@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -107,12 +106,4 @@ func (m *AggregateMeter) InFlight() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inflight
-}
-
-// String aids debugging.
-func (m *AggregateMeter) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("AggregateMeter{inflight=%d delivered=%d est=%d}",
-		m.inflight, m.delivered, m.est.Estimate())
 }

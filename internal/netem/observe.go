@@ -25,28 +25,6 @@ const (
 	FlowEventCancel
 )
 
-// String returns a short event-kind name.
-func (k FlowEventKind) String() string {
-	switch k {
-	case FlowEventSetup:
-		return "setup"
-	case FlowEventActivate:
-		return "activate"
-	case FlowEventFreeze:
-		return "freeze"
-	case FlowEventUnfreeze:
-		return "unfreeze"
-	case FlowEventRamp:
-		return "ramp"
-	case FlowEventComplete:
-		return "complete"
-	case FlowEventCancel:
-		return "cancel"
-	default:
-		return "unknown"
-	}
-}
-
 // FlowEvent is one flow lifecycle notification, delivered synchronously
 // from the engine's event context.
 type FlowEvent struct {

@@ -32,46 +32,41 @@ func (n *Node) schedule() {
 		return
 	}
 	var launches []*segDownload
-	var target, activeAfter int
 
 	n.mu.Lock()
 	if first := n.pool.FirstWanted(); !n.closed && first >= 0 {
 		now := n.now()
 		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
 		// before its first sample), T the playback buffer, W the size of first.
-		bandwidth := n.est.Estimate()
-		if bandwidth <= 0 {
-			bandwidth = n.manifest.Video.BytesPerSecond
+		f := trace.PoolFacts{
+			Bandwidth: n.est.Estimate(),
+			Buffered:  n.play.BufferedAhead(now),
+			SegBytes:  n.manifest.Segments[first].Bytes,
+			InFlight:  n.pool.InFlight,
 		}
-		target = n.cfg.Policy.PoolSize(bandwidth, n.play.BufferedAhead(now), n.manifest.Segments[first].Bytes)
-		n.qoe.PoolK.Observe(int64(target))
-		if n.pool.InFlight < target {
+		if f.Bandwidth <= 0 {
+			f.Bandwidth = n.manifest.Video.BytesPerSecond
+		}
+		f.Target = n.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
+		n.qoe.PoolK.Observe(int64(f.Target))
+		if f.InFlight < f.Target {
 			n.buildSourceSetLocked(now)
 			// The node cannot see a swarm-wide availability frontier, so
 			// the scan never cuts early.
-			n.set.Fill(&n.pool, first, target, len(n.pool.Have)-1, func(idx int, src *core.Source, _ bool) {
+			f.Blocked = n.set.Fill(&n.pool, first, f.Target, len(n.pool.Have)-1, func(idx int, src *core.Source, _ bool) {
 				if src != nil {
 					launches = append(launches, n.launchLocked(src.Owner.(*conn), idx, now))
 				}
 			})
+			f.Launched = len(launches)
+			n.qoe.PoolDecision(now, -1, first, f)
 		}
-		activeAfter = len(n.active)
 	}
+	n.nm.activeDowns.Set(int64(len(n.active)))
 	n.mu.Unlock()
 
 	n.nm.schedCalls.Inc()
 	n.nm.launches.Add(int64(len(launches)))
-	n.nm.activeDowns.Set(int64(activeAfter))
-	if len(launches) > 0 {
-		n.emitAt(n.now(), trace.CatSched, trace.EvSchedule, -1,
-			trace.Int64("target", int64(target)),
-			trace.Int64("launched", int64(len(launches))),
-			trace.Int64("active", int64(activeAfter)))
-	} else if target > 0 && activeAfter == 0 {
-		n.emitAt(n.now(), trace.CatSched, trace.EvScheduleIdle, -1,
-			trace.Int64("target", int64(target)))
-	}
-
 	for _, d := range launches {
 		n.requestAllBlocks(d)
 	}
@@ -192,7 +187,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.stats.VerifyFailures++
 		n.mu.Unlock()
 		n.nm.verifyFails.Inc()
-		n.emitAt(n.now(), trace.CatSched, trace.EvVerifyFail, idx)
+		n.emit(trace.CatPool, trace.EvVerifyFail, idx)
 		// Score the offender across reconnects: the peer ID, not the conn,
 		// is the stable identity a repeat corrupter keeps.
 		n.observePeer(c.id, reputation.ObsVerifyFail)
@@ -209,7 +204,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.stats.StoreFailures++
 		n.mu.Unlock()
 		n.nm.storeFails.Inc()
-		n.emitAt(n.now(), trace.CatSched, trace.EvStoreFail, idx)
+		n.emit(trace.CatPool, trace.EvStoreFail, idx)
 		n.schedule()
 		return
 	}
@@ -222,11 +217,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 	// below the slow-serve floor.
 	n.observePeer(c.id, n.rep.Config().ServeObservation(int64(d.size), elapsed))
 	n.nm.segsDone.Inc()
-	n.qoe.SegSeconds.ObserveDuration(elapsed)
-	n.qoe.SegBytes.Observe(int64(d.size))
-	n.emitAt(n.now(), trace.CatSched, trace.EvSegComplete, idx,
-		trace.Int64("bytes", int64(d.size)),
-		trace.Int64("elapsed_us", elapsed.Microseconds()))
+	n.qoe.Segment(n.now(), -1, idx, int64(d.size), elapsed, -1)
 	n.mu.Lock()
 	// Errors are impossible: idx was validated against the store size.
 	_ = n.play.OnSegmentComplete(idx, n.now())
@@ -258,7 +249,7 @@ func (n *Node) expireStalled() {
 	for _, d := range stalled {
 		n.cfg.Logf("peer %s: segment %d timed out on %s", n.peerID, d.index, d.conn.id)
 		n.nm.expired.Inc()
-		n.emitAt(n.now(), trace.CatSched, trace.EvTimeout, d.index)
+		n.emit(trace.CatPool, trace.EvTimeout, d.index)
 		// Not a single block arrived: the remote advertised the segment and
 		// accepted the requests but served nothing — a stale HAVE, which
 		// scores harder than a transfer that died partway.
@@ -277,31 +268,20 @@ func (n *Node) expireStalled() {
 	}
 }
 
-// observePeer records one reputation observation about a remote peer and
-// traces the resulting penalty, quarantine, or probation clearance. The
-// CatRep events carry the peer ID as an argument: the node's own trace
-// stream has no per-event peer column (Event.Peer is the emulation's).
+// observePeer records one reputation observation about a remote peer.
+// The recorder traces the resulting penalty, quarantine or probation
+// clearance under the wire id: the node's own trace stream has no
+// per-event peer column (Event.Peer is the emulation's).
 func (n *Node) observePeer(id wire.PeerID, obs reputation.Observation) {
 	at := n.now()
 	n.mu.Lock()
 	up := n.rep.Observe(id, at, obs)
 	n.mu.Unlock()
+	n.qoe.Reputation(at, -1, id.String(), obs, up)
 	if obs != reputation.ObsSuccess {
 		n.nm.repPenalties.Inc()
-		n.emitAt(at, trace.CatRep, trace.EvRepPenalty, -1,
-			trace.Str("peer", id.String()),
-			trace.Str("obs", obs.String()),
-			trace.Float64("score", up.Score))
-	}
-	if up.Cleared {
-		n.emitAt(at, trace.CatRep, trace.EvProbationClear, -1,
-			trace.Str("peer", id.String()))
 	}
 	if up.Quarantined {
 		n.nm.quarantines.Inc()
-		n.emitAt(at, trace.CatRep, trace.EvQuarantine, -1,
-			trace.Str("peer", id.String()),
-			trace.Float64("score", up.Score),
-			trace.Int64("until_us", up.Until.Microseconds()))
 	}
 }

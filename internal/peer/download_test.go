@@ -224,7 +224,7 @@ func TestExpireStalledReschedulesOnLiveConn(t *testing.T) {
 }
 
 // A traced, metered leecher that completes a real swarm download reports
-// schedule/completion events and non-zero counters.
+// pool-decision and completion events and non-zero counters.
 func TestNodeTraceAndMetrics(t *testing.T) {
 	m, blobs := testSwarmData(t, 4*time.Second, 2*time.Second)
 	trk := newTracker(t)
@@ -256,8 +256,8 @@ func TestNodeTraceAndMetrics(t *testing.T) {
 	for _, ev := range buf.Events() {
 		names[ev.Name]++
 	}
-	if names[trace.EvSchedule] == 0 {
-		t.Fatalf("no %s events: %v", trace.EvSchedule, names)
+	if names[trace.EvPoolFill] == 0 {
+		t.Fatalf("no %s events: %v", trace.EvPoolFill, names)
 	}
 	if names[trace.EvSegComplete] != len(m.Segments) {
 		t.Fatalf("%d %s events for %d segments: %v",

@@ -435,7 +435,7 @@ func (n *Node) SetServeDuplication(on bool) {
 	if on {
 		name = trace.EvDuplicate
 	}
-	n.emitAt(n.now(), trace.CatFault, name, -1)
+	n.emit(trace.CatFault, name, -1)
 }
 
 // Reputation snapshots the node's per-peer reputation table on the
@@ -609,7 +609,7 @@ func (n *Node) announceAndConnect() {
 		cached := append([]tracker.PeerInfo(nil), n.cachedPeers...)
 		n.mu.Unlock()
 		if wasUp {
-			n.emitAt(n.now(), trace.CatFault, trace.EvTrackerDown, -1)
+			n.emit(trace.CatFault, trace.EvTrackerDown, -1)
 		}
 		n.connectKnownPeers(cached)
 		n.schedule()
@@ -624,7 +624,7 @@ func (n *Node) announceAndConnect() {
 	n.cachedPeers = append(n.cachedPeers[:0], peers...)
 	n.mu.Unlock()
 	if wasDown {
-		n.emitAt(n.now(), trace.CatFault, trace.EvTrackerUp, -1)
+		n.emit(trace.CatFault, trace.EvTrackerUp, -1)
 	}
 	n.connectKnownPeers(peers)
 	n.schedule()

@@ -56,10 +56,10 @@ func newNodeMetrics(r *trace.Registry) nodeMetrics {
 	}
 }
 
-// emitAt sends one trace event at the given playback-clock time; a no-op
-// on a node without a tracer.
-func (n *Node) emitAt(at time.Duration, cat, name string, seg int, args ...trace.Arg) {
-	n.tr.Emit(trace.Event{At: at, Peer: -1, Seg: seg, Cat: cat, Name: name, Args: args})
+// emit sends one trace event about segment seg (-1 for none) at the
+// current playback-clock time; a no-op on a node without a tracer.
+func (n *Node) emit(cat, name string, seg int) {
+	n.tr.Emit(trace.Event{At: n.now(), Peer: -1, Seg: seg, Cat: cat, Name: name})
 }
 
 // playbackTransitionLocked feeds player state changes to the QoE

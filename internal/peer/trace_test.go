@@ -76,19 +76,23 @@ func TestNodeTraceThroughAnalyzer(t *testing.T) {
 		t.Errorf("report counts %d segments, viewer fetched %d", r.Segments.Count, len(m.Segments))
 	}
 
+	// The node records the pool decisions the emulation does, so its log
+	// rebuilds the decision series too, not only the player's.
 	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{})
 	b.AddEvents(events)
+	totals := map[string]int64{}
 	for _, s := range b.Snap().Series {
-		switch s.Name {
-		case trace.TSSegmentsCompleted:
-			if s.Total() != int64(len(m.Segments)) {
-				t.Errorf("%s total = %d, want %d", s.Name, s.Total(), len(m.Segments))
-			}
-		case trace.TSStallFractionPermille:
-			// One viewer: every stall samples 1000‰ going in.
-			if s.Total() == 0 {
-				t.Errorf("%s has no samples for %d stalls", s.Name, pm.Stalls)
-			}
+		totals[s.Name] = s.Total()
+	}
+	if got := totals[trace.TSSegmentsCompleted]; got != int64(len(m.Segments)) {
+		t.Errorf("%s total = %d, want %d", trace.TSSegmentsCompleted, got, len(m.Segments))
+	}
+	for _, name := range []string{
+		trace.TSBufferOccupancyUS, trace.TSPoolTargetK, trace.TSInflightFlows,
+		trace.TSStallFractionPermille, // one viewer: every stall samples 1000‰ going in
+	} {
+		if totals[name] == 0 {
+			t.Errorf("%s rebuilt from the node's log has no samples", name)
 		}
 	}
 }

@@ -279,26 +279,10 @@ func (s *swarm) fill(p *peerState) {
 	if launched > 0 {
 		p.retryAttempt = 0
 	}
-	// Windowed telemetry mirrors the pool_fill event exactly (same site,
-	// same timestamp, same values) so the trace-derived time series is
-	// bit-identical to this in-process one.
-	s.qoe.BufferedUS.Observe(now, buffered.Microseconds())
-	s.qoe.PoolTarget.Observe(now, int64(target))
-	s.qoe.Inflight.Observe(now, int64(p.pool.InFlight))
-	if s.cfg.Tracer.Enabled() {
-		flag := int64(0)
-		if blocked {
-			flag = 1
-		}
-		s.emit(p.id, next, trace.CatPool, trace.EvPoolFill,
-			trace.Int64("bandwidth", b),
-			trace.Int64("buffered_us", buffered.Microseconds()),
-			trace.Int64("seg_bytes", segBytes),
-			trace.Int64("target", int64(target)),
-			trace.Int64("inflight", int64(inFlightBefore)),
-			trace.Int64("launched", int64(launched)),
-			trace.Int64("blocked", flag))
-	}
+	s.qoe.PoolDecision(now, p.id, next, trace.PoolFacts{
+		Bandwidth: b, Buffered: buffered, SegBytes: segBytes, Target: target,
+		InFlight: inFlightBefore, Launched: launched, Blocked: blocked,
+	})
 	if blocked && !p.retryPending {
 		p.retryPending = true
 		// Legacy fixed retry unless backoff is opted in: capped exponential
@@ -338,28 +322,25 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	// (A slowloris trickles real bytes, but a trickle that cannot finish
 	// before the timeout is indistinguishable from silence in the fluid
 	// model; the trickle rate is trace metadata.)
+	flowID := int64(-1) // a pending serve has no netem flow
 	if src.lying() {
 		d := &download{src: src, pending: src.advKind}
 		p.inFlight[idx] = d
-		if s.cfg.Tracer.Enabled() {
-			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
-				trace.Int64("flow", -1),
-				trace.Int64("src", int64(src.id)))
-		}
 		s.eng.Schedule(s.serveTimeout(), func() { s.onServeTimeout(p, src, idx, d) })
-		return
+	} else {
+		opts := netem.TransferOptions{ReuseConnection: !s.cfg.FreshConnectionPerSegment}
+		flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts,
+			func(f *netem.Flow) { s.onDownloadComplete(p, src, idx, f) })
+		if err != nil {
+			// Unreachable: nodes and sizes are validated at setup.
+			panic("simpeer: start transfer: " + err.Error())
+		}
+		p.inFlight[idx] = &download{flow: flow, src: src}
+		flowID = int64(flow.ID())
 	}
-	opts := netem.TransferOptions{ReuseConnection: !s.cfg.FreshConnectionPerSegment}
-	flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts,
-		func(f *netem.Flow) { s.onDownloadComplete(p, src, idx, f) })
-	if err != nil {
-		// Unreachable: nodes and sizes are validated at setup.
-		panic("simpeer: start transfer: " + err.Error())
-	}
-	p.inFlight[idx] = &download{flow: flow, src: src}
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
-			trace.Int64("flow", int64(flow.ID())),
+			trace.Int64("flow", flowID),
 			trace.Int64("src", int64(src.id)))
 	}
 }
@@ -465,15 +446,7 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	if s.rep != nil {
 		s.observeRep(src, s.rep.Config().ServeObservation(f.Size(), f.Elapsed()))
 	}
-	s.qoe.SegSeconds.ObserveDuration(f.Elapsed())
-	s.qoe.SegBytes.Observe(f.Size())
-	s.qoe.SegsDone.Inc(now)
-	if s.cfg.Tracer.Enabled() {
-		s.emit(p.id, idx, trace.CatPool, trace.EvSegComplete,
-			trace.Int64("bytes", f.Size()),
-			trace.Int64("elapsed_us", f.Elapsed().Microseconds()),
-			trace.Int64("src", int64(src.id)))
-	}
+	s.qoe.Segment(now, p.id, idx, f.Size(), f.Elapsed(), src.id)
 	p.pool.Store(idx)
 	if err := p.player.OnSegmentComplete(idx, now); err != nil {
 		panic("simpeer: segment complete: " + err.Error()) // unreachable

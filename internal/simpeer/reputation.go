@@ -1,18 +1,15 @@
 package simpeer
 
-import (
-	"p2psplice/internal/reputation"
-	"p2psplice/internal/trace"
-)
+import "p2psplice/internal/reputation"
 
 // This file is the emulation's reputation glue: observations recorded
-// against download sources, quarantine enforcement (cancel the
-// offender's uploads, skip it in selection, schedule the release), and
-// the CatRep trace events. Everything runs on the engine clock and the
-// pure-hash draw layer, so a reputation-enabled run is bit-identical
-// across repetitions and -workers values. With s.rep == nil every entry
-// point is a no-op and the run is bit-identical to pre-reputation
-// behavior (the inertness tests enforce it).
+// against download sources and quarantine enforcement (cancel the
+// offender's uploads, skip it in selection, schedule the release); the
+// CatRep trace events are trace.QoE's. Everything runs on the engine
+// clock and the pure-hash draw layer, so a reputation-enabled run is
+// bit-identical across repetitions and -workers values. With s.rep == nil
+// every entry point is a no-op and the run is bit-identical to
+// pre-reputation behavior (the inertness tests enforce it).
 
 // observeRep records one observation about a download source and
 // enforces any resulting quarantine. The CDN is never scored: it is
@@ -24,16 +21,7 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 	}
 	now := s.eng.Now()
 	up := s.rep.Observe(src.id, now, obs)
-	if s.cfg.Tracer.Enabled() {
-		if obs != reputation.ObsSuccess {
-			s.emit(src.id, -1, trace.CatRep, trace.EvRepPenalty,
-				trace.Str("obs", obs.String()),
-				trace.Float64("score", up.Score))
-		}
-		if up.Cleared {
-			s.emit(src.id, -1, trace.CatRep, trace.EvProbationClear)
-		}
-	}
+	s.qoe.Reputation(now, src.id, "", obs, up)
 	if obs != reputation.ObsSuccess {
 		s.repPenalties.Inc()
 	}
@@ -41,11 +29,6 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 		return
 	}
 	s.quarantines.Inc()
-	if s.cfg.Tracer.Enabled() {
-		s.emit(src.id, -1, trace.CatRep, trace.EvQuarantine,
-			trace.Float64("score", up.Score),
-			trace.Int64("until_us", up.Until.Microseconds()))
-	}
 	// A quarantined source should not keep serving what selection would
 	// no longer assign it: abort its uploads so the victims re-request
 	// from healthy sources immediately instead of finishing doomed (or
@@ -60,9 +43,7 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 		if s.rep.Quarantined(src.id, s.eng.Now()) {
 			return
 		}
-		if s.cfg.Tracer.Enabled() {
-			s.emit(src.id, -1, trace.CatRep, trace.EvQuarantineEnd)
-		}
+		s.qoe.QuarantineEnd(s.eng.Now(), src.id)
 		s.fillAll()
 	})
 }

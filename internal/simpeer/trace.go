@@ -9,44 +9,30 @@ import (
 )
 
 // This file is the emulation's trace glue: pure listeners translating
-// engine, netem, and player callbacks into trace events. Nothing here may
-// mutate swarm, flow, or player state, draw from the RNG, or schedule
-// events — the same run must be bit-identical with tracing on and off
-// (see DESIGN.md §8 and the TestTracingIsInert equivalence test).
-
-// emitAt sends one event with an explicit timestamp (player transitions
-// carry retroactive times).
-func (s *swarm) emitAt(at time.Duration, peer, seg int, cat, name string, args ...trace.Arg) {
-	s.cfg.Tracer.Emit(trace.Event{At: at, Peer: peer, Seg: seg, Cat: cat, Name: name, Args: args})
-}
+// engine and netem callbacks into trace events (the player's go through
+// trace.QoE). Nothing here may mutate swarm, flow, or player state, draw
+// from the RNG, or schedule events — the same run must be bit-identical
+// with tracing on and off (see DESIGN.md §8 and TestTracingIsInert).
 
 // emit sends one event stamped with the current virtual time.
 func (s *swarm) emit(peer, seg int, cat, name string, args ...trace.Arg) {
-	s.emitAt(s.eng.Now(), peer, seg, cat, name, args...)
+	s.cfg.Tracer.Emit(trace.Event{At: s.eng.Now(), Peer: peer, Seg: seg, Cat: cat, Name: name, Args: args})
+}
+
+// flowEventNames maps netem's flow lifecycle kinds to trace event names.
+var flowEventNames = [...]string{
+	netem.FlowEventSetup:    trace.EvFlowSetup,
+	netem.FlowEventActivate: trace.EvFlowActivate,
+	netem.FlowEventFreeze:   trace.EvFlowFreeze,
+	netem.FlowEventUnfreeze: trace.EvFlowUnfreeze,
+	netem.FlowEventRamp:     trace.EvFlowRamp,
+	netem.FlowEventComplete: trace.EvFlowComplete,
+	netem.FlowEventCancel:   trace.EvFlowCancel,
 }
 
 // onFlowEvent translates netem flow lifecycle events, attributing each
 // flow to its downloading peer.
 func (s *swarm) onFlowEvent(ev netem.FlowEvent) {
-	var name string
-	switch ev.Kind {
-	case netem.FlowEventSetup:
-		name = trace.EvFlowSetup
-	case netem.FlowEventActivate:
-		name = trace.EvFlowActivate
-	case netem.FlowEventFreeze:
-		name = trace.EvFlowFreeze
-	case netem.FlowEventUnfreeze:
-		name = trace.EvFlowUnfreeze
-	case netem.FlowEventRamp:
-		name = trace.EvFlowRamp
-	case netem.FlowEventComplete:
-		name = trace.EvFlowComplete
-	case netem.FlowEventCancel:
-		name = trace.EvFlowCancel
-	default:
-		return
-	}
 	peer := -1
 	if id, ok := s.nodeToPeer[ev.Dst]; ok {
 		peer = id
@@ -59,7 +45,7 @@ func (s *swarm) onFlowEvent(ev netem.FlowEvent) {
 	if src, ok := s.nodeToPeer[ev.Src]; ok {
 		args = append(args, trace.Int64("src", int64(src)))
 	}
-	s.emitAt(ev.At, peer, -1, trace.CatFlow, name, args...)
+	s.emit(peer, -1, trace.CatFlow, flowEventNames[ev.Kind], args...)
 }
 
 // onLossState observes Gilbert–Elliott state transitions on peers'
@@ -86,7 +72,7 @@ func (s *swarm) onLossState(ev netem.LossStateEvent) {
 		if ev.Bad {
 			bad = 1
 		}
-		s.emitAt(ev.At, peer, -1, trace.CatFault, trace.EvLossState,
+		s.emit(peer, -1, trace.CatFault, trace.EvLossState,
 			trace.Int64("bad", bad),
 			trace.Float64("loss", ev.Loss))
 	}

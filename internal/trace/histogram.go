@@ -94,14 +94,6 @@ func (h Histogram) Count() int64 {
 	return atomic.LoadInt64(&h.h.count)
 }
 
-// Sum returns the exact sum of raw observations.
-func (h Histogram) Sum() int64 {
-	if h.h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.h.sum)
-}
-
 // snapshot copies the live state into a HistStat.
 func (h *histState) snapshot(name string) HistStat {
 	st := HistStat{Name: name, Scale: h.scale}

@@ -56,8 +56,8 @@ func TestHistogramCountSum(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("Count = %d, want 5", h.Count())
 	}
-	if h.Sum() != 4202 {
-		t.Fatalf("Sum = %d, want 4202", h.Sum())
+	if sum := r.Snap().Hists[0].Sum; sum != 4202 {
+		t.Fatalf("Sum = %d, want 4202", sum)
 	}
 	// Same name returns the same underlying histogram.
 	h2 := r.Histogram("bytes")
@@ -180,8 +180,8 @@ func TestNilRegistryHistogramIsNoOp(t *testing.T) {
 	h := r.Histogram("x")
 	h.Observe(5)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil-registry histogram recorded: count=%d sum=%d", h.Count(), h.Sum())
+	if h.Count() != 0 {
+		t.Fatalf("nil-registry histogram recorded: count=%d", h.Count())
 	}
 	sh := r.SecondsHistogram("y")
 	sh.ObserveDuration(time.Second)

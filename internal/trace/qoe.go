@@ -4,32 +4,34 @@ import (
 	"time"
 
 	"p2psplice/internal/player"
+	"p2psplice/internal/reputation"
 )
 
-// QoE is the playback-telemetry recorder: the one writer of the QoE
-// schema for the emulation (prefix "sim"), the real node (prefix "p2p")
-// and trace replay. It registers the five <prefix>_* histogram families
-// (see NewQoE) and the six TS* windowed series, keeps the open-stall
-// state their values depend on, and alone constructs the five player
-// events, so the three backends cannot disagree about a playback
-// transition. Any backend may be nil: its handles are then no-ops, so
-// recording sites run the same statements whatever is attached (the
-// inertness tests prove it). The transition methods keep per-peer state
-// without a lock; callers serialize them (the emulation is
-// single-threaded, the real node holds its mutex across every player
-// call).
+// QoE is the telemetry recorder: the one writer of the QoE schema for
+// the emulation (prefix "sim"), the real node (prefix "p2p") and trace
+// replay. It registers the five <prefix>_* histogram families (see
+// NewQoE) and the six TS* windowed series, keeps the open-stall state
+// their values depend on, and alone constructs the events of its entry
+// points — Transition, Segment, PoolDecision, Reputation — which Replay
+// reads back through the same methods, so the three backends cannot
+// disagree about what happened or how it is spelled. Any backend may be
+// nil: its handles are then no-ops, so recording sites run the same
+// statements whatever is attached (the inertness tests prove it).
+// Transition keeps per-peer state without a lock; callers serialize it
+// (the emulation is single-threaded, the real node holds its mutex across
+// every player call). The rest touch only atomic handles and the sink.
 type QoE struct {
-	// Per-decision handles, exported so the schedulers' hot paths
-	// observe them directly at the decision site.
-	PoolK      Histogram
-	SegSeconds Histogram
-	SegBytes   Histogram
-	BufferedUS TSGauge
-	PoolTarget TSHist
-	Inflight   TSGauge
-	SegsDone   TSCounter
+	// PoolK is the schedulers' to observe, on every Eq. 1 answer: one that
+	// finds the pool already full records nothing else.
+	PoolK Histogram
 
 	tr            *Tracer
+	segSeconds    Histogram
+	segBytes      Histogram
+	bufferedUS    TSGauge
+	poolTarget    TSHist
+	inflight      TSGauge
+	segsDone      TSCounter
 	startup       Histogram
 	stall         map[string]Histogram // by cause
 	stalled       TSGauge
@@ -62,13 +64,13 @@ func NewQoE(tr *Tracer, reg *Registry, prefix, scheme string, ts *TimeSeries, vi
 	reg.SetHelp(prefix+"_pool_size_k", "Equation 1 pool-size decisions.")
 	q := &QoE{
 		PoolK:         reg.Histogram(prefix + "_pool_size_k"),
-		SegSeconds:    reg.SecondsHistogram(prefix + "_segment_download_seconds" + label),
-		SegBytes:      reg.Histogram(prefix + "_segment_bytes" + label),
-		BufferedUS:    ts.Gauge(TSBufferOccupancyUS),
-		PoolTarget:    ts.Histogram(TSPoolTargetK),
-		Inflight:      ts.Gauge(TSInflightFlows),
-		SegsDone:      ts.Counter(TSSegmentsCompleted),
 		tr:            tr,
+		segSeconds:    reg.SecondsHistogram(prefix + "_segment_download_seconds" + label),
+		segBytes:      reg.Histogram(prefix + "_segment_bytes" + label),
+		bufferedUS:    ts.Gauge(TSBufferOccupancyUS),
+		poolTarget:    ts.Histogram(TSPoolTargetK),
+		inflight:      ts.Gauge(TSInflightFlows),
+		segsDone:      ts.Counter(TSSegmentsCompleted),
 		startup:       reg.SecondsHistogram(prefix + "_startup_seconds"),
 		stall:         map[string]Histogram{},
 		stalled:       ts.Gauge(TSStalledPeers),
@@ -82,8 +84,19 @@ func NewQoE(tr *Tracer, reg *Registry, prefix, scheme string, ts *TimeSeries, vi
 	return q
 }
 
-func (q *QoE) emit(at time.Duration, peer int, name string, args ...Arg) {
-	q.tr.Emit(Event{At: at, Peer: peer, Seg: -1, Cat: CatPlayer, Name: name, Args: args})
+// Argument keys tracereport's rollups read back; the recorder is their
+// one writer. ArgPeer is the wire id of the remote a real node's CatRep
+// event is about (the emulation names it in Event.Peer).
+const (
+	ArgBytes     = "bytes"
+	ArgElapsedUS = "elapsed_us"
+	ArgScore     = "score"
+	ArgUntilUS   = "until_us"
+	ArgPeer      = "peer"
+)
+
+func (q *QoE) emit(at time.Duration, peer, seg int, cat, name string, args ...Arg) {
+	q.tr.Emit(Event{At: at, Peer: peer, Seg: seg, Cat: cat, Name: name, Args: args})
 }
 
 // Transition records one playback state change: the one translation
@@ -102,8 +115,8 @@ func (q *QoE) Transition(tr player.Transition, peer int, joined time.Duration, c
 		cause := f.Cause()
 		q.stallBegin(tr.At, peer, cause)
 		if q.tr.Enabled() {
-			q.emit(tr.At, peer, EvStallBegin)
-			q.emit(tr.At, peer, EvStallCause, Str("cause", cause),
+			q.emit(tr.At, peer, -1, CatPlayer, EvStallBegin)
+			q.emit(tr.At, peer, -1, CatPlayer, EvStallCause, Str("cause", cause),
 				Int64("inflight", int64(f.InFlight)),
 				Int64("frozen", int64(f.Frozen)))
 		}
@@ -116,7 +129,7 @@ func (q *QoE) Transition(tr player.Transition, peer int, joined time.Duration, c
 
 // started records the first rendered frame, startup after the peer's join.
 func (q *QoE) started(at time.Duration, peer int, startup time.Duration) {
-	q.emit(at, peer, EvStartup, Int64("startup_us", startup.Microseconds()))
+	q.emit(at, peer, -1, CatPlayer, EvStartup, Int64("startup_us", startup.Microseconds()))
 	q.startup.ObserveDuration(startup)
 }
 
@@ -136,7 +149,7 @@ func (q *QoE) end(at time.Duration, peer int, name string) {
 		q.observeStalled(at)
 		q.stall[st.cause].ObserveDuration(at - st.at)
 	}
-	q.emit(at, peer, name)
+	q.emit(at, peer, -1, CatPlayer, name)
 }
 
 // observeStalled samples the stalled count and fraction after a change.
@@ -148,28 +161,111 @@ func (q *QoE) observeStalled(at time.Duration) {
 	}
 }
 
+// Segment records one verified, stored segment: its wire size and how
+// long the transfer took. src is the serving peer, -1 on the real node.
+func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time.Duration, src int) {
+	q.segSeconds.ObserveDuration(elapsed)
+	q.segBytes.Observe(bytes)
+	q.segsDone.Inc(at)
+	if q.tr.Enabled() {
+		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds())}
+		if src >= 0 {
+			args = append(args, Int64("src", int64(src)))
+		}
+		q.emit(at, peer, seg, CatPool, EvSegComplete, args...)
+	}
+}
+
+// PoolFacts is one pool decision that found room to act: Eq. 1's inputs
+// and answer, and what the scheduler made of it.
+type PoolFacts struct {
+	Bandwidth int64         // B, bytes/s
+	Buffered  time.Duration // T, the playback lead
+	SegBytes  int64         // W, the size of the first wanted segment
+	Target    int           // k
+	InFlight  int           // downloads in the pool before the fill
+	Launched  int           // downloads the fill started
+	Blocked   bool          // a wanted segment had holders but none eligible
+}
+
+// PoolDecision records a fill of peer's pool starting at segment seg.
+// The series sample exactly what the pool_fill event carries, so series
+// rebuilt from a trace are bit-identical to the live ones.
+func (q *QoE) PoolDecision(at time.Duration, peer, seg int, f PoolFacts) {
+	q.bufferedUS.Observe(at, f.Buffered.Microseconds())
+	q.poolTarget.Observe(at, int64(f.Target))
+	q.inflight.Observe(at, int64(f.InFlight+f.Launched))
+	if q.tr.Enabled() {
+		blocked := int64(0)
+		if f.Blocked {
+			blocked = 1
+		}
+		q.emit(at, peer, seg, CatPool, EvPoolFill,
+			Int64("bandwidth", f.Bandwidth),
+			Int64("buffered_us", f.Buffered.Microseconds()),
+			Int64("seg_bytes", f.SegBytes),
+			Int64("target", int64(f.Target)),
+			Int64("inflight", int64(f.InFlight)),
+			Int64("launched", int64(f.Launched)),
+			Int64("blocked", blocked))
+	}
+}
+
+// Reputation records what one observation did to a remote peer's
+// standing: the penalty (anything but a success), a completed probation,
+// an opened quarantine window, in that order. The emulation names the
+// peer by id; the real node passes -1 and the wire id. Nothing here feeds
+// a histogram or series, so Replay has no case for these events.
+func (q *QoE) Reputation(at time.Duration, peer int, wireID string, obs reputation.Observation, up reputation.Update) {
+	if !q.tr.Enabled() {
+		return
+	}
+	var who []Arg
+	if wireID != "" {
+		who = []Arg{Str(ArgPeer, wireID)}
+	}
+	score := Float64(ArgScore, up.Score)
+	if obs != reputation.ObsSuccess {
+		q.emit(at, peer, -1, CatRep, EvRepPenalty, append(who, Str("obs", obs.String()), score)...)
+	}
+	if up.Cleared {
+		q.emit(at, peer, -1, CatRep, EvProbationClear, who...)
+	}
+	if up.Quarantined {
+		q.emit(at, peer, -1, CatRep, EvQuarantine, append(who, score, Int64(ArgUntilUS, up.Until.Microseconds()))...)
+	}
+}
+
+// QuarantineEnd records the release of peer's lapsed quarantine window.
+func (q *QoE) QuarantineEnd(at time.Duration, peer int) {
+	q.emit(at, peer, -1, CatRep, EvQuarantineEnd)
+}
+
 // Replay folds a recorded event log (one run, in emission order) into
 // the recorder through the methods the live run used, emitting nothing.
-// Events match by name, so a log from either stack replays: CatPool or
-// CatSched completions, player events with or without a peer id.
-// Replaying a complete in-memory log reproduces the live histograms and
-// series exactly — except pool_size_k, because a fill that returns at a
-// full pool emits no event.
+// Events match by name, so a log from either stack replays, with or
+// without peer ids. Replaying a complete in-memory log reproduces the
+// live histograms and series exactly — except pool_size_k, because a
+// fill that returns at a full pool emits no event.
 func (q *QoE) Replay(events []Event) {
 	defer func(tr *Tracer) { q.tr = tr }(q.tr)
 	q.tr = nil
+	us := func(ev Event, key string) time.Duration {
+		return time.Duration(ev.ArgInt64(key, 0)) * time.Microsecond
+	}
 	for _, ev := range events {
 		switch ev.Name {
 		case EvPoolFill:
-			q.BufferedUS.Observe(ev.At, ev.ArgInt64("buffered_us", 0))
-			q.PoolTarget.Observe(ev.At, ev.ArgInt64("target", 0))
-			q.Inflight.Observe(ev.At, ev.ArgInt64("inflight", 0)+ev.ArgInt64("launched", 0))
+			q.PoolDecision(ev.At, ev.Peer, ev.Seg, PoolFacts{
+				Buffered: us(ev, "buffered_us"),
+				Target:   int(ev.ArgInt64("target", 0)),
+				InFlight: int(ev.ArgInt64("inflight", 0)),
+				Launched: int(ev.ArgInt64("launched", 0)),
+			})
 		case EvSegComplete:
-			q.SegSeconds.Observe(ev.ArgInt64("elapsed_us", 0))
-			q.SegBytes.Observe(ev.ArgInt64("bytes", 0))
-			q.SegsDone.Inc(ev.At)
+			q.Segment(ev.At, ev.Peer, ev.Seg, ev.ArgInt64(ArgBytes, 0), us(ev, ArgElapsedUS), -1)
 		case EvStartup:
-			q.started(ev.At, ev.Peer, time.Duration(ev.ArgInt64("startup_us", 0))*time.Microsecond)
+			q.started(ev.At, ev.Peer, us(ev, "startup_us"))
 		case EvStallBegin:
 			// A sampled or truncated log can lose the stall_end between
 			// two begins; the first one stands.

@@ -45,21 +45,6 @@ func (g Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta.
-func (g Gauge) Add(delta int64) {
-	if g.v != nil {
-		atomic.AddInt64(g.v, delta)
-	}
-}
-
-// Value returns the current value.
-func (g Gauge) Value() int64 {
-	if g.v == nil {
-		return 0
-	}
-	return atomic.LoadInt64(g.v)
-}
-
 // Stat is one snapshot entry.
 type Stat struct {
 	Name  string `json:"name"`

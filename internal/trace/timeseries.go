@@ -96,14 +96,6 @@ func NewTimeSeries(cfg TimeSeriesConfig) *TimeSeries {
 	}
 }
 
-// Window returns the configured window width (0 on nil).
-func (ts *TimeSeries) Window() time.Duration {
-	if ts == nil {
-		return 0
-	}
-	return ts.window
-}
-
 // tsCell is one window's aggregate for one series. All fields are
 // atomics; min/max use CAS loops. Exact integer aggregation commutes,
 // so parallel shards and worker pools fold into identical cells.
@@ -118,15 +110,14 @@ type tsCell struct {
 type tsSeries struct {
 	name    string
 	kind    string
-	scale   float64 // display-unit conversion, as histState.scale
-	window  int64   // window width in microseconds (copied for the hot path)
+	window  int64 // window width in microseconds (copied for the hot path)
 	cells   []tsCell
 	buckets [][histSlots]int64 // hist kind only; len(cells) entries
 	hi      int64              // atomic: highest window index observed, -1 when empty
 	clamped int64              // atomic: observations clamped into the last window
 }
 
-func (ts *TimeSeries) register(name, kind string, scale float64) *tsSeries {
+func (ts *TimeSeries) register(name, kind string) *tsSeries {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	s := ts.series[name]
@@ -134,7 +125,6 @@ func (ts *TimeSeries) register(name, kind string, scale float64) *tsSeries {
 		s = &tsSeries{
 			name:   name,
 			kind:   kind,
-			scale:  scale,
 			window: ts.window.Microseconds(),
 			cells:  make([]tsCell, ts.maxWindows),
 			hi:     -1,
@@ -258,21 +248,13 @@ func (h TSHist) Observe(at time.Duration, v int64) {
 	}
 }
 
-// ObserveDuration records a duration in microseconds (pair with a 1e-6
-// scale, mirroring Registry.SecondsHistogram).
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (h TSHist) ObserveDuration(at time.Duration, d time.Duration) {
-	h.Observe(at, d.Microseconds())
-}
-
 // Counter returns the named per-window counter series, creating it on
 // first use. Safe on nil.
 func (ts *TimeSeries) Counter(name string) TSCounter {
 	if ts == nil {
 		return TSCounter{}
 	}
-	return TSCounter{s: ts.register(name, TSKindCounter, 1)}
+	return TSCounter{s: ts.register(name, TSKindCounter)}
 }
 
 // Gauge returns the named sampled-gauge series. Safe on nil.
@@ -280,7 +262,7 @@ func (ts *TimeSeries) Gauge(name string) TSGauge {
 	if ts == nil {
 		return TSGauge{}
 	}
-	return TSGauge{s: ts.register(name, TSKindGauge, 1)}
+	return TSGauge{s: ts.register(name, TSKindGauge)}
 }
 
 // Histogram returns the named per-window histogram series recording raw
@@ -289,16 +271,7 @@ func (ts *TimeSeries) Histogram(name string) TSHist {
 	if ts == nil {
 		return TSHist{}
 	}
-	return TSHist{s: ts.register(name, TSKindHist, 1)}
-}
-
-// SecondsHistogram returns the named per-window histogram recording
-// microseconds and exposing seconds. Safe on nil.
-func (ts *TimeSeries) SecondsHistogram(name string) TSHist {
-	if ts == nil {
-		return TSHist{}
-	}
-	return TSHist{s: ts.register(name, TSKindHist, 1e-6)}
+	return TSHist{s: ts.register(name, TSKindHist)}
 }
 
 // TSWindow is one window's immutable aggregate. Empty windows (Count 0)
@@ -376,7 +349,7 @@ func (s *tsSeries) snapshot() TSSeriesStat {
 	st := TSSeriesStat{
 		Name:    s.name,
 		Kind:    s.kind,
-		Scale:   s.scale,
+		Scale:   1, // every series records raw units
 		Clamped: atomic.LoadInt64(&s.clamped),
 	}
 	hi := atomic.LoadInt64(&s.hi)

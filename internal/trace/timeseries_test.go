@@ -88,7 +88,7 @@ func TestMergeTS(t *testing.T) {
 	build := func(vals ...int64) TSSnapshot {
 		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 8})
 		g := ts.Gauge("g")
-		h := ts.SecondsHistogram("h")
+		h := ts.Histogram("h")
 		for i, v := range vals {
 			at := time.Duration(i) * 400 * time.Millisecond
 			g.Observe(at, v)

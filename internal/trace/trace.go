@@ -23,7 +23,6 @@ const (
 	CatFlow   = "flow"
 	CatPool   = "pool"
 	CatPlayer = "player"
-	CatSched  = "sched"
 	CatFault  = "fault"
 	CatRep    = "rep"
 )
@@ -40,17 +39,14 @@ const (
 	EvFlowComplete = "flow_complete"
 	EvFlowCancel   = "flow_cancel"
 
-	// Scheduling decisions (CatPool for the emulation, CatSched for the
-	// real node).
-	EvPoolFill     = "pool_fill"
-	EvSourcePick   = "source_pick"
-	EvSourceRetry  = "source_retry"
-	EvSegComplete  = "segment_complete"
-	EvSchedule     = "schedule"
-	EvScheduleIdle = "schedule_idle"
-	EvVerifyFail   = "verify_fail"
-	EvStoreFail    = "store_fail"
-	EvTimeout      = "download_timeout"
+	// Scheduling decisions and download outcomes (CatPool), both stacks.
+	EvPoolFill    = "pool_fill"
+	EvSourcePick  = "source_pick"
+	EvSourceRetry = "source_retry"
+	EvSegComplete = "segment_complete"
+	EvVerifyFail  = "verify_fail"
+	EvStoreFail   = "store_fail"
+	EvTimeout     = "download_timeout"
 
 	// Player state (CatPlayer).
 	EvStartup    = "startup"
@@ -92,8 +88,8 @@ const (
 	EvDuplicateEnd = "duplicate_end"
 	EvServeTimeout = "serve_timeout"
 
-	// Reputation/quarantine lifecycle (CatRep). The Peer field (or a
-	// "peer" string arg on the real stack) names the peer being judged;
+	// Reputation/quarantine lifecycle (CatRep). The Peer field (or the
+	// ArgPeer string on the real stack) names the peer being judged;
 	// penalties carry the observation name and resulting score.
 	EvRepPenalty     = "rep_penalty"
 	EvQuarantine     = "quarantine_begin"
@@ -301,11 +297,4 @@ func (b *Buffer) Events() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]Event(nil), b.events...)
-}
-
-// Len returns the number of recorded events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
 }

@@ -300,11 +300,11 @@ func (a *accum) addFile(name string, events []trace.Event) {
 		switch ev.Cat {
 		case trace.CatFlow:
 			a.addFlowEvent(flows, ev)
-		case trace.CatPool, trace.CatSched:
+		case trace.CatPool:
 			if ev.Name == trace.EvSegComplete {
-				a.segments = append(a.segments, ev.ArgInt64("elapsed_us", 0))
+				a.segments = append(a.segments, ev.ArgInt64(trace.ArgElapsedUS, 0))
 				a.report.Segments.Count++
-				a.report.Segments.TotalBytes += ev.ArgInt64("bytes", 0)
+				a.report.Segments.TotalBytes += ev.ArgInt64(trace.ArgBytes, 0)
 			}
 		case trace.CatRep:
 			quarSpans = a.addRepEvent(quarSpans, ev)
@@ -398,12 +398,12 @@ type repSpan struct {
 
 // repPeerKey derives the rollup key for a CatRep event: the emulator
 // stamps the scored node id on Event.Peer; the real stack has no integer
-// ids and carries the wire peer id in the "peer" arg instead.
+// ids and carries the wire peer id in the ArgPeer arg instead.
 func repPeerKey(ev trace.Event) string {
 	if ev.Peer >= 0 {
 		return strconv.Itoa(ev.Peer)
 	}
-	return ev.ArgStr("peer", "")
+	return ev.ArgStr(trace.ArgPeer, "")
 }
 
 // addRepEvent folds one CatRep event and returns the (possibly grown)
@@ -422,14 +422,14 @@ func (a *accum) addRepEvent(spans []repSpan, ev trace.Event) []repSpan {
 	switch ev.Name {
 	case trace.EvRepPenalty:
 		st.Penalties++
-		st.FinalScore = ev.ArgFloat64("score", st.FinalScore)
+		st.FinalScore = ev.ArgFloat64(trace.ArgScore, st.FinalScore)
 	case trace.EvQuarantine:
 		st.Quarantines++
-		st.FinalScore = ev.ArgFloat64("score", st.FinalScore)
+		st.FinalScore = ev.ArgFloat64(trace.ArgScore, st.FinalScore)
 		spans = append(spans, repSpan{
 			peer:    key,
 			startUS: ev.At.Microseconds(),
-			untilUS: ev.ArgInt64("until_us", ev.At.Microseconds()),
+			untilUS: ev.ArgInt64(trace.ArgUntilUS, ev.At.Microseconds()),
 		})
 	}
 	return spans

@@ -158,13 +158,13 @@ func TestFlowOpenAtTraceEndIsCharged(t *testing.T) {
 }
 
 func TestSegmentStats(t *testing.T) {
-	seg := func(at int64, cat string, bytes, elapsed int64) trace.Event {
-		return trace.Event{At: us(at), Peer: 0, Seg: 1, Cat: cat, Name: trace.EvSegComplete,
+	seg := func(at int64, peer int, bytes, elapsed int64) trace.Event {
+		return trace.Event{At: us(at), Peer: peer, Seg: 1, Cat: trace.CatPool, Name: trace.EvSegComplete,
 			Args: []trace.Arg{trace.Int64("bytes", bytes), trace.Int64("elapsed_us", elapsed)}}
 	}
 	evs := []trace.Event{
-		seg(100, trace.CatPool, 1000, 50),  // emulation
-		seg(200, trace.CatSched, 2000, 70), // real stack
+		seg(100, 0, 1000, 50),  // emulation
+		seg(200, -1, 2000, 70), // real stack
 	}
 	a := AnalyzeFiles([]string{"a.jsonl"}, [][]trace.Event{evs})
 	s := a.Report.Segments
