@@ -77,41 +77,21 @@ bench-json: | $(ARTIFACTS)
 	$(GO) run ./cmd/experiment -quick -json > $(ARTIFACTS)/experiment-quick.json
 	$(GO) test -run='^$$' -bench='^BenchmarkFig' -benchtime=1x .
 
-# trace-smoke: regenerate Figure 2 at quick scale with per-cell trace
-# artifacts (JSONL + Chrome trace + stall timeline) into the artifacts
-# dir, then prove the splicetrace analyzer over them: 100% stall
-# attribution and a byte-identical report across repeated runs.
-# report.json is the aggregate cmd/experiment wrote; splicetrace must
-# reproduce it exactly. Figure values are bit-identical with tracing on
-# or off (DESIGN.md §8).
-trace-smoke: | $(ARTIFACTS)
-	$(GO) run ./cmd/experiment -quick -figure 2 -trace $(ARTIFACTS)/trace-quick > /dev/null
-	@ls $(ARTIFACTS)/trace-quick | head -6
-	@echo "trace-smoke: $$(ls $(ARTIFACTS)/trace-quick | wc -l) artifacts in $(ARTIFACTS)/trace-quick/"
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/trace-quick -require-attributed > $(ARTIFACTS)/trace-report.txt
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/trace-quick -json -o $(ARTIFACTS)/trace-report-a.json
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/trace-quick -json -o $(ARTIFACTS)/trace-report-b.json
-	cmp $(ARTIFACTS)/trace-report-a.json $(ARTIFACTS)/trace-report-b.json
-	cmp $(ARTIFACTS)/trace-report-a.json $(ARTIFACTS)/trace-quick/report.json
-	@echo "trace-smoke: splicetrace report fully attributed and byte-stable"
+# trace-smoke, timeseries-smoke: the splicetrace analyzer and the windowed
+# virtual-time telemetry end to end, over per-cell trace artifacts (JSONL +
+# Chrome trace + stall timeline) of quick Figure 2: 100% stall attribution,
+# a byte-identical view across repeated runs — and, for the time-series
+# CSV, across worker counts — and a report.json that reproduces exactly the
+# aggregate cmd/experiment wrote. One recipe, scripts/trace-smoke.sh; the
+# rows below are <view> <machine flag> <output stem> <text output>
+# <reference in the first trace dir, or -> <trace dir>[:<workers>]...
+TRACE_SMOKE = GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/trace-smoke.sh
 
-# timeseries-smoke: the windowed virtual-time telemetry end to end.
-# Regenerates quick Figure 2 traces at two worker counts, rebuilds the
-# time-series CSV from each, and requires byte-identity — the windowing
-# is commutative integer aggregation, so neither reruns nor parallelism
-# may move a single byte. Stall attribution must stay total on the same
-# traces.
-timeseries-smoke: | $(ARTIFACTS)
-	$(GO) run ./cmd/experiment -quick -figure 2 -trace $(ARTIFACTS)/ts-trace-w1 -workers 1 > /dev/null
-	$(GO) run ./cmd/experiment -quick -figure 2 -trace $(ARTIFACTS)/ts-trace-w4 -workers 4 > /dev/null
-	$(GO) run ./cmd/splicetrace report $(ARTIFACTS)/ts-trace-w1 -require-attributed > /dev/null
-	$(GO) run ./cmd/splicetrace timeseries $(ARTIFACTS)/ts-trace-w1 -csv -o $(ARTIFACTS)/timeseries-a.csv
-	$(GO) run ./cmd/splicetrace timeseries $(ARTIFACTS)/ts-trace-w1 -csv -o $(ARTIFACTS)/timeseries-b.csv
-	$(GO) run ./cmd/splicetrace timeseries $(ARTIFACTS)/ts-trace-w4 -csv -o $(ARTIFACTS)/timeseries-w4.csv
-	cmp $(ARTIFACTS)/timeseries-a.csv $(ARTIFACTS)/timeseries-b.csv
-	cmp $(ARTIFACTS)/timeseries-a.csv $(ARTIFACTS)/timeseries-w4.csv
-	$(GO) run ./cmd/splicetrace timeseries $(ARTIFACTS)/ts-trace-w1 -o $(ARTIFACTS)/timeseries-report.txt
-	@echo "timeseries-smoke: CSV byte-identical across runs and workers"
+trace-smoke:
+	$(TRACE_SMOKE) report -json trace-report trace-report.txt report.json trace-quick
+
+timeseries-smoke:
+	$(TRACE_SMOKE) timeseries -csv timeseries timeseries-report.txt - ts-trace-w1:1 ts-trace-w4:4
 
 # metrics-smoke: launch the quickstart real-TCP swarm with -debug-addr,
 # wait for /healthz, and validate the /metrics Prometheus exposition
