@@ -301,6 +301,9 @@ func (s *swarm) fill(p *peerState) {
 				trace.Int64("attempt", int64(attempt)))
 		}
 		s.eng.Schedule(delay, func() {
+			// A stall that began during the wait surfaces here, while the
+			// flag still says what the peer was waiting for.
+			p.player.BufferedAhead(s.eng.Now())
 			p.retryPending = false
 			if !p.departed {
 				s.fill(p)

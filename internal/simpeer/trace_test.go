@@ -170,3 +170,35 @@ func TestStallClassifiedBeforePoolShrinks(t *testing.T) {
 		t.Fatal("no stalls on a link at half the clip rate; the test exercises nothing")
 	}
 }
+
+// A peer with nothing in flight because every holder's upload slot is taken
+// waits on the source retry, and when its buffer runs dry during that wait
+// the stall surfaces in the retry callback's own fill. The callback must
+// sync the player before it clears retryPending, or the classifier sees a
+// peer that is neither fetching nor waiting and blames the scheduler
+// (empty_pool) for what is choked_sources. One upload slot per node and
+// store-and-forward relaying keep the three viewers queueing for sources.
+func TestStallInRetryCallbackIsChokedSources(t *testing.T) {
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 40*time.Second, 1)
+	cfg := baseConfig(96 * 1024)
+	cfg.Leechers = 3
+	cfg.LossRate = 0
+	cfg.JoinSpread = 0
+	cfg.MaxUploadsPerPeer = 1
+	cfg.DisableRelay = true
+	cfg.Policy = core.FixedPool{K: 1}
+	buf := trace.NewBuffer()
+	cfg.Tracer = trace.New(buf)
+	if _, err := RunSwarm(cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+	causes := map[string]int{}
+	for _, ev := range buf.Events() {
+		if ev.Name == trace.EvStallCause {
+			causes[ev.ArgStr("cause", "")]++
+		}
+	}
+	if causes[trace.CauseChokedSources] == 0 || causes[trace.CauseEmptyPool] != 0 {
+		t.Errorf("stall causes = %v, want some %s and no %s", causes, trace.CauseChokedSources, trace.CauseEmptyPool)
+	}
+}
