@@ -289,3 +289,35 @@ func TestSchedulerFiresAndStops(t *testing.T) {
 		t.Fatalf("Stop did not cancel the pending edges: fired %v", fired)
 	}
 }
+
+func TestBurstAndCorruptionWindowsValidate(t *testing.T) {
+	m := GEModel{PGood: 0.005, PBad: 0.32, P13: 0.1, P31: 0.6}
+	p := Merge(
+		BurstLoss(1, 0, 30*time.Second, m),
+		Corruption(2, 5*time.Second, 10*time.Second, 15),
+	)
+	if err := p.Validate(3); err != nil {
+		t.Fatalf("valid burst+corruption plan rejected: %v", err)
+	}
+	bad := []Plan{
+		// Zero-Dur burst window.
+		{Events: []Event{{Kind: KindBurstLoss, Node: 1, Loss: m}}},
+		// Nested burst windows on one node.
+		Merge(BurstLoss(1, 0, 20*time.Second, m), BurstLoss(1, 5*time.Second, 5*time.Second, m)),
+		// Invalid GE parameters.
+		BurstLoss(1, 0, time.Second, GEModel{PGood: 0.5, PBad: 1.5, P13: 0.1, P31: 0.1}),
+		BurstLoss(1, 0, time.Second, GEModel{PGood: 0.01, PBad: 0.3, P13: 0, P31: 0.1}),
+		// Zero-Dur corruption window.
+		{Events: []Event{{Kind: KindCorrupt, Node: 2, Percent: 10}}},
+		// Percent outside (0, 100].
+		Corruption(2, 0, time.Second, 0),
+		Corruption(2, 0, time.Second, 101),
+		// Node out of range.
+		BurstLoss(9, 0, time.Second, m),
+	}
+	for i, p := range bad {
+		if err := p.Validate(3); err == nil {
+			t.Errorf("case %d: invalid plan accepted: %+v", i, p.Events)
+		}
+	}
+}

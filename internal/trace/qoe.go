@@ -168,9 +168,9 @@ func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time
 	q.segBytes.Observe(bytes)
 	q.segsDone.Inc(at)
 	if q.tr.Enabled() {
-		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds())}
-		if src >= 0 {
-			args = append(args, Int64("src", int64(src)))
+		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds()), Int64("src", int64(src))}
+		if src < 0 {
+			args = args[:2]
 		}
 		q.emit(at, peer, seg, CatPool, EvSegComplete, args...)
 	}
