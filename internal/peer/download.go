@@ -26,19 +26,21 @@ type segDownload struct {
 // schedule tops up the download pool: the real stack's driver of
 // internal/core's scheduler, as simpeer.fill is the emulation's. Called on
 // join, on every have/bitfield/piece/unchoke event and by the watchdog, it
-// gathers the node's facts under n.mu and sends block requests unlocked.
+// gathers the node's facts under n.mu, then records a fill that had room and
+// sends its block requests unlocked.
 func (n *Node) schedule() {
 	if n.seeder {
 		return
 	}
 	var launches []*segDownload
+	var f trace.PoolFacts // zero unless a segment is wanted
 
 	n.mu.Lock()
-	if first := n.pool.FirstWanted(); !n.closed && first >= 0 {
-		now := n.now()
+	first, now := n.pool.FirstWanted(), n.now()
+	if !n.closed && first >= 0 {
 		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
 		// before its first sample), T the playback buffer, W the size of first.
-		f := trace.PoolFacts{
+		f = trace.PoolFacts{
 			Bandwidth: n.est.Estimate(),
 			Buffered:  n.play.BufferedAhead(now),
 			SegBytes:  n.manifest.Segments[first].Bytes,
@@ -59,12 +61,14 @@ func (n *Node) schedule() {
 				}
 			})
 			f.Launched = len(launches)
-			n.qoe.PoolDecision(now, -1, first, f)
 		}
 	}
 	n.nm.activeDowns.Set(int64(len(n.active)))
 	n.mu.Unlock()
 
+	if f.InFlight < f.Target {
+		n.qoe.PoolDecision(now, -1, first, f)
+	}
 	n.nm.schedCalls.Inc()
 	n.nm.launches.Add(int64(len(launches)))
 	for _, d := range launches {
@@ -217,7 +221,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 	// below the slow-serve floor.
 	n.observePeer(c.id, n.rep.Config().ServeObservation(int64(d.size), elapsed))
 	n.nm.segsDone.Inc()
-	n.qoe.Segment(n.now(), -1, idx, int64(d.size), elapsed, -1)
+	n.qoe.Segment(n.now(), -1, idx, int64(d.size), elapsed)
 	n.mu.Lock()
 	// Errors are impossible: idx was validated against the store size.
 	_ = n.play.OnSegmentComplete(idx, n.now())

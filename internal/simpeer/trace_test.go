@@ -136,6 +136,39 @@ func TestTraceContainsFlowAndSummaryEvents(t *testing.T) {
 	}
 }
 
+// Every completed segment names its source, and the CDN origin's id is -1:
+// a CDN-served completion carries src=-1 like any other source's id.
+func TestTraceNamesCDNSource(t *testing.T) {
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, time.Minute, 17)
+	cfg := baseConfig(128 * 1024)
+	cfg.Leechers = 8
+	// A pool of four over one-slot sources overflows onto the CDN.
+	cfg.Policy = core.FixedPool{K: 4}
+	cfg.MaxUploadsPerPeer = 1
+	cfg.CDN = &CDNAssist{BandwidthBytesPerSec: 1024 * 1024}
+	buf := trace.NewBuffer()
+	cfg.Tracer = trace.New(buf)
+	if _, err := RunSwarm(cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+	fromCDN := 0
+	for _, ev := range buf.Events() {
+		if ev.Name != trace.EvSegComplete {
+			continue
+		}
+		src, ok := ev.Arg("src")
+		if !ok {
+			t.Fatalf("%s of peer %d segment %d names no src", ev.Name, ev.Peer, ev.Seg)
+		}
+		if src.Int == -1 {
+			fromCDN++
+		}
+	}
+	if fromCDN == 0 {
+		t.Error("no segment_complete with src=-1 in a CDN-assisted run")
+	}
+}
+
 // Player transitions surface lazily, and the call that most often reveals
 // a stall is the completion that ends it. Attribution must look at the
 // pool before that completion leaves it: with a fixed pool of one on a

@@ -161,16 +161,16 @@ func (q *QoE) observeStalled(at time.Duration) {
 	}
 }
 
-// Segment records one verified, stored segment: its wire size and how
-// long the transfer took. src is the serving peer, -1 on the real node.
-func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time.Duration, src int) {
+// Segment records one verified, stored segment: its wire size, how long the
+// transfer took and, where sources have ids (the emulation; -1 its CDN), src.
+func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time.Duration, src ...int) {
 	q.segSeconds.ObserveDuration(elapsed)
 	q.segBytes.Observe(bytes)
 	q.segsDone.Inc(at)
 	if q.tr.Enabled() {
-		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds()), Int64("src", int64(src))}
-		if src < 0 {
-			args = args[:2]
+		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds())}
+		for _, id := range src {
+			args = append(args, Int64("src", int64(id)))
 		}
 		q.emit(at, peer, seg, CatPool, EvSegComplete, args...)
 	}
@@ -263,7 +263,7 @@ func (q *QoE) Replay(events []Event) {
 				Launched: int(ev.ArgInt64("launched", 0)),
 			})
 		case EvSegComplete:
-			q.Segment(ev.At, ev.Peer, ev.Seg, ev.ArgInt64(ArgBytes, 0), us(ev, ArgElapsedUS), -1)
+			q.Segment(ev.At, ev.Peer, ev.Seg, ev.ArgInt64(ArgBytes, 0), us(ev, ArgElapsedUS))
 		case EvStartup:
 			q.started(ev.At, ev.Peer, us(ev, "startup_us"))
 		case EvStallBegin:

@@ -25,16 +25,17 @@ func TestRecorderRoundTrips(t *testing.T) {
 	quarantine := reputation.Update{Score: 12, Quarantined: true, Until: sec(30)}
 	for _, who := range []struct {
 		peer, src int
+		from      []int // the segment's source, where sources have ids
 		wireID    string
 	}{
-		{peer: 3, src: 5},                   // emulation: integer ids
+		{peer: 3, src: 5, from: []int{-1}},  // emulation: integer ids, -1 the CDN origin
 		{peer: -1, src: -1, wireID: "ab12"}, // real node: its own events, remotes by wire id
 	} {
 		live.PoolDecision(sec(1), who.peer, 0, PoolFacts{
 			Bandwidth: 128 << 10, Buffered: sec(2.5), SegBytes: 256 << 10,
 			Target: 3, InFlight: 1, Launched: 2, Blocked: true,
 		})
-		live.Segment(sec(4), who.peer, 0, 256<<10, sec(1.75), who.src)
+		live.Segment(sec(4), who.peer, 0, 256<<10, sec(1.75), who.from...)
 		live.Transition(player.Transition{From: player.StateWaiting, To: player.StatePlaying, At: sec(4)}, who.peer, sec(1), classify)
 		live.Transition(player.Transition{From: player.StatePlaying, To: player.StateStalled, At: sec(6)}, who.peer, sec(1), classify)
 		live.Transition(player.Transition{From: player.StateStalled, To: player.StatePlaying, At: sec(9)}, who.peer, sec(1), classify)
@@ -64,8 +65,13 @@ func TestRecorderRoundTrips(t *testing.T) {
 	if names[EvRepPenalty] != 4 || names[EvQuarantineEnd] != 1 {
 		t.Errorf("%d %s and %d %s events, want two per stack and one", names[EvRepPenalty], EvRepPenalty, names[EvQuarantineEnd], EvQuarantineEnd)
 	}
-	// The node-shaped reputation events name their subject by wire id.
+	// The node-shaped reputation events name their subject by wire id; a
+	// segment names its source only where sources have ids, the CDN's -1
+	// included.
 	for _, ev := range events {
+		if src, ok := ev.Arg("src"); ev.Name == EvSegComplete && (ok != (ev.Peer >= 0) || ok && src.Int != -1) {
+			t.Errorf("%s of peer %d carries src %v (present: %t), want -1 on the emulation only", ev.Name, ev.Peer, src, ok)
+		}
 		if ev.Cat == CatRep && ev.Peer < 0 && ev.ArgStr(ArgPeer, "") != "ab12" {
 			t.Errorf("%s without a peer id carries %s=%q, want the wire id", ev.Name, ArgPeer, ev.ArgStr(ArgPeer, ""))
 		}
