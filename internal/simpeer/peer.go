@@ -254,36 +254,32 @@ func (s *swarm) fill(p *peerState) {
 	if next == -1 {
 		return // everything downloaded or in flight
 	}
-	b := s.bandwidth(p)
-	buffered := p.player.BufferedAhead(now)
-	segBytes := s.segs[next].Bytes
-	target := s.cfg.Policy.PoolSize(b, buffered, segBytes)
-	s.qoe.PoolK.Observe(int64(target))
-	inFlightBefore := p.pool.InFlight
-	if inFlightBefore >= target {
+	f := trace.PoolFacts{
+		Bandwidth: s.bandwidth(p), Buffered: p.player.BufferedAhead(now),
+		SegBytes: s.segs[next].Bytes, InFlight: p.pool.InFlight,
+	}
+	f.Target = s.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
+	s.qoe.PoolK.Observe(int64(f.Target))
+	if f.InFlight >= f.Target {
 		return
 	}
 	// The pool is the next `target` wanted segments with an eligible source;
 	// the scheduler decides which and from whom.
 	s.buildSourceSet(p, now)
-	launched := 0
-	blocked := s.set.Fill(&p.pool, next, target, s.frontier, func(idx int, from *core.Source, cut bool) {
+	f.Blocked = s.set.Fill(&p.pool, next, f.Target, s.frontier, func(idx int, from *core.Source, cut bool) {
 		if s.pickCheck != nil {
 			s.pickCheck(p, idx, from, cut)
 		}
 		if from != nil {
 			s.startDownload(p, from.Owner.(*peerState), idx)
-			launched++
+			f.Launched++
 		}
 	})
-	if launched > 0 {
+	if f.Launched > 0 {
 		p.retryAttempt = 0
 	}
-	s.qoe.PoolDecision(now, p.id, next, trace.PoolFacts{
-		Bandwidth: b, Buffered: buffered, SegBytes: segBytes, Target: target,
-		InFlight: inFlightBefore, Launched: launched, Blocked: blocked,
-	})
-	if blocked && !p.retryPending {
+	s.qoe.PoolDecision(now, p.id, next, f)
+	if f.Blocked && !p.retryPending {
 		p.retryPending = true
 		// Legacy fixed retry unless backoff is opted in: capped exponential
 		// with deterministic jitter (a pure hash of seed/peer/attempt, never
@@ -325,25 +321,28 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	// (A slowloris trickles real bytes, but a trickle that cannot finish
 	// before the timeout is indistinguishable from silence in the fluid
 	// model; the trickle rate is trace metadata.)
-	flowID := int64(-1) // a pending serve has no netem flow
 	if src.lying() {
 		d := &download{src: src, pending: src.advKind}
 		p.inFlight[idx] = d
-		s.eng.Schedule(s.serveTimeout(), func() { s.onServeTimeout(p, src, idx, d) })
-	} else {
-		opts := netem.TransferOptions{ReuseConnection: !s.cfg.FreshConnectionPerSegment}
-		flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts,
-			func(f *netem.Flow) { s.onDownloadComplete(p, src, idx, f) })
-		if err != nil {
-			// Unreachable: nodes and sizes are validated at setup.
-			panic("simpeer: start transfer: " + err.Error())
+		if s.cfg.Tracer.Enabled() {
+			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
+				trace.Int64("flow", -1),
+				trace.Int64("src", int64(src.id)))
 		}
-		p.inFlight[idx] = &download{flow: flow, src: src}
-		flowID = int64(flow.ID())
+		s.eng.Schedule(s.serveTimeout(), func() { s.onServeTimeout(p, src, idx, d) })
+		return
 	}
+	opts := netem.TransferOptions{ReuseConnection: !s.cfg.FreshConnectionPerSegment}
+	flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts,
+		func(f *netem.Flow) { s.onDownloadComplete(p, src, idx, f) })
+	if err != nil {
+		// Unreachable: nodes and sizes are validated at setup.
+		panic("simpeer: start transfer: " + err.Error())
+	}
+	p.inFlight[idx] = &download{flow: flow, src: src}
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
-			trace.Int64("flow", flowID),
+			trace.Int64("flow", int64(flow.ID())),
 			trace.Int64("src", int64(src.id)))
 	}
 }

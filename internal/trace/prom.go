@@ -151,12 +151,6 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// PromSample is one parsed exposition sample line.
-type PromSample struct {
-	Name  string // full series name including label block
-	Value float64
-}
-
 // PromMetrics is the result of parsing a text exposition: sample values
 // keyed by full series name, and family types keyed by base name.
 type PromMetrics struct {

@@ -242,7 +242,7 @@ func TestNilRegistryHandsOutNoOps(t *testing.T) {
 	c := r.Counter("x")
 	c.Inc()
 	g := r.Gauge("y")
-	g.Set(9)
+	g.Set(9) // a gauge has no reader but the snapshot: Set must not panic
 	if c.Value() != 0 {
 		t.Fatal("nil-registry counter retained a value")
 	}
