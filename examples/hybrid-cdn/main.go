@@ -46,7 +46,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: origin.Handler()}
+	// Read limits as cmd/tracker sets them: a client that never finishes
+	// its request is disconnected.
+	srv := &http.Server{Handler: origin.Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 10 * time.Second}
 	var srvWG sync.WaitGroup
 	srvWG.Add(1)
 	go func() {

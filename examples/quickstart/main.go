@@ -63,7 +63,9 @@ func main() {
 	if reg != nil {
 		trkSrv = p2psplice.NewTrackerWithMetrics(reg)
 	}
-	srv := &http.Server{Handler: trkSrv.Handler()}
+	// Read limits as cmd/tracker sets them: a client that never finishes
+	// its request is disconnected.
+	srv := &http.Server{Handler: trkSrv.Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 10 * time.Second}
 	var srvWG sync.WaitGroup
 	srvWG.Add(1)
 	go func() {

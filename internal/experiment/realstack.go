@@ -86,7 +86,7 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 		return nil, fmt.Errorf("experiment: tracker listen: %w", err)
 	}
 	//lint:ignore detercall the real-stack bridge deliberately leaves the deterministic world; the tracker's wall-clock expiry is part of what it measures
-	srv := &http.Server{Handler: tracker.NewServer().Handler()}
+	srv := &http.Server{Handler: tracker.NewServer().Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 10 * time.Second} // read limits as cmd/tracker sets them
 	var srvWG sync.WaitGroup
 	srvWG.Add(1)
 	go func() {

@@ -16,12 +16,13 @@ import (
 	"p2psplice/internal/sim"
 )
 
-// steadyNetwork builds a network with crossing active flows, runs past
-// every slow-start ramp, and returns it with one dirty link pair to
-// reallocate on. The first reallocation grows the region scratch; after
-// that the pass is steady: every rate recomputes bit-identically, so
-// applyRates keeps every completion timer and schedules nothing.
-func steadyNetwork(tb testing.TB) (*Network, *link, *link) {
+// steadyNetwork builds a network of eight nodes with crossing active
+// flows — in each of clusters equal groups every node uploads to the next
+// two, a connected mesh — and runs past every slow-start ramp. After a
+// few passes have grown the region scratch a pass is steady: every rate
+// recomputes bit-identically, so applyRates keeps every completion timer
+// and schedules nothing.
+func steadyNetwork(tb testing.TB, clusters int) *Network {
 	tb.Helper()
 	eng := sim.New(1)
 	n := New(eng)
@@ -37,32 +38,87 @@ func steadyNetwork(tb testing.TB) (*Network, *link, *link) {
 		}
 		ids[i] = id
 	}
-	// A connected mesh: every node uploads to the next two, huge sizes so
-	// nothing completes while the clock is stopped.
+	// Huge sizes, so nothing completes while the clock is stopped.
+	size := len(ids) / clusters
 	for i, src := range ids {
 		for k := 1; k <= 2; k++ {
-			dst := ids[(i+k)%len(ids)]
+			dst := ids[i-i%size+(i+k)%size]
 			if _, err := n.StartTransfer(src, dst, 1<<40, TransferOptions{}, nil); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
 	eng.RunUntil(60 * time.Second) // past setup and every ramp step
-	a, b := n.nodes[ids[0]].up, n.nodes[ids[1]].down
-	n.reallocateOn(a, b) // warm the region scratch to its high-water mark
-	return n, a, b
+	return n
+}
+
+// The three kinds of pass, each as one op over a warmed network.
+
+// hitPass repeats one dirty pair on an unchanged graph: after the first
+// pass, the cached region reused whole.
+func hitPass(tb testing.TB) func() {
+	n := steadyNetwork(tb, 1)
+	a, b := n.nodes[0].up, n.nodes[1].down
+	return func() { n.reallocateOn(a, b) }
+}
+
+// missPass alternates between two disjoint clusters, so every pass finds
+// the other cluster cached: a walk and, at eight flows, the fallback sort.
+func missPass(tb testing.TB) func() {
+	n := steadyNetwork(tb, 2)
+	i := 0
+	return func() {
+		i ^= 4
+		n.reallocateOn(n.nodes[i].up, n.nodes[i+1].down)
+	}
+}
+
+// churnPass takes one viewer-to-viewer flow of the star swarm off its
+// links and puts it back as its own replacement (the next ID, the same
+// endpoints), with the pass each change triggers: what a viewer finishing
+// a download and starting the next does to the allocator — two walks whose
+// order comes from the previous region — without StartTransfer's
+// allocations. The flows are unbounded, so a changed rate schedules no
+// completion timer.
+func churnPass(tb testing.TB) func() {
+	eng, n := starSwarm(tb, 0, 0)
+	eng.RunUntil(60 * time.Second)
+	var viewers []*Flow
+	for _, f := range n.flows {
+		if f.src != 0 {
+			viewers = append(viewers, f)
+		}
+	}
+	i := 0
+	return func() {
+		f := viewers[i%len(viewers)]
+		i++
+		lup, ldown := f.lup, f.ldown
+		n.detach(f)
+		n.reallocateOn(lup, ldown)
+		f.id, n.flowSeq = n.flowSeq, n.flowSeq+1
+		f.flowsIdx, n.flows = len(n.flows), append(n.flows, f)
+		f.upIdx, lup.flows = len(lup.flows), append(lup.flows, f)
+		f.downIdx, ldown.flows = len(ldown.flows), append(ldown.flows, f)
+		f.onLinks = true
+		n.graphGen++
+		n.reallocateOn(lup, ldown)
+	}
 }
 
 // TestZeroAllocReallocate pins the steady-state incremental pass at zero
-// allocations: region collection, key sorts, component fills, and the
+// allocations, whichever way it comes by its region: region collection,
+// key sorts, the sweep over the previous region, component fills, and the
 // keep-timer apply path all run on reused scratch.
 func TestZeroAllocReallocate(t *testing.T) {
-	n, a, b := steadyNetwork(t)
-	allocs := testing.AllocsPerRun(100, func() {
-		n.reallocateOn(a, b)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state reallocateOn allocated %.1f times per pass, want 0", allocs)
+	for name, pass := range map[string]func(testing.TB) func(){"hit": hitPass, "miss": missPass, "churn": churnPass} {
+		op := pass(t)
+		for i := 0; i < 64; i++ {
+			op() // grow both region buffers (and every churned link's list) to the high-water mark
+		}
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s: steady-state reallocateOn allocated %.1f times per op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -71,7 +127,7 @@ func TestZeroAllocReallocate(t *testing.T) {
 // alloc-free too, or the benchmark baseline would measure the garbage
 // collector instead of the algorithm.
 func TestZeroAllocReallocateFull(t *testing.T) {
-	n, _, _ := steadyNetwork(t)
+	n := steadyNetwork(t, 1)
 	n.reallocateFull() // warm the full-region scratch
 	allocs := testing.AllocsPerRun(100, func() {
 		n.reallocateFull()
@@ -81,19 +137,67 @@ func TestZeroAllocReallocateFull(t *testing.T) {
 	}
 }
 
-// BenchmarkHotpathReallocate is the -benchmem gate for the incremental
-// reallocator: `make bench-alloc` fails if it reports nonzero allocs/op.
-// Each op is one steady-state dirty-pair reallocation over the mesh.
-func BenchmarkHotpathReallocate(b *testing.B) {
-	n, la, lb := steadyNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.reallocateOn(la, lb)
+// TestRateChangeAllocatesOneTimer pins what a rate change costs a live
+// flow: the completion Timer the engine hands back, and no closure for its
+// callback — completeFn is bound once, at StartTransfer.
+func TestRateChangeAllocatesOneTimer(t *testing.T) {
+	eng := sim.New(1)
+	n := New(eng)
+	for i := 0; i < 2; i++ {
+		if _, err := n.AddNode(NodeConfig{UplinkBytesPerSec: 1 << 20, DownlinkBytesPerSec: 1 << 20, AccessDelay: 10 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := n.StartTransfer(0, 1, 1<<40, TransferOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(60 * time.Second)
+	rate := int64(1 << 19)
+	allocs := testing.AllocsPerRun(100, func() {
+		rate ^= 1 << 18 // 768 KiB/s, 512 KiB/s, ...: the downlink is the bottleneck either way
+		before := f.completion
+		if err := n.SetDownlink(1, rate); err != nil {
+			t.Fatal(err)
+		}
+		if f.completion == before {
+			t.Fatal("the capacity change did not reschedule the flow's completion")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a rate change on a live flow allocated %.1f times, want 1 (the Timer)", allocs)
 	}
 }
 
-// BenchmarkHotpathReallocateStar is the same gate at the shape
+// The benchmarks below are the -benchmem gates for the incremental
+// reallocator: `make bench-alloc` fails if one reports nonzero allocs/op.
+
+// BenchmarkHotpathReallocate is one dirty pair repeated over the unchanged
+// mesh: the cost of a pass that reuses the cached region, which is the
+// fill and the keep-timer apply.
+func BenchmarkHotpathReallocate(b *testing.B) { benchPass(b, hitPass(b)) }
+
+// BenchmarkHotpathReallocateMiss is the pass that finds another cluster
+// cached: the walk and the fallback sort on top of the fill.
+func BenchmarkHotpathReallocateMiss(b *testing.B) { benchPass(b, missPass(b)) }
+
+// BenchmarkHotpathReallocateStarChurn is a flow leaving and its
+// replacement joining the star swarm's one component: two passes, each a
+// walk ordered by a sweep over the previous region.
+func BenchmarkHotpathReallocateStarChurn(b *testing.B) { benchPass(b, churnPass(b)) }
+
+func benchPass(b *testing.B, op func()) {
+	for i := 0; i < 64; i++ {
+		op() // warm the region scratch to its high-water mark
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkHotpathReallocateStar is the repeated pair at the shape
 // figures_paper runs at: one pass over the star swarm's single 27-flow,
 // 18-link component, all ramps finished, in steady state. Mathis-capped
 // flows, two near-tied links and uplinks of three different rates make
@@ -106,9 +210,5 @@ func BenchmarkHotpathReallocateStar(b *testing.B) {
 	if len(n.compBounds) != 1 || len(n.regionFlows) != 27 || len(n.regionLinks) != 18 {
 		b.Fatalf("star region is %d components, %d flows, %d links; want 1, 27, 18", len(n.compBounds), len(n.regionFlows), len(n.regionLinks))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.reallocateOn(la, lb)
-	}
+	benchPass(b, func() { n.reallocateOn(la, lb) })
 }

@@ -9,9 +9,9 @@ import (
 // allocEpsilon absorbs floating-point noise when comparing rates.
 const allocEpsilon = 1e-6
 
-// AllocStats counts reallocation work. The swarm-scale benchmarks report
-// these alongside wall-clock rates so the full-vs-incremental ratio is
-// visible in BENCH_*.json artifacts.
+// AllocStats counts reallocation work. cmd/bench reports these as its
+// netem.* counts (reallocs, components, flows_filled) and pins them, so a
+// change to the allocator that moves one is visible as such.
 type AllocStats struct {
 	// Reallocs is the number of reallocation passes (each flow event that
 	// changes the flow set, a cap, or a link triggers exactly one).
@@ -37,8 +37,8 @@ func (n *Network) AllocStats() AllocStats { return n.stats }
 // reallocator (default) and the full per-event recompute. The full mode
 // is the test oracle: the differential and fuzz tests drive paired
 // networks through identical event scripts and assert every flow rate is
-// bit-identical between the two modes. It is also the benchmark baseline
-// the BENCH_*.json full-vs-incremental ratio is measured against.
+// bit-identical between the two modes. It is also the baseline the
+// incremental path's netem.* counts in cmd/bench are read against.
 func (n *Network) ForceFullReallocation(on bool) { n.forceFull = on }
 
 // compBound delimits one connected component inside the region scratch
@@ -55,15 +55,40 @@ type compBound struct {
 // component none of whose inputs changed would refill to bit-identical
 // rates — skipping it is exact, not approximate. When the dirty
 // components span the whole star this degenerates to the full recompute.
+//
+// The region outlives its pass as a one-entry cache: while no flow has
+// joined or left a link since it was collected as one component and the
+// dirty links lie in it, the walk would rebuild it as it stands.
 func (n *Network) reallocateOn(a, b *link) {
 	n.stats.Reallocs++
 	if n.forceFull {
 		n.reallocateFull()
 		return
 	}
-	n.beginRegion()
-	n.collectComponent(a)
-	n.collectComponent(b)
+	if a == nil || len(a.flows) == 0 {
+		a = b
+	}
+	if b == nil || len(b.flows) == 0 {
+		b = a
+	}
+	if a == nil || len(a.flows) == 0 {
+		return // no flow on either link: an empty region
+	}
+	if n.passHook != nil {
+		n.passHook(a, b, false)
+	}
+	if n.regionGen != n.graphGen || a.mark != n.allocGen || b.mark != n.allocGen {
+		n.beginRegion()
+		n.collectComponent(a, n.prevGen != 0)
+		n.collectComponent(b, false)
+		n.regionGen = 0
+		if len(n.compBounds) == 1 {
+			n.regionGen = n.graphGen
+		}
+	}
+	if n.passHook != nil {
+		n.passHook(a, b, true)
+	}
 	n.fillRegion()
 }
 
@@ -71,27 +96,34 @@ func (n *Network) reallocateOn(a, b *link) {
 // incremental path is differentially tested against: both run the same
 // per-component progressive filling in the same canonical order, so for
 // any single component the two paths execute identical floating-point
-// operations. The full pass simply never skips a clean component.
+// operations. The full pass simply never skips a clean component (and
+// neither reads nor leaves a cached region).
 func (n *Network) reallocateFull() {
 	n.stats.FullReallocs++
 	n.beginRegion()
 	for _, nd := range n.nodes {
-		n.collectComponent(nd.up)
-		n.collectComponent(nd.down)
+		n.collectComponent(nd.up, false)
+		n.collectComponent(nd.down, false)
 	}
+	n.regionGen = 0
 	n.fillRegion()
 }
 
-// beginRegion starts a new collection generation and resets the region
-// scratch. Generation-stamped marks on links and flows make resets O(1):
-// stale marks from earlier passes never compare equal.
+// beginRegion starts a new collection generation and region. The region
+// just left becomes the previous one, its members marked prevGen, if it
+// can order the next: one component, large enough to sweep. Otherwise the
+// previous one stays: a pass over some small component does not evict it.
+// Generation-stamped marks make resets O(1): stale marks never compare equal.
 //
 //lint:hotpath region setup on every flow event; the paired AllocsPerRun test and BenchmarkHotpathReallocate assert 0 allocs/op in steady state
 func (n *Network) beginRegion() {
+	if n.regionGen != 0 && len(n.regionFlows) >= filterMinFlows {
+		n.regionLinks, n.prevLinks = n.prevLinks, n.regionLinks
+		n.regionFlows, n.prevFlows = n.prevFlows, n.regionFlows
+		n.prevGen = n.allocGen
+	}
 	n.allocGen++
-	n.regionLinks = n.regionLinks[:0]
-	n.regionFlows = n.regionFlows[:0]
-	n.compBounds = n.compBounds[:0]
+	n.regionLinks, n.regionFlows, n.compBounds = n.regionLinks[:0], n.regionFlows[:0], n.compBounds[:0]
 }
 
 // collectComponent walks the flow/link sharing graph from seed and
@@ -102,18 +134,20 @@ func (n *Network) beginRegion() {
 // bit-identical to the full recompute. A nil, already-collected, or
 // flow-free seed contributes nothing.
 //
+// With prevOrdered — there is a previous region: one component, hence in
+// canonical order — the members it held need no sorting: one sweep over
+// it, merging in the sorted few it did not hold (mark not prevGen), yields
+// the same sequence. Not below filterMinFlows, where slices.Sort is a
+// short insertion sort, nor against a much larger previous region.
+//
 //lint:hotpath dirty-component discovery on every flow event
-func (n *Network) collectComponent(seed *link) {
+func (n *Network) collectComponent(seed *link, prevOrdered bool) {
 	if seed == nil || seed.mark == n.allocGen || len(seed.flows) == 0 {
 		return
 	}
 	l0, f0 := len(n.regionLinks), len(n.regionFlows)
-	seed.mark = n.allocGen
-	n.linkQueue = n.linkQueue[:0]
-	//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-	n.linkQueue = append(n.linkQueue, seed)
-	//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-	n.regionLinks = append(n.regionLinks, seed)
+	n.linkQueue, n.freshLinks, n.freshFlows = n.linkQueue[:0], n.freshLinks[:0], n.freshFlows[:0]
+	n.collectLink(seed)
 	for len(n.linkQueue) > 0 {
 		l := n.linkQueue[len(n.linkQueue)-1]
 		n.linkQueue = n.linkQueue[:len(n.linkQueue)-1]
@@ -121,29 +155,91 @@ func (n *Network) collectComponent(seed *link) {
 			if f.mark == n.allocGen {
 				continue
 			}
+			if f.mark != n.prevGen {
+				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
+				n.freshFlows = append(n.freshFlows, f)
+			}
 			f.mark = n.allocGen
 			//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
 			n.regionFlows = append(n.regionFlows, f)
 			if f.lup.mark != n.allocGen {
-				f.lup.mark = n.allocGen
-				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-				n.regionLinks = append(n.regionLinks, f.lup)
-				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-				n.linkQueue = append(n.linkQueue, f.lup)
+				n.collectLink(f.lup)
 			}
 			if f.ldown.mark != n.allocGen {
-				f.ldown.mark = n.allocGen
-				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-				n.regionLinks = append(n.regionLinks, f.ldown)
-				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
-				n.linkQueue = append(n.linkQueue, f.ldown)
+				n.collectLink(f.ldown)
 			}
 		}
 	}
-	n.orderLinks(n.regionLinks[l0:])
-	n.orderFlows(n.regionFlows[f0:])
+	links, flows := n.regionLinks[l0:], n.regionFlows[f0:]
+	if len(n.freshLinks) < len(links) || len(n.freshFlows) < len(flows) {
+		n.prevGen = 0 // re-marked members of the previous region: it is no more, once it has ordered this component
+	}
+	if prevOrdered && len(flows) >= filterMinFlows && len(n.prevFlows) <= 2*len(flows) {
+		n.orderLinks(n.freshLinks)
+		n.orderFlows(n.freshFlows)
+		mergeLinks(links, n.prevLinks, n.freshLinks, n.allocGen)
+		mergeFlows(flows, n.prevFlows, n.freshFlows, n.allocGen)
+	} else {
+		n.orderLinks(links)
+		n.orderFlows(flows)
+	}
 	//lint:ignore allocfree amortized: component-bound scratch grows to the high-water mark once and is reused
 	n.compBounds = append(n.compBounds, compBound{l0: l0, l1: len(n.regionLinks), f0: f0, f1: len(n.regionFlows)})
+}
+
+const filterMinFlows = 12
+
+// collectLink marks l collected, queues it for the walk and appends it to
+// the region, and to the fresh links if the previous region did not hold it.
+//
+//lint:hotpath once per link per collected component
+func (n *Network) collectLink(l *link) {
+	if l.mark != n.prevGen {
+		//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
+		n.freshLinks = append(n.freshLinks, l)
+	}
+	l.mark = n.allocGen
+	//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
+	n.linkQueue, n.regionLinks = append(n.linkQueue, l), append(n.regionLinks, l)
+}
+
+// mergeLinks overwrites dst, a component as walked, with its links in ord
+// order: those of prev marked gen, as ordered there, merged with fresh,
+// the component's other links, sorted.
+//
+//lint:hotpath canonical link order by one sweep over the previous region
+func mergeLinks(dst, prev, fresh []*link, gen uint64) {
+	k := 0
+	for _, l := range prev {
+		if l.mark != gen {
+			continue // left the component
+		}
+		for ; len(fresh) > 0 && fresh[0].ord < l.ord; k++ {
+			dst[k], fresh = fresh[0], fresh[1:]
+		}
+		dst[k] = l
+		k++
+	}
+	copy(dst[k:], fresh)
+}
+
+// mergeFlows is mergeLinks for flows, in ID order. A flow completed since
+// is still in prev; its stale mark skips it before its ID is read.
+//
+//lint:hotpath canonical flow order by one sweep over the previous region
+func mergeFlows(dst, prev, fresh []*Flow, gen uint64) {
+	k := 0
+	for _, f := range prev {
+		if f.mark != gen {
+			continue
+		}
+		for ; len(fresh) > 0 && fresh[0].id < f.id; k++ {
+			dst[k], fresh = fresh[0], fresh[1:]
+		}
+		dst[k] = f
+		k++
+	}
+	copy(dst[k:], fresh)
 }
 
 // fillRegion accrues progress for every flow in the region, refills each
@@ -153,6 +249,7 @@ func (n *Network) collectComponent(seed *link) {
 // events, so both reallocation paths must reschedule in the same order.
 // A region of one component is in that order as collected.
 func (n *Network) fillRegion() {
+	n.fillGen++
 	for _, f := range n.regionFlows {
 		n.advance(f)
 	}
@@ -255,7 +352,7 @@ func (n *Network) fillComponent(links []*link, flows []*Flow) {
 //
 //lint:hotpath called once per flow per fill
 func (n *Network) fixFlow(f *Flow, rate float64) {
-	f.fixMark = n.allocGen
+	f.fixMark = n.fillGen
 	f.pendingRate = rate
 	f.lup.remaining -= rate
 	if f.lup.remaining < 0 {
@@ -277,7 +374,7 @@ func (n *Network) fixFlow(f *Flow, rate float64) {
 func (n *Network) applyRates(flows []*Flow) {
 	for _, f := range flows {
 		rate := 0.0
-		if f.fixMark == n.allocGen {
+		if f.fixMark == n.fillGen {
 			rate = f.pendingRate
 		}
 		if math.Abs(rate-f.rate) <= allocEpsilon*math.Max(1, f.rate) && f.completion != nil && !f.completion.Cancelled() {
@@ -295,7 +392,7 @@ func (n *Network) applyRates(flows []*Flow) {
 			continue // starved; a later reallocation will revive it
 		}
 		delay := time.Duration(f.remaining / rate * float64(time.Second))
-		f.completion = n.eng.Schedule(delay, f.complete)
+		f.completion = n.eng.Schedule(delay, f.completeFn)
 	}
 }
 

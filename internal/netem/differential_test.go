@@ -17,9 +17,9 @@ import (
 // lockstep and requiring every flow's state to be bit-identical after
 // every single event. It is shared by TestQuickIncrementalMatchesFull
 // (randomized scripts) and FuzzReallocate (fuzzer-mutated scripts). The
-// two networks share the collection and fill code, so after every event
-// the incremental one is also held to the test-only fill reference
-// (fillref_test.go).
+// two networks share the collection and fill code, so the incremental
+// one is also held to the test-only reference (fillref_test.go): its fill
+// after every event, its region inside every pass.
 
 // diffPair is the paired incremental/full network under test.
 type diffPair struct {
@@ -28,6 +28,7 @@ type diffPair struct {
 	flowsA     []*Flow  // every flow ever started, creation order
 	flowsB     []*Flow
 	fill       fillFunc // what checkFill holds to the reference: fillComponent, or a mutant
+	regionErr  *error   // the first region the incremental network's passes got wrong (watchRegion)
 }
 
 const (
@@ -52,12 +53,13 @@ func decodeByte(data []byte, pos *int) byte {
 // violation. Script format: one seed byte and one node-count byte, four
 // bytes of link parameters per node, then opcodes with inline operands.
 func differentialScript(data []byte) error {
-	return differentialScriptFill(data, (*Network).fillComponent)
+	return differentialScriptWith(data, (*Network).fillComponent, regionMutant{})
 }
 
-// differentialScriptFill is differentialScript with the fill that is
-// checked against the reference named, so a test can seed a mutant.
-func differentialScriptFill(data []byte, fill fillFunc) error {
+// differentialScriptWith is differentialScript with the fill that is
+// checked against the reference named, and the incremental network's
+// passes wrapped in region, so a test can seed a mutant of either.
+func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) error {
 	pos := 0
 	seed := int64(decodeByte(data, &pos))*256 + int64(decodeByte(data, &pos))
 	nNodes := 2 + int(decodeByte(data, &pos))%(diffMaxNodes-1)
@@ -66,6 +68,7 @@ func differentialScriptFill(data []byte, fill fillFunc) error {
 	p.netA = New(p.engA)
 	p.netB = New(p.engB)
 	p.netB.ForceFullReallocation(true)
+	p.regionErr = watchRegion(p.netA, region)
 
 	for i := 0; i < nNodes; i++ {
 		nc := NodeConfig{
@@ -214,8 +217,12 @@ func (p *diffPair) lockstep(k int) error {
 // state, freeze flag, and Float64bits-identical rate and remaining. It
 // also checks conservation on the incremental network: the rates through
 // any link must not exceed its concurrency-derated capacity, and that its
-// region order and fill match the reference.
+// fill and the regions of its passes since the last compare match the
+// reference.
 func (p *diffPair) compare(where string) error {
+	if *p.regionErr != nil {
+		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), *p.regionErr)
+	}
 	if p.engA.Now() != p.engB.Now() {
 		return fmt.Errorf("%s: clock divergence: incremental %v full %v", where, p.engA.Now(), p.engB.Now())
 	}

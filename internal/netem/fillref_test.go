@@ -18,36 +18,45 @@ import (
 // that rescans the whole component every round — kept test-only as the
 // oracle the production forms must match to the bit. checkFill runs after
 // every event of every differential script (differential_test.go) and of
-// the star swarm below.
+// the star swarm below; checkRegion runs inside every incremental pass of
+// both (watchRegion), where the region is the one production kept, reused
+// or reordered from the pass before.
 
 // refRegion is the reference region discovery: the same walk as
-// collectComponent, ordered by heapsorting the pointer slices.
+// collectComponent, with its own visited sets instead of the generation
+// marks — it reads the network and writes nothing, so it can run inside a
+// pass — ordered by heapsorting the pointer slices.
 type refRegion struct {
 	links  []*link
 	flows  []*Flow
 	bounds []compBound
+	seenL  map[*link]bool
+	seenF  map[*Flow]bool
 }
 
-func (r *refRegion) collect(n *Network, seed *link) {
-	if seed == nil || seed.mark == n.allocGen || len(seed.flows) == 0 {
+func (r *refRegion) collect(seed *link) {
+	if seed == nil || r.seenL[seed] || len(seed.flows) == 0 {
 		return
 	}
+	if r.seenL == nil {
+		r.seenL, r.seenF = map[*link]bool{}, map[*Flow]bool{}
+	}
 	l0, f0 := len(r.links), len(r.flows)
-	seed.mark = n.allocGen
+	r.seenL[seed] = true
 	queue := []*link{seed}
 	r.links = append(r.links, seed)
 	for len(queue) > 0 {
 		l := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, f := range l.flows {
-			if f.mark == n.allocGen {
+			if r.seenF[f] {
 				continue
 			}
-			f.mark = n.allocGen
+			r.seenF[f] = true
 			r.flows = append(r.flows, f)
 			for _, fl := range []*link{f.lup, f.ldown} {
-				if fl.mark != n.allocGen {
-					fl.mark = n.allocGen
+				if !r.seenL[fl] {
+					r.seenL[fl] = true
 					r.links = append(r.links, fl)
 					queue = append(queue, fl)
 				}
@@ -116,7 +125,7 @@ func refFillComponent(n *Network, links []*link, flows []*Flow) {
 		}
 		anyCapped := false
 		for _, f := range flows {
-			if f.fixMark == n.allocGen {
+			if f.fixMark == n.fillGen {
 				continue
 			}
 			if f.capLimit() <= minShare+allocEpsilon {
@@ -129,7 +138,7 @@ func refFillComponent(n *Network, links []*link, flows []*Flow) {
 			continue
 		}
 		for _, f := range flows {
-			if f.fixMark == n.allocGen {
+			if f.fixMark == n.fillGen {
 				continue
 			}
 			if f.lup == bottleneck || f.ldown == bottleneck {
@@ -163,51 +172,170 @@ func mutantLinksReversed(n *Network, links []*link, flows []*Flow) {
 	n.fillComponent(rev, flows)
 }
 
-// checkFill collects and fills every component of n twice — the
-// production collectComponent with fill, then the reference pair on a
-// fresh generation — and requires the same region in the same order and
-// Float64bits-identical pending rates. It only touches the allocator's
-// transient state (marks, remaining, pendingRate, scratch): no rate is
-// applied and no timer moves, so it can run between any two events.
+// checkFill fills every component of n twice, each on a fill generation
+// of its own — with fill, then with the reference — and requires
+// Float64bits-identical pending rates. The components come from the
+// reference walk, so only the fill's transient state (remaining,
+// pendingRate, fill scratch) is touched: no rate is applied, no timer
+// moves and the cached region stays as production left it, so it can run
+// between any two events.
 func checkFill(n *Network, fill fillFunc) error {
-	n.beginRegion()
+	var ref refRegion
 	for _, nd := range n.nodes {
-		n.collectComponent(nd.up)
-		n.collectComponent(nd.down)
-	}
-	for _, c := range n.compBounds {
-		fill(n, n.regionLinks[c.l0:c.l1], n.regionFlows[c.f0:c.f1])
+		ref.collect(nd.up)
+		ref.collect(nd.down)
 	}
 	type pending struct {
 		fixed bool
 		rate  float64
 	}
-	got := make([]pending, len(n.regionFlows))
-	for i, f := range n.regionFlows {
-		got[i] = pending{f.fixMark == n.allocGen, f.pendingRate}
+	n.fillGen++
+	for _, c := range ref.bounds {
+		fill(n, ref.links[c.l0:c.l1], ref.flows[c.f0:c.f1])
 	}
-
-	n.allocGen++
-	var ref refRegion
-	for _, nd := range n.nodes {
-		ref.collect(n, nd.up)
-		ref.collect(n, nd.down)
+	got := make([]pending, len(ref.flows))
+	for i, f := range ref.flows {
+		got[i] = pending{f.fixMark == n.fillGen, f.pendingRate}
 	}
-	if !slices.Equal(ref.bounds, n.compBounds) || !slices.Equal(ref.links, n.regionLinks) || !slices.Equal(ref.flows, n.regionFlows) {
-		return fmt.Errorf("region order differs from the reference: %d/%d/%d components/links/flows, reference %d/%d/%d",
-			len(n.compBounds), len(n.regionLinks), len(n.regionFlows), len(ref.bounds), len(ref.links), len(ref.flows))
-	}
+	n.fillGen++
 	for _, c := range ref.bounds {
 		refFillComponent(n, ref.links[c.l0:c.l1], ref.flows[c.f0:c.f1])
 	}
 	for i, f := range ref.flows {
-		want := pending{f.fixMark == n.allocGen, f.pendingRate}
+		want := pending{f.fixMark == n.fillGen, f.pendingRate}
 		if got[i].fixed != want.fixed || (want.fixed && math.Float64bits(got[i].rate) != math.Float64bits(want.rate)) {
 			return fmt.Errorf("flow %d pending rate %x (%.9f, fixed=%v), reference %x (%.9f, fixed=%v)", f.id,
 				math.Float64bits(got[i].rate), got[i].rate, got[i].fixed, math.Float64bits(want.rate), want.rate, want.fixed)
 		}
 	}
 	return nil
+}
+
+// checkRegion requires the region production holds for a pass seeded at a
+// and b — collected, merged from the previous one, or reused whole — to
+// be the reference walk's from the same seeds: the same components, each
+// with its links in ord order and its flows in ID order.
+func checkRegion(n *Network, a, b *link) error {
+	var ref refRegion
+	ref.collect(a)
+	ref.collect(b)
+	if !slices.Equal(ref.bounds, n.compBounds) || !slices.Equal(ref.links, n.regionLinks) || !slices.Equal(ref.flows, n.regionFlows) {
+		return fmt.Errorf("region differs from the reference: components %v, %d links, flows %v; reference %v, %d, %v",
+			n.compBounds, len(n.regionLinks), flowIDs(n.regionFlows), ref.bounds, len(ref.links), flowIDs(ref.flows))
+	}
+	return nil
+}
+
+func flowIDs(fs []*Flow) []int {
+	ids := make([]int, len(fs))
+	for i, f := range fs {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// regionMutant seeds one mistake of the cached region into production by
+// moving its state around the region step of a pass: pre runs before the
+// step, post after it and before the fill. Either may be nil.
+type regionMutant struct {
+	pre, post func(n *Network, a, b *link)
+}
+
+// watchRegion hooks every incremental pass of n: the mutant's moves
+// around the region step, then checkRegion on what the step left. The
+// first failure is kept in the returned error and ends the watch, with the
+// cache dropped so a mutant's damage stops there.
+func watchRegion(n *Network, m regionMutant) *error {
+	failed := new(error)
+	n.passHook = func(a, b *link, collected bool) {
+		switch {
+		case !collected && m.pre != nil:
+			m.pre(n, a, b)
+		case collected:
+			if m.post != nil {
+				m.post(n, a, b)
+			}
+			if *failed = checkRegion(n, a, b); *failed != nil {
+				n.passHook, n.regionGen = nil, 0
+			}
+		}
+	}
+	return failed
+}
+
+// The four region mutants are the mistakes the cache invites. Each is
+// seeded by the state change that has the mistake's effect.
+
+// mutantDetachKeepsGraphGen is detach without its graphGen bump: a pass
+// that follows a flow leaving the links finds the generation it cached.
+func mutantDetachKeepsGraphGen() regionMutant {
+	onLinks := 0
+	return regionMutant{pre: func(n *Network, _, _ *link) {
+		now := 0
+		for _, nd := range n.nodes {
+			now += len(nd.up.flows) + len(nd.down.flows)
+		}
+		if now < onLinks {
+			n.graphGen--
+		}
+		onLinks = now
+	}}
+}
+
+// mutantNewcomerLast places an activating flow after every member the
+// component already had — appended, not merged by ID — by lending it an ID
+// above all others for the length of the region step.
+func mutantNewcomerLast() regionMutant {
+	var newcomer *Flow
+	return regionMutant{
+		pre: func(_ *Network, a, _ *link) {
+			if f := a.flows[len(a.flows)-1]; f.mark == 0 { // never collected: this is its activation pass
+				newcomer = f
+				f.id += 1 << 31
+			}
+		},
+		post: func(*Network, *link, *link) {
+			if newcomer != nil {
+				newcomer.id -= 1 << 31
+				newcomer = nil
+			}
+		},
+	}
+}
+
+// mutantReuseUnchecked reuses a current region whichever links are dirty,
+// by lending the dirty links its mark for the length of the region step.
+func mutantReuseUnchecked() regionMutant {
+	var lent bool
+	var markA, markB uint64
+	return regionMutant{
+		pre: func(n *Network, a, b *link) {
+			if lent = n.regionGen == n.graphGen; lent {
+				markA, markB = a.mark, b.mark
+				a.mark, b.mark = n.allocGen, n.allocGen
+			}
+		},
+		post: func(_ *Network, a, b *link) {
+			if lent {
+				a.mark, b.mark = markA, markB
+			}
+		},
+	}
+}
+
+// mutantFillSharesCollectionGen stamps fixed rates with the collection
+// generation: a pass that reused the region, and so started no
+// collection, fills on the generation of the pass before.
+func mutantFillSharesCollectionGen() regionMutant {
+	var before uint64
+	return regionMutant{
+		pre: func(n *Network, _, _ *link) { before = n.allocGen },
+		post: func(n *Network, _, _ *link) {
+			if n.allocGen == before {
+				n.fillGen--
+			}
+		},
+	}
 }
 
 // starSwarm builds the component figures_paper spends its time in (ISSUE
@@ -218,7 +346,8 @@ func checkFill(n *Network, fill fillFunc) error {
 // others, and flow i starts at i·stagger, so under a stagger the flows sit
 // at different slow-start stages. Viewer 1's uplink and viewer 2's
 // downlink share a flow and offer the same share to within rounding: the
-// near-tie that makes the link scan order visible in the rates.
+// near-tie that makes the link scan order visible in the rates. A size of
+// 0 makes every flow unbounded.
 func starSwarm(tb testing.TB, size int64, stagger time.Duration) (*sim.Engine, *Network) {
 	tb.Helper()
 	eng := sim.New(20)
@@ -253,7 +382,7 @@ func starSwarm(tb testing.TB, size int64, stagger time.Duration) (*sim.Engine, *
 	for i, p := range pairs {
 		src, dst := p[0], p[1]
 		eng.At(time.Duration(i)*stagger, func() {
-			if _, err := n.StartTransfer(src, dst, size, TransferOptions{}, nil); err != nil {
+			if _, err := n.StartTransfer(src, dst, size, TransferOptions{Unbounded: size == 0}, nil); err != nil {
 				tb.Error(err)
 			}
 		})
@@ -262,13 +391,17 @@ func starSwarm(tb testing.TB, size int64, stagger time.Duration) (*sim.Engine, *
 }
 
 // TestFillMatchesReferenceOnStar steps the star swarm event by event —
-// staggered starts, ramps, RTO freezes, completions — checking the fill
-// against the reference after each, and requires that the swarm really is
-// the measured shape while it does.
+// staggered starts, ramps, RTO freezes, completions — checking the region
+// of every pass and, after each event, the fill against the reference,
+// and requires that the swarm really is the measured shape while it does.
 func TestFillMatchesReferenceOnStar(t *testing.T) {
 	eng, n := starSwarm(t, 3<<20, 40*time.Millisecond)
+	regionErr := watchRegion(n, regionMutant{})
 	peakFlows, peakLinks := 0, 0
 	for events := 0; eng.Step(); events++ {
+		if *regionErr != nil {
+			t.Fatalf("event %d at %v: %v", events, eng.Now(), *regionErr)
+		}
 		if err := checkFill(n, (*Network).fillComponent); err != nil {
 			t.Fatalf("event %d at %v: %v", events, eng.Now(), err)
 		}
@@ -282,29 +415,79 @@ func TestFillMatchesReferenceOnStar(t *testing.T) {
 }
 
 // TestFillReferenceCatchesOrderMutants proves the reference has teeth:
-// each seeded ordering mistake must be caught on the star swarm and by
-// the randomized differential scripts.
+// each seeded mistake must be caught where it can show. The two fill
+// mutants and a newcomer out of ID order show on the star swarm and in the
+// randomized differential scripts, and so does a region gone stale when a
+// flow leaves; a region reused for links outside it needs a second
+// component, which the star never has.
 func TestFillReferenceCatchesOrderMutants(t *testing.T) {
-	mutants := map[string]fillFunc{
-		"capped flows fixed in reverse order": mutantCapsReversed,
-		"links scanned in reverse ord":        mutantLinksReversed,
+	production, noMutant := (*Network).fillComponent, func() regionMutant { return regionMutant{} }
+	mutants := []struct {
+		name   string
+		fill   fillFunc
+		region func() regionMutant
+		onStar bool
+	}{
+		{"capped flows fixed in reverse order", mutantCapsReversed, noMutant, true},
+		{"links scanned in reverse ord", mutantLinksReversed, noMutant, true},
+		{"graph generation not bumped in detach", production, mutantDetachKeepsGraphGen, true},
+		{"newcomer appended instead of merged by ID", production, mutantNewcomerLast, true},
+		{"region reused without checking the dirty links lie in it", production, mutantReuseUnchecked, false},
 	}
-	for name, mutant := range mutants {
-		eng, n := starSwarm(t, 3<<20, 40*time.Millisecond)
+	for _, m := range mutants {
+		if m.onStar {
+			eng, n := starSwarm(t, 3<<20, 40*time.Millisecond)
+			regionErr := watchRegion(n, m.region())
+			caught := false
+			for !caught && eng.Step() {
+				caught = *regionErr != nil || checkFill(n, m.fill) != nil
+			}
+			if !caught {
+				t.Errorf("star swarm did not catch the mutant: %s", m.name)
+			}
+		}
 		caught := false
-		for !caught && eng.Step() {
-			caught = checkFill(n, mutant) != nil
-		}
-		if !caught {
-			t.Errorf("star swarm did not catch the mutant: %s", name)
-		}
-		caught = false
 		r := rand.New(rand.NewSource(20))
 		for i := 0; i < 200 && !caught; i++ {
-			caught = differentialScriptFill(randomScript(r, 40+r.Intn(200)), mutant) != nil
+			caught = differentialScriptWith(randomScript(r, 40+r.Intn(200)), m.fill, m.region()) != nil
 		}
 		if !caught {
-			t.Errorf("200 differential scripts did not catch the mutant: %s", name)
+			t.Errorf("200 differential scripts did not catch the mutant: %s", m.name)
+		}
+	}
+}
+
+// TestReusedRegionFillsOnItsOwnGeneration is the mutant no reachable
+// network catches: a fill that stamps fixed rates with the collection
+// generation, which a pass over the reused region does not advance. It
+// shows only where a fill leaves a flow unfixed, and the fill fixes every
+// flow of a component whose links have capacities — so the steady star
+// gets infinite ones, under which no link ever bottlenecks. The reused
+// pass then fixes nothing and must starve every flow, not hand each the
+// rate the pass before fixed.
+func TestReusedRegionFillsOnItsOwnGeneration(t *testing.T) {
+	for _, seeded := range []bool{false, true} {
+		eng, n := starSwarm(t, 1<<40, 0)
+		eng.RunUntil(60 * time.Second)
+		if seeded {
+			watchRegion(n, mutantFillSharesCollectionGen())
+		}
+		for _, nd := range n.nodes {
+			nd.up.capacity, nd.down.capacity = math.Inf(1), math.Inf(1)
+		}
+		gen := n.allocGen
+		n.reallocateOn(n.nodes[0].up, n.nodes[1].down)
+		if n.allocGen != gen {
+			t.Fatal("the pass over the unchanged star did not reuse its region")
+		}
+		stale := 0
+		for _, f := range n.flows {
+			if f.rate != 0 {
+				stale++
+			}
+		}
+		if caught := stale > 0; caught != seeded {
+			t.Errorf("fill generation shared with the collection generation (seeded: %v): %d of %d flows kept a rate no fill of this pass fixed", seeded, stale, len(n.flows))
 		}
 	}
 }

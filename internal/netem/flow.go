@@ -53,7 +53,7 @@ type Flow struct {
 
 	// Transient allocator state, valid only inside a reallocation pass.
 	mark        uint64 // collection generation that last visited this flow
-	fixMark     uint64 // generation whose fill fixed this flow's rate
+	fixMark     uint64 // fill generation that fixed this flow's rate
 	pendingRate float64
 
 	frozen      bool // in an RTO freeze; no bytes move
@@ -64,6 +64,9 @@ type Flow struct {
 	hazardTimer *sim.Timer
 	freezeTimer *sim.Timer
 	onComplete  func(*Flow)
+	// The flow's timer callbacks, bound once at StartTransfer: a method
+	// value built at each Schedule would allocate a closure every time.
+	completeFn, hazardFn, rampFn func()
 }
 
 // TransferOptions tune one transfer.
@@ -119,6 +122,7 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 	if opts.Unbounded {
 		f.remaining = math.Inf(1)
 	}
+	f.completeFn, f.hazardFn, f.rampFn = f.complete, f.hazard, f.ramp
 	f.lossCap = n.mathisCap(n.pathLossEventRate(src, dst), rtt)
 	// Ramping beyond what the access links can carry is pointless; stop there.
 	f.rampMax = math.Min(float64(n.nodes[src].cfg.UplinkBytesPerSec),
@@ -223,6 +227,7 @@ func (f *Flow) activate() {
 	f.anchorAt = f.activated
 	f.anchorRemaining = f.remaining
 	f.onLinks = true
+	f.net.graphGen++
 	f.lup = f.net.nodes[f.src].up
 	f.ldown = f.net.nodes[f.dst].down
 	f.upIdx = len(f.lup.flows)
@@ -235,53 +240,55 @@ func (f *Flow) activate() {
 	f.net.emitFlow(f, FlowEventActivate)
 }
 
-// scheduleHazard arranges the next RTO check, one second out. At each check
-// the flow freezes with probability timeoutHazard per flow beyond the
-// penalty-free count on its most crowded link.
+// scheduleHazard arranges the next RTO check, one second out.
 func (f *Flow) scheduleHazard() {
 	if f.net.model.timeoutHazard <= 0 || f.net.model.timeoutMeanFreeze <= 0 {
 		return
 	}
-	f.hazardTimer = f.net.eng.Schedule(time.Second, func() {
+	f.hazardTimer = f.net.eng.Schedule(time.Second, f.hazardFn)
+}
+
+// hazard is the RTO check: the flow freezes with probability timeoutHazard
+// per flow beyond the penalty-free count on its most crowded link.
+func (f *Flow) hazard() {
+	if f.state != flowActive {
+		return
+	}
+	f.scheduleHazard()
+	if f.frozen {
+		return
+	}
+	crowd := len(f.lup.flows)
+	if d := len(f.ldown.flows); d > crowd {
+		crowd = d
+	}
+	excess := crowd - f.net.model.concurrencyFreeFlows
+	if excess <= 0 {
+		return
+	}
+	p := f.net.model.timeoutHazard * float64(excess)
+	if f.net.eng.RNG().Float64() >= p {
+		return
+	}
+	// Freeze: exponential duration clamped to [0.2s, 8s].
+	d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.model.timeoutMeanFreeze))
+	if d < 200*time.Millisecond {
+		d = 200 * time.Millisecond
+	}
+	if d > 8*time.Second {
+		d = 8 * time.Second
+	}
+	f.frozen = true
+	f.freezeTimer = f.net.eng.Schedule(d, func() {
 		if f.state != flowActive {
 			return
 		}
-		f.scheduleHazard()
-		if f.frozen {
-			return
-		}
-		crowd := len(f.lup.flows)
-		if d := len(f.ldown.flows); d > crowd {
-			crowd = d
-		}
-		excess := crowd - f.net.model.concurrencyFreeFlows
-		if excess <= 0 {
-			return
-		}
-		p := f.net.model.timeoutHazard * float64(excess)
-		if f.net.eng.RNG().Float64() >= p {
-			return
-		}
-		// Freeze: exponential duration clamped to [0.2s, 8s].
-		d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.model.timeoutMeanFreeze))
-		if d < 200*time.Millisecond {
-			d = 200 * time.Millisecond
-		}
-		if d > 8*time.Second {
-			d = 8 * time.Second
-		}
-		f.frozen = true
-		f.freezeTimer = f.net.eng.Schedule(d, func() {
-			if f.state != flowActive {
-				return
-			}
-			f.frozen = false
-			f.net.reallocateOn(f.lup, f.ldown)
-			f.net.emitFlow(f, FlowEventUnfreeze)
-		})
+		f.frozen = false
 		f.net.reallocateOn(f.lup, f.ldown)
-		f.net.emitFlow(f, FlowEventFreeze)
+		f.net.emitFlow(f, FlowEventUnfreeze)
 	})
+	f.net.reallocateOn(f.lup, f.ldown)
+	f.net.emitFlow(f, FlowEventFreeze)
 }
 
 // scheduleRamp arranges the next slow-start doubling. It is re-entered
@@ -292,16 +299,19 @@ func (f *Flow) scheduleRamp() {
 		return // ramping further would never change the allocation
 	}
 	f.rampPending = true
-	f.rampTimer = f.net.eng.Schedule(f.rtt, func() {
-		f.rampPending = false
-		if f.state != flowActive {
-			return
-		}
-		f.rampCap *= 2
-		f.scheduleRamp()
-		f.net.reallocateOn(f.lup, f.ldown)
-		f.net.emitFlow(f, FlowEventRamp)
-	})
+	f.rampTimer = f.net.eng.Schedule(f.rtt, f.rampFn)
+}
+
+// ramp is one slow-start doubling.
+func (f *Flow) ramp() {
+	f.rampPending = false
+	if f.state != flowActive {
+		return
+	}
+	f.rampCap *= 2
+	f.scheduleRamp()
+	f.net.reallocateOn(f.lup, f.ldown)
+	f.net.emitFlow(f, FlowEventRamp)
 }
 
 // mathisCap returns the Mathis throughput bound C·MSS/(RTT·sqrt(p)) for
@@ -362,6 +372,7 @@ func (n *Network) detach(f *Flow) {
 		f.lup.removeFlow(f.upIdx)
 		f.ldown.removeFlow(f.downIdx)
 		f.onLinks = false
+		n.graphGen++
 	}
 	last := len(n.flows) - 1
 	moved := n.flows[last]

@@ -126,19 +126,30 @@ type Network struct {
 
 	// Incremental-reallocation state: a collection generation counter
 	// (stale marks never compare equal, so resets are O(1)) and reusable
-	// region scratch that grows once to the largest dirty region.
-	allocGen    uint64
-	regionLinks []*link
-	regionFlows []*Flow
-	linkQueue   []*link
-	compBounds  []compBound
-	sortKeys    []uint64  // orderLinks/orderFlows: integer sort keys
-	flowGather  []*Flow   // orderFlows: unsorted copy the keys index into
-	openLinks   []int32   // fillComponent: links with an unfixed flow
-	liveFlows   []int32   // fillComponent: unfixed flows
-	flowCaps    []float64 // fillComponent: capLimit per flow, read once per pass
-	stats       AllocStats
-	forceFull   bool // reallocate via the full per-event oracle instead
+	// region scratch that grows once to the largest dirty region. The
+	// region outlives its pass as a cache: graphGen counts the changes to
+	// the link flow lists, and regionGen is its value when the region was
+	// collected, or 0 if that was not as one component. prevGen is the
+	// mark the previous region's members carry, 0 if there is none.
+	// fillGen stamps the rates a pass fixed; a pass over the cached region
+	// starts no collection generation, hence a counter of its own.
+	allocGen, graphGen, regionGen, prevGen, fillGen uint64
+
+	regionLinks, prevLinks, freshLinks []*link // this region, the previous one, and the members of the
+	regionFlows, prevFlows, freshFlows []*Flow // component being walked that the previous one did not hold
+
+	linkQueue  []*link
+	compBounds []compBound
+	sortKeys   []uint64  // orderLinks/orderFlows: integer sort keys
+	flowGather []*Flow   // orderFlows: unsorted copy the keys index into
+	openLinks  []int32   // fillComponent: links with an unfixed flow
+	liveFlows  []int32   // fillComponent: unfixed flows
+	flowCaps   []float64 // fillComponent: capLimit per flow, read once per pass
+	stats      AllocStats
+	forceFull  bool // reallocate via the full per-event oracle instead
+	// passHook, set only by tests, runs before and after the region step of
+	// every incremental pass that has a live dirty link.
+	passHook func(a, b *link, collected bool)
 }
 
 type node struct {

@@ -1,0 +1,171 @@
+package netem
+
+import "testing"
+
+// The star keeps one swarm-wide component, so it never shows the cached
+// region a component that splits, two that join, a pass elsewhere in
+// between, or a member far older than the rest. Each shape below is a
+// differential script (the byte format of differentialScript, so it is a
+// FuzzReallocate seed too): the paired oracle, the fill reference and the
+// per-pass region check all run, and the pass log shows that the script
+// really produced the shape.
+
+// passRecord is what one incremental pass did, as watchRegion saw it.
+type passRecord struct {
+	a      *link // the first dirty link
+	reused bool  // the cached region as it stood: no collection generation started
+	prev   bool  // going in, there was a previous region to order a walked component from
+	comps  int
+	flows  []int // the region's flow IDs, in region order
+}
+
+// recordPasses is the regionMutant that mutates nothing and logs.
+func recordPasses(log *[]passRecord) regionMutant {
+	var before uint64
+	var prev bool
+	return regionMutant{
+		pre: func(n *Network, _, _ *link) {
+			before = n.allocGen
+			prev = n.prevGen != 0 || n.regionGen != 0 && len(n.regionFlows) >= filterMinFlows
+		},
+		post: func(n *Network, a, _ *link) {
+			*log = append(*log, passRecord{a, n.allocGen == before, prev, len(n.compBounds), flowIDs(n.regionFlows)})
+		},
+	}
+}
+
+// script builds a differential script: seed 7, then nodes of 100 kB/s
+// links, 10 ms access delay and no loss, so the 5 MB transfers below
+// outlast every script and activate in creation order.
+type script []byte
+
+func newScript(nodes int) script {
+	s := script{0, 7, byte(nodes - 2)}
+	for i := 0; i < nodes; i++ {
+		s = append(s, 20, 20, 10, 0)
+	}
+	return s
+}
+
+func (s script) start(src, dst int) script     { return append(s, 0, byte(src), byte(dst), 250) }
+func (s script) unbounded(src, dst int) script { return append(s, 0, byte(src), byte(dst), 0) }
+func (s script) step(events int) script        { return append(s, 3, byte(events-1)) }
+func (s script) cancel(flow int) script        { return append(s, 4, byte(flow)) }
+func (s script) setUplink(node int) script     { return append(s, 5, byte(node), 9, 0) }
+
+// mesh starts a transfer from each of nodes [lo, hi) to the next two of
+// them: one component of 2·(hi-lo) flows.
+func (s script) mesh(lo, hi int) script {
+	for i := lo; i < hi; i++ {
+		for k := 1; k <= 2; k++ {
+			s = s.start(i, lo+(i-lo+k)%(hi-lo))
+		}
+	}
+	return s
+}
+
+var regionShapes = []struct {
+	name   string
+	script script
+	// shown reports whether the pass log holds the shape.
+	shown func(log []passRecord) bool
+}{
+	{
+		// 0→1 and 2→3 share nothing until 0→3 bridges them; cancelling the
+		// bridge dirties up0 and down3, now in a component each.
+		name:   "a completing bridge splits the cached component",
+		script: newScript(4).start(0, 1).start(2, 3).start(0, 3).step(40).cancel(2).step(20),
+		shown: func(log []passRecord) bool {
+			for i := 1; i < len(log); i++ {
+				if len(log[i-1].flows) == 3 && log[i-1].comps == 1 && log[i].comps == 2 && len(log[i].flows) == 2 {
+					return true
+				}
+			}
+			return false
+		},
+	},
+	{
+		// Two 8-flow meshes, the second walked last, so cached; 0→7 then
+		// activates across them: one component of 17, 8 of them in the
+		// previous region's order and 9 not in it.
+		name:   "an activation joins the cached component to another",
+		script: newScript(8).mesh(0, 4).mesh(4, 8).step(40).setUplink(0).setUplink(4).start(0, 7).step(30),
+		shown: func(log []passRecord) bool {
+			for i := 1; i < len(log); i++ {
+				if len(log[i-1].flows) == 8 && log[i-1].comps == 1 && len(log[i].flows) == 17 && log[i].comps == 1 {
+					return true
+				}
+			}
+			return false
+		},
+	},
+	{
+		// Capacity events (no graph change) on one mesh, the other, the
+		// first again twice: reused only the last time.
+		name:   "a pass on a disjoint cluster evicts the region: miss, then hit",
+		script: newScript(8).mesh(0, 4).mesh(4, 8).step(47).step(47).setUplink(0).setUplink(4).setUplink(0).setUplink(0),
+		shown: func(log []passRecord) bool {
+			for i := 3; i < len(log); i++ {
+				if l := log[i-3 : i+1]; l[0].a == l[2].a && l[0].a != l[1].a && !l[1].reused && !l[2].reused && l[3].reused {
+					return true
+				}
+			}
+			return false
+		},
+	},
+	{
+		// Capacity events on a 12-flow mesh, on the lone flow 6→7, on the
+		// mesh again: the one-flow region does not evict the mesh's, which
+		// is still there to order the third pass's walk.
+		name:   "a pass on a small component leaves the previous region in place",
+		script: newScript(8).mesh(0, 6).start(6, 7).step(47).setUplink(0).setUplink(6).setUplink(1),
+		shown: func(log []passRecord) bool {
+			for i := 2; i < len(log); i++ {
+				if l := log[i-2 : i+1]; len(l[0].flows) == 12 && len(l[1].flows) == 1 && len(l[2].flows) == 12 && !l[2].reused && l[2].prev {
+					return true
+				}
+			}
+			return false
+		},
+	},
+	{
+		// Flow 0 is unbounded cross-traffic on a 16-flow mesh whose other
+		// flows come and go, one at a time so the mesh stays whole: every
+		// sweep over the previous region starts at the oldest ID there is.
+		name: "a long-lived unbounded flow whose old ID sorts first",
+		script: newScript(8).unbounded(0, 1).mesh(0, 8).step(47).
+			cancel(3).start(1, 2).step(20).cancel(9).start(4, 5).step(20).cancel(1).step(20),
+		shown: func(log []passRecord) bool {
+			shrunk, grown := 0, 0 // by the cancels; by the activations after the first of them
+			for i := 1; i < len(log); i++ {
+				if log[i].comps != 1 || len(log[i].flows) < filterMinFlows || log[i].flows[0] != 0 {
+					continue
+				}
+				switch d := len(log[i].flows) - len(log[i-1].flows); {
+				case d < 0:
+					shrunk++
+				case d > 0 && shrunk > 0:
+					grown++
+				}
+			}
+			return shrunk == 3 && grown == 2
+		},
+	},
+}
+
+// TestRegionShapes runs each shape through the differential harness and
+// requires the shape to have occurred.
+func TestRegionShapes(t *testing.T) {
+	for _, shape := range regionShapes {
+		var log []passRecord
+		if err := differentialScriptWith(shape.script, (*Network).fillComponent, recordPasses(&log)); err != nil {
+			t.Errorf("%s: %v", shape.name, err)
+		}
+		if !shape.shown(log) {
+			t.Errorf("%s: the script did not produce the shape; passes:", shape.name)
+			for _, p := range log {
+				t.Logf("  reused=%v components=%d flows=%v", p.reused, p.comps, p.flows)
+			}
+		}
+	}
+}
