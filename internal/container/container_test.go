@@ -2,6 +2,12 @@ package container
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -355,5 +361,70 @@ func TestWriteM3U8(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\n0.seg\n") {
 		t.Error("relative URI missing")
+	}
+}
+
+// serialManifest is BuildManifest's reference: one segment after another,
+// each blob hashed whole after encoding.
+func serialManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Manifest, [][]byte, error) {
+	m := &Manifest{Version: ManifestVersion, Video: info, Splicing: splicing, Segments: make([]SegmentInfo, len(segs))}
+	blobs := make([][]byte, len(segs))
+	for i, sg := range segs {
+		cs, err := Build(sg, info.Seed)
+		if err != nil {
+			return nil, nil, fmt.Errorf("container: segment %d: %w", i, err)
+		}
+		blob, err := EncodeBytes(cs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("container: segment %d: %w", i, err)
+		}
+		sum := sha256.Sum256(blob)
+		m.Segments[i] = SegmentInfo{Index: sg.Index, Start: sg.Start, Duration: sg.Duration(),
+			Bytes: int64(len(blob)), SHA256: hex.EncodeToString(sum[:]), InsertedIFrame: sg.InsertedIFrame}
+		blobs[i] = blob
+	}
+	return m, blobs, nil
+}
+
+// BuildManifest over GOMAXPROCS workers, with each blob hashed once, is
+// the serial reference exactly: the same manifest and blobs, and with
+// invalid segments mid-clip the lowest one's error.
+func TestBuildManifestMatchesSerial(t *testing.T) {
+	v, segs := testSegments(t)
+	info := ClipInfo{Duration: v.Duration(), BytesPerSecond: v.Config.BytesPerSecond, Seed: v.Seed}
+	bad := slices.Clone(segs)
+	bad[2].Frames, bad[len(bad)-1].Frames = nil, nil
+	wantM, wantBlobs, _ := serialManifest(info, "4s", segs)
+	_, _, wantErr := serialManifest(info, "4s", bad)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		m, blobs, err := BuildManifest(info, "4s", segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, wantM) || !reflect.DeepEqual(blobs, wantBlobs) {
+			t.Errorf("GOMAXPROCS %d: manifest or blobs differ from the serial reference", procs)
+		}
+		m, blobs, err = BuildManifest(info, "4s", bad)
+		if err == nil || err.Error() != wantErr.Error() || m != nil || blobs != nil {
+			t.Errorf("GOMAXPROCS %d: got (%v, %d blobs, %v), want (nil, 0 blobs, %v)", procs, m, len(blobs), err, wantErr)
+		}
+	}
+}
+
+// VerifySegments reports the lowest failing index, as a serial loop does.
+func TestVerifySegmentsReportsLowestFailure(t *testing.T) {
+	v, segs := testSegments(t)
+	m, blobs, err := BuildManifest(ClipInfo{Duration: v.Duration(), BytesPerSecond: v.Config.BytesPerSecond, Seed: v.Seed}, "4s", segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifySegments(blobs); err != nil {
+		t.Fatal(err)
+	}
+	blobs[1], blobs[3] = blobs[3], blobs[1]
+	if err, want := m.VerifySegments(blobs), m.VerifySegment(1, blobs[1]); err == nil || err.Error() != want.Error() {
+		t.Errorf("VerifySegments = %v, want %v", err, want)
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2psplice/internal/splicer"
@@ -52,6 +55,8 @@ type SegmentInfo struct {
 
 // BuildManifest materializes every segment (via Build/Encode) and assembles
 // the manifest plus the encoded container blobs, keyed by segment index.
+// Segments are built over GOMAXPROCS workers; the result, and the error
+// of the lowest failing segment, are those of a serial loop.
 func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Manifest, [][]byte, error) {
 	if len(segs) == 0 {
 		return nil, nil, fmt.Errorf("container: no segments")
@@ -63,16 +68,16 @@ func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Man
 		Segments: make([]SegmentInfo, len(segs)),
 	}
 	blobs := make([][]byte, len(segs))
-	for i, sg := range segs {
+	err := forEach(len(segs), func(i int) error {
+		sg := segs[i]
 		cs, err := Build(sg, info.Seed)
 		if err != nil {
-			return nil, nil, fmt.Errorf("container: segment %d: %w", i, err)
+			return fmt.Errorf("container: segment %d: %w", i, err)
 		}
-		blob, err := EncodeBytes(cs)
+		blob, sum, err := encodeBytes(cs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("container: segment %d: %w", i, err)
+			return fmt.Errorf("container: segment %d: %w", i, err)
 		}
-		sum := sha256.Sum256(blob)
 		m.Segments[i] = SegmentInfo{
 			Index:          sg.Index,
 			Start:          sg.Start,
@@ -82,8 +87,37 @@ func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Man
 			InsertedIFrame: sg.InsertedIFrame,
 		}
 		blobs[i] = blob
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, blobs, nil
+}
+
+// forEach runs fn(i) for every i in [0, n) over GOMAXPROCS workers and
+// returns the error of the lowest failing i, as a serial loop stopping at
+// its first failure would.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Validate checks the manifest's structural invariants: version, contiguous
@@ -146,6 +180,13 @@ func (m *Manifest) VerifySegment(idx int, blob []byte) error {
 		return fmt.Errorf("container: segment %d checksum mismatch", idx)
 	}
 	return nil
+}
+
+// VerifySegments checks blobs[i] against manifest entry i for every i,
+// over GOMAXPROCS workers, and returns the error of the lowest failing
+// index, as a serial VerifySegment loop would.
+func (m *Manifest) VerifySegments(blobs [][]byte) error {
+	return forEach(len(blobs), func(i int) error { return m.VerifySegment(i, blobs[i]) })
 }
 
 // WriteJSON writes the manifest as indented JSON.

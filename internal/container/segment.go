@@ -117,24 +117,33 @@ func Build(seg splicer.Segment, seed int64) (*Segment, error) {
 // Encode writes the container to w: magic, header, frame index, payload,
 // and a SHA-256 trailer over everything preceding it.
 func Encode(w io.Writer, s *Segment) error {
+	_, err := encode(w, s)
+	return err
+}
+
+// encode is Encode returning the SHA-256 of the whole encoding, trailer
+// included — the manifest's digest. sha256's Sum does not reset the hash,
+// so the state that produced the trailer continues over it: each byte is
+// hashed once.
+func encode(w io.Writer, s *Segment) (sum [checksumLen]byte, err error) {
 	if len(s.Frames) == 0 {
-		return fmt.Errorf("container: segment %d has no frames", s.Index)
+		return sum, fmt.Errorf("container: segment %d has no frames", s.Index)
 	}
 	if len(s.Frames) > MaxFrames {
-		return fmt.Errorf("container: segment %d has %d frames, limit %d", s.Index, len(s.Frames), MaxFrames)
+		return sum, fmt.Errorf("container: segment %d has %d frames, limit %d", s.Index, len(s.Frames), MaxFrames)
 	}
 	var total int64
 	for i, f := range s.Frames {
 		if f.Bytes <= 0 || f.Bytes > MaxPayload {
-			return fmt.Errorf("container: segment %d frame %d has bad size %d", s.Index, i, f.Bytes)
+			return sum, fmt.Errorf("container: segment %d frame %d has bad size %d", s.Index, i, f.Bytes)
 		}
 		if !f.Type.Valid() {
-			return fmt.Errorf("container: segment %d frame %d has invalid type", s.Index, i)
+			return sum, fmt.Errorf("container: segment %d frame %d has invalid type", s.Index, i)
 		}
 		total += f.Bytes
 	}
 	if total != int64(len(s.Payload)) {
-		return fmt.Errorf("container: segment %d payload %d bytes, frame index says %d",
+		return sum, fmt.Errorf("container: segment %d payload %d bytes, frame index says %d",
 			s.Index, len(s.Payload), total)
 	}
 
@@ -142,7 +151,7 @@ func Encode(w io.Writer, s *Segment) error {
 	mw := io.MultiWriter(w, h)
 
 	if _, err := mw.Write(Magic[:]); err != nil {
-		return fmt.Errorf("container: write magic: %w", err)
+		return sum, fmt.Errorf("container: write magic: %w", err)
 	}
 	var flags uint8
 	if s.InsertedIFrame {
@@ -155,38 +164,49 @@ func Encode(w io.Writer, s *Segment) error {
 	binary.BigEndian.PutUint64(hdr[9:17], uint64(s.Start))
 	binary.BigEndian.PutUint64(hdr[17:25], uint64(len(s.Payload)))
 	if _, err := mw.Write(hdr); err != nil {
-		return fmt.Errorf("container: write header: %w", err)
+		return sum, fmt.Errorf("container: write header: %w", err)
 	}
 
 	entry := make([]byte, frameEntryLen)
 	for i, f := range s.Frames {
 		if f.Duration < 0 || f.Duration > time.Duration(1<<32-1) {
-			return fmt.Errorf("container: segment %d frame %d duration %v out of range", s.Index, i, f.Duration)
+			return sum, fmt.Errorf("container: segment %d frame %d duration %v out of range", s.Index, i, f.Duration)
 		}
 		entry[0] = byte(f.Type)
 		binary.BigEndian.PutUint32(entry[1:5], uint32(f.Bytes))
 		binary.BigEndian.PutUint32(entry[5:9], uint32(f.Duration))
 		if _, err := mw.Write(entry); err != nil {
-			return fmt.Errorf("container: write frame index: %w", err)
+			return sum, fmt.Errorf("container: write frame index: %w", err)
 		}
 	}
 	if _, err := mw.Write(s.Payload); err != nil {
-		return fmt.Errorf("container: write payload: %w", err)
+		return sum, fmt.Errorf("container: write payload: %w", err)
 	}
-	if _, err := w.Write(h.Sum(nil)); err != nil {
-		return fmt.Errorf("container: write checksum: %w", err)
+	trailer := h.Sum(nil)
+	if _, err := w.Write(trailer); err != nil {
+		return sum, fmt.Errorf("container: write checksum: %w", err)
 	}
-	return nil
+	h.Write(trailer)
+	h.Sum(sum[:0]) // appends into sum's array
+	return sum, nil
 }
 
 // EncodeBytes encodes s into a fresh byte slice.
 func EncodeBytes(s *Segment) ([]byte, error) {
+	blob, _, err := encodeBytes(s)
+	return blob, err
+}
+
+// encodeBytes encodes s into a fresh byte slice and returns it with its
+// SHA-256.
+func encodeBytes(s *Segment) ([]byte, [checksumLen]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(MagicLen + headerLen + len(s.Frames)*frameEntryLen + len(s.Payload) + checksumLen)
-	if err := Encode(&buf, s); err != nil {
-		return nil, err
+	sum, err := encode(&buf, s)
+	if err != nil {
+		return nil, sum, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), sum, nil
 }
 
 // Decode reads one container from r, verifying the magic and checksum.

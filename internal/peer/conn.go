@@ -112,10 +112,11 @@ func (n *Node) dropConn(c *conn, err error) {
 }
 
 // orphanLocked takes every download assigned to c out of the pool (n.mu
-// held) and reports how many there were.
+// held) and reports how many there were. A complete one needs c no more:
+// onPiece is verifying it, and ends it either way.
 func (n *Node) orphanLocked(c *conn) (orphaned int) {
 	for idx, d := range n.active {
-		if d.conn == c {
+		if d.conn == c && !d.complete() {
 			n.dropActiveLocked(idx)
 			n.est.Finish(n.now())
 			orphaned++
@@ -129,10 +130,15 @@ func (n *Node) orphanLocked(c *conn) (orphaned int) {
 func (c *conn) send(m *wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.wr == nil { // conns built by tests skip startConn
-		c.wr = wire.NewWriter(c.raw)
-	}
 	return c.wr.WriteMsg(m)
+}
+
+// sendRequests writes the block requests for all size bytes of segment
+// idx as one write, serialized like send.
+func (c *conn) sendRequests(idx, size, blockLen int) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.wr.WriteRequests(uint32(idx), size, blockLen)
 }
 
 // close shuts the underlying conn; safe to call multiple times.
@@ -142,12 +148,14 @@ func (c *conn) close() {
 	}
 }
 
-// readLoop processes inbound messages until the connection fails. The
-// Reader and Message are reused across iterations — every handler
-// either finishes with the payload before the next read or copies it
-// (onPiece copies into the download buffer, the bitfield is decoded
-// into a fresh slice), so the aliasing is safe and the steady-state
-// receive path is allocation-free.
+// readLoop processes inbound messages until the connection fails. Its
+// Reader is the only one on c.raw after the handshake: it reads ahead,
+// so a second reader would lose frames. The Reader and Message are
+// reused across iterations, and m's payload aliases the Reader's buffer
+// until the next ReadInto — every handler finishes with it before
+// returning (onPiece copies into the download buffer, the bitfield is
+// decoded into a fresh slice), so the steady-state receive path is
+// allocation-free.
 func (c *conn) readLoop() error {
 	rd := wire.NewReader(c.raw)
 	var msg wire.Message

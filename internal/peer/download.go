@@ -16,12 +16,16 @@ type segDownload struct {
 	index     int
 	size      int
 	conn      *conn
-	buf       []byte
+	buf       []byte // becomes the stored segment once verified
 	blocks    []bool // received flags
 	remaining int
 	started   time.Duration
 	progress  time.Duration // last block arrival (watchdog)
 }
+
+// complete reports that every block has arrived (n.mu held): onPiece is
+// verifying and storing the segment, and ends the download when done.
+func (d *segDownload) complete() bool { return d.remaining == 0 }
 
 // schedule tops up the download pool: the real stack's driver of
 // internal/core's scheduler, as simpeer.fill is the emulation's. Called on
@@ -122,29 +126,20 @@ func (n *Node) dropActiveLocked(idx int) {
 	delete(n.active, idx)
 }
 
-// requestAllBlocks pipelines every block request for a segment.
+// requestAllBlocks pipelines every block request for a segment, in one
+// write.
 func (n *Node) requestAllBlocks(d *segDownload) {
-	for off := 0; off < d.size; off += n.cfg.BlockLen {
-		length := n.cfg.BlockLen
-		if off+length > d.size {
-			length = d.size - off
-		}
-		if err := d.conn.send(&wire.Message{
-			Type:   wire.MsgRequest,
-			Index:  uint32(d.index),
-			Offset: uint32(off),
-			Length: uint32(length),
-		}); err != nil {
-			d.conn.close()
-			return
-		}
+	if err := d.conn.sendRequests(d.index, d.size, n.cfg.BlockLen); err != nil {
+		d.conn.close()
 	}
 }
 
-// onPiece integrates an arriving block.
+// onPiece integrates an arriving block. The block that completes a
+// segment ends its transfer; the download itself stays in the pool, still
+// Fetching, until the segment is verified and stored (or rejected), so no
+// schedule in between launches it again.
 func (n *Node) onPiece(c *conn, m *wire.Message) {
 	idx := int(m.Index)
-	var completed []byte
 	var elapsed time.Duration
 
 	n.mu.Lock()
@@ -161,33 +156,38 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		return
 	}
 	block := off / n.cfg.BlockLen
-	if !d.blocks[block] {
-		d.blocks[block] = true
-		d.remaining--
-		copy(d.buf[off:], m.Data)
-		d.progress = n.now()
-		n.stats.DownloadedBytes += int64(len(m.Data))
-		n.est.Deliver(int64(len(m.Data)))
-		n.nm.blocksRx.Inc()
-		n.nm.bytesRx.Add(int64(len(m.Data)))
-	}
-	if d.remaining == 0 {
-		now := n.now()
-		n.dropActiveLocked(idx)
-		completed = d.buf
-		elapsed = now - d.started
-		n.est.Finish(now)
-	}
-	n.mu.Unlock()
-
-	if completed == nil {
+	if d.blocks[block] {
+		// A repeat (the KindDuplicate fault) counts once, and cannot
+		// complete a segment already being verified a second time.
+		n.mu.Unlock()
 		return
 	}
-	if err := n.manifest.VerifySegment(idx, completed); err != nil {
+	d.blocks[block] = true
+	d.remaining--
+	copy(d.buf[off:], m.Data)
+	d.progress = n.now()
+	n.stats.DownloadedBytes += int64(len(m.Data))
+	n.est.Deliver(int64(len(m.Data)))
+	n.nm.blocksRx.Inc()
+	n.nm.bytesRx.Add(int64(len(m.Data)))
+	done := d.complete()
+	if done {
+		elapsed = d.progress - d.started
+		n.est.Finish(d.progress)
+	}
+	n.mu.Unlock()
+	if !done {
+		return
+	}
+
+	// No block writes d.buf any more: it is verified unlocked and then
+	// handed to the store as the segment itself.
+	if err := n.manifest.VerifySegment(idx, d.buf); err != nil {
 		// The remote served data that does not match the manifest: drop it
 		// and re-download from someone else.
 		n.cfg.Logf("peer %s: segment %d failed verification from %s: %v", n.peerID, idx, c.id, err)
 		n.mu.Lock()
+		n.dropActiveLocked(idx)
 		n.stats.VerifyFailures++
 		n.mu.Unlock()
 		n.nm.verifyFails.Inc()
@@ -199,12 +199,13 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
-	if err := n.store.Put(idx, completed); err != nil {
-		// The segment is already out of n.active, so without an immediate
-		// reschedule it would sit undownloaded until some unrelated event
-		// (or the watchdog) next ran the scheduler.
+	if err := n.store.Put(idx, d.buf); err != nil {
+		// The segment is wanted again once out of the pool: without an
+		// immediate reschedule it would sit undownloaded until some
+		// unrelated event (or the watchdog) next ran the scheduler.
 		n.cfg.Logf("peer %s: store segment %d: %v", n.peerID, idx, err)
 		n.mu.Lock()
+		n.dropActiveLocked(idx)
 		n.stats.StoreFailures++
 		n.mu.Unlock()
 		n.nm.storeFails.Inc()
@@ -212,9 +213,10 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
-	// Stored: tell the scheduler at once. Until then the segment is out of
-	// the pool and not yet held, and a concurrent schedule re-requests it.
+	// Stored: the download leaves the pool as the segment becomes held, in
+	// one step, so no schedule sees it as neither.
 	n.mu.Lock()
+	n.dropActiveLocked(idx)
 	n.pool.Store(idx)
 	n.mu.Unlock()
 	// A verified completion earns the server credit, unless it crawled in
@@ -236,13 +238,14 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 }
 
 // expireStalled abandons downloads that have made no progress within the
-// timeout so the watchdog can retry them on another connection.
+// timeout so the watchdog can retry them on another connection. A complete
+// download being verified is onPiece's to end.
 func (n *Node) expireStalled() {
 	var stalled []*segDownload
 	n.mu.Lock()
 	now := n.now()
 	for idx, d := range n.active {
-		if now-d.progress > n.cfg.DownloadTimeout {
+		if !d.complete() && now-d.progress > n.cfg.DownloadTimeout {
 			n.dropActiveLocked(idx)
 			n.est.Finish(now)
 			n.stats.ExpiredDownloads++

@@ -45,6 +45,7 @@ func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn
 		node:   n,
 		id:     pid,
 		raw:    server,
+		wr:     wire.NewWriter(server),
 		src:    core.Source{ID: int(id), Have: append([]bool(nil), have...)},
 		choked: choked,
 	}
@@ -103,19 +104,50 @@ func TestScheduleSkipsChokedFrontOfWindow(t *testing.T) {
 	}
 }
 
-// failPutStore rejects the first Put so the store-failure path runs, then
-// behaves normally.
-type failPutStore struct {
+// hookPutStore runs hook at the top of the first Put — inside the verify
+// window, after the segment's last block arrived and before it is held —
+// and fails that Put if hook does.
+type hookPutStore struct {
 	SegmentStore
-	failed bool
+	hook func(i int) error
+	puts int
 }
 
-func (s *failPutStore) Put(i int, blob []byte) error {
-	if !s.failed {
-		s.failed = true
-		return errors.New("induced store failure")
+func (s *hookPutStore) Put(i int, blob []byte) error {
+	s.puts++
+	if s.puts == 1 && s.hook != nil {
+		if err := s.hook(i); err != nil {
+			return err
+		}
 	}
 	return s.SegmentStore.Put(i, blob)
+}
+
+// newWindowLeecher is an idle leecher over a hookPutStore, with every
+// segment servable on conn a and, if two, on conn b too.
+func newWindowLeecher(t *testing.T, k int, two bool) (*Node, *hookPutStore, *conn, []byte, *trace.Registry) {
+	t.Helper()
+	m, blobs := testSwarmData(t, 8*time.Second, 2*time.Second)
+	store, err := NewStore(len(m.Segments))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &hookPutStore{SegmentStore: store}
+	reg := trace.NewRegistry()
+	cfg := fastConfig()
+	cfg.Policy = core.FixedPool{K: k}
+	cfg.Store = hs
+	cfg.Metrics = reg
+	n := newIdleLeecher(t, m, cfg)
+	all := make([]bool, len(m.Segments))
+	for i := range all {
+		all[i] = true
+	}
+	ca := addFakeConn(t, n, 'a', all, false)
+	if two {
+		addFakeConn(t, n, 'b', all, false)
+	}
+	return n, hs, ca, blobs[0], reg
 }
 
 // injectDownload registers an in-flight download of segment idx on c as
@@ -150,29 +182,14 @@ func feedSegment(n *Node, c *conn, idx int, blob []byte) {
 }
 
 // Regression test for the store-failure path: when store.Put rejects a
-// verified segment, the segment is already out of the in-flight set, so
+// verified segment, the segment leaves the pool without being held, so
 // the node must reschedule it immediately. Pre-fix it just logged and
 // returned, leaving the segment unpooled until an unrelated event.
 func TestStoreFailureReschedulesImmediately(t *testing.T) {
-	m, blobs := testSwarmData(t, 4*time.Second, 2*time.Second)
-	store, err := NewStore(len(m.Segments))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.Policy = core.FixedPool{K: 1}
-	cfg.Store = &failPutStore{SegmentStore: store}
-	n := newIdleLeecher(t, m, cfg)
-
-	all := make([]bool, len(m.Segments))
-	for i := range all {
-		all[i] = true
-	}
-	ca := addFakeConn(t, n, 'a', all, false)
-	addFakeConn(t, n, 'b', all, false)
-
+	n, hs, ca, blob, _ := newWindowLeecher(t, 1, true)
+	hs.hook = func(int) error { return errors.New("induced store failure") }
 	injectDownload(n, ca, 0, 0)
-	feedSegment(n, ca, 0, blobs[0])
+	feedSegment(n, ca, 0, blob)
 
 	// The assertion runs synchronously after onPiece: the watchdog (1s
 	// cadence) cannot have rescued an unrescheduled segment yet.
@@ -182,6 +199,93 @@ func TestStoreFailureReschedulesImmediately(t *testing.T) {
 	}
 	if got := n.Stats().StoreFailures; got != 1 {
 		t.Fatalf("StoreFailures = %d, want 1", got)
+	}
+}
+
+// Regression test for the verify window: a schedule that runs while a
+// completed segment is verified and stored — here re-entered from Put, as
+// a HAVE from another peer triggers one — must not launch that segment
+// again. Pre-fix onPiece took the download out of the pool before
+// verifying, and the segment was downloaded twice.
+func TestVerifyWindowDoesNotRelaunch(t *testing.T) {
+	n, hs, ca, blob, _ := newWindowLeecher(t, 2, true)
+	var during map[int]*conn
+	var claimed bool
+	hs.hook = func(i int) error {
+		n.schedule()
+		during = activeIndices(n)
+		n.mu.Lock()
+		d := n.active[i]
+		claimed = d != nil && d.complete()
+		n.mu.Unlock()
+		return nil
+	}
+	injectDownload(n, ca, 0, 0)
+	feedSegment(n, ca, 0, blob)
+
+	if !claimed {
+		t.Fatalf("segment 0 relaunched while it was verified; active = %v", during)
+	}
+	if _, ok := during[1]; !ok {
+		t.Fatalf("the window's schedule launched nothing; active = %v", during)
+	}
+	if !hs.Have(0) || hs.puts != 1 {
+		t.Fatalf("segment 0 held %v after %d puts, want held after 1", hs.Have(0), hs.puts)
+	}
+}
+
+// A PIECE repeated (the KindDuplicate fault) while its completed segment
+// is verified, or after it is stored, completes the segment exactly once.
+func TestDuplicatePieceCompletesOnce(t *testing.T) {
+	n, hs, ca, blob, reg := newWindowLeecher(t, 1, false)
+	last := (len(blob) - 1) / n.cfg.BlockLen * n.cfg.BlockLen
+	again := func() {
+		n.onPiece(ca, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: uint32(last), Data: blob[last:]})
+	}
+	hs.hook = func(int) error { again(); return nil }
+	injectDownload(n, ca, 0, 0)
+	feedSegment(n, ca, 0, blob)
+	again()
+
+	if hs.puts != 1 {
+		t.Fatalf("segment 0 stored %d times, want 1", hs.puts)
+	}
+	if got := reg.Counter("segments_done").Value(); got != 1 {
+		t.Fatalf("segments_done = %d, want 1", got)
+	}
+	if got := n.Stats().DownloadedBytes; got != int64(len(blob)) {
+		t.Fatalf("DownloadedBytes = %d, want %d: a repeat counted twice", got, len(blob))
+	}
+}
+
+// A conn closed or choked between a segment's completion and its Put
+// leaves the download for onPiece to end: the pool, the conn's load and
+// the meter each count it out exactly once (never negative), and the
+// verified segment is stored.
+func TestConnLostInVerifyWindow(t *testing.T) {
+	for name, lose := range map[string]func(n *Node, c *conn){
+		"closed": func(n *Node, c *conn) { c.close(); n.dropConn(c, nil) },
+		"choked": func(n *Node, c *conn) { n.abandonDownloadsOn(c) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			n, hs, ca, blob, _ := newWindowLeecher(t, 1, false)
+			hs.hook = func(int) error { lose(n, ca); return nil }
+			injectDownload(n, ca, 0, 0)
+			feedSegment(n, ca, 0, blob)
+
+			n.mu.Lock()
+			inflight, active, uploads := n.pool.InFlight, len(n.active), ca.src.Uploads
+			n.mu.Unlock()
+			if inflight != 0 || active != 0 || uploads != 0 {
+				t.Errorf("pool.InFlight %d, active %d, conn uploads %d; want all 0", inflight, active, uploads)
+			}
+			if got := n.est.InFlight(); got != 0 {
+				t.Errorf("meter in flight %d, want 0", got)
+			}
+			if !hs.Have(0) {
+				t.Error("verified segment 0 not stored")
+			}
+		})
 	}
 }
 

@@ -283,9 +283,11 @@ func TestDownloadTimeoutRecovers(t *testing.T) {
 	}
 }
 
-// probeConn is a minimal hand-driven wire client for protocol tests.
+// probeConn is a minimal hand-driven wire client for protocol tests. Its
+// one Reader owns the stream after the handshake: a Reader reads ahead.
 type probeConn struct {
-	c net.Conn
+	c  net.Conn
+	rd *wire.Reader
 }
 
 func dialProbe(t *testing.T, addr string, ih wire.InfoHash, tag string) *probeConn {
@@ -303,7 +305,7 @@ func dialProbe(t *testing.T, addr string, ih wire.InfoHash, tag string) *probeCo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return &probeConn{c: c}
+	return &probeConn{c: c, rd: wire.NewReader(c)}
 }
 
 // readUntil returns the first message of one of the wanted types, skipping
@@ -311,9 +313,9 @@ func dialProbe(t *testing.T, addr string, ih wire.InfoHash, tag string) *probeCo
 func (p *probeConn) readUntil(t *testing.T, want ...wire.MessageType) *wire.Message {
 	t.Helper()
 	_ = p.c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for rd := wire.NewReader(p.c); ; {
+	for {
 		m := &wire.Message{}
-		if err := rd.ReadInto(m); err != nil {
+		if err := p.rd.ReadInto(m); err != nil {
 			t.Fatalf("probe read: %v", err)
 		}
 		for _, w := range want {

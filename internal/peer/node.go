@@ -187,10 +187,8 @@ func Seed(trk *tracker.Client, m *container.Manifest, blobs [][]byte, cfg Config
 	if len(blobs) != len(m.Segments) {
 		return nil, fmt.Errorf("peer: %d blobs for %d manifest segments", len(blobs), len(m.Segments))
 	}
-	for i, b := range blobs {
-		if err := m.VerifySegment(i, b); err != nil {
-			return nil, fmt.Errorf("peer: seed data: %w", err)
-		}
+	if err := m.VerifySegments(blobs); err != nil {
+		return nil, fmt.Errorf("peer: seed data: %w", err)
 	}
 	store, err := NewFullStore(blobs)
 	if err != nil {

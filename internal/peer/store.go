@@ -14,6 +14,11 @@ import (
 // SegmentStore is the storage abstraction a Node serves from and downloads
 // into. Store (in-memory) and FileStore (persistent) implement it.
 // Implementations must be safe for concurrent use.
+//
+// Ownership: Put takes blob over — the caller never writes to it again, so
+// a store may keep it rather than copy it (Store does; the node's download
+// buffer becomes the stored segment). Block may return a view of stored
+// bytes rather than a copy (Store does), so callers only read it.
 type SegmentStore interface {
 	// Segments returns the store capacity.
 	Segments() int
@@ -25,9 +30,9 @@ type SegmentStore interface {
 	Complete() bool
 	// Bitfield snapshots the have-flags.
 	Bitfield() []bool
-	// Put stores segment i (idempotent; first copy wins).
+	// Put stores segment i (idempotent; first copy wins), taking blob over.
 	Put(i int, blob []byte) error
-	// Block returns length bytes of segment i starting at off.
+	// Block returns length bytes of segment i starting at off, read-only.
 	Block(i, off, length int) ([]byte, error)
 	// SegmentSize returns the stored size of segment i, or 0 if absent.
 	SegmentSize(i int) int
@@ -112,7 +117,8 @@ func (s *Store) Bitfield() []bool {
 }
 
 // Put stores segment i. Duplicate puts are ignored; the first copy wins.
-// The blob is copied, so callers may reuse their buffer.
+// The store keeps blob itself, not a copy: the caller must not write to it
+// again.
 func (s *Store) Put(i int, blob []byte) error {
 	if len(blob) == 0 {
 		return fmt.Errorf("peer: empty segment %d", i)
@@ -125,15 +131,14 @@ func (s *Store) Put(i int, blob []byte) error {
 	if s.blobs[i] != nil {
 		return nil
 	}
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
-	s.blobs[i] = cp
+	s.blobs[i] = blob
 	s.count++
 	return nil
 }
 
-// Block returns length bytes of segment i starting at off. The returned
-// slice is a copy.
+// Block returns length bytes of segment i starting at off: a read-only view
+// of the stored blob, capped so an append cannot reach past it. Stored
+// blobs never change, so the view stays valid.
 func (s *Store) Block(i int, off, length int) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -144,9 +149,7 @@ func (s *Store) Block(i int, off, length int) ([]byte, error) {
 	if off < 0 || length <= 0 || off+length > len(b) {
 		return nil, fmt.Errorf("peer: block [%d, %d+%d) outside segment of %d bytes", off, off, length, len(b))
 	}
-	out := make([]byte, length)
-	copy(out, b[off:off+length])
-	return out, nil
+	return b[off : off+length : off+length], nil
 }
 
 // SegmentSize returns the stored size of segment i, or 0 if absent.

@@ -9,6 +9,8 @@ package wire
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 )
 
@@ -45,9 +47,14 @@ func TestZeroAllocEncodeDecode(t *testing.T) {
 	}
 }
 
+// segmentBytes is a default 2 s segment of the benchmark clip at 1 MiB/s:
+// 129 blocks, the last one short.
+const segmentBytes = 2<<20 + 1000
+
 // TestZeroAllocReaderWriter pins the streaming path: after the warm-up
-// frame grows the reusable buffers, WriteMsg and ReadInto allocate
-// nothing (AllocsPerRun's warm-up call absorbs the one-time growth).
+// frame grows the reusable buffers, WriteMsg, WriteRequests and ReadInto
+// allocate nothing (AllocsPerRun's warm-up call absorbs the one-time
+// growth).
 func TestZeroAllocReaderWriter(t *testing.T) {
 	m := pieceMsg()
 	var stream bytes.Buffer
@@ -68,6 +75,25 @@ func TestZeroAllocReaderWriter(t *testing.T) {
 	}
 	if !bytes.Equal(dec.Data, m.Data) {
 		t.Error("round-trip corrupted piece data")
+	}
+
+	blocks := (segmentBytes + DefaultBlockLen - 1) / DefaultBlockLen
+	allocs = testing.AllocsPerRun(50, func() {
+		stream.Reset()
+		if err := wr.WriteRequests(9, segmentBytes, DefaultBlockLen); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < blocks; b++ {
+			if err := rd.ReadInto(&dec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WriteRequests+ReadInto allocated %.1f times per segment, want 0", allocs)
+	}
+	if want := (Message{Type: MsgRequest, Index: 9, Offset: uint32(blocks-1) * DefaultBlockLen, Length: segmentBytes % DefaultBlockLen}); !reflect.DeepEqual(dec, want) {
+		t.Errorf("last request = %+v, want %+v", dec, want)
 	}
 }
 
@@ -94,6 +120,23 @@ func BenchmarkHotpathWireRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := rd.ReadInto(&dec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathWireRequests is the gate for a segment's request burst:
+// all of its REQUEST frames in one write, 0 allocs/op after warm-up.
+func BenchmarkHotpathWireRequests(b *testing.B) {
+	wr := NewWriter(io.Discard)
+	// Warm-up burst grows the reusable buffer outside the measurement.
+	if err := wr.WriteRequests(0, segmentBytes, DefaultBlockLen); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wr.WriteRequests(uint32(i), segmentBytes, DefaultBlockLen); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -206,41 +207,76 @@ func (m *Message) Decode(body []byte) error {
 	return nil
 }
 
-// Reader decodes frames from a stream into caller-supplied Messages,
-// reusing one internal buffer: after warm-up, ReadInto performs zero
-// heap allocations per message. Not safe for concurrent use.
+// readBufLen is a Reader's read-ahead: a few default-size PIECE frames.
+const readBufLen = 64 << 10
+
+// Reader decodes frames from a stream into caller-supplied Messages. It
+// reads ahead through one buffer, so it owns the stream: bytes it has
+// buffered are gone from r. After warm-up, ReadInto performs zero heap
+// allocations per message. Not safe for concurrent use.
 type Reader struct {
-	r    io.Reader
-	len4 [4]byte
-	buf  []byte
+	br  *bufio.Reader
+	buf []byte // frames larger than br's buffer
 }
 
 // NewReader returns a Reader decoding from r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, readBufLen)} }
 
 // ReadInto reads one message into m. m's Data and Bitfield alias the
-// Reader's internal buffer and are valid only until the next ReadInto;
-// callers that retain payload bytes must copy them first. I/O errors
-// are returned unwrapped so io.EOF checks keep working.
+// Reader's buffers and are valid only until the next ReadInto; callers
+// that retain payload bytes must copy them first. A frame that fits the
+// read-ahead buffer is decoded in place; a larger one (a 128 KiB piece, a
+// 1 MiB bitfield) is copied into a buffer that grows to the stream's
+// high-water frame size. I/O errors are returned unwrapped, with
+// io.ReadFull's convention: io.EOF only at a frame boundary.
 //
 //lint:hotpath the per-message read: the benchmarks assert 0 allocs/op
 func (rd *Reader) ReadInto(m *Message) error {
-	if _, err := io.ReadFull(rd.r, rd.len4[:]); err != nil {
-		return err
+	hdr, err := rd.br.Peek(4)
+	if err != nil {
+		if len(hdr) == 0 {
+			return err // the stream ended, or failed, between frames
+		}
+		return midFrame(err)
 	}
-	length := binary.BigEndian.Uint32(rd.len4[:])
+	length := binary.BigEndian.Uint32(hdr)
 	if length == 0 || length > 9+MaxBlockLen && length > 1+MaxBitfieldLen {
 		return ErrFrameLength
+	}
+	if n := 4 + int(length); n <= rd.br.Size() {
+		frame, err := rd.br.Peek(n)
+		if err != nil {
+			return midFrame(err)
+		}
+		// Discarding only advances the read position: frame's bytes stay
+		// put until the next ReadInto reads from the stream.
+		if _, err := rd.br.Discard(n); err != nil {
+			return err
+		}
+		return m.Decode(frame[4:])
+	}
+	if _, err := rd.br.Discard(4); err != nil {
+		return err
 	}
 	if uint32(cap(rd.buf)) < length {
 		//lint:ignore allocfree amortized: the buffer grows to the stream's high-water frame size once, then is reused
 		rd.buf = make([]byte, length)
 	}
 	body := rd.buf[:length]
-	if _, err := io.ReadFull(rd.r, body); err != nil {
-		return err
+	if _, err := io.ReadFull(rd.br, body); err != nil {
+		return midFrame(err)
 	}
 	return m.Decode(body)
+}
+
+// midFrame reports a stream that ended inside a frame as ErrUnexpectedEOF.
+//
+//lint:hotpath called on ReadInto's error paths
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Writer encodes messages to a stream through one reusable buffer:
@@ -271,6 +307,43 @@ func (wr *Writer) WriteMsg(m *Message) error {
 	buf := wr.buf[:n]
 	if _, err := m.Encode(buf); err != nil {
 		return err
+	}
+	if _, err := wr.w.Write(buf); err != nil {
+		return err
+	}
+	return nil
+}
+
+// requestFrameLen is the encoded size of a REQUEST frame.
+const requestFrameLen = 5 + 12
+
+// WriteRequests writes the REQUEST frames for every block of segment
+// index — size bytes cut into blockLen blocks, the last one short — as one
+// write to the underlying stream: a segment's requests cost one syscall,
+// not one each. I/O errors are returned unwrapped.
+//
+//lint:hotpath the per-segment request burst: the benchmarks assert 0 allocs/op
+func (wr *Writer) WriteRequests(index uint32, size, blockLen int) error {
+	if blockLen <= 0 || blockLen > MaxBlockLen {
+		return ErrRequestLength
+	}
+	n := (size + blockLen - 1) / blockLen * requestFrameLen
+	if n <= 0 {
+		return nil
+	}
+	if cap(wr.buf) < n {
+		//lint:ignore allocfree amortized: the buffer grows to the connection's high-water burst size once, then is reused
+		wr.buf = make([]byte, n)
+	}
+	buf := wr.buf[:n]
+	m := Message{Type: MsgRequest, Index: index}
+	for off, w := 0, 0; off < size; off += blockLen {
+		m.Offset, m.Length = uint32(off), uint32(min(blockLen, size-off))
+		k, err := m.Encode(buf[w:])
+		if err != nil {
+			return err
+		}
+		w += k
 	}
 	if _, err := wr.w.Write(buf); err != nil {
 		return err

@@ -241,3 +241,30 @@ func TestQuickPieceRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWriteRequests checks the batched REQUEST frames are the ones
+// WriteMsg writes one at a time, in order, and that a bad block length is
+// rejected.
+func TestWriteRequests(t *testing.T) {
+	for _, size := range []int{1, DefaultBlockLen, 3*DefaultBlockLen + 5} {
+		var batched, single bytes.Buffer
+		if err := NewWriter(&batched).WriteRequests(4, size, DefaultBlockLen); err != nil {
+			t.Fatal(err)
+		}
+		wr := NewWriter(&single)
+		for off := 0; off < size; off += DefaultBlockLen {
+			m := &Message{Type: MsgRequest, Index: 4, Offset: uint32(off), Length: uint32(min(DefaultBlockLen, size-off))}
+			if err := wr.WriteMsg(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(batched.Bytes(), single.Bytes()) {
+			t.Errorf("size %d: batched requests differ from one-at-a-time", size)
+		}
+	}
+	for _, blockLen := range []int{0, MaxBlockLen + 1} {
+		if err := NewWriter(io.Discard).WriteRequests(0, 100, blockLen); err != ErrRequestLength {
+			t.Errorf("block length %d: err %v, want ErrRequestLength", blockLen, err)
+		}
+	}
+}
