@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint loc identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint loc reach identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -42,6 +42,13 @@ lint: | $(ARTIFACTS)
 loc: | $(ARTIFACTS)
 	sh scripts/loc.sh > $(ARTIFACTS)/loc.txt
 	@tail -n 2 $(ARTIFACTS)/loc.txt
+
+# reach: the reachability ledger — root-module functions that no program
+# (main packages plus cmd/bench) links and only tests reach. Not a gate; a
+# deletion PR quotes its before/after counts.
+reach: | $(ARTIFACTS)
+	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/reach.sh > $(ARTIFACTS)/reach.txt
+	@tail -n 1 $(ARTIFACTS)/reach.txt
 
 # identity: the bit-identity gate for a change that must not move the
 # emulation — build PARENT and the working tree, run the fixed artifact

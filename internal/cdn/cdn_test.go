@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"p2psplice/internal/container"
+	"p2psplice/internal/core"
 	"p2psplice/internal/media"
 	"p2psplice/internal/player"
 	"p2psplice/internal/splicer"
@@ -303,6 +304,13 @@ func TestTimelinePlayerStallAccounting(t *testing.T) {
 	// Played 4s (1..5), stalled (5..8), played 6s (8..14).
 	if pm.FinishedAt != 14*time.Second {
 		t.Errorf("FinishedAt = %v, want 14s", pm.FinishedAt)
+	}
+	// The estimator runs on the same clock: segment 0 took 1 s, segment 1
+	// took 7 s, and segment 2 landed in no time, which Observe ignores.
+	a := core.DefaultEWMAAlpha
+	want := int64(a*(float64(m.Segments[1].Bytes)/7) + (1-a)*float64(m.Segments[0].Bytes))
+	if got := c.est.Estimate(); got != want || c.est.Samples() != 2 {
+		t.Errorf("bandwidth estimate %d B/s from %d samples, want %d B/s from 2", got, c.est.Samples(), want)
 	}
 }
 

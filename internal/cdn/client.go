@@ -194,7 +194,7 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		vi := indexOf(c.names, choice.Variant)
 		seg := c.manifests[vi].Segments[choice.Index]
 
-		fetchStart := time.Now()
+		fetchStart := now()
 		blob, err := c.get(ctx, fmt.Sprintf("/segment/%s/%d", choice.Variant, choice.Index))
 		if err != nil {
 			return nil, err
@@ -202,12 +202,12 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		if err := c.manifests[vi].VerifySegment(choice.Index, blob); err != nil {
 			return nil, fmt.Errorf("cdn: %w", err)
 		}
-		c.est.Observe(int64(len(blob)), time.Since(fetchStart))
+		at := now()
+		c.est.Observe(int64(len(blob)), at-fetchStart)
 		res.Bytes += int64(len(blob))
 		res.Choices = append(res.Choices, choice)
 
 		frontier += seg.Duration
-		at := now()
 		for i := pl.NextMissing(); i < len(durs) && bounds[i+1] <= frontier; i++ {
 			_ = pl.OnSegmentComplete(i, at) // i is in range by construction
 		}

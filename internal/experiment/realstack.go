@@ -75,7 +75,11 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, blobs, err := buildManifest(v.Duration(), p.Encoder.BytesPerSecond, p.VideoSeed, sp.Name(), segs)
+	m, blobs, err := container.BuildManifest(container.ClipInfo{
+		Duration:       v.Duration(),
+		BytesPerSecond: p.Encoder.BytesPerSecond,
+		Seed:           p.VideoSeed,
+	}, sp.Name(), segs)
 	if err != nil {
 		return nil, err
 	}
@@ -150,13 +154,4 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 		})
 	}
 	return out, nil
-}
-
-// buildManifest mirrors container.BuildManifest with explicit clip metadata.
-func buildManifest(clip time.Duration, rate, seed int64, splicing string, segs []splicer.Segment) (*container.Manifest, [][]byte, error) {
-	return container.BuildManifest(container.ClipInfo{
-		Duration:       clip,
-		BytesPerSecond: rate,
-		Seed:           seed,
-	}, splicing, segs)
 }

@@ -241,7 +241,7 @@ func TestCorrupterQuarantinedAndViewerRecovers(t *testing.T) {
 		t.Fatalf("viewer did not recover from the corrupter: %v", err)
 	}
 	for i := range blobs {
-		blob, err := viewer.Store().Block(i, 0, viewer.Store().SegmentSize(i))
+		blob, err := viewer.Store().Block(i, 0, int(m.Segments[i].Bytes))
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
@@ -296,7 +296,7 @@ func TestPolluterSoleSourceEscapeHatchCompletes(t *testing.T) {
 		t.Fatal("the polluter was never quarantined")
 	}
 	for i := range blobs {
-		blob, err := viewer.Store().Block(i, 0, viewer.Store().SegmentSize(i))
+		blob, err := viewer.Store().Block(i, 0, int(m.Segments[i].Bytes))
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}

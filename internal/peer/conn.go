@@ -133,12 +133,12 @@ func (c *conn) send(m *wire.Message) error {
 	return c.wr.WriteMsg(m)
 }
 
-// sendRequests writes the block requests for all size bytes of segment
-// idx as one write, serialized like send.
-func (c *conn) sendRequests(idx, size, blockLen int) error {
+// sendRequests writes the wire.DefaultBlockLen block requests for all size
+// bytes of segment idx as one write, serialized like send.
+func (c *conn) sendRequests(idx, size int) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.wr.WriteRequests(uint32(idx), size, blockLen)
+	return c.wr.WriteRequests(uint32(idx), size, wire.DefaultBlockLen)
 }
 
 // close shuts the underlying conn; safe to call multiple times.

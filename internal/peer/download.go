@@ -80,13 +80,17 @@ func (n *Node) schedule() {
 	}
 }
 
+// maxConcurrentPerConn bounds simultaneous segment downloads from one
+// remote peer.
+const maxConcurrentPerConn = 2
+
 // buildSourceSetLocked gathers the socket's facts for a fill at now (n.mu
 // held): every connection that is open and has not choked us, with its
-// reputation as of now, full at MaxConcurrentPerConn of our downloads. A
+// reputation as of now, full at maxConcurrentPerConn of our downloads. A
 // conn closed by a verify failure stays in n.conns until its asynchronous
 // dropConn; skipping it keeps the immediate reschedule off the dead conn.
 func (n *Node) buildSourceSetLocked(now time.Duration) {
-	n.set.Reset(nil, n.cfg.MaxConcurrentPerConn)
+	n.set.Reset(nil, maxConcurrentPerConn)
 	for _, c := range n.conns {
 		if c.choked || c.closed.Load() {
 			continue
@@ -106,7 +110,7 @@ func (n *Node) launchLocked(c *conn, idx int, now time.Duration) *segDownload {
 		size:     size,
 		conn:     c,
 		buf:      make([]byte, size),
-		blocks:   make([]bool, wire.BlockCount(int64(size), n.cfg.BlockLen)),
+		blocks:   make([]bool, wire.BlockCount(int64(size), wire.DefaultBlockLen)),
 		started:  now,
 		progress: now,
 	}
@@ -129,7 +133,7 @@ func (n *Node) dropActiveLocked(idx int) {
 // requestAllBlocks pipelines every block request for a segment, in one
 // write.
 func (n *Node) requestAllBlocks(d *segDownload) {
-	if err := d.conn.sendRequests(d.index, d.size, n.cfg.BlockLen); err != nil {
+	if err := d.conn.sendRequests(d.index, d.size); err != nil {
 		d.conn.close()
 	}
 }
@@ -149,13 +153,13 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		return // stale block from an abandoned download
 	}
 	off := int(m.Offset)
-	if off%n.cfg.BlockLen != 0 || off+len(m.Data) > d.size {
+	if off%wire.DefaultBlockLen != 0 || off+len(m.Data) > d.size {
 		n.mu.Unlock()
 		n.cfg.Logf("peer %s: bogus block seg=%d off=%d len=%d", n.peerID, idx, off, len(m.Data))
 		c.close()
 		return
 	}
-	block := off / n.cfg.BlockLen
+	block := off / wire.DefaultBlockLen
 	if d.blocks[block] {
 		// A repeat (the KindDuplicate fault) counts once, and cannot
 		// complete a segment already being verified a second time.

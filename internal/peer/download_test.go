@@ -13,17 +13,22 @@ import (
 	"p2psplice/internal/wire"
 )
 
-// newIdleLeecher builds a leecher with no live connections: the manifest
-// is published to a tracker nobody else joined, so the node's connection
-// set is entirely under the test's control.
-func newIdleLeecher(t *testing.T, m *container.Manifest, cfg Config) *Node {
+// newIdleLeecher builds a leecher over store (a fresh Store if nil) with no
+// live connections: the manifest is published to a tracker nobody else
+// joined, so the node's connection set is entirely under the test's control.
+func newIdleLeecher(t *testing.T, m *container.Manifest, store SegmentStore, cfg Config) *Node {
 	t.Helper()
 	trk := newTracker(t)
 	ih, err := trk.Publish(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Join(trk, ih, cfg)
+	if store == nil {
+		if store, err = NewStore(len(m.Segments)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := newNode(trk, ih, m, store, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestScheduleSkipsChokedFrontOfWindow(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Policy = core.FixedPool{K: 2}
-	n := newIdleLeecher(t, m, cfg)
+	n := newIdleLeecher(t, m, nil, cfg)
 
 	segs := len(m.Segments)
 	frontOnly := make([]bool, segs)
@@ -136,9 +141,8 @@ func newWindowLeecher(t *testing.T, k int, two bool) (*Node, *hookPutStore, *con
 	reg := trace.NewRegistry()
 	cfg := fastConfig()
 	cfg.Policy = core.FixedPool{K: k}
-	cfg.Store = hs
 	cfg.Metrics = reg
-	n := newIdleLeecher(t, m, cfg)
+	n := newIdleLeecher(t, m, hs, cfg)
 	all := make([]bool, len(m.Segments))
 	for i := range all {
 		all[i] = true
@@ -167,16 +171,12 @@ func injectDownload(n *Node, c *conn, idx int, age time.Duration) {
 
 // feedSegment delivers blob to the node as wire pieces on c.
 func feedSegment(n *Node, c *conn, idx int, blob []byte) {
-	for off := 0; off < len(blob); off += n.cfg.BlockLen {
-		end := off + n.cfg.BlockLen
-		if end > len(blob) {
-			end = len(blob)
-		}
+	for off := 0; off < len(blob); off += wire.DefaultBlockLen {
 		n.onPiece(c, &wire.Message{
 			Type:   wire.MsgPiece,
 			Index:  uint32(idx),
 			Offset: uint32(off),
-			Data:   blob[off:end],
+			Data:   blob[off:min(off+wire.DefaultBlockLen, len(blob))],
 		})
 	}
 }
@@ -229,8 +229,8 @@ func TestVerifyWindowDoesNotRelaunch(t *testing.T) {
 	if _, ok := during[1]; !ok {
 		t.Fatalf("the window's schedule launched nothing; active = %v", during)
 	}
-	if !hs.Have(0) || hs.puts != 1 {
-		t.Fatalf("segment 0 held %v after %d puts, want held after 1", hs.Have(0), hs.puts)
+	if held := hs.Bitfield()[0]; !held || hs.puts != 1 {
+		t.Fatalf("segment 0 held %v after %d puts, want held after 1", held, hs.puts)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestVerifyWindowDoesNotRelaunch(t *testing.T) {
 // is verified, or after it is stored, completes the segment exactly once.
 func TestDuplicatePieceCompletesOnce(t *testing.T) {
 	n, hs, ca, blob, reg := newWindowLeecher(t, 1, false)
-	last := (len(blob) - 1) / n.cfg.BlockLen * n.cfg.BlockLen
+	last := (len(blob) - 1) / wire.DefaultBlockLen * wire.DefaultBlockLen
 	again := func() {
 		n.onPiece(ca, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: uint32(last), Data: blob[last:]})
 	}
@@ -282,7 +282,7 @@ func TestConnLostInVerifyWindow(t *testing.T) {
 			if got := n.est.InFlight(); got != 0 {
 				t.Errorf("meter in flight %d, want 0", got)
 			}
-			if !hs.Have(0) {
+			if !hs.Bitfield()[0] {
 				t.Error("verified segment 0 not stored")
 			}
 		})
@@ -298,7 +298,7 @@ func TestExpireStalledReschedulesOnLiveConn(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Policy = core.FixedPool{K: 1}
 	cfg.DownloadTimeout = 50 * time.Millisecond
-	n := newIdleLeecher(t, m, cfg)
+	n := newIdleLeecher(t, m, nil, cfg)
 
 	none := make([]bool, len(m.Segments))
 	all := make([]bool, len(m.Segments))

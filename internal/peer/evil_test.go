@@ -122,7 +122,7 @@ func TestViewerSurvivesMaliciousPeer(t *testing.T) {
 	// Every stored segment must verify against the manifest — garbage from
 	// the malicious peer may have been received but never stored.
 	for i := range blobs {
-		blob, err := viewer.Store().Block(i, 0, viewer.Store().SegmentSize(i))
+		blob, err := viewer.Store().Block(i, 0, int(m.Segments[i].Bytes))
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}

@@ -24,11 +24,6 @@ type Config struct {
 	ListenAddr string
 	// Policy is the download-pooling policy. Defaults to core.AdaptivePool.
 	Policy core.Policy
-	// BlockLen is the transfer block size. Defaults to wire.DefaultBlockLen.
-	BlockLen int
-	// MaxConcurrentPerConn bounds simultaneous segment downloads from one
-	// remote peer. Defaults to 2.
-	MaxConcurrentPerConn int
 	// MaxUploadSlots bounds how many connections this node serves blocks to
 	// simultaneously (BitTorrent unchoke slots). A requester beyond the
 	// limit receives MsgChoke and retries after MsgUnchoke. Defaults to 8;
@@ -42,11 +37,6 @@ type Config struct {
 	// Shape optionally applies an access-link shape (bandwidth/latency) to
 	// all of this node's connections, emulating the paper's GENI links.
 	Shape *shaper.Config
-	// Store optionally supplies the segment storage (e.g. a FileStore for
-	// resume across restarts). Join uses it as-is — segments already
-	// present are kept and not re-downloaded. Its capacity must match the
-	// manifest. Nil means a fresh in-memory store.
-	Store SegmentStore
 	// DialTimeout bounds peer connection attempts. Defaults to 5s.
 	DialTimeout time.Duration
 	// Reputation configures per-peer scoring and quarantine: decaying
@@ -71,12 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil {
 		c.Policy = core.AdaptivePool{}
-	}
-	if c.BlockLen <= 0 || c.BlockLen > wire.MaxBlockLen {
-		c.BlockLen = wire.DefaultBlockLen
-	}
-	if c.MaxConcurrentPerConn <= 0 {
-		c.MaxConcurrentPerConn = 2
 	}
 	if c.MaxUploadSlots == 0 {
 		c.MaxUploadSlots = 8
@@ -215,52 +199,11 @@ func Join(trk *tracker.Client, infoHash wire.InfoHash, cfg Config) (*Node, error
 	if err != nil {
 		return nil, err
 	}
-	var store SegmentStore
-	if cfg.Store != nil {
-		if cfg.Store.Segments() != len(m.Segments) {
-			return nil, fmt.Errorf("peer: supplied store holds %d segments, manifest has %d",
-				cfg.Store.Segments(), len(m.Segments))
-		}
-		store = cfg.Store
-	} else {
-		store, err = NewStore(len(m.Segments))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return newNode(trk, infoHash, m, store, false, cfg)
-}
-
-// SeedFromStore serves a swarm from an existing (complete) store — e.g. a
-// FileStore directory left by a previous run — without re-supplying blobs.
-// Every stored segment is verified against the manifest before serving.
-func SeedFromStore(trk *tracker.Client, m *container.Manifest, store SegmentStore, cfg Config) (*Node, error) {
-	if trk == nil {
-		return nil, errors.New("peer: nil tracker client")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if store == nil || store.Segments() != len(m.Segments) {
-		return nil, fmt.Errorf("peer: store does not match manifest")
-	}
-	if !store.Complete() {
-		return nil, fmt.Errorf("peer: store incomplete (%d/%d segments)", store.Count(), store.Segments())
-	}
-	for i := range m.Segments {
-		blob, err := store.Block(i, 0, store.SegmentSize(i))
-		if err != nil {
-			return nil, fmt.Errorf("peer: seed data: %w", err)
-		}
-		if err := m.VerifySegment(i, blob); err != nil {
-			return nil, fmt.Errorf("peer: seed data: %w", err)
-		}
-	}
-	ih, err := trk.Publish(m)
+	store, err := NewStore(len(m.Segments))
 	if err != nil {
 		return nil, err
 	}
-	return newNode(trk, ih, m, store, true, cfg)
+	return newNode(trk, infoHash, m, store, false, cfg)
 }
 
 func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store SegmentStore, seeder bool, cfg Config) (*Node, error) {
@@ -291,13 +234,6 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 			cancel()
 			return nil, err
 		}
-		// Segments recovered from a resumed store count as instantly
-		// downloaded: register them before the playback clock starts.
-		for i := 0; i < store.Segments(); i++ {
-			if store.Have(i) {
-				_ = play.OnSegmentComplete(i, 0) // index verified in range
-			}
-		}
 		if err := play.Start(0); err != nil {
 			cancel()
 			return nil, err
@@ -327,9 +263,9 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		cancel:    cancel,
 	}
 	if play != nil {
-		// Attached after the resume registrations above, so only post-join
-		// transitions are traced. Every later player call runs under n.mu,
-		// which the observer therefore inherits.
+		// Attached after Start, so only post-join transitions are traced.
+		// Every later player call runs under n.mu, which the observer
+		// therefore inherits.
 		play.SetObserver(func(t player.Transition) { n.playbackTransitionLocked(t) })
 	}
 	if store.Complete() {

@@ -177,13 +177,12 @@ func TestPickTieBreaksOnLowestID(t *testing.T) {
 }
 
 // The node supplies the scheduler exactly the facts DESIGN.md §4c's table
-// says it does: membership (open, unchoked, below MaxConcurrentPerConn),
+// says it does: membership (open, unchoked, below maxConcurrentPerConn),
 // the remote's bitfield, its own downloads on the conn as the load, the
 // reputation table's score and quarantine flag as of now — and zeros for
 // what a node cannot see.
 func TestNodeGathersSourceFacts(t *testing.T) {
 	n := pickNode(t)
-	n.cfg.MaxConcurrentPerConn = 2
 	segs := len(n.pool.Have)
 	only := func(i int) []bool { h := make([]bool, segs); h[i] = true; return h }
 	choked := addFakeConn(t, n, 'a', only(0), true)

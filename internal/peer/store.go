@@ -12,8 +12,8 @@ import (
 )
 
 // SegmentStore is the storage abstraction a Node serves from and downloads
-// into. Store (in-memory) and FileStore (persistent) implement it.
-// Implementations must be safe for concurrent use.
+// into. Store is its one implementation; the interface lets tests wrap it
+// to intercept a call. Implementations must be safe for concurrent use.
 //
 // Ownership: Put takes blob over — the caller never writes to it again, so
 // a store may keep it rather than copy it (Store does; the node's download
@@ -22,8 +22,6 @@ import (
 type SegmentStore interface {
 	// Segments returns the store capacity.
 	Segments() int
-	// Have reports whether segment i is present.
-	Have(i int) bool
 	// Count returns how many segments are present.
 	Count() int
 	// Complete reports whether every segment is present.
@@ -34,14 +32,9 @@ type SegmentStore interface {
 	Put(i int, blob []byte) error
 	// Block returns length bytes of segment i starting at off, read-only.
 	Block(i, off, length int) ([]byte, error)
-	// SegmentSize returns the stored size of segment i, or 0 if absent.
-	SegmentSize(i int) int
 }
 
-var (
-	_ SegmentStore = (*Store)(nil)
-	_ SegmentStore = (*FileStore)(nil)
-)
+var _ SegmentStore = (*Store)(nil)
 
 // Store holds encoded segment containers in memory, keyed by segment index.
 // It is safe for concurrent use.
@@ -82,13 +75,6 @@ func (s *Store) Segments() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.blobs)
-}
-
-// Have reports whether segment i is present.
-func (s *Store) Have(i int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return i >= 0 && i < len(s.blobs) && s.blobs[i] != nil
 }
 
 // Count returns how many segments are present.
@@ -150,14 +136,4 @@ func (s *Store) Block(i int, off, length int) ([]byte, error) {
 		return nil, fmt.Errorf("peer: block [%d, %d+%d) outside segment of %d bytes", off, off, length, len(b))
 	}
 	return b[off : off+length : off+length], nil
-}
-
-// SegmentSize returns the stored size of segment i, or 0 if absent.
-func (s *Store) SegmentSize(i int) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if i < 0 || i >= len(s.blobs) {
-		return 0
-	}
-	return len(s.blobs[i])
 }

@@ -51,11 +51,7 @@ func refSourceProgress(s *swarm, q *peerState, idx int) float64 {
 		return -1
 	}
 	progress := 1 - float64(d.flow.Remaining())/float64(size)
-	threshold := s.cfg.RelayThreshold
-	if threshold <= 0 {
-		threshold = defaultRelayThreshold
-	}
-	if progress < threshold {
+	if progress < relayThreshold {
 		return -1
 	}
 	return progress

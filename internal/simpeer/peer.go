@@ -193,14 +193,19 @@ func (s *swarm) relayProgress(q *peerState, idx int) float64 {
 		return -1
 	}
 	progress := 1 - float64(d.flow.Remaining())/float64(size)
-	if progress < s.relayThreshold {
+	if progress < relayThreshold {
 		return -1
 	}
 	return progress
 }
 
-// defaultRelayThreshold is a couple of 16 kB pieces into a typical segment.
-const defaultRelayThreshold = 0.02
+// relayThreshold is the download progress (fraction of segment bytes
+// received) at which a leecher starts serving that segment to others: a
+// couple of 16 kB pieces into a typical segment. It models the paper's
+// piece-level exchange — a segment is the splicing unit, but transfers move
+// in pieces, so a peer relays a segment while still fetching it. Without
+// relaying, simultaneous sequential viewers degenerate to seeder fan-out.
+const relayThreshold = 0.02
 
 // sourceRetryDelay is how soon a peer that found no eligible source looks
 // again. It stands in for the continuous per-piece re-evaluation of the real

@@ -104,16 +104,8 @@ type SwarmConfig struct {
 	Selection SelectionStrategy
 	// RarestWindow bounds rarest-first lookahead (default 8).
 	RarestWindow int
-	// RelayThreshold is the minimum download progress (fraction of segment
-	// bytes received) at which a leecher starts serving that segment to
-	// others. This models the BitTorrent-style piece-level exchange of the
-	// paper's protocol: a segment is the splicing unit, but transfers move
-	// in small pieces, so a peer relays a segment while still fetching it.
-	// Without relaying, a swarm of simultaneous sequential viewers
-	// degenerates to seeder fan-out (every peer waits on the only full
-	// holder). Default 0.1; set DisableRelay for strict store-and-forward.
-	RelayThreshold float64
-	// DisableRelay forces whole-segment store-and-forward (ablation).
+	// DisableRelay forces whole-segment store-and-forward (ablation)
+	// instead of relaying past relayThreshold.
 	DisableRelay bool
 	// FreshConnectionPerSegment opens a new TCP connection for every
 	// segment request (1.5 RTT handshake before the first byte) instead of
@@ -348,17 +340,16 @@ type swarm struct {
 	// disabled (the legacy-selection path).
 	rep *reputation.Table[int]
 
-	// Scheduler inputs (peer.go). slots, relayThreshold and rarestWindow are
-	// the config's values with defaults resolved: slots is the per-peer
-	// upload cap (0 = unlimited). frontier is the availability frontier:
-	// the highest segment any leecher has ever started fetching, -1 before
-	// the first download. set is the running fill's source set (scratch,
-	// reused across fills; fill never re-enters).
-	slots          int
-	relayThreshold float64
-	rarestWindow   int
-	frontier       int
-	set            core.SourceSet
+	// Scheduler inputs (peer.go). slots and rarestWindow are the config's
+	// values with defaults resolved: slots is the per-peer upload cap (0 =
+	// unlimited). frontier is the availability frontier: the highest segment
+	// any leecher has ever started fetching, -1 before the first download.
+	// set is the running fill's source set (scratch, reused across fills;
+	// fill never re-enters).
+	slots        int
+	rarestWindow int
+	frontier     int
+	set          core.SourceSet
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
 	// warm-up would otherwise be a manifest flash crowd.
@@ -407,10 +398,6 @@ func (s *swarm) setup() error {
 	s.slots = 4
 	if s.cfg.MaxUploadsPerPeer != 0 {
 		s.slots = max(s.cfg.MaxUploadsPerPeer, 0) // negative: unlimited
-	}
-	s.relayThreshold = s.cfg.RelayThreshold
-	if s.relayThreshold <= 0 {
-		s.relayThreshold = defaultRelayThreshold
 	}
 	s.rarestWindow = s.cfg.RarestWindow
 	if s.rarestWindow <= 0 {
