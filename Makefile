@@ -133,7 +133,6 @@ FUZZ_TARGETS = \
 	FuzzReadHandshake:./internal/wire \
 	FuzzDecode:./internal/container \
 	FuzzReadManifest:./internal/container \
-	FuzzReadJSON:./internal/topology \
 	FuzzPlan:./internal/fault \
 	FuzzReallocate:./internal/netem \
 	FuzzPromRoundTrip:./internal/trace

@@ -1,7 +1,7 @@
 // Command splicelint runs the repository's static-analysis suite: the
-// determinism, detercall, mutexguard, golifecycle, wireerr, floatcmp,
-// allocfree, and atomicguard analyzers from internal/analysis, built
-// entirely on the stdlib go/* packages.
+// determinism, mutexguard, golifecycle, wireerr, floatcmp, allocfree,
+// and atomicguard analyzers from internal/analysis, built entirely on
+// the stdlib go/* packages.
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //
 // Patterns default to ./... relative to the module root; they are
 // always expanded to their module-internal dependency closure so the
-// cross-package facts engine (detercall, allocfree, atomicguard) sees
+// cross-package facts engine (determinism, allocfree, atomicguard) sees
 // every helper package the named packages reach. Exit status is 0 when
 // clean, 1 when findings were reported, 2 on usage or load errors.
 // Findings can be silenced in source with

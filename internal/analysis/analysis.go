@@ -1,7 +1,7 @@
 // Package analysis is a stdlib-only static-analysis framework for this
 // module, plus the splicelint analyzers that enforce its correctness
-// invariants: simulation determinism (direct and transitive), mutex
-// guard discipline, goroutine lifecycle hygiene, wire-level error
+// invariants: simulation determinism (direct and through call chains),
+// mutex guard discipline, goroutine lifecycle hygiene, wire-level error
 // handling, float comparison safety, hot-path allocation freedom, and
 // atomic access discipline. It deliberately uses only go/ast, go/parser,
 // go/token and go/types so the module keeps zero external dependencies.
@@ -12,7 +12,7 @@
 // facts engine — the engine visits packages in dependency order
 // (imports first), an analyzer exports typed facts about functions or
 // objects while visiting one package, and imports them while visiting
-// the packages that depend on it. That is what lets detercall follow a
+// the packages that depend on it. That is what lets determinism follow a
 // call chain out of a deterministic package, through any number of
 // helper packages, to a wall-clock read.
 package analysis
@@ -90,17 +90,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.importObject(p.Analyzer, obj, fact)
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.exportPackage(p.Analyzer, p.Pkg, fact)
-}
-
-// ImportPackageFact copies the fact previously exported on pkg into
-// fact, reporting whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.importPackage(p.Analyzer, pkg, fact)
-}
-
 // EndPass is the whole-module view handed to RunEnd after every
 // package's Run has completed.
 type EndPass struct {
@@ -161,16 +150,6 @@ type Result struct {
 	// meaningful when every analyzer was enabled — a disabled analyzer
 	// makes its suppressions look dead.
 	DeadIgnores []Finding
-}
-
-// Run applies the analyzers to the packages and returns the surviving
-// findings sorted by position. See RunResult for the full outcome.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
-	res, err := RunResult(analyzers, pkgs)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
 }
 
 // RunResult analyzes the packages in dependency order. For each

@@ -3,11 +3,11 @@
 // but built only on the stdlib. Fixture files live under a testdata
 // directory and carry expectations as trailing comments:
 //
-//	time.Now() // want "reads the wall clock"
+//	time.Now() // want "call to time.Now"
 //
-// Each `// want "rx"` comment demands a finding on its line whose
-// message matches the regexp; findings without a matching want, and
-// wants without a matching finding, fail the test.
+// Each `// want "rx"` comment demands exactly one finding on its line
+// whose message matches the regexp; findings without a matching want,
+// and wants without a matching finding, fail the test.
 package analysistest
 
 import (
@@ -45,24 +45,19 @@ func sharedImporter() (*token.FileSet, types.Importer) {
 }
 
 // Run type-checks the fixture package in dir as if its import path were
-// asPath (so analyzers with path-scoped Match fire), runs the analyzer,
-// and compares findings against the // want comments. It returns the
-// surviving findings so callers can make extra assertions.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, asPath string) []analysis.Finding {
+// asPath (so analyzers with path-scoped Match fire), runs the analyzers
+// together, and compares their findings against the // want comments.
+// At least one analyzer must match asPath, or the fixture is vacuous.
+func Run(t *testing.T, dir, asPath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	if a.Match != nil && !a.Match(asPath) {
-		t.Fatalf("analyzer %s does not match package path %s; fixture would be vacuous", a.Name, asPath)
+	matched := false
+	for _, a := range analyzers {
+		matched = matched || a.Match == nil || a.Match(asPath)
 	}
-	pkg, err := loadFixture(dir, asPath)
-	if err != nil {
-		t.Fatal(err)
+	if !matched {
+		t.Fatalf("no analyzer matches package path %s; fixture would be vacuous", asPath)
 	}
-	findings, err := analysis.Run([]*analysis.Analyzer{a}, []*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWants(t, pkg, findings)
-	return findings
+	RunModule(t, dir, map[string]string{".": asPath}, analyzers...)
 }
 
 // RunNoMatch asserts the analyzer reports nothing for the fixture when
@@ -76,20 +71,17 @@ func RunNoMatch(t *testing.T, dir string, a *analysis.Analyzer, asPath string) {
 	if a.Match(asPath) {
 		t.Fatalf("analyzer %s matches %s; pick an out-of-scope path", a.Name, asPath)
 	}
-	pkg, err := loadFixture(dir, asPath)
+	pkgs := loadModuleFixture(t, dir, map[string]string{".": asPath})
+	res, err := analysis.RunResult([]*analysis.Analyzer{a}, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.Run([]*analysis.Analyzer{a}, []*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range res.Findings {
 		t.Errorf("analyzer %s reported outside its scope (%s): %s", a.Name, asPath, f)
 	}
 }
 
-// RunModule exercises an analyzer across a multi-package fixture: a
+// RunModule exercises analyzers across a multi-package fixture: a
 // miniature module whose packages live in subdirectories of dir. The
 // paths map names each subdirectory's fake import path (fixture code
 // imports the fake paths directly, e.g. `import
@@ -97,14 +89,14 @@ func RunNoMatch(t *testing.T, dir string, a *analysis.Analyzer, asPath string) {
 // other — facts flow between them exactly as in a real module run — and
 // // want comments are honored in every fixture file. It returns the
 // engine's full result so callers can also assert on dead ignores.
-func RunModule(t *testing.T, dir string, a *analysis.Analyzer, paths map[string]string) *analysis.Result {
+func RunModule(t *testing.T, dir string, paths map[string]string, analyzers ...*analysis.Analyzer) *analysis.Result {
 	t.Helper()
 	pkgs := loadModuleFixture(t, dir, paths)
-	res, err := analysis.RunResult([]*analysis.Analyzer{a}, pkgs)
+	res, err := analysis.RunResult(analyzers, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWantsAll(t, pkgs, res.Findings)
+	checkWants(t, pkgs, res.Findings)
 	return res
 }
 
@@ -200,54 +192,11 @@ func (m *fixtureModule) load(path string) (*analysis.Package, error) {
 	return pkg, nil
 }
 
-// loadFixture parses and type-checks every .go file in dir as one
-// package with import path asPath.
-func loadFixture(dir, asPath string) (*analysis.Package, error) {
-	fset, imp := sharedImporter()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysistest: no fixture files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(asPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysistest: type-check %s: %w", dir, err)
-	}
-	return &analysis.Package{Path: asPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
 var wantRE = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
-// checkWants matches findings against // want comments line by line.
-func checkWants(t *testing.T, pkg *analysis.Package, findings []analysis.Finding) {
-	t.Helper()
-	checkWantsAll(t, []*analysis.Package{pkg}, findings)
-}
-
-// checkWantsAll is checkWants over every package of a module fixture.
-func checkWantsAll(t *testing.T, pkgs []*analysis.Package, findings []analysis.Finding) {
+// checkWants matches findings against // want comments line by line,
+// over every package of a module fixture.
+func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Finding) {
 	t.Helper()
 	type key struct {
 		file string

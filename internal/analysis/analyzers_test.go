@@ -13,7 +13,7 @@ import (
 // or stops reporting, and the scope tests pin the package matching.
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata/determinism", analysis.Determinism, "p2psplice/internal/sim")
+	analysistest.Run(t, "testdata/determinism", "p2psplice/internal/sim", analysis.All()...)
 }
 
 func TestDeterminismOutOfScope(t *testing.T) {
@@ -21,15 +21,15 @@ func TestDeterminismOutOfScope(t *testing.T) {
 }
 
 func TestMutexguard(t *testing.T) {
-	analysistest.Run(t, "testdata/mutexguard", analysis.Mutexguard, "p2psplice/internal/anywhere")
+	analysistest.Run(t, "testdata/mutexguard", "p2psplice/internal/anywhere", analysis.Mutexguard)
 }
 
 func TestGolifecycle(t *testing.T) {
-	analysistest.Run(t, "testdata/golifecycle", analysis.Golifecycle, "p2psplice/internal/anywhere")
+	analysistest.Run(t, "testdata/golifecycle", "p2psplice/internal/anywhere", analysis.Golifecycle)
 }
 
 func TestWireerr(t *testing.T) {
-	analysistest.Run(t, "testdata/wireerr", analysis.Wireerr, "p2psplice/internal/wire")
+	analysistest.Run(t, "testdata/wireerr", "p2psplice/internal/wire", analysis.Wireerr)
 }
 
 func TestWireerrOutOfScope(t *testing.T) {
@@ -37,7 +37,7 @@ func TestWireerrOutOfScope(t *testing.T) {
 }
 
 func TestFloatcmp(t *testing.T) {
-	analysistest.Run(t, "testdata/floatcmp", analysis.Floatcmp, "p2psplice/internal/metrics")
+	analysistest.Run(t, "testdata/floatcmp", "p2psplice/internal/metrics", analysis.Floatcmp)
 }
 
 func TestFloatcmpOutOfScope(t *testing.T) {
@@ -45,10 +45,10 @@ func TestFloatcmpOutOfScope(t *testing.T) {
 }
 
 func TestDetercall(t *testing.T) {
-	res := analysistest.RunModule(t, "testdata/detercall", analysis.Detercall, map[string]string{
+	res := analysistest.RunModule(t, "testdata/detercall", map[string]string{
 		"helper": "p2psplice/internal/helper",
 		"sim":    "p2psplice/internal/sim",
-	})
+	}, analysis.All()...)
 	// The fixture's one suppression silences a real chain; it must not
 	// read as dead.
 	for _, d := range res.DeadIgnores {
@@ -57,23 +57,23 @@ func TestDetercall(t *testing.T) {
 }
 
 func TestAllocfree(t *testing.T) {
-	analysistest.RunModule(t, "testdata/allocfree", analysis.Allocfree, map[string]string{
+	analysistest.RunModule(t, "testdata/allocfree", map[string]string{
 		"dep": "p2psplice/internal/dep",
 		"hot": "p2psplice/internal/hot",
-	})
+	}, analysis.Allocfree)
 }
 
 func TestAtomicguard(t *testing.T) {
-	analysistest.RunModule(t, "testdata/atomicguard", analysis.Atomicguard, map[string]string{
+	analysistest.RunModule(t, "testdata/atomicguard", map[string]string{
 		"state": "p2psplice/internal/state",
 		"user":  "p2psplice/internal/user",
-	})
+	}, analysis.Atomicguard)
 }
 
 func TestDeadIgnores(t *testing.T) {
-	res := analysistest.RunModule(t, "testdata/deadignore", analysis.Determinism, map[string]string{
+	res := analysistest.RunModule(t, "testdata/deadignore", map[string]string{
 		"pkg": "p2psplice/internal/sim/deadfixture",
-	})
+	}, analysis.Determinism)
 	if len(res.Findings) != 0 {
 		t.Errorf("live suppression failed: %v", res.Findings)
 	}
@@ -88,8 +88,8 @@ func TestDeadIgnores(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 8 {
-		t.Fatalf("expected 8 analyzers, got %d", len(all))
+	if len(all) != 7 {
+		t.Fatalf("expected 7 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -162,7 +162,7 @@ func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	pn, ok := selectorPackage(pass, sel)
+	pn, ok := infoSelectorPackage(pass.TypesInfo, sel)
 	if !ok || pn.Imported().Path() != "sync/atomic" {
 		return false
 	}

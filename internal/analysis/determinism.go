@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // DeterministicPackages lists the packages that must be bit-for-bit
@@ -36,17 +38,33 @@ var DeterministicPackages = []string{
 	"p2psplice/internal/reputation",
 }
 
-// Determinism flags, inside the simulation-deterministic packages:
-// wall-clock reads (time.Now, time.Since, time.Until), top-level
-// math/rand functions (the process-global RNG; seeded *rand.Rand
-// methods are fine), and for-range loops over maps that append to a
-// variable declared outside the loop without a sort of that variable
-// later in the same block.
+// Determinism enforces bit-for-bit reproducibility in the
+// DeterministicPackages. It walks every function body and every
+// package-level var initializer of every module package, in dependency
+// order, and classifies each use of a function once. In a deterministic
+// package it reports:
+//   - a call to a source: time.Now/Since/Until, a process-global
+//     math/rand(/v2) function (seeded constructors are fine), or anything
+//     in crypto/rand;
+//   - a reference to a source, such as `var now = time.Now`: no call
+//     exists at the site, yet every later use of the value is one;
+//   - a use of a module-internal function outside the deterministic set
+//     that transitively reaches a source, with the call chain;
+//   - a for-range over a map that appends to a variable declared outside
+//     the loop with no sort of that variable later in the same block.
+//
+// The chains come from taintFact, exported bottom-up through the facts
+// engine: a function that contains a source, or uses a tainted function,
+// is tainted. A var initializer has no function object, so it reports
+// but exports nothing. Dynamic calls (interface methods, function values)
+// are not resolved; injected-clock indirection is therefore invisible by
+// design — that is exactly the sanctioned escape hatch.
 var Determinism = &Analyzer{
-	Name:  "determinism",
-	Doc:   "forbid wall-clock reads, global RNG, and unsorted map-iteration output in deterministic packages",
-	Match: matchPaths(DeterministicPackages...),
-	Run:   runDeterminism,
+	Name:      "determinism",
+	Doc:       "forbid wall-clock reads, global RNG, entropy and unsorted map-iteration output in deterministic packages, directly or through helper call chains",
+	Match:     matchPaths(DeterministicPackages...),
+	FactTypes: []Fact{(*taintFact)(nil)},
+	Run:       runDeterminism,
 }
 
 // wall-clock functions in package time. time.Since and time.Until call
@@ -61,22 +79,203 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// sourceDesc reports whether obj is a nondeterministic source function
+// and describes it for findings and call chains.
+func sourceDesc(obj *types.Func) (string, bool) {
+	pkg := obj.Pkg()
+	if pkg == nil {
+		return "", false
+	}
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return "", false // methods: only package-level functions are sources
+	}
+	switch pkg.Path() {
+	case "time":
+		if wallClockFuncs[obj.Name()] {
+			return "time." + obj.Name() + " (wall clock)", true
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[obj.Name()] {
+			return "rand." + obj.Name() + " (process-global RNG)", true
+		}
+	case "crypto/rand":
+		return "crypto/rand." + obj.Name() + " (entropy read)", true
+	}
+	return "", false
+}
+
+// taintFact marks a function that transitively reaches a
+// nondeterministic source: a wall-clock read, the process-global RNG,
+// an entropy read, or an order-nondeterministic construct. Chain[0] is
+// the function itself and the last element describes the source, so the
+// report at the leak's entry edge can show the whole path.
+type taintFact struct {
+	Chain []string
+}
+
+func (*taintFact) AFact() {}
+
+func (f *taintFact) String() string { return strings.Join(f.Chain, " -> ") }
+
+// funcUse is one appearance of a function object: either the callee of a
+// call expression or a bare reference (a stored or passed function
+// value).
+type funcUse struct {
+	obj  *types.Func
+	pos  token.Pos
+	call bool
+}
+
+// walkNode is one unit of the walk: a function declaration's body, or a
+// package-level var declaration (fn nil).
+type walkNode struct {
+	fn     *types.Func
+	uses   []funcUse
+	ranges []mapRangeHit
+}
+
+// source describes the node's first direct nondeterministic source, or
+// returns "" if it has none.
+func (n *walkNode) source() string {
+	for _, u := range n.uses {
+		if desc, ok := sourceDesc(u.obj); ok {
+			return desc
+		}
+	}
+	if len(n.ranges) > 0 {
+		return fmt.Sprintf("unsorted map iteration feeding %q", n.ranges[0].varName)
+	}
+	return ""
+}
+
 func runDeterminism(pass *Pass) error {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkDeterministicCall(pass, n)
-			case *ast.RangeStmt:
-				// handled with block context below
+	nodes := walkNodes(pass)
+
+	// Taint fixpoint within the package. Imported facts are already
+	// final (dependency order), so only intra-package edges need
+	// iteration; chains are picked first-use-in-source-order, which
+	// keeps output deterministic.
+	taint := map[*types.Func][]string{}
+	for _, n := range nodes {
+		if src := n.source(); n.fn != nil && src != "" {
+			taint[n.fn] = []string{funcDisplay(n.fn), src}
+		}
+	}
+	chainOf := func(obj *types.Func) []string {
+		if c, ok := taint[obj]; ok {
+			return c
+		}
+		if obj.Pkg() != nil && obj.Pkg() != pass.Pkg {
+			var tf taintFact
+			if pass.ImportObjectFact(obj, &tf) {
+				return tf.Chain
 			}
-			return true
-		})
-		for _, hit := range unsortedMapRanges(pass.TypesInfo, file) {
+		}
+		return nil
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range nodes {
+			if n.fn == nil || taint[n.fn] != nil {
+				continue
+			}
+			for _, u := range n.uses {
+				if chain := chainOf(u.obj); chain != nil {
+					taint[n.fn] = append([]string{funcDisplay(n.fn)}, chain...)
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	for _, n := range nodes {
+		if chain := taint[n.fn]; n.fn != nil && chain != nil {
+			pass.ExportObjectFact(n.fn, &taintFact{Chain: chain})
+		}
+	}
+
+	// Reporting. The engine discards findings outside Match, so this
+	// runs unconditionally; only deterministic packages surface them.
+	deterministic := matchPaths(DeterministicPackages...)
+	for _, n := range nodes {
+		for _, u := range n.uses {
+			if desc, ok := sourceDesc(u.obj); ok {
+				kind := "reference to"
+				if u.call {
+					kind = "call to"
+				}
+				pass.Reportf(u.pos, "%s %s leaks nondeterminism into a deterministic package; inject a clock or seeded RNG instead", kind, desc)
+				continue
+			}
+			pkg := u.obj.Pkg()
+			if pkg == nil || !moduleInternal(pass.ModulePath, pkg.Path()) || deterministic(pkg.Path()) {
+				continue
+			}
+			chain := chainOf(u.obj)
+			if chain == nil {
+				continue
+			}
+			if n.fn != nil {
+				chain = append([]string{funcDisplay(n.fn)}, chain...)
+			}
+			pass.Reportf(u.pos, "call chain reaches nondeterminism: %s", strings.Join(chain, " -> "))
+		}
+		for _, hit := range n.ranges {
 			pass.Reportf(hit.pos, "map iteration order feeds %q without a subsequent sort; iteration order is nondeterministic", hit.varName)
 		}
 	}
 	return nil
+}
+
+// walkNodes builds one node per function declaration with a body and
+// one per package-level var declaration: every *types.Func used inside
+// (called or referenced, including inside nested function literals,
+// which are attributed to the enclosing node) plus its unsorted map
+// ranges.
+func walkNodes(pass *Pass) []*walkNode {
+	var nodes []*walkNode
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			var n walkNode
+			var root ast.Node
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
+				if !ok || d.Body == nil {
+					continue
+				}
+				n.fn, root = fn, d.Body
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				root = d
+			default:
+				continue
+			}
+			// Pre-order: a call is visited before its callee identifier.
+			calls := map[*ast.Ident]bool{}
+			ast.Inspect(root, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.CallExpr:
+					switch fun := x.Fun.(type) {
+					case *ast.Ident:
+						calls[fun] = true
+					case *ast.SelectorExpr:
+						calls[fun.Sel] = true
+					}
+				case *ast.Ident:
+					if obj, ok := pass.TypesInfo.Uses[x].(*types.Func); ok {
+						n.uses = append(n.uses, funcUse{obj: obj, pos: x.Pos(), call: calls[x]})
+					}
+				}
+				return true
+			})
+			n.ranges = unsortedMapRanges(pass.TypesInfo, root)
+			nodes = append(nodes, &n)
+		}
+	}
+	return nodes
 }
 
 // mapRangeHit is one `for range m` over a map whose body appends to an
@@ -89,8 +288,7 @@ type mapRangeHit struct {
 // unsortedMapRanges finds the order-nondeterministic map-range
 // construct anywhere under root. Map-range loops need the statement
 // list around them to look for a later sort, so it walks blocks rather
-// than single nodes. Shared by determinism (direct reporting) and
-// detercall (as a taint source in helper packages).
+// than single nodes.
 func unsortedMapRanges(info *types.Info, root ast.Node) []mapRangeHit {
 	var hits []mapRangeHit
 	ast.Inspect(root, func(n ast.Node) bool {
@@ -110,34 +308,8 @@ func unsortedMapRanges(info *types.Info, root ast.Node) []mapRangeHit {
 	return hits
 }
 
-func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	pkgName, ok := selectorPackage(pass, sel)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
-	case "time":
-		if wallClockFuncs[sel.Sel.Name] {
-			pass.Reportf(call.Pos(), "time.%s reads the wall clock in a deterministic package; inject a clock instead", sel.Sel.Name)
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[sel.Sel.Name] {
-			pass.Reportf(call.Pos(), "rand.%s uses the process-global RNG in a deterministic package; use a seeded *rand.Rand", sel.Sel.Name)
-		}
-	}
-}
-
-// selectorPackage resolves sel.X to an imported package name, if it is one.
-func selectorPackage(pass *Pass, sel *ast.SelectorExpr) (*types.PkgName, bool) {
-	return infoSelectorPackage(pass.TypesInfo, sel)
-}
-
-// infoSelectorPackage is selectorPackage for helpers that carry only a
-// *types.Info.
+// infoSelectorPackage resolves sel.X to an imported package name, if it
+// is one.
 func infoSelectorPackage(info *types.Info, sel *ast.SelectorExpr) (*types.PkgName, bool) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
@@ -291,4 +463,25 @@ func blockStmts(n ast.Node) ([]ast.Stmt, bool) {
 		return v.Body, true
 	}
 	return nil, false
+}
+
+// funcDisplay renders a function or method as pkg.Name or
+// pkg.(*Recv).Name for call chains.
+func funcDisplay(f *types.Func) string {
+	pkgName := ""
+	if f.Pkg() != nil {
+		pkgName = f.Pkg().Name() + "."
+	}
+	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
+		rt := sig.Recv().Type()
+		ptr := ""
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+			ptr = "*"
+		}
+		if named, ok := rt.(*types.Named); ok {
+			return fmt.Sprintf("%s(%s%s).%s", pkgName, ptr, named.Obj().Name(), f.Name())
+		}
+	}
+	return pkgName + f.Name()
 }

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// Fact is a typed datum an analyzer attaches to a types.Object or a
-// package while analyzing one package, and reads back while analyzing a
-// later package in dependency order. It mirrors
+// Fact is a typed datum an analyzer attaches to a types.Object while
+// analyzing one package, and reads back while analyzing a later package
+// in dependency order. It mirrors
 // golang.org/x/tools/go/analysis facts in miniature: facts are private
 // to the analyzer that exported them, keyed by (object, concrete fact
 // type), and — because the whole module is analyzed in one process —
@@ -32,12 +32,11 @@ type ObjectFact struct {
 	Fact   Fact
 }
 
-// factStore holds every fact exported during one Run, namespaced by
+// factStore holds every fact exported during one RunResult, namespaced by
 // analyzer so two analyzers can attach facts of coincidentally equal
 // type names without collision.
 type factStore struct {
-	objects  map[objectFactKey]Fact
-	packages map[packageFactKey]Fact
+	objects map[objectFactKey]Fact
 }
 
 type objectFactKey struct {
@@ -46,17 +45,8 @@ type objectFactKey struct {
 	t   reflect.Type
 }
 
-type packageFactKey struct {
-	a   *Analyzer
-	pkg *types.Package
-	t   reflect.Type
-}
-
 func newFactStore() *factStore {
-	return &factStore{
-		objects:  map[objectFactKey]Fact{},
-		packages: map[packageFactKey]Fact{},
-	}
+	return &factStore{objects: map[objectFactKey]Fact{}}
 }
 
 // factType validates that fact is a non-nil pointer (so imports can
@@ -95,24 +85,6 @@ func (s *factStore) exportObject(a *Analyzer, obj types.Object, fact Fact) {
 func (s *factStore) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
 	t := factType(fact)
 	got, ok := s.objects[objectFactKey{a, obj, t}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
-func (s *factStore) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
-	t := factType(fact)
-	if !declaresFactType(a, t) {
-		panic(fmt.Sprintf("analysis: analyzer %s exports undeclared fact type %v", a.Name, t))
-	}
-	s.packages[packageFactKey{a, pkg, t}] = fact
-}
-
-func (s *factStore) importPackage(a *Analyzer, pkg *types.Package, fact Fact) bool {
-	t := factType(fact)
-	got, ok := s.packages[packageFactKey{a, pkg, t}]
 	if !ok {
 		return false
 	}

@@ -13,17 +13,12 @@ type markFact struct{ From string }
 
 func (*markFact) AFact() {}
 
-// pkgMark is the package-fact counterpart.
-type pkgMark struct{ N int }
-
-func (*pkgMark) AFact() {}
-
 // TestFactsSurviveDependencyOrder drives the whole engine stack with the
 // real Loader: load only testdata/facts/top, expand to the dependency
 // closure (pulling in base), hand the packages to the engine top-first,
 // and prove that (a) the engine reorders them so base runs first, and
-// (b) facts exported while analyzing base are importable from top —
-// both object facts on functions and a package fact.
+// (b) object facts exported on base's functions while analyzing base
+// are importable from top.
 func TestFactsSurviveDependencyOrder(t *testing.T) {
 	l, err := analysis.NewLoader("../..")
 	if err != nil {
@@ -50,11 +45,10 @@ func TestFactsSurviveDependencyOrder(t *testing.T) {
 
 	var ranOrder []string
 	imported := map[string]string{} // callee name -> fact's From
-	var pkgFactSeen *pkgMark
 	probe := &analysis.Analyzer{
 		Name:      "factprobe",
-		Doc:       "test probe: round-trips object and package facts",
-		FactTypes: []analysis.Fact{(*markFact)(nil), (*pkgMark)(nil)},
+		Doc:       "test probe: round-trips object facts",
+		FactTypes: []analysis.Fact{(*markFact)(nil)},
 		Run: func(pass *analysis.Pass) error {
 			ranOrder = append(ranOrder, pass.Pkg.Path())
 			for _, file := range pass.Files {
@@ -68,7 +62,6 @@ func TestFactsSurviveDependencyOrder(t *testing.T) {
 					}
 				}
 			}
-			pass.ExportPackageFact(&pkgMark{N: len(pass.Files)})
 			for _, obj := range pass.TypesInfo.Uses {
 				fn, ok := obj.(*types.Func)
 				if !ok || fn.Pkg() == nil || fn.Pkg() == pass.Pkg {
@@ -77,12 +70,6 @@ func TestFactsSurviveDependencyOrder(t *testing.T) {
 				var mf markFact
 				if pass.ImportObjectFact(fn, &mf) {
 					imported[fn.Name()] = mf.From
-				}
-			}
-			for _, dep := range pass.Pkg.Imports() {
-				var pm pkgMark
-				if pass.ImportPackageFact(dep, &pm) {
-					pkgFactSeen = &pm
 				}
 			}
 			return nil
@@ -101,8 +88,5 @@ func TestFactsSurviveDependencyOrder(t *testing.T) {
 		if imported[callee] != basePath {
 			t.Errorf("fact for base.%s not imported in top: got %q", callee, imported[callee])
 		}
-	}
-	if pkgFactSeen == nil || pkgFactSeen.N != 1 {
-		t.Errorf("package fact did not round-trip: %+v", pkgFactSeen)
 	}
 }

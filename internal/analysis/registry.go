@@ -4,7 +4,6 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		Detercall,
 		Mutexguard,
 		Golifecycle,
 		Wireerr,

@@ -1,6 +1,6 @@
 // Package helper is a fixture package OUTSIDE the deterministic set: a
-// per-package analyzer never sees its wall-clock read from the caller's
-// side. No findings surface here (detercall's Match rejects the path);
+// per-package check never sees its wall-clock read from the caller's
+// side. No findings surface here (determinism's Match rejects the path);
 // the package exists to carry taint facts across the package boundary.
 package helper
 

@@ -9,10 +9,13 @@ import (
 	"p2psplice/internal/helper"
 )
 
-// clock stores a wall-clock reference at package level: no call
-// expression exists for the direct-call determinism analyzer to flag,
-// so detercall owns this finding.
+// clock stores a wall-clock reference at package level: no call exists
+// at the site, yet every later use of the value reads the wall clock.
 var clock = time.Now // want "reference to time.Now \(wall clock\) leaks nondeterminism"
+
+// bootStamp reaches the wall clock from a package-level initializer: no
+// function encloses the call, so the chain starts at the callee.
+var bootStamp = helper.Indirect() // want "call chain reaches nondeterminism: helper.Indirect -> helper.Stamp -> time.Now \(wall clock\)"
 
 // Step leaks through two helper hops; the report carries the chain.
 func Step() int64 {
@@ -30,6 +33,6 @@ func Sum() int { return helper.Pure(1, 2) }
 // stamped exercises a justified suppression: the finding exists but is
 // silenced, and the suppression counts as used (not dead).
 func stamped() int64 {
-	//lint:ignore detercall fixture: deliberate wall-clock edge under a justification
+	//lint:ignore determinism fixture: deliberate wall-clock edge under a justification
 	return helper.Stamp()
 }

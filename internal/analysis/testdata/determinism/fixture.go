@@ -1,19 +1,28 @@
-// Fixture for the determinism analyzer, type-checked as if it were
-// package p2psplice/internal/sim.
+// Fixture for the determinism analyzer's direct findings, type-checked
+// as if it were package p2psplice/internal/sim.
 package sim
 
 import (
+	crand "crypto/rand"
 	"math/rand"
 	"sort"
 	"time"
 )
 
+// bootAt calls the wall clock from a package-level initializer: one
+// finding, classified as a call.
+var bootAt = time.Now() // want "call to time.Now \(wall clock\)"
+
 func clock() time.Time {
-	return time.Now() // want "reads the wall clock"
+	return time.Now() // want "call to time.Now \(wall clock\)"
 }
 
 func elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // want "reads the wall clock"
+	return time.Since(t0) // want "call to time.Since \(wall clock\)"
+}
+
+func nonce(b []byte) {
+	_, _ = crand.Read(b) // want "call to crypto/rand.Read \(entropy read\)"
 }
 
 func roll() int {

@@ -89,7 +89,7 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: tracker listen: %w", err)
 	}
-	//lint:ignore detercall the real-stack bridge deliberately leaves the deterministic world; the tracker's wall-clock expiry is part of what it measures
+	//lint:ignore determinism the real-stack bridge deliberately leaves the deterministic world; the tracker's wall-clock expiry is part of what it measures
 	srv := &http.Server{Handler: tracker.NewServer().Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 10 * time.Second} // read limits as cmd/tracker sets them
 	var srvWG sync.WaitGroup
 	srvWG.Add(1)
@@ -108,22 +108,22 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 		AnnounceInterval: 200 * time.Millisecond,
 		Shape:            cfg.Shape,
 	}
-	//lint:ignore detercall real peers time playback on the wall clock by design; RealStackRun exists to compare them against the emulation
+	//lint:ignore determinism real peers time playback on the wall clock by design; RealStackRun exists to compare them against the emulation
 	seeder, err := peer.Seed(trk, m, blobs, nodeCfg)
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore detercall shutdown tears down connections in map order; nothing downstream observes the order
+	//lint:ignore determinism shutdown tears down connections in map order; nothing downstream observes the order
 	defer seeder.Close()
 
 	var viewers []*peer.Node
 	defer func() {
 		for _, n := range viewers {
-			n.Close()
+			n.Close() //lint:ignore determinism map-order shutdown, as for the seeder above
 		}
 	}()
 	for i := 0; i < cfg.Viewers; i++ {
-		//lint:ignore detercall real peers time playback on the wall clock by design; RealStackRun exists to compare them against the emulation
+		//lint:ignore determinism real peers time playback on the wall clock by design; RealStackRun exists to compare them against the emulation
 		n, err := peer.Join(trk, seeder.InfoHash(), nodeCfg)
 		if err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func RealStackRun(cfg RealStackConfig) ([]metrics.PlaybackSample, error) {
 	// metrics are known exactly at this point: no further stalls can occur,
 	// so project to the finish just as the emulation does.
 	for i, n := range viewers {
-		//lint:ignore detercall real playback metrics are wall-clock measurements; that is the comparison RealStackRun reports
+		//lint:ignore determinism real playback metrics are wall-clock measurements; that is the comparison RealStackRun reports
 		pm := n.Playback()
 		out = append(out, metrics.PlaybackSample{
 			Peer:       i + 1,

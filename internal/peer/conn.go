@@ -29,9 +29,9 @@ type conn struct {
 	// Upload-slot state: serving marks an occupied unchoke slot, waiting
 	// marks membership in the choked-waiters queue, and lastServe drives
 	// idle slot release.
-	serving   bool      // guarded by node.mu
-	waiting   bool      // guarded by node.mu
-	lastServe time.Time // guarded by node.mu
+	serving   bool          // guarded by node.mu
+	waiting   bool          // guarded by node.mu
+	lastServe time.Duration // node clock; guarded by node.mu
 
 	// choked records that the REMOTE choked us: it will not answer requests
 	// until it unchokes.
@@ -224,7 +224,7 @@ func (c *conn) serveBlock(m *wire.Message) error {
 			return c.send(&wire.Message{Type: wire.MsgChoke})
 		}
 	}
-	c.lastServe = time.Now()
+	c.lastServe = n.now()
 	dup := n.serveDuplicate
 	n.mu.Unlock()
 
@@ -270,7 +270,7 @@ func (n *Node) releaseSlotLocked(c *conn) *conn {
 		next.waiting = false
 		if n.conns[next.id] == next {
 			next.serving = true
-			next.lastServe = time.Now()
+			next.lastServe = n.now()
 			n.servingConns++
 			return next
 		}
@@ -285,7 +285,7 @@ func (n *Node) reapIdleSlots() {
 	var unchoke []*conn
 	n.mu.Lock()
 	for _, c := range n.conns {
-		if c.serving && time.Since(c.lastServe) > idleRelease {
+		if c.serving && n.now()-c.lastServe > idleRelease {
 			if next := n.releaseSlotLocked(c); next != nil {
 				unchoke = append(unchoke, next)
 			}

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -260,5 +261,35 @@ func TestTrackerRecoveryResumesAnnounce(t *testing.T) {
 	// one per failed announce.
 	if got := countFault(trace.EvTrackerDown); got != 1 {
 		t.Errorf("tracker_down traced %d times for one outage, want 1", got)
+	}
+}
+
+// Consecutive failed dials to one address back off 500 ms, doubling per
+// failure up to 15 s; a successful dial clears the address's state.
+func TestDialBackoffSchedule(t *testing.T) {
+	n := &Node{dialState: map[string]*dialBackoff{}}
+	const addr = "10.0.0.1:6881"
+	refused := errors.New("connection refused")
+	want := []time.Duration{
+		500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second,
+		8 * time.Second, 15 * time.Second, 15 * time.Second,
+	}
+	now := time.Minute
+	for i, wait := range want {
+		if !n.shouldDialLocked(addr, now) {
+			t.Fatalf("failure %d: dial refused at %v", i+1, now)
+		}
+		n.noteDialLocked(addr, now, refused)
+		if n.shouldDialLocked(addr, now+wait-time.Nanosecond) {
+			t.Errorf("failure %d: redial permitted before %v", i+1, wait)
+		}
+		now += wait
+	}
+	n.noteDialLocked(addr, now, nil)
+	if _, ok := n.dialState[addr]; ok {
+		t.Fatal("a successful dial left backoff state behind")
+	}
+	if !n.shouldDialLocked(addr, now) {
+		t.Error("dial refused after a success cleared the state")
 	}
 }

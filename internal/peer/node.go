@@ -532,7 +532,7 @@ func (n *Node) trackerLoop() {
 // re-announces on the next tick. Tracker loss and recovery are traced as
 // fault events so timelines can attribute downstream stalls to it.
 func (n *Node) announceAndConnect() {
-	annStart := time.Now()
+	annStart := n.now()
 	peers, err := n.trk.Announce(n.infoHash, n.peerID, n.Addr(), n.seeder)
 	if err != nil {
 		n.nm.announceFails.Inc()
@@ -551,7 +551,7 @@ func (n *Node) announceAndConnect() {
 	}
 	// Only successful announces measure tracker RTT — a failed one's
 	// elapsed time is the retry/timeout budget, not the server's latency.
-	n.nm.announceRTT.ObserveDuration(time.Since(annStart))
+	n.nm.announceRTT.ObserveDuration(n.now() - annStart)
 	n.mu.Lock()
 	wasDown := n.trackerDown
 	n.trackerDown = false

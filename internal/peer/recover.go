@@ -3,6 +3,7 @@ package peer
 import (
 	"time"
 
+	"p2psplice/internal/fault"
 	"p2psplice/internal/tracker"
 )
 
@@ -11,29 +12,26 @@ import (
 // reconnect pass that keeps a node attached to the swarm through peer
 // churn and tracker outages.
 
-const (
-	// dialBackoffBase is the wait after the first failed dial to an
-	// address; it doubles per consecutive failure up to dialBackoffCap.
-	dialBackoffBase = 500 * time.Millisecond
-	dialBackoffCap  = 15 * time.Second
-)
+// redialBackoff is the wait after consecutive failed dials to one
+// address: 500 ms after the first, doubling per failure up to 15 s.
+var redialBackoff = fault.Backoff{Base: 500 * time.Millisecond, Cap: 15 * time.Second}
 
 // dialBackoff tracks consecutive dial failures to one address.
 type dialBackoff struct {
 	failures int
-	next     time.Time // earliest permitted redial
+	next     time.Duration // earliest permitted redial, on the node clock
 }
 
 // shouldDialLocked reports whether addr is outside its backoff window
 // (n.mu held).
-func (n *Node) shouldDialLocked(addr string, now time.Time) bool {
+func (n *Node) shouldDialLocked(addr string, now time.Duration) bool {
 	st := n.dialState[addr]
-	return st == nil || !now.Before(st.next)
+	return st == nil || now >= st.next
 }
 
 // noteDialLocked records a dial outcome: success clears the address's
 // backoff state, failure doubles it (n.mu held).
-func (n *Node) noteDialLocked(addr string, now time.Time, err error) {
+func (n *Node) noteDialLocked(addr string, now time.Duration, err error) {
 	if err == nil {
 		delete(n.dialState, addr)
 		return
@@ -44,14 +42,7 @@ func (n *Node) noteDialLocked(addr string, now time.Time, err error) {
 		n.dialState[addr] = st
 	}
 	st.failures++
-	d := dialBackoffBase
-	for i := 1; i < st.failures && d < dialBackoffCap; i++ {
-		d *= 2
-	}
-	if d > dialBackoffCap {
-		d = dialBackoffCap
-	}
-	st.next = now.Add(d)
+	st.next = now + redialBackoff.Delay(0, 0, st.failures-1)
 }
 
 // connectKnownPeers dials every listed peer this node is not already
@@ -62,14 +53,14 @@ func (n *Node) connectKnownPeers(peers []tracker.PeerInfo) {
 			continue
 		}
 		n.mu.Lock()
-		ok := !n.closed && n.shouldDialLocked(p.Addr, time.Now())
+		ok := !n.closed && n.shouldDialLocked(p.Addr, n.now())
 		n.mu.Unlock()
 		if !ok {
 			continue
 		}
 		err := n.Connect(p.Addr)
 		n.mu.Lock()
-		n.noteDialLocked(p.Addr, time.Now(), err)
+		n.noteDialLocked(p.Addr, n.now(), err)
 		n.mu.Unlock()
 		if err != nil {
 			n.nm.dialFails.Inc()

@@ -1,8 +1,8 @@
 // Package topology provides a declarative description of the emulated star
 // network — the equivalent of the RSpec snippet in the paper's Figure 1,
 // which declares virtual nodes and the bandwidth/latency/loss of the links
-// connecting them. A Spec can be serialized to JSON, validated, and
-// instantiated onto a netem.Network.
+// connecting them. A Spec can be validated, resolved into netem node
+// configs, and serialized to JSON.
 package topology
 
 import (
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"p2psplice/internal/netem"
-	"p2psplice/internal/sim"
 )
 
 // Role classifies a node's function in an experiment.
@@ -162,24 +161,6 @@ func (s *Spec) resolve(n NodeSpec) netem.NodeConfig {
 	}
 }
 
-// Build instantiates the topology onto a fresh netem.Network and returns the
-// network plus a name-to-ID mapping.
-func (s *Spec) Build(eng *sim.Engine) (*netem.Network, map[string]netem.NodeID, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := netem.New(eng)
-	ids := make(map[string]netem.NodeID, len(s.Nodes))
-	for _, node := range s.Nodes {
-		id, err := n.AddNode(s.resolve(node))
-		if err != nil {
-			return nil, nil, fmt.Errorf("topology: node %q: %w", node.Name, err)
-		}
-		ids[node.Name] = id
-	}
-	return n, ids, nil
-}
-
 // Leechers returns the names of the leecher nodes in declaration order.
 func (s *Spec) Leechers() []string {
 	var out []string
@@ -191,16 +172,6 @@ func (s *Spec) Leechers() []string {
 	return out
 }
 
-// SeederName returns the first seeder node's name, or "".
-func (s *Spec) SeederName() string {
-	for _, n := range s.Nodes {
-		if n.Role == RoleSeeder {
-			return n.Name
-		}
-	}
-	return ""
-}
-
 // WriteJSON serializes the spec.
 func (s *Spec) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -209,20 +180,6 @@ func (s *Spec) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("topology: encode: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON parses and validates a spec.
-func ReadJSON(r io.Reader) (*Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("topology: decode: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // ResolvedByRole resolves every node against the defaults and groups the

@@ -2,11 +2,9 @@ package topology
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 	"time"
-
-	"p2psplice/internal/sim"
 )
 
 func TestStarSpec(t *testing.T) {
@@ -17,42 +15,11 @@ func TestStarSpec(t *testing.T) {
 	if len(sp.Nodes) != 20 {
 		t.Errorf("nodes = %d, want 20", len(sp.Nodes))
 	}
-	if got := sp.SeederName(); got != "seeder" {
-		t.Errorf("SeederName = %q", got)
+	if got := sp.Nodes[0]; got.Role != RoleSeeder || got.Name != "seeder" {
+		t.Errorf("Nodes[0] = %+v, want the seeder", got)
 	}
 	if got := len(sp.Leechers()); got != 19 {
 		t.Errorf("leechers = %d, want 19", got)
-	}
-}
-
-func TestBuild(t *testing.T) {
-	sp := Star("t", 3, 256, 25*time.Millisecond, 5)
-	eng := sim.New(1)
-	n, ids, err := sp.Build(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.NodeCount() != 4 {
-		t.Errorf("NodeCount = %d, want 4", n.NodeCount())
-	}
-	seeder := ids["seeder"]
-	nc, err := n.Node(seeder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nc.UplinkBytesPerSec != 256*1024 {
-		t.Errorf("seeder uplink = %d, want %d", nc.UplinkBytesPerSec, 256*1024)
-	}
-	if nc.LossRate != 0.05 {
-		t.Errorf("seeder loss = %v, want 0.05", nc.LossRate)
-	}
-	// Peer-to-peer one-way delay: 25 + 25 ms.
-	ow, err := n.OneWayDelay(ids["peer01"], ids["peer02"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ow != 50*time.Millisecond {
-		t.Errorf("peer one-way = %v, want 50ms", ow)
 	}
 }
 
@@ -121,8 +88,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := sp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got Spec
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != sp.Name || len(got.Nodes) != len(sp.Nodes) {
@@ -132,26 +102,6 @@ func TestJSONRoundTrip(t *testing.T) {
 		if got.Nodes[i] != sp.Nodes[i] {
 			t.Errorf("node %d mismatch: %+v vs %+v", i, got.Nodes[i], sp.Nodes[i])
 		}
-	}
-}
-
-func TestReadJSONRejects(t *testing.T) {
-	cases := []string{
-		"not json",
-		`{"name":"x","bogus":1}`,
-		`{"name":"x","defaults":{"uplink_kbps":1,"downlink_kbps":1,"access_delay_ms":0,"loss_pct":0},"nodes":[]}`,
-	}
-	for _, in := range cases {
-		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadJSON(%q): want error", in)
-		}
-	}
-}
-
-func TestBuildRejectsInvalid(t *testing.T) {
-	var sp Spec
-	if _, _, err := sp.Build(sim.New(1)); err == nil {
-		t.Error("want error for invalid spec")
 	}
 }
 
@@ -191,12 +141,5 @@ func TestResolvedByRole(t *testing.T) {
 	var bad Spec
 	if _, _, _, err := bad.ResolvedByRole(); err == nil {
 		t.Error("invalid spec: want error")
-	}
-}
-
-func TestSeederNameEmpty(t *testing.T) {
-	var sp Spec
-	if got := sp.SeederName(); got != "" {
-		t.Errorf("SeederName of empty spec = %q", got)
 	}
 }

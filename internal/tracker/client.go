@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"p2psplice/internal/container"
+	"p2psplice/internal/fault"
 	"p2psplice/internal/wire"
 )
 
@@ -52,32 +53,18 @@ func transientStatus(code int) bool {
 	return code/100 == 5 || code == http.StatusRequestTimeout || code == http.StatusTooManyRequests
 }
 
-// RetryPolicy bounds the client's transparent retries of transient
-// failures. Delays double from BaseDelay up to MaxDelay between
-// attempts.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (first attempt included).
-	// Values below 1 mean 1 (no retries).
-	MaxAttempts int
-	// BaseDelay is the wait before the first retry. Default 100 ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the doubling. Default 2 s.
-	MaxDelay time.Duration
-}
+// Transient failures are retried up to retryAttempts tries in all, the
+// wait before retry n (1-based) doubling from 100 ms up to 2 s.
+const retryAttempts = 3
 
-// DefaultRetryPolicy is what NewClient installs: three attempts with
-// 100 ms → 200 ms backoff.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
+var retryBackoff = fault.Backoff{Base: 100 * time.Millisecond, Cap: 2 * time.Second}
 
 // Client talks to a tracker over HTTP. Transient failures (timeouts,
-// 5xx) are retried per the RetryPolicy; permanent failures (4xx) fail
-// fast. Client is not safe for concurrent SetRetry during use.
+// 5xx) are retried with capped doubling backoff; permanent failures
+// (4xx) fail fast.
 type Client struct {
 	base  string
 	http  *http.Client
-	retry RetryPolicy
 	sleep func(time.Duration) // injectable for tests
 }
 
@@ -87,31 +74,18 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Client{base: base, http: httpClient, retry: DefaultRetryPolicy(), sleep: time.Sleep}
+	return &Client{base: base, http: httpClient, sleep: time.Sleep}
 }
-
-// SetRetry replaces the retry policy (RetryPolicy{} disables retries).
-func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 
 // do issues method on path, retrying transient failures. The request is
 // rebuilt from payload on every attempt — an *http.Request body is
 // consumed by the first try, which is why do takes raw bytes rather
 // than a request.
 func (c *Client) do(method, path, contentType string, payload []byte) ([]byte, error) {
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			delay := c.retry.BaseDelay << (attempt - 1)
-			if c.retry.MaxDelay > 0 && delay > c.retry.MaxDelay {
-				delay = c.retry.MaxDelay
-			}
-			if delay > 0 {
-				c.sleep(delay)
-			}
+			c.sleep(retryBackoff.Delay(0, 0, attempt-1))
 		}
 		body, err := c.once(method, path, contentType, payload)
 		if err == nil {

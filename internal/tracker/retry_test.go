@@ -100,12 +100,8 @@ func TestRetryOnTimeout(t *testing.T) {
 	// (defers run last-in first-out).
 	defer srv.Close()
 	defer close(block)
-	hc := srv.Client()
-	hc.Timeout = 50 * time.Millisecond
-	c := NewClient(srv.URL, hc)
-	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	c.SetRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	srv.Client().Timeout = 50 * time.Millisecond
+	c, slept := retryClient(srv)
 	_, err := c.do(http.MethodGet, "/announce", "", nil)
 	if err == nil {
 		t.Fatal("do against a hung server succeeded")
@@ -113,8 +109,11 @@ func TestRetryOnTimeout(t *testing.T) {
 	if !IsTransient(err) {
 		t.Errorf("timeout not classified transient: %v", err)
 	}
-	if got := hits.Load(); got != 2 {
-		t.Errorf("server saw %d requests, want 2", got)
+	if got := hits.Load(); got != 3 {
+		t.Errorf("server saw %d requests, want 3", got)
+	}
+	if len(*slept) != 2 {
+		t.Errorf("slept %d times, want 2", len(*slept))
 	}
 }
 
@@ -142,28 +141,6 @@ func TestRetryRebuildsRequestBody(t *testing.T) {
 	}
 	if got := hits.Load(); got != 2 {
 		t.Errorf("server saw %d requests, want 2", got)
-	}
-}
-
-// RetryPolicy{} disables retries entirely.
-func TestRetryDisabled(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	c, _ := retryClient(srv)
-	c.SetRetry(RetryPolicy{})
-	_, err := c.do(http.MethodGet, "/announce", "", nil)
-	if err == nil {
-		t.Fatal("do against a 500 succeeded")
-	}
-	if got := hits.Load(); got != 1 {
-		t.Errorf("server saw %d requests, want 1 with retries disabled", got)
-	}
-	if !IsTransient(err) {
-		t.Errorf("500 should still classify transient even without retries: %v", err)
 	}
 }
 
