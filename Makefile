@@ -85,11 +85,10 @@ bench-json: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkFig' -benchtime=1x .
 
 # trace-smoke, timeseries-smoke: the splicetrace analyzer and the windowed
-# virtual-time telemetry end to end, over per-cell trace artifacts (JSONL +
-# Chrome trace + stall timeline) of quick Figure 2: 100% stall attribution,
-# a byte-identical view across repeated runs — and, for the time-series
-# CSV, across worker counts — and a report.json that reproduces exactly the
-# aggregate cmd/experiment wrote. One recipe, scripts/trace-smoke.sh; the
+# virtual-time telemetry end to end, over the per-cell JSONL traces of
+# quick Figure 2: 100% stall attribution, a byte-identical view across
+# repeated runs — and, for the time-series CSV, across worker counts — and
+# a report.json that reproduces exactly the aggregate cmd/experiment wrote. One recipe, scripts/trace-smoke.sh; the
 # rows below are <view> <machine flag> <output stem> <text output>
 # <reference in the first trace dir, or -> <trace dir>[:<workers>]...
 TRACE_SMOKE = GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/trace-smoke.sh

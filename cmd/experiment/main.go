@@ -42,7 +42,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each figure as CSV into this directory")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable figure results as JSON on stdout instead of text tables")
-		traceDir = flag.String("trace", "", "write per-cell trace artifacts (.jsonl, .trace.json, .timeline.json) into this directory; figure values are unchanged")
+		traceDir = flag.String("trace", "", "write one JSONL event log per cell, plus the report.json rollup, into this directory; figure values are unchanged")
 	)
 	flag.Parse()
 
@@ -214,7 +214,7 @@ type jsonFigure struct {
 }
 
 // writeTraceReport makes a sweep's trace directory self-describing: the
-// aggregate stall-cause/QoE analysis lands next to the raw artifacts as
+// aggregate stall-cause/QoE analysis lands next to the cell logs as
 // report.json, the same report `splicetrace report -json DIR` renders.
 // The analyzer is deterministic over a deterministic trace set, so the
 // file is bit-identical across runs and -workers values.

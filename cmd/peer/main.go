@@ -7,7 +7,7 @@
 //	peer -tracker http://127.0.0.1:7070 -info-hash HEX
 //	     [-policy adaptive|pool-2|pool-4|pool-8] [-listen 127.0.0.1:0]
 //	     [-shape-kbps 128] [-shape-latency 25ms] [-progress] [-trace FILE]
-//	     [-debug-addr 127.0.0.1:6060] [-metrics-log 30s]
+//	     [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
@@ -43,7 +43,6 @@ type options struct {
 	timeout    time.Duration
 	tracePath  string
 	debugAddr  string
-	metricsLog time.Duration
 }
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Minute, "abort if not complete after this long")
 	flag.StringVar(&o.tracePath, "trace", "", "stream trace events to this file as JSONL and print the counter registry on exit")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (empty = off)")
-	flag.DurationVar(&o.metricsLog, "metrics-log", 0, "log a registry snapshot to stderr at this period (0 = off)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "peer:", err)
@@ -94,11 +92,11 @@ func run(o options) error {
 		cfg.Shape = &shaper.Config{RateBytesPerSec: o.shapeKBps * 1024, Latency: o.shapeLat}
 	}
 
-	// One registry backs every output: the -trace exit dump, the
-	// /metrics scrape, and the periodic snapshot log all render the same
-	// trace.Registry through Registry.Snap, so they cannot disagree.
+	// One registry backs both outputs: the -trace exit dump and the
+	// /metrics scrape render the same trace.Registry through
+	// Registry.Snap, so they cannot disagree.
 	var reg *trace.Registry
-	if o.tracePath != "" || o.debugAddr != "" || o.metricsLog > 0 {
+	if o.tracePath != "" || o.debugAddr != "" {
 		reg = trace.NewRegistry()
 		cfg.Metrics = reg
 	}
@@ -128,9 +126,8 @@ func run(o options) error {
 	var joined atomic.Pointer[peer.Node]
 	if o.debugAddr != "" {
 		dbg, err := debughttp.Start(debughttp.Config{
-			Addr:          o.debugAddr,
-			Registry:      reg,
-			SnapshotEvery: o.metricsLog,
+			Addr:     o.debugAddr,
+			Registry: reg,
 			Ready: func() error {
 				n := joined.Load()
 				if n == nil {
@@ -144,11 +141,6 @@ func run(o options) error {
 		}
 		defer dbg.Close()
 		fmt.Println("debug endpoint on http://" + dbg.Addr())
-	} else if o.metricsLog > 0 {
-		sl := debughttp.StartSnapshotLogger(reg, o.metricsLog, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		defer sl.Stop()
 	}
 
 	trk := tracker.NewClient(o.trackerURL, nil)

@@ -6,7 +6,7 @@
 //	seeder -tracker http://127.0.0.1:7070 [-listen 127.0.0.1:0] [-clip 2m]
 //	       [-seed 42] [-splicing 4s] [-rate 125000]
 //	       [-shape-kbps 128] [-shape-latency 25ms]
-//	       [-debug-addr 127.0.0.1:6060] [-metrics-log 30s]
+//	       [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
@@ -38,17 +38,16 @@ func main() {
 		shapeKBps  = flag.Int64("shape-kbps", 0, "shape the access link to this many kB/s (0 = unshaped)")
 		shapeLat   = flag.Duration("shape-latency", 0, "access-link setup latency")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-		metricsLog = flag.Duration("metrics-log", 0, "log a registry snapshot to stderr at this period (0 = off)")
 	)
 	flag.Parse()
-	if err := run(*trackerURL, *listen, *clip, *seed, *splicing, *rate, *shapeKBps, *shapeLat, *debugAddr, *metricsLog); err != nil {
+	if err := run(*trackerURL, *listen, *clip, *seed, *splicing, *rate, *shapeKBps, *shapeLat, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "seeder:", err)
 		os.Exit(1)
 	}
 }
 
 func run(trackerURL, listen string, clip time.Duration, seed int64, splicing string,
-	rate, shapeKBps int64, shapeLat time.Duration, debugAddr string, metricsLog time.Duration) error {
+	rate, shapeKBps int64, shapeLat time.Duration, debugAddr string) error {
 	cfg := media.DefaultEncoderConfig()
 	if rate > 0 {
 		cfg.BytesPerSecond = rate
@@ -83,27 +82,15 @@ func run(trackerURL, listen string, clip time.Duration, seed int64, splicing str
 	if shapeKBps > 0 || shapeLat > 0 {
 		nodeCfg.Shape = &shaper.Config{RateBytesPerSec: shapeKBps * 1024, Latency: shapeLat}
 	}
-	var reg *trace.Registry
-	if debugAddr != "" || metricsLog > 0 {
-		reg = trace.NewRegistry()
-		nodeCfg.Metrics = reg
-	}
 	if debugAddr != "" {
-		dbg, err := debughttp.Start(debughttp.Config{
-			Addr:          debugAddr,
-			Registry:      reg,
-			SnapshotEvery: metricsLog,
-		})
+		reg := trace.NewRegistry()
+		nodeCfg.Metrics = reg
+		dbg, err := debughttp.Start(debughttp.Config{Addr: debugAddr, Registry: reg})
 		if err != nil {
 			return err
 		}
 		defer dbg.Close()
 		fmt.Println("debug endpoint on http://" + dbg.Addr())
-	} else if metricsLog > 0 {
-		sl := debughttp.StartSnapshotLogger(reg, metricsLog, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		defer sl.Stop()
 	}
 	trk := tracker.NewClient(trackerURL, nil)
 	node, err := peer.Seed(trk, m, blobs, nodeCfg)

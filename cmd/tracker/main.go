@@ -3,7 +3,7 @@
 // Usage:
 //
 //	tracker [-listen 127.0.0.1:7070] [-ttl 2m]
-//	        [-debug-addr 127.0.0.1:6060] [-metrics-log 30s]
+//	        [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
@@ -32,38 +32,28 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 func main() {
 	var (
-		listen     = flag.String("listen", "127.0.0.1:7070", "HTTP listen address")
-		ttl        = flag.Duration("ttl", tracker.DefaultPeerTTL, "announce freshness window")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-		metricsLog = flag.Duration("metrics-log", 0, "log a registry snapshot to stderr at this period (0 = off)")
+		listen    = flag.String("listen", "127.0.0.1:7070", "HTTP listen address")
+		ttl       = flag.Duration("ttl", tracker.DefaultPeerTTL, "announce freshness window")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	)
 	flag.Parse()
 
 	opts := []tracker.Option{tracker.WithPeerTTL(*ttl)}
 	var reg *trace.Registry
-	if *debugAddr != "" || *metricsLog > 0 {
+	if *debugAddr != "" {
 		reg = trace.NewRegistry()
 		opts = append(opts, tracker.WithMetrics(reg))
 	}
 	srv := tracker.NewServer(opts...)
 
 	if *debugAddr != "" {
-		dbg, err := debughttp.Start(debughttp.Config{
-			Addr:          *debugAddr,
-			Registry:      reg,
-			SnapshotEvery: *metricsLog,
-		})
+		dbg, err := debughttp.Start(debughttp.Config{Addr: *debugAddr, Registry: reg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracker:", err)
 			os.Exit(1)
 		}
 		defer dbg.Close()
 		fmt.Println("debug endpoint on http://" + dbg.Addr())
-	} else if *metricsLog > 0 {
-		sl := debughttp.StartSnapshotLogger(reg, *metricsLog, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		defer sl.Stop()
 	}
 
 	fmt.Printf("tracker listening on http://%s (peer TTL %v)\n", *listen, *ttl)

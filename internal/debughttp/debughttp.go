@@ -14,10 +14,10 @@
 // an orchestrator should route traffic only on the latter.
 //
 // The package deliberately lives outside the deterministic core: it reads
-// the wall clock for uptime and the snapshot logger, and it serves real
-// HTTP. The registry it exposes is the same one cmd/peer's -trace exit
-// dump renders — both go through trace.Registry.Snap, so a scrape and a
-// dump can never disagree (the "one snapshot path" contract).
+// the wall clock for uptime and it serves real HTTP. The registry it
+// exposes is the same one cmd/peer's -trace exit dump renders — both go
+// through trace.Registry.Snap, so a scrape and a dump can never disagree
+// (the "one snapshot path" contract).
 package debughttp
 
 import (
@@ -40,12 +40,7 @@ type Config struct {
 	// Registry backs /metrics. A nil registry serves an empty (but
 	// valid) exposition, so callers can wire the flag unconditionally.
 	Registry *trace.Registry
-	// SnapshotEvery, when > 0, logs a full WriteText registry snapshot
-	// through Logf at that period — the headless-run substitute for a
-	// scraper.
-	SnapshotEvery time.Duration
-	// Logf receives snapshot output and serve errors. Defaults to
-	// stderr.
+	// Logf receives serve errors. Defaults to stderr.
 	Logf func(format string, args ...any)
 	// Ready backs /readyz: return nil when the daemon can take traffic,
 	// or an error naming what is still missing (served in the 503 body).
@@ -58,56 +53,9 @@ type Config struct {
 type Server struct {
 	ln    net.Listener
 	srv   *http.Server
-	logf  func(format string, args ...any)
-	snap  *SnapshotLogger
 	wg    sync.WaitGroup
 	once  sync.Once
 	start time.Time
-}
-
-// SnapshotLogger periodically renders a registry through a log function —
-// the headless-run substitute for a scraper. Start one directly when a
-// daemon wants snapshots without the HTTP listener.
-type SnapshotLogger struct {
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
-	start time.Time
-}
-
-// StartSnapshotLogger logs a WriteText snapshot of reg through logf every
-// period until Stop.
-func StartSnapshotLogger(reg *trace.Registry, every time.Duration, logf func(format string, args ...any)) *SnapshotLogger {
-	sl := &SnapshotLogger{stop: make(chan struct{}), start: time.Now()}
-	sl.wg.Add(1)
-	go func() {
-		defer sl.wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sl.stop:
-				return
-			case <-tick.C:
-				var b strings.Builder
-				if err := reg.WriteText(&b); err != nil {
-					logf("debughttp: snapshot: %v", err)
-					continue
-				}
-				logf("-- metrics snapshot (uptime %s) --\n%s",
-					time.Since(sl.start).Round(time.Second), strings.TrimRight(b.String(), "\n"))
-			}
-		}
-	}()
-	return sl
-}
-
-// Stop halts the logger and joins its goroutine. Safe to call twice.
-func (sl *SnapshotLogger) Stop() {
-	sl.once.Do(func() {
-		close(sl.stop)
-		sl.wg.Wait()
-	})
 }
 
 // Handler returns the debug mux for reg: /metrics, /healthz, /readyz,
@@ -173,11 +121,7 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("debughttp: listen %s: %w", cfg.Addr, err)
 	}
-	s := &Server{
-		ln:    ln,
-		logf:  logf,
-		start: time.Now(),
-	}
+	s := &Server{ln: ln, start: time.Now()}
 	s.srv = &http.Server{
 		Handler:           Handler(cfg.Registry, s.start, cfg.Ready),
 		ReadHeaderTimeout: readHeaderTimeout,
@@ -190,23 +134,17 @@ func Start(cfg Config) (*Server, error) {
 			logf("debughttp: serve: %v", err)
 		}
 	}()
-	if cfg.SnapshotEvery > 0 {
-		s.snap = StartSnapshotLogger(cfg.Registry, cfg.SnapshotEvery, logf)
-	}
 	return s, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the listener down and waits for the serve and snapshot
-// goroutines to exit. Safe to call more than once.
+// Close shuts the listener down and waits for the serve goroutine to
+// exit. Safe to call more than once.
 func (s *Server) Close() error {
 	var err error
 	s.once.Do(func() {
-		if s.snap != nil {
-			s.snap.Stop()
-		}
 		err = s.srv.Close()
 		s.wg.Wait()
 	})

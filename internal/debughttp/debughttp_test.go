@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -85,54 +84,6 @@ func TestNilRegistryServesEmptyExposition(t *testing.T) {
 	}
 	if _, err := trace.ParsePromText(body); err != nil {
 		t.Fatalf("empty exposition must still parse: %v", err)
-	}
-}
-
-func TestSnapshotLogger(t *testing.T) {
-	reg := trace.NewRegistry()
-	reg.Counter("ticks").Inc()
-
-	var mu sync.Mutex
-	var lines []string
-	s, err := Start(Config{
-		Addr:          "127.0.0.1:0",
-		Registry:      reg,
-		SnapshotEvery: 10 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			defer mu.Unlock()
-			lines = append(lines, strings.TrimSpace(format))
-			_ = args
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(lines)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot logged within 2s")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close joins the logger goroutine; no further lines may arrive.
-	mu.Lock()
-	n := len(lines)
-	mu.Unlock()
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != n {
-		t.Errorf("snapshot logger ran after Close: %d -> %d lines", n, len(lines))
 	}
 }
 

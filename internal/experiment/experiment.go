@@ -50,9 +50,9 @@ type Params struct {
 	// (each cell owns its seed; see runner.go).
 	Workers int
 	// TraceDir, when non-empty, attaches a tracer to every cell and writes
-	// three artifacts per cell into the directory: <label>-bw<N>-run<R>
-	// .jsonl (raw events), .trace.json (Chrome trace-event format), and
-	// .timeline.json (per-peer stall timeline with attributed causes).
+	// one JSONL event log per cell into the directory,
+	// <label>-bw<N>-run<R>.jsonl; stall timelines, reports and windowed
+	// series are rebuilt from it (`splicetrace report`, `timeseries`).
 	// Tracing is observational only; figure values are bit-identical with
 	// TraceDir set or empty (DESIGN.md §8).
 	TraceDir string

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,42 +35,47 @@ func TestTraceDirInert(t *testing.T) {
 	}
 	assertBitIdentical(t, "Fig2Stalls with TraceDir", plain.Values, got.Values)
 
-	// Four series × two bandwidths × one run, three artifacts per cell.
-	for _, glob := range []string{"*.jsonl", "*.trace.json", "*.timeline.json"} {
-		files, err := filepath.Glob(filepath.Join(traced.TraceDir, glob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 4 * len(bws) * traced.Runs; len(files) != want {
-			t.Errorf("%d %s artifacts, want %d", len(files), glob, want)
+	// Four series × two bandwidths × one run, one .jsonl per cell and
+	// nothing else.
+	files, err := os.ReadDir(traced.TraceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * len(bws) * traced.Runs; len(files) != want {
+		t.Errorf("%d trace artifacts, want %d", len(files), want)
+	}
+	for _, f := range files {
+		if filepath.Ext(f.Name()) != ".jsonl" {
+			t.Errorf("trace artifact %s, want only .jsonl", f.Name())
 		}
 	}
 }
 
-// readTimelines loads every stall-timeline artifact in dir.
+// readTimelines rebuilds the stall timelines of every cell trace in dir.
 func readTimelines(t *testing.T, dir string) map[string][]trace.PeerTimeline {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.timeline.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]trace.PeerTimeline, len(files))
 	for _, path := range files {
-		raw, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tls []trace.PeerTimeline
-		if err := json.Unmarshal(raw, &tls); err != nil {
+		events, err := trace.ReadJSONL(f)
+		f.Close()
+		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		out[filepath.Base(path)] = tls
+		out[filepath.Base(path)] = trace.BuildTimeline(events)
 	}
 	return out
 }
 
 // A quick Figure 2 run must attribute 100% of the stalls it traces: every
-// stall record in every timeline artifact names a cause.
+// stall in every cell's rebuilt timeline names a cause.
 func TestFigure2TraceAttribution(t *testing.T) {
 	p := tracedParams()
 	p.TraceDir = t.TempDir()

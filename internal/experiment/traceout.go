@@ -34,46 +34,30 @@ func sanitizeLabel(label string) string {
 	return strings.TrimRight(b.String(), "-")
 }
 
-// cellArtifactStem names one cell's artifact family inside TraceDir.
+// cellArtifactStem names one cell's artifact inside TraceDir.
 func cellArtifactStem(c cell) string {
 	return fmt.Sprintf("%s-bw%d-run%d", sanitizeLabel(c.label), c.bandwidthKB, c.run)
 }
 
-// writeCellTrace renders one traced cell's three artifacts: the raw JSONL
-// event log, a Chrome trace-event file (load in chrome://tracing or
-// Perfetto), and the per-peer stall timeline.
+// writeCellTrace writes one traced cell's event log as <stem>.jsonl. Every
+// other view of the cell (stall timeline, report, windowed series) is a
+// pure function of that file: `splicetrace report` and `timeseries`
+// rebuild them.
 func writeCellTrace(dir string, c cell, events []trace.Event) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiment: trace dir: %w", err)
 	}
-	stem := filepath.Join(dir, cellArtifactStem(c))
-
-	write := func(path string, render func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("experiment: trace artifact: %w", err)
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return fmt.Errorf("experiment: trace artifact %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("experiment: trace artifact %s: %w", path, err)
-		}
-		return nil
+	path := filepath.Join(dir, cellArtifactStem(c)+".jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("experiment: trace artifact: %w", err)
 	}
-
-	if err := write(stem+".jsonl", func(f *os.File) error {
-		return trace.WriteJSONL(f, events)
-	}); err != nil {
-		return err
+	if err := trace.WriteJSONL(f, events); err != nil {
+		f.Close()
+		return fmt.Errorf("experiment: trace artifact %s: %w", path, err)
 	}
-	if err := write(stem+".trace.json", func(f *os.File) error {
-		return trace.WriteChromeTrace(f, events)
-	}); err != nil {
-		return err
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("experiment: trace artifact %s: %w", path, err)
 	}
-	return write(stem+".timeline.json", func(f *os.File) error {
-		return trace.WriteTimeline(f, trace.BuildTimeline(events))
-	})
+	return nil
 }

@@ -37,12 +37,20 @@ func TestTelemetryInert(t *testing.T) {
 	if obs.Series == nil {
 		t.Fatal("traced run returned no telemetry snapshot")
 	}
-	var total int64
+	var total, completions int64
 	for _, s := range obs.Series.Series {
 		total += s.Total()
+		if s.Name == TSCompletions {
+			completions = s.Total()
+		}
 	}
 	if total == 0 {
 		t.Fatal("telemetry attached but nothing observed")
+	}
+	// Both shards observe into the one recorder: each completion lands
+	// there exactly once.
+	if completions != int64(obs.Completed) {
+		t.Fatalf("%s counted %d completions, run completed %d", TSCompletions, completions, obs.Completed)
 	}
 	if got := obs.Trace.Sampled + obs.Trace.Rejected; got != int64(obs.Completed) {
 		t.Fatalf("ring accounting leaks: sampled+rejected = %d, completions = %d", got, obs.Completed)
@@ -55,10 +63,10 @@ func TestTelemetryInert(t *testing.T) {
 	}
 }
 
-// TestTelemetryWorkerIndependent proves the merged snapshot, ring
-// counters, and CSV render are bit-identical across worker counts:
-// per-shard snapshots merge in shard order and sampler verdicts hash
-// the shard seed, so goroutine scheduling cannot leak in.
+// TestTelemetryWorkerIndependent proves the shared recorder's snapshot,
+// ring counters, and CSV render are bit-identical across worker counts:
+// windows aggregate commutatively and sampler verdicts hash the shard
+// seed, so goroutine scheduling cannot leak in.
 func TestTelemetryWorkerIndependent(t *testing.T) {
 	base := Config{
 		Peers: 600, Shards: 4, Seed: 11,

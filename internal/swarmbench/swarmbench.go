@@ -17,7 +17,6 @@
 package swarmbench
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
@@ -43,19 +42,17 @@ const (
 	TSPending = "swarm_pending_fetches"
 )
 
-// swarmSeries bundles the per-shard telemetry handles. All handles are
-// nil-safe zero values when telemetry is disabled, so the instrumented
-// path executes the same statements either way (the inertness contract).
+// swarmSeries bundles the telemetry handles a shard observes through. All
+// handles are nil-safe zero values when telemetry is disabled, so the
+// instrumented path executes the same statements either way (the
+// inertness contract).
 type swarmSeries struct {
-	completions trace.TSCounter
-	inflight    trace.TSGauge
-	pending     trace.TSGauge
+	completions trace.TSSeries
+	inflight    trace.TSSeries
+	pending     trace.TSSeries
 }
 
 func newSwarmSeries(ts *trace.TimeSeries) swarmSeries {
-	if ts == nil {
-		return swarmSeries{}
-	}
 	return swarmSeries{
 		completions: ts.Counter(TSCompletions),
 		inflight:    ts.Gauge(TSInflight),
@@ -93,15 +90,13 @@ type Config struct {
 	// GOMAXPROCS. Has no effect on the digest.
 	Workers int
 
-	// TimeSeriesWindow, when positive, attaches a windowed virtual-time
-	// telemetry recorder to every shard (completions, in-flight fetches,
-	// pending queue depth per window). Shard snapshots merge in shard
-	// order, so Result.Series is identical for every Workers value, and
-	// the recorder is a pure observer: the digest is bit-identical with
-	// and without it.
+	// TimeSeriesWindow, when positive, attaches one windowed virtual-time
+	// telemetry recorder (completions, in-flight fetches, pending queue
+	// depth per window, 1024 windows) that every shard observes into.
+	// Windows aggregate commutatively, so Result.Series is identical for
+	// every Workers value, and the recorder is a pure observer: the digest
+	// is bit-identical with and without it.
 	TimeSeriesWindow time.Duration
-	// TimeSeriesMaxWindows bounds the windows per series (default 1024).
-	TimeSeriesMaxWindows int
 
 	// TraceCapacity, when positive, attaches a bounded sampled event
 	// ring to every shard: completion events pass a pure hash sampler
@@ -146,9 +141,9 @@ type Result struct {
 	Truncated   bool   // at least one shard hit MaxEvents
 	Digest      uint64 // FNV-1a over completion records, shard order
 
-	// Series is the shard-order merge of per-shard telemetry snapshots;
-	// nil unless Config.TimeSeriesWindow was set. Behind a pointer so
-	// untraced Results stay comparable with ==.
+	// Series is the snapshot of the run's one telemetry recorder, taken
+	// after every shard finished; nil unless Config.TimeSeriesWindow was
+	// set. Behind a pointer so untraced Results stay comparable with ==.
 	Series *trace.TSSnapshot
 	// Trace sums per-shard ring admission counters; zero unless
 	// Config.TraceCapacity was set.
@@ -164,8 +159,6 @@ type shardResult struct {
 	stats       netem.AllocStats
 	truncated   bool
 	digest      uint64
-	series      trace.TSSnapshot
-	hasSeries   bool
 	ring        trace.RingCounts
 	retained    int
 }
@@ -173,6 +166,10 @@ type shardResult struct {
 // Run simulates the configured swarm and returns its aggregate result.
 func Run(cfg Config) (Result, error) {
 	cfg.applyDefaults()
+	var ts *trace.TimeSeries
+	if cfg.TimeSeriesWindow > 0 {
+		ts = trace.NewTimeSeries(trace.TimeSeriesConfig{Window: cfg.TimeSeriesWindow})
+	}
 	shards := make([]shardResult, cfg.Shards)
 	errs := make([]error, cfg.Shards)
 	idx := make(chan int, cfg.Shards)
@@ -187,7 +184,7 @@ func Run(cfg Config) (Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				shards[i], errs[i] = runShard(cfg, i)
+				shards[i], errs[i] = runShard(cfg, i, ts)
 			}
 		}()
 	}
@@ -196,8 +193,6 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Peers: cfg.Peers, Shards: cfg.Shards}
 	h := fnv.New64a()
 	var buf [8]byte
-	var merged trace.TSSnapshot
-	var hasSeries bool
 	for i, s := range shards {
 		if errs[i] != nil {
 			return Result{}, errs[i]
@@ -214,24 +209,15 @@ func Run(cfg Config) (Result, error) {
 		res.Truncated = res.Truncated || s.truncated
 		putUint64(&buf, s.digest)
 		h.Write(buf[:])
-		if s.hasSeries {
-			// Shard-order merge: windows aggregate commutatively, so the
-			// combined snapshot is Workers-independent, same as the digest.
-			m, err := trace.MergeTS(merged, s.series)
-			if err != nil {
-				return Result{}, fmt.Errorf("swarmbench: shard %d telemetry merge: %w", i, err)
-			}
-			merged = m
-			hasSeries = true
-		}
 		res.Trace.Sampled += s.ring.Sampled
 		res.Trace.Rejected += s.ring.Rejected
 		res.Trace.Dropped += s.ring.Dropped
 		res.TraceRetained += s.retained
 	}
 	res.Digest = h.Sum64()
-	if hasSeries {
-		res.Series = &merged
+	if ts != nil {
+		snap := ts.Snap()
+		res.Series = &snap
 	}
 	return res, nil
 }
@@ -257,8 +243,9 @@ type fetch struct {
 	seg  int
 }
 
-// runShard simulates one independent shard to completion (or MaxEvents).
-func runShard(cfg Config, shard int) (shardResult, error) {
+// runShard simulates one independent shard to completion (or MaxEvents),
+// observing into the run's recorder ts (nil when telemetry is off).
+func runShard(cfg Config, shard int, ts *trace.TimeSeries) (shardResult, error) {
 	// Deterministic per-shard seeds: shard index offsets the run seed.
 	seed := cfg.Seed + int64(shard)*0x9e3779b9
 	eng := sim.New(seed)
@@ -274,13 +261,6 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	// Observability attachments. Both are pure observers: neither draws
 	// from rng nor feeds the digest, and the sampler hashes the shard
 	// seed — not an RNG stream — so verdicts are worker-independent.
-	var ts *trace.TimeSeries
-	if cfg.TimeSeriesWindow > 0 {
-		ts = trace.NewTimeSeries(trace.TimeSeriesConfig{
-			Window:     cfg.TimeSeriesWindow,
-			MaxWindows: cfg.TimeSeriesMaxWindows,
-		})
-	}
 	ss := newSwarmSeries(ts)
 	var ring *trace.Ring
 	if cfg.TraceCapacity > 0 {
@@ -373,7 +353,7 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 				record(uint64(eng.Now()))
 				record(uint64(fe.peer)<<32 | uint64(fe.seg))
 				now := eng.Now()
-				ss.completions.Inc(now)
+				ss.completions.Observe(now, 1)
 				if ring != nil {
 					ring.Emit(trace.Event{
 						At:   now,
@@ -415,10 +395,6 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	sr.stats = net.AllocStats()
 	record(uint64(sr.virtualTime))
 	sr.digest = h.Sum64()
-	if ts != nil {
-		sr.series = ts.Snap()
-		sr.hasSeries = true
-	}
 	if ring != nil {
 		sr.ring = ring.Counts()
 		sr.retained = ring.Len()

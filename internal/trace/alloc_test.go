@@ -41,24 +41,20 @@ func BenchmarkHotpathHistogramObserve(b *testing.B) {
 	}
 }
 
-// TestZeroAllocTimeSeriesObserve pins the TimeSeries observe paths —
-// counter, gauge, and per-window histogram, nil handles included — at
-// zero heap allocations per observation.
+// TestZeroAllocTimeSeriesObserve pins the TimeSeries observe path — on
+// counter, gauge, and per-window histogram series, and on the nil handle —
+// at zero heap allocations per observation.
 func TestZeroAllocTimeSeriesObserve(t *testing.T) {
 	ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 64})
 	c := ts.Counter("c")
 	g := ts.Gauge("g")
 	h := ts.Histogram("h")
-	var noopC TSCounter
-	var noopG TSGauge
-	var noopH TSHist
+	var noop TSSeries
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc(3 * time.Second)
+		c.Observe(3*time.Second, 1)
 		g.Observe(5*time.Second, 123)
 		h.Observe(7*time.Second, 456)
-		noopC.Inc(0)
-		noopG.Observe(0, 1)
-		noopH.Observe(0, 1)
+		noop.Observe(0, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("TimeSeries observe allocated %.1f times per call, want 0", allocs)

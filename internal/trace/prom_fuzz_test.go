@@ -47,7 +47,7 @@ func FuzzPromRoundTrip(f *testing.F) {
 		ph := ts.Histogram(TSPoolTargetK)
 		for _, b := range raw {
 			at := time.Duration(b) * 3170 * time.Microsecond // exercises the clamp path
-			ctr.Add(at, int64(b))
+			ctr.Observe(at, int64(b))
 			g.Observe(at, int64(b)-128)
 			ph.Observe(at, int64(b%9))
 		}

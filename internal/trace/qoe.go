@@ -28,14 +28,14 @@ type QoE struct {
 	tr            *Tracer
 	segSeconds    Histogram
 	segBytes      Histogram
-	bufferedUS    TSGauge
-	poolTarget    TSHist
-	inflight      TSGauge
-	segsDone      TSCounter
+	bufferedUS    TSSeries
+	poolTarget    TSSeries
+	inflight      TSSeries
+	segsDone      TSSeries
 	startup       Histogram
 	stall         map[string]Histogram // by cause
-	stalled       TSGauge
-	stallPermille TSGauge
+	stalled       TSSeries
+	stallPermille TSSeries
 	viewers       int64
 	// open holds each stalled peer's stall start and cause; its size is
 	// the stalled-now count the gauges sample.
@@ -166,7 +166,7 @@ func (q *QoE) observeStalled(at time.Duration) {
 func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time.Duration, src ...int) {
 	q.segSeconds.ObserveDuration(elapsed)
 	q.segBytes.Observe(bytes)
-	q.segsDone.Inc(at)
+	q.segsDone.Observe(at, 1)
 	if q.tr.Enabled() {
 		args := []Arg{Int64(ArgBytes, bytes), Int64(ArgElapsedUS, elapsed.Microseconds())}
 		for _, id := range src {

@@ -147,9 +147,9 @@ func (r *Registry) SetHelp(name, help string) {
 }
 
 // RegistrySnapshot is one coherent view of every metric in a registry.
-// It is the single source for every rendering — the aligned text dump,
-// the Prometheus exposition, and the periodic snapshot logger all
-// derive from the same Snap() result, so their numbers cannot drift.
+// It is the single source for both renderings — the aligned text dump
+// and the Prometheus exposition derive from the same Snap() result, so
+// their numbers cannot drift.
 type RegistrySnapshot struct {
 	// Stats holds counters and gauges sorted by name (kind breaks ties).
 	Stats []Stat `json:"stats"`

@@ -1,28 +1,24 @@
 package trace
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-)
+import "sort"
 
 // StallRecord is one stall on a peer's timeline. EndUS is -1 while the
 // stall is still open at the end of the trace. Cause is empty only when
 // no EvStallCause event accompanied the stall — the attribution tests
 // treat that as a failure.
 type StallRecord struct {
-	Peer    int    `json:"peer"`
-	StartUS int64  `json:"start_us"`
-	EndUS   int64  `json:"end_us"`
-	Cause   string `json:"cause"`
+	Peer    int
+	StartUS int64
+	EndUS   int64
+	Cause   string
 }
 
 // PeerTimeline summarizes one peer's playback from its trace events.
 type PeerTimeline struct {
-	Peer      int           `json:"peer"`
-	StartupUS int64         `json:"startup_us"`
-	Finished  bool          `json:"finished"`
-	Stalls    []StallRecord `json:"stalls"`
+	Peer      int
+	StartupUS int64
+	Finished  bool
+	Stalls    []StallRecord
 }
 
 // BuildTimeline folds a trace into per-peer stall timelines: every
@@ -36,9 +32,7 @@ func BuildTimeline(events []Event) []PeerTimeline {
 	get := func(peer int) *PeerTimeline {
 		tl := byPeer[peer]
 		if tl == nil {
-			// Stalls starts non-nil so a stall-free peer renders as
-			// "stalls": [] rather than null in the JSON artifact.
-			tl = &PeerTimeline{Peer: peer, StartupUS: -1, Stalls: []StallRecord{}}
+			tl = &PeerTimeline{Peer: peer, StartupUS: -1}
 			byPeer[peer] = tl
 		}
 		return tl
@@ -91,11 +85,4 @@ func Unattributed(tls []PeerTimeline) []StallRecord {
 		}
 	}
 	return out
-}
-
-// WriteTimeline renders the timelines as indented JSON.
-func WriteTimeline(w io.Writer, tls []PeerTimeline) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(tls)
 }

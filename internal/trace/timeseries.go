@@ -41,8 +41,9 @@ type TimeSeries struct {
 // TimeSeriesConfig sizes a TimeSeries.
 type TimeSeriesConfig struct {
 	// Window is the aggregation window width in virtual time
-	// (default 1s, minimum 1µs — windowing runs at the trace layer's
-	// microsecond resolution so trace-derived series bucket identically).
+	// (default 1s, truncated to whole microseconds, minimum 1µs —
+	// windowing runs at the trace layer's microsecond resolution so
+	// trace-derived series bucket identically).
 	Window time.Duration
 	// MaxWindows bounds the preallocated window count per series
 	// (default 1024). Observations beyond Window*MaxWindows clamp into
@@ -83,6 +84,9 @@ func NewTimeSeries(cfg TimeSeriesConfig) *TimeSeries {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
+	// Observations bucket by whole microseconds, so the reported width
+	// is whole microseconds too.
+	cfg.Window = cfg.Window.Truncate(time.Microsecond)
 	if cfg.Window < time.Microsecond {
 		cfg.Window = time.Microsecond
 	}
@@ -117,7 +121,10 @@ type tsSeries struct {
 	clamped int64              // atomic: observations clamped into the last window
 }
 
-func (ts *TimeSeries) register(name, kind string) *tsSeries {
+func (ts *TimeSeries) register(name, kind string) TSSeries {
+	if ts == nil {
+		return TSSeries{}
+	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	s := ts.series[name]
@@ -141,7 +148,7 @@ func (ts *TimeSeries) register(name, kind string) *tsSeries {
 	if s.kind != kind {
 		panic(fmt.Sprintf("trace: time series %q registered as %s and %s", name, s.kind, kind))
 	}
-	return s
+	return TSSeries{s: s}
 }
 
 // windowIndex maps a virtual timestamp to a window slot, clamping out-of
@@ -201,78 +208,35 @@ func (s *tsSeries) observe(at time.Duration, v int64) {
 	s.raiseHi(int64(w))
 }
 
-// TSCounter accumulates per-window deltas (events per window). The zero
-// handle, from a nil TimeSeries, is a no-op.
-type TSCounter struct{ s *tsSeries }
+// TSSeries is a handle on one named series; Counter, Gauge or Histogram
+// fixed its kind at registration. The zero handle, from a nil TimeSeries,
+// is a no-op.
+type TSSeries struct{ s *tsSeries }
 
-// Add folds delta into the window containing at.
+// Observe folds v into the window containing at: a counter's delta (1
+// per event), a gauge's sample, or a histogram's raw observation.
 //
 //lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (c TSCounter) Add(at time.Duration, delta int64) {
-	if c.s != nil {
-		c.s.observe(at, delta)
-	}
-}
-
-// Inc adds one.
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (c TSCounter) Inc(at time.Duration) { c.Add(at, 1) }
-
-// TSGauge records sampled instantaneous values; each window keeps the
-// sample count, sum (for the mean), min, and max. The zero handle is a
-// no-op.
-type TSGauge struct{ s *tsSeries }
-
-// Observe records one sample at virtual time at.
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (g TSGauge) Observe(at time.Duration, v int64) {
-	if g.s != nil {
-		g.s.observe(at, v)
-	}
-}
-
-// TSHist records per-window distributions in the package's fixed
-// power-of-two buckets, so every window can answer quantile queries with
-// the same byte-stable arithmetic as the end-state histograms. The zero
-// handle is a no-op.
-type TSHist struct{ s *tsSeries }
-
-// Observe records one raw observation at virtual time at.
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (h TSHist) Observe(at time.Duration, v int64) {
+func (h TSSeries) Observe(at time.Duration, v int64) {
 	if h.s != nil {
 		h.s.observe(at, v)
 	}
 }
 
-// Counter returns the named per-window counter series, creating it on
-// first use. Safe on nil.
-func (ts *TimeSeries) Counter(name string) TSCounter {
-	if ts == nil {
-		return TSCounter{}
-	}
-	return TSCounter{s: ts.register(name, TSKindCounter)}
-}
+// Counter returns the named per-window counter series (deltas summed per
+// window), creating it on first use. Safe on nil, as are Gauge and
+// Histogram.
+func (ts *TimeSeries) Counter(name string) TSSeries { return ts.register(name, TSKindCounter) }
 
-// Gauge returns the named sampled-gauge series. Safe on nil.
-func (ts *TimeSeries) Gauge(name string) TSGauge {
-	if ts == nil {
-		return TSGauge{}
-	}
-	return TSGauge{s: ts.register(name, TSKindGauge)}
-}
+// Gauge returns the named sampled-gauge series: each window keeps the
+// sample count, sum (for the mean), min, and max.
+func (ts *TimeSeries) Gauge(name string) TSSeries { return ts.register(name, TSKindGauge) }
 
-// Histogram returns the named per-window histogram series recording raw
-// int64 units. Safe on nil.
-func (ts *TimeSeries) Histogram(name string) TSHist {
-	if ts == nil {
-		return TSHist{}
-	}
-	return TSHist{s: ts.register(name, TSKindHist)}
-}
+// Histogram returns the named per-window histogram series, recording raw
+// int64 units in the package's fixed power-of-two buckets, so every
+// window answers quantile queries with the end-state histograms'
+// byte-stable arithmetic.
+func (ts *TimeSeries) Histogram(name string) TSSeries { return ts.register(name, TSKindHist) }
 
 // TSWindow is one window's immutable aggregate. Empty windows (Count 0)
 // are materialized so consumers see a dense, gap-free timeline; their
@@ -373,103 +337,6 @@ func (s *tsSeries) snapshot() TSSeriesStat {
 		st.Windows = append(st.Windows, win)
 	}
 	return st
-}
-
-// MergeTS folds b into a and returns the result: per-window sums and
-// counts add, mins and maxes combine, clamp counters add, series found
-// in only one side carry over. Merging is commutative and associative —
-// shard snapshots fold into the same totals in any order — but both
-// sides must agree on the window width and on each shared series' kind.
-func MergeTS(a, b TSSnapshot) (TSSnapshot, error) {
-	if a.WindowNanos == 0 {
-		return b, nil
-	}
-	if b.WindowNanos == 0 {
-		return a, nil
-	}
-	if a.WindowNanos != b.WindowNanos {
-		return TSSnapshot{}, fmt.Errorf("trace: merging time series with window %d vs %d ns", a.WindowNanos, b.WindowNanos)
-	}
-	out := TSSnapshot{WindowNanos: a.WindowNanos}
-	byName := map[string]TSSeriesStat{}
-	for _, s := range a.Series {
-		byName[s.Name] = s
-	}
-	for _, s := range b.Series {
-		prev, ok := byName[s.Name]
-		if !ok {
-			byName[s.Name] = s
-			continue
-		}
-		merged, err := mergeSeries(prev, s)
-		if err != nil {
-			return TSSnapshot{}, err
-		}
-		byName[s.Name] = merged
-	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		out.Series = append(out.Series, byName[n])
-	}
-	return out, nil
-}
-
-func mergeSeries(a, b TSSeriesStat) (TSSeriesStat, error) {
-	if a.Kind != b.Kind {
-		return TSSeriesStat{}, fmt.Errorf("trace: merging series %q with kind %s vs %s", a.Name, a.Kind, b.Kind)
-	}
-	out := TSSeriesStat{Name: a.Name, Kind: a.Kind, Scale: a.Scale, Clamped: a.Clamped + b.Clamped}
-	n := len(a.Windows)
-	if len(b.Windows) > n {
-		n = len(b.Windows)
-	}
-	out.Windows = make([]TSWindow, n)
-	for i := range out.Windows {
-		var wa, wb TSWindow
-		if i < len(a.Windows) {
-			wa = a.Windows[i]
-		}
-		if i < len(b.Windows) {
-			wb = b.Windows[i]
-		}
-		out.Windows[i] = mergeWindow(wa, wb)
-	}
-	return out, nil
-}
-
-func mergeWindow(a, b TSWindow) TSWindow {
-	out := TSWindow{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	switch {
-	case a.Count == 0:
-		out.Min, out.Max = b.Min, b.Max
-	case b.Count == 0:
-		out.Min, out.Max = a.Min, a.Max
-	default:
-		out.Min, out.Max = a.Min, a.Max
-		if b.Min < out.Min {
-			out.Min = b.Min
-		}
-		if b.Max > out.Max {
-			out.Max = b.Max
-		}
-	}
-	if a.Buckets != nil || b.Buckets != nil {
-		sum := new([histSlots]int64)
-		if a.Buckets != nil {
-			*sum = *a.Buckets
-		}
-		if b.Buckets != nil {
-			for i, c := range b.Buckets {
-				sum[i] += c
-			}
-		}
-		out.Buckets = sum
-	}
-	return out
 }
 
 // WriteCSV renders the snapshot as one row per (series, window) with a

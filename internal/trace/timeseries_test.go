@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +15,9 @@ func TestTimeSeriesWindowing(t *testing.T) {
 	g := ts.Gauge("buffered_us")
 	h := ts.Histogram("pool_k")
 
-	c.Inc(0)
-	c.Inc(999 * time.Millisecond) // still window 0
-	c.Add(time.Second, 3)         // window 1 starts exactly at the boundary
+	c.Observe(0, 1)
+	c.Observe(999*time.Millisecond, 1) // still window 0
+	c.Observe(time.Second, 3)          // window 1 starts exactly at the boundary
 	g.Observe(500*time.Millisecond, 40)
 	g.Observe(700*time.Millisecond, 10)
 	g.Observe(2500*time.Millisecond, 25)
@@ -63,7 +64,7 @@ func TestTimeSeriesWindowing(t *testing.T) {
 
 func TestTimeSeriesNilAndClamp(t *testing.T) {
 	var nilTS *TimeSeries
-	nilTS.Counter("x").Inc(0)
+	nilTS.Counter("x").Observe(0, 1)
 	nilTS.Gauge("y").Observe(0, 1)
 	nilTS.Histogram("z").Observe(0, 1)
 	if snap := nilTS.Snap(); len(snap.Series) != 0 || snap.WindowNanos != 0 {
@@ -82,57 +83,28 @@ func TestTimeSeriesNilAndClamp(t *testing.T) {
 	if len(s.Windows) != 2 || s.Windows[0].Min != 7 || s.Windows[1].Max != 9 {
 		t.Errorf("windows = %+v, want low clamp in 0 and high clamp in 1", s.Windows)
 	}
-}
 
-func TestMergeTS(t *testing.T) {
-	build := func(vals ...int64) TSSnapshot {
-		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 8})
-		g := ts.Gauge("g")
-		h := ts.Histogram("h")
-		for i, v := range vals {
-			at := time.Duration(i) * 400 * time.Millisecond
-			g.Observe(at, v)
-			h.Observe(at, v)
-		}
-		return ts.Snap()
+	// A sub-microsecond remainder is truncated: observations bucket by
+	// whole microseconds, and the reported width must say so.
+	odd := NewTimeSeries(TimeSeriesConfig{Window: 1500 * time.Nanosecond})
+	odd.Gauge("g").Observe(time.Microsecond, 1)
+	oddSnap := odd.Snap()
+	if oddSnap.WindowNanos != 1000 {
+		t.Errorf("1500ns window reported as %dns, want 1000", oddSnap.WindowNanos)
 	}
-	a := build(5, 10, 15)
-	b := build(2, 20)
-	ab, err := MergeTS(a, b)
-	if err != nil {
+	var text bytes.Buffer
+	if err := oddSnap.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	ba, err := MergeTS(b, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ab, ba) {
-		t.Fatal("MergeTS is not commutative")
-	}
-	g := ab.Series[0]
-	if g.Name != "g" {
-		t.Fatalf("series order %q, want g first", g.Name)
-	}
-	// Window 0 holds every observation (0ms, 400ms, 800ms) from both sides.
-	if w := g.Windows[0]; w.Count != 5 || w.Sum != 52 || w.Min != 2 || w.Max != 20 {
-		t.Errorf("merged window 0 = %+v, want count=5 sum=52 min=2 max=20", w)
-	}
-
-	other := NewTimeSeries(TimeSeriesConfig{Window: 2 * time.Second})
-	other.Gauge("g").Observe(0, 1)
-	if _, err := MergeTS(a, other.Snap()); err == nil {
-		t.Error("merging mismatched window widths should error")
-	}
-	kindTS := NewTimeSeries(TimeSeriesConfig{Window: time.Second})
-	kindTS.Counter("g").Inc(0)
-	if _, err := MergeTS(a, kindTS.Snap()); err == nil {
-		t.Error("merging mismatched series kinds should error")
+	if !strings.Contains(text.String(), "window 1µs\n") {
+		t.Errorf("WriteText header = %q, want window 1µs", strings.SplitN(text.String(), "\n", 2)[0])
 	}
 }
 
 // TestTimeSeriesConcurrentDeterministic proves the commutative
 // aggregation claim: any interleaving of a fixed observation set
-// produces a bit-identical snapshot, CSV included.
+// produces a bit-identical snapshot, CSV included — clamped observations
+// too, since 8 windows of 500ms end well before the last at 5s.
 func TestTimeSeriesConcurrentDeterministic(t *testing.T) {
 	type obs struct {
 		at time.Duration
@@ -143,7 +115,7 @@ func TestTimeSeriesConcurrentDeterministic(t *testing.T) {
 		all = append(all, obs{at: time.Duration(i*13%5000) * time.Millisecond, v: int64(i*7%900 + 1)})
 	}
 	run := func(workers int) TSSnapshot {
-		ts := NewTimeSeries(TimeSeriesConfig{Window: 500 * time.Millisecond, MaxWindows: 16})
+		ts := NewTimeSeries(TimeSeriesConfig{Window: 500 * time.Millisecond, MaxWindows: 8})
 		g := ts.Gauge("g")
 		h := ts.Histogram("h")
 		var wg sync.WaitGroup
@@ -162,6 +134,11 @@ func TestTimeSeriesConcurrentDeterministic(t *testing.T) {
 		return ts.Snap()
 	}
 	serial, parallel := run(1), run(4)
+	for _, s := range serial.Series {
+		if s.Clamped == 0 {
+			t.Fatalf("series %s clamped nothing; the concurrent clamp path is untested", s.Name)
+		}
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("snapshot differs between serial and 4-way concurrent recording")
 	}

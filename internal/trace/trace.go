@@ -1,8 +1,9 @@
 // Package trace is the structured event layer for the whole stack: the
 // deterministic emulator (sim engine, netem flows, simpeer scheduling,
-// player state) and the real TCP node both emit the same Event records,
-// which downstream tooling renders as JSONL, Chrome trace-event JSON
-// (about:tracing / Perfetto), or a per-peer stall timeline.
+// player state) and the real TCP node both emit the same Event records.
+// JSONL is their one on-disk form; every other view (the per-peer stall
+// timeline, tracereport's rollups, the windowed series) is rebuilt from
+// the events by a pure function.
 //
 // Determinism contract (DESIGN.md §8): tracing must be provably inert.
 // A *Tracer is an observer only — it never draws from an RNG, never

@@ -134,45 +134,6 @@ func TestJSONLWriterStreams(t *testing.T) {
 	}
 }
 
-func TestChromeTracePairsDurations(t *testing.T) {
-	var b bytes.Buffer
-	if err := WriteChromeTrace(&b, testEvents()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			TS   int64  `json:"ts"`
-			Dur  int64  `json:"dur"`
-			TID  int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v", err)
-	}
-	var stall, flow, meta bool
-	for _, ev := range doc.TraceEvents {
-		switch {
-		case ev.Ph == "X" && ev.Name == "stall ("+CauseFrozenFlow+")":
-			stall = true
-			if ev.TS != 500_000 || ev.Dur != 500_000 {
-				t.Fatalf("stall span ts=%d dur=%d, want 500000/500000", ev.TS, ev.Dur)
-			}
-		case ev.Ph == "X" && ev.Name == "flow 7":
-			flow = true
-			if ev.TS != 200_000 || ev.Dur != 700_000 {
-				t.Fatalf("flow span ts=%d dur=%d, want 200000/700000", ev.TS, ev.Dur)
-			}
-		case ev.Ph == "M":
-			meta = true
-		}
-	}
-	if !stall || !flow || !meta {
-		t.Fatalf("missing spans: stall=%v flow=%v meta=%v", stall, flow, meta)
-	}
-}
-
 func TestBuildTimeline(t *testing.T) {
 	tls := BuildTimeline(testEvents())
 	if len(tls) != 1 {

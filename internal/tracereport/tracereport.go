@@ -247,8 +247,8 @@ func (a *accum) addFile(name string, events []trace.Event) {
 	fs := FileStats{File: name, Events: len(events)}
 	a.report.Events += int64(len(events))
 
-	// Player-side rollup comes from the shared timeline builder so the
-	// report can never disagree with the *.timeline.json artifacts.
+	// Player-side rollup comes from trace.BuildTimeline, which the
+	// attribution tests also use, so the report can never disagree with them.
 	tls := trace.BuildTimeline(events)
 	fs.Peers = len(tls)
 	var startupTotal, startupN int64

@@ -267,7 +267,7 @@ func TestAnalyzeDirRoundTrip(t *testing.T) {
 		}
 	}
 	// A non-jsonl file must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "x.timeline.json"), []byte("[]"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "report.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	a, err := AnalyzeDir(dir)

@@ -12,9 +12,11 @@
 #              smoke targets write
 #
 # — and compares the two trees file by file with wall-clock fields
-# (elapsed, elapsed_ms) blanked. Prints "identical" and exits 0, or the
-# first differing file and line and exits 1. A PR that intends a
-# difference quotes that output and says why.
+# (elapsed, elapsed_ms) blanked. Paths only one side wrote go to
+# $WORK/only.list ("-" parent, "+" change); every common file is still
+# compared. Prints "identical" and exits 0 when the sets match, or the
+# first differing file and line, or "file sets differ", and exits 1. A
+# change that intends a difference quotes that output and says why.
 #
 # usage: identity.sh <parent-rev> [work-dir]     (make identity PARENT=<rev>)
 set -eu
@@ -56,10 +58,15 @@ blank() { sed -e 's/"elapsed_ms": *[0-9.]*/"elapsed_ms": 0/' -e 's/elapsed [0-9.
 
 (cd "$WORK/parent" && find . -type f | sort) > "$WORK/parent.list"
 (cd "$WORK/change" && find . -type f | sort) > "$WORK/change.list"
-if ! cmp -s "$WORK/parent.list" "$WORK/change.list"; then
-    echo "identity: the two sides wrote different file sets:"
-    diff "$WORK/parent.list" "$WORK/change.list" | head -5
-    exit 1
+{
+    comm -23 "$WORK/parent.list" "$WORK/change.list" | sed 's/^/- /'
+    comm -13 "$WORK/parent.list" "$WORK/change.list" | sed 's/^/+ /'
+} > "$WORK/only.list"
+comm -12 "$WORK/parent.list" "$WORK/change.list" > "$WORK/common.list"
+if [ -s "$WORK/only.list" ]; then
+    echo "identity: file sets differ: $(grep -c '^-' "$WORK/only.list" || true) only in the parent," \
+        "$(grep -c '^+' "$WORK/only.list" || true) only in the change (all in $WORK/only.list):"
+    head -5 "$WORK/only.list"
 fi
 while read -r f; do
     blank "$WORK/parent/$f" > "$WORK/a"
@@ -71,5 +78,10 @@ while read -r f; do
         echo "  change: $(sed -n "${line}p" "$WORK/b" | cut -c1-200)"
         exit 1
     fi
-done < "$WORK/parent.list"
-echo "identity: $(wc -l < "$WORK/parent.list") artifacts vs $PARENT: identical"
+done < "$WORK/common.list"
+n=$(wc -l < "$WORK/common.list")
+if [ -s "$WORK/only.list" ]; then
+    echo "identity: $n common artifacts vs $PARENT: identical; file sets differ"
+    exit 1
+fi
+echo "identity: $n artifacts vs $PARENT: identical"
