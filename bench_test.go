@@ -151,7 +151,7 @@ func ablationRun(b *testing.B, mod func(*simpeer.SwarmConfig)) {
 			Policy:               core.AdaptivePool{},
 			OracleBandwidth:      true,
 			JoinSpread:           p.JoinSpread,
-			ResumeBuffer:         p.ResumeBuffer,
+			ResumeBuffer:         6 * time.Second,
 		}
 		if mod != nil {
 			mod(&cfg)

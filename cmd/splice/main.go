@@ -1,11 +1,11 @@
 // Command splice synthesizes a clip, cuts it with the chosen technique, and
-// reports the segment layout — optionally emitting the manifest JSON and the
-// RSpec-equivalent topology spec.
+// reports the segment layout — optionally emitting the manifest JSON and an
+// HLS media playlist.
 //
 // Usage:
 //
 //	splice [-clip 2m] [-seed 42] [-splicing gop|2s|4s|8s|adaptive] [-rate 125000]
-//	       [-manifest out.json] [-topology out.json] [-v]
+//	       [-manifest out.json] [-m3u8 out.m3u8] [-v]
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"p2psplice/internal/container"
 	"p2psplice/internal/media"
 	"p2psplice/internal/splicer"
-	"p2psplice/internal/topology"
 )
 
 func main() {
@@ -27,12 +26,11 @@ func main() {
 		name     = flag.String("splicing", "4s", "technique: gop, 2s, 4s, 8s, or adaptive")
 		rate     = flag.Int64("rate", 0, "override clip rate in bytes/second")
 		manifest = flag.String("manifest", "", "write the manifest JSON to this file")
-		topo     = flag.String("topology", "", "write the paper's 20-node topology spec to this file")
 		playlist = flag.String("m3u8", "", "write an HLS media playlist to this file")
 		verbose  = flag.Bool("v", false, "print every segment")
 	)
 	flag.Parse()
-	if err := run(*clip, *seed, *name, *rate, *manifest, *topo, *playlist, *verbose); err != nil {
+	if err := run(*clip, *seed, *name, *rate, *manifest, *playlist, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "splice:", err)
 		os.Exit(1)
 	}
@@ -53,7 +51,7 @@ func pickSplicer(name string) (splicer.Splicer, error) {
 	}
 }
 
-func run(clip time.Duration, seed int64, name string, rate int64, manifestPath, topoPath, playlistPath string, verbose bool) error {
+func run(clip time.Duration, seed int64, name string, rate int64, manifestPath, playlistPath string, verbose bool) error {
 	cfg := media.DefaultEncoderConfig()
 	if rate > 0 {
 		cfg.BytesPerSecond = rate
@@ -121,19 +119,6 @@ func run(clip time.Duration, seed int64, name string, rate int64, manifestPath, 
 			return err
 		}
 		fmt.Printf("HLS playlist written to %s\n", playlistPath)
-	}
-
-	if topoPath != "" {
-		spec := topology.Star("paper-20-nodes", 19, 128, 475*time.Millisecond, 5)
-		f, err := os.Create(topoPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := spec.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("topology written to %s (%d nodes)\n", topoPath, len(spec.Nodes))
 	}
 	return nil
 }

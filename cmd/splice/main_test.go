@@ -39,12 +39,11 @@ func TestPickSplicer(t *testing.T) {
 func TestRunWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "m.json")
-	topo := filepath.Join(dir, "t.json")
 	playlist := filepath.Join(dir, "p.m3u8")
-	if err := run(10*time.Second, 1, "2s", 64*1024, manifest, topo, playlist, true); err != nil {
+	if err := run(10*time.Second, 1, "2s", 64*1024, manifest, playlist, true); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{manifest, topo, playlist} {
+	for _, f := range []string{manifest, playlist} {
 		if fi, err := filepathStat(f); err != nil || fi <= 0 {
 			t.Errorf("artifact %s missing or empty (err=%v size=%d)", f, err, fi)
 		}

@@ -33,7 +33,6 @@ var DeterministicPackages = []string{
 	"p2psplice/internal/tracereport",
 	"p2psplice/internal/core",
 	"p2psplice/internal/container",
-	"p2psplice/internal/topology",
 	"p2psplice/internal/player",
 	"p2psplice/internal/reputation",
 }

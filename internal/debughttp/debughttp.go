@@ -40,8 +40,6 @@ type Config struct {
 	// Registry backs /metrics. A nil registry serves an empty (but
 	// valid) exposition, so callers can wire the flag unconditionally.
 	Registry *trace.Registry
-	// Logf receives serve errors. Defaults to stderr.
-	Logf func(format string, args ...any)
 	// Ready backs /readyz: return nil when the daemon can take traffic,
 	// or an error naming what is still missing (served in the 503 body).
 	// Nil means always ready, so liveness-only daemons need no wiring.
@@ -113,10 +111,6 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("debughttp: empty listen address")
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("debughttp: listen %s: %w", cfg.Addr, err)
@@ -131,7 +125,7 @@ func Start(cfg Config) (*Server, error) {
 	go func() {
 		defer s.wg.Done()
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logf("debughttp: serve: %v", err)
+			fmt.Fprintf(os.Stderr, "debughttp: serve: %v\n", err)
 		}
 	}()
 	return s, nil

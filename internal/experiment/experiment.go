@@ -35,15 +35,9 @@ type Params struct {
 	Runs int
 	// BaseSeed seeds run r of a sweep point with BaseSeed + r.
 	BaseSeed int64
-	// LossPct is the access-link loss for the splicing/pooling sweeps
-	// (paper: 5).
-	LossPct float64
 	// JoinSpread staggers viewer joins (viewers do not press play in the
 	// same millisecond).
 	JoinSpread time.Duration
-	// ResumeBuffer is the player's rebuffering depth after a stall
-	// (VLC-like players rebuffer a few seconds before resuming).
-	ResumeBuffer time.Duration
 	// Workers bounds the runner's worker pool: every (series × bandwidth ×
 	// run) cell of a figure is an independent job. 0 means GOMAXPROCS;
 	// 1 forces the serial path. Results are bit-identical either way
@@ -84,9 +78,7 @@ func DefaultParams() Params {
 		Leechers:     19,
 		Runs:         3,
 		BaseSeed:     1000,
-		LossPct:      5,
 		JoinSpread:   5 * time.Second,
-		ResumeBuffer: 6 * time.Second,
 	}
 }
 
@@ -118,6 +110,13 @@ func (p Params) Segments(sp splicer.Splicer) ([]simpeer.SegmentMeta, error) {
 	return globalClips.segments(segKey{video: p.videoKey(), splicerID: splicerIdentity(sp)}, sp)
 }
 
+// The paper's link loss and a VLC-like player's rebuffering depth: every
+// cell runs these (Figure 4 turns the loss off in its own hook).
+const (
+	lossRate     = 0.05
+	resumeBuffer = 6 * time.Second
+)
+
 // swarmConfig assembles the common swarm configuration.
 func (p Params) swarmConfig(bandwidthKB int64, policy core.Policy, seed int64) simpeer.SwarmConfig {
 	return simpeer.SwarmConfig{
@@ -126,11 +125,11 @@ func (p Params) swarmConfig(bandwidthKB int64, policy core.Policy, seed int64) s
 		BandwidthBytesPerSec: bandwidthKB * 1024,
 		PeerAccessDelay:      25 * time.Millisecond,
 		SeederAccessDelay:    25 * time.Millisecond,
-		LossRate:             p.LossPct / 100,
+		LossRate:             lossRate,
 		Policy:               policy,
 		OracleBandwidth:      true,
 		JoinSpread:           p.JoinSpread,
-		ResumeBuffer:         p.ResumeBuffer,
+		ResumeBuffer:         resumeBuffer,
 	}
 }
 

@@ -72,15 +72,15 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		err := c.readLoop()
+		c.readLoop()
 		c.close()
-		n.dropConn(c, err)
+		n.dropConn(c)
 	}()
 	return nil
 }
 
 // dropConn removes the connection and reschedules its downloads.
-func (n *Node) dropConn(c *conn, err error) {
+func (n *Node) dropConn(c *conn) {
 	var unchoke *conn
 	n.mu.Lock()
 	if n.conns[c.id] == c {
@@ -102,9 +102,6 @@ func (n *Node) dropConn(c *conn, err error) {
 		if err := unchoke.send(&wire.Message{Type: wire.MsgUnchoke}); err != nil {
 			unchoke.close()
 		}
-	}
-	if err != nil {
-		n.cfg.Logf("peer %s: conn %s: %v", n.peerID, c.id, err)
 	}
 	if orphaned > 0 {
 		n.schedule()
@@ -148,27 +145,28 @@ func (c *conn) close() {
 	}
 }
 
-// readLoop processes inbound messages until the connection fails. Its
-// Reader is the only one on c.raw after the handshake: it reads ahead,
-// so a second reader would lose frames. The Reader and Message are
-// reused across iterations, and m's payload aliases the Reader's buffer
-// until the next ReadInto — every handler finishes with it before
-// returning (onPiece copies into the download buffer, the bitfield is
-// decoded into a fresh slice), so the steady-state receive path is
-// allocation-free.
-func (c *conn) readLoop() error {
+// readLoop processes inbound messages until the connection fails or the
+// remote breaks the protocol (a bad bitfield, a HAVE past the clip, an
+// unexpected message type). Its Reader is the only one on c.raw after the
+// handshake: it reads ahead, so a second reader would lose frames. The
+// Reader and Message are reused across iterations, and m's payload
+// aliases the Reader's buffer until the next ReadInto — every handler
+// finishes with it before returning (onPiece copies into the download
+// buffer, the bitfield is decoded into a fresh slice), so the
+// steady-state receive path is allocation-free.
+func (c *conn) readLoop() {
 	rd := wire.NewReader(c.raw)
 	var msg wire.Message
 	for {
 		m := &msg
-		if err := rd.ReadInto(m); err != nil {
-			return err
+		if rd.ReadInto(m) != nil {
+			return
 		}
 		switch m.Type {
 		case wire.MsgBitfield:
 			have, err := wire.DecodeBitfield(m.Bitfield, c.node.store.Segments())
 			if err != nil {
-				return err
+				return
 			}
 			c.node.mu.Lock()
 			copy(c.src.Have, have)
@@ -177,15 +175,15 @@ func (c *conn) readLoop() error {
 		case wire.MsgHave:
 			idx := int(m.Index)
 			if idx >= c.node.store.Segments() {
-				return fmt.Errorf("peer: have for segment %d of %d", idx, c.node.store.Segments())
+				return
 			}
 			c.node.mu.Lock()
 			c.src.Have[idx] = true
 			c.node.mu.Unlock()
 			c.node.schedule()
 		case wire.MsgRequest:
-			if err := c.serveBlock(m); err != nil {
-				return err
+			if c.serveBlock(m) != nil {
+				return
 			}
 		case wire.MsgPiece:
 			c.node.onPiece(c, m)
@@ -200,7 +198,7 @@ func (c *conn) readLoop() error {
 			wire.MsgInterested, wire.MsgNotInterested:
 			// Accepted for protocol compatibility.
 		default:
-			return fmt.Errorf("peer: unexpected message %s", m.Type)
+			return
 		}
 	}
 }

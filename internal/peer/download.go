@@ -155,7 +155,6 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 	off := int(m.Offset)
 	if off%wire.DefaultBlockLen != 0 || off+len(m.Data) > d.size {
 		n.mu.Unlock()
-		n.cfg.Logf("peer %s: bogus block seg=%d off=%d len=%d", n.peerID, idx, off, len(m.Data))
 		c.close()
 		return
 	}
@@ -186,10 +185,9 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 
 	// No block writes d.buf any more: it is verified unlocked and then
 	// handed to the store as the segment itself.
-	if err := n.manifest.VerifySegment(idx, d.buf); err != nil {
+	if n.manifest.VerifySegment(idx, d.buf) != nil {
 		// The remote served data that does not match the manifest: drop it
 		// and re-download from someone else.
-		n.cfg.Logf("peer %s: segment %d failed verification from %s: %v", n.peerID, idx, c.id, err)
 		n.mu.Lock()
 		n.dropActiveLocked(idx)
 		n.stats.VerifyFailures++
@@ -203,11 +201,10 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
-	if err := n.store.Put(idx, d.buf); err != nil {
+	if n.store.Put(idx, d.buf) != nil {
 		// The segment is wanted again once out of the pool: without an
 		// immediate reschedule it would sit undownloaded until some
 		// unrelated event (or the watchdog) next ran the scheduler.
-		n.cfg.Logf("peer %s: store segment %d: %v", n.peerID, idx, err)
 		n.mu.Lock()
 		n.dropActiveLocked(idx)
 		n.stats.StoreFailures++
@@ -258,7 +255,6 @@ func (n *Node) expireStalled() {
 	}
 	n.mu.Unlock()
 	for _, d := range stalled {
-		n.cfg.Logf("peer %s: segment %d timed out on %s", n.peerID, d.index, d.conn.id)
 		n.nm.expired.Inc()
 		n.emit(trace.CatPool, trace.EvTimeout, d.index)
 		// Not a single block arrived: the remote advertised the segment and

@@ -264,7 +264,7 @@ func TestDuplicatePieceCompletesOnce(t *testing.T) {
 // verified segment is stored.
 func TestConnLostInVerifyWindow(t *testing.T) {
 	for name, lose := range map[string]func(n *Node, c *conn){
-		"closed": func(n *Node, c *conn) { c.close(); n.dropConn(c, nil) },
+		"closed": func(n *Node, c *conn) { c.close(); n.dropConn(c) },
 		"choked": func(n *Node, c *conn) { n.abandonDownloadsOn(c) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -45,8 +45,6 @@ type Config struct {
 	// Nil means reputation.Default(). A zero-valued config keeps scoring
 	// but never quarantines.
 	Reputation *reputation.Config
-	// Logf receives debug logs. Nil disables logging.
-	Logf func(format string, args ...any)
 	// Trace receives structured events (schedule decisions, piece and
 	// verification outcomes, playback transitions with attributed stall
 	// causes). Nil disables tracing at the cost of one nil check per event.
@@ -80,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Reputation == nil {
 		d := reputation.Default()
 		c.Reputation = &d
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -430,9 +425,7 @@ func (n *Node) acceptLoop() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.handleInbound(raw); err != nil {
-				n.cfg.Logf("peer %s: inbound: %v", n.peerID, err)
-			}
+			n.handleInbound(raw)
 		}()
 	}
 }
@@ -471,13 +464,13 @@ func (n *Node) handshake(raw net.Conn, initiate bool) (wire.PeerID, error) {
 	return hs.PeerID, nil
 }
 
-func (n *Node) handleInbound(raw net.Conn) error {
+func (n *Node) handleInbound(raw net.Conn) {
 	remote, err := n.handshake(raw, false)
 	if err != nil {
 		raw.Close()
-		return err
+		return
 	}
-	return n.startConn(raw, remote)
+	_ = n.startConn(raw, remote) // a failed start has closed raw
 }
 
 // Connect dials a peer and adds it to the connection set. Connecting to an
@@ -536,7 +529,6 @@ func (n *Node) announceAndConnect() {
 	peers, err := n.trk.Announce(n.infoHash, n.peerID, n.Addr(), n.seeder)
 	if err != nil {
 		n.nm.announceFails.Inc()
-		n.cfg.Logf("peer %s: announce: %v", n.peerID, err)
 		n.mu.Lock()
 		wasUp := !n.trackerDown
 		n.trackerDown = true

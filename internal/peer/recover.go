@@ -64,7 +64,6 @@ func (n *Node) connectKnownPeers(peers []tracker.PeerInfo) {
 		n.mu.Unlock()
 		if err != nil {
 			n.nm.dialFails.Inc()
-			n.cfg.Logf("peer %s: connect %s: %v", n.peerID, p.Addr, err)
 		}
 	}
 }

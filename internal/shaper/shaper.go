@@ -100,6 +100,9 @@ type Conn struct {
 	net.Conn
 	down *bucket // applied to Read
 	up   *bucket // applied to Write
+	// ready ends an accepted conn's setup latency: Read and Write wait
+	// for it. Zero (long past) for dialed conns.
+	ready time.Time
 }
 
 // NewConn wraps c with the link shape. The same Config is used for both
@@ -117,6 +120,7 @@ func NewConn(c net.Conn, cfg Config) (*Conn, error) {
 
 // Read reads from the wrapped conn at the shaped rate.
 func (s *Conn) Read(p []byte) (int, error) {
+	time.Sleep(time.Until(s.ready))
 	n, err := s.Conn.Read(p)
 	if n > 0 {
 		s.down.take(n)
@@ -126,6 +130,7 @@ func (s *Conn) Read(p []byte) (int, error) {
 
 // Write writes to the wrapped conn at the shaped rate.
 func (s *Conn) Write(p []byte) (int, error) {
+	time.Sleep(time.Until(s.ready))
 	// Charge before sending so a burst cannot exceed the bucket.
 	s.up.take(len(p))
 	return s.Conn.Write(p)
@@ -146,16 +151,17 @@ func NewListener(l net.Listener, cfg Config) (*Listener, error) {
 }
 
 // Accept waits for a connection and shapes it. The configured latency is
-// charged once at accept, emulating the SYN/ACK crossing the access link.
+// charged once per conn, from its own accept, emulating the SYN/ACK
+// crossing the access link: the conn's first Read or Write waits for it,
+// so Accept returns at once and concurrent dials pay it in parallel.
 func (l *Listener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	if l.cfg.Latency > 0 {
-		time.Sleep(l.cfg.Latency)
-	}
-	return NewConn(c, l.cfg)
+	sc, _ := NewConn(c, l.cfg) // NewListener validated l.cfg
+	sc.ready = time.Now().Add(l.cfg.Latency)
+	return sc, nil
 }
 
 // Dial connects with the configured setup latency and returns a shaped conn.

@@ -155,6 +155,68 @@ func TestListenerAndDial(t *testing.T) {
 	}
 }
 
+// TestConcurrentAcceptsShareLatency dials a shaped listener K times at once.
+// Each accepted conn owes the link's latency from its own accept, so every
+// dial's first exchange finishes within about 2×Latency; a listener that
+// slept Latency inside Accept would make the last dial wait K×Latency.
+func TestConcurrentAcceptsShareLatency(t *testing.T) {
+	const (
+		k       = 8
+		latency = 50 * time.Millisecond
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapedLn, err := NewListener(ln, Config{Latency: latency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shapedLn.Close()
+	go func() {
+		for {
+			c, err := shapedLn.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				buf := make([]byte, 1)
+				if _, err := io.ReadFull(c, buf); err == nil {
+					_, _ = c.Write(buf)
+				}
+			}()
+		}
+	}()
+
+	start := time.Now()
+	errs := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func() {
+			c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			if _, err := c.Write([]byte{1}); err != nil {
+				errs <- err
+				return
+			}
+			_, err = io.ReadFull(c, make([]byte, 1))
+			errs <- err
+		}()
+	}
+	for i := 0; i < k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= 2*latency {
+		t.Errorf("%d concurrent dials took %v, want < %v (one latency each, in parallel)", k, elapsed, 2*latency)
+	}
+}
+
 func TestDialErrors(t *testing.T) {
 	if _, err := Dial("tcp", "127.0.0.1:1", Config{}, 200*time.Millisecond); err == nil {
 		t.Error("want dial error")

@@ -220,7 +220,6 @@ func (scenario) Generate(r *rand.Rand, _ int) reflect.Value {
 	}
 	if flag("rarest", r.Intn(3) == 0) {
 		cfg.Selection = SelectRarestFirst
-		cfg.RarestWindow = r.Intn(5) // 0 resolves to the default
 	}
 	cfg.DisableRelay = flag("norelay", r.Intn(4) == 0)
 	if flag("cdn", r.Intn(3) == 0) {

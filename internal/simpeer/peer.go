@@ -143,7 +143,7 @@ func (s *swarm) nextWanted(p *peerState) int {
 	// Rarest-first within a lookahead window of wanted segments.
 	best, bestHolders := first, int(^uint(0)>>1)
 	seen := 0
-	for idx := first; idx < len(s.segs) && seen < s.rarestWindow; idx++ {
+	for idx := first; idx < len(s.segs) && seen < rarestWindow; idx++ {
 		if !p.pool.Wanted(idx) {
 			continue
 		}

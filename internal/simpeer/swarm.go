@@ -16,7 +16,6 @@ import (
 	"p2psplice/internal/player"
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/sim"
-	"p2psplice/internal/topology"
 	"p2psplice/internal/trace"
 )
 
@@ -34,7 +33,7 @@ const (
 	// SelectSequential requests the lowest-index wanted segment (the
 	// paper's sequential-viewing strategy).
 	SelectSequential SelectionStrategy = iota
-	// SelectRarestFirst requests, within the next RarestWindow wanted
+	// SelectRarestFirst requests, within the next rarestWindow wanted
 	// segments, the one with the fewest holders (the BitTorrent default,
 	// used as an ablation).
 	SelectRarestFirst
@@ -102,8 +101,6 @@ type SwarmConfig struct {
 	MaxUploadsPerPeer int
 	// Selection picks the next segment to request. Default sequential.
 	Selection SelectionStrategy
-	// RarestWindow bounds rarest-first lookahead (default 8).
-	RarestWindow int
 	// DisableRelay forces whole-segment store-and-forward (ablation)
 	// instead of relaying past relayThreshold.
 	DisableRelay bool
@@ -148,14 +145,6 @@ type SwarmConfig struct {
 	// BandwidthSchedule optionally varies every leecher's access bandwidth
 	// over time (the paper's variable-bandwidth future work).
 	BandwidthSchedule []netem.BandwidthStep
-	// Topology optionally supplies per-node link parameters from a
-	// declarative spec (the paper's RSpec equivalent): the spec's seeder
-	// configures the seeder node and its leechers configure the leechers in
-	// declaration order. When set, it overrides Leechers,
-	// BandwidthBytesPerSec, LeecherBandwidths, the access delays, and
-	// LossRate. Nodes with the traffic role become unbounded cross-traffic
-	// sources aimed at successive leechers.
-	Topology *topology.Spec
 	// Tracer receives structured events: flow lifecycles, pool-fill
 	// decisions with their live Equation-1 inputs, source picks, and
 	// playback transitions with attributed stall causes. Tracing is inert:
@@ -180,20 +169,11 @@ type SwarmConfig struct {
 }
 
 func (c SwarmConfig) validate() error {
-	if c.Topology != nil {
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-		if len(c.Topology.Leechers()) == 0 {
-			return fmt.Errorf("simpeer: topology has no leechers")
-		}
-	} else {
-		if c.Leechers < 1 {
-			return fmt.Errorf("simpeer: need at least 1 leecher, got %d", c.Leechers)
-		}
-		if c.BandwidthBytesPerSec <= 0 {
-			return fmt.Errorf("simpeer: bandwidth must be positive, got %d", c.BandwidthBytesPerSec)
-		}
+	if c.Leechers < 1 {
+		return fmt.Errorf("simpeer: need at least 1 leecher, got %d", c.Leechers)
+	}
+	if c.BandwidthBytesPerSec <= 0 {
+		return fmt.Errorf("simpeer: bandwidth must be positive, got %d", c.BandwidthBytesPerSec)
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("simpeer: nil policy")
@@ -260,6 +240,9 @@ const (
 	// the video and the swarm"). This is why the seeder's 500 ms latency
 	// shows up in every startup time.
 	defaultManifestBytes = 4096
+	// rarestWindow bounds rarest-first lookahead: the number of wanted
+	// segments SelectRarestFirst compares.
+	rarestWindow = 8
 )
 
 // RunSwarm executes one deterministic emulated run.
@@ -340,16 +323,15 @@ type swarm struct {
 	// disabled (the legacy-selection path).
 	rep *reputation.Table[int]
 
-	// Scheduler inputs (peer.go). slots and rarestWindow are the config's
-	// values with defaults resolved: slots is the per-peer upload cap (0 =
-	// unlimited). frontier is the availability frontier: the highest segment
-	// any leecher has ever started fetching, -1 before the first download.
-	// set is the running fill's source set (scratch, reused across fills;
-	// fill never re-enters).
-	slots        int
-	rarestWindow int
-	frontier     int
-	set          core.SourceSet
+	// Scheduler inputs (peer.go). slots is the config's per-peer upload cap
+	// with its default resolved (0 = unlimited). frontier is the
+	// availability frontier: the highest segment any leecher has ever
+	// started fetching, -1 before the first download. set is the running
+	// fill's source set (scratch, reused across fills; fill never
+	// re-enters).
+	slots    int
+	frontier int
+	set      core.SourceSet
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
 	// warm-up would otherwise be a manifest flash crowd.
@@ -360,12 +342,8 @@ type swarm struct {
 	pickCheck func(p *peerState, idx int, src *core.Source, cut bool)
 }
 
-// nodePlan resolves the per-node link parameters, either from the scalar
-// config fields or from the declarative topology spec.
-func (s *swarm) nodePlan() (seeder netem.NodeConfig, leechers, traffic []netem.NodeConfig, err error) {
-	if s.cfg.Topology != nil {
-		return s.cfg.Topology.ResolvedByRole()
-	}
+// nodePlan resolves the per-node link parameters from the config.
+func (s *swarm) nodePlan() (seeder netem.NodeConfig, leechers, traffic []netem.NodeConfig) {
 	seeder = netem.NodeConfig{
 		UplinkBytesPerSec:   s.cfg.BandwidthBytesPerSec,
 		DownlinkBytesPerSec: s.cfg.BandwidthBytesPerSec,
@@ -391,17 +369,13 @@ func (s *swarm) nodePlan() (seeder netem.NodeConfig, leechers, traffic []netem.N
 			AccessDelay:         s.cfg.PeerAccessDelay,
 		})
 	}
-	return seeder, leechers, traffic, nil
+	return seeder, leechers, traffic
 }
 
 func (s *swarm) setup() error {
 	s.slots = 4
 	if s.cfg.MaxUploadsPerPeer != 0 {
 		s.slots = max(s.cfg.MaxUploadsPerPeer, 0) // negative: unlimited
-	}
-	s.rarestWindow = s.cfg.RarestWindow
-	if s.rarestWindow <= 0 {
-		s.rarestWindow = 8
 	}
 	if s.cfg.Reputation != nil && s.cfg.Reputation.Enabled() {
 		s.rep = reputation.NewTable[int](*s.cfg.Reputation)
@@ -418,10 +392,7 @@ func (s *swarm) setup() error {
 		s.eng.SetFireObserver(func(time.Duration) { s.eventsFired++ })
 		s.net.SetFlowObserver(s.onFlowEvent)
 	}
-	seederNC, leecherNCs, trafficNCs, err := s.nodePlan()
-	if err != nil {
-		return err
-	}
+	seederNC, leecherNCs, trafficNCs := s.nodePlan()
 	seederNode, err := s.net.AddNode(seederNC)
 	if err != nil {
 		return err

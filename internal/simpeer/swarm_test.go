@@ -9,7 +9,6 @@ import (
 	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
 	"p2psplice/internal/splicer"
-	"p2psplice/internal/topology"
 )
 
 // segmentsFor splices the standard test clip and converts to SegmentMeta.
@@ -377,43 +376,31 @@ func TestDepartedPeersExcludedFromSamples(t *testing.T) {
 
 func TestRunSwarmOnTopologySpec(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 30*time.Second, 16)
-	spec := topology.Star("test", 4, 512, 25*time.Millisecond, 5)
-	// Slow down one leecher and add a traffic node via the spec.
-	spec.Nodes[1].UplinkKBps = 256
-	spec.Nodes[1].DownlinkKBps = 256
-	spec.Nodes = append(spec.Nodes, topology.NodeSpec{Name: "noise", Role: topology.RoleTraffic})
+	// One slow leecher and one cross-traffic node on the paper's star.
 	cfg := SwarmConfig{
-		Seed:            1,
-		Policy:          core.AdaptivePool{},
-		OracleBandwidth: true,
-		JoinSpread:      2 * time.Second,
-		Topology:        &spec,
+		Seed:                 1,
+		Leechers:             4,
+		BandwidthBytesPerSec: 512 * 1024,
+		LeecherBandwidths:    []int64{256 * 1024},
+		PeerAccessDelay:      25 * time.Millisecond,
+		SeederAccessDelay:    25 * time.Millisecond,
+		LossRate:             0.05,
+		Policy:               core.AdaptivePool{},
+		OracleBandwidth:      true,
+		JoinSpread:           2 * time.Second,
+		CrossTraffic:         1,
 	}
 	res, err := RunSwarm(cfg, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Samples) != 4 {
-		t.Fatalf("got %d samples, want 4 (from the spec)", len(res.Samples))
+		t.Fatalf("got %d samples, want 4 (one per leecher)", len(res.Samples))
 	}
 	for _, s := range res.Samples {
 		if !s.Finished {
 			t.Errorf("peer %d did not finish", s.Peer)
 		}
-	}
-}
-
-func TestRunSwarmTopologyValidation(t *testing.T) {
-	segs := []SegmentMeta{{Bytes: 100, Duration: time.Second}}
-	bad := topology.Spec{Nodes: []topology.NodeSpec{{Name: "s", Role: topology.RoleSeeder}}}
-	cfg := SwarmConfig{Seed: 1, Policy: core.AdaptivePool{}, Topology: &bad}
-	if _, err := RunSwarm(cfg, segs); err == nil {
-		t.Error("invalid topology (zero bandwidth): want error")
-	}
-	noLeechers := topology.Star("x", 0, 128, 0, 0)
-	cfg.Topology = &noLeechers
-	if _, err := RunSwarm(cfg, segs); err == nil {
-		t.Error("topology without leechers: want error")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"p2psplice/internal/core"
 	"p2psplice/internal/media"
 )
 
@@ -15,17 +16,20 @@ import (
 //
 //	target = (B * T) / R
 //
-// clamped to [MinTarget, MaxTarget]. The cut itself is duration splicing.
+// clamped to [minAdaptiveTarget, maxAdaptiveTarget]. The cut itself is
+// duration splicing.
 type AdaptiveSplicer struct {
 	// Bandwidth is the expected available bandwidth B in bytes/second.
 	Bandwidth int64
 	// BufferDepth is the buffered-playback horizon T the client maintains.
 	BufferDepth time.Duration
-	// MinTarget and MaxTarget clamp the derived duration. Zero values
-	// default to 1s and 16s respectively.
-	MinTarget time.Duration
-	MaxTarget time.Duration
 }
+
+// The clamp on the adaptive splicer's derived duration.
+const (
+	minAdaptiveTarget = time.Second
+	maxAdaptiveTarget = 16 * time.Second
+)
 
 var _ Splicer = AdaptiveSplicer{}
 
@@ -46,26 +50,10 @@ func (a AdaptiveSplicer) TargetFor(v *media.Video) (time.Duration, error) {
 	if v == nil || v.Duration() <= 0 || v.TotalBytes() <= 0 {
 		return 0, fmt.Errorf("splicer: adaptive: empty video")
 	}
-	minT, maxT := a.MinTarget, a.MaxTarget
-	if minT <= 0 {
-		minT = time.Second
-	}
-	if maxT <= 0 {
-		maxT = 16 * time.Second
-	}
-	if minT > maxT {
-		return 0, fmt.Errorf("splicer: adaptive: MinTarget %v > MaxTarget %v", minT, maxT)
-	}
 	rate := float64(v.TotalBytes()) / v.Duration().Seconds() // bytes/s
-	maxBytes := float64(a.Bandwidth) * a.BufferDepth.Seconds()
+	maxBytes := float64(core.MaxSegmentBytes(a.Bandwidth, a.BufferDepth))
 	target := time.Duration(maxBytes / rate * float64(time.Second))
-	if target < minT {
-		target = minT
-	}
-	if target > maxT {
-		target = maxT
-	}
-	return target, nil
+	return min(max(target, minAdaptiveTarget), maxAdaptiveTarget), nil
 }
 
 // Splice implements Splicer.

@@ -215,7 +215,6 @@ func TestAdaptiveSplicerErrors(t *testing.T) {
 	cases := []AdaptiveSplicer{
 		{Bandwidth: 0, BufferDepth: time.Second},
 		{Bandwidth: 1000, BufferDepth: 0},
-		{Bandwidth: 1000, BufferDepth: time.Second, MinTarget: 8 * time.Second, MaxTarget: 2 * time.Second},
 	}
 	for i, a := range cases {
 		if _, err := a.Splice(v); err == nil {

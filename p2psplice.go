@@ -34,7 +34,6 @@ import (
 	"p2psplice/internal/shaper"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
-	"p2psplice/internal/topology"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracker"
 	"p2psplice/internal/wire"
@@ -159,8 +158,6 @@ type (
 	ExperimentParams = experiment.Params
 	// FigureResult is a rendered figure plus raw series.
 	FigureResult = experiment.FigureResult
-	// TopologySpec is the declarative star-topology description.
-	TopologySpec = topology.Spec
 )
 
 // RunSwarm executes one deterministic emulated swarm.
@@ -262,11 +259,6 @@ func NewCDNOrigin() *CDNOrigin { return cdn.NewOrigin() }
 // NewCDNClient returns a duration-adaptive streaming client.
 func NewCDNClient(base string, httpClient *http.Client) (*CDNClient, error) {
 	return cdn.NewClient(base, httpClient)
-}
-
-// StarTopology returns the paper's 20-node star as a declarative spec.
-func StarTopology(name string, leechers int, bandwidthKBps int64, seederDelay time.Duration, lossPct float64) TopologySpec {
-	return topology.Star(name, leechers, bandwidthKBps, seederDelay, lossPct)
 }
 
 // Version is the library version.

@@ -122,10 +122,6 @@ func TestFacadeCDNAssistType(t *testing.T) {
 }
 
 func TestFacadeTopologyAndParams(t *testing.T) {
-	spec := StarTopology("paper", 19, 128, 475*time.Millisecond, 5)
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	p := PaperParams()
 	if p.Leechers != 19 || p.ClipDuration != 2*time.Minute {
 		t.Errorf("PaperParams = %+v", p)
