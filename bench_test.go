@@ -17,8 +17,8 @@ import (
 	"p2psplice/internal/container"
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
+	"p2psplice/internal/fault"
 	"p2psplice/internal/media"
-	"p2psplice/internal/netem"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/swarmbench"
@@ -207,9 +207,8 @@ func BenchmarkAblationCrossTraffic(b *testing.B) {
 // paper's future work: "available bandwidth changes over time").
 func BenchmarkAblationVariableBandwidth(b *testing.B) {
 	ablationRun(b, func(c *simpeer.SwarmConfig) {
-		c.BandwidthSchedule = []netem.BandwidthStep{
-			{At: 15 * time.Second, BytesPerSec: 128 * 1024},
-			{At: 30 * time.Second, BytesPerSec: 256 * 1024},
+		for node := 1; node <= c.Leechers; node++ {
+			c.Faults = fault.Merge(c.Faults, fault.RateDip(node, 15*time.Second, 15*time.Second, 128*1024, 256*1024))
 		}
 	})
 }

@@ -21,8 +21,8 @@ import (
 
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
+	"p2psplice/internal/fault"
 	"p2psplice/internal/metrics"
-	"p2psplice/internal/netem"
 	"p2psplice/internal/shaper"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
@@ -343,9 +343,9 @@ var ablations = []struct {
 	{"varbw", []variant{
 		{"fixed bandwidth", nil},
 		{"drops to half mid-clip", func(c *simpeer.SwarmConfig) {
-			c.BandwidthSchedule = []netem.BandwidthStep{
-				{At: 40 * time.Second, BytesPerSec: c.BandwidthBytesPerSec / 2},
-				{At: 80 * time.Second, BytesPerSec: c.BandwidthBytesPerSec},
+			bw := c.BandwidthBytesPerSec
+			for node := 1; node <= c.Leechers; node++ {
+				c.Faults = fault.Merge(c.Faults, fault.RateDip(node, 40*time.Second, 40*time.Second, bw/2, bw))
 			}
 		}},
 	}},

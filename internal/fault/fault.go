@@ -134,16 +134,29 @@ func (a AdversaryKind) String() string {
 	}
 }
 
-// GEModel parameterizes a Gilbert–Elliott burst-loss window. It mirrors
-// netem.GEParams without importing it (fault stays stdlib-only; the
-// consumers compile the two together): PGood and PBad are the
-// good/bad-state packet-loss rates in [0, 1), P13 and P31 the
-// good->bad and bad->good transition hazards in events per second.
+// GEModel parameterizes a Gilbert–Elliott burst-loss model, the one
+// type for it: a KindBurstLoss window carries it and netem.SetGEModel
+// installs it. PGood and PBad are the good/bad-state packet-loss rates
+// in [0, 1); P13 and P31 are the good->bad and bad->good transition
+// hazards in events per second (pumba's loss-gemodel naming), so
+// sojourn times are exponential with means 1/P13 and 1/P31.
 type GEModel struct {
 	PGood float64
 	PBad  float64
 	P13   float64
 	P31   float64
+}
+
+// Validate reports whether the model is usable: both loss rates in
+// [0, 1) and both transition hazards positive.
+func (m GEModel) Validate() error {
+	if m.PGood < 0 || m.PGood >= 1 || m.PBad < 0 || m.PBad >= 1 {
+		return fmt.Errorf("GE loss rates outside [0, 1): pg=%v pb=%v", m.PGood, m.PBad)
+	}
+	if m.P13 <= 0 || m.P31 <= 0 {
+		return fmt.Errorf("GE transition rates must be positive: p13=%v p31=%v", m.P13, m.P31)
+	}
+	return nil
 }
 
 // Event is one scheduled fault, and a whole one: a window carries its
@@ -254,7 +267,6 @@ func (ev Event) desc() string {
 // check validates one event on its own: kind, time, duration, node and
 // the parameters its kind reads.
 func (ev Event) check(maxNode int) error {
-	m := ev.Loss
 	polluter := ev.Kind == KindAdversary && ev.Adversary == AdvPolluter
 	slowloris := ev.Kind == KindAdversary && ev.Adversary == AdvSlowloris
 	switch {
@@ -274,10 +286,8 @@ func (ev Event) check(maxNode int) error {
 		return fmt.Errorf("fault: %s: non-positive rate %d", ev.desc(), ev.BytesPerSec)
 	case (ev.Kind == KindCorrupt || polluter) && !(ev.Percent > 0 && ev.Percent <= 100):
 		return fmt.Errorf("fault: %s: percent %v outside (0, 100]", ev.desc(), ev.Percent)
-	case ev.Kind == KindBurstLoss && (m.PGood < 0 || m.PGood >= 1 || m.PBad < 0 || m.PBad >= 1):
-		return fmt.Errorf("fault: %s: loss rates outside [0, 1): pg=%v pb=%v", ev.desc(), m.PGood, m.PBad)
-	case ev.Kind == KindBurstLoss && (m.P13 <= 0 || m.P31 <= 0):
-		return fmt.Errorf("fault: %s: non-positive transition rates p13=%v p31=%v", ev.desc(), m.P13, m.P31)
+	case ev.Kind == KindBurstLoss && ev.Loss.Validate() != nil:
+		return fmt.Errorf("fault: %s: %w", ev.desc(), ev.Loss.Validate())
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"p2psplice/internal/fault"
 	"p2psplice/internal/sim"
 )
 
@@ -36,6 +37,13 @@ const (
 	diffMaxStarts   = 30
 	diffDrainBudget = 4000
 )
+
+// at schedules fn on both networks at virtual time t, each on its own
+// engine, so a timed change reaches the pair as one engine event apiece.
+func (p *diffPair) at(t time.Duration, fn func(*Network)) {
+	p.engA.At(t, func() { fn(p.netA) })
+	p.engB.At(t, func() { fn(p.netB) })
+}
 
 // decodeByte pulls the next script byte, treating exhaustion as zero so
 // every prefix of a valid script is itself a valid script.
@@ -130,13 +138,17 @@ func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) err
 		case 7: // scheduled fault plan: a closed link-flap window plus a rate dip
 			id := NodeID(int(decodeByte(data, &pos)) % nNodes)
 			at := p.engA.Now() + time.Duration(1+int(decodeByte(data, &pos))%200)*50*time.Millisecond
-			flap := []LinkStep{{At: at, Down: true}, {At: at + 300*time.Millisecond, Down: false}}
-			_ = p.netA.ScheduleLink(id, flap)
-			_ = p.netB.ScheduleLink(id, flap)
-			dip := []BandwidthStep{{At: at, BytesPerSec: 24_000}, {At: at + time.Second, BytesPerSec: 256_000}}
+			p.at(at, func(n *Network) { _ = n.SetLinkDown(id, true) })
+			p.at(at+300*time.Millisecond, func(n *Network) { _ = n.SetLinkDown(id, false) })
 			id2 := NodeID(int(decodeByte(data, &pos)) % nNodes)
-			_ = p.netA.ScheduleBandwidth(id2, dip)
-			_ = p.netB.ScheduleBandwidth(id2, dip)
+			setRate := func(rate int64) func(*Network) {
+				return func(n *Network) {
+					_ = n.SetUplink(id2, rate)
+					_ = n.SetDownlink(id2, rate)
+				}
+			}
+			p.at(at, setRate(24_000))
+			p.at(at+time.Second, setRate(256_000))
 		case 8: // Gilbert–Elliott loss model install/clear (bursty loss)
 			id := NodeID(int(decodeByte(data, &pos)) % nNodes)
 			b := decodeByte(data, &pos)
@@ -144,7 +156,7 @@ func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) err
 				_ = p.netA.ClearGEModel(id)
 				_ = p.netB.ClearGEModel(id)
 			} else {
-				gp := GEParams{
+				gp := fault.GEModel{
 					PGood: float64(b%8) / 100,
 					PBad:  0.10 + float64(decodeByte(data, &pos)%30)/100,
 					P13:   0.05 + float64(decodeByte(data, &pos)%20)/10,

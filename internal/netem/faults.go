@@ -1,10 +1,5 @@
 package netem
 
-import (
-	"fmt"
-	"time"
-)
-
 // SetLinkDown administratively downs (or restores) a node's access
 // links. Down links contribute a zero cap to every flow touching the
 // node, so those flows freeze in place — bytes already accrued stay
@@ -46,33 +41,4 @@ func (n *Network) SetLinkDown(id NodeID, down bool) error {
 //lint:hotpath simpeer asks once per candidate source per pool fill
 func (n *Network) LinkIsDown(id NodeID) bool {
 	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].offline
-}
-
-// LinkStep is one point of a link up/down schedule.
-type LinkStep struct {
-	At   time.Duration
-	Down bool
-}
-
-// ScheduleLink applies link up/down transitions to a node at the given
-// virtual times, mirroring ScheduleBandwidth.
-func (n *Network) ScheduleLink(id NodeID, steps []LinkStep) error {
-	if err := n.checkID(id); err != nil {
-		return err
-	}
-	for i, s := range steps {
-		if s.At < 0 {
-			return fmt.Errorf("netem: link step at negative time %v", s.At)
-		}
-		if i > 0 && s.At <= steps[i-1].At {
-			return fmt.Errorf("netem: link step times must be strictly increasing, got %v after %v",
-				s.At, steps[i-1].At)
-		}
-		step := s
-		n.eng.At(step.At, func() {
-			// Errors are impossible here: id was validated above.
-			_ = n.SetLinkDown(id, step.Down)
-		})
-	}
-	return nil
 }

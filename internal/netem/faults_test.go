@@ -22,18 +22,14 @@ func TestLinkDownFreezesAndRevivesFlow(t *testing.T) {
 	}
 	// Down b's link from t=0.5s to t=1.5s: the 1s transfer pauses with
 	// half its bytes moved and finishes 1s late.
-	if err := n.ScheduleLink(b, []LinkStep{
-		{At: 500 * time.Millisecond, Down: true},
-		{At: 1500 * time.Millisecond, Down: false},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(500*time.Millisecond, func() { _ = n.SetLinkDown(b, true) })
+	eng.At(1500*time.Millisecond, func() { _ = n.SetLinkDown(b, false) })
 	eng.At(time.Second, func() {
 		if !f.LinkDown() {
 			t.Error("flow should report LinkDown mid-outage")
 		}
-		if f.Rate() != 0 {
-			t.Errorf("downed flow has rate %v, want 0", f.Rate())
+		if f.rate != 0 {
+			t.Errorf("downed flow has rate %v, want 0", f.rate)
 		}
 		if rem := f.Remaining(); rem < 45_000 || rem > 55_000 {
 			t.Errorf("remaining %d mid-outage, want ~50000 (progress must freeze, not reset)", rem)
@@ -111,8 +107,5 @@ func TestLinkDownUnknownNode(t *testing.T) {
 	}
 	if n.LinkIsDown(5) {
 		t.Error("LinkIsDown on unknown node must be false")
-	}
-	if err := n.ScheduleLink(0, nil); err == nil {
-		t.Error("ScheduleLink on unknown node must error")
 	}
 }

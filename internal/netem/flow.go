@@ -154,12 +154,6 @@ func (f *Flow) ID() int { return f.id }
 // pure read: unlike Remaining, it does not advance the flow's progress.
 func (f *Flow) Frozen() bool { return f.frozen }
 
-// Src returns the uploading node.
-func (f *Flow) Src() NodeID { return f.src }
-
-// Dst returns the downloading node.
-func (f *Flow) Dst() NodeID { return f.dst }
-
 // Size returns the transfer size in bytes.
 //
 //lint:hotpath simpeer reads relay progress per candidate source
@@ -175,15 +169,6 @@ func (f *Flow) Remaining() int64 {
 	}
 	return int64(math.Ceil(f.remaining))
 }
-
-// Rate returns the current transfer rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Done reports whether the flow completed.
-func (f *Flow) Done() bool { return f.state == flowDone }
-
-// Cancelled reports whether the flow was cancelled.
-func (f *Flow) Cancelled() bool { return f.state == flowCancelled }
 
 // Elapsed returns how long the flow has existed (setup included) up to its
 // completion, cancellation, or the current instant.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"p2psplice/internal/fault"
 	"p2psplice/internal/sim"
 )
 
@@ -16,38 +17,15 @@ import (
 // the state-dependent rate (PGood or PBad), and the chain's transitions
 // advance on the engine clock from the seeded deterministic RNG, so
 // runs are reproducible and the incremental/full differential harness
-// can drive both networks through identical transition sequences.
-
-// GEParams parameterizes a node's Gilbert–Elliott loss model.
-type GEParams struct {
-	// PGood and PBad are the packet-loss rates in the good and bad
-	// states, each in [0, 1) like NodeConfig.LossRate.
-	PGood float64
-	PBad  float64
-	// P13 and P31 are the good->bad and bad->good transition hazards in
-	// events per second (pumba's loss-gemodel naming); sojourn times are
-	// exponential with means 1/P13 (good) and 1/P31 (bad). Both must be
-	// positive.
-	P13 float64
-	P31 float64
-}
-
-// Validate reports whether the model parameters are usable.
-func (p GEParams) Validate() error {
-	if p.PGood < 0 || p.PGood >= 1 || p.PBad < 0 || p.PBad >= 1 {
-		return fmt.Errorf("netem: GE loss rates must be in [0, 1), got pg=%v pb=%v", p.PGood, p.PBad)
-	}
-	if p.P13 <= 0 || p.P31 <= 0 {
-		return fmt.Errorf("netem: GE transition rates must be positive, got p13=%v p31=%v", p.P13, p.P31)
-	}
-	return nil
-}
+// can drive both networks through identical transition sequences. The
+// parameters are a fault.GEModel, the type a KindBurstLoss window
+// carries.
 
 // geState is a node's live Gilbert–Elliott chain. Replacing or clearing
 // the model swaps the whole struct, so a stale transition timer can
 // recognize itself (nd.ge != g) and fall dead.
 type geState struct {
-	params GEParams
+	params fault.GEModel
 	bad    bool
 	timer  *sim.Timer
 }
@@ -56,12 +34,12 @@ type geState struct {
 // node, starting in the good state. The node's baseline LossRate is
 // shadowed until ClearGEModel; flows touching the node have their
 // Mathis caps re-derived immediately and on every state transition.
-func (n *Network) SetGEModel(id NodeID, p GEParams) error {
+func (n *Network) SetGEModel(id NodeID, p fault.GEModel) error {
 	if err := n.checkID(id); err != nil {
 		return err
 	}
 	if err := p.Validate(); err != nil {
-		return err
+		return fmt.Errorf("netem: node %d: %w", id, err)
 	}
 	nd := n.nodes[id]
 	if nd.ge != nil {

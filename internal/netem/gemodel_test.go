@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"p2psplice/internal/fault"
 	"p2psplice/internal/sim"
 )
 
@@ -25,24 +26,26 @@ func geTestNet(t *testing.T, loss float64) (*sim.Engine, *Network, NodeID, NodeI
 	return eng, n, a, b
 }
 
+// TestGEParamsValidate runs each model through SetGEModel, which
+// installs the valid one and refuses the invalid ones (fault.GEModel.Validate).
 func TestGEParamsValidate(t *testing.T) {
-	ok := GEParams{PGood: 0.005, PBad: 0.32, P13: 0.1, P31: 0.6}
-	if err := ok.Validate(); err != nil {
+	_, n, a, _ := geTestNet(t, 0)
+	ok := fault.GEModel{PGood: 0.005, PBad: 0.32, P13: 0.1, P31: 0.6}
+	if err := n.SetGEModel(a, ok); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
-	bad := []GEParams{
+	bad := []fault.GEModel{
 		{PGood: -0.1, PBad: 0.3, P13: 0.1, P31: 0.6},
 		{PGood: 0.01, PBad: 1.0, P13: 0.1, P31: 0.6},
 		{PGood: 0.01, PBad: 0.3, P13: 0, P31: 0.6},
 		{PGood: 0.01, PBad: 0.3, P13: 0.1, P31: -1},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := n.SetGEModel(a, p); err == nil {
 			t.Errorf("case %d: invalid params %+v accepted", i, p)
 		}
 	}
-	_, n, a, _ := geTestNet(t, 0)
-	if err := n.SetGEModel(a, GEParams{}); err == nil {
+	if err := n.SetGEModel(a, fault.GEModel{}); err == nil {
 		t.Error("SetGEModel accepted zero params")
 	}
 	if err := n.SetGEModel(NodeID(99), ok); err == nil {
@@ -88,7 +91,7 @@ func TestGEFlipRefreshesMathisCap(t *testing.T) {
 	if f.state != flowActive {
 		t.Fatalf("flow state %d, want active", f.state)
 	}
-	if err := n.SetGEModel(a, GEParams{PGood: 0, PBad: 0.4, P13: 0.1, P31: 0.5}); err != nil {
+	if err := n.SetGEModel(a, fault.GEModel{PGood: 0, PBad: 0.4, P13: 0.1, P31: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(f.lossCap, 1) {
@@ -132,7 +135,7 @@ func TestGETransitionsAreObservable(t *testing.T) {
 	eng, n, a, _ := geTestNet(t, 0.05)
 	var evs []LossStateEvent
 	n.SetLossStateObserver(func(ev LossStateEvent) { evs = append(evs, ev) })
-	gp := GEParams{PGood: 0.005, PBad: 0.32, P13: 2, P31: 4}
+	gp := fault.GEModel{PGood: 0.005, PBad: 0.32, P13: 2, P31: 4}
 	if err := n.SetGEModel(a, gp); err != nil {
 		t.Fatal(err)
 	}
@@ -170,41 +173,5 @@ func TestGETransitionsAreObservable(t *testing.T) {
 	}
 	if err := n.ClearGEModel(a); err != nil {
 		t.Fatalf("double clear: %v", err)
-	}
-}
-
-// TestScheduleStepValidation is the uniform step-validation bugfix:
-// ScheduleBandwidth and ScheduleLink must reject unsorted or duplicate
-// At times and negative times/rates, not just zero rates.
-func TestScheduleStepValidation(t *testing.T) {
-	_, n, a, _ := geTestNet(t, 0)
-	sec := time.Second
-	bwCases := map[string][]BandwidthStep{
-		"negative time":  {{At: -sec, BytesPerSec: 1000}},
-		"negative rate":  {{At: sec, BytesPerSec: -5}},
-		"zero rate":      {{At: sec, BytesPerSec: 0}},
-		"duplicate time": {{At: sec, BytesPerSec: 1000}, {At: sec, BytesPerSec: 2000}},
-		"unsorted times": {{At: 2 * sec, BytesPerSec: 1000}, {At: sec, BytesPerSec: 2000}},
-	}
-	for name, steps := range bwCases {
-		if err := n.ScheduleBandwidth(a, steps); err == nil {
-			t.Errorf("ScheduleBandwidth accepted %s", name)
-		}
-	}
-	linkCases := map[string][]LinkStep{
-		"negative time":  {{At: -sec, Down: true}},
-		"duplicate time": {{At: sec, Down: true}, {At: sec, Down: false}},
-		"unsorted times": {{At: 2 * sec, Down: true}, {At: sec, Down: false}},
-	}
-	for name, steps := range linkCases {
-		if err := n.ScheduleLink(a, steps); err == nil {
-			t.Errorf("ScheduleLink accepted %s", name)
-		}
-	}
-	if err := n.ScheduleBandwidth(a, []BandwidthStep{{At: sec, BytesPerSec: 1000}, {At: 2 * sec, BytesPerSec: 2000}}); err != nil {
-		t.Errorf("sorted bandwidth steps rejected: %v", err)
-	}
-	if err := n.ScheduleLink(a, []LinkStep{{At: sec, Down: true}, {At: 2 * sec, Down: false}}); err != nil {
-		t.Errorf("sorted link steps rejected: %v", err)
 	}
 }

@@ -49,8 +49,8 @@ func TestSingleFlowSaturatesBottleneck(t *testing.T) {
 	var doneAt time.Duration
 	_, err := n.StartTransfer(a, b, 100_000, TransferOptions{}, func(f *Flow) {
 		doneAt = eng.Now()
-		if !f.Done() {
-			t.Error("flow should report Done in completion callback")
+		if f.state != flowDone {
+			t.Error("flow should be done in its completion callback")
 		}
 	})
 	if err != nil {
@@ -119,16 +119,16 @@ func TestMaxMinRespectsPerFlowCaps(t *testing.T) {
 	}
 	eng.RunUntil(5 * time.Second)
 	capWant := cfg.mathisC * 1460 / (0.1 * math.Sqrt(0.05*cfg.lossEventFactor))
-	if diff := math.Abs(f1.Rate() - capWant); diff > 1 {
-		t.Errorf("lossy flow rate %.0f, want Mathis cap %.0f", f1.Rate(), capWant)
+	if diff := math.Abs(f1.rate - capWant); diff > 1 {
+		t.Errorf("lossy flow rate %.0f, want Mathis cap %.0f", f1.rate, capWant)
 	}
-	if want := 600_000 - capWant; math.Abs(f2.Rate()-want) > 1 {
-		t.Errorf("clean flow rate %.0f, want remainder %.0f", f2.Rate(), want)
+	if want := 600_000 - capWant; math.Abs(f2.rate-want) > 1 {
+		t.Errorf("clean flow rate %.0f, want remainder %.0f", f2.rate, want)
 	}
 	f1.Cancel()
 	eng.RunUntil(6 * time.Second)
-	if math.Abs(f2.Rate()-600_000) > 1 {
-		t.Errorf("after cancel, clean flow rate %.0f, want full 600000", f2.Rate())
+	if math.Abs(f2.rate-600_000) > 1 {
+		t.Errorf("after cancel, clean flow rate %.0f, want full 600000", f2.rate)
 	}
 }
 
@@ -223,15 +223,15 @@ func TestUnboundedCrossTraffic(t *testing.T) {
 	if diff := (doneAt - 2*time.Second).Abs(); diff > 20*time.Millisecond {
 		t.Errorf("flow with cross traffic done at %v, want ~2s", doneAt)
 	}
-	if cross.Done() {
+	if cross.state == flowDone {
 		t.Error("unbounded flow must never complete")
 	}
 	if cross.Remaining() != math.MaxInt64 {
 		t.Error("unbounded flow should report MaxInt64 remaining")
 	}
 	cross.Cancel()
-	if !cross.Cancelled() {
-		t.Error("Cancelled() should be true after Cancel")
+	if cross.state != flowCancelled {
+		t.Error("flow should be cancelled after Cancel")
 	}
 }
 
@@ -250,8 +250,8 @@ func TestCancelDuringSetup(t *testing.T) {
 	if err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if n.ActiveFlows() != 0 {
-		t.Errorf("ActiveFlows = %d, want 0", n.ActiveFlows())
+	if len(n.flows) != 0 {
+		t.Errorf("%d live flows, want 0", len(n.flows))
 	}
 	// Cancel again: no-op, no panic.
 	f.Cancel()
@@ -262,9 +262,14 @@ func TestBandwidthSchedule(t *testing.T) {
 	n := newWith(eng, instantSetup())
 	a := addNode(t, n, 1_000_000, 1_000_000, 0, 0)
 	b := addNode(t, n, 100_000, 100_000, 0, 0)
-	if err := n.ScheduleBandwidth(b, []BandwidthStep{{At: time.Second, BytesPerSec: 50_000}}); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(time.Second, func() {
+		if err := n.SetUplink(b, 50_000); err != nil {
+			t.Error(err)
+		}
+		if err := n.SetDownlink(b, 50_000); err != nil {
+			t.Error(err)
+		}
+	})
 	var doneAt time.Duration
 	if _, err := n.StartTransfer(a, b, 150_000, TransferOptions{}, func(*Flow) { doneAt = eng.Now() }); err != nil {
 		t.Fatal(err)
@@ -314,12 +319,6 @@ func TestValidationErrors(t *testing.T) {
 	if err := n.SetDownlink(a, -1); err == nil {
 		t.Error("negative SetDownlink: want error")
 	}
-	if err := n.ScheduleBandwidth(a, []BandwidthStep{{At: 0, BytesPerSec: 0}}); err == nil {
-		t.Error("zero schedule rate: want error")
-	}
-	if _, err := n.Node(NodeID(99)); err == nil {
-		t.Error("unknown Node: want error")
-	}
 	if _, err := n.RTT(a, NodeID(99)); err == nil {
 		t.Error("unknown RTT node: want error")
 	}
@@ -347,12 +346,11 @@ func TestDelays(t *testing.T) {
 	if rtt != 100*time.Millisecond {
 		t.Errorf("peer RTT = %v, want 100ms", rtt)
 	}
-	if n.NodeCount() != 2 {
-		t.Errorf("NodeCount = %d, want 2", n.NodeCount())
+	if len(n.nodes) != 2 {
+		t.Errorf("%d nodes, want 2", len(n.nodes))
 	}
-	nc, err := n.Node(seeder)
-	if err != nil || nc.AccessDelay != 475*time.Millisecond {
-		t.Errorf("Node(seeder) = %+v, %v", nc, err)
+	if nc := n.nodes[seeder].cfg; nc.AccessDelay != 475*time.Millisecond {
+		t.Errorf("seeder config = %+v", nc)
 	}
 }
 
@@ -406,7 +404,7 @@ func TestConservationUnderLoad(t *testing.T) {
 	eng.RunUntil(time.Second)
 	var sum float64
 	for _, f := range flows {
-		sum += f.Rate()
+		sum += f.rate
 	}
 	if sum > 300_000*(1+1e-6) {
 		t.Errorf("aggregate rate %.0f exceeds downlink capacity 300000", sum)
@@ -437,7 +435,7 @@ func TestConcurrencyPenaltyDeratesLink(t *testing.T) {
 	eng.RunUntil(time.Second)
 	var sum float64
 	for _, f := range flows {
-		sum += f.Rate()
+		sum += f.rate
 	}
 	want := 400_000 / (1 + 0.1*1)
 	if math.Abs(sum-want) > 1 {
@@ -448,8 +446,8 @@ func TestConcurrencyPenaltyDeratesLink(t *testing.T) {
 		f.Cancel()
 	}
 	eng.RunUntil(2 * time.Second)
-	if math.Abs(flows[0].Rate()-400_000) > 1 {
-		t.Errorf("single flow = %.0f, want full 400000", flows[0].Rate())
+	if math.Abs(flows[0].rate-400_000) > 1 {
+		t.Errorf("single flow = %.0f, want full 400000", flows[0].rate)
 	}
 }
 
@@ -462,7 +460,7 @@ func TestFlowAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Src() != a || f.Dst() != b || f.Size() != 100_000 {
+	if f.src != a || f.dst != b || f.Size() != 100_000 {
 		t.Error("accessors wrong")
 	}
 	eng.RunUntil(500 * time.Millisecond)
@@ -473,24 +471,24 @@ func TestFlowAccessors(t *testing.T) {
 	if rem <= 0 || rem >= 100_000 {
 		t.Errorf("Remaining = %d mid-transfer", rem)
 	}
-	if n.ActiveFlows() != 1 {
-		t.Errorf("ActiveFlows = %d, want 1", n.ActiveFlows())
+	if len(n.flows) != 1 {
+		t.Errorf("%d live flows, want 1", len(n.flows))
 	}
 	eng.RunUntil(5 * time.Second)
-	if !f.Done() || f.Remaining() != 0 {
+	if f.state != flowDone || f.Remaining() != 0 {
 		t.Error("flow should be done with zero remaining")
 	}
 	if got := f.Elapsed(); got != time.Second {
 		t.Errorf("final Elapsed = %v, want 1s", got)
 	}
-	if n.ActiveFlows() != 0 {
-		t.Errorf("ActiveFlows after completion = %d, want 0", n.ActiveFlows())
+	if len(n.flows) != 0 {
+		t.Errorf("%d live flows after completion, want 0", len(n.flows))
 	}
 }
 
-// ActiveFlows counts flows from StartTransfer until they complete or are
-// cancelled, in setup or active, and a completing flow is already gone
-// when its own callback runs.
+// The live flow list holds a flow from StartTransfer until it completes
+// or is cancelled, in setup or active, and a completing flow is already
+// gone when its own callback runs.
 func TestActiveFlowsCounts(t *testing.T) {
 	eng := sim.New(1)
 	n := New(eng)
@@ -499,8 +497,8 @@ func TestActiveFlowsCounts(t *testing.T) {
 	c := addNode(t, n, 100_000, 100_000, 25*time.Millisecond, 0)
 	want := func(k int, when string) {
 		t.Helper()
-		if got := n.ActiveFlows(); got != k {
-			t.Errorf("ActiveFlows %s = %d, want %d", when, got, k)
+		if got := len(n.flows); got != k {
+			t.Errorf("live flows %s = %d, want %d", when, got, k)
 		}
 	}
 	start := func(src, dst NodeID, onComplete func(*Flow)) *Flow {
@@ -519,7 +517,7 @@ func TestActiveFlowsCounts(t *testing.T) {
 	inSetup.Cancel()
 	want(2, "after cancelling a flow in setup")
 	eng.RunUntil(time.Second)
-	if active.Rate() <= 0 {
+	if active.rate <= 0 {
 		t.Fatal("flow should be moving bytes after 1s")
 	}
 	active.Cancel()

@@ -208,17 +208,6 @@ func (n *Network) AddNode(nc NodeConfig) (NodeID, error) {
 	return id, nil
 }
 
-// NodeCount returns the number of registered nodes.
-func (n *Network) NodeCount() int { return len(n.nodes) }
-
-// Node returns the configuration of id.
-func (n *Network) Node(id NodeID) (NodeConfig, error) {
-	if err := n.checkID(id); err != nil {
-		return NodeConfig{}, err
-	}
-	return n.nodes[id].cfg, nil
-}
-
 func (n *Network) checkID(id NodeID) error {
 	if id < 0 || int(id) >= len(n.nodes) {
 		return fmt.Errorf("netem: unknown node %d", id)
@@ -278,41 +267,3 @@ func (n *Network) SetDownlink(id NodeID, bytesPerSec int64) error {
 	n.reallocateOn(n.nodes[id].down, nil)
 	return nil
 }
-
-// ScheduleBandwidth applies symmetric up/down capacity changes to a node at
-// the given virtual times. It supports the variable-bandwidth experiments.
-func (n *Network) ScheduleBandwidth(id NodeID, steps []BandwidthStep) error {
-	if err := n.checkID(id); err != nil {
-		return err
-	}
-	for i, s := range steps {
-		if s.At < 0 {
-			return fmt.Errorf("netem: bandwidth step at negative time %v", s.At)
-		}
-		if i > 0 && s.At <= steps[i-1].At {
-			return fmt.Errorf("netem: bandwidth step times must be strictly increasing, got %v after %v",
-				s.At, steps[i-1].At)
-		}
-		if s.BytesPerSec <= 0 {
-			return fmt.Errorf("netem: bandwidth step rate must be positive, got %d", s.BytesPerSec)
-		}
-		step := s
-		n.eng.At(step.At, func() {
-			// Errors are impossible here: id and rate were validated above.
-			_ = n.SetUplink(id, step.BytesPerSec)
-			_ = n.SetDownlink(id, step.BytesPerSec)
-		})
-	}
-	return nil
-}
-
-// BandwidthStep is one point of a bandwidth schedule.
-type BandwidthStep struct {
-	At          time.Duration
-	BytesPerSec int64
-}
-
-// ActiveFlows returns the number of in-progress transfers (including those
-// still in connection setup): completion and cancellation both detach a
-// flow from the live list before they return.
-func (n *Network) ActiveFlows() int { return len(n.flows) }

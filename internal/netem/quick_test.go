@@ -56,13 +56,13 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		upCount := make(map[NodeID]int)
 		downCount := make(map[NodeID]int)
 		for _, fl := range flows {
-			if fl.Done() || fl.Cancelled() || fl.state != flowActive {
+			if fl.state != flowActive {
 				continue
 			}
-			upLoad[fl.Src()] += fl.Rate()
-			downLoad[fl.Dst()] += fl.Rate()
-			upCount[fl.Src()]++
-			downCount[fl.Dst()]++
+			upLoad[fl.src] += fl.rate
+			downLoad[fl.dst] += fl.rate
+			upCount[fl.src]++
+			downCount[fl.dst]++
 		}
 		defCfg := defaultModel
 		eff := func(capacity int64, count int) float64 {
@@ -73,14 +73,14 @@ func TestQuickAllocationInvariants(t *testing.T) {
 			return float64(capacity) / (1 + defCfg.concurrencyPenalty*float64(excess))
 		}
 		for id, load := range upLoad {
-			nc, _ := n.Node(id)
+			nc := n.nodes[id].cfg
 			if load > eff(nc.UplinkBytesPerSec, upCount[id])*(1+1e-6)+allocEpsilon {
 				t.Logf("uplink %d overloaded: %.0f > %d", id, load, nc.UplinkBytesPerSec)
 				return false
 			}
 		}
 		for id, load := range downLoad {
-			nc, _ := n.Node(id)
+			nc := n.nodes[id].cfg
 			if load > eff(nc.DownlinkBytesPerSec, downCount[id])*(1+1e-6)+allocEpsilon {
 				t.Logf("downlink %d overloaded: %.0f > %d", id, load, nc.DownlinkBytesPerSec)
 				return false
@@ -88,21 +88,20 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		}
 		// (2) per-flow caps and (3) Pareto efficiency
 		for _, fl := range flows {
-			if fl.Done() || fl.Cancelled() || fl.state != flowActive {
+			if fl.state != flowActive {
 				continue
 			}
-			if fl.Rate() > fl.capLimit()*(1+1e-6) {
-				t.Logf("flow exceeds cap: %.0f > %.0f", fl.Rate(), fl.capLimit())
+			if fl.rate > fl.capLimit()*(1+1e-6) {
+				t.Logf("flow exceeds cap: %.0f > %.0f", fl.rate, fl.capLimit())
 				return false
 			}
-			capped := math.Abs(fl.Rate()-fl.capLimit()) <= fl.capLimit()*1e-6+allocEpsilon
-			srcCfg, _ := n.Node(fl.Src())
-			dstCfg, _ := n.Node(fl.Dst())
-			upSat := upLoad[fl.Src()] >= eff(srcCfg.UplinkBytesPerSec, upCount[fl.Src()])*(1-1e-6)-allocEpsilon
-			downSat := downLoad[fl.Dst()] >= eff(dstCfg.DownlinkBytesPerSec, downCount[fl.Dst()])*(1-1e-6)-allocEpsilon
+			capped := math.Abs(fl.rate-fl.capLimit()) <= fl.capLimit()*1e-6+allocEpsilon
+			srcCfg, dstCfg := n.nodes[fl.src].cfg, n.nodes[fl.dst].cfg
+			upSat := upLoad[fl.src] >= eff(srcCfg.UplinkBytesPerSec, upCount[fl.src])*(1-1e-6)-allocEpsilon
+			downSat := downLoad[fl.dst] >= eff(dstCfg.DownlinkBytesPerSec, downCount[fl.dst])*(1-1e-6)-allocEpsilon
 			if !capped && !upSat && !downSat {
 				t.Logf("flow %d->%d rate %.0f is neither capped (%.0f) nor on a saturated link",
-					fl.Src(), fl.Dst(), fl.Rate(), fl.capLimit())
+					fl.src, fl.dst, fl.rate, fl.capLimit())
 				return false
 			}
 		}

@@ -38,8 +38,13 @@ type conn struct {
 	choked bool // guarded by node.mu
 }
 
+// maxConns bounds a node's live connections. startConn checks it under
+// n.mu, so concurrent handshakes cannot overshoot it.
+const maxConns = 64
+
 // startConn registers the connection, exchanges bitfields, and runs the
-// reader until the connection dies.
+// reader until the connection dies. Past maxConns it refuses the
+// connection and closes it.
 func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 	c := &conn{
 		node: n,
@@ -58,6 +63,11 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 		n.mu.Unlock()
 		raw.Close()
 		return nil // already connected (simultaneous dial) or self
+	}
+	if len(n.conns) >= maxConns {
+		n.mu.Unlock()
+		raw.Close()
+		return fmt.Errorf("peer: at the %d-connection limit", maxConns)
 	}
 	n.conns[id] = c
 	c.src.Owner, c.src.ID = c, n.connSeq

@@ -396,3 +396,64 @@ func TestSwarmCompletesUnderTightUploadSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestInboundConnectionCap floods a seeder with 80 concurrent inbound
+// handshakes, each under a distinct peer ID: the node keeps at most
+// maxConns of them and closes the rest.
+func TestInboundConnectionCap(t *testing.T) {
+	m, blobs := testSwarmData(t, 4*time.Second, 2*time.Second)
+	trk := newTracker(t)
+	seeder, err := Seed(trk, m, blobs, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seeder.Close()
+
+	const dials = 80
+	var wg sync.WaitGroup
+	conns := make([]net.Conn, dials)
+	admitted := make([]bool, dials)
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := net.DialTimeout("tcp", seeder.Addr(), 5*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conns[i] = c
+			var id wire.PeerID
+			id[0], id[1] = 'F', byte(i)
+			_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: seeder.InfoHash(), PeerID: id}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := wire.ReadHandshake(c); err != nil {
+				t.Error(err)
+				return
+			}
+			// An admitted connection is registered before its bitfield is
+			// sent; a refused one is closed instead.
+			admitted[i] = wire.NewReader(c).ReadInto(&wire.Message{}) == nil
+		}(i)
+	}
+	wg.Wait()
+	defer func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	n := 0
+	for _, ok := range admitted {
+		if ok {
+			n++
+		}
+	}
+	if got := seeder.Stats().Connections; got > maxConns || got != n {
+		t.Errorf("%d concurrent dials left %d connections (%d admitted), want at most %d", dials, got, n, maxConns)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2psplice/internal/fault"
-	"p2psplice/internal/netem"
 	"p2psplice/internal/trace"
 )
 
@@ -127,9 +126,10 @@ func (s *swarm) setLink(p *peerState, down bool) {
 	}
 }
 
-// setLinkRate degrades or restores a peer's symmetric access rate
-// without downing the link (mirrors BandwidthSchedule semantics: the
-// oracle policy input keeps the configured rate).
+// setLinkRate steps a peer's symmetric access rate without downing the
+// link: a KindLinkRate step, the only way a run's bandwidth changes over
+// time. It sets the uplink, then the downlink (two reallocation passes),
+// and the oracle policy input keeps the configured rate.
 func (s *swarm) setLinkRate(p *peerState, bytesPerSec int64) {
 	// Errors are impossible: the plan validated rate > 0 and the node
 	// IDs come from setup.
@@ -149,9 +149,7 @@ func (s *swarm) setBurstLoss(p *peerState, m *fault.GEModel) {
 	if m != nil {
 		// Errors are impossible: the plan validated the parameters and
 		// node IDs come from setup.
-		_ = s.net.SetGEModel(p.node, netem.GEParams{
-			PGood: m.PGood, PBad: m.PBad, P13: m.P13, P31: m.P31,
-		})
+		_ = s.net.SetGEModel(p.node, *m)
 		s.emit(p.id, -1, trace.CatFault, trace.EvBurstLoss,
 			trace.Float64("p_good", m.PGood),
 			trace.Float64("p_bad", m.PBad),

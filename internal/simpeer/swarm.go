@@ -142,9 +142,6 @@ type SwarmConfig struct {
 	// CrossTraffic adds this many unbounded background flows between
 	// dedicated traffic nodes and random leechers (congestion ablation).
 	CrossTraffic int
-	// BandwidthSchedule optionally varies every leecher's access bandwidth
-	// over time (the paper's variable-bandwidth future work).
-	BandwidthSchedule []netem.BandwidthStep
 	// Tracer receives structured events: flow lifecycles, pool-fill
 	// decisions with their live Equation-1 inputs, source picks, and
 	// playback transitions with attributed stall causes. Tracing is inert:
@@ -168,6 +165,8 @@ type SwarmConfig struct {
 	Series *trace.TimeSeries
 }
 
+// validate checks what only simpeer reads; netem.NodeConfig.Validate
+// checks the link parameters when setup adds each node.
 func (c SwarmConfig) validate() error {
 	if c.Leechers < 1 {
 		return fmt.Errorf("simpeer: need at least 1 leecher, got %d", c.Leechers)
@@ -177,20 +176,6 @@ func (c SwarmConfig) validate() error {
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("simpeer: nil policy")
-	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
-		return fmt.Errorf("simpeer: loss rate %v outside [0, 1)", c.LossRate)
-	}
-	if c.PeerAccessDelay < 0 || c.SeederAccessDelay < 0 {
-		return fmt.Errorf("simpeer: negative access delay")
-	}
-	if c.CDN != nil {
-		if c.CDN.BandwidthBytesPerSec <= 0 {
-			return fmt.Errorf("simpeer: CDN bandwidth must be positive, got %d", c.CDN.BandwidthBytesPerSec)
-		}
-		if c.CDN.AccessDelay < 0 {
-			return fmt.Errorf("simpeer: negative CDN access delay")
-		}
 	}
 	return nil
 }
@@ -468,12 +453,6 @@ func (s *swarm) setup() error {
 			join = time.Duration(s.eng.RNG().Int63n(int64(s.cfg.JoinSpread)))
 		}
 		s.eng.At(join, func() { s.join(p) })
-
-		if len(s.cfg.BandwidthSchedule) > 0 {
-			if err := s.net.ScheduleBandwidth(node, s.cfg.BandwidthSchedule); err != nil {
-				return err
-			}
-		}
 	}
 
 	// Cross traffic: unbounded flows from dedicated nodes into leechers.

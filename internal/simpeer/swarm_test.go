@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"p2psplice/internal/core"
+	"p2psplice/internal/fault"
 	"p2psplice/internal/media"
-	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
 	"p2psplice/internal/splicer"
 )
@@ -226,12 +226,18 @@ func TestCrossTrafficSlowsPlayback(t *testing.T) {
 	}
 }
 
+// TestVariableBandwidthSchedule drops every leecher from 512 to 128 kB/s
+// for [10s, 30s) with KindLinkRate steps: every peer still finishes, and
+// the dip is felt, so the run is strictly worse than without it.
 func TestVariableBandwidthSchedule(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, time.Minute, 9)
 	cfg := baseConfig(512 * 1024)
-	cfg.BandwidthSchedule = []netem.BandwidthStep{
-		{At: 20 * time.Second, BytesPerSec: 128 * 1024},
-		{At: 40 * time.Second, BytesPerSec: 512 * 1024},
+	clean, err := RunSwarm(cfg, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node := 1; node <= cfg.Leechers; node++ {
+		cfg.Faults = fault.Merge(cfg.Faults, fault.RateDip(node, 10*time.Second, 20*time.Second, 128*1024, 512*1024))
 	}
 	res, err := RunSwarm(cfg, segs)
 	if err != nil {
@@ -241,6 +247,12 @@ func TestVariableBandwidthSchedule(t *testing.T) {
 		if !s.Finished {
 			t.Errorf("peer %d did not finish under variable bandwidth", s.Peer)
 		}
+	}
+	cost := func(r *Result) float64 {
+		return r.Summary().MeanStartupSeconds + r.Summary().MeanStallSeconds
+	}
+	if cost(res) <= cost(clean) {
+		t.Errorf("the dip went unfelt: startup+stall %.3f s with it, %.3f s without", cost(res), cost(clean))
 	}
 }
 

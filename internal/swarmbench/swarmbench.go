@@ -298,11 +298,9 @@ func runShard(cfg Config, shard int, ts *trace.TimeSeries) (shardResult, error) 
 		if rng.Intn(200) != 0 {
 			continue
 		}
-		at := time.Duration(1+rng.Intn(30)) * time.Second
-		_ = net.ScheduleLink(ids[i], []netem.LinkStep{
-			{At: at, Down: true},
-			{At: at + 2*time.Second, Down: false},
-		})
+		id, at := ids[i], time.Duration(1+rng.Intn(30))*time.Second
+		eng.At(at, func() { _ = net.SetLinkDown(id, true) })
+		eng.At(at+2*time.Second, func() { _ = net.SetLinkDown(id, false) })
 	}
 
 	// Partition into clusters and queue every leecher's fetches in a
