@@ -134,6 +134,7 @@ FUZZ_TARGETS = \
 	FuzzReadManifest:./internal/container \
 	FuzzPlan:./internal/fault \
 	FuzzReallocate:./internal/netem \
+	FuzzQueue:./internal/sim \
 	FuzzPromRoundTrip:./internal/trace
 
 fuzz-smoke:

@@ -137,10 +137,12 @@ func TestZeroAllocReallocateFull(t *testing.T) {
 	}
 }
 
-// TestRateChangeAllocatesOneTimer pins what a rate change costs a live
-// flow: the completion Timer the engine hands back, and no closure for its
-// callback — completeFn is bound once, at StartTransfer.
-func TestRateChangeAllocatesOneTimer(t *testing.T) {
+// TestRateChangeReArmsCompletion pins what a rate change costs a live
+// flow: nothing. applyRates re-arms the flow's one completion Timer in
+// place — no new Timer, no stale queue entry, no closure (completeFn is
+// bound once, at StartTransfer) — and the flow completes when its last
+// rate says, not when an earlier one did.
+func TestRateChangeReArmsCompletion(t *testing.T) {
 	eng := sim.New(1)
 	n := New(eng)
 	for i := 0; i < 2; i++ {
@@ -148,24 +150,36 @@ func TestRateChangeAllocatesOneTimer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := n.StartTransfer(0, 1, 1<<40, TransferOptions{}, nil)
+	var doneAt time.Duration
+	f, err := n.StartTransfer(0, 1, 1<<30, TransferOptions{}, func(*Flow) { doneAt = eng.Now() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(60 * time.Second)
+	timer, pending := f.completion, eng.Pending()
 	rate := int64(1 << 19)
 	allocs := testing.AllocsPerRun(100, func() {
 		rate ^= 1 << 18 // 768 KiB/s, 512 KiB/s, ...: the downlink is the bottleneck either way
-		before := f.completion
+		eta := f.anchorAt + seconds(f.anchorRemaining/f.rate)
 		if err := n.SetDownlink(1, rate); err != nil {
 			t.Fatal(err)
 		}
-		if f.completion == before {
-			t.Fatal("the capacity change did not reschedule the flow's completion")
+		if f.completion != timer || eng.Pending() != pending {
+			t.Fatal("the capacity change replaced the flow's completion timer or left a stale entry")
+		}
+		if f.anchorAt+seconds(f.anchorRemaining/f.rate) == eta {
+			t.Fatal("the capacity change did not move the flow's completion")
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("a rate change on a live flow allocated %.1f times, want 1 (the Timer)", allocs)
+	if allocs != 0 {
+		t.Errorf("a rate change on a live flow allocated %.1f times, want 0", allocs)
+	}
+	want := f.anchorAt + seconds(f.anchorRemaining/f.rate)
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if doneAt != want {
+		t.Errorf("flow completed at %v, want %v (its last rate's ETA)", doneAt, want)
 	}
 }
 

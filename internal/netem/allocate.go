@@ -366,11 +366,12 @@ func (n *Network) fixFlow(f *Flow, rate float64) {
 	f.ldown.unfixed--
 }
 
-// applyRates installs the computed rates and reschedules completion
-// events. Flows whose rate is unchanged (within epsilon) keep their
-// existing completion timer, so clean refills consume no engine sequence
-// numbers — the property that lets the full oracle and the incremental
-// path stay on identical trajectories.
+// applyRates installs the computed rates and re-arms completion events.
+// Flows whose rate is unchanged (within epsilon) keep their existing
+// completion timer, so clean refills consume no engine sequence numbers —
+// the property that lets the full oracle and the incremental path stay on
+// identical trajectories. A flow schedules its completion Timer once and
+// re-arms that same handle ever after.
 func (n *Network) applyRates(flows []*Flow) {
 	for _, f := range flows {
 		rate := 0.0
@@ -383,17 +384,29 @@ func (n *Network) applyRates(flows []*Flow) {
 		f.rate = rate
 		f.anchorAt = n.eng.Now()
 		f.anchorRemaining = f.remaining
-		f.completion.Cancel()
-		f.completion = nil
-		if math.IsInf(f.remaining, 1) {
-			continue // unbounded cross-traffic never completes
+		// Unbounded cross-traffic never completes; a starved flow waits
+		// for a later reallocation to revive it.
+		if math.IsInf(f.remaining, 1) || rate <= allocEpsilon {
+			f.completion.Cancel()
+			continue
 		}
-		if rate <= allocEpsilon {
-			continue // starved; a later reallocation will revive it
+		delay := seconds(f.remaining / rate)
+		if f.completion == nil {
+			f.completion = n.eng.Schedule(delay, f.completeFn)
+		} else {
+			n.eng.Reschedule(f.completion, delay)
 		}
-		delay := time.Duration(f.remaining / rate * float64(time.Second))
-		f.completion = n.eng.Schedule(delay, f.completeFn)
 	}
+}
+
+// seconds converts s seconds to a Duration, saturating past the largest
+// one instead of wrapping: a huge transfer over a slow link completes
+// at the end of virtual time, not in the past.
+func seconds(s float64) time.Duration {
+	if ns := s * float64(time.Second); ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
 }
 
 // orderLinks puts ls in creation order (node ID, uplink before downlink)

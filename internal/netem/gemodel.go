@@ -89,7 +89,7 @@ func (n *Network) scheduleGETransition(nd *node, g *geState) {
 	if g.bad {
 		hazard = g.params.P31
 	}
-	d := time.Duration(n.eng.RNG().ExpFloat64() / hazard * float64(time.Second))
+	d := seconds(n.eng.RNG().ExpFloat64() / hazard)
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}

@@ -129,6 +129,23 @@ func TestGEFlipRefreshesMathisCap(t *testing.T) {
 	}
 }
 
+// A sojourn longer than virtual time can hold saturates instead of
+// wrapping negative and being clamped to the 1 ms floor: with hazards of
+// one flip per ~30 million years the chain stays put.
+func TestGESojournSaturates(t *testing.T) {
+	eng, n, a, _ := geTestNet(t, 0)
+	flips := 0
+	n.SetLossStateObserver(func(LossStateEvent) { flips++ })
+	if err := n.SetGEModel(a, fault.GEModel{PGood: 0, PBad: 0.5, P13: 1e-15, P31: 1e-15}); err != nil {
+		t.Fatal(err)
+	}
+	flips = 0 // installing the model reports its initial state
+	eng.RunUntil(time.Second)
+	if flips != 0 || n.LossStateBad(a) {
+		t.Fatalf("chain flipped %d times in 1s (bad=%v), want none", flips, n.LossStateBad(a))
+	}
+}
+
 // TestGETransitionsAreObservable drives the chain from the seeded RNG
 // and checks the pure observer sees both states with the right rates.
 func TestGETransitionsAreObservable(t *testing.T) {

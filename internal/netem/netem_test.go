@@ -283,6 +283,24 @@ func TestBandwidthSchedule(t *testing.T) {
 	}
 }
 
+// A transfer whose ETA lies past the end of virtual time must not wrap
+// into the past: 1 TiB over a 1 B/s downlink is still in flight an hour
+// in.
+func TestHugeTransferDoesNotWrap(t *testing.T) {
+	eng := sim.New(1)
+	n := New(eng)
+	a := addNode(t, n, 1<<20, 1<<20, 10*time.Millisecond, 0)
+	b := addNode(t, n, 1<<20, 1, 10*time.Millisecond, 0)
+	var doneAt time.Duration
+	if _, err := n.StartTransfer(a, b, 1<<40, TransferOptions{}, func(*Flow) { doneAt = eng.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(time.Hour)
+	if doneAt != 0 {
+		t.Fatalf("1 TiB at 1 B/s completed at %v", doneAt)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	eng := sim.New(1)
 	n := New(eng)

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -15,10 +16,18 @@ import (
 // what makes runs deterministic.
 type Engine struct {
 	now    time.Duration
-	events []*Timer // binary min-heap on (at, seq)
+	events []entry // 4-ary min-heap on (at, seq) of the queued timers
 	seq    uint64
 	rng    *rand.Rand
 	onFire func(at time.Duration)
+}
+
+// entry is one queued event. Its key sits inline, so ordering the heap
+// never dereferences a Timer.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	t   *Timer
 }
 
 // New returns an engine whose RNG is seeded with seed. The virtual clock
@@ -44,44 +53,37 @@ func (e *Engine) RNG() *rand.Rand { return e.rng }
 func (e *Engine) SetFireObserver(fn func(at time.Duration)) { e.onFire = fn }
 
 // Pending returns the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Timer is a scheduled event and the caller's handle to it.
 type Timer struct {
-	at        time.Duration
-	seq       uint64
+	eng       *Engine
 	fn        func()
+	idx       int // slot in eng.events; -1 when not queued
 	cancelled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op. A nil timer is safe to cancel. A
-// cancelled event stays queued and is dropped when it reaches the front.
+// Cancel prevents the event from firing and takes it off the queue.
+// Cancelling an already-fired or already-cancelled timer is a no-op. A nil
+// timer is safe to cancel.
 func (t *Timer) Cancel() {
 	if t != nil {
 		t.cancelled = true
+		if t.idx >= 0 {
+			t.eng.remove(t.idx)
+		}
 	}
 }
 
-// Cancelled reports whether the timer was cancelled before firing.
+// Cancelled reports whether Cancel was called since the timer was last
+// scheduled.
 func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (fires at the current instant, after already-queued events for
-// that instant).
+// that instant); a delay past the end of virtual time fires at its end.
 func (e *Engine) Schedule(delay time.Duration, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
+	return e.At(e.after(delay), fn)
 }
 
 // At runs fn at absolute virtual time t. Times in the past fire at the
@@ -90,13 +92,36 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	if t < e.now {
-		t = e.now
-	}
-	tm := &Timer{at: t, seq: e.seq, fn: fn}
+	tm := &Timer{eng: e, fn: fn}
+	e.push(entry{at: max(t, e.now), seq: e.seq, t: tm})
 	e.seq++
-	e.push(tm)
 	return tm
+}
+
+// Reschedule moves t to fire after delay, or queues it again if it has
+// fired or was cancelled, taking the seq a Cancel and Schedule would take.
+// t must have come from this engine.
+//
+//lint:hotpath re-arms a flow's completion on every rate change
+func (e *Engine) Reschedule(t *Timer, delay time.Duration) {
+	t.cancelled = false
+	x := entry{at: e.after(delay), seq: e.seq, t: t}
+	e.seq++
+	if t.idx < 0 {
+		e.push(x)
+	} else {
+		e.sift(t.idx, x)
+	}
+}
+
+// after is the instant delay from now, clamped to [now, end of time].
+//
+//lint:hotpath computed on every schedule
+func (e *Engine) after(delay time.Duration) time.Duration {
+	if delay > math.MaxInt64-e.now {
+		return math.MaxInt64
+	}
+	return e.now + max(delay, 0)
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
@@ -104,19 +129,17 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 //
 //lint:hotpath the simulator's inner loop; the benchmarks assert 0 allocs/op
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.pop()
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		if e.onFire != nil {
-			e.onFire(ev.at)
-		}
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	ev := e.events[0]
+	e.remove(0)
+	e.now = ev.at
+	ev.t.fn()
+	if e.onFire != nil {
+		e.onFire(ev.at)
+	}
+	return true
 }
 
 // Run fires events until the queue is empty or the event budget is
@@ -134,14 +157,8 @@ func (e *Engine) Run(maxEvents int) error {
 // RunUntil fires events with virtual time <= deadline, then sets the clock
 // to deadline. Events scheduled beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.events) > 0 {
-		if ev := e.events[0]; ev.cancelled {
-			e.pop()
-		} else if ev.at > deadline {
-			break
-		} else {
-			e.Step()
-		}
+	for len(e.events) > 0 && e.events[0].at <= deadline {
+		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -152,59 +169,63 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 // events fire FIFO. Sequence numbers are unique, so the order is total and
 // the pop order does not depend on how the heap happens to be laid out.
 //
-//lint:hotpath compared on every schedule/fire
-func (t *Timer) before(u *Timer) bool {
-	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
+//lint:hotpath compared on every heap move
+func (x *entry) before(y *entry) bool {
+	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
 }
 
-// push queues t. It sifts a hole up from the new leaf and writes t once,
-// instead of swapping at every level.
+// push queues x at a new leaf.
 //
 //lint:hotpath heap op on every schedule
-func (e *Engine) push(t *Timer) {
+func (e *Engine) push(x entry) {
 	//lint:ignore allocfree amortized: the heap's backing array grows to the pending-event high-water mark once
-	e.events = append(e.events, t)
-	h := e.events
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = t
+	e.events = append(e.events, entry{})
+	e.sift(len(e.events)-1, x)
 }
 
-// pop removes and returns the earliest queued event; the queue must not
-// be empty. The last leaf sifts down from the root through a moving hole.
+// remove takes the entry in slot i off the queue; the last leaf fills
+// the slot.
 //
-//lint:hotpath heap op on every fire
-func (e *Engine) pop() *Timer {
+//lint:hotpath heap op on every fire and cancel
+func (e *Engine) remove(i int) {
 	h := e.events
-	top, n := h[0], len(h)-1
-	t := h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
+	h[i].t.idx = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	e.events = h[:n]
+	if i < n {
+		e.sift(i, last)
+	}
+}
+
+// sift writes x into slot i after moving a hole up past every ancestor x
+// precedes, or else down past every earliest child that precedes x,
+// instead of swapping at every level.
+//
+//lint:hotpath heap op on every schedule, fire and cancel
+func (e *Engine) sift(i int, x entry) {
+	h := e.events
+	for i > 0 && x.before(&h[(i-1)/4]) {
+		p := (i - 1) / 4
+		h[i] = h[p]
+		h[i].t.idx = i
+		i = p
+	}
+	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < min(c+4, len(h)); j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
 			break
 		}
-		if c+1 < n && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(t) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+		h[i] = h[m]
+		h[i].t.idx = i
+		i = m
 	}
-	if n > 0 {
-		h[i] = t
-	}
-	return top
+	h[i] = x
+	x.t.idx = i
 }

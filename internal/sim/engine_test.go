@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+func nop() {}
 
 func TestScheduleOrdering(t *testing.T) {
 	e := New(1)
@@ -67,6 +71,9 @@ func TestCancel(t *testing.T) {
 	fired := false
 	tm := e.Schedule(time.Second, func() { fired = true })
 	tm.Cancel()
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after Cancel, want 0", e.Pending())
+	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +106,57 @@ func TestNegativeDelayAndPastTime(t *testing.T) {
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A delay past the end of virtual time fires at its end, not (wrapped
+// negative and clamped) now.
+func TestScheduleSaturates(t *testing.T) {
+	e := New(1)
+	var order []string
+	e.Schedule(time.Second, func() {
+		e.Schedule(math.MaxInt64, func() { order = append(order, "never") })
+		e.Schedule(time.Hour, func() { order = append(order, "hour") })
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "hour" {
+		t.Fatalf("fire order %v, want [hour never]", order)
+	}
+	if e.Now() != math.MaxInt64 {
+		t.Errorf("far-future event fired at %v, want the end of virtual time", e.Now())
+	}
+}
+
+// Reschedule moves a queued timer and re-queues a fired or cancelled one,
+// each time taking a fresh seq: it fires after events already queued for
+// its new instant, and no event fires twice.
+func TestReschedule(t *testing.T) {
+	e := New(1)
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	a := e.Schedule(time.Second, note("a"))
+	e.Schedule(2*time.Second, note("b"))
+	e.Reschedule(a, 2*time.Second) // queued: moves behind b
+	c := e.Schedule(3*time.Second, note("c"))
+	c.Cancel()
+	e.Reschedule(c, time.Second) // cancelled: queued again
+	if c.Cancelled() {
+		t.Error("a re-armed timer still reports Cancelled")
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("Pending() = %d, want 3", e.Pending())
+	}
+	e.RunUntil(5 * time.Second)
+	e.Reschedule(c, 0) // fired: queued again
+	e.Reschedule(a, 0)
+	a.Cancel()
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[c b a c]" {
+		t.Errorf("fire order %s, want [c b a c]", got)
 	}
 }
 
@@ -242,10 +300,12 @@ func TestFireObserverCountsFires(t *testing.T) {
 // queueModel is the reference the event queue is checked against: the
 // live (scheduled, neither fired nor cancelled) events in a plain slice,
 // fired by sorting on (at, seq). It mirrors every engine call, including
-// the children some handlers schedule while they fire.
+// the children some handlers schedule while they fire. An event keeps its
+// id across re-arms; each (re)queue takes a fresh seq.
 type queueModel struct {
 	now   time.Duration
 	seq   int
+	ids   int
 	live  []modelEvent
 	fired []int
 	child map[int]time.Duration // event id -> delay of the event its handler schedules
@@ -256,14 +316,27 @@ type modelEvent struct {
 	seq, id int
 }
 
-func (m *queueModel) add(at time.Duration) (id int) {
-	if at < m.now {
-		at = m.now
+// after is the instant delay from now, clamped to [now, end of time].
+func (m *queueModel) after(d time.Duration) time.Duration {
+	if d <= 0 {
+		return m.now
 	}
-	id = m.seq
-	m.live = append(m.live, modelEvent{at: at, seq: m.seq, id: id})
-	m.seq++
+	if d > math.MaxInt64-m.now {
+		return math.MaxInt64
+	}
+	return m.now + d
+}
+
+func (m *queueModel) add(at time.Duration) (id int) {
+	id = m.ids
+	m.ids++
+	m.queue(id, at)
 	return id
+}
+
+func (m *queueModel) queue(id int, at time.Duration) {
+	m.live = append(m.live, modelEvent{at: max(at, m.now), seq: m.seq, id: id})
+	m.seq++
 }
 
 func (m *queueModel) cancel(id int) {
@@ -273,6 +346,11 @@ func (m *queueModel) cancel(id int) {
 			return
 		}
 	}
+}
+
+func (m *queueModel) reschedule(id int, at time.Duration) {
+	m.cancel(id)
+	m.queue(id, at)
 }
 
 // step fires the earliest live event no later than deadline.
@@ -289,87 +367,197 @@ func (m *queueModel) step(deadline time.Duration) bool {
 	m.now = ev.at
 	m.fired = append(m.fired, ev.id)
 	if d, ok := m.child[ev.id]; ok {
-		m.add(m.now + d)
+		m.add(m.after(d))
 	}
 	return true
 }
 
-// Property: under any seeded interleaving of At, Schedule, Cancel, Step
-// and RunUntil — with past times, negative delays, ties, cancellations of
-// fired and of already-cancelled timers, and handlers that schedule from
-// inside a fire — events fire in exactly the order of the sorted model,
-// and the clock and Pending agree with it after every call.
+// checkHeap verifies the queue's layout: every entry is a live timer at
+// the slot its idx names, no entry precedes its parent, and every timer
+// not queued says so.
+func checkHeap(e *Engine, timers []*Timer) error {
+	h := e.events
+	for i := range h {
+		if h[i].t.idx != i {
+			return fmt.Errorf("entry %d has idx %d", i, h[i].t.idx)
+		}
+		if h[i].t.cancelled {
+			return fmt.Errorf("entry %d is cancelled but queued", i)
+		}
+		if i > 0 && h[i].before(&h[(i-1)/4]) {
+			return fmt.Errorf("entry %d precedes its parent", i)
+		}
+	}
+	queued := 0
+	for id, tm := range timers {
+		if tm.idx >= 0 {
+			queued++
+			if tm.idx >= len(h) || h[tm.idx].t != tm {
+				return fmt.Errorf("event %d claims slot %d, which holds another", id, tm.idx)
+			}
+		}
+	}
+	if queued != len(h) {
+		return fmt.Errorf("%d timers claim a slot, queue holds %d", queued, len(h))
+	}
+	return nil
+}
+
+// queueScript drives an engine and the sorted model through the same
+// ops — At, Schedule, Reschedule, Cancel, Step and RunUntil, with past
+// times, negative and far-future delays, ties, cancellations of fired,
+// cancelled and re-armed timers, re-arms of fired and cancelled ones, and
+// handlers that schedule from inside a fire — drawing every choice from
+// pick until more reports false. After each op the heap must be well
+// formed and the clock and Pending must agree with the model; at the end
+// events must have fired in exactly the model's order.
+func queueScript(pick func(n int) int, more func() bool) error {
+	const never = time.Duration(math.MaxInt64)
+	e := New(1)
+	m := &queueModel{child: map[int]time.Duration{}}
+	var fired []int
+	var timers []*Timer // indexed by event id
+	var handler func(id int) func()
+	handler = func(id int) func() {
+		return func() {
+			fired = append(fired, id)
+			if d, ok := m.child[id]; ok {
+				timers = append(timers, e.Schedule(d, handler(len(timers))))
+			}
+		}
+	}
+	ms := func(lo, hi int) time.Duration { return time.Duration(lo+pick(hi-lo)) * time.Millisecond }
+	delay := func() time.Duration {
+		if pick(32) == 0 {
+			return never
+		}
+		return ms(-3, 30)
+	}
+	for op := 0; more(); op++ {
+		switch k := pick(12); {
+		case k < 3:
+			at := e.Now() + ms(-5, 40)
+			id := m.add(at)
+			if pick(4) == 0 {
+				m.child[id] = ms(0, 20)
+			}
+			timers = append(timers, e.At(at, handler(id)))
+		case k < 5:
+			d := delay()
+			timers = append(timers, e.Schedule(d, handler(m.add(m.after(d)))))
+		case k < 6:
+			if len(timers) > 0 {
+				id, d := pick(len(timers)), delay()
+				e.Reschedule(timers[id], d)
+				m.reschedule(id, m.after(d))
+			}
+		case k < 8:
+			if len(timers) > 0 {
+				id := pick(len(timers))
+				timers[id].Cancel()
+				m.cancel(id)
+			}
+		case k < 10:
+			if e.Step() != m.step(never) {
+				return fmt.Errorf("op %d: Step disagreed with the model", op)
+			}
+		default:
+			deadline := e.Now() + ms(0, 40)
+			e.RunUntil(deadline)
+			for m.step(deadline) {
+			}
+			m.now = max(m.now, deadline)
+		}
+		if err := checkHeap(e, timers); err != nil {
+			return fmt.Errorf("op %d: %v", op, err)
+		}
+		if e.Now() != m.now || e.Pending() != len(m.live) {
+			return fmt.Errorf("op %d: now %v pending %d, model now %v live %d", op, e.Now(), e.Pending(), m.now, len(m.live))
+		}
+	}
+	if err := e.Run(0); err != nil {
+		return err
+	}
+	for m.step(never) {
+	}
+	if len(fired) != len(m.fired) {
+		return fmt.Errorf("fired %d events, model %d", len(fired), len(m.fired))
+	}
+	for i := range fired {
+		if fired[i] != m.fired[i] {
+			return fmt.Errorf("fire %d was event %d, model says %d", i, fired[i], m.fired[i])
+		}
+	}
+	return nil
+}
+
+// Property: every seeded op script agrees with the sorted model.
 func TestQuickQueueMatchesSortedModel(t *testing.T) {
-	const never = time.Duration(1<<63 - 1)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := New(seed)
-		m := &queueModel{child: map[int]time.Duration{}}
-		var fired []int
-		var timers []*Timer // indexed by event id
-		var handler func(id int) func()
-		handler = func(id int) func() {
-			return func() {
-				fired = append(fired, id)
-				if d, ok := m.child[id]; ok {
-					timers = append(timers, e.Schedule(d, handler(len(timers))))
-				}
-			}
+		ops := 100 + r.Intn(400)
+		err := queueScript(r.Intn, func() bool { ops--; return ops >= 0 })
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 		}
-		ms := func(lo, hi int) time.Duration { return time.Duration(lo+r.Intn(hi-lo)) * time.Millisecond }
-		for op := 0; op < 60+r.Intn(200); op++ {
-			switch k := r.Intn(10); {
-			case k < 3:
-				at := e.Now() + ms(-5, 40)
-				id := m.add(at)
-				if r.Intn(4) == 0 {
-					m.child[id] = ms(0, 20)
-				}
-				timers = append(timers, e.At(at, handler(id)))
-			case k < 5:
-				d := ms(-3, 30)
-				timers = append(timers, e.Schedule(d, handler(m.add(m.now+max(d, 0)))))
-			case k < 7:
-				if len(timers) > 0 {
-					id := r.Intn(len(timers))
-					timers[id].Cancel()
-					m.cancel(id)
-				}
-			case k < 9:
-				if e.Step() != m.step(never) {
-					t.Logf("seed %d: Step disagreed with the model", seed)
-					return false
-				}
-			default:
-				deadline := e.Now() + ms(0, 40)
-				e.RunUntil(deadline)
-				for m.step(deadline) {
-				}
-				m.now = deadline
-			}
-			if e.Now() != m.now || e.Pending() != len(m.live) {
-				t.Logf("seed %d: now %v pending %d, model now %v live %d", seed, e.Now(), e.Pending(), m.now, len(m.live))
-				return false
-			}
-		}
-		if err := e.Run(0); err != nil {
-			return false
-		}
-		for m.step(never) {
-		}
-		if len(fired) != len(m.fired) {
-			t.Logf("seed %d: fired %d events, model %d", seed, len(fired), len(m.fired))
-			return false
-		}
-		for i := range fired {
-			if fired[i] != m.fired[i] {
-				t.Logf("seed %d: fire %d was event %d, model says %d", seed, i, fired[i], m.fired[i])
-				return false
-			}
-		}
-		return true
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzQueue decodes fuzzer bytes into op scripts, one byte per choice,
+// and checks each against the sorted model.
+func FuzzQueue(f *testing.F) {
+	f.Add([]byte{0, 10, 3, 3, 0, 5, 1, 8, 0, 0, 5, 0, 0, 9, 6, 11, 20})
+	f.Add([]byte{4, 7, 4, 0, 5, 1, 0, 7, 0, 8, 5, 1, 1, 6, 1, 9, 9, 2, 0, 11, 3})
+	f.Add([]byte{2, 1, 9, 0, 3, 40, 1, 2, 0, 5, 2, 3, 8, 8, 6, 2, 7, 1, 5, 0, 64, 9, 11, 39})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			data = data[:1024] // bound script length, not coverage
+		}
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		if err := queueScript(pick, func() bool { return len(data) > 0 }); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkQueueClusteredShape times the queue at the shape netem_clustered
+// runs it at: about 115 000 pending entries, half of all scheduled events
+// cancelled before they fire. Each op schedules a keeper within the next
+// 10 s, replaces the oldest of 57 500 doomed events (each 20-30 s out, so
+// cancelled before its time) with a new one, and fires the earliest
+// keeper. It is not an allocation gate; it is the queue's own layer
+// number.
+func BenchmarkQueueClusteredShape(b *testing.B) {
+	const half = 57_500
+	e := New(1)
+	r := rand.New(rand.NewSource(1))
+	within := func(lo time.Duration) time.Duration { return lo + time.Duration(r.Int63n(int64(10*time.Second))) }
+	doomed := make([]*Timer, half)
+	for i := range doomed {
+		e.Schedule(within(0), nop)
+		doomed[i] = e.Schedule(within(20*time.Second), nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(within(0), nop)
+		doomed[i%half].Cancel()
+		doomed[i%half] = e.Schedule(within(20*time.Second), nop)
+		e.Step()
+	}
+	b.StopTimer()
+	if e.Pending() != 2*half {
+		b.Fatalf("%d events pending, want %d: a doomed event fired", e.Pending(), 2*half)
 	}
 }
