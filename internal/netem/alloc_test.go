@@ -183,8 +183,70 @@ func TestRateChangeReArmsCompletion(t *testing.T) {
 	}
 }
 
+// transferCycle returns one transfer's whole life on a two-node network
+// — start, activate, three slow-start doublings, two RTO-hazard checks,
+// complete — after running one, so every call takes the Flow the last
+// released, its timers and callbacks with it.
+func transferCycle(tb testing.TB) (cycle func(), first *Flow, ramps *int, elapsed *time.Duration) {
+	eng := sim.New(1)
+	n := New(eng)
+	for i := 0; i < 2; i++ {
+		if _, err := n.AddNode(NodeConfig{UplinkBytesPerSec: 1 << 20, DownlinkBytesPerSec: 1 << 20, AccessDelay: 25 * time.Millisecond}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ramps, elapsed = new(int), new(time.Duration)
+	n.SetFlowObserver(func(ev FlowEvent) {
+		if ev.Kind == FlowEventRamp {
+			*ramps++
+		}
+	})
+	done := func(f *Flow) { *elapsed = f.Elapsed() }
+	var last *Flow
+	cycle = func() {
+		f, err := n.StartTransfer(0, 1, 3<<20, TransferOptions{}, done)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		last = f
+		if err := eng.Run(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cycle()
+	return cycle, last, ramps, elapsed
+}
+
+// TestZeroAllocTransferLifecycle pins a reused flow's lifecycle at zero
+// allocations: StartTransfer pops the released Flow, and every timer of
+// its life re-arms a Timer the first transfer made.
+func TestZeroAllocTransferLifecycle(t *testing.T) {
+	cycle, first, ramps, elapsed := transferCycle(t)
+	if *ramps != 3 || *elapsed < 2*time.Second || first.hazardTimer == nil {
+		t.Fatalf("the warm-up transfer ramped %d times over %v, want 3 doublings and two hazard checks", *ramps, *elapsed)
+	}
+	id := first.id
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a reused flow's lifecycle allocated %.1f times, want 0", allocs)
+	}
+	if first.id != id+101 {
+		t.Errorf("after 101 more transfers the first Flow carries flow %d, want %d: it was not reused each time", first.id, id+101)
+	}
+}
+
 // The benchmarks below are the -benchmem gates for the incremental
 // reallocator: `make bench-alloc` fails if one reports nonzero allocs/op.
+
+// BenchmarkHotpathTransferCycle is one transfer's lifecycle on a reused
+// Flow: the per-transfer cost of netem outside the reallocation passes.
+func BenchmarkHotpathTransferCycle(b *testing.B) {
+	cycle, _, _, _ := transferCycle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
 
 // BenchmarkHotpathReallocate is one dirty pair repeated over the unchanged
 // mesh: the cost of a pass that reuses the cached region, which is the

@@ -223,8 +223,13 @@ func mergeLinks(dst, prev, fresh []*link, gen uint64) {
 	copy(dst[k:], fresh)
 }
 
-// mergeFlows is mergeLinks for flows, in ID order. A flow completed since
-// is still in prev; its stale mark skips it before its ID is read.
+// mergeFlows is mergeLinks for flows, in ID order. A flow that left in
+// this pass is still in prev; its stale mark skips it before its ID is
+// read. No flow released before this pass is, so prev cannot meet a
+// reused Flow under its new ID and emit it twice: while prev orders walks
+// (prevGen != 0) no flow has joined or left one of its links, since such
+// a change runs a pass on a link of prev that holds a flow, and that pass
+// re-marks the link, which ends prev. watchRegion asserts it.
 //
 //lint:hotpath canonical flow order by one sweep over the previous region
 func mergeFlows(dst, prev, fresh []*Flow, gen uint64) {
@@ -370,8 +375,8 @@ func (n *Network) fixFlow(f *Flow, rate float64) {
 // Flows whose rate is unchanged (within epsilon) keep their existing
 // completion timer, so clean refills consume no engine sequence numbers —
 // the property that lets the full oracle and the incremental path stay on
-// identical trajectories. A flow schedules its completion Timer once and
-// re-arms that same handle ever after.
+// identical trajectories. A Flow makes its completion Timer once and
+// re-arms that same handle for every transfer it carries.
 func (n *Network) applyRates(flows []*Flow) {
 	for _, f := range flows {
 		rate := 0.0
@@ -390,12 +395,7 @@ func (n *Network) applyRates(flows []*Flow) {
 			f.completion.Cancel()
 			continue
 		}
-		delay := seconds(f.remaining / rate)
-		if f.completion == nil {
-			f.completion = n.eng.Schedule(delay, f.completeFn)
-		} else {
-			n.eng.Reschedule(f.completion, delay)
-		}
+		n.arm(&f.completion, seconds(f.remaining/rate), f.completeFn)
 	}
 }
 

@@ -28,6 +28,7 @@ type diffPair struct {
 	netA, netB *Network // A: incremental, B: full oracle
 	flowsA     []*Flow  // every flow ever started, creation order
 	flowsB     []*Flow
+	ids        []int    // each start's flow ID: a handle whose Flow now has another is spent
 	fill       fillFunc // what checkFill holds to the reference: fillComponent, or a mutant
 	regionErr  *error   // the first region the incremental network's passes got wrong (watchRegion)
 }
@@ -114,8 +115,10 @@ func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) err
 		case 4: // cancel a flow (completions come from lockstep instead)
 			if len(p.flowsA) > 0 {
 				i := int(decodeByte(data, &pos)) % len(p.flowsA)
-				p.flowsA[i].Cancel()
-				p.flowsB[i].Cancel()
+				if p.live(i) {
+					p.flowsA[i].Cancel()
+					p.flowsB[i].Cancel()
+				}
 				err = p.compare("cancel")
 			}
 		case 5: // capacity change on a live link
@@ -180,7 +183,7 @@ func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) err
 		_ = p.netB.ClearGEModel(NodeID(i))
 	}
 	for i, f := range p.flowsA {
-		if math.IsInf(f.remaining, 1) {
+		if p.live(i) && math.IsInf(f.remaining, 1) {
 			f.Cancel()
 			p.flowsB[i].Cancel()
 		}
@@ -202,8 +205,15 @@ func (p *diffPair) start(src, dst NodeID, size int64, opts TransferOptions) erro
 	}
 	p.flowsA = append(p.flowsA, fa)
 	p.flowsB = append(p.flowsB, fb)
+	p.ids = append(p.ids, fa.id)
 	return p.compare("start")
 }
+
+// live reports whether start i's handles are still valid: the Network
+// reuses a Flow once its OnComplete or Cancel has returned, so a handle
+// is spent once its Flow carries another transfer's ID. A finished flow
+// not yet reused still holds its own; cancelling it is a no-op.
+func (p *diffPair) live(i int) bool { return p.flowsA[i].id == p.ids[i] }
 
 // lockstep fires up to k events on each engine, pairwise, comparing the
 // networks after every event.
@@ -243,6 +253,12 @@ func (p *diffPair) compare(where string) error {
 	}
 	for i, fa := range p.flowsA {
 		fb := p.flowsB[i]
+		if fa.id != fb.id {
+			return fmt.Errorf("%s at %v: start %d's flow was reused unevenly: incremental now carries flow %d, full %d", where, p.engA.Now(), i, fa.id, fb.id)
+		}
+		if !p.live(i) {
+			continue // compared as the start that reused it
+		}
 		if fa.state != fb.state || fa.frozen != fb.frozen {
 			return fmt.Errorf("%s at %v: flow %d state divergence: incremental (%d frozen=%v) full (%d frozen=%v)",
 				where, p.engA.Now(), fa.id, fa.state, fa.frozen, fb.state, fb.frozen)

@@ -242,9 +242,9 @@ type regionMutant struct {
 }
 
 // watchRegion hooks every incremental pass of n: the mutant's moves
-// around the region step, then checkRegion on what the step left. The
-// first failure is kept in the returned error and ends the watch, with the
-// cache dropped so a mutant's damage stops there.
+// around the region step, then checkRegion and checkPrevLive on what the
+// step left. The first failure is kept in the returned error and ends the
+// watch, with both cached regions dropped so a mutant's damage stops there.
 func watchRegion(n *Network, m regionMutant) *error {
 	failed := new(error)
 	n.passHook = func(a, b *link, collected bool) {
@@ -255,12 +255,31 @@ func watchRegion(n *Network, m regionMutant) *error {
 			if m.post != nil {
 				m.post(n, a, b)
 			}
-			if *failed = checkRegion(n, a, b); *failed != nil {
-				n.passHook, n.regionGen = nil, 0
+			if *failed = checkRegion(n, a, b); *failed == nil {
+				*failed = checkPrevLive(n)
+			}
+			if *failed != nil {
+				n.passHook, n.regionGen, n.prevGen = nil, 0, 0
 			}
 		}
 	}
 	return failed
+}
+
+// checkPrevLive asserts what mergeFlows relies on: while the previous
+// region can order a walk, every flow in it is on the links and still
+// carries the region's mark, so none is a released Flow that StartTransfer
+// may hand out again under a new ID.
+func checkPrevLive(n *Network) error {
+	if n.prevGen == 0 {
+		return nil
+	}
+	for _, f := range n.prevFlows {
+		if f.state != flowActive || f.mark != n.prevGen {
+			return fmt.Errorf("the previous region holds flow %d in state %d, marked %d, not its generation %d", f.id, f.state, f.mark, n.prevGen)
+		}
+	}
+	return nil
 }
 
 // The four region mutants are the mistakes the cache invites. Each is

@@ -58,15 +58,17 @@ type Flow struct {
 
 	frozen      bool // in an RTO freeze; no bytes move
 	rampPending bool // a slow-start doubling is scheduled (fired timers are not Cancelled)
-	completion  *sim.Timer
-	rampTimer   *sim.Timer
-	setup       *sim.Timer
-	hazardTimer *sim.Timer
-	freezeTimer *sim.Timer
 	onComplete  func(*Flow)
-	// The flow's timer callbacks, bound once at StartTransfer: a method
-	// value built at each Schedule would allocate a closure every time.
-	completeFn, hazardFn, rampFn func()
+	flowTimers
+}
+
+// flowTimers are a Flow's timers and their callbacks, bound once when the
+// Flow is made. They outlive a transfer: the next one the Flow carries
+// re-arms the same Timers (see arm).
+type flowTimers struct {
+	completion, rampTimer, setup, hazardTimer, freezeTimer *sim.Timer
+
+	activateFn, completeFn, hazardFn, rampFn, unfreezeFn func()
 }
 
 // TransferOptions tune one transfer.
@@ -82,6 +84,10 @@ type TransferOptions struct {
 // StartTransfer begins a transfer of size bytes from src to dst and invokes
 // onComplete (which may be nil) from the engine's event context when the
 // last byte is delivered.
+//
+// The returned *Flow is valid until its OnComplete or its Cancel returns.
+// The Network then reuses the object for a later transfer, so a holder
+// must drop it by that point and never read or cancel it after.
 func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOptions, onComplete func(*Flow)) (*Flow, error) {
 	if err := n.checkID(src); err != nil {
 		return nil, err
@@ -106,7 +112,12 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 	if rtt <= 0 {
 		rtt = time.Millisecond // avoid division by zero for zero-delay paths
 	}
-	f := &Flow{
+	f := n.reuseFlow()
+	if f == nil {
+		f = new(Flow)
+		f.activateFn, f.completeFn, f.hazardFn, f.rampFn, f.unfreezeFn = f.activate, f.complete, f.hazard, f.ramp, f.unfreeze
+	}
+	*f = Flow{
 		net:        n,
 		id:         n.flowSeq,
 		src:        src,
@@ -117,12 +128,11 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 		started:    n.eng.Now(),
 		lastUpdate: n.eng.Now(),
 		onComplete: onComplete,
-		lossCap:    math.Inf(1),
+		flowTimers: f.flowTimers,
 	}
 	if opts.Unbounded {
 		f.remaining = math.Inf(1)
 	}
-	f.completeFn, f.hazardFn, f.rampFn = f.complete, f.hazard, f.ramp
 	f.lossCap = n.mathisCap(n.pathLossEventRate(src, dst), rtt)
 	// Ramping beyond what the access links can carry is pointless; stop there.
 	f.rampMax = math.Min(float64(n.nodes[src].cfg.UplinkBytesPerSec),
@@ -142,9 +152,50 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 		setupDelay = rtt / 2
 	}
 	f.state = flowSetup
-	f.setup = n.eng.Schedule(setupDelay, f.activate)
+	n.arm(&f.setup, setupDelay, f.activateFn)
 	n.emitFlow(f, FlowEventSetup)
 	return f, nil
+}
+
+// reuseFlow pops a released flow off the free list, or returns nil.
+//
+//lint:hotpath every transfer start
+func (n *Network) reuseFlow() *Flow {
+	k := len(n.free) - 1
+	if k < 0 {
+		return nil
+	}
+	f := n.free[k]
+	n.free[k] = nil
+	n.free = n.free[:k]
+	return f
+}
+
+// release puts f on the free list once OnComplete or Cancel has returned,
+// every timer of f off the queue. Cancelling the fired completion keeps
+// applyRates' test for a queued completion, not Cancelled, true of the
+// next transfer. The previous region may still hold f: mergeFlows says
+// why that is harmless.
+//
+//lint:hotpath once per finished or cancelled transfer
+func (n *Network) release(f *Flow) {
+	f.completion.Cancel()
+	//lint:ignore allocfree amortized: the free list grows to the most transfers ever finished between two starts once and is reused
+	n.free = append(n.free, f)
+}
+
+// arm queues fn after delay on the flow timer *t: by Schedule the first
+// time, by Reschedule of the same Timer ever after. Both take the same
+// seq, so whether a Flow is new or reused moves no sim sequence number.
+//
+//lint:hotpath every flow timer (re)arm
+func (n *Network) arm(t **sim.Timer, delay time.Duration, fn func()) {
+	if *t != nil {
+		n.eng.Reschedule(*t, delay)
+		return
+	}
+	//lint:ignore allocfree amortized: a Flow makes each of its timers once and re-arms it for every transfer it carries
+	*t = n.eng.Schedule(delay, fn)
 }
 
 // ID returns the network-unique flow identifier (creation order).
@@ -180,7 +231,8 @@ func (f *Flow) Elapsed() time.Duration {
 }
 
 // Cancel aborts the flow (peer departure, shutdown). OnComplete does not
-// fire. Cancelling a finished or already-cancelled flow is a no-op.
+// fire. Cancelling a flow inside its own OnComplete is a no-op; after
+// Cancel or OnComplete returns, the handle belongs to the Network.
 func (f *Flow) Cancel() {
 	if f.state == flowDone || f.state == flowCancelled {
 		return
@@ -199,6 +251,7 @@ func (f *Flow) Cancel() {
 		f.net.reallocateOn(lup, ldown)
 	}
 	f.net.emitFlow(f, FlowEventCancel)
+	f.net.release(f)
 }
 
 // activate moves the flow from connection setup to data transfer.
@@ -226,11 +279,13 @@ func (f *Flow) activate() {
 }
 
 // scheduleHazard arranges the next RTO check, one second out.
+//
+//lint:hotpath re-arms every active flow's hazard timer once a second
 func (f *Flow) scheduleHazard() {
 	if f.net.model.timeoutHazard <= 0 || f.net.model.timeoutMeanFreeze <= 0 {
 		return
 	}
-	f.hazardTimer = f.net.eng.Schedule(time.Second, f.hazardFn)
+	f.net.arm(&f.hazardTimer, time.Second, f.hazardFn)
 }
 
 // hazard is the RTO check: the flow freezes with probability timeoutHazard
@@ -264,27 +319,32 @@ func (f *Flow) hazard() {
 		d = 8 * time.Second
 	}
 	f.frozen = true
-	f.freezeTimer = f.net.eng.Schedule(d, func() {
-		if f.state != flowActive {
-			return
-		}
-		f.frozen = false
-		f.net.reallocateOn(f.lup, f.ldown)
-		f.net.emitFlow(f, FlowEventUnfreeze)
-	})
+	f.net.arm(&f.freezeTimer, d, f.unfreezeFn)
 	f.net.reallocateOn(f.lup, f.ldown)
 	f.net.emitFlow(f, FlowEventFreeze)
+}
+
+// unfreeze ends an RTO freeze.
+func (f *Flow) unfreeze() {
+	if f.state != flowActive {
+		return
+	}
+	f.frozen = false
+	f.net.reallocateOn(f.lup, f.ldown)
+	f.net.emitFlow(f, FlowEventUnfreeze)
 }
 
 // scheduleRamp arranges the next slow-start doubling. It is re-entered
 // when a loss-state change raises a parked flow's Mathis cap, so the
 // rampPending guard keeps at most one doubling in flight per flow.
+//
+//lint:hotpath re-arms the ramp timer at every slow-start doubling
 func (f *Flow) scheduleRamp() {
 	if f.rampPending || f.rampCap >= f.rampMax || f.rampCap >= f.lossCap {
 		return // ramping further would never change the allocation
 	}
 	f.rampPending = true
-	f.rampTimer = f.net.eng.Schedule(f.rtt, f.rampFn)
+	f.net.arm(&f.rampTimer, f.rtt, f.rampFn)
 }
 
 // ramp is one slow-start doubling.
@@ -347,6 +407,7 @@ func (f *Flow) complete() {
 	if f.onComplete != nil {
 		f.onComplete(f)
 	}
+	f.net.release(f)
 }
 
 // detach removes the flow from its links and the live list, swapping the

@@ -119,6 +119,7 @@ type Network struct {
 	model   model
 	nodes   []*node
 	flows   []*Flow // live flows; swap-removed on detach (order not load-bearing)
+	free    []*Flow // released flows, their timers kept, for StartTransfer to reuse
 	flowSeq int     // next flow ID
 	onFlow  func(FlowEvent)
 	// onLossState observes Gilbert–Elliott transitions (gemodel.go).

@@ -1,6 +1,9 @@
 package netem
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The star keeps one swarm-wide component, so it never shows the cached
 // region a component that splits, two that join, a pass elsewhere in
@@ -16,20 +19,32 @@ type passRecord struct {
 	reused bool  // the cached region as it stood: no collection generation started
 	prev   bool  // going in, there was a previous region to order a walked component from
 	comps  int
-	flows  []int // the region's flow IDs, in region order
+	flows  []int   // the region's flow IDs, in region order
+	objs   []*Flow // the region's flows
+	// left is a flow that, going in, had left the links while a member of
+	// the previous region that orders walks, and leftID its ID then.
+	left   *Flow
+	leftID int
 }
 
 // recordPasses is the regionMutant that mutates nothing and logs.
 func recordPasses(log *[]passRecord) regionMutant {
+	var rec passRecord
 	var before uint64
-	var prev bool
 	return regionMutant{
-		pre: func(n *Network, _, _ *link) {
+		pre: func(n *Network, a, _ *link) {
 			before = n.allocGen
-			prev = n.prevGen != 0 || n.regionGen != 0 && len(n.regionFlows) >= filterMinFlows
+			rec = passRecord{a: a, prev: n.prevGen != 0 || n.regionGen != 0 && len(n.regionFlows) >= filterMinFlows}
+			for _, f := range n.prevFlows {
+				if f.state != flowActive && n.prevGen != 0 {
+					rec.left, rec.leftID = f, f.id
+				}
+			}
 		},
-		post: func(n *Network, a, _ *link) {
-			*log = append(*log, passRecord{a, n.allocGen == before, prev, len(n.compBounds), flowIDs(n.regionFlows)})
+		post: func(n *Network, _, _ *link) {
+			rec.reused, rec.comps = n.allocGen == before, len(n.compBounds)
+			rec.flows, rec.objs = flowIDs(n.regionFlows), slices.Clone(n.regionFlows)
+			*log = append(*log, rec)
 		},
 	}
 }
@@ -48,6 +63,7 @@ func newScript(nodes int) script {
 }
 
 func (s script) start(src, dst int) script     { return append(s, 0, byte(src), byte(dst), 250) }
+func (s script) short(src, dst int) script     { return append(s, 0, byte(src), byte(dst), 1) } // 30 kB on a warm connection
 func (s script) unbounded(src, dst int) script { return append(s, 0, byte(src), byte(dst), 0) }
 func (s script) step(events int) script        { return append(s, 3, byte(events-1)) }
 func (s script) cancel(flow int) script        { return append(s, 4, byte(flow)) }
@@ -151,7 +167,34 @@ var regionShapes = []struct {
 			return shrunk == 3 && grown == 2
 		},
 	},
+	{
+		// The mesh and the short 0→3 (flow 14) activate last, as one
+		// component; a rate change on 6↔7 makes them the previous region.
+		// Flow 14 completes first, as a member of it, and the next
+		// StartTransfer takes its Flow: as flow 15, 1→4 activates into the
+		// component, ordered by a sweep over the 12 the completion left.
+		name:   "a member of the previous region completes and its Flow is reused in the component",
+		script: reuseScript,
+		shown: func(log []passRecord) bool {
+			for i, p := range log {
+				if p.left == nil || !p.prev {
+					continue
+				}
+				for _, q := range log[i+1:] {
+					if q.prev && !q.reused && len(q.flows) > filterMinFlows && q.comps == 1 &&
+						slices.Contains(q.objs, p.left) && p.left.id != p.leftID {
+						return true
+					}
+				}
+			}
+			return false
+		},
+	},
 }
+
+// reuseScript is the regionShapes script in which a member of the
+// previous region completes and its Flow comes back under a new ID.
+var reuseScript = newScript(8).start(6, 7).start(7, 6).mesh(0, 6).short(0, 3).step(15).setUplink(6).step(1).start(1, 4).step(1)
 
 // TestRegionShapes runs each shape through the differential harness and
 // requires the shape to have occurred.
@@ -167,5 +210,30 @@ func TestRegionShapes(t *testing.T) {
 				t.Logf("  reused=%v components=%d flows=%v", p.reused, p.comps, p.flows)
 			}
 		}
+	}
+}
+
+// mutantPrevOutlivesMember keeps the previous region ordering walks after
+// a pass re-marked it, which is the step mergeFlows' argument rests on:
+// without it a member that completes stays in a live previous region, and
+// its reused Flow could be swept under its old place there.
+func mutantPrevOutlivesMember() regionMutant {
+	var gen uint64
+	return regionMutant{
+		pre: func(n *Network, _, _ *link) { gen = n.prevGen },
+		post: func(n *Network, _, _ *link) {
+			if n.prevGen == 0 {
+				n.prevGen = gen
+			}
+		},
+	}
+}
+
+// TestRegionCatchesPrevOutlivingMember proves checkPrevLive has teeth on
+// the reuse script: with the previous region kept past its member's
+// completion, the watch must fail.
+func TestRegionCatchesPrevOutlivingMember(t *testing.T) {
+	if differentialScriptWith(reuseScript, (*Network).fillComponent, mutantPrevOutlivesMember()) == nil {
+		t.Error("the reuse script did not catch a previous region that outlives a completed member")
 	}
 }

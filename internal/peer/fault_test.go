@@ -62,11 +62,22 @@ func TestHandshakeClearsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// held keeps the fake peer's conn reachable until the test ends: a
+	// conn the collector finds unreachable is closed by its finalizer.
+	held := make(chan net.Conn, 1)
+	t.Cleanup(func() {
+		select {
+		case c := <-held:
+			c.Close()
+		default:
+		}
+	})
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
+		held <- c
 		hs, err := wire.ReadHandshake(c)
 		if err != nil {
 			return
@@ -78,9 +89,9 @@ func TestHandshakeClearsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := node.Stats().Connections; got != 2 {
-		t.Fatalf("connections after handshakes = %d, want 2", got)
-	}
+	// The node writes its handshake reply before it registers the accepted
+	// conn, so the inbound one may not be counted yet.
+	waitFor(t, "both handshaken connections to register", 2*time.Second, func() bool { return node.Stats().Connections == 2 })
 
 	// Idle for three deadline periods. An armed deadline fails the read
 	// loop at ~DialTimeout, which drops the connection.

@@ -66,6 +66,8 @@ type Timer struct {
 // Cancel prevents the event from firing and takes it off the queue.
 // Cancelling an already-fired or already-cancelled timer is a no-op. A nil
 // timer is safe to cancel.
+//
+//lint:hotpath stops a flow's timers at every completion and cancellation
 func (t *Timer) Cancel() {
 	if t != nil {
 		t.cancelled = true

@@ -9,10 +9,12 @@
 package simpeer
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"p2psplice/internal/core"
+	"p2psplice/internal/splicer"
 )
 
 // steady is a swarm run into mid-stream with a leecher whose pool has
@@ -117,3 +119,45 @@ func BenchmarkHotpathFillBlocked(b *testing.B)   { benchFillBlocked(b, paperScal
 func BenchmarkHotpathFillBlocked1k(b *testing.B) { benchFillBlocked(b, largeScale) }
 func BenchmarkHotpathPickSource(b *testing.B)    { benchPickSource(b, paperScale) }
 func BenchmarkHotpathPickSource1k(b *testing.B)  { benchPickSource(b, largeScale) }
+
+// TestRunAllocsPerDownload bounds what the engine run of a paper-scale
+// swarm allocates per completed download. A launch, a completion and a
+// source retry re-arm Timers and reuse Flows and in-flight records, so
+// what a run still allocates is structure: a Flow and its timers for each
+// new high of flows in flight, and scratch growing to its high-water
+// marks. That settles in the first quarter of the clip, which is the
+// warm-up, and the clip is ten times the paper's so that the rest spans
+// thousands of downloads.
+func TestRunAllocsPerDownload(t *testing.T) {
+	const clip = 20 * time.Minute
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 2 * time.Second}, clip, 42)
+	cfg := baseConfig(256 << 10)
+	cfg.Leechers = paperScale
+	sw, err := newSwarm(cfg, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() int {
+		n := 0
+		for _, p := range sw.peers[1:] {
+			for _, h := range p.src.Have {
+				if h {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	sw.eng.RunUntil(clip / 4)
+	start := held()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sw.eng.Run(maxEvents); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	downloads, mallocs := held()-start, after.Mallocs-before.Mallocs
+	if downloads < 5000 || mallocs*100 >= uint64(downloads) {
+		t.Errorf("the run allocated %d times over %d completed downloads, want fewer than 1 per 100 over at least 5000", mallocs, downloads)
+	}
+}

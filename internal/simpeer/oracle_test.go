@@ -43,7 +43,7 @@ func refSourceProgress(s *swarm, q *peerState, idx int) float64 {
 		return -1
 	}
 	d := q.inFlight[idx]
-	if d == nil || d.flow == nil {
+	if d.flow == nil {
 		return -1
 	}
 	size := d.flow.Size()
@@ -109,7 +109,7 @@ func refPickSourceFrom(s *swarm, p *peerState, idx int, allowQuarantined bool) *
 
 func refCDNEligible(p *peerState) bool {
 	for _, d := range p.inFlight {
-		if d != nil && d.src.isCDN {
+		if d.src != nil && d.src.isCDN {
 			return false
 		}
 	}
@@ -146,7 +146,7 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		// departed and adversarial ones included — holds or fetches anything.
 		for _, q := range sw.peers[1:] {
 			for j := sw.frontier + 1; j < len(sw.segs); j++ {
-				if q.src.Have[j] || q.inFlight[j] != nil {
+				if q.src.Have[j] || q.inFlight[j].src != nil {
 					fail("t=%v: peer%d has or fetches seg%d past the frontier %d", now, q.id, j, sw.frontier)
 				}
 			}

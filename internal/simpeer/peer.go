@@ -8,6 +8,7 @@ import (
 	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
 	"p2psplice/internal/reputation"
+	"p2psplice/internal/sim"
 	"p2psplice/internal/trace"
 )
 
@@ -27,10 +28,13 @@ type peerState struct {
 	// Leecher-only fields.
 	player *player.Player
 	// pool is this node as a downloader (its Have is src.Have). inFlight
-	// holds the download behind each segment pool.Fetching marks; index
-	// order is the deterministic teardown order.
+	// holds the download behind each segment pool.Fetching marks, a zero
+	// record elsewhere; index order is the deterministic teardown order.
 	pool     core.Pool
-	inFlight []*download
+	inFlight []download
+	// done is the OnComplete of every transfer p downloads, bound once at
+	// setup: the in-flight record holding the Flow names its segment.
+	done     func(*netem.Flow)
 	est      *core.BandwidthEstimator
 	joined   time.Duration
 	departed bool
@@ -85,18 +89,27 @@ type peerState struct {
 	// put for tens of seconds), so the scheduler prefers it while eligible.
 	lastSrc *core.Source
 	// retryPending marks a scheduled source-retry so fill does not stack
-	// duplicate timers while the peer waits for an eligible source.
+	// duplicate timers while the peer waits for an eligible source; retry
+	// is the one Timer armRetry re-arms, retryFn its callback.
 	retryPending bool
+	retry        *sim.Timer
+	retryFn      func()
+	// serves numbers the pending adversary serves p has opened, so a serve
+	// timeout knows its own record from a later one for the same segment.
+	serves int
 }
 
-// download is one in-flight segment transfer with its chosen source.
-// flow is nil for a pending adversary serve (stale-have or slowloris):
-// no bytes move, and the entry is reaped by the serve-timeout event;
-// pending records which adversary kind opened it, for attribution.
+// download is one in-flight segment transfer with its chosen source; src
+// is nil in a free slot. flow is nil for a pending adversary serve
+// (stale-have or slowloris): no bytes move, and the entry is reaped by the
+// serve-timeout event numbered serve; pending records which adversary
+// kind opened it, for attribution. dropFlight clears the record before
+// the Flow's OnComplete or Cancel returns, after which netem reuses it.
 type download struct {
 	flow    *netem.Flow
 	src     *peerState
 	pending fault.AdversaryKind
+	serve   int
 }
 
 // initialBandwidthGuess is the B an estimating leecher feeds the policy
@@ -125,9 +138,9 @@ func (s *swarm) bandwidth(p *peerState) int64 {
 // computes the stall instant exactly.
 func (p *peerState) dropFlight(idx int, now time.Duration) {
 	p.player.Position(now)
-	d := p.inFlight[idx]
-	p.inFlight[idx] = nil
-	p.pool.Drop(idx, &d.src.src)
+	src := p.inFlight[idx].src
+	p.inFlight[idx] = download{}
+	p.pool.Drop(idx, &src.src)
 }
 
 // nextWanted returns the index of the next segment to request, or -1. The
@@ -184,8 +197,8 @@ func (q *peerState) lying() bool {
 //
 //lint:hotpath runs per non-holding candidate source per wanted segment
 func (s *swarm) relayProgress(q *peerState, idx int) float64 {
-	d := q.inFlight[idx]
-	if d == nil || d.flow == nil {
+	d := &q.inFlight[idx]
+	if d.flow == nil {
 		return -1
 	}
 	size := d.flow.Size()
@@ -239,7 +252,7 @@ func (s *swarm) buildSourceSet(p *peerState, now time.Duration) {
 //lint:hotpath part of the source-set build
 func (s *swarm) cdnEligible(p *peerState) bool {
 	for idx := p.pool.First; idx <= s.frontier; idx++ {
-		if d := p.inFlight[idx]; d != nil && d.src.isCDN {
+		if d := &p.inFlight[idx]; d.src != nil && d.src.isCDN {
 			return false
 		}
 	}
@@ -301,15 +314,31 @@ func (s *swarm) fill(p *peerState) {
 				trace.Int64("delay_us", delay.Microseconds()),
 				trace.Int64("attempt", int64(attempt)))
 		}
-		s.eng.Schedule(delay, func() {
-			// A stall that began during the wait surfaces here, while the
-			// flag still says what the peer was waiting for.
-			p.player.BufferedAhead(s.eng.Now())
-			p.retryPending = false
-			if !p.departed {
-				s.fill(p)
-			}
-		})
+		s.armRetry(p, delay)
+	}
+}
+
+// armRetry queues p's source retry after delay, re-arming its Timer once
+// it has one: Reschedule takes the seq Schedule would.
+//
+//lint:hotpath every fill that blocks with no retry pending
+func (s *swarm) armRetry(p *peerState, delay time.Duration) {
+	if p.retry != nil {
+		s.eng.Reschedule(p.retry, delay)
+		return
+	}
+	//lint:ignore allocfree amortized: a peer makes its retry Timer once and re-arms it for every later retry
+	p.retry = s.eng.Schedule(delay, p.retryFn)
+}
+
+// retry is a source-retry firing: fill again, unless p has left.
+func (s *swarm) retry(p *peerState) {
+	// A stall that began during the wait surfaces here, while the flag
+	// still says what the peer was waiting for.
+	p.player.BufferedAhead(s.eng.Now())
+	p.retryPending = false
+	if !p.departed {
+		s.fill(p)
 	}
 }
 
@@ -327,24 +356,24 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	// before the timeout is indistinguishable from silence in the fluid
 	// model; the trickle rate is trace metadata.)
 	if src.lying() {
-		d := &download{src: src, pending: src.advKind}
-		p.inFlight[idx] = d
+		p.serves++
+		serve := p.serves
+		p.inFlight[idx] = download{src: src, pending: src.advKind, serve: serve}
 		if s.cfg.Tracer.Enabled() {
 			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 				trace.Int64("flow", -1),
 				trace.Int64("src", int64(src.id)))
 		}
-		s.eng.Schedule(s.serveTimeout(), func() { s.onServeTimeout(p, src, idx, d) })
+		s.eng.Schedule(s.serveTimeout(), func() { s.onServeTimeout(p, idx, serve) })
 		return
 	}
 	opts := netem.TransferOptions{ReuseConnection: !s.cfg.FreshConnectionPerSegment}
-	flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts,
-		func(f *netem.Flow) { s.onDownloadComplete(p, src, idx, f) })
+	flow, err := s.net.StartTransfer(src.node, p.node, s.segs[idx].Bytes, opts, p.done)
 	if err != nil {
 		// Unreachable: nodes and sizes are validated at setup.
 		panic("simpeer: start transfer: " + err.Error())
 	}
-	p.inFlight[idx] = &download{flow: flow, src: src}
+	p.inFlight[idx] = download{flow: flow, src: src}
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 			trace.Int64("flow", int64(flow.ID())),
@@ -366,14 +395,16 @@ func (s *swarm) serveTimeout() time.Duration {
 	return defaultServeTimeout
 }
 
-// onServeTimeout reaps a pending download whose source never delivered:
-// the segment returns to the pool, the source is charged (stale-have for
-// a silent liar, slow-serve for a slowloris trickle), and the requester
-// refills immediately.
-func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
-	if p.inFlight[idx] != d {
+// onServeTimeout reaps pending serve number serve if it is still in
+// flight — its source never delivered: the segment returns to the pool,
+// the source is charged (stale-have for a silent liar, slow-serve for a
+// slowloris trickle), and the requester refills immediately.
+func (s *swarm) onServeTimeout(p *peerState, idx, serve int) {
+	d := p.inFlight[idx]
+	if d.serve != serve {
 		return // already reaped by crash/departure teardown
 	}
+	src := d.src
 	p.dropFlight(idx, s.eng.Now())
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvServeTimeout,
@@ -390,8 +421,21 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 	}
 }
 
+// flightOf returns the segment whose download is f. p's downloads all lie
+// between its first missing segment and the availability frontier.
+func (s *swarm) flightOf(p *peerState, f *netem.Flow) int {
+	for idx := p.pool.First; idx <= s.frontier; idx++ {
+		if p.inFlight[idx].flow == f {
+			return idx
+		}
+	}
+	panic("simpeer: a completed flow is not in flight") // unreachable: dropFlight clears a record before its Flow is released
+}
+
 // onDownloadComplete handles a finished segment transfer.
-func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
+func (s *swarm) onDownloadComplete(p *peerState, f *netem.Flow) {
+	idx := s.flightOf(p, f)
+	src := p.inFlight[idx].src
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
 	k := int64(p.pool.InFlight)

@@ -437,10 +437,12 @@ func (s *swarm) setup() error {
 			node:     node,
 			src:      core.Source{ID: i, Have: make([]bool, len(s.segs)), Sending: make([]int, len(s.segs))},
 			player:   pl,
-			inFlight: make([]*download, len(s.segs)),
+			inFlight: make([]download, len(s.segs)),
 			est:      est,
 		}
 		p.src.Owner = p
+		p.done = func(f *netem.Flow) { s.onDownloadComplete(p, f) }
+		p.retryFn = func() { s.retry(p) }
 		p.pool = core.NewPool(p.src.Have)
 		if !s.cfg.DisableRelay {
 			p.src.Fetching = p.pool.Fetching
@@ -544,7 +546,7 @@ func (s *swarm) cancelPeerFlows(p *peerState) {
 	// Abort this peer's downloads, returning the upload slots it held, in
 	// segment order: cancellation order influences event sequencing.
 	for idx, d := range p.inFlight {
-		if d == nil {
+		if d.src == nil {
 			continue
 		}
 		if d.flow != nil { // pending adversary serves have no flow
@@ -568,7 +570,7 @@ func (s *swarm) cancelUploadsFrom(p *peerState) {
 			continue
 		}
 		for idx, d := range q.inFlight {
-			if d == nil || d.src != p {
+			if d.src != p {
 				continue
 			}
 			if d.flow != nil {

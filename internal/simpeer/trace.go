@@ -140,7 +140,7 @@ func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 	f.Burst = s.inBurstWindow(p, at)
 	for _, d := range p.inFlight {
 		switch {
-		case d == nil:
+		case d.src == nil:
 			continue
 		case d.flow == nil:
 			// A pending adversary serve: the source accepted the request
