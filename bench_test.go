@@ -17,7 +17,6 @@ import (
 	"p2psplice/internal/container"
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
-	"p2psplice/internal/fault"
 	"p2psplice/internal/media"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
@@ -130,87 +129,24 @@ func BenchmarkSegmentsCached(b *testing.B) {
 
 // --- Ablation benches ------------------------------------------------------
 
-// ablationRun executes one emulated run with a config modifier and reports
-// mean stalls and startup.
-func ablationRun(b *testing.B, mod func(*simpeer.SwarmConfig)) {
-	b.Helper()
+// BenchmarkAblation runs each arm of the registry's ablation figure, one
+// sub-benchmark per arm, and reports its 256 kB/s stalls and startup.
+func BenchmarkAblation(b *testing.B) {
 	p := benchParams()
-	segs, err := p.Segments(splicer.DurationSplicer{Target: 4 * time.Second})
-	if err != nil {
-		b.Fatal(err)
+	for _, arm := range experiment.Ablations() {
+		b.Run(arm.Name, func(b *testing.B) {
+			var last *experiment.FigureResult
+			for i := 0; i < b.N; i++ {
+				res, err := p.FigAblation([]experiment.Ablation{arm})
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res
+			}
+			b.ReportMetric(last.Series("stalls@256")[0], "stalls@256kBps")
+			b.ReportMetric(last.Series("startup s@256")[0], "startupSec@256kBps")
+		})
 	}
-	var stalls, startup float64
-	for i := 0; i < b.N; i++ {
-		cfg := simpeer.SwarmConfig{
-			Seed:                 1000 + int64(i),
-			Leechers:             p.Leechers,
-			BandwidthBytesPerSec: 256 * 1024,
-			PeerAccessDelay:      25 * time.Millisecond,
-			SeederAccessDelay:    25 * time.Millisecond,
-			LossRate:             0.05,
-			Policy:               core.AdaptivePool{},
-			OracleBandwidth:      true,
-			JoinSpread:           p.JoinSpread,
-			ResumeBuffer:         6 * time.Second,
-		}
-		if mod != nil {
-			mod(&cfg)
-		}
-		res, err := simpeer.RunSwarm(cfg, segs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Summary()
-		stalls = s.MeanStalls
-		startup = s.MeanStartupSeconds
-	}
-	b.ReportMetric(stalls, "stalls")
-	b.ReportMetric(startup, "startupSec")
-}
-
-// BenchmarkAblationBaseline is the reference configuration.
-func BenchmarkAblationBaseline(b *testing.B) { ablationRun(b, nil) }
-
-// BenchmarkAblationChurn exercises peer departures (the paper's motivation
-// for prefetching: "peers can leave the swarm anytime").
-func BenchmarkAblationChurn(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) {
-		c.Churn = simpeer.ChurnModel{MeanOnline: 30 * time.Second, MinRemaining: 2}
-	})
-}
-
-// BenchmarkAblationEWMAEstimator replaces the bandwidth oracle with the
-// EWMA estimator (real deployments cannot know B).
-func BenchmarkAblationEWMAEstimator(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) { c.OracleBandwidth = false })
-}
-
-// BenchmarkAblationStoreAndForward disables piece-level relaying: peers
-// serve only complete segments, collapsing the swarm to seeder fan-out.
-func BenchmarkAblationStoreAndForward(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) { c.DisableRelay = true })
-}
-
-// BenchmarkAblationRarestFirst swaps sequential selection for BitTorrent's
-// rarest-first (availability over playback order).
-func BenchmarkAblationRarestFirst(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) { c.Selection = simpeer.SelectRarestFirst })
-}
-
-// BenchmarkAblationCrossTraffic adds competing flows (the paper's future
-// work: "competing flows and high congestion environment").
-func BenchmarkAblationCrossTraffic(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) { c.CrossTraffic = 4 })
-}
-
-// BenchmarkAblationVariableBandwidth varies link rates mid-stream (the
-// paper's future work: "available bandwidth changes over time").
-func BenchmarkAblationVariableBandwidth(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) {
-		for node := 1; node <= c.Leechers; node++ {
-			c.Faults = fault.Merge(c.Faults, fault.RateDip(node, 15*time.Second, 15*time.Second, 128*1024, 256*1024))
-		}
-	})
 }
 
 // --- Micro-benchmarks ------------------------------------------------------
@@ -398,11 +334,4 @@ func BenchmarkFig6AdaptiveSplicing(b *testing.B) {
 		last = res
 	}
 	b.ReportMetric(last.Series("adaptive")[1], "waitSec@512kBps(adaptive)")
-}
-
-// BenchmarkAblationCDNAssist adds the Section IV hybrid CDN to the swarm.
-func BenchmarkAblationCDNAssist(b *testing.B) {
-	ablationRun(b, func(c *simpeer.SwarmConfig) {
-		c.CDN = &simpeer.CDNAssist{BandwidthBytesPerSec: 1024 * 1024}
-	})
 }

@@ -4,10 +4,9 @@
 // Usage:
 //
 //	experiment [-figure KEY[,KEY...]] [-quick] [-runs N] [-leechers N] [-clip 2m] [-seed N]
-//	           [-workers N] [-json] [-csv DIR] [-trace DIR] [-ablation NAME] [-real]
+//	           [-workers N] [-json] [-csv DIR] [-trace DIR] [-real]
 //
-// Figure keys come from experiment.Figures and ablation names from the
-// ablations table below; -h lists both.
+// Figure keys come from experiment.Figures; -h lists them.
 package main
 
 import (
@@ -21,10 +20,8 @@ import (
 
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
-	"p2psplice/internal/fault"
 	"p2psplice/internal/metrics"
 	"p2psplice/internal/shaper"
-	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/tracereport"
 )
@@ -37,7 +34,6 @@ func main() {
 		leechers = flag.Int("leechers", 0, "override the number of viewers")
 		clip     = flag.Duration("clip", 0, "override the clip duration")
 		seed     = flag.Int64("seed", 0, "override the base seed")
-		ablation = flag.String("ablation", "", "run an ablation instead: "+strings.Join(ablationNames(), ", "))
 		real     = flag.Bool("real", false, "cross-validate: run one small swarm on BOTH the emulator and real TCP sockets")
 		csvDir   = flag.String("csv", "", "also write each figure as CSV into this directory")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
@@ -75,20 +71,6 @@ func main() {
 	}
 	if *traceDir != "" {
 		p.TraceDir = *traceDir
-	}
-
-	if *ablation != "" {
-		if err := runAblation(p, *ablation); err != nil {
-			fmt.Fprintln(os.Stderr, "experiment:", err)
-			os.Exit(1)
-		}
-		if *traceDir != "" {
-			if err := writeTraceReport(*traceDir); err != nil {
-				fmt.Fprintln(os.Stderr, "experiment:", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
 
 	figures, err := selectFigures(*figure)
@@ -302,103 +284,5 @@ func runRealValidation() error {
 	fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "emulated", emu[0].Stalls, emu[0].StallSeconds, emu[0].StartupSecs)
 	fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "real TCP", sum.MeanStalls, sum.MeanStallSeconds, sum.MeanStartupSeconds)
 	fmt.Printf("(real run wall time %v; the emulated run took milliseconds)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// variant is one arm of an ablation: a label and the config hook that
-// turns the mechanism under study on or off (nil = the baseline).
-type variant struct {
-	label string
-	mod   func(*simpeer.SwarmConfig)
-}
-
-// ablations is the ordered table of -ablation names: each exercises one
-// extension mechanism DESIGN.md calls out against its baseline.
-var ablations = []struct {
-	name     string
-	variants []variant
-}{
-	{"churn", []variant{
-		{"no churn", nil},
-		{"mean online 45s", func(c *simpeer.SwarmConfig) {
-			c.Churn = simpeer.ChurnModel{MeanOnline: 45 * time.Second, MinRemaining: 3}
-		}},
-	}},
-	{"estimator", []variant{
-		{"oracle B", nil},
-		{"EWMA B", func(c *simpeer.SwarmConfig) { c.OracleBandwidth = false }},
-	}},
-	{"relay", []variant{
-		{"piece relay", nil},
-		{"store-and-forward", func(c *simpeer.SwarmConfig) { c.DisableRelay = true }},
-	}},
-	{"rarest", []variant{
-		{"sequential", nil},
-		{"rarest-first", func(c *simpeer.SwarmConfig) { c.Selection = simpeer.SelectRarestFirst }},
-	}},
-	{"cross", []variant{
-		{"idle network", nil},
-		{"4 cross flows", func(c *simpeer.SwarmConfig) { c.CrossTraffic = 4 }},
-	}},
-	{"varbw", []variant{
-		{"fixed bandwidth", nil},
-		{"drops to half mid-clip", func(c *simpeer.SwarmConfig) {
-			bw := c.BandwidthBytesPerSec
-			for node := 1; node <= c.Leechers; node++ {
-				c.Faults = fault.Merge(c.Faults, fault.RateDip(node, 40*time.Second, 40*time.Second, bw/2, bw))
-			}
-		}},
-	}},
-	{"hetero", []variant{
-		{"homogeneous", nil},
-		{"half the peers at 64kB/s", func(c *simpeer.SwarmConfig) {
-			half := make([]int64, c.Leechers)
-			for i := 0; i < len(half); i += 2 {
-				half[i] = 64 * 1024 // every other peer on a half-rate link
-			}
-			c.LeecherBandwidths = half
-		}},
-	}},
-	{"cdn", []variant{
-		{"pure P2P", nil},
-		{"CDN assist (1 MB/s)", func(c *simpeer.SwarmConfig) {
-			c.CDN = &simpeer.CDNAssist{BandwidthBytesPerSec: 1024 * 1024}
-		}},
-	}},
-}
-
-func ablationNames() []string {
-	names := make([]string, len(ablations))
-	for i, a := range ablations {
-		names[i] = a.name
-	}
-	return names
-}
-
-// runAblation runs the named ablation on 4 s splicing with adaptive
-// pooling and prints a small before/after table.
-func runAblation(p experiment.Params, name string) error {
-	var variants []variant
-	for _, a := range ablations {
-		if a.name == name {
-			variants = a.variants
-		}
-	}
-	if variants == nil {
-		return fmt.Errorf("unknown ablation %q (want one of %s)", name, strings.Join(ablationNames(), ", "))
-	}
-	bandwidths := []int64{128, 256, 512}
-	fmt.Printf("Ablation %q (4s splicing, adaptive pooling)\n", name)
-	fmt.Printf("%-24s | %-8s | %8s | %10s | %9s\n", "variant", "kB/s", "stalls", "stall sec", "startup")
-	for _, v := range variants {
-		pts, err := p.Sweep(splicer.DurationSplicer{Target: 4 * time.Second}, core.AdaptivePool{}, bandwidths, v.mod)
-		if err != nil {
-			return err
-		}
-		for _, pt := range pts {
-			fmt.Printf("%-24s | %-8d | %8.1f | %10.1f | %9.1f\n",
-				v.label, pt.BandwidthKB, pt.Stalls, pt.StallSeconds, pt.StartupSecs)
-		}
-	}
 	return nil
 }

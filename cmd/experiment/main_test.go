@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"p2psplice/internal/experiment"
-	"p2psplice/internal/simpeer"
 )
 
 func keysOf(figs []experiment.Figure) string {
@@ -45,38 +44,5 @@ func TestSelectFigures(t *testing.T) {
 	}
 	if _, err := selectFigures("2,nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
 		t.Errorf("unknown key not named in error: %v", err)
-	}
-}
-
-// TestAblationVariantsAtDefaultScale applies every ablation arm to a
-// default-scale config (19 viewers): only the hetero arm overrides
-// per-peer bandwidths, and it slows what its label says — half the
-// peers, ⌈19/2⌉ = 10, not 5 of a hard-coded 10.
-func TestAblationVariantsAtDefaultScale(t *testing.T) {
-	const leechers = 19
-	for _, a := range ablations {
-		for _, v := range a.variants {
-			cfg := simpeer.SwarmConfig{Leechers: leechers, BandwidthBytesPerSec: 256 * 1024}
-			if v.mod != nil {
-				v.mod(&cfg)
-			}
-			if cfg.Leechers != leechers {
-				t.Errorf("%s/%s changed the swarm size to %d", a.name, v.label, cfg.Leechers)
-			}
-			slowed := 0
-			for _, bw := range cfg.LeecherBandwidths {
-				if bw > 0 && bw < cfg.BandwidthBytesPerSec {
-					slowed++
-				}
-			}
-			want := 0
-			if a.name == "hetero" && v.mod != nil {
-				want = (leechers + 1) / 2
-			}
-			if slowed != want || len(cfg.LeecherBandwidths) > leechers {
-				t.Errorf("%s/%s slows %d of %d peers (%d overrides), want %d",
-					a.name, v.label, slowed, leechers, len(cfg.LeecherBandwidths), want)
-			}
-		}
 	}
 }

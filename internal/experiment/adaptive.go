@@ -24,7 +24,7 @@ func (p Params) Fig6AdaptiveSplicing(bandwidths []int64) (*FigureResult, error) 
 		bandwidths = Fig2Bandwidths
 	}
 	f := bandwidthFigure("Figure 6 (extension): adaptive splicing vs fixed durations", bandwidths,
-		combinedBadness, func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) })
+		measure{of: combinedBadness, format: formatTenths})
 	for _, sp := range durationSet() {
 		f.rows = append(f.rows, p.sweepRow(sp.Name(), "Figure 6/"+sp.Name(), sp, core.AdaptivePool{}, nil, bandwidths))
 	}

@@ -1,10 +1,10 @@
 // Package experiment regenerates the paper's evaluation: the Figures
 // registry lists every figure, each a sweep of the parameters Section V
-// describes (or of an extension axis: churn, burst loss, adversaries)
-// rendered as the series the paper plots, all run by one driver
-// (runner.go); Sweep serves the ablations DESIGN.md calls out. Absolute
-// numbers are model-specific; the harness exists to reproduce the figures'
-// shapes (who wins, by how much, where the crossovers fall).
+// describes (or of an extension axis: churn, burst loss, adversaries, the
+// ablation arms) rendered as the series the paper plots, all run by one
+// driver (runner.go); Sweep is the emulated half of cmd/experiment -real.
+// Absolute numbers are model-specific; the harness exists to reproduce the
+// figures' shapes (who wins, by how much, where the crossovers fall).
 package experiment
 
 import (

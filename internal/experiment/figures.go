@@ -71,17 +71,16 @@ var Figures = []Figure{
 	{"churn", "Churn figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigChurn(nil) }},
 	{"burst", "Burst figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigBurst(nil) }},
 	{"adversary", "Adversary figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigAdversary(nil) }},
+	{"ablation", "Ablation figure (extension)", false, func(p Params) (*FigureResult, error) { return p.FigAblation(nil) }},
 }
 
-// bandwidthFigure starts a figure over a bandwidth axis.
-func bandwidthFigure(title string, bandwidths []int64, measure func(Point) float64,
-	format func(float64) string) figure {
+// bandwidthFigure starts a one-measure figure over a bandwidth axis.
+func bandwidthFigure(title string, bandwidths []int64, m measure) figure {
 	return figure{
-		title:   title,
-		xLabel:  "Available Bandwidth (kB/s)",
-		x:       bandwidthLabels(bandwidths),
-		measure: measure,
-		format:  format,
+		title:    title,
+		xLabel:   "Available Bandwidth (kB/s)",
+		x:        bandwidthLabels(bandwidths),
+		measures: []measure{m},
 	}
 }
 
@@ -99,14 +98,21 @@ func (p Params) sweepRow(name, label string, sp splicer.Splicer, policy core.Pol
 // the paper's figures do.
 func formatCount(v float64) string { return strconv.Itoa(int(v + 0.5)) }
 
+// formatTenths renders a value to one decimal.
+func formatTenths(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
+
+// The Point fields the figures plot.
+func stallsOf(pt Point) float64       { return pt.Stalls }
+func stallSecondsOf(pt Point) float64 { return pt.StallSeconds }
+func startupOf(pt Point) float64      { return pt.StartupSecs }
+
 // splicingFigure is Figures 2 and 3: the four splicings under adaptive
 // pooling, differing only in the plotted measure.
-func (p Params) splicingFigure(name, title string, bandwidths []int64,
-	measure func(Point) float64, format func(float64) string) (*FigureResult, error) {
+func (p Params) splicingFigure(name, title string, bandwidths []int64, m measure) (*FigureResult, error) {
 	if len(bandwidths) == 0 {
 		bandwidths = Fig2Bandwidths
 	}
-	f := bandwidthFigure(title, bandwidths, measure, format)
+	f := bandwidthFigure(title, bandwidths, m)
 	for _, sp := range SplicingSet() {
 		series := sp.Name()
 		if sp.Kind() == splicer.KindGOP {
@@ -122,14 +128,14 @@ func (p Params) splicingFigure(name, title string, bandwidths []int64,
 // adaptive pooling, sequential viewing).
 func (p Params) Fig2Stalls(bandwidths []int64) (*FigureResult, error) {
 	return p.splicingFigure("Figure 2", "Figure 2: Total number of stalls for different bandwidths",
-		bandwidths, func(pt Point) float64 { return pt.Stalls }, formatCount)
+		bandwidths, measure{of: stallsOf, format: formatCount})
 }
 
 // Fig3StallDuration reproduces Figure 3: total stall duration (seconds) for
 // the same sweep as Figure 2.
 func (p Params) Fig3StallDuration(bandwidths []int64) (*FigureResult, error) {
 	return p.splicingFigure("Figure 3", "Figure 3: Total stall duration for different bandwidths",
-		bandwidths, func(pt Point) float64 { return pt.StallSeconds }, metrics.FormatSeconds)
+		bandwidths, measure{of: stallSecondsOf, format: metrics.FormatSeconds})
 }
 
 // Fig4Startup reproduces Figure 4: startup time for 2/4/8 s segments with
@@ -142,7 +148,7 @@ func (p Params) Fig4Startup(bandwidths []int64) (*FigureResult, error) {
 		bandwidths = Fig4Bandwidths
 	}
 	f := bandwidthFigure("Figure 4: Startup time for different bandwidths", bandwidths,
-		func(pt Point) float64 { return pt.StartupSecs }, metrics.FormatSeconds)
+		measure{of: startupOf, format: metrics.FormatSeconds})
 	farSeeder := func(cfg *simpeer.SwarmConfig) {
 		cfg.SeederAccessDelay = 475 * time.Millisecond
 		cfg.LossRate = 0
@@ -172,7 +178,7 @@ func (p Params) Fig5Pooling(bandwidths []int64) (*FigureResult, error) {
 		bandwidths = Fig5Bandwidths
 	}
 	f := bandwidthFigure("Figure 5: Total number of stalls for different pool sizes", bandwidths,
-		func(pt Point) float64 { return pt.Stalls }, formatCount)
+		measure{of: stallsOf, format: formatCount})
 	for _, pol := range PolicySet() {
 		r := p.sweepRow(pol.Name(), "Figure 5/"+pol.Name(), splicer.DurationSplicer{Target: 4 * time.Second},
 			pol, nil, bandwidths)
@@ -219,7 +225,7 @@ func splicingByPooling(mod func(level int) func(*simpeer.SwarmConfig)) []levelSe
 func (p Params) levelFigure(name, title, xLabel string, levels []string,
 	series []levelSeries) (*FigureResult, error) {
 	f := figure{title: title, xLabel: xLabel, x: levels,
-		measure: combinedBadness, format: metrics.FormatSeconds}
+		measures: []measure{{of: combinedBadness, format: metrics.FormatSeconds}}}
 	for _, s := range series {
 		f.rows = append(f.rows, row{name: s.name, at: func(i int) (cell, error) {
 			return p.cellFor(name+"/"+s.name+"/"+levels[i], s.sp, levelBandwidthKB, s.policy, s.mod(i))

@@ -152,20 +152,27 @@ func (p Params) runCells(cells []cell) ([]cellOut, error) {
 	return out, nil
 }
 
-// figure describes one figure as data: rows (series) over an x axis, one
-// averaged Point per (row, x), one measure of that Point and one format for
-// the rendered table. Every sweep figure of the evaluation is a value of
-// this type handed to Params.run; adding a figure is one such value plus
-// its entry in Figures.
+// figure describes one figure as data: rows over an x axis, one averaged
+// Point per (row, x), and the measures read off that Point grid. Every
+// sweep figure of the evaluation is a value of this type handed to
+// Params.run; adding a figure is one such value plus its entry in Figures.
 type figure struct {
 	title  string
 	xLabel string
 	// x holds the x-axis labels; len(x) is the sweep length.
 	x    []string
 	rows []row
-	// measure picks the plotted value out of a Point; format renders it.
-	measure func(Point) float64
-	format  func(float64) string
+	// measures are the plotted values. One measure makes one series per
+	// row, named after the row; several make one series per (measure,
+	// row), named "<measure>@<row>", measure-major.
+	measures []measure
+}
+
+// measure picks one plotted value out of a Point and renders it.
+type measure struct {
+	name   string
+	of     func(Point) float64
+	format func(float64) string
 }
 
 // row is one figure series.
@@ -229,21 +236,27 @@ func (p Params) run(f figure) (*FigureResult, error) {
 	}
 	res := &FigureResult{
 		Figure: metrics.Figure{Title: f.title, XLabel: f.xLabel, XValues: f.x},
-		Values: make(map[string][]float64, len(f.rows)),
+		Values: make(map[string][]float64, len(f.measures)*len(f.rows)),
 	}
-	for r, row := range f.rows {
-		nums := make([]float64, len(f.x))
-		strs := make([]string, len(f.x))
-		for i, pt := range points[r] {
-			nums[i] = f.measure(pt)
-			strs[i] = f.format(nums[i])
+	for _, m := range f.measures {
+		for r, row := range f.rows {
+			nums := make([]float64, len(f.x))
+			strs := make([]string, len(f.x))
+			for i, pt := range points[r] {
+				nums[i] = m.of(pt)
+				strs[i] = m.format(nums[i])
+			}
+			name, header := row.name, row.header
+			if header == "" {
+				header = name
+			}
+			if len(f.measures) > 1 {
+				name = m.name + "@" + name
+				header = m.name + "@" + header
+			}
+			res.Values[name] = nums
+			res.Figure.AddSeries(header, strs)
 		}
-		res.Values[row.name] = nums
-		header := row.header
-		if header == "" {
-			header = row.name
-		}
-		res.Figure.AddSeries(header, strs)
 	}
 	return res, nil
 }

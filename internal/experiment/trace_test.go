@@ -97,3 +97,36 @@ func TestFigure2TraceAttribution(t *testing.T) {
 		t.Fatal("no stalls traced at 128 kB/s; attribution untested")
 	}
 }
+
+// TestTraceOneFilePerCell runs every registry figure traced at QuickParams
+// into one directory and requires exactly one .jsonl per cell: no two
+// cells, within a figure or across figures, may share a cellArtifactStem,
+// or the later log silently overwrites the earlier. Each figure's count is
+// its rows × x points; a new figure states its own.
+func TestTraceOneFilePerCell(t *testing.T) {
+	cells := map[string]int{
+		"2": 4 * 5, "3": 4 * 5, "4": 3 * 4, "5": 4 * 4, "6": 4 * 5, "table": 0,
+		"churn": 4 * 4, "burst": 4 * 3, "adversary": 4 * 4, "ablation": 9 * 3,
+	}
+	p := QuickParams()
+	p.TraceDir = t.TempDir()
+	written := 0
+	for _, f := range Figures {
+		want, ok := cells[f.Key]
+		if !ok {
+			t.Errorf("figure %q has no cell count in this test", f.Key)
+			continue
+		}
+		if _, err := f.Run(p); err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		files, err := filepath.Glob(filepath.Join(p.TraceDir, "*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(files) - written; got != want*p.Runs {
+			t.Errorf("%s wrote %d new trace files, want one per cell: %d", f.Name, got, want*p.Runs)
+		}
+		written = len(files)
+	}
+}

@@ -4,11 +4,11 @@
 # network and nothing registered in .git to clean up) and the change (the
 # working tree as it stands), runs one fixed artifact set on each —
 #
-#   quick/     traced -quick run of all nine registry figures, text + traces
+#   quick/     traced -quick run of the paper set plus the churn, burst and
+#              adversary figures, text + traces
 #   report.json, timeseries.csv
 #              splicetrace report / timeseries -csv over those traces
 #   paper.txt  default-scale text output of the paper set (Figures 2-6, table)
-#   ablation/  the -quick table of each of the eight -ablation runs
 #   smoke/     everything the trace, timeseries, fault, burst and adversary
 #              smoke targets write
 #
@@ -26,7 +26,6 @@ PARENT=${1:?usage: identity.sh <parent-rev> [work-dir]}
 WORK=${2:-${ARTIFACTS:-artifacts}/identity}
 GO="${GO:-go}"
 SMOKES="trace-smoke timeseries-smoke fault-smoke burst-smoke adversary-smoke"
-ABLATIONS="churn estimator relay rarest cross varbw hetero cdn"
 
 rm -rf "$WORK"
 mkdir -p "$WORK/parent-src"
@@ -46,10 +45,6 @@ produce() (
     "$out/bin/splicetrace" report "$out/quick/trace" -json -o "$out/report.json"
     "$out/bin/splicetrace" timeseries "$out/quick/trace" -csv -o "$out/timeseries.csv"
     "$out/bin/experiment" > "$out/paper.txt"
-    mkdir -p "$out/ablation"
-    for a in $ABLATIONS; do
-        "$out/bin/experiment" -quick -ablation "$a" > "$out/ablation/$a.txt"
-    done
     # shellcheck disable=SC2086
     make -s $SMOKES GO="$GO" ARTIFACTS="$out/smoke" > "$out/smoke.log" 2>&1 || { cat "$out/smoke.log" >&2; exit 1; }
     rm -rf "$out/bin" "$out/smoke.log"
