@@ -34,8 +34,7 @@ fmt-check:
 # findings artifact for CI. Exits non-zero on any unsuppressed finding.
 lint: | $(ARTIFACTS)
 	$(GO) run ./cmd/splicelint -deadignores -json ./... > $(ARTIFACTS)/splicelint.json || \
-		{ cat $(ARTIFACTS)/splicelint.json; exit 1; }
-	$(GO) run ./cmd/splicelint -deadignores ./...
+		{ $(GO) run ./cmd/splicelint -deadignores ./...; exit 1; }
 
 # loc: the size ledger — non-blank Go lines per package, non-test and
 # test. A PR that deletes code quotes its before/after rows in CHANGES.md.

@@ -7,13 +7,6 @@ import (
 	"strings"
 )
 
-// hotpathFact marks a function whose declaration carries the
-// //lint:hotpath contract, so hotpath callers in other packages can
-// verify their callees are covered by the same gate.
-type hotpathFact struct{}
-
-func (*hotpathFact) AFact() {}
-
 // Allocfree is the static half of the zero-allocation gate for the
 // wire/observe hot paths (the runtime half is the paired -benchmem
 // benchmarks behind `make bench-alloc`). A function whose doc comment
@@ -32,7 +25,7 @@ func (*hotpathFact) AFact() {}
 //   - make, new, &composite-literal, slice/map composite literals,
 //     and go statements
 //   - calls to module-internal functions not themselves marked
-//     //lint:hotpath (the transitive contract, via the facts engine)
+//     //lint:hotpath (the transitive contract, checked module-wide)
 //
 // Dynamic calls (function values, interface methods) and unmarked
 // stdlib calls are assumed allocation-free; the benchmarks catch what
@@ -40,10 +33,9 @@ func (*hotpathFact) AFact() {}
 // allocfree <reason>` documents the deliberate exceptions (amortized
 // buffer growth).
 var Allocfree = &Analyzer{
-	Name:      "allocfree",
-	Doc:       "forbid heap allocations in functions marked //lint:hotpath",
-	FactTypes: []Fact{(*hotpathFact)(nil)},
-	Run:       runAllocfree,
+	Name: "allocfree",
+	Doc:  "forbid heap allocations in functions marked //lint:hotpath",
+	Run:  runAllocfree,
 }
 
 // isHotpathMarked reports whether the declaration's doc comment carries
@@ -61,33 +53,37 @@ func isHotpathMarked(fd *ast.FuncDecl) bool {
 }
 
 func runAllocfree(pass *Pass) error {
-	// Export facts for every marked function first, so same-package
-	// hotpath calls verify regardless of declaration order.
-	local := map[*types.Func]bool{}
-	var marked []*ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpathMarked(fd) {
-				continue
+	// Collect every marked function of the module first, so a hotpath
+	// call verifies regardless of package or declaration order.
+	hotpath := map[*types.Func]bool{}
+	type markedDecl struct {
+		fd   *ast.FuncDecl
+		info *types.Info
+	}
+	var marked []markedDecl
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || !isHotpathMarked(fd) {
+					continue
+				}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				hotpath[fn] = true
+				marked = append(marked, markedDecl{fd, pkg.Info})
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			local[fn] = true
-			marked = append(marked, fd)
-			pass.ExportObjectFact(fn, &hotpathFact{})
 		}
 	}
-	for _, fd := range marked {
-		checkHotpathBody(pass, fd, local)
+	for _, m := range marked {
+		checkHotpathBody(pass, m.info, m.fd, hotpath)
 	}
 	return nil
 }
 
-func checkHotpathBody(pass *Pass, fd *ast.FuncDecl, local map[*types.Func]bool) {
-	info := pass.TypesInfo
+func checkHotpathBody(pass *Pass, info *types.Info, fd *ast.FuncDecl, hotpath map[*types.Func]bool) {
 	hinted := hintedSlices(info, fd.Body)
 	sig, _ := info.Defs[fd.Name].Type().(*types.Signature)
 	concats := topStringConcats(info, fd.Body)
@@ -95,7 +91,7 @@ func checkHotpathBody(pass *Pass, fd *ast.FuncDecl, local map[*types.Func]bool) 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			checkHotpathCall(pass, x, hinted, local)
+			checkHotpathCall(pass, info, x, hinted, hotpath)
 		case *ast.AssignStmt:
 			if x.Tok == token.ADD_ASSIGN && isStringType(info.TypeOf(x.Lhs[0])) {
 				pass.Reportf(x.Pos(), "string += concatenation allocates in a //lint:hotpath function")
@@ -153,8 +149,7 @@ func checkHotpathBody(pass *Pass, fd *ast.FuncDecl, local map[*types.Func]bool) 
 // checkHotpathCall vets one call expression: allocating builtins,
 // allocating conversions, banned stdlib packages, unverified
 // module-internal callees, and interface boxing of arguments.
-func checkHotpathCall(pass *Pass, call *ast.CallExpr, hinted map[types.Object]bool, local map[*types.Func]bool) {
-	info := pass.TypesInfo
+func checkHotpathCall(pass *Pass, info *types.Info, call *ast.CallExpr, hinted map[types.Object]bool, hotpath map[*types.Func]bool) {
 
 	// Type conversions.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -209,21 +204,18 @@ func checkHotpathCall(pass *Pass, call *ast.CallExpr, hinted map[types.Object]bo
 			return
 		}
 		// A method of an instantiated generic type is an object of its own;
-		// the marker and its fact live on the declared one.
-		if decl := fn.Origin(); moduleInternal(pass.ModulePath, pkg.Path()) && !local[decl] {
-			var hp hotpathFact
-			if !pass.ImportObjectFact(decl, &hp) {
-				pass.Reportf(call.Pos(), "//lint:hotpath function calls %s, which is not marked //lint:hotpath; mark it or suppress with a justification", funcDisplay(fn))
-				return
-			}
+		// the marker lives on the declared one.
+		if moduleInternal(pass.ModulePath, pkg.Path()) && !hotpath[fn.Origin()] {
+			pass.Reportf(call.Pos(), "//lint:hotpath function calls %s, which is not marked //lint:hotpath; mark it or suppress with a justification", funcDisplay(fn))
+			return
 		}
 	}
-	checkArgBoxing(pass, call, fn)
+	checkArgBoxing(pass, info, call, fn)
 }
 
 // checkArgBoxing flags concrete non-pointer-shaped arguments passed to
 // interface-typed parameters.
-func checkArgBoxing(pass *Pass, call *ast.CallExpr, fn *types.Func) {
+func checkArgBoxing(pass *Pass, info *types.Info, call *ast.CallExpr, fn *types.Func) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Params() == nil {
 		return
@@ -243,8 +235,8 @@ func checkArgBoxing(pass *Pass, call *ast.CallExpr, fn *types.Func) {
 		default:
 			continue
 		}
-		if boxes(pass.TypesInfo, pt, arg) {
-			pass.Reportf(arg.Pos(), "argument boxes %s into an interface, allocating in a //lint:hotpath function", types.TypeString(pass.TypesInfo.TypeOf(arg), nil))
+		if boxes(info, pt, arg) {
+			pass.Reportf(arg.Pos(), "argument boxes %s into an interface, allocating in a //lint:hotpath function", types.TypeString(info.TypeOf(arg), nil))
 		}
 	}
 }

@@ -6,28 +6,25 @@
 // atomic access discipline. It deliberately uses only go/ast, go/parser,
 // go/token and go/types so the module keeps zero external dependencies.
 //
-// The framework is a miniature of golang.org/x/tools/go/analysis: each
-// Analyzer inspects one type-checked package through a Pass, and
-// analyzers that declare FactTypes participate in the cross-package
-// facts engine — the engine visits packages in dependency order
-// (imports first), an analyzer exports typed facts about functions or
-// objects while visiting one package, and imports them while visiting
-// the packages that depend on it. That is what lets determinism follow a
-// call chain out of a deterministic package, through any number of
-// helper packages, to a wall-clock read.
+// The framework is a miniature of golang.org/x/tools/go/analysis
+// without its facts: splicelint always loads the whole module into one
+// process, so each Analyzer runs once over every loaded package, in
+// dependency order (imports first), and keeps whatever it learns about
+// one package for the next in its own maps. That is what lets
+// determinism follow a call chain out of a deterministic package,
+// through any number of helper packages, to a wall-clock read.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// Analyzer is one static check. Run inspects a single type-checked
-// package and reports findings through the Pass.
+// Analyzer is one static check. Run inspects every loaded package and
+// reports findings through the Pass.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in //lint:ignore
 	// suppression comments. Lower-case, no spaces.
@@ -35,94 +32,39 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Match restricts *reporting* to packages whose import path it
-	// accepts. Nil means every package. An analyzer with FactTypes is
-	// still run over non-matching packages so it can compute facts
-	// there; only its findings in those packages are discarded.
+	// accepts. Nil means every package. Run still sees every package,
+	// so what it learns outside Match can inform a finding inside.
 	Match func(pkgPath string) bool
-	// FactTypes declares the fact types the analyzer exports and
-	// imports, one zero value per type (pointers). Declaring any fact
-	// type opts the analyzer into whole-module dependency-order
-	// analysis.
-	FactTypes []Fact
-	// Run performs the analysis on one package.
+	// Run performs the analysis over the whole pass.
 	Run func(*Pass) error
-	// RunEnd, if set, runs once after every package has been analyzed,
-	// with access to the full fact store. It is where whole-module
-	// checks that need both directions of the import graph (such as
-	// atomicguard) report their findings.
-	RunEnd func(*EndPass) error
 }
 
-// Pass carries one package's parsed and type-checked state to an
-// analyzer, mirroring golang.org/x/tools/go/analysis.Pass in miniature.
+// Pass carries the loaded, type-checked module to one analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// ModulePath is the import-path prefix identifying module-internal
-	// packages (facts only exist for those).
-	ModulePath string
-
-	findings *[]Finding
-	facts    *factStore
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ExportObjectFact attaches fact to obj for later passes of the same
-// analyzer. The fact type must appear in the analyzer's FactTypes.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.facts.exportObject(p.Analyzer, obj, fact)
-}
-
-// ImportObjectFact copies the fact of fact's concrete type previously
-// exported on obj into fact, reporting whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.facts.importObject(p.Analyzer, obj, fact)
-}
-
-// EndPass is the whole-module view handed to RunEnd after every
-// package's Run has completed.
-type EndPass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Pkgs holds every analyzed package in dependency order.
-	Pkgs       []*Package
+	// Pkgs holds every package under analysis, each after the packages
+	// it imports.
+	Pkgs []*Package
+	// ModulePath is the import-path prefix identifying module-internal
+	// packages.
 	ModulePath string
 
-	findings *[]Finding
-	facts    *factStore
+	pkgOf    map[*token.File]string // file -> import path, for Match
+	findings []Finding
 }
 
-// Reportf records a finding at pos, which may lie in any analyzed
-// package. Suppressions at the finding's file:line apply as usual.
-func (p *EndPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
+// Reportf records a finding at pos, unless pos lies in a package
+// outside the analyzer's Match.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	if m := p.Analyzer.Match; m != nil && !m(p.pkgOf[p.Fset.File(pos)]) {
+		return
+	}
+	p.findings = append(p.findings, Finding{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ObjectFacts returns every object fact this analyzer exported, in
-// deterministic (position) order.
-func (p *EndPass) ObjectFacts() []ObjectFact {
-	return p.facts.objectFacts(p.Analyzer)
-}
-
-// ImportObjectFact copies the fact previously exported on obj into
-// fact, reporting whether one existed.
-func (p *EndPass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.facts.importObject(p.Analyzer, obj, fact)
 }
 
 // Finding is one reported problem.
@@ -140,7 +82,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// Result is the full outcome of one engine run.
+// Result is the full outcome of one RunResult.
 type Result struct {
 	// Findings are the surviving (unsuppressed) findings, sorted by
 	// position.
@@ -152,63 +94,27 @@ type Result struct {
 	DeadIgnores []Finding
 }
 
-// RunResult analyzes the packages in dependency order. For each
-// package, every analyzer runs if its Match accepts the package path or
-// if it declares FactTypes (facts must be computed everywhere); only
-// findings in Match-accepted packages are kept. After all packages,
-// each analyzer's RunEnd runs with the whole-module fact store.
-// Suppression comments are collected across all packages and applied to
-// the combined findings, so a RunEnd finding in package A is
-// suppressible at its site even though it was discovered while
-// finishing the whole-module pass.
+// RunResult runs each analyzer once over the packages, which it puts
+// in dependency order first. Suppression comments are collected across
+// all packages and applied to the combined findings, so a finding is
+// suppressible at its site whichever package's analysis discovered it.
 func RunResult(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 	pkgs = depOrder(pkgs)
-	modPath := modulePathOf(pkgs)
-	facts := newFactStore()
-	sup := collectSuppressions(pkgs)
-	var all []Finding
+	pkgOf := map[*token.File]string{}
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			matched := a.Match == nil || a.Match(pkg.Path)
-			if !matched && len(a.FactTypes) == 0 {
-				continue
-			}
-			var found []Finding
-			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				TypesInfo:  pkg.Info,
-				ModulePath: modPath,
-				findings:   &found,
-				facts:      facts,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-			if matched {
-				all = append(all, found...)
-			}
+		for _, f := range pkg.Files {
+			pkgOf[pkg.Fset.File(f.Pos())] = pkg.Path
 		}
 	}
+	fset, modPath := fsetOf(pkgs), modulePathOf(pkgs)
+	sup := collectSuppressions(pkgs)
+	var all []Finding
 	for _, a := range analyzers {
-		if a.RunEnd == nil {
-			continue
+		pass := &Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, ModulePath: modPath, pkgOf: pkgOf}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		var found []Finding
-		end := &EndPass{
-			Analyzer:   a,
-			Fset:       fsetOf(pkgs),
-			Pkgs:       pkgs,
-			ModulePath: modPath,
-			findings:   &found,
-			facts:      facts,
-		}
-		if err := a.RunEnd(end); err != nil {
-			return nil, fmt.Errorf("%s: finish: %w", a.Name, err)
-		}
-		all = append(all, found...)
+		all = append(all, pass.findings...)
 	}
 
 	var kept []Finding
@@ -225,6 +131,58 @@ func RunResult(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 	dead := sup.dead()
 	sortFindings(dead)
 	return &Result{Findings: kept, DeadIgnores: dead}, nil
+}
+
+// depOrder sorts packages so every package follows the packages it
+// imports (restricted to the given set). The order is deterministic:
+// ties are broken by import path. Analyzing in this order is what lets
+// an analyzer carry what it learned from a package to its importers —
+// by the time a package is visited, all of its module-internal
+// dependencies have been.
+func depOrder(pkgs []*Package) []*Package {
+	byPath := make(map[string]*Package, len(pkgs))
+	paths := make([]string, 0, len(pkgs))
+	for _, p := range pkgs {
+		if _, dup := byPath[p.Path]; dup {
+			continue
+		}
+		byPath[p.Path] = p
+		paths = append(paths, p.Path)
+	}
+	sort.Strings(paths)
+	var out []*Package
+	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
+	var visit func(path string)
+	visit = func(path string) {
+		pkg, ok := byPath[path]
+		if !ok || state[path] != 0 {
+			return
+		}
+		state[path] = 1
+		imps := pkg.Types.Imports()
+		ipaths := make([]string, 0, len(imps))
+		for _, imp := range imps {
+			ipaths = append(ipaths, imp.Path())
+		}
+		sort.Strings(ipaths)
+		for _, ip := range ipaths {
+			visit(ip)
+		}
+		state[path] = 2
+		out = append(out, pkg)
+	}
+	for _, p := range paths {
+		visit(p)
+	}
+	return out
+}
+
+// moduleInternal reports whether path belongs to this module. The
+// module path is recovered from the packages under analysis rather than
+// go.mod so fixture packages loaded under fake p2psplice/... paths
+// behave like module code.
+func moduleInternal(modPath, path string) bool {
+	return path == modPath || strings.HasPrefix(path, modPath+"/")
 }
 
 func sortFindings(fs []Finding) {

@@ -19,7 +19,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,9 +88,12 @@ func RunNoMatch(t *testing.T, dir string, a *analysis.Analyzer, asPath string) {
 // paths map names each subdirectory's fake import path (fixture code
 // imports the fake paths directly, e.g. `import
 // "p2psplice/internal/helper"`). Packages are type-checked against each
-// other — facts flow between them exactly as in a real module run — and
-// // want comments are honored in every fixture file. It returns the
-// engine's full result so callers can also assert on dead ignores.
+// other and analyzed together, exactly as in a real module run, and
+// // want comments are honored in every fixture file. The packages are
+// handed to the runner twice, in import-path order and reversed, and
+// must yield the same result: putting dependencies first is the
+// runner's job. It returns the runner's full result so callers can also
+// assert on dead ignores.
 func RunModule(t *testing.T, dir string, paths map[string]string, analyzers ...*analysis.Analyzer) *analysis.Result {
 	t.Helper()
 	pkgs := loadModuleFixture(t, dir, paths)
@@ -96,14 +101,22 @@ func RunModule(t *testing.T, dir string, paths map[string]string, analyzers ...*
 	if err != nil {
 		t.Fatal(err)
 	}
+	reversed := slices.Clone(pkgs)
+	slices.Reverse(reversed)
+	again, err := analysis.RunResult(analyzers, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, res) {
+		t.Errorf("result depends on the order the packages are passed in:\nsorted:   %v\nreversed: %v", res, again)
+	}
 	checkWants(t, pkgs, res.Findings)
 	return res
 }
 
 // loadModuleFixture type-checks every subdirectory fixture package under
-// its fake import path, in dependency order (re-running until the
-// importer has what it needs would be circular; instead the fixture
-// importer recursively loads module-internal imports on demand).
+// its fake import path and returns them in import-path order; the
+// fixture importer loads module-internal imports on demand.
 func loadModuleFixture(t *testing.T, dir string, paths map[string]string) []*analysis.Package {
 	t.Helper()
 	fset, std := sharedImporter()

@@ -4,28 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
-
-// atomicUsesFact records, on a struct field's types.Var, every site in
-// the module where the field's address is passed to a sync/atomic
-// function.
-type atomicUsesFact struct {
-	Sites []token.Pos
-}
-
-func (*atomicUsesFact) AFact() {}
-
-// plainUsesFact records, on a struct field's types.Var, every site in
-// the module where the field is read, written, or address-taken
-// *outside* a sync/atomic call. Only fields whose type sync/atomic can
-// operate on (sized integers, uintptr, unsafe.Pointer) are tracked, so
-// the fact volume stays proportional to plausible candidates.
-type plainUsesFact struct {
-	Sites []token.Pos
-}
-
-func (*plainUsesFact) AFact() {}
 
 // Atomicguard enforces the sync/atomic discipline the race detector
 // only checks under contention: once any code accesses a field through
@@ -37,110 +18,83 @@ func (*plainUsesFact) AFact() {}
 //
 // Both directions of the import graph matter (the atomic access may be
 // in a package that imports the one with the plain access), so the
-// per-package pass only collects facts and the verdicts are issued in
-// RunEnd over the whole module. Fields of the typed atomic wrappers
+// sites of every package are collected first and the verdicts issued
+// over the whole module. Only fields whose type sync/atomic can operate
+// on (sized integers, uintptr, unsafe.Pointer) are tracked as plain
+// uses. Fields of the typed atomic wrappers
 // (atomic.Int64 etc.) are out of scope: their methods are the only way
 // to touch the value. Address escapes through intermediate pointers
 // (p := &s.f; atomic.AddInt64(p, 1)) are not traced.
 var Atomicguard = &Analyzer{
-	Name:      "atomicguard",
-	Doc:       "a field accessed via sync/atomic anywhere must be accessed only via sync/atomic, everywhere",
-	FactTypes: []Fact{(*atomicUsesFact)(nil), (*plainUsesFact)(nil)},
-	Run:       runAtomicguard,
-	RunEnd:    finishAtomicguard,
+	Name: "atomicguard",
+	Doc:  "a field accessed via sync/atomic anywhere must be accessed only via sync/atomic, everywhere",
+	Run:  runAtomicguard,
 }
 
 func runAtomicguard(pass *Pass) error {
-	// First pass: find &field arguments of sync/atomic calls, and
-	// remember the selector nodes involved so the second pass does not
-	// double-count them as plain uses.
-	atomicSels := map[*ast.SelectorExpr]bool{}
+	// Every site, module-wide, where a field's address is passed to a
+	// sync/atomic function, and every other access to the field.
 	atomicSites := map[*types.Var][]token.Pos{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				sel, field := addressedField(pass, arg)
-				if field == nil {
-					continue
-				}
-				atomicSels[sel] = true
-				atomicSites[field] = append(atomicSites[field], sel.Pos())
-			}
-			return true
-		})
-	}
-	// Second pass: every other access to a trackable field.
 	plainSites := map[*types.Var][]token.Pos{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicSels[sel] {
+	for _, pkg := range pass.Pkgs {
+		// First pass: find &field arguments of sync/atomic calls, and
+		// remember the selector nodes involved so the second pass does
+		// not double-count them as plain uses.
+		atomicSels := map[*ast.SelectorExpr]bool{}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isAtomicCall(pkg.Info, call) {
+					return true
+				}
+				for _, arg := range call.Args {
+					sel, field := addressedField(pass, pkg.Info, arg)
+					if field == nil {
+						continue
+					}
+					atomicSels[sel] = true
+					atomicSites[field] = append(atomicSites[field], sel.Pos())
+				}
 				return true
-			}
-			field := fieldOf(pass, sel)
-			if field == nil || !atomicCapable(field.Type()) {
+			})
+		}
+		// Second pass: every other access to a trackable field.
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || atomicSels[sel] {
+					return true
+				}
+				field := fieldOf(pass, pkg.Info, sel)
+				if field == nil || !atomicCapable(field.Type()) {
+					return true
+				}
+				if benignFieldUse(pkg.Info, file, sel) {
+					return true
+				}
+				plainSites[field] = append(plainSites[field], sel.Pos())
 				return true
-			}
-			if benignFieldUse(pass, file, sel) {
-				return true
-			}
-			plainSites[field] = append(plainSites[field], sel.Pos())
-			return true
-		})
+			})
+		}
 	}
-	exportSiteFacts(pass, atomicSites, func(sites []token.Pos) Fact { return &atomicUsesFact{Sites: sites} },
-		func(field *types.Var, fact Fact) bool { return pass.ImportObjectFact(field, fact.(*atomicUsesFact)) })
-	exportSiteFacts(pass, plainSites, func(sites []token.Pos) Fact { return &plainUsesFact{Sites: sites} },
-		func(field *types.Var, fact Fact) bool { return pass.ImportObjectFact(field, fact.(*plainUsesFact)) })
-	return nil
-}
 
-// exportSiteFacts merges this package's sites into any fact already
-// exported on the field (fields may be touched from several packages).
-func exportSiteFacts(pass *Pass, sites map[*types.Var][]token.Pos,
-	mk func([]token.Pos) Fact, imp func(*types.Var, Fact) bool) {
-	fields := make([]*types.Var, 0, len(sites))
-	for f := range sites {
-		fields = append(fields, f)
+	// Any field with both atomic and plain uses is a mixed-access bug,
+	// reported at every plain site with a pointer to the first atomic
+	// site.
+	fields := make([]*types.Var, 0, len(atomicSites))
+	for f := range atomicSites {
+		if len(plainSites[f]) > 0 {
+			fields = append(fields, f)
+		}
 	}
 	sort.Slice(fields, func(i, j int) bool { return fields[i].Pos() < fields[j].Pos() })
 	for _, field := range fields {
-		merged := sites[field]
-		prev := mk(nil)
-		if imp(field, prev) {
-			switch p := prev.(type) {
-			case *atomicUsesFact:
-				merged = append(p.Sites, merged...)
-			case *plainUsesFact:
-				merged = append(p.Sites, merged...)
-			}
-		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		pass.ExportObjectFact(field, mk(merged))
-	}
-}
-
-// finishAtomicguard has the whole module's facts: any field with both
-// atomic and plain uses is a mixed-access bug, reported at every plain
-// site with a pointer to one atomic site.
-func finishAtomicguard(pass *EndPass) error {
-	for _, of := range pass.ObjectFacts() {
-		au, ok := of.Fact.(*atomicUsesFact)
-		if !ok || len(au.Sites) == 0 {
-			continue
-		}
-		var pu plainUsesFact
-		if !pass.ImportObjectFact(of.Object, &pu) {
-			continue
-		}
-		atomicAt := pass.Fset.Position(au.Sites[0])
-		for _, site := range pu.Sites {
+		atomicAt := pass.Fset.Position(slices.Min(atomicSites[field]))
+		plain := plainSites[field]
+		slices.Sort(plain)
+		for _, site := range plain {
 			pass.Reportf(site, "field %s is accessed via sync/atomic (e.g. %s:%d) but non-atomically here; every access must go through sync/atomic",
-				of.Object.Name(), shortPath(atomicAt.Filename), atomicAt.Line)
+				field.Name(), shortPath(atomicAt.Filename), atomicAt.Line)
 		}
 	}
 	return nil
@@ -157,12 +111,12 @@ var atomicFuncs = map[string]bool{
 	"CompareAndSwapUint64": true, "CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
 }
 
-func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
+func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	pn, ok := infoSelectorPackage(pass.TypesInfo, sel)
+	pn, ok := infoSelectorPackage(info, sel)
 	if !ok || pn.Imported().Path() != "sync/atomic" {
 		return false
 	}
@@ -172,7 +126,7 @@ func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
 // addressedField unwraps &s.f and &s.f[i] argument shapes to the struct
 // field being atomically accessed, returning the selector node too so
 // the caller can exclude it from the plain-use scan.
-func addressedField(pass *Pass, arg ast.Expr) (*ast.SelectorExpr, *types.Var) {
+func addressedField(pass *Pass, info *types.Info, arg ast.Expr) (*ast.SelectorExpr, *types.Var) {
 	un, ok := arg.(*ast.UnaryExpr)
 	if !ok || un.Op != token.AND {
 		return nil, nil
@@ -185,12 +139,12 @@ func addressedField(pass *Pass, arg ast.Expr) (*ast.SelectorExpr, *types.Var) {
 	if !ok {
 		return nil, nil
 	}
-	return sel, fieldOf(pass, sel)
+	return sel, fieldOf(pass, info, sel)
 }
 
 // fieldOf resolves sel to a module-declared struct field.
-func fieldOf(pass *Pass, sel *ast.SelectorExpr) *types.Var {
-	v, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+func fieldOf(pass *Pass, info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	v, ok := info.Uses[sel.Sel].(*types.Var)
 	if !ok || !v.IsField() {
 		return nil
 	}
@@ -218,7 +172,7 @@ func atomicCapable(t types.Type) bool {
 
 // benignFieldUse filters accesses that never observe the field's value:
 // len/cap of an array field, and index-only `for i := range s.f` loops.
-func benignFieldUse(pass *Pass, file *ast.File, sel *ast.SelectorExpr) bool {
+func benignFieldUse(info *types.Info, file *ast.File, sel *ast.SelectorExpr) bool {
 	benign := false
 	ast.Inspect(file, func(n ast.Node) bool {
 		if benign {
@@ -228,14 +182,14 @@ func benignFieldUse(pass *Pass, file *ast.File, sel *ast.SelectorExpr) bool {
 		case *ast.CallExpr:
 			if len(x.Args) == 1 && x.Args[0] == sel {
 				if id, ok := x.Fun.(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") {
-					if _, isB := pass.TypesInfo.ObjectOf(id).(*types.Builtin); isB {
+					if _, isB := info.ObjectOf(id).(*types.Builtin); isB {
 						benign = true
 					}
 				}
 			}
 		case *ast.RangeStmt:
 			if x.X == sel && x.Value == nil {
-				if _, isArr := pass.TypesInfo.TypeOf(sel).Underlying().(*types.Array); isArr {
+				if _, isArr := info.TypeOf(sel).Underlying().(*types.Array); isArr {
 					benign = true
 				}
 			}

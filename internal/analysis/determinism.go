@@ -52,18 +52,18 @@ var DeterministicPackages = []string{
 //   - a for-range over a map that appends to a variable declared outside
 //     the loop with no sort of that variable later in the same block.
 //
-// The chains come from taintFact, exported bottom-up through the facts
-// engine: a function that contains a source, or uses a tainted function,
-// is tainted. A var initializer has no function object, so it reports
-// but exports nothing. Dynamic calls (interface methods, function values)
-// are not resolved; injected-clock indirection is therefore invisible by
-// design — that is exactly the sanctioned escape hatch.
+// The chains come from one taint map, filled bottom-up package by
+// package in dependency order: a function that contains a source, or
+// uses a tainted function, is tainted. A var initializer has no function
+// object, so it reports but taints nothing. Dynamic calls (interface
+// methods, function values) are not resolved; injected-clock indirection
+// is therefore invisible by design — that is exactly the sanctioned
+// escape hatch.
 var Determinism = &Analyzer{
-	Name:      "determinism",
-	Doc:       "forbid wall-clock reads, global RNG, entropy and unsorted map-iteration output in deterministic packages, directly or through helper call chains",
-	Match:     matchPaths(DeterministicPackages...),
-	FactTypes: []Fact{(*taintFact)(nil)},
-	Run:       runDeterminism,
+	Name:  "determinism",
+	Doc:   "forbid wall-clock reads, global RNG, entropy and unsorted map-iteration output in deterministic packages, directly or through helper call chains",
+	Match: matchPaths(DeterministicPackages...),
+	Run:   runDeterminism,
 }
 
 // wall-clock functions in package time. time.Since and time.Until call
@@ -103,19 +103,6 @@ func sourceDesc(obj *types.Func) (string, bool) {
 	return "", false
 }
 
-// taintFact marks a function that transitively reaches a
-// nondeterministic source: a wall-clock read, the process-global RNG,
-// an entropy read, or an order-nondeterministic construct. Chain[0] is
-// the function itself and the last element describes the source, so the
-// report at the leak's entry edge can show the whole path.
-type taintFact struct {
-	Chain []string
-}
-
-func (*taintFact) AFact() {}
-
-func (f *taintFact) String() string { return strings.Join(f.Chain, " -> ") }
-
 // funcUse is one appearance of a function object: either the callee of a
 // call expression or a bare reference (a stored or passed function
 // value).
@@ -148,79 +135,68 @@ func (n *walkNode) source() string {
 }
 
 func runDeterminism(pass *Pass) error {
-	nodes := walkNodes(pass)
-
-	// Taint fixpoint within the package. Imported facts are already
-	// final (dependency order), so only intra-package edges need
-	// iteration; chains are picked first-use-in-source-order, which
-	// keeps output deterministic.
+	// taint maps every function that transitively reaches a
+	// nondeterministic source to its call chain: the function itself
+	// first, the source's description last. Packages come imports
+	// first, so a callee in another package is final before any caller
+	// is visited.
 	taint := map[*types.Func][]string{}
-	for _, n := range nodes {
-		if src := n.source(); n.fn != nil && src != "" {
-			taint[n.fn] = []string{funcDisplay(n.fn), src}
-		}
-	}
-	chainOf := func(obj *types.Func) []string {
-		if c, ok := taint[obj]; ok {
-			return c
-		}
-		if obj.Pkg() != nil && obj.Pkg() != pass.Pkg {
-			var tf taintFact
-			if pass.ImportObjectFact(obj, &tf) {
-				return tf.Chain
-			}
-		}
-		return nil
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			if n.fn == nil || taint[n.fn] != nil {
-				continue
-			}
-			for _, u := range n.uses {
-				if chain := chainOf(u.obj); chain != nil {
-					taint[n.fn] = append([]string{funcDisplay(n.fn)}, chain...)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for _, n := range nodes {
-		if chain := taint[n.fn]; n.fn != nil && chain != nil {
-			pass.ExportObjectFact(n.fn, &taintFact{Chain: chain})
-		}
-	}
-
-	// Reporting. The engine discards findings outside Match, so this
-	// runs unconditionally; only deterministic packages surface them.
 	deterministic := matchPaths(DeterministicPackages...)
-	for _, n := range nodes {
-		for _, u := range n.uses {
-			if desc, ok := sourceDesc(u.obj); ok {
-				kind := "reference to"
-				if u.call {
-					kind = "call to"
-				}
-				pass.Reportf(u.pos, "%s %s leaks nondeterminism into a deterministic package; inject a clock or seeded RNG instead", kind, desc)
-				continue
+	for _, pkg := range pass.Pkgs {
+		nodes := walkNodes(pkg)
+
+		// Taint fixpoint within the package; chains are picked
+		// first-use-in-source-order, which keeps output deterministic.
+		for _, n := range nodes {
+			if src := n.source(); n.fn != nil && src != "" {
+				taint[n.fn] = []string{funcDisplay(n.fn), src}
 			}
-			pkg := u.obj.Pkg()
-			if pkg == nil || !moduleInternal(pass.ModulePath, pkg.Path()) || deterministic(pkg.Path()) {
-				continue
-			}
-			chain := chainOf(u.obj)
-			if chain == nil {
-				continue
-			}
-			if n.fn != nil {
-				chain = append([]string{funcDisplay(n.fn)}, chain...)
-			}
-			pass.Reportf(u.pos, "call chain reaches nondeterminism: %s", strings.Join(chain, " -> "))
 		}
-		for _, hit := range n.ranges {
-			pass.Reportf(hit.pos, "map iteration order feeds %q without a subsequent sort; iteration order is nondeterministic", hit.varName)
+		for changed := true; changed; {
+			changed = false
+			for _, n := range nodes {
+				if n.fn == nil || taint[n.fn] != nil {
+					continue
+				}
+				for _, u := range n.uses {
+					if chain := taint[u.obj]; chain != nil {
+						taint[n.fn] = append([]string{funcDisplay(n.fn)}, chain...)
+						changed = true
+						break
+					}
+				}
+			}
+		}
+
+		// Reporting. The runner drops findings outside Match, so this
+		// runs in every package; only deterministic packages surface
+		// them.
+		for _, n := range nodes {
+			for _, u := range n.uses {
+				if desc, ok := sourceDesc(u.obj); ok {
+					kind := "reference to"
+					if u.call {
+						kind = "call to"
+					}
+					pass.Reportf(u.pos, "%s %s leaks nondeterminism into a deterministic package; inject a clock or seeded RNG instead", kind, desc)
+					continue
+				}
+				callee := u.obj.Pkg()
+				if callee == nil || !moduleInternal(pass.ModulePath, callee.Path()) || deterministic(callee.Path()) {
+					continue
+				}
+				chain := taint[u.obj]
+				if chain == nil {
+					continue
+				}
+				if n.fn != nil {
+					chain = append([]string{funcDisplay(n.fn)}, chain...)
+				}
+				pass.Reportf(u.pos, "call chain reaches nondeterminism: %s", strings.Join(chain, " -> "))
+			}
+			for _, hit := range n.ranges {
+				pass.Reportf(hit.pos, "map iteration order feeds %q without a subsequent sort; iteration order is nondeterministic", hit.varName)
+			}
 		}
 	}
 	return nil
@@ -231,15 +207,15 @@ func runDeterminism(pass *Pass) error {
 // (called or referenced, including inside nested function literals,
 // which are attributed to the enclosing node) plus its unsorted map
 // ranges.
-func walkNodes(pass *Pass) []*walkNode {
+func walkNodes(pkg *Package) []*walkNode {
 	var nodes []*walkNode
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			var n walkNode
 			var root ast.Node
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
+				fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
 				if !ok || d.Body == nil {
 					continue
 				}
@@ -264,13 +240,13 @@ func walkNodes(pass *Pass) []*walkNode {
 						calls[fun.Sel] = true
 					}
 				case *ast.Ident:
-					if obj, ok := pass.TypesInfo.Uses[x].(*types.Func); ok {
+					if obj, ok := pkg.Info.Uses[x].(*types.Func); ok {
 						n.uses = append(n.uses, funcUse{obj: obj, pos: x.Pos(), call: calls[x]})
 					}
 				}
 				return true
 			})
-			n.ranges = unsortedMapRanges(pass.TypesInfo, root)
+			n.ranges = unsortedMapRanges(pkg.Info, root)
 			nodes = append(nodes, &n)
 		}
 	}

@@ -25,17 +25,19 @@ var Floatcmp = &Analyzer{
 }
 
 func runFloatcmp(pass *Pass) error {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+					return true
+				}
+				if isFloat(pkg.Info.TypeOf(be.X)) || isFloat(pkg.Info.TypeOf(be.Y)) {
+					pass.Reportf(be.OpPos, "floating-point %s comparison; use an epsilon or integer representation", be.Op)
+				}
 				return true
-			}
-			if isFloat(pass.TypesInfo.TypeOf(be.X)) || isFloat(pass.TypesInfo.TypeOf(be.Y)) {
-				pass.Reportf(be.OpPos, "floating-point %s comparison; use an epsilon or integer representation", be.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }

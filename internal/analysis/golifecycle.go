@@ -28,24 +28,26 @@ var Golifecycle = &Analyzer{
 }
 
 func runGolifecycle(pass *Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				hasAdd := containsWaitGroupCall(pkg.Info, fn.Body, "Add")
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					g, ok := n.(*ast.GoStmt)
+					if !ok {
+						return true
+					}
+					if hasAdd || goroutineIsTied(pkg.Info, g) {
+						return true
+					}
+					pass.Reportf(g.Pos(), "goroutine is not tied to a WaitGroup, done channel, or context; it can outlive its owner")
+					return true
+				})
 			}
-			hasAdd := containsWaitGroupCall(pass, fn.Body, "Add")
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				if hasAdd || goroutineIsTied(pass, g) {
-					return true
-				}
-				pass.Reportf(g.Pos(), "goroutine is not tied to a WaitGroup, done channel, or context; it can outlive its owner")
-				return true
-			})
 		}
 	}
 	return nil
@@ -53,14 +55,14 @@ func runGolifecycle(pass *Pass) error {
 
 // goroutineIsTied inspects the spawned function itself for lifecycle
 // participation.
-func goroutineIsTied(pass *Pass, g *ast.GoStmt) bool {
+func goroutineIsTied(info *types.Info, g *ast.GoStmt) bool {
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
 		// go obj.method() / go fn(): accept if a lifecycle-typed value
 		// is the receiver or an argument (e.g. go run(ctx)).
 		tied := false
 		ast.Inspect(g.Call, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok && isLifecycleType(pass.TypesInfo.TypeOf(e)) {
+			if e, ok := n.(ast.Expr); ok && isLifecycleType(info.TypeOf(e)) {
 				tied = true
 			}
 			return !tied
@@ -72,10 +74,10 @@ func goroutineIsTied(pass *Pass, g *ast.GoStmt) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if isWaitGroupMethod(pass, sel, "Done") || isWaitGroupMethod(pass, sel, "Wait") {
+				if isWaitGroupMethod(info, sel, "Done") || isWaitGroupMethod(info, sel, "Wait") {
 					tied = true
 				}
-				if t := pass.TypesInfo.TypeOf(sel.X); isContextType(t) &&
+				if t := info.TypeOf(sel.X); isContextType(t) &&
 					(sel.Sel.Name == "Done" || sel.Sel.Name == "Err" || sel.Sel.Name == "Deadline") {
 					tied = true
 				}
@@ -93,14 +95,14 @@ func goroutineIsTied(pass *Pass, g *ast.GoStmt) bool {
 
 // containsWaitGroupCall reports whether body calls the named method on
 // a sync.WaitGroup.
-func containsWaitGroupCall(pass *Pass, body *ast.BlockStmt, method string) bool {
+func containsWaitGroupCall(info *types.Info, body *ast.BlockStmt, method string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isWaitGroupMethod(pass, sel, method) {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isWaitGroupMethod(info, sel, method) {
 			found = true
 		}
 		return !found
@@ -108,11 +110,11 @@ func containsWaitGroupCall(pass *Pass, body *ast.BlockStmt, method string) bool 
 	return found
 }
 
-func isWaitGroupMethod(pass *Pass, sel *ast.SelectorExpr, method string) bool {
+func isWaitGroupMethod(info *types.Info, sel *ast.SelectorExpr, method string) bool {
 	if sel.Sel.Name != method {
 		return false
 	}
-	t := pass.TypesInfo.TypeOf(sel.X)
+	t := info.TypeOf(sel.X)
 	return isNamedType(t, "sync", "WaitGroup")
 }
 

@@ -247,7 +247,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 // closure, drawing on the packages the loader already type-checked
 // while resolving imports. The result is deterministic: the input
 // packages in order, then the discovered dependencies sorted by import
-// path. Analyzers that compute cross-package facts need the closure —
+// path. Analyzers that follow state across packages need the closure —
 // a pattern like ./internal/sim must still see the helper packages the
 // sim data path calls into.
 func (l *Loader) Closure(pkgs []*Package) []*Package {

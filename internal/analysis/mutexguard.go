@@ -37,27 +37,29 @@ type guardInfo struct {
 }
 
 func runMutexguard(pass *Pass) error {
-	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, pkg := range pass.Pkgs {
+		guards := collectGuards(pass, pkg)
+		if len(guards) == 0 {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				checkGuardedAccess(pass, pkg.Info, fn, guards)
 			}
-			checkGuardedAccess(pass, fn, guards)
 		}
 	}
 	return nil
 }
 
 // collectGuards parses guard comments from every struct type declared
-// in the package.
-func collectGuards(pass *Pass) []*guardInfo {
+// in pkg.
+func collectGuards(pass *Pass, pkg *Package) []*guardInfo {
 	var out []*guardInfo
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -67,7 +69,7 @@ func collectGuards(pass *Pass) []*guardInfo {
 			if !ok {
 				return true
 			}
-			obj := pass.TypesInfo.Defs[ts.Name]
+			obj := pkg.Info.Defs[ts.Name]
 			if obj == nil {
 				return true
 			}
@@ -192,17 +194,17 @@ func isIdentLike(s string) bool {
 
 // checkGuardedAccess flags guarded-field selector accesses in fn when
 // fn neither locks the guarding mutex nor is named *Locked.
-func checkGuardedAccess(pass *Pass, fn *ast.FuncDecl, guards []*guardInfo) {
+func checkGuardedAccess(pass *Pass, info *types.Info, fn *ast.FuncDecl, guards []*guardInfo) {
 	if strings.HasSuffix(fn.Name.Name, "Locked") {
 		return
 	}
-	locked := lockedMutexes(pass, fn.Body)
+	locked := lockedMutexes(fn.Body)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		recv := pass.TypesInfo.TypeOf(sel.X)
+		recv := info.TypeOf(sel.X)
 		if recv == nil {
 			return true
 		}
@@ -231,7 +233,7 @@ func checkGuardedAccess(pass *Pass, fn *ast.FuncDecl, guards []*guardInfo) {
 // lockedMutexes collects the names of mutex fields that fn Lock()s or
 // RLock()s anywhere in its body: a call shaped `<expr>.mu.Lock()`
 // contributes "mu".
-func lockedMutexes(pass *Pass, body *ast.BlockStmt) map[string]bool {
+func lockedMutexes(body *ast.BlockStmt) map[string]bool {
 	out := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

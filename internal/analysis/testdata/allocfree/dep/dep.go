@@ -1,5 +1,5 @@
 // Package dep provides callees for the cross-package hotpath-contract
-// check: hot code may call Fast (marked, fact exported) but not Slow.
+// check: hot code may call Fast (marked) but not Slow.
 package dep
 
 //lint:hotpath covered by the fixture's contract

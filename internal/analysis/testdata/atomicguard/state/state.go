@@ -1,7 +1,7 @@
 // Package state declares the fields under atomic discipline. One mix
 // happens inside this package; the other two cross the package boundary
 // in both directions (atomic here / plain in user, and plain here /
-// atomic in user), which is exactly what RunEnd exists for.
+// atomic in user), so only a module-wide verdict sees them.
 package state
 
 import "sync/atomic"

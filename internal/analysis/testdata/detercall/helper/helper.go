@@ -1,7 +1,7 @@
 // Package helper is a fixture package OUTSIDE the deterministic set: a
 // per-package check never sees its wall-clock read from the caller's
 // side. No findings surface here (determinism's Match rejects the path);
-// the package exists to carry taint facts across the package boundary.
+// the package exists to carry taint across the package boundary.
 package helper
 
 import "time"

@@ -29,36 +29,39 @@ var Wireerr = &Analyzer{
 var wireVerbs = []string{"encode", "decode", "read", "write", "marshal", "unmarshal", "send", "recv"}
 
 func runWireerr(pass *Pass) error {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				// foo.Write(b) as a bare statement: all results dropped.
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					if name := wireCallDroppingError(pass, call); name != "" {
-						pass.Reportf(call.Pos(), "error from %s is discarded; handle it or suppress with //lint:ignore wireerr <reason>", name)
+	for _, pkg := range pass.Pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					// foo.Write(b) as a bare statement: all results dropped.
+					if call, ok := n.X.(*ast.CallExpr); ok {
+						if name := wireCallDroppingError(info, call); name != "" {
+							pass.Reportf(call.Pos(), "error from %s is discarded; handle it or suppress with //lint:ignore wireerr <reason>", name)
+						}
+					}
+				case *ast.AssignStmt:
+					checkAssignDiscard(pass, info, n)
+				case *ast.GoStmt:
+					if name := wireCallDroppingError(info, n.Call); name != "" {
+						pass.Reportf(n.Call.Pos(), "error from %s is discarded by go statement; handle it in the goroutine", name)
+					}
+				case *ast.DeferStmt:
+					if name := wireCallDroppingError(info, n.Call); name != "" {
+						pass.Reportf(n.Call.Pos(), "error from %s is discarded by defer; wrap it in a closure that checks the error", name)
 					}
 				}
-			case *ast.AssignStmt:
-				checkAssignDiscard(pass, n)
-			case *ast.GoStmt:
-				if name := wireCallDroppingError(pass, n.Call); name != "" {
-					pass.Reportf(n.Call.Pos(), "error from %s is discarded by go statement; handle it in the goroutine", name)
-				}
-			case *ast.DeferStmt:
-				if name := wireCallDroppingError(pass, n.Call); name != "" {
-					pass.Reportf(n.Call.Pos(), "error from %s is discarded by defer; wrap it in a closure that checks the error", name)
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
 
 // checkAssignDiscard flags `_ = w.Write(b)` and `_, _ = x.Read(b)`
 // forms where the error result lands in a blank identifier.
-func checkAssignDiscard(pass *Pass, as *ast.AssignStmt) {
+func checkAssignDiscard(pass *Pass, info *types.Info, as *ast.AssignStmt) {
 	// Only the single-call form (n LHS, 1 RHS call) places results
 	// positionally; handle it plus the 1:1 form.
 	if len(as.Rhs) == 1 && len(as.Lhs) >= 1 {
@@ -66,7 +69,7 @@ func checkAssignDiscard(pass *Pass, as *ast.AssignStmt) {
 		if !ok {
 			return
 		}
-		name, errIdx := wireCallErrorResult(pass, call)
+		name, errIdx := wireCallErrorResult(info, call)
 		if name == "" {
 			return
 		}
@@ -89,7 +92,7 @@ func checkAssignDiscard(pass *Pass, as *ast.AssignStmt) {
 			if !ok {
 				continue
 			}
-			name, errIdx := wireCallErrorResult(pass, call)
+			name, errIdx := wireCallErrorResult(info, call)
 			if name == "" || errIdx != 0 {
 				continue
 			}
@@ -102,8 +105,8 @@ func checkAssignDiscard(pass *Pass, as *ast.AssignStmt) {
 
 // wireCallDroppingError reports a wire-verb call that returns an error
 // among its results (all of which the caller is dropping).
-func wireCallDroppingError(pass *Pass, call *ast.CallExpr) string {
-	name, errIdx := wireCallErrorResult(pass, call)
+func wireCallDroppingError(info *types.Info, call *ast.CallExpr) string {
+	name, errIdx := wireCallErrorResult(info, call)
 	if name == "" || errIdx < 0 {
 		return ""
 	}
@@ -112,12 +115,12 @@ func wireCallDroppingError(pass *Pass, call *ast.CallExpr) string {
 
 // wireCallErrorResult identifies a call to a wire-verb function and the
 // index of its error result, or ("", -1).
-func wireCallErrorResult(pass *Pass, call *ast.CallExpr) (string, int) {
+func wireCallErrorResult(info *types.Info, call *ast.CallExpr) (string, int) {
 	name := calleeName(call)
 	if name == "" || !hasWireVerb(name) {
 		return "", -1
 	}
-	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
+	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return "", -1
 	}

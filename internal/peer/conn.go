@@ -137,6 +137,9 @@ func (n *Node) orphanLocked(c *conn) (orphaned int) {
 func (c *conn) send(m *wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.bindWrite(); err != nil {
+		return err
+	}
 	return c.wr.WriteMsg(m)
 }
 
@@ -145,7 +148,18 @@ func (c *conn) send(m *wire.Message) error {
 func (c *conn) sendRequests(idx, size int) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.bindWrite(); err != nil {
+		return err
+	}
 	return c.wr.WriteRequests(uint32(idx), size, wire.DefaultBlockLen)
+}
+
+// bindWrite gives the next write (c.wmu held) DownloadTimeout to finish.
+// A remote that stops reading would otherwise block it for good, and
+// with it every sender queued on c.wmu: a broadcastHave on another
+// conn's reader, which then never reads again.
+func (c *conn) bindWrite() error {
+	return c.raw.SetWriteDeadline(time.Now().Add(c.node.cfg.DownloadTimeout))
 }
 
 // close shuts the underlying conn; safe to call multiple times.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"p2psplice/internal/shaper"
 	"p2psplice/internal/wire"
 )
 
@@ -280,6 +281,66 @@ func TestDownloadTimeoutRecovers(t *testing.T) {
 	defer cancel()
 	if err := viewer.WaitComplete(ctx); err != nil {
 		t.Fatalf("viewer never recovered from the silent peer: %v", err)
+	}
+}
+
+// TestSlowReaderCannotWedgeViewer: a remote that requests blocks and
+// never reads fills its socket, so the viewer's writes to it block. They
+// must time out. A write blocked for good holds that conn's write lock,
+// the next broadcastHave (run on the reader of the conn that delivered
+// the segment) waits on it forever, and the delivering conn never reads
+// again: the viewer stalls with the seeder still connected.
+func TestSlowReaderCannotWedgeViewer(t *testing.T) {
+	m, blobs := testSwarmData(t, 10*time.Second, 2*time.Second)
+	trk := newTracker(t)
+	scfg := fastConfig()
+	scfg.Shape = &shaper.Config{RateBytesPerSec: 96 * 1024}
+	seeder, err := Seed(trk, m, blobs, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seeder.Close()
+
+	cfg := fastConfig()
+	cfg.DownloadTimeout = time.Second
+	viewer, err := Join(trk, seeder.InfoHash(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viewer.Close()
+
+	// The slow reader arrives once the viewer holds segment 0 to serve it.
+	for deadline := time.Now().Add(10 * time.Second); !viewer.Store().Bitfield()[0]; {
+		if time.Now().After(deadline) {
+			t.Fatal("viewer never got segment 0")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if viewer.Store().Complete() {
+		t.Fatal("viewer finished before the slow reader arrived; the test is vacuous")
+	}
+	slow := dialProbe(t, viewer.Addr(), seeder.InfoHash(), "SLOWSLOWSLOWSLOWSLOW")
+	writer := make(chan struct{})
+	defer func() {
+		slow.c.Close() // unblocks the writer if the viewer stopped reading it
+		<-writer
+	}()
+	go func() {
+		defer close(writer)
+		wr := wire.NewWriter(slow.c)
+		req := &wire.Message{Type: wire.MsgRequest, Length: wire.DefaultBlockLen}
+		for i := 0; i < 20000; i++ {
+			if wr.WriteMsg(req) != nil {
+				return // the viewer dropped us, or the test closed the conn
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
+	defer cancel()
+	if err := viewer.WaitComplete(ctx); err != nil {
+		t.Fatalf("a peer that stops reading wedged the viewer at %d of %d segments: %v",
+			viewer.Stats().SegmentsHeld, len(blobs), err)
 	}
 }
 

@@ -4,8 +4,8 @@
 # network and nothing registered in .git to clean up) and the change (the
 # working tree as it stands), runs one fixed artifact set on each —
 #
-#   quick/     traced -quick run of the paper set plus the churn, burst and
-#              adversary figures, text + traces
+#   quick/     traced -quick run of the paper set plus the churn, burst,
+#              adversary and ablation figures, text + traces
 #   report.json, timeseries.csv
 #              splicetrace report / timeseries -csv over those traces
 #   paper.txt  default-scale text output of the paper set (Figures 2-6, table)
@@ -41,7 +41,7 @@ produce() (
     mkdir -p "$out/bin"
     cd "$1"
     "$GO" build -o "$out/bin/" ./cmd/experiment ./cmd/splicetrace
-    "$out/bin/experiment" -quick -figure all,churn,burst,adversary -trace "$out/quick/trace" > "$out/quick/figures.txt"
+    "$out/bin/experiment" -quick -figure all,churn,burst,adversary,ablation -trace "$out/quick/trace" > "$out/quick/figures.txt"
     "$out/bin/splicetrace" report "$out/quick/trace" -json -o "$out/report.json"
     "$out/bin/splicetrace" timeseries "$out/quick/trace" -csv -o "$out/timeseries.csv"
     "$out/bin/experiment" > "$out/paper.txt"
