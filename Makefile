@@ -57,16 +57,13 @@ identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/identity.sh "$(PARENT)"
 
-# bench-alloc: run the //lint:hotpath benchmarks with -benchmem and fail
-# on any nonzero allocs/op — the runtime half of the allocfree analyzer's
-# static contract. Not run under -race (instrumentation allocates).
+# bench-alloc: the //lint:hotpath contract, measured. The BenchmarkHotpath*
+# benchmarks must report 0 allocs/op and the zero-alloc tests (which
+# `make race` never runs) must pass; then a coverage run of the same gates
+# fails on any //lint:hotpath function that none of them executes. One
+# recipe, scripts/bench-alloc.sh.
 bench-alloc: | $(ARTIFACTS)
-	$(GO) test -run='^$$' -bench='^BenchmarkHotpath' -benchmem \
-		./internal/wire ./internal/trace ./internal/sim ./internal/netem ./internal/core ./internal/simpeer > $(ARTIFACTS)/bench-alloc.txt || \
-		{ cat $(ARTIFACTS)/bench-alloc.txt; exit 1; }
-	@cat $(ARTIFACTS)/bench-alloc.txt
-	@awk '/^BenchmarkHotpath/ { seen++; if ($$(NF-1) != 0) { print "bench-alloc: " $$1 " allocates " $$(NF-1) " allocs/op, want 0"; bad = 1 } } \
-		END { if (!seen) { print "bench-alloc: no hotpath benchmarks ran"; exit 1 }; if (bad) exit 1; print "bench-alloc: " seen " hotpath benchmarks at 0 allocs/op" }' $(ARTIFACTS)/bench-alloc.txt
+	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/bench-alloc.sh
 
 # bench-harness: cmd/bench is a module of its own (see its README), so
 # the root build/vet/test targets never see it. Its tests include a -smoke

@@ -1,6 +1,6 @@
 // Command splicelint runs the repository's static-analysis suite: the
-// determinism, mutexguard, golifecycle, wireerr, floatcmp, allocfree,
-// and atomicguard analyzers from internal/analysis, built entirely on
+// determinism, mutexguard, golifecycle, wireerr, floatcmp and
+// atomicguard analyzers from internal/analysis, built entirely on
 // the stdlib go/* packages.
 //
 // Usage:
@@ -9,7 +9,7 @@
 //
 // Patterns default to ./... relative to the module root; they are
 // always expanded to their module-internal dependency closure so the
-// cross-package checks (determinism, allocfree, atomicguard) see every
+// cross-package checks (determinism, atomicguard) see every
 // helper package the named packages reach. Exit status is 0 when
 // clean, 1 when findings were reported, 2 on usage or load errors.
 // Findings can be silenced in source with

@@ -56,13 +56,6 @@ func TestDetercall(t *testing.T) {
 	}
 }
 
-func TestAllocfree(t *testing.T) {
-	analysistest.RunModule(t, "testdata/allocfree", map[string]string{
-		"dep": "p2psplice/internal/dep",
-		"hot": "p2psplice/internal/hot",
-	}, analysis.Allocfree)
-}
-
 func TestAtomicguard(t *testing.T) {
 	analysistest.RunModule(t, "testdata/atomicguard", map[string]string{
 		"state": "p2psplice/internal/state",
@@ -88,8 +81,8 @@ func TestDeadIgnores(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 7 {
-		t.Fatalf("expected 7 analyzers, got %d", len(all))
+	if len(all) != 6 {
+		t.Fatalf("expected 6 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

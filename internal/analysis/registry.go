@@ -8,7 +8,6 @@ func All() []*Analyzer {
 		Golifecycle,
 		Wireerr,
 		Floatcmp,
-		Allocfree,
 		Atomicguard,
 	}
 }

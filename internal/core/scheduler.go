@@ -155,7 +155,6 @@ func (t *SourceSet) Add(s *Source) {
 	if t.cap > 0 && s.Uploads >= t.cap {
 		return
 	}
-	//lint:ignore allocfree amortized: the scratch grows to the swarm size once and is reused
 	t.cands = append(t.cands, s)
 	if s == t.prev {
 		t.sticky = s

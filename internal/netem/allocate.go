@@ -156,11 +156,9 @@ func (n *Network) collectComponent(seed *link, prevOrdered bool) {
 				continue
 			}
 			if f.mark != n.prevGen {
-				//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
 				n.freshFlows = append(n.freshFlows, f)
 			}
 			f.mark = n.allocGen
-			//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
 			n.regionFlows = append(n.regionFlows, f)
 			if f.lup.mark != n.allocGen {
 				n.collectLink(f.lup)
@@ -183,7 +181,6 @@ func (n *Network) collectComponent(seed *link, prevOrdered bool) {
 		n.orderLinks(links)
 		n.orderFlows(flows)
 	}
-	//lint:ignore allocfree amortized: component-bound scratch grows to the high-water mark once and is reused
 	n.compBounds = append(n.compBounds, compBound{l0: l0, l1: len(n.regionLinks), f0: f0, f1: len(n.regionFlows)})
 }
 
@@ -195,11 +192,9 @@ const filterMinFlows = 12
 //lint:hotpath once per link per collected component
 func (n *Network) collectLink(l *link) {
 	if l.mark != n.prevGen {
-		//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
 		n.freshLinks = append(n.freshLinks, l)
 	}
 	l.mark = n.allocGen
-	//lint:ignore allocfree amortized: region scratch grows to the largest component once and is reused
 	n.linkQueue, n.regionLinks = append(n.linkQueue, l), append(n.regionLinks, l)
 }
 
@@ -295,13 +290,10 @@ func (n *Network) fillComponent(links []*link, flows []*Flow) {
 		}
 		l.remaining = l.capacity / (1 + n.model.concurrencyPenalty*float64(excess))
 		l.unfixed = len(l.flows)
-		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
 		open = append(open, int32(i))
 	}
 	for i, f := range flows {
-		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
 		live = append(live, int32(i))
-		//lint:ignore allocfree amortized: fill scratch grows to the largest component once and is reused
 		caps = append(caps, f.capLimit())
 	}
 	n.openLinks, n.liveFlows, n.flowCaps = open, live, caps
@@ -417,7 +409,6 @@ func seconds(s float64) time.Duration {
 func (n *Network) orderLinks(ls []*link) {
 	keys := n.sortKeys[:0]
 	for _, l := range ls {
-		//lint:ignore allocfree amortized: key scratch grows to the largest component once and is reused
 		keys = append(keys, uint64(l.ord))
 	}
 	slices.Sort(keys)
@@ -440,11 +431,9 @@ func (n *Network) orderLinks(ls []*link) {
 func (n *Network) orderFlows(fs []*Flow) {
 	keys := n.sortKeys[:0]
 	for i, f := range fs {
-		//lint:ignore allocfree amortized: key scratch grows to the largest component once and is reused
 		keys = append(keys, uint64(f.id)<<32|uint64(i))
 	}
 	slices.Sort(keys)
-	//lint:ignore allocfree amortized: gather scratch grows to the largest region once and is reused
 	n.flowGather = append(n.flowGather[:0], fs...)
 	for i, k := range keys {
 		fs[i] = n.flowGather[uint32(k)]

@@ -180,7 +180,6 @@ func (n *Network) reuseFlow() *Flow {
 //lint:hotpath once per finished or cancelled transfer
 func (n *Network) release(f *Flow) {
 	f.completion.Cancel()
-	//lint:ignore allocfree amortized: the free list grows to the most transfers ever finished between two starts once and is reused
 	n.free = append(n.free, f)
 }
 
@@ -194,7 +193,6 @@ func (n *Network) arm(t **sim.Timer, delay time.Duration, fn func()) {
 		n.eng.Reschedule(*t, delay)
 		return
 	}
-	//lint:ignore allocfree amortized: a Flow makes each of its timers once and re-arms it for every transfer it carries
 	*t = n.eng.Schedule(delay, fn)
 }
 

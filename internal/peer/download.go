@@ -152,8 +152,10 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.mu.Unlock()
 		return // stale block from an abandoned download
 	}
+	// A block is DefaultBlockLen bytes, the segment's last one the rest
+	// (the wire admits no empty PIECE, so none lies past the end).
 	off := int(m.Offset)
-	if off%wire.DefaultBlockLen != 0 || off+len(m.Data) > d.size {
+	if off%wire.DefaultBlockLen != 0 || len(m.Data) != min(wire.DefaultBlockLen, d.size-off) {
 		n.mu.Unlock()
 		c.close()
 		return

@@ -258,6 +258,34 @@ func TestDuplicatePieceCompletesOnce(t *testing.T) {
 	}
 }
 
+// A PIECE whose length is not its block's is refused on arrival: the conn
+// closes and no block is marked, so 1-byte PIECEs, one per block, cannot
+// "complete" a segment and reach its verify.
+func TestShortPieceClosesConn(t *testing.T) {
+	n, _, ca, blob, _ := newWindowLeecher(t, 1, false)
+	injectDownload(n, ca, 0, 0)
+	short := func(off int) {
+		n.onPiece(ca, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: uint32(off), Data: blob[off : off+1]})
+	}
+	short(0)
+
+	if !ca.closed.Load() {
+		t.Error("conn open after a short PIECE")
+	}
+	n.mu.Lock()
+	marked := n.active[0] != nil && n.active[0].blocks[0]
+	n.mu.Unlock()
+	if marked {
+		t.Error("a short PIECE marked its block received")
+	}
+	for off := wire.DefaultBlockLen; off < len(blob); off += wire.DefaultBlockLen {
+		short(off)
+	}
+	if st := n.Stats(); st.DownloadedBytes != 0 || st.VerifyFailures != 0 {
+		t.Errorf("DownloadedBytes %d, VerifyFailures %d after short PIECEs; want 0, 0", st.DownloadedBytes, st.VerifyFailures)
+	}
+}
+
 // A conn closed or choked between a segment's completion and its Put
 // leaves the download for onPiece to end: the pool, the conn's load and
 // the meter each count it out exactly once (never negative), and the

@@ -180,7 +180,6 @@ func (x *entry) before(y *entry) bool {
 //
 //lint:hotpath heap op on every schedule
 func (e *Engine) push(x entry) {
-	//lint:ignore allocfree amortized: the heap's backing array grows to the pending-event high-water mark once
 	e.events = append(e.events, entry{})
 	e.sift(len(e.events)-1, x)
 }

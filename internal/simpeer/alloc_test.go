@@ -27,24 +27,33 @@ type steady struct {
 	p  *peerState
 }
 
-var steadySwarms = map[int]steady{}
+// steadyKey names a steady swarm: its size, and whether its fills also
+// read every optional input — reputation quarantine flags (the table has
+// scored the warm-up's serves), the rarest-first lookahead and the CDN
+// fallback.
+type steadyKey struct {
+	leechers int
+	hybrid   bool
+}
+
+var steadySwarms = map[steadyKey]steady{}
 
 // The swarm sizes the gates run at: the paper's twenty nodes, and 1 000
 // peers.
 const paperScale, largeScale = 19, 999
 
-// steadySwarm returns the steady swarm of the given size, warming it up
-// on first use. A lossless swarm with a tiny manifest reaches mid-stream
-// in few events, and the large one is measured earlier in virtual time
+// steadySwarm returns the steady swarm sc names, warming it up on
+// first use. A lossless swarm with a tiny manifest reaches mid-stream in
+// few events, and the large one is measured earlier in virtual time
 // (every completion refills every peer, so its warm-up costs seconds of
 // wall time per virtual second).
-func steadySwarm(tb testing.TB, leechers int) (*swarm, *peerState) {
+func steadySwarm(tb testing.TB, sc steadyKey) (*swarm, *peerState) {
 	tb.Helper()
-	if st, ok := steadySwarms[leechers]; ok {
+	if st, ok := steadySwarms[sc]; ok {
 		return st.sw, st.p
 	}
 	until := 12 * time.Second
-	if leechers == largeScale {
+	if sc.leechers == largeScale {
 		until = 5 * time.Second
 	}
 	segs := make([]SegmentMeta, 60)
@@ -52,8 +61,13 @@ func steadySwarm(tb testing.TB, leechers int) (*swarm, *peerState) {
 		segs[i] = SegmentMeta{Bytes: 256 << 10, Duration: 2 * time.Second}
 	}
 	cfg := baseConfig(256 << 10)
-	cfg.Leechers = leechers
+	cfg.Leechers = sc.leechers
 	cfg.LossRate = 0
+	if sc.hybrid {
+		cfg.Reputation = repDefault()
+		cfg.Selection = SelectRarestFirst
+		cfg.CDN = &CDNAssist{BandwidthBytesPerSec: 256 << 10}
+	}
 	sw, err := newSwarm(cfg, segs)
 	if err != nil {
 		tb.Fatal(err)
@@ -74,25 +88,28 @@ func steadySwarm(tb testing.TB, leechers int) (*swarm, *peerState) {
 		sw.fill(p)
 		sw.pickCheck = nil
 		if picks > 0 && launches == 0 {
-			steadySwarms[leechers] = steady{sw, p}
+			steadySwarms[sc] = steady{sw, p}
 			return sw, p
 		}
 	}
-	tb.Fatalf("no blocked leecher among %d at t=%v", leechers, sw.eng.Now())
+	tb.Fatalf("no blocked leecher among %d at t=%v", sc.leechers, sw.eng.Now())
 	return nil, nil
 }
 
 // TestZeroAllocFillBlocked pins the blocked fill — cursor scan, Eq. 1,
-// source-set build, selection up to the frontier — at zero allocations.
+// source-set build, selection up to the frontier — at zero allocations,
+// with the default inputs and with every optional one.
 func TestZeroAllocFillBlocked(t *testing.T) {
-	sw, p := steadySwarm(t, paperScale)
-	if allocs := testing.AllocsPerRun(100, func() { sw.fill(p) }); allocs != 0 {
-		t.Errorf("blocked fill allocated %.1f times per call, want 0", allocs)
+	for _, sc := range []steadyKey{{paperScale, false}, {paperScale, true}} {
+		sw, p := steadySwarm(t, sc)
+		if allocs := testing.AllocsPerRun(100, func() { sw.fill(p) }); allocs != 0 {
+			t.Errorf("blocked fill (hybrid %v) allocated %.1f times per call, want 0", sc.hybrid, allocs)
+		}
 	}
 }
 
-func benchFillBlocked(b *testing.B, leechers int) {
-	sw, p := steadySwarm(b, leechers)
+func benchFillBlocked(b *testing.B, leechers int, hybrid bool) {
+	sw, p := steadySwarm(b, steadyKey{leechers, hybrid})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,7 +120,7 @@ func benchFillBlocked(b *testing.B, leechers int) {
 var sinkSrc *core.Source
 
 func benchPickSource(b *testing.B, leechers int) {
-	sw, p := steadySwarm(b, leechers)
+	sw, p := steadySwarm(b, steadyKey{leechers, false})
 	next := sw.nextWanted(p)
 	sw.buildSourceSet(p, sw.eng.Now())
 	b.ReportAllocs()
@@ -115,10 +132,11 @@ func benchPickSource(b *testing.B, leechers int) {
 
 // The -benchmem gates for the scheduler: `make bench-alloc` fails if any
 // reports nonzero allocs/op.
-func BenchmarkHotpathFillBlocked(b *testing.B)   { benchFillBlocked(b, paperScale) }
-func BenchmarkHotpathFillBlocked1k(b *testing.B) { benchFillBlocked(b, largeScale) }
-func BenchmarkHotpathPickSource(b *testing.B)    { benchPickSource(b, paperScale) }
-func BenchmarkHotpathPickSource1k(b *testing.B)  { benchPickSource(b, largeScale) }
+func BenchmarkHotpathFillBlocked(b *testing.B)       { benchFillBlocked(b, paperScale, false) }
+func BenchmarkHotpathFillBlockedHybrid(b *testing.B) { benchFillBlocked(b, paperScale, true) }
+func BenchmarkHotpathFillBlocked1k(b *testing.B)     { benchFillBlocked(b, largeScale, false) }
+func BenchmarkHotpathPickSource(b *testing.B)        { benchPickSource(b, paperScale) }
+func BenchmarkHotpathPickSource1k(b *testing.B)      { benchPickSource(b, largeScale) }
 
 // TestRunAllocsPerDownload bounds what the engine run of a paper-scale
 // swarm allocates per completed download. A launch, a completion and a

@@ -327,7 +327,6 @@ func (s *swarm) armRetry(p *peerState, delay time.Duration) {
 		s.eng.Reschedule(p.retry, delay)
 		return
 	}
-	//lint:ignore allocfree amortized: a peer makes its retry Timer once and re-arms it for every later retry
 	p.retry = s.eng.Schedule(delay, p.retryFn)
 }
 

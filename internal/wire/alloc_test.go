@@ -1,7 +1,6 @@
-// Zero-allocation tests for the //lint:hotpath contract: allocfree
-// proves the absence of allocating constructs statically, these prove
-// it at runtime. Excluded under -race because race instrumentation
-// inserts allocations the production build does not have.
+// Zero-allocation tests for the //lint:hotpath contract on the codec and
+// the stream Reader and Writer. Excluded under -race because race
+// instrumentation inserts allocations the production build does not have.
 
 //go:build !race
 

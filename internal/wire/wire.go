@@ -259,7 +259,6 @@ func (rd *Reader) ReadInto(m *Message) error {
 		return err
 	}
 	if uint32(cap(rd.buf)) < length {
-		//lint:ignore allocfree amortized: the buffer grows to the stream's high-water frame size once, then is reused
 		rd.buf = make([]byte, length)
 	}
 	body := rd.buf[:length]
@@ -270,8 +269,6 @@ func (rd *Reader) ReadInto(m *Message) error {
 }
 
 // midFrame reports a stream that ended inside a frame as ErrUnexpectedEOF.
-//
-//lint:hotpath called on ReadInto's error paths
 func midFrame(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
@@ -301,7 +298,6 @@ func (wr *Writer) WriteMsg(m *Message) error {
 		return err
 	}
 	if cap(wr.buf) < n {
-		//lint:ignore allocfree amortized: the buffer grows to the connection's high-water frame size once, then is reused
 		wr.buf = make([]byte, n)
 	}
 	buf := wr.buf[:n]
@@ -332,7 +328,6 @@ func (wr *Writer) WriteRequests(index uint32, size, blockLen int) error {
 		return nil
 	}
 	if cap(wr.buf) < n {
-		//lint:ignore allocfree amortized: the buffer grows to the connection's high-water burst size once, then is reused
 		wr.buf = make([]byte, n)
 	}
 	buf := wr.buf[:n]
