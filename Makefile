@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint loc reach identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -35,6 +35,13 @@ fmt-check:
 lint: | $(ARTIFACTS)
 	$(GO) run ./cmd/splicelint -deadignores -json ./... > $(ARTIFACTS)/splicelint.json || \
 		{ $(GO) run ./cmd/splicelint -deadignores ./...; exit 1; }
+
+# lint-audit: splicelint's findings with every suppression outside
+# internal/analysis stripped, on a temp copy of the working tree, written
+# to $(ARTIFACTS)/lint-audit.json with one "analyzer count" line each. Not
+# a gate; it measures what the tree's //lint:ignore lines silence.
+lint-audit: | $(ARTIFACTS)
+	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/lint-audit.sh
 
 # loc: the size ledger — non-blank Go lines per package, non-test and
 # test. A PR that deletes code quotes its before/after rows in CHANGES.md.

@@ -10,20 +10,27 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
+	"p2psplice/internal/container"
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
 	"p2psplice/internal/metrics"
+	"p2psplice/internal/peer"
 	"p2psplice/internal/shaper"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/tracereport"
+	"p2psplice/internal/tracker"
 )
 
 func main() {
@@ -43,10 +50,18 @@ func main() {
 	flag.Parse()
 
 	if *real {
-		if err := runRealValidation(); err != nil {
+		fmt.Printf("cross-validation: %v clip at %d B/s, %d viewers, %v segments, %d kB/s links\n",
+			realClip, realRate, realViewers, realSegment, realShapeKB)
+		v, err := runRealValidation()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiment:", err)
 			os.Exit(1)
 		}
+		emu, sum := v.emulated, metrics.Summarize(v.real)
+		fmt.Printf("%-10s | %10s | %12s | %12s\n", "stack", "stalls", "stall sec", "startup sec")
+		fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "emulated", emu.Stalls, emu.StallSeconds, emu.StartupSecs)
+		fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "real TCP", sum.MeanStalls, sum.MeanStallSeconds, sum.MeanStartupSeconds)
+		fmt.Printf("(real run wall time %v; the emulated run took milliseconds)\n", v.realWall.Round(time.Millisecond))
 		return
 	}
 
@@ -239,50 +254,112 @@ func writeCSV(dir, key string, res *experiment.FigureResult) error {
 	return nil
 }
 
-// runRealValidation runs the same small workload on the deterministic
-// emulator and on real loopback TCP, printing both sets of playback metrics.
-// Loopback has no bandwidth shaping by default, so the comparison point uses
-// a shaped link on the real side and the matching rate on the emulated side.
-func runRealValidation() error {
-	const (
-		clip    = 8 * time.Second
-		rate    = int64(32 * 1024)
-		viewers = 3
-		shapeKB = int64(128)
-	)
-	sp := splicer.DurationSplicer{Target: 2 * time.Second}
+// The -real workload, run on both stacks: an 8 s clip at 32 KiB/s cut
+// into 2 s segments for 3 viewers, every real node shaped to the emulated
+// 128 kB/s access link and 25 ms delay.
+const (
+	realClip    = 8 * time.Second
+	realRate    = 32 * 1024 // bytes/s
+	realViewers = 3
+	realSegment = 2 * time.Second
+	realShapeKB = 128
+	realLatency = 25 * time.Millisecond
+	realTimeout = 3 * time.Minute
+)
 
-	// Emulated.
+// validation is the -real comparison: the emulated sweep point, one
+// playback sample per real viewer, and the real half's wall time.
+type validation struct {
+	emulated experiment.Point
+	real     []metrics.PlaybackSample
+	realWall time.Duration
+}
+
+// runRealValidation runs the -real workload on the deterministic emulator
+// and then on real loopback TCP: an in-process tracker, a seeder and the
+// viewers, every node shaped to the emulated access link. It returns once
+// every viewer has downloaded the clip; no stall can occur after that, so
+// each viewer's playback metrics are final.
+func runRealValidation() (validation, error) {
+	sp := splicer.DurationSplicer{Target: realSegment}
 	p := experiment.QuickParams()
-	p.ClipDuration = clip
-	p.Encoder.BytesPerSecond = rate
-	p.Leechers = viewers
+	p.ClipDuration = realClip
+	p.Encoder.BytesPerSecond = realRate
+	p.Leechers = realViewers
 	p.Runs = 1
-	emu, err := p.Sweep(sp, core.AdaptivePool{}, []int64{shapeKB}, nil)
+	emu, err := p.Sweep(sp, core.AdaptivePool{}, []int64{realShapeKB}, nil)
 	if err != nil {
-		return err
+		return validation{}, err
 	}
+	out := validation{emulated: emu[0]}
 
-	// Real TCP over loopback, shaped to the same access rate.
-	fmt.Printf("cross-validation: %v clip at %d B/s, %d viewers, 2s segments, %d kB/s links\n",
-		clip, rate, viewers, shapeKB)
 	start := time.Now()
-	samples, err := experiment.RealStackRun(experiment.RealStackConfig{
-		Clip:    clip,
-		Rate:    rate,
-		Seed:    42,
-		Splicer: sp,
-		Viewers: viewers,
-		Shape:   &shaper.Config{RateBytesPerSec: shapeKB * 1024, Latency: 25 * time.Millisecond},
-		Timeout: 3 * time.Minute,
-	})
+	v, err := p.Video()
 	if err != nil {
-		return err
+		return out, err
 	}
-	sum := metrics.Summarize(samples)
-	fmt.Printf("%-10s | %10s | %12s | %12s\n", "stack", "stalls", "stall sec", "startup sec")
-	fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "emulated", emu[0].Stalls, emu[0].StallSeconds, emu[0].StartupSecs)
-	fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "real TCP", sum.MeanStalls, sum.MeanStallSeconds, sum.MeanStartupSeconds)
-	fmt.Printf("(real run wall time %v; the emulated run took milliseconds)\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	segs, err := sp.Splice(v)
+	if err != nil {
+		return out, err
+	}
+	m, blobs, err := container.BuildManifest(container.ClipInfo{
+		Duration:       v.Duration(),
+		BytesPerSecond: realRate,
+		Seed:           p.VideoSeed,
+	}, sp.Name(), segs)
+	if err != nil {
+		return out, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return out, fmt.Errorf("tracker listen: %w", err)
+	}
+	srv := &http.Server{Handler: tracker.NewServer().Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 10 * time.Second} // read limits as cmd/tracker sets them
+	var served sync.WaitGroup
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		_ = srv.Serve(ln) // returns http.ErrServerClosed after Close
+	}()
+	defer func() {
+		_ = srv.Close()
+		served.Wait()
+	}()
+	trk := tracker.NewClient("http://"+ln.Addr().String(), nil)
+	cfg := peer.Config{
+		Policy:           core.AdaptivePool{},
+		AnnounceInterval: 200 * time.Millisecond,
+		Shape:            &shaper.Config{RateBytesPerSec: realShapeKB * 1024, Latency: realLatency},
+	}
+	seeder, err := peer.Seed(trk, m, blobs, cfg)
+	if err != nil {
+		return out, err
+	}
+	defer seeder.Close()
+	var viewers []*peer.Node
+	defer func() {
+		for _, n := range viewers {
+			n.Close()
+		}
+	}()
+	for range realViewers {
+		n, err := peer.Join(trk, seeder.InfoHash(), cfg)
+		if err != nil {
+			return out, err
+		}
+		viewers = append(viewers, n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), realTimeout)
+	defer cancel()
+	for i, n := range viewers {
+		if err := n.WaitComplete(ctx); err != nil {
+			return out, fmt.Errorf("viewer %d: %w", i+1, err)
+		}
+		pm := n.Playback()
+		out.real = append(out.real, metrics.PlaybackSample{
+			Peer: i + 1, Startup: pm.StartupTime, Stalls: pm.Stalls, TotalStall: pm.TotalStall, Finished: true,
+		})
+	}
+	out.realWall = time.Since(start)
+	return out, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"p2psplice/internal/experiment"
 )
@@ -44,5 +45,26 @@ func TestSelectFigures(t *testing.T) {
 	}
 	if _, err := selectFigures("2,nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
 		t.Errorf("unknown key not named in error: %v", err)
+	}
+}
+
+// TestRealValidation runs -real's workload: every real viewer finishes
+// with a startup above zero, and the real half takes at least 500 ms,
+// which unshaped loopback would not, so the shaper was applied.
+func TestRealValidation(t *testing.T) {
+	v, err := runRealValidation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.real) != realViewers {
+		t.Fatalf("got %d real samples, want %d", len(v.real), realViewers)
+	}
+	for _, s := range v.real {
+		if !s.Finished || s.Startup <= 0 {
+			t.Errorf("viewer %d: finished %v, startup %v", s.Peer, s.Finished, s.Startup)
+		}
+	}
+	if v.realWall < 500*time.Millisecond {
+		t.Errorf("real half took %v; shaper apparently inactive", v.realWall)
 	}
 }

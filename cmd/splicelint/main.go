@@ -9,8 +9,8 @@
 //
 // Patterns default to ./... relative to the module root; they are
 // always expanded to their module-internal dependency closure so the
-// cross-package checks (determinism, atomicguard) see every
-// helper package the named packages reach. Exit status is 0 when
+// cross-package check (atomicguard) sees every helper package the named
+// packages reach. Exit status is 0 when
 // clean, 1 when findings were reported, 2 on usage or load errors.
 // Findings can be silenced in source with
 //

@@ -1,18 +1,17 @@
 // Package analysis is a stdlib-only static-analysis framework for this
 // module, plus the splicelint analyzers that enforce its correctness
-// invariants: simulation determinism (direct and through call chains),
-// mutex guard discipline, goroutine lifecycle hygiene, wire-level error
-// handling, float comparison safety, hot-path allocation freedom, and
-// atomic access discipline. It deliberately uses only go/ast, go/parser,
-// go/token and go/types so the module keeps zero external dependencies.
+// invariants: simulation determinism (a deterministic package set closed
+// under imports), mutex guard discipline, goroutine lifecycle hygiene,
+// wire-level error handling, float comparison safety, and atomic access
+// discipline. It deliberately uses only go/ast, go/parser, go/token and
+// go/types so the module keeps zero external dependencies.
 //
 // The framework is a miniature of golang.org/x/tools/go/analysis
 // without its facts: splicelint always loads the whole module into one
-// process, so each Analyzer runs once over every loaded package, in
-// dependency order (imports first), and keeps whatever it learns about
-// one package for the next in its own maps. That is what lets
-// determinism follow a call chain out of a deterministic package,
-// through any number of helper packages, to a wall-clock read.
+// process, so each Analyzer runs once over the loaded packages its Match
+// accepts, in dependency order (imports first). An analyzer that needs
+// module-wide knowledge, as atomicguard does, keeps it in its own maps
+// for the one run.
 package analysis
 
 import (
@@ -23,17 +22,17 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check. Run inspects every loaded package and
-// reports findings through the Pass.
+// Analyzer is one static check. Run inspects the packages its Match
+// accepts and reports findings through the Pass.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in //lint:ignore
 	// suppression comments. Lower-case, no spaces.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Match restricts *reporting* to packages whose import path it
-	// accepts. Nil means every package. Run still sees every package,
-	// so what it learns outside Match can inform a finding inside.
+	// Match selects the packages Run sees, by import path. Nil means
+	// every package. Run learns nothing outside them, so it can report
+	// nothing there either.
 	Match func(pkgPath string) bool
 	// Run performs the analysis over the whole pass.
 	Run func(*Pass) error
@@ -43,23 +42,18 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Pkgs holds every package under analysis, each after the packages
-	// it imports.
+	// Pkgs holds the packages under analysis that the analyzer's Match
+	// accepts, each after the packages it imports.
 	Pkgs []*Package
 	// ModulePath is the import-path prefix identifying module-internal
 	// packages.
 	ModulePath string
 
-	pkgOf    map[*token.File]string // file -> import path, for Match
 	findings []Finding
 }
 
-// Reportf records a finding at pos, unless pos lies in a package
-// outside the analyzer's Match.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if m := p.Analyzer.Match; m != nil && !m(p.pkgOf[p.Fset.File(pos)]) {
-		return
-	}
 	p.findings = append(p.findings, Finding{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -94,23 +88,26 @@ type Result struct {
 	DeadIgnores []Finding
 }
 
-// RunResult runs each analyzer once over the packages, which it puts
-// in dependency order first. Suppression comments are collected across
-// all packages and applied to the combined findings, so a finding is
-// suppressible at its site whichever package's analysis discovered it.
+// RunResult runs each analyzer once over the packages its Match
+// accepts, which it puts in dependency order first. Suppression comments
+// are collected across all packages and applied to the combined
+// findings, so a finding is suppressible at its site whichever analyzer
+// reported it.
 func RunResult(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 	pkgs = depOrder(pkgs)
-	pkgOf := map[*token.File]string{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			pkgOf[pkg.Fset.File(f.Pos())] = pkg.Path
-		}
-	}
 	fset, modPath := fsetOf(pkgs), modulePathOf(pkgs)
 	sup := collectSuppressions(pkgs)
 	var all []Finding
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, ModulePath: modPath, pkgOf: pkgOf}
+		pass := &Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, ModulePath: modPath}
+		if a.Match != nil {
+			pass.Pkgs = nil
+			for _, pkg := range pkgs {
+				if a.Match(pkg.Path) {
+					pass.Pkgs = append(pass.Pkgs, pkg)
+				}
+			}
+		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
@@ -135,10 +132,8 @@ func RunResult(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 
 // depOrder sorts packages so every package follows the packages it
 // imports (restricted to the given set). The order is deterministic:
-// ties are broken by import path. Analyzing in this order is what lets
-// an analyzer carry what it learned from a package to its importers —
-// by the time a package is visited, all of its module-internal
-// dependencies have been.
+// ties are broken by import path, so every analyzer sees the packages in
+// one order however they were loaded.
 func depOrder(pkgs []*Package) []*Package {
 	byPath := make(map[string]*Package, len(pkgs))
 	paths := make([]string, 0, len(pkgs))

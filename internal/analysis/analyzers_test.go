@@ -46,11 +46,12 @@ func TestFloatcmpOutOfScope(t *testing.T) {
 
 func TestDetercall(t *testing.T) {
 	res := analysistest.RunModule(t, "testdata/detercall", map[string]string{
-		"helper": "p2psplice/internal/helper",
-		"sim":    "p2psplice/internal/sim",
+		"helper":    "p2psplice/internal/helper",
+		"sim":       "p2psplice/internal/sim",
+		"wallclock": "p2psplice/internal/wallclock",
 	}, analysis.All()...)
-	// The fixture's one suppression silences a real chain; it must not
-	// read as dead.
+	// The fixture's one suppression silences a real import finding; it
+	// must not read as dead.
 	for _, d := range res.DeadIgnores {
 		t.Errorf("unexpected dead ignore: %s", d)
 	}

@@ -1,12 +1,11 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // DeterministicPackages lists the packages that must be bit-for-bit
@@ -16,10 +15,11 @@ import (
 // our substitute claims to do better, so any wall-clock read, global
 // (unseeded) RNG use, or order-sensitive map iteration in these
 // packages silently invalidates the headline stall/startup figures.
-// The list is the closure of the emulation data path: everything the
-// experiment harness reaches, directly or through helpers, except the
-// real-network stack (peer, tracker, shaper, cdn) whose wall-clock
-// timing is the thing the emulation is compared against.
+// The set is closed under imports, and Determinism enforces that: a
+// package in it imports no other module package, so everything the
+// experiment harness runs is checked here. The real-network stack
+// (peer, tracker, shaper, cdn, wire), whose wall-clock timing is what
+// the emulation is compared against, stays outside.
 var DeterministicPackages = []string{
 	"p2psplice/internal/sim",
 	"p2psplice/internal/netem",
@@ -38,33 +38,31 @@ var DeterministicPackages = []string{
 }
 
 // Determinism enforces bit-for-bit reproducibility in the
-// DeterministicPackages. It walks every function body and every
-// package-level var initializer of every module package, in dependency
-// order, and classifies each use of a function once. In a deterministic
-// package it reports:
+// DeterministicPackages. In each of their files it reports:
+//   - an import of a module package outside the set, since the set must
+//     be closed under imports: a call can reach nondeterminism in another
+//     module package only through an import, so checking every package
+//     of a closed set checks everything the set runs;
 //   - a call to a source: time.Now/Since/Until, a process-global
 //     math/rand(/v2) function (seeded constructors are fine), or anything
 //     in crypto/rand;
 //   - a reference to a source, such as `var now = time.Now`: no call
 //     exists at the site, yet every later use of the value is one;
-//   - a use of a module-internal function outside the deterministic set
-//     that transitively reaches a source, with the call chain;
 //   - a for-range over a map that appends to a variable declared outside
 //     the loop with no sort of that variable later in the same block.
 //
-// The chains come from one taint map, filled bottom-up package by
-// package in dependency order: a function that contains a source, or
-// uses a tainted function, is tainted. A var initializer has no function
-// object, so it reports but taints nothing. Dynamic calls (interface
-// methods, function values) are not resolved; injected-clock indirection
-// is therefore invisible by design — that is exactly the sanctioned
-// escape hatch.
+// Dynamic calls (interface methods, function values) are not resolved;
+// injected-clock indirection is therefore invisible by design — that is
+// exactly the sanctioned escape hatch.
 var Determinism = &Analyzer{
 	Name:  "determinism",
-	Doc:   "forbid wall-clock reads, global RNG, entropy and unsorted map-iteration output in deterministic packages, directly or through helper call chains",
-	Match: matchPaths(DeterministicPackages...),
+	Doc:   "forbid wall-clock reads, global RNG, entropy, unsorted map-iteration output and imports of non-deterministic module packages in deterministic packages",
+	Match: deterministic,
 	Run:   runDeterminism,
 }
+
+// deterministic reports whether an import path is in DeterministicPackages.
+var deterministic = matchPaths(DeterministicPackages...)
 
 // wall-clock functions in package time. time.Since and time.Until call
 // time.Now internally, so they are just as nondeterministic.
@@ -79,7 +77,7 @@ var randConstructors = map[string]bool{
 }
 
 // sourceDesc reports whether obj is a nondeterministic source function
-// and describes it for findings and call chains.
+// and describes it for findings.
 func sourceDesc(obj *types.Func) (string, bool) {
 	pkg := obj.Pkg()
 	if pkg == nil {
@@ -103,134 +101,18 @@ func sourceDesc(obj *types.Func) (string, bool) {
 	return "", false
 }
 
-// funcUse is one appearance of a function object: either the callee of a
-// call expression or a bare reference (a stored or passed function
-// value).
-type funcUse struct {
-	obj  *types.Func
-	pos  token.Pos
-	call bool
-}
-
-// walkNode is one unit of the walk: a function declaration's body, or a
-// package-level var declaration (fn nil).
-type walkNode struct {
-	fn     *types.Func
-	uses   []funcUse
-	ranges []mapRangeHit
-}
-
-// source describes the node's first direct nondeterministic source, or
-// returns "" if it has none.
-func (n *walkNode) source() string {
-	for _, u := range n.uses {
-		if desc, ok := sourceDesc(u.obj); ok {
-			return desc
-		}
-	}
-	if len(n.ranges) > 0 {
-		return fmt.Sprintf("unsorted map iteration feeding %q", n.ranges[0].varName)
-	}
-	return ""
-}
-
 func runDeterminism(pass *Pass) error {
-	// taint maps every function that transitively reaches a
-	// nondeterministic source to its call chain: the function itself
-	// first, the source's description last. Packages come imports
-	// first, so a callee in another package is final before any caller
-	// is visited.
-	taint := map[*types.Func][]string{}
-	deterministic := matchPaths(DeterministicPackages...)
 	for _, pkg := range pass.Pkgs {
-		nodes := walkNodes(pkg)
-
-		// Taint fixpoint within the package; chains are picked
-		// first-use-in-source-order, which keeps output deterministic.
-		for _, n := range nodes {
-			if src := n.source(); n.fn != nil && src != "" {
-				taint[n.fn] = []string{funcDisplay(n.fn), src}
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, n := range nodes {
-				if n.fn == nil || taint[n.fn] != nil {
-					continue
+		for _, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err == nil && moduleInternal(pass.ModulePath, path) && !deterministic(path) {
+					pass.Reportf(imp.Pos(), "import of %s, which is outside DeterministicPackages; the deterministic set must stay closed under imports", path)
 				}
-				for _, u := range n.uses {
-					if chain := taint[u.obj]; chain != nil {
-						taint[n.fn] = append([]string{funcDisplay(n.fn)}, chain...)
-						changed = true
-						break
-					}
-				}
-			}
-		}
-
-		// Reporting. The runner drops findings outside Match, so this
-		// runs in every package; only deterministic packages surface
-		// them.
-		for _, n := range nodes {
-			for _, u := range n.uses {
-				if desc, ok := sourceDesc(u.obj); ok {
-					kind := "reference to"
-					if u.call {
-						kind = "call to"
-					}
-					pass.Reportf(u.pos, "%s %s leaks nondeterminism into a deterministic package; inject a clock or seeded RNG instead", kind, desc)
-					continue
-				}
-				callee := u.obj.Pkg()
-				if callee == nil || !moduleInternal(pass.ModulePath, callee.Path()) || deterministic(callee.Path()) {
-					continue
-				}
-				chain := taint[u.obj]
-				if chain == nil {
-					continue
-				}
-				if n.fn != nil {
-					chain = append([]string{funcDisplay(n.fn)}, chain...)
-				}
-				pass.Reportf(u.pos, "call chain reaches nondeterminism: %s", strings.Join(chain, " -> "))
-			}
-			for _, hit := range n.ranges {
-				pass.Reportf(hit.pos, "map iteration order feeds %q without a subsequent sort; iteration order is nondeterministic", hit.varName)
-			}
-		}
-	}
-	return nil
-}
-
-// walkNodes builds one node per function declaration with a body and
-// one per package-level var declaration: every *types.Func used inside
-// (called or referenced, including inside nested function literals,
-// which are attributed to the enclosing node) plus its unsorted map
-// ranges.
-func walkNodes(pkg *Package) []*walkNode {
-	var nodes []*walkNode
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			var n walkNode
-			var root ast.Node
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
-				if !ok || d.Body == nil {
-					continue
-				}
-				n.fn, root = fn, d.Body
-			case *ast.GenDecl:
-				if d.Tok != token.VAR {
-					continue
-				}
-				root = d
-			default:
-				continue
 			}
 			// Pre-order: a call is visited before its callee identifier.
 			calls := map[*ast.Ident]bool{}
-			ast.Inspect(root, func(x ast.Node) bool {
+			ast.Inspect(file, func(x ast.Node) bool {
 				switch x := x.(type) {
 				case *ast.CallExpr:
 					switch fun := x.Fun.(type) {
@@ -240,17 +122,26 @@ func walkNodes(pkg *Package) []*walkNode {
 						calls[fun.Sel] = true
 					}
 				case *ast.Ident:
-					if obj, ok := pkg.Info.Uses[x].(*types.Func); ok {
-						n.uses = append(n.uses, funcUse{obj: obj, pos: x.Pos(), call: calls[x]})
+					obj, ok := pkg.Info.Uses[x].(*types.Func)
+					if !ok {
+						break
+					}
+					if desc, ok := sourceDesc(obj); ok {
+						kind := "reference to"
+						if calls[x] {
+							kind = "call to"
+						}
+						pass.Reportf(x.Pos(), "%s %s leaks nondeterminism into a deterministic package; inject a clock or seeded RNG instead", kind, desc)
 					}
 				}
 				return true
 			})
-			n.ranges = unsortedMapRanges(pkg.Info, root)
-			nodes = append(nodes, &n)
+			for _, hit := range unsortedMapRanges(pkg.Info, file) {
+				pass.Reportf(hit.pos, "map iteration order feeds %q without a subsequent sort; iteration order is nondeterministic", hit.varName)
+			}
 		}
 	}
-	return nodes
+	return nil
 }
 
 // mapRangeHit is one `for range m` over a map whose body appends to an
@@ -438,25 +329,4 @@ func blockStmts(n ast.Node) ([]ast.Stmt, bool) {
 		return v.Body, true
 	}
 	return nil, false
-}
-
-// funcDisplay renders a function or method as pkg.Name or
-// pkg.(*Recv).Name for call chains.
-func funcDisplay(f *types.Func) string {
-	pkgName := ""
-	if f.Pkg() != nil {
-		pkgName = f.Pkg().Name() + "."
-	}
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		ptr := ""
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-			ptr = "*"
-		}
-		if named, ok := rt.(*types.Named); ok {
-			return fmt.Sprintf("%s(%s%s).%s", pkgName, ptr, named.Obj().Name(), f.Name())
-		}
-	}
-	return pkgName + f.Name()
 }

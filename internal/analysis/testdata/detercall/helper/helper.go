@@ -1,16 +1,15 @@
-// Package helper is a fixture package OUTSIDE the deterministic set: a
-// per-package check never sees its wall-clock read from the caller's
-// side. No findings surface here (determinism's Match rejects the path);
-// the package exists to carry taint across the package boundary.
+// Package helper is a fixture package OUTSIDE the deterministic set. No
+// findings surface here (determinism's Match rejects the path); importing
+// it from a deterministic package is the finding.
 package helper
 
 import "time"
 
-// Stamp reads the wall clock directly: the taint source.
+// Stamp reads the wall clock directly.
 func Stamp() int64 { return time.Now().UnixNano() }
 
-// Indirect adds one hop so chains longer than a single edge are proven.
+// Indirect reaches the wall clock through one more hop.
 func Indirect() int64 { return Stamp() + 1 }
 
-// Pure is taint-free: callers stay clean.
+// Pure is deterministic, yet importing its package is still a finding.
 func Pure(a, b int) int { return a + b }

@@ -1,38 +1,34 @@
-// Package sim is loaded under a DeterministicPackages path: every leak
-// of nondeterminism through the helper package must surface here, with
-// the full call chain.
+// Package sim is loaded under a DeterministicPackages path: the set must
+// be closed under imports, so each import of a module package outside it
+// is one finding, whatever the package's functions do.
 package sim
 
 import (
 	"time"
 
-	"p2psplice/internal/helper"
+	"p2psplice/internal/helper" // want "import of p2psplice/internal/helper, which is outside DeterministicPackages"
+
+	//lint:ignore determinism fixture: a justified edge out of the deterministic set
+	"p2psplice/internal/wallclock"
 )
 
 // clock stores a wall-clock reference at package level: no call exists
 // at the site, yet every later use of the value reads the wall clock.
 var clock = time.Now // want "reference to time.Now \(wall clock\) leaks nondeterminism"
 
-// bootStamp reaches the wall clock from a package-level initializer: no
-// function encloses the call, so the chain starts at the callee.
-var bootStamp = helper.Indirect() // want "call chain reaches nondeterminism: helper.Indirect -> helper.Stamp -> time.Now \(wall clock\)"
+// bootStamp and Step reach the wall clock through the helper; the import
+// above is their one finding.
+var bootStamp = helper.Indirect()
 
-// Step leaks through two helper hops; the report carries the chain.
-func Step() int64 {
-	return helper.Indirect() // want "call chain reaches nondeterminism: sim.Step -> helper.Indirect -> helper.Stamp -> time.Now \(wall clock\)"
-}
+func Step() int64 { return helper.Indirect() }
 
 // sample passes a source function as a value instead of calling it.
 func sample() func() time.Time {
 	return time.Now // want "reference to time.Now \(wall clock\) leaks nondeterminism"
 }
 
-// Sum only touches the taint-free helper: clean.
+// Sum only touches the pure helper; the import is still the finding.
 func Sum() int { return helper.Pure(1, 2) }
 
-// stamped exercises a justified suppression: the finding exists but is
-// silenced, and the suppression counts as used (not dead).
-func stamped() int64 {
-	//lint:ignore determinism fixture: deliberate wall-clock edge under a justification
-	return helper.Stamp()
-}
+// stamped uses the suppressed import.
+func stamped() time.Time { return wallclock.Now() }

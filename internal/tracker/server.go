@@ -92,7 +92,7 @@ func WithMetrics(reg *trace.Registry) Option {
 			return
 		}
 		reg.SetHelp("tracker_announces_total", "Successful announce requests.")
-		reg.SetHelp("tracker_announce_errors_total", "Rejected announce requests (bad peer or unknown swarm).")
+		reg.SetHelp("tracker_announce_errors_total", "Rejected announce and publish requests (bad peer, unknown swarm, or a cap reached).")
 		reg.SetHelp("tracker_publishes_total", "Accepted manifest publishes.")
 		reg.SetHelp("tracker_manifest_fetches_total", "Manifest downloads served.")
 		reg.SetHelp("tracker_leaves_total", "Processed leave requests.")
@@ -169,12 +169,12 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ih := InfoHashFor(raw)
-	s.mu.Lock()
-	if _, ok := s.swarms[ih]; !ok {
-		s.swarms[ih] = &swarmState{manifest: raw, peers: make(map[string]*peerEntry)}
+	// A known swarm republishes; a new one beyond maxSwarms is refused.
+	if !s.register(ih, raw) {
+		s.announceErrors.Inc()
+		httpError(w, http.StatusServiceUnavailable, "tracker holds %d swarms", maxSwarms)
+		return
 	}
-	s.swarmGauge.Set(int64(len(s.swarms)))
-	s.mu.Unlock()
 	s.publishes.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(map[string]string{"info_hash": ih.String()}); err != nil {
@@ -229,27 +229,27 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seeder := q.Get("seeder") == "1"
-	s.announces.Inc()
-
 	now := s.now()
 	s.mu.Lock()
-	sw.peers[peerID] = &peerEntry{
-		info:     PeerInfo{PeerID: peerID, Addr: addr, Seeder: seeder},
-		lastSeen: now,
-	}
 	resp := AnnounceResponse{Interval: int(s.peerTTL.Seconds() / 2)}
 	for id, pe := range sw.peers {
-		if id == peerID {
-			continue
-		}
 		if now.Sub(pe.lastSeen) > s.peerTTL {
 			delete(sw.peers, id)
-			continue
+		} else if id != peerID {
+			resp.Peers = append(resp.Peers, pe.info)
 		}
-		resp.Peers = append(resp.Peers, pe.info)
 	}
+	// A live peer refreshes; a new one beyond maxSwarmPeers is refused.
+	if _, known := sw.peers[peerID]; !known && len(sw.peers) >= maxSwarmPeers {
+		s.mu.Unlock()
+		s.announceErrors.Inc()
+		httpError(w, http.StatusServiceUnavailable, "swarm holds %d live peers", maxSwarmPeers)
+		return
+	}
+	sw.peers[peerID] = &peerEntry{info: PeerInfo{PeerID: peerID, Addr: addr, Seeder: seeder}, lastSeen: now}
 	s.mu.Unlock()
-	sort.Slice(resp.Peers, func(i, j int) bool { return resp.Peers[i].PeerID < resp.Peers[j].PeerID })
+	s.announces.Inc()
+	resp.Peers = responsePeers(resp.Peers)
 
 	w.Header().Set("Content-Type", "application/json")
 	//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
@@ -285,4 +285,36 @@ func (s *Server) handleSwarms(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	//lint:ignore wireerr response-body write failure means the client went away; nothing to recover server-side
 	_ = json.NewEncoder(w).Encode(out)
+}
+
+// Caps on what outside input can make the tracker hold and hand out:
+// peers per announce response (BitTorrent's default numwant; a node dials
+// every peer it is given), live peers per swarm, and swarms.
+const (
+	maxResponsePeers = 50
+	maxSwarmPeers    = 1024
+	maxSwarms        = 64
+)
+
+// register adds swarm ih unless that exceeds maxSwarms; it reports whether ih is registered.
+func (s *Server) register(ih wire.InfoHash, raw []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.swarms[ih]
+	if !ok && len(s.swarms) < maxSwarms {
+		s.swarms[ih] = &swarmState{manifest: raw, peers: make(map[string]*peerEntry)}
+		s.swarmGauge.Set(int64(len(s.swarms)))
+		ok = true
+	}
+	return ok
+}
+
+// responsePeers sorts peers by id; past maxResponsePeers it keeps seeders first, then id order.
+func responsePeers(peers []PeerInfo) []PeerInfo {
+	sort.Slice(peers, func(i, j int) bool { return peers[i].PeerID < peers[j].PeerID })
+	if len(peers) > maxResponsePeers {
+		sort.SliceStable(peers, func(i, j int) bool { return peers[i].Seeder && !peers[j].Seeder })
+		peers = peers[:maxResponsePeers]
+	}
+	return peers
 }

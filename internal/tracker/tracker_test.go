@@ -1,8 +1,13 @@
 package tracker
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +15,7 @@ import (
 	"p2psplice/internal/container"
 	"p2psplice/internal/media"
 	"p2psplice/internal/splicer"
+	"p2psplice/internal/trace"
 	"p2psplice/internal/wire"
 )
 
@@ -241,5 +247,86 @@ func TestManifestHashVerification(t *testing.T) {
 	var ih wire.InfoHash
 	if _, err := c.Manifest(ih); err == nil {
 		t.Error("want hash-mismatch error")
+	}
+}
+
+// TestServerCaps drives the handler directly with made-up announces and
+// publishes: a response lists at most maxResponsePeers, seeders first; a
+// new peer past maxSwarmPeers and a new swarm past maxSwarms get a 503
+// and count as errors, while a known peer and a known swarm still
+// refresh.
+func TestServerCaps(t *testing.T) {
+	reg := trace.NewRegistry()
+	h := NewServer(WithMetrics(reg)).Handler()
+	serve := func(r *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec
+	}
+	raw, err := json.Marshal(testManifest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trailing spaces leave the manifest valid but change its info hash,
+	// so each publish below is a new swarm.
+	publish := func(pad int) int {
+		body := append(slices.Clone(raw), strings.Repeat(" ", pad)...)
+		return serve(httptest.NewRequest("POST", "/publish", bytes.NewReader(body))).Code
+	}
+	ih := InfoHashFor(raw)
+	announce := func(i int) *httptest.ResponseRecorder {
+		q := url.Values{
+			"info_hash": {ih.String()},
+			"peer_id":   {fmt.Sprintf("%0*x", 2*wire.PeerIDLen, i)},
+			"addr":      {fmt.Sprintf("10.%d.%d.1:6881", i/256, i%256)},
+		}
+		if i >= maxSwarmPeers-3 { // the three highest ids are seeders
+			q.Set("seeder", "1")
+		}
+		return serve(httptest.NewRequest("GET", "/announce?"+q.Encode(), nil))
+	}
+
+	for pad := range maxSwarms {
+		if code := publish(pad); code != http.StatusOK {
+			t.Fatalf("publish %d: status %d", pad, code)
+		}
+	}
+	if code := publish(maxSwarms); code != http.StatusServiceUnavailable {
+		t.Errorf("publish past maxSwarms: status %d, want 503", code)
+	}
+	if code := publish(0); code != http.StatusOK {
+		t.Errorf("republish of a known swarm: status %d", code)
+	}
+
+	for i := range maxSwarmPeers {
+		if rec := announce(i); rec.Code != http.StatusOK {
+			t.Fatalf("announce %d: status %d", i, rec.Code)
+		}
+	}
+	if rec := announce(maxSwarmPeers); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("announce past maxSwarmPeers: status %d, want 503", rec.Code)
+	}
+	rec := announce(0)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("known peer refresh: status %d", rec.Code)
+	}
+	var resp AnnounceResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Peers) != maxResponsePeers {
+		t.Fatalf("response lists %d peers, want %d", len(resp.Peers), maxResponsePeers)
+	}
+	for i, p := range resp.Peers {
+		want := maxSwarmPeers - 3 + i // seeders first, then by peer id, skipping the announcer
+		if i >= 3 {
+			want = i - 2
+		}
+		if id := fmt.Sprintf("%0*x", 2*wire.PeerIDLen, want); p.PeerID != id || p.Seeder != (i < 3) {
+			t.Errorf("peer %d = %+v, want id %s", i, p, id)
+		}
+	}
+	if got := reg.Counter("tracker_announce_errors_total").Value(); got != 2 {
+		t.Errorf("error counter = %d, want 2 (one publish, one announce)", got)
 	}
 }

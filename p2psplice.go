@@ -291,15 +291,5 @@ func OptimalSegmentDuration(v *Video, bandwidth int64, requestLag time.Duration,
 	return splicer.OptimalDuration(v, bandwidth, requestLag, safety)
 }
 
-// RealStackConfig configures a real-TCP cross-validation run.
-type RealStackConfig = experiment.RealStackConfig
-
-// RealStackRun streams a clip over real loopback TCP (in-process tracker,
-// seeder, and viewers, optionally shaped) and returns per-viewer playback
-// samples — the cross-validation counterpart of RunSwarm.
-func RealStackRun(cfg RealStackConfig) ([]PlaybackSample, error) {
-	return experiment.RealStackRun(cfg)
-}
-
 // PlaybackSample is one viewer's playback outcome.
 type PlaybackSample = metrics.PlaybackSample

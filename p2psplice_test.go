@@ -131,19 +131,3 @@ func TestFacadeTopologyAndParams(t *testing.T) {
 		t.Error("QuickParams should be smaller than PaperParams")
 	}
 }
-
-func TestFacadeRealStackRun(t *testing.T) {
-	samples, err := RealStackRun(RealStackConfig{
-		Clip:    2 * time.Second,
-		Rate:    16 * 1024,
-		Seed:    9,
-		Viewers: 1,
-		Timeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 1 || !samples[0].Finished {
-		t.Errorf("samples = %+v", samples)
-	}
-}
