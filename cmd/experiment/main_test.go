@@ -2,6 +2,7 @@ package main
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,11 +49,13 @@ func TestSelectFigures(t *testing.T) {
 	}
 }
 
-// TestRealValidation runs -real's workload: every real viewer finishes
-// with a startup above zero, and the real half takes at least 500 ms,
-// which unshaped loopback would not, so the shaper was applied.
-func TestRealValidation(t *testing.T) {
-	v, err := runRealValidation()
+// realRun runs -real's workload once for the tests that check it.
+var realRun = sync.OnceValues(runRealValidation)
+
+// TestRealValidationFinishes: every real viewer of -real's workload
+// finishes with a startup above zero.
+func TestRealValidationFinishes(t *testing.T) {
+	v, err := realRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +66,15 @@ func TestRealValidation(t *testing.T) {
 		if !s.Finished || s.Startup <= 0 {
 			t.Errorf("viewer %d: finished %v, startup %v", s.Peer, s.Finished, s.Startup)
 		}
+	}
+}
+
+// TestRealValidationShaped: the real half takes at least 500 ms, which
+// unshaped loopback would not, so the shaper was applied.
+func TestRealValidationShaped(t *testing.T) {
+	v, err := realRun()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if v.realWall < 500*time.Millisecond {
 		t.Errorf("real half took %v; shaper apparently inactive", v.realWall)
