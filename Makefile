@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-ab bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -63,6 +63,16 @@ reach: | $(ARTIFACTS)
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/identity.sh "$(PARENT)"
+
+# bench-ab: a perf claim's alternating pairs — PAIRS untraced passes of
+# WORKLOAD on PARENT and on the working tree, alternating which goes first,
+# each pair judged by -compare, then the 9-of-10 verdict on wall_s. Takes
+# minutes; not a CI step. One recipe, scripts/bench-ab.sh.
+PAIRS ?= 10
+SEED  ?= 1
+bench-ab: | $(ARTIFACTS)
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=1]"; exit 2; }
+	ARTIFACTS="$(ARTIFACTS)" sh scripts/bench-ab.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
 
 # bench-alloc: the //lint:hotpath contract, measured. The BenchmarkHotpath*
 # benchmarks must report 0 allocs/op and the zero-alloc tests (which

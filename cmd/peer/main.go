@@ -51,8 +51,8 @@ func main() {
 	flag.StringVar(&o.infoHash, "info-hash", "", "swarm info hash (hex)")
 	flag.StringVar(&o.policyName, "policy", "adaptive", "download policy: adaptive or pool-N")
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:0", "peer listen address")
-	flag.Int64Var(&o.shapeKBps, "shape-kbps", 0, "shape the access link to this many kB/s (0 = unshaped)")
-	flag.DurationVar(&o.shapeLat, "shape-latency", 0, "access-link setup latency")
+	flag.Int64Var(&o.shapeKBps, "shape-kbps", 0, "shape each connection to this many kB/s per direction (0 = unshaped)")
+	flag.DurationVar(&o.shapeLat, "shape-latency", 0, "setup latency added to each connection")
 	flag.BoolVar(&o.progress, "progress", false, "print download progress")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Minute, "abort if not complete after this long")
 	flag.StringVar(&o.tracePath, "trace", "", "stream trace events to this file as JSONL and print the counter registry on exit")

@@ -1,6 +1,7 @@
 // Zero-allocation gate for the //lint:hotpath contract on the scheduler
-// itself: a source-set build, one selection and a whole blocked fill run
-// on the drivers' slices and the set's reused scratch. Excluded under
+// itself: a source-set build with Add (the node's way; simpeer's gates run
+// a driver's roster), one selection and a whole blocked fill run on the
+// drivers' slices and the set's reused scratch. Excluded under
 // -race because race instrumentation inserts allocations the production
 // build does not have.
 

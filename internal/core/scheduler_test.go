@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -328,4 +329,183 @@ func TestPoolCursorMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The facts one source can have on segment 0, for the exhaustive check.
+const (
+	factHolds       = 1 << iota
+	factFetching    // fetching it, with its relay progress...
+	factRelayable   // ...past the driver's threshold (else Relay says none yet)
+	factSending     // already sending it to someone
+	factWhole       // answers for the whole clip
+	factQuarantined //
+	factFull        // at the upload cap
+)
+
+// factStates lists every situation of one source on one segment that a
+// driver can describe: a holder is not fetching what it holds, and a
+// source at the cap is out of the set whatever else is true of it.
+func factStates() []int {
+	states := []int{factHolds | factFull}
+	for f := range factFull {
+		switch {
+		case f&factRelayable != 0 && f&factFetching == 0,
+			f&factHolds != 0 && f&factFetching != 0:
+			continue
+		}
+		states = append(states, f)
+	}
+	return states
+}
+
+// factSource is source id in state f.
+func factSource(id, f int) *Source {
+	s := &Source{ID: id, Have: []bool{f&factHolds != 0}, Fetching: []bool{f&factFetching != 0},
+		Sending: make([]int, 1), WholeClip: f&factWhole != 0, Quarantined: f&factQuarantined != 0}
+	progress := -1.0
+	if f&factRelayable != 0 {
+		progress = 0.5
+	}
+	s.Relay = func(int) float64 { return progress }
+	if f&factSending != 0 {
+		s.Sending[0], s.Uploads = 1, 1
+	}
+	if f&factFull != 0 {
+		s.Uploads = exhaustiveCap
+	}
+	return s
+}
+
+const exhaustiveCap = 2
+
+// refPick is Pick restated over the full source list: the previous source
+// if it is below the cap and can serve clean, else the best of every
+// source that can serve under outranks, starting from that previous
+// source; the fallback before a quarantined best.
+func refPick(sources []*Source, prev, fallback *Source) *Source {
+	serves := func(s *Source) (float64, bool) {
+		p := s.progress(0)
+		return p, s.Uploads < exhaustiveCap && p >= 0
+	}
+	var ref SourceSet
+	var best *Source
+	var bestP float64
+	if slices.Contains(sources, prev) && prev.Uploads < exhaustiveCap {
+		ref.sticky = prev
+		if p, ok := serves(prev); ok {
+			if !prev.Quarantined {
+				return prev
+			}
+			best, bestP = prev, p
+		}
+	}
+	for _, s := range sources {
+		if p, ok := serves(s); ok && ref.outranks(s, p, best, bestP) {
+			best, bestP = s, p
+		}
+	}
+	if (best == nil || best.Quarantined) && fallback != nil {
+		return fallback
+	}
+	return best
+}
+
+// TestPickExhaustive checks Pick on every combination of facts for up to
+// three sources on one segment, every previous source and the fallback
+// on and off: through the set's own roster under every order of Add (so
+// every slot permutation) and through a driver's roster, the pick must be
+// the reference's, and a pick among equals must be the lowest ID.
+func TestPickExhaustive(t *testing.T) {
+	states := factStates()
+	table := make([][]*Source, 3)
+	for id := range table {
+		for _, f := range states {
+			table[id] = append(table[id], factSource(id, f))
+		}
+	}
+	cdn := &Source{ID: -1, WholeClip: true}
+	name := func(s *Source) string {
+		if s == nil {
+			return "none"
+		}
+		return fmt.Sprint(s.ID)
+	}
+	orders := [][][]int{permutations(0), permutations(1), permutations(2), permutations(3)}
+	var set SourceSet
+	combos := 0
+	var check func(sources []*Source)
+	check = func(sources []*Source) {
+		r := NewRoster(sources, exhaustiveCap)
+		for _, prev := range append([]*Source{nil}, sources...) {
+			for _, fallback := range []*Source{nil, cdn} {
+				combos++
+				want := refPick(sources, prev, fallback)
+				where := func() string {
+					var facts []int
+					for _, s := range sources {
+						f := 0
+						for i, g := range table[s.ID] {
+							if g == s {
+								f = states[i]
+							}
+						}
+						facts = append(facts, f)
+					}
+					return fmt.Sprintf("facts %b, prev %s, fallback %v", facts, name(prev), fallback != nil)
+				}
+				set.From(r, -1, prev)
+				set.Fallback = fallback
+				if got := set.Pick(0); got != want {
+					t.Fatalf("%s: roster picks %s, reference %s", where(), name(got), name(want))
+				}
+				for _, order := range orders[len(sources)] {
+					set.Reset(prev, exhaustiveCap)
+					for _, i := range order {
+						set.Add(sources[i])
+					}
+					set.Fallback = fallback
+					if got := set.Pick(0); got != want {
+						t.Fatalf("%s, added in order %v: picks %s, reference %s", where(), order, name(got), name(want))
+					}
+				}
+				if want == nil || want == fallback || want == prev {
+					continue
+				}
+				wp := want.progress(0)
+				for _, s := range sources {
+					p := s.progress(0)
+					if s != want && s != prev && s.Uploads == want.Uploads && p == wp &&
+						s.Quarantined == want.Quarantined && s.ID < want.ID {
+						t.Fatalf("%s: picks %s over its equal %s", where(), name(want), name(s))
+					}
+				}
+			}
+		}
+		if len(sources) == len(table) {
+			return
+		}
+		for _, s := range table[len(sources)] {
+			check(append(sources, s))
+		}
+	}
+	check(nil)
+	// Per list of n sources: n+1 previous sources, fallback on and off.
+	n := len(states)
+	if want := 2 * (1 + 2*n + 3*n*n + 4*n*n*n); combos != want {
+		t.Errorf("checked %d combinations, want %d", combos, want)
+	}
+}
+
+// permutations returns every order of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var all [][]int
+	for _, order := range permutations(n - 1) {
+		for at := 0; at <= len(order); at++ {
+			all = append(all, slices.Insert(slices.Clone(order), at, n-1))
+		}
+	}
+	return all
 }

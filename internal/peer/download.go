@@ -86,7 +86,9 @@ const maxConcurrentPerConn = 2
 
 // buildSourceSetLocked gathers the socket's facts for a fill at now (n.mu
 // held): every connection that is open and has not choked us, with its
-// reputation as of now, full at maxConcurrentPerConn of our downloads. A
+// reputation as of now, full at maxConcurrentPerConn of our downloads.
+// Each Add writes the conn's bitfield into the set's own roster, O(clip
+// segments) per conn, since a node has no roster kept across schedules. A
 // conn closed by a verify failure stays in n.conns until its asynchronous
 // dropConn; skipping it keeps the immediate reschedule off the dead conn.
 func (n *Node) buildSourceSetLocked(now time.Duration) {

@@ -34,8 +34,9 @@ type Config struct {
 	// DownloadTimeout abandons a segment download making no progress for
 	// this long and retries elsewhere. Defaults to 30s.
 	DownloadTimeout time.Duration
-	// Shape optionally applies an access-link shape (bandwidth/latency) to
-	// all of this node's connections, emulating the paper's GENI links.
+	// Shape optionally applies a bandwidth/latency shape to each of this
+	// node's connections, per connection and per direction: a node with k
+	// conns can move k times the rate (see package shaper).
 	Shape *shaper.Config
 	// DialTimeout bounds peer connection attempts. Defaults to 5s.
 	DialTimeout time.Duration

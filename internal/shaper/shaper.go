@@ -1,7 +1,10 @@
 // Package shaper applies bandwidth and latency shaping to real net.Conn
 // traffic — the loopback equivalent of the per-link RSpec properties the
-// paper configures on GENI (Figure 1). Wrapping a peer's listener and dialer
-// with a shaper emulates its access link on a real TCP deployment.
+// paper configures on GENI (Figure 1). The shape applies per connection,
+// per direction: every conn NewListener accepts or Dial opens gets its own
+// pair of token buckets, so a node with k shaped conns can move k times
+// the rate. It is not a model of one node's access link, which all of the
+// node's conns would share.
 package shaper
 
 import (
@@ -11,7 +14,7 @@ import (
 	"time"
 )
 
-// Config describes one access link.
+// Config describes the shape of one connection.
 type Config struct {
 	// RateBytesPerSec limits throughput in each direction independently.
 	// Zero means unlimited.
@@ -105,8 +108,8 @@ type Conn struct {
 	ready time.Time
 }
 
-// NewConn wraps c with the link shape. The same Config is used for both
-// directions (symmetric access links, as in the paper's experiments).
+// NewConn wraps c with its own two token buckets, one per direction, both
+// from cfg (symmetric, as the paper's access links are).
 func NewConn(c net.Conn, cfg Config) (*Conn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -79,6 +79,7 @@ func (s *swarm) crash(p *peerState) {
 		return
 	}
 	p.crashed = true
+	s.remark(p)
 	p.crashes++
 	p.lastCrashAt = s.eng.Now()
 	s.emit(p.id, -1, trace.CatFault, trace.EvPeerCrash)
@@ -98,6 +99,7 @@ func (s *swarm) rejoin(p *peerState) {
 		return
 	}
 	p.crashed = false
+	s.remark(p)
 	p.rejoinedAt = s.eng.Now()
 	p.retryAttempt = 0
 	s.emit(p.id, -1, trace.CatFault, trace.EvPeerRejoin)
@@ -112,6 +114,7 @@ func (s *swarm) rejoin(p *peerState) {
 func (s *swarm) setLink(p *peerState, down bool) {
 	// Errors are impossible: node IDs come from setup.
 	_ = s.net.SetLinkDown(p.node, down)
+	s.remark(p)
 	name := trace.EvLinkUp
 	if down {
 		name = trace.EvLinkDown
@@ -188,6 +191,7 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 	p.advKind = ev.Adversary
 	p.src.WholeClip = p.isSeeder || p.lying()
+	s.remark(p)
 	p.advPct = ev.Percent
 	p.adversarial = true
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversary,
@@ -203,6 +207,7 @@ func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 func (s *swarm) clearAdversary(p *peerState) {
 	p.advKind = fault.AdvNone
 	p.src.WholeClip = p.isSeeder || p.lying()
+	s.remark(p)
 	p.advPct = 0
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversaryEnd)
 	s.fillAll()

@@ -154,6 +154,7 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		if !p.pool.Wanted(idx) {
 			fail("t=%v: peer%d selecting for unwanted seg%d", now, p.id, idx)
 		}
+		checkRoster(sw, func(format string, args ...any) { fail("t=%v: "+format, append([]any{now}, args...)...) })
 		st.picks++
 		if beyond {
 			st.cuts++
@@ -189,6 +190,34 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		}
 		if sw.rep != nil && !src.isCDN && sw.rep.Quarantined(src.id, now) {
 			st.escapeHatch++
+		}
+	}
+}
+
+// checkRoster recomputes every peer's roster bits from its state with the
+// predicates a per-fill scan would apply, and reports any bit the events
+// left stale: holding or fetching each segment, below the upload cap,
+// present (not departed, crashed or cut off) and claiming the whole clip.
+func checkRoster(sw *swarm, fail func(format string, args ...any)) {
+	cap := refUploadSlots(sw)
+	for _, q := range sw.peers {
+		_, open, present, whole := sw.roster.Bits(q.id, 0)
+		if want := cap == 0 || q.src.Uploads < cap; open != want {
+			fail("peer%d: roster open %v, uploads %d of %d", q.id, open, q.src.Uploads, cap)
+		}
+		if want := !q.departed && !q.crashed && !sw.net.LinkIsDown(q.node); present != want {
+			fail("peer%d: roster present %v, departed %v crashed %v link down %v",
+				q.id, present, q.departed, q.crashed, sw.net.LinkIsDown(q.node))
+		}
+		if whole != q.src.WholeClip {
+			fail("peer%d: roster whole %v, src.WholeClip %v", q.id, whole, q.src.WholeClip)
+		}
+		for idx := range sw.segs {
+			hold, _, _, _ := sw.roster.Bits(q.id, idx)
+			fetching := q.pool.Fetching != nil && q.pool.Fetching[idx]
+			if want := q.src.Have[idx] || fetching; hold != want {
+				fail("peer%d seg%d: roster hold %v, have %v fetching %v", q.id, idx, hold, q.src.Have[idx], fetching)
+			}
 		}
 	}
 }

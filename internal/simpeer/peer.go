@@ -225,24 +225,30 @@ const relayThreshold = 0.02
 // protocol (there is no protocol event for "a relay crossed its threshold").
 const sourceRetryDelay = 250 * time.Millisecond
 
-// buildSourceSet gathers the engine's facts for a fill of p at now: every
-// other peer that is present, up and reachable, with its quarantine flag;
-// and the CDN as the fallback while p fetches nothing from it (the paper's
-// hybrid rule: at most one segment at a time, after the swarm's sources).
+// buildSourceSet gathers the engine's facts for a fill of p at now: the
+// roster's members (every other peer that is present, up and reachable;
+// see remark), with their quarantine flags when reputation is on; and the
+// CDN as the fallback while p fetches nothing from it (the paper's hybrid
+// rule: at most one segment at a time, after the swarm's sources).
 //
 //lint:hotpath runs once per fill that has pool room
 func (s *swarm) buildSourceSet(p *peerState, now time.Duration) {
-	s.set.Reset(p.lastSrc, s.slots)
-	for _, q := range s.peers {
-		if q == p || q.departed || q.crashed || s.net.LinkIsDown(q.node) {
-			continue
+	s.set.From(s.roster, p.id, p.lastSrc)
+	if s.rep != nil {
+		for _, q := range s.peers {
+			q.src.Quarantined = s.rep.Quarantined(q.id, now)
 		}
-		q.src.Quarantined = s.rep != nil && s.rep.Quarantined(q.id, now)
-		s.set.Add(&q.src)
 	}
 	if s.cdn != nil && s.cdnEligible(p) {
 		s.set.Fallback = &s.cdn.src
 	}
+}
+
+// remark brings q's roster bits up to date after an event that may have
+// changed them: it is present unless departed, crashed or cut off, and
+// answers for the whole clip as its src says.
+func (s *swarm) remark(q *peerState) {
+	s.roster.Mark(q.id, !q.departed && !q.crashed && !s.net.LinkIsDown(q.node), q.src.WholeClip)
 }
 
 // cdnEligible enforces the paper's hybrid rule: a client downloads at most

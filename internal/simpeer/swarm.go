@@ -311,11 +311,14 @@ type swarm struct {
 	// Scheduler inputs (peer.go). slots is the config's per-peer upload cap
 	// with its default resolved (0 = unlimited). frontier is the
 	// availability frontier: the highest segment any leecher has ever
-	// started fetching, -1 before the first download. set is the running
-	// fill's source set (scratch, reused across fills; fill never
+	// started fetching, -1 before the first download. roster indexes every
+	// peer's src by its id: the leechers' pools keep its holdings and
+	// loads current, remark its presence and whole-clip bits. set is the
+	// running fill's view of it (scratch, reused across fills; fill never
 	// re-enters).
 	slots    int
 	frontier int
+	roster   *core.Roster
 	set      core.SourceSet
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
@@ -457,6 +460,15 @@ func (s *swarm) setup() error {
 		s.eng.At(join, func() { s.join(p) })
 	}
 
+	srcs := make([]*core.Source, len(s.peers))
+	for i, p := range s.peers {
+		srcs[i] = &p.src
+	}
+	s.roster = core.NewRoster(srcs, s.slots)
+	for _, p := range s.peers[1:] {
+		s.roster.Track(&p.pool, p.id)
+	}
+
 	// Cross traffic: unbounded flows from dedicated nodes into leechers.
 	for _, nc := range trafficNCs {
 		src, err := s.net.AddNode(nc)
@@ -534,6 +546,7 @@ func (s *swarm) depart(p *peerState) {
 		return
 	}
 	p.departed = true
+	s.remark(p)
 	s.cancelPeerFlows(p)
 	s.fillAll()
 }
