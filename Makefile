@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-ab bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-ab profile-figures bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -73,6 +73,15 @@ SEED  ?= 1
 bench-ab: | $(ARTIFACTS)
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=1]"; exit 2; }
 	ARTIFACTS="$(ARTIFACTS)" sh scripts/bench-ab.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
+
+# profile-figures: where one default-scale regeneration of the paper set
+# spends its CPU — BenchmarkPaperFiguresSerial once, on one worker, under
+# -cpuprofile ($(ARTIFACTS)/figures.cpu.pprof), then pprof's top 25
+# functions. Re-profile with it before choosing a perf change; not a CI step.
+profile-figures: | $(ARTIFACTS)
+	$(GO) test -run='^$$' -bench='^BenchmarkPaperFiguresSerial$$' -benchtime=1x \
+		-cpuprofile $(ARTIFACTS)/figures.cpu.pprof -o $(ARTIFACTS)/p2psplice.test .
+	$(GO) tool pprof -top -nodecount=25 $(ARTIFACTS)/figures.cpu.pprof
 
 # bench-alloc: the //lint:hotpath contract, measured. The BenchmarkHotpath*
 # benchmarks must report 0 allocs/op and the zero-alloc tests (which

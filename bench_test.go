@@ -295,6 +295,35 @@ func BenchmarkSwarmEmulationPaperScale(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperFiguresSerial regenerates the paper set — Figures 2–6
+// and the splicing table — at default scale on one worker: the run `make
+// profile-figures` profiles, serial so that its CPU profile reads as one
+// regeneration's cost by function. The clip and its splicings are made
+// before the timer starts.
+func BenchmarkPaperFiguresSerial(b *testing.B) {
+	p := experiment.DefaultParams()
+	p.Workers = 1
+	if _, err := p.Video(); err != nil {
+		b.Fatal(err)
+	}
+	for _, sp := range experiment.SplicingSet() {
+		if _, err := p.Segments(sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range experiment.Figures {
+			if !f.Paper {
+				continue
+			}
+			if _, err := f.Run(p); err != nil {
+				b.Fatalf("%s: %v", f.Name, err)
+			}
+		}
+	}
+}
+
 // BenchmarkSwarmEmulation10k runs one 10k-peer locality-clustered swarm
 // per iteration on the incremental reallocator — the calibration-scale
 // configuration of cmd/bench's netem_clustered workload, which is where

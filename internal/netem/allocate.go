@@ -242,17 +242,14 @@ func mergeFlows(dst, prev, fresh []*Flow, gen uint64) {
 	copy(dst[k:], fresh)
 }
 
-// fillRegion accrues progress for every flow in the region, refills each
-// collected component, and applies the resulting rates in global flow-ID
-// order. The apply order matters: rescheduled completion timers consume
-// engine sequence numbers, which break FIFO ties among simultaneous
-// events, so both reallocation paths must reschedule in the same order.
-// A region of one component is in that order as collected.
+// fillRegion refills each collected component and applies the resulting
+// rates in global flow-ID order. The apply order matters: rescheduled
+// completion timers consume engine sequence numbers, which break FIFO
+// ties among simultaneous events, so both reallocation paths must
+// reschedule in the same order. A region of one component is in that
+// order as collected.
 func (n *Network) fillRegion() {
 	n.fillGen++
-	for _, f := range n.regionFlows {
-		n.advance(f)
-	}
 	for _, c := range n.compBounds {
 		n.fillComponent(n.regionLinks[c.l0:c.l1], n.regionFlows[c.f0:c.f1])
 	}
@@ -275,109 +272,115 @@ func (n *Network) fillRegion() {
 // retransmissions and synchronized loss, so each link's effective
 // capacity is derated by its concurrency before filling.
 //
-// A round scans only what is left: open and live index the links with an
-// unfixed flow and the unfixed flows, compacted in place (order kept) as
-// rounds fix them, and a flow's cap — constant within a pass — is read
-// once into caps.
+// A round costs one scan of the links plus the flows it fixes. Each
+// link's share is kept current by fixFlow (+Inf once it has no unfixed
+// flow, so it never bottlenecks). A flow's cap, constant within a pass,
+// is read once into caps; live indexes the flows not yet fixed by a cap
+// and is scanned, in ID order, only in a round whose share reaches
+// minCap, the smallest cap in it. A bottleneck's flows are fixed from its
+// own list. That list is swap-removed, not in ID order, but every flow it
+// fixes gets the same minShare, so each link is charged the same value
+// the same number of times in any order: the bits do not depend on it.
 //
 //lint:hotpath the incremental reallocator's inner loop; runs once per dirty component per flow event
 func (n *Network) fillComponent(links []*link, flows []*Flow) {
-	open, live, caps := n.openLinks[:0], n.liveFlows[:0], n.flowCaps[:0]
-	for i, l := range links {
-		excess := len(l.flows) - n.model.concurrencyFreeFlows
-		if excess < 0 {
-			excess = 0
-		}
+	for _, l := range links {
+		excess := max(len(l.flows)-n.model.concurrencyFreeFlows, 0)
 		l.remaining = l.capacity / (1 + n.model.concurrencyPenalty*float64(excess))
 		l.unfixed = len(l.flows)
-		open = append(open, int32(i))
+		l.share = l.remaining / float64(l.unfixed)
 	}
+	live, caps, minCap := n.liveFlows[:0], n.flowCaps[:0], math.Inf(1)
 	for i, f := range flows {
-		live = append(live, int32(i))
-		caps = append(caps, f.capLimit())
+		c := f.capLimit()
+		live, caps, minCap = append(live, int32(i)), append(caps, c), min(minCap, c)
 	}
-	n.openLinks, n.liveFlows, n.flowCaps = open, live, caps
-	for len(live) > 0 {
+	n.liveFlows, n.flowCaps = live, caps
+	for left := len(flows); left > 0; {
 		minShare := math.Inf(1)
 		var bottleneck *link
-		kept := 0
-		for _, li := range open {
-			l := links[li]
-			if l.unfixed == 0 {
-				continue
-			}
-			open[kept] = li
-			kept++
-			share := l.remaining / float64(l.unfixed)
-			if share < minShare-allocEpsilon {
-				minShare = share
-				bottleneck = l
+		for _, l := range links {
+			if l.share < minShare-allocEpsilon {
+				minShare, bottleneck = l.share, l
 			}
 		}
-		open = open[:kept]
 		if bottleneck == nil {
 			// No unfixed flow traverses any link; nothing left to do.
 			break
 		}
-		kept = 0
-		for _, fi := range live {
-			if caps[fi] <= minShare+allocEpsilon {
-				n.fixFlow(flows[fi], caps[fi])
-			} else {
-				live[kept] = fi
-				kept++
+		if minCap <= minShare+allocEpsilon {
+			capped, kept := false, 0
+			minCap = math.Inf(1)
+			for _, fi := range live {
+				switch f, c := flows[fi], caps[fi]; {
+				case f.fixMark == n.fillGen: // fixed at a bottleneck
+				case c <= minShare+allocEpsilon:
+					n.fixFlow(f, c)
+					capped = true
+					left--
+				default:
+					live[kept] = fi
+					kept++
+					minCap = min(minCap, c)
+				}
 			}
-		}
-		if kept < len(live) {
 			live = live[:kept]
-			continue
-		}
-		kept = 0
-		for _, fi := range live {
-			if f := flows[fi]; f.lup == bottleneck || f.ldown == bottleneck {
-				n.fixFlow(f, minShare)
-			} else {
-				live[kept] = fi
-				kept++
+			if capped {
+				continue
 			}
 		}
-		live = live[:kept]
+		for _, f := range bottleneck.flows {
+			if f.fixMark != n.fillGen {
+				n.fixFlow(f, minShare)
+				left--
+			}
+		}
 	}
 }
 
-// fixFlow pins f's rate for this pass and charges it to both links.
+// fixFlow pins f's rate for this pass and charges it to both links,
+// whose shares it brings up to date.
 //
 //lint:hotpath called once per flow per fill
 func (n *Network) fixFlow(f *Flow, rate float64) {
 	f.fixMark = n.fillGen
 	f.pendingRate = rate
-	f.lup.remaining -= rate
-	if f.lup.remaining < 0 {
-		f.lup.remaining = 0
+	f.lup.charge(rate)
+	f.ldown.charge(rate)
+}
+
+// charge takes one fixed flow's rate off l and recomputes its share.
+func (l *link) charge(rate float64) {
+	l.remaining -= rate
+	if l.remaining < 0 {
+		l.remaining = 0
 	}
-	f.lup.unfixed--
-	f.ldown.remaining -= rate
-	if f.ldown.remaining < 0 {
-		f.ldown.remaining = 0
+	l.unfixed--
+	l.share = math.Inf(1)
+	if l.unfixed > 0 {
+		l.share = l.remaining / float64(l.unfixed)
 	}
-	f.ldown.unfixed--
 }
 
 // applyRates installs the computed rates and re-arms completion events.
 // Flows whose rate is unchanged (within epsilon) keep their existing
 // completion timer, so clean refills consume no engine sequence numbers —
 // the property that lets the full oracle and the incremental path stay on
-// identical trajectories. A Flow makes its completion Timer once and
-// re-arms that same handle for every transfer it carries.
+// identical trajectories. A flow whose rate changes is advanced to now
+// under its old rate, then re-anchored there; one whose rate does not is
+// left alone, since its anchor already gives its progress at any instant.
+// A Flow makes its completion Timer once and re-arms that same handle for
+// every transfer it carries.
 func (n *Network) applyRates(flows []*Flow) {
 	for _, f := range flows {
 		rate := 0.0
 		if f.fixMark == n.fillGen {
 			rate = f.pendingRate
 		}
-		if math.Abs(rate-f.rate) <= allocEpsilon*math.Max(1, f.rate) && f.completion != nil && !f.completion.Cancelled() {
+		if math.Abs(rate-f.rate) <= allocEpsilon*max(1, f.rate) && f.completion != nil && !f.completion.Cancelled() {
 			continue // unchanged; keep the existing completion event
 		}
+		n.advance(f)
 		f.rate = rate
 		f.anchorAt = n.eng.Now()
 		f.anchorRemaining = f.remaining

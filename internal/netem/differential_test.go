@@ -31,6 +31,7 @@ type diffPair struct {
 	ids        []int    // each start's flow ID: a handle whose Flow now has another is spent
 	fill       fillFunc // what checkFill holds to the reference: fillComponent, or a mutant
 	regionErr  *error   // the first region the incremental network's passes got wrong (watchRegion)
+	obs        *remainingCheck
 }
 
 const (
@@ -62,13 +63,15 @@ func decodeByte(data []byte, pos *int) byte {
 // violation. Script format: one seed byte and one node-count byte, four
 // bytes of link parameters per node, then opcodes with inline operands.
 func differentialScript(data []byte) error {
-	return differentialScriptWith(data, (*Network).fillComponent, regionMutant{})
+	return differentialScriptWith(data, (*Network).fillComponent, regionMutant{}, nil)
 }
 
 // differentialScriptWith is differentialScript with the fill that is
 // checked against the reference named, and the incremental network's
-// passes wrapped in region, so a test can seed a mutant of either.
-func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) error {
+// passes wrapped in region, so a test can seed a mutant of either. A
+// non-nil obs observes the incremental network's flows; the full oracle
+// stays unobserved.
+func differentialScriptWith(data []byte, fill fillFunc, region regionMutant, obs *remainingCheck) error {
 	pos := 0
 	seed := int64(decodeByte(data, &pos))*256 + int64(decodeByte(data, &pos))
 	nNodes := 2 + int(decodeByte(data, &pos))%(diffMaxNodes-1)
@@ -78,6 +81,10 @@ func differentialScriptWith(data []byte, fill fillFunc, region regionMutant) err
 	p.netB = New(p.engB)
 	p.netB.ForceFullReallocation(true)
 	p.regionErr = watchRegion(p.netA, region)
+	if p.obs = obs; obs != nil {
+		obs.net = p.netA
+		p.netA.SetFlowObserver(obs.observe)
+	}
 
 	for i := 0; i < nNodes; i++ {
 		nc := NodeConfig{
@@ -244,6 +251,9 @@ func (p *diffPair) lockstep(k int) error {
 func (p *diffPair) compare(where string) error {
 	if *p.regionErr != nil {
 		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), *p.regionErr)
+	}
+	if p.obs != nil && p.obs.err != nil {
+		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), p.obs.err)
 	}
 	if p.engA.Now() != p.engB.Now() {
 		return fmt.Errorf("%s: clock divergence: incremental %v full %v", where, p.engA.Now(), p.engB.Now())

@@ -172,6 +172,94 @@ func mutantLinksReversed(n *Network, links []*link, flows []*Flow) {
 	n.fillComponent(rev, flows)
 }
 
+// The round mistakes are fillComponent with one step of its round
+// structure changed, each a shortcut the fill's bookkeeping invites. The
+// first is a control: it changes no bit, and the fill relies on that.
+type roundMistake uint8
+
+const (
+	batchReversed       roundMistake = iota + 1 // a bottleneck's flows fixed in descending ID order: equivalent, not a mistake
+	batchRefixes                                // the bottleneck's walk does not skip flows a cap fixed
+	drainedShareStale                           // a link whose last flow is fixed keeps its last share, not +Inf
+	minCapNotRecomputed                         // the cap scan resets minCap but recomputes it from no kept flow
+)
+
+// mistakenFill returns a copy of fillComponent, in test form, with m made
+// (none for 0). A bottleneck that names no unfixed flow, which only a
+// stale share can do, ends the copy's fill.
+func mistakenFill(m roundMistake) fillFunc {
+	return func(n *Network, links []*link, flows []*Flow) {
+		for _, l := range links {
+			excess := max(len(l.flows)-n.model.concurrencyFreeFlows, 0)
+			l.remaining = l.capacity / (1 + n.model.concurrencyPenalty*float64(excess))
+			l.unfixed = len(l.flows)
+			l.share = l.remaining / float64(l.unfixed)
+		}
+		fix := func(f *Flow, rate float64) {
+			shares := [2]float64{f.lup.share, f.ldown.share}
+			n.fixFlow(f, rate)
+			for i, l := range [2]*link{f.lup, f.ldown} {
+				if m == drainedShareStale && l.unfixed == 0 {
+					l.share = shares[i]
+				}
+			}
+		}
+		live, minCap := slices.Clone(flows), math.Inf(1)
+		for _, f := range flows {
+			minCap = min(minCap, f.capLimit())
+		}
+		for left := len(flows); left > 0; {
+			minShare := math.Inf(1)
+			var bottleneck *link
+			for _, l := range links {
+				if l.share < minShare-allocEpsilon {
+					minShare, bottleneck = l.share, l
+				}
+			}
+			if bottleneck == nil {
+				return
+			}
+			if minCap <= minShare+allocEpsilon {
+				capped, kept := false, live[:0]
+				minCap = math.Inf(1)
+				for _, f := range live {
+					switch c := f.capLimit(); {
+					case f.fixMark == n.fillGen:
+					case c <= minShare+allocEpsilon:
+						fix(f, c)
+						capped = true
+						left--
+					default:
+						kept = append(kept, f)
+						if m != minCapNotRecomputed {
+							minCap = min(minCap, c)
+						}
+					}
+				}
+				if live = kept; capped {
+					continue
+				}
+			}
+			var batch []*Flow
+			for _, f := range bottleneck.flows {
+				if f.fixMark != n.fillGen || m == batchRefixes {
+					batch = append(batch, f)
+				}
+			}
+			if len(batch) == 0 {
+				return
+			}
+			if m == batchReversed {
+				slices.SortFunc(batch, func(a, b *Flow) int { return b.id - a.id })
+			}
+			for _, f := range batch {
+				fix(f, minShare)
+			}
+			left -= len(batch)
+		}
+	}
+}
+
 // checkFill fills every component of n twice, each on a fill generation
 // of its own — with fill, then with the reference — and requires
 // Float64bits-identical pending rates. The components come from the
@@ -449,6 +537,9 @@ func TestFillReferenceCatchesOrderMutants(t *testing.T) {
 	}{
 		{"capped flows fixed in reverse order", mutantCapsReversed, noMutant, true},
 		{"links scanned in reverse ord", mutantLinksReversed, noMutant, true},
+		{"bottleneck's walk refixing capped flows", mistakenFill(batchRefixes), noMutant, true},
+		{"drained link's share left stale", mistakenFill(drainedShareStale), noMutant, true},
+		{"cap scan skipped on a stale minCap", mistakenFill(minCapNotRecomputed), noMutant, true},
 		{"graph generation not bumped in detach", production, mutantDetachKeepsGraphGen, true},
 		{"newcomer appended instead of merged by ID", production, mutantNewcomerLast, true},
 		{"region reused without checking the dirty links lie in it", production, mutantReuseUnchecked, false},
@@ -468,11 +559,70 @@ func TestFillReferenceCatchesOrderMutants(t *testing.T) {
 		caught := false
 		r := rand.New(rand.NewSource(20))
 		for i := 0; i < 200 && !caught; i++ {
-			caught = differentialScriptWith(randomScript(r, 40+r.Intn(200)), m.fill, m.region()) != nil
+			caught = differentialScriptWith(randomScript(r, 40+r.Intn(200)), m.fill, m.region(), nil) != nil
 		}
 		if !caught {
 			t.Errorf("200 differential scripts did not catch the mutant: %s", m.name)
 		}
+	}
+}
+
+// TestBottleneckBatchOrderIsFree is the control for the round mistakes:
+// the copy mistakenFill makes, with no mistake and with every bottleneck's
+// flows fixed in descending ID order, must match the reference on the
+// star swarm and in the differential scripts. The second is why
+// fillComponent fixes a bottleneck's flows in its list's order.
+func TestBottleneckBatchOrderIsFree(t *testing.T) {
+	for _, m := range []roundMistake{0, batchReversed} {
+		eng, n := starSwarm(t, 3<<20, 40*time.Millisecond)
+		for eng.Step() {
+			if err := checkFill(n, mistakenFill(m)); err != nil {
+				t.Fatalf("round mistake %d, star swarm at %v: %v", m, eng.Now(), err)
+			}
+		}
+		r := rand.New(rand.NewSource(20))
+		for i := 0; i < 200; i++ {
+			if err := differentialScriptWith(randomScript(r, 40+r.Intn(200)), mistakenFill(m), regionMutant{}, nil); err != nil {
+				t.Fatalf("round mistake %d, differential script %d: %v", m, i, err)
+			}
+		}
+	}
+}
+
+// TestFillAtEpsilonTies puts a round's two tests on their boundaries. On a
+// star of five nodes, the seeder's uplink (three flows) and viewer 1's
+// downlink (two) offer shares allocEpsilon/2 apart, so the bottleneck is
+// the earlier link in ord order; and flow 0→2's cap is exactly that share
+// plus allocEpsilon, so the cap test, not the bottleneck, fixes it. The
+// fill must match the reference, and the capped flow must hold its cap.
+func TestFillAtEpsilonTies(t *testing.T) {
+	eng := sim.New(1)
+	n := newWith(eng, instantSetup())
+	for i := 0; i < 5; i++ {
+		addNode(t, n, 1<<20, 1<<20, 0, 0)
+	}
+	share := 25600.0
+	n.nodes[0].up.capacity = 3 * share
+	n.nodes[1].down.capacity = 2*share - allocEpsilon
+	var flows []*Flow
+	for _, p := range [][2]NodeID{{0, 1}, {0, 2}, {0, 3}, {4, 1}} {
+		f, err := n.StartTransfer(p[0], p[1], 0, TransferOptions{Unbounded: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, f)
+	}
+	eng.RunUntil(time.Millisecond)
+	capped := flows[1]
+	capped.rampCap = share + allocEpsilon
+	if err := checkFill(n, (*Network).fillComponent); err != nil {
+		t.Fatal(err)
+	}
+	if capped.pendingRate != share+allocEpsilon {
+		t.Errorf("flow 0→2 with cap %.9f got %.9f, want its cap", share+allocEpsilon, capped.pendingRate)
+	}
+	if d := share - n.nodes[1].down.capacity/2; !(d > 0 && d < allocEpsilon) {
+		t.Errorf("the two shares are %g apart, want within (0, allocEpsilon)", d)
 	}
 }
 

@@ -135,7 +135,7 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 	}
 	f.lossCap = n.mathisCap(n.pathLossEventRate(src, dst), rtt)
 	// Ramping beyond what the access links can carry is pointless; stop there.
-	f.rampMax = math.Min(float64(n.nodes[src].cfg.UplinkBytesPerSec),
+	f.rampMax = min(float64(n.nodes[src].cfg.UplinkBytesPerSec),
 		float64(n.nodes[dst].cfg.DownlinkBytesPerSec))
 	f.rampCap = float64(n.model.initCwndSegments*n.model.mss) / rtt.Seconds()
 
@@ -378,7 +378,7 @@ func (f *Flow) capLimit() float64 {
 	if f.frozen || f.net.nodes[f.src].offline || f.net.nodes[f.dst].offline {
 		return 0
 	}
-	return math.Min(f.rampCap, f.lossCap)
+	return min(f.rampCap, f.lossCap)
 }
 
 // LinkDown reports whether either endpoint's link is administratively
@@ -448,19 +448,23 @@ func (l *link) removeFlow(i int) {
 // advance accrues progress for f up to the current instant. Progress is
 // recomputed from the last rate-change anchor rather than accumulated,
 // so the result is identical no matter how many intermediate events
-// called advance — the incremental reallocator relies on this to leave
-// flows in clean components untouched.
+// called advance — the incremental reallocator relies on this to advance
+// only the flows whose rate it changes.
 //
 //lint:hotpath under Remaining
 func (n *Network) advance(f *Flow) {
-	now := n.eng.Now()
-	if f.state == flowActive && now > f.anchorAt {
-		f.remaining = f.anchorRemaining - f.rate*(now-f.anchorAt).Seconds()
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
+	if now := n.eng.Now(); f.state <= flowActive { // setup or active
+		f.remaining, f.lastUpdate = f.remainingAt(now), now
 	}
-	if f.state == flowActive || f.state == flowSetup {
-		f.lastUpdate = now
+}
+
+// remainingAt returns what advance would store in remaining at now,
+// without storing it: the bytes left, projected from the anchor while
+// the flow is active. max clamps as a test for < 0 would, since remaining
+// is never −0, the one input on which the two differ.
+func (f *Flow) remainingAt(now time.Duration) float64 {
+	if f.state != flowActive || now <= f.anchorAt {
+		return f.remaining
 	}
+	return max(f.anchorRemaining-f.rate*(now-f.anchorAt).Seconds(), 0)
 }

@@ -143,8 +143,7 @@ type Network struct {
 	compBounds []compBound
 	sortKeys   []uint64  // orderLinks/orderFlows: integer sort keys
 	flowGather []*Flow   // orderFlows: unsorted copy the keys index into
-	openLinks  []int32   // fillComponent: links with an unfixed flow
-	liveFlows  []int32   // fillComponent: unfixed flows
+	liveFlows  []int32   // fillComponent: the flows the cap scan still checks
 	flowCaps   []float64 // fillComponent: capLimit per flow, read once per pass
 	stats      AllocStats
 	forceFull  bool // reallocate via the full per-event oracle instead
@@ -184,6 +183,7 @@ type link struct {
 	mark      uint64  // collection generation that last visited this link
 	remaining float64 // capacity left during progressive filling
 	unfixed   int     // flows not yet fixed during progressive filling
+	share     float64 // remaining / unfixed, +Inf once unfixed is 0
 }
 
 // New creates an empty network on eng.

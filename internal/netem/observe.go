@@ -37,7 +37,8 @@ type FlowEvent struct {
 	Size int64
 	// Rate is the allocated rate in bytes/s at the time of the event.
 	Rate float64
-	// Remaining is the unsent byte count, or -1 for unbounded flows.
+	// Remaining is the unsent byte count at At, rounded up, or -1 for
+	// unbounded flows.
 	Remaining int64
 }
 
@@ -48,16 +49,17 @@ type FlowEvent struct {
 // identical with and without it. Pass nil to remove the observer.
 func (n *Network) SetFlowObserver(fn func(FlowEvent)) { n.onFlow = fn }
 
-// emitFlow notifies the observer, if any. It reads flow state without
-// advancing it (advance mutates remaining, which would make tracing
-// non-inert).
+// emitFlow notifies the observer, if any. A reallocation advances only
+// the flows whose rate it changes, so the stored remaining may be as old
+// as the flow's anchor: emitFlow projects it to now with remainingAt and,
+// as the observer contract asks, leaves the flow as it found it.
 func (n *Network) emitFlow(f *Flow, kind FlowEventKind) {
 	if n.onFlow == nil {
 		return
 	}
 	remaining := int64(-1)
-	if !math.IsInf(f.remaining, 1) {
-		remaining = int64(math.Ceil(f.remaining))
+	if r := f.remainingAt(n.eng.Now()); !math.IsInf(r, 1) {
+		remaining = int64(math.Ceil(r))
 	}
 	n.onFlow(FlowEvent{
 		At:        n.eng.Now(),

@@ -1,6 +1,9 @@
 package netem
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -132,4 +135,62 @@ func TestFlowIDsAreCreationOrdered(t *testing.T) {
 			t.Fatal("fresh flow reports frozen")
 		}
 	}
+}
+
+// remainingCheck is a flow observer that holds every event's Remaining to
+// the flow's remaining bytes at the event's instant, as effRemaining
+// projects them from the anchor. It keeps the first mismatch in err.
+type remainingCheck struct {
+	net   *Network
+	flows map[int]*Flow // by ID; a setup event names the flow just appended to net.flows
+	// events counts the events checked; stale, those whose flow's stored
+	// remaining was not its value at the event, so a raw read would be wrong.
+	events, stale int
+	err           error
+}
+
+func (c *remainingCheck) observe(ev FlowEvent) {
+	if c.flows == nil {
+		c.flows = map[int]*Flow{}
+	}
+	if ev.Kind == FlowEventSetup {
+		c.flows[ev.Flow] = c.net.flows[len(c.net.flows)-1]
+	}
+	f := c.flows[ev.Flow]
+	r := effRemaining(f, ev.At)
+	want := int64(-1)
+	if !math.IsInf(r, 1) {
+		want = int64(math.Ceil(r))
+	}
+	c.events++
+	if math.Float64bits(f.remaining) != math.Float64bits(r) {
+		c.stale++
+	}
+	if (f.id != ev.Flow || ev.Remaining != want) && c.err == nil {
+		c.err = fmt.Errorf("flow %d event %d reports %d remaining, its projected remaining is %d (flow object carries ID %d)", ev.Flow, ev.Kind, ev.Remaining, want, f.id)
+	}
+}
+
+// TestFlowObserverIsInert runs randomized differential scripts with an
+// observer on the incremental network and none on the full oracle. The
+// pair is compared after every event — rates and anchors bit for bit,
+// clocks and pending-event counts — so an observer that moved anything
+// would split it. Every event must also report the flow's remaining at its
+// instant: a reallocation advances only the flows whose rate it changes,
+// so for the rest the stored value is as old as their anchor, and the
+// stale count shows the scripts reach that case.
+func TestFlowObserverIsInert(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var events, stale int
+	for i := 0; i < 300; i++ {
+		var obs remainingCheck
+		if err := differentialScriptWith(randomScript(r, 40+r.Intn(200)), (*Network).fillComponent, regionMutant{}, &obs); err != nil {
+			t.Fatalf("script %d: %v", i, err)
+		}
+		events, stale = events+obs.events, stale+obs.stale
+	}
+	if events == 0 || stale == 0 {
+		t.Fatalf("%d events observed, %d of them with a stale stored remaining: the scripts do not reach the projection", events, stale)
+	}
+	t.Logf("%d events observed, %d with a stale stored remaining", events, stale)
 }

@@ -201,7 +201,7 @@ var reuseScript = newScript(8).start(6, 7).start(7, 6).mesh(0, 6).short(0, 3).st
 func TestRegionShapes(t *testing.T) {
 	for _, shape := range regionShapes {
 		var log []passRecord
-		if err := differentialScriptWith(shape.script, (*Network).fillComponent, recordPasses(&log)); err != nil {
+		if err := differentialScriptWith(shape.script, (*Network).fillComponent, recordPasses(&log), nil); err != nil {
 			t.Errorf("%s: %v", shape.name, err)
 		}
 		if !shape.shown(log) {
@@ -233,7 +233,7 @@ func mutantPrevOutlivesMember() regionMutant {
 // the reuse script: with the previous region kept past its member's
 // completion, the watch must fail.
 func TestRegionCatchesPrevOutlivingMember(t *testing.T) {
-	if differentialScriptWith(reuseScript, (*Network).fillComponent, mutantPrevOutlivesMember()) == nil {
+	if differentialScriptWith(reuseScript, (*Network).fillComponent, mutantPrevOutlivesMember(), nil) == nil {
 		t.Error("the reuse script did not catch a previous region that outlives a completed member")
 	}
 }
