@@ -1,7 +1,6 @@
 // Zero-allocation gate for the //lint:hotpath contract on the scheduler
-// itself: a source-set build with Add (the node's way; simpeer's gates run
-// a driver's roster), one selection and a whole blocked fill run on the
-// drivers' slices and the set's reused scratch. Excluded under
+// itself: a set gathered From a roster, one selection and a whole blocked
+// fill run on the drivers' slices and the set's reused scratch. Excluded under
 // -race because race instrumentation inserts allocations the production
 // build does not have.
 
@@ -36,12 +35,10 @@ func benchSwarm(n int) (sources []*Source, pool Pool) {
 	return sources, NewPool(have)
 }
 
-// blockedFill is one whole fill that launches nothing.
-func blockedFill(set *SourceSet, sources []*Source, pool *Pool) (selections int) {
-	set.Reset(sources[0], 4)
-	for _, s := range sources {
-		set.Add(s)
-	}
+// blockedFill is one whole fill over r that launches nothing, by a
+// requester whose previous source was prev.
+func blockedFill(set *SourceSet, r *Roster, prev *Source, pool *Pool) (selections int) {
+	set.From(r, -1, prev)
 	launched := false
 	blocked := set.Fill(pool, pool.FirstWanted(), 4, 19, func(_ int, src *Source, _ bool) {
 		selections++
@@ -56,10 +53,11 @@ func blockedFill(set *SourceSet, sources []*Source, pool *Pool) (selections int)
 func TestZeroAllocBlockedFill(t *testing.T) {
 	sources, pool := benchSwarm(20)
 	var set SourceSet
-	if got := blockedFill(&set, sources, &pool); got != 2 {
+	r := gather(&set, sources, sources[0], 4)
+	if got := blockedFill(&set, r, sources[0], &pool); got != 2 {
 		t.Fatalf("%d selections, want one blocked and one cut", got)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { blockedFill(&set, sources, &pool) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { blockedFill(&set, r, sources[0], &pool) }); allocs != 0 {
 		t.Errorf("blocked fill allocated %.1f times per call, want 0", allocs)
 	}
 }
@@ -69,7 +67,7 @@ var sinkSource *Source
 func benchPick(b *testing.B, n int) {
 	sources, pool := benchSwarm(n)
 	var set SourceSet
-	blockedFill(&set, sources, &pool)
+	blockedFill(&set, gather(&set, sources, sources[0], 4), sources[0], &pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,11 +78,11 @@ func benchPick(b *testing.B, n int) {
 func benchFill(b *testing.B, n int) {
 	sources, pool := benchSwarm(n)
 	var set SourceSet
-	blockedFill(&set, sources, &pool)
+	r := gather(&set, sources, sources[0], 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blockedFill(&set, sources, &pool)
+		blockedFill(&set, r, sources[0], &pool)
 	}
 }
 

@@ -68,7 +68,8 @@ type Pool struct {
 	// First is the lowest segment not held, len(Have) when none.
 	First int
 	// roster, when set, is kept current by Start, Drop and Store: slot is
-	// this downloader's own slot in it (see Roster.Track).
+	// this downloader's own slot in it, -1 if it is not a member (see
+	// Roster.Track).
 	roster *Roster
 	slot   int
 }
@@ -112,8 +113,8 @@ func (p *Pool) Start(idx int, src *Source) {
 	if src.Sending != nil {
 		src.Sending[idx]++
 	}
+	p.hold(idx, true)
 	if r := p.roster; r != nil {
-		r.setHold(p.slot, idx, true)
 		r.loaded(src)
 	}
 }
@@ -127,8 +128,8 @@ func (p *Pool) Drop(idx int, src *Source) {
 	if src.Sending != nil {
 		src.Sending[idx]--
 	}
+	p.hold(idx, p.Have[idx])
 	if r := p.roster; r != nil {
-		r.setHold(p.slot, idx, p.Have[idx])
 		r.loaded(src)
 	}
 }
@@ -136,10 +137,15 @@ func (p *Pool) Drop(idx int, src *Source) {
 // Store records that segment idx is now held.
 func (p *Pool) Store(idx int) {
 	p.Have[idx] = true
-	if r := p.roster; r != nil {
-		r.setHold(p.slot, idx, true)
-	}
+	p.hold(idx, true)
 	p.advance()
+}
+
+// hold writes the pool's own Hold bit for segment idx, if it has a slot.
+func (p *Pool) hold(idx int, on bool) {
+	if p.roster != nil && p.slot >= 0 {
+		p.roster.SetHold(p.slot, idx, on)
+	}
 }
 
 // Roster indexes sources by slot, so that a pick visits only the sources
@@ -148,14 +154,16 @@ func (p *Pool) Store(idx int) {
 // (answers for the whole clip) and Present (may serve at all: the
 // driver's call) bits, each a mask of 64-slot words.
 //
-// A driver's roster (NewRoster) gives each source the slot of its ID and
-// is kept current as things happen: the pools it tracks keep Hold and
-// Open, the driver marks Present and Whole. A SourceSet filled with Add
-// writes its own.
+// A driver's roster gives each source the slot of its ID (NewRoster, Seat)
+// and is kept current as things happen: the pools it tracks keep Hold and
+// Open, the driver marks Present and Whole and writes the Hold rows of
+// what it learns of a source's holdings (SetHold).
 type Roster struct {
 	sources []*Source // by slot
 	segs    int
 	cap     int // the load at which a slot is not Open (0 = never)
+	// hold is stored word-major: segs words, one per segment, per 64
+	// slots.
 	hold    []uint64
 	open    []uint64
 	whole   []uint64
@@ -167,18 +175,40 @@ type Roster struct {
 // its ID.
 func NewRoster(sources []*Source, cap int) *Roster {
 	r := &Roster{cap: cap}
-	for _, s := range sources {
-		r.add(s)
+	for slot, s := range sources {
+		r.Seat(slot, s)
 	}
 	return r
 }
 
-// Track makes p the pool of the source in slot: from now on p's Start,
-// Drop and Store keep the roster's Hold and Open bits current.
+// Seat puts s, present, in slot, whose previous source is forgotten, and
+// writes its facts into the rows: O(segments). s.ID must be slot.
+func (r *Roster) Seat(slot int, s *Source) {
+	if len(r.sources) == 0 {
+		r.segs = len(s.Have)
+	}
+	for len(r.sources) <= slot {
+		if len(r.sources)&63 == 0 {
+			r.hold = extend(r.hold, r.segs)
+			r.open, r.whole, r.present = extend(r.open, 1), extend(r.whole, 1), extend(r.present, 1)
+		}
+		r.sources = append(r.sources, nil)
+	}
+	r.sources[slot] = s
+	for idx, h := range s.Have {
+		r.SetHold(slot, idx, h || idx < len(s.Fetching) && s.Fetching[idx])
+	}
+	setBit(r.open, slot, r.cap == 0 || s.Uploads < r.cap)
+	r.Mark(slot, true, s.WholeClip)
+}
+
+// Track makes p the pool of the source in slot (-1 for a downloader that
+// is not a member): from now on p's Start, Drop and Store keep the
+// roster's Open bits and, for a member, its own Hold row current.
 func (r *Roster) Track(p *Pool, slot int) {
 	p.roster, p.slot = r, slot
 	for idx := range p.Have {
-		r.setHold(slot, idx, p.Have[idx] || p.Fetching[idx])
+		p.hold(idx, p.Have[idx] || p.Fetching[idx])
 	}
 }
 
@@ -193,38 +223,8 @@ func (r *Roster) Mark(slot int, present, whole bool) {
 // Bits reports the roster's facts for slot: whether it holds or fetches
 // segment idx, and whether it is open, present and whole-clip.
 func (r *Roster) Bits(slot, idx int) (hold, open, present, whole bool) {
-	return *r.holdWord(slot, idx)&(1<<(slot&63)) != 0,
+	return hasBit(r.hold[(slot>>6)*r.segs+idx:], slot&63),
 		hasBit(r.open, slot), hasBit(r.present, slot), hasBit(r.whole, slot)
-}
-
-// reset empties the roster, full at cap uploads.
-func (r *Roster) reset(cap int) {
-	*r = Roster{sources: r.sources[:0], cap: cap, hold: r.hold[:0],
-		open: r.open[:0], whole: r.whole[:0], present: r.present[:0]}
-}
-
-// add gives s the next slot, present, and writes its facts into the rows.
-//
-//lint:hotpath SourceSet.Add's; O(segments)
-func (r *Roster) add(s *Source) (slot int) {
-	slot = len(r.sources)
-	if slot == 0 {
-		r.segs = len(s.Have)
-	}
-	if slot&63 == 0 {
-		r.hold = extend(r.hold, r.segs)
-		r.open, r.whole, r.present = extend(r.open, 1), extend(r.whole, 1), extend(r.present, 1)
-	}
-	r.sources = append(r.sources, s)
-	row, bit := r.hold[(slot>>6)*r.segs:][:len(s.Have)], uint64(1)<<(slot&63)
-	for idx, h := range s.Have {
-		if h || idx < len(s.Fetching) && s.Fetching[idx] {
-			row[idx] |= bit
-		}
-	}
-	setBit(r.open, slot, r.cap == 0 || s.Uploads < r.cap)
-	r.Mark(slot, true, s.WholeClip)
-	return slot
 }
 
 // slotOf returns the slot of s in a driver's roster, or -1.
@@ -237,17 +237,10 @@ func (r *Roster) slotOf(s *Source) int {
 	return -1
 }
 
-// holdWord is the word of segment idx's Hold row that holds slot's bit:
-// the rows are stored word-major, one block of segs words per 64 slots.
-func (r *Roster) holdWord(slot, idx int) *uint64 { return &r.hold[(slot>>6)*r.segs+idx] }
-
-func (r *Roster) setHold(slot, idx int, on bool) {
-	w := r.holdWord(slot, idx)
-	if on {
-		*w |= 1 << (slot & 63)
-	} else {
-		*w &^= 1 << (slot & 63)
-	}
+// SetHold records whether the source in slot holds or is fetching segment
+// idx.
+func (r *Roster) SetHold(slot, idx int, on bool) {
+	setBit(r.hold[(slot>>6)*r.segs+idx:], slot&63, on)
 }
 
 // loaded re-marks src's Open bit after its load changed.
@@ -279,7 +272,6 @@ func extend(s []uint64, n int) []uint64 {
 // own launches load them) and not the requester.
 type SourceSet struct {
 	r       *Roster
-	own     *Roster  // Add's roster, reused across Resets
 	members []uint64 // a mask over r's slots
 	// prev is the requester's previous source; sticky is prev once it is
 	// known to be a member, in stickySlot.
@@ -307,44 +299,9 @@ func (t *SourceSet) From(r *Roster, self int, prev *Source) {
 		members = append(members, m)
 		whole += bits.OnesCount64(m & r.whole[w])
 	}
-	*t = SourceSet{r: r, own: t.own, members: members, prev: prev, wholeClip: whole, cap: r.cap}
+	*t = SourceSet{r: r, members: members, prev: prev, wholeClip: whole, cap: r.cap}
 	if slot := r.slotOf(prev); slot >= 0 && hasBit(members, slot) {
 		t.sticky, t.stickySlot = prev, slot
-	}
-}
-
-// Reset empties the set for a fill by a requester whose previous source
-// was prev (nil for none), with sources full at cap uploads (0 = never);
-// Add then admits the candidates into the set's own roster.
-//
-//lint:hotpath
-func (t *SourceSet) Reset(prev *Source, cap int) {
-	own := t.own
-	if own == nil {
-		own = new(Roster)
-	}
-	own.reset(cap)
-	*t = SourceSet{r: own, own: own, members: t.members[:0], prev: prev, cap: cap}
-}
-
-// Add admits s, in the next slot, unless it is at the upload cap: O(the
-// clip's segments).
-//
-//lint:hotpath runs per source per fill that has pool room
-func (t *SourceSet) Add(s *Source) {
-	if t.cap > 0 && s.Uploads >= t.cap {
-		return
-	}
-	slot := t.r.add(s)
-	if slot&63 == 0 {
-		t.members = append(t.members, 0)
-	}
-	setBit(t.members, slot, true)
-	if s == t.prev {
-		t.sticky, t.stickySlot = s, slot
-	}
-	if s.WholeClip {
-		t.wholeClip++
 	}
 }
 

@@ -35,6 +35,19 @@ func relaying(progress float64) func(*Source) {
 	}
 }
 
+// gather makes set the members of a roster over sources, each in the slot
+// of its ID, full at cap uploads (0 = never), for a requester outside the
+// roster whose previous source was prev (nil for none): the drivers' one
+// way of gathering a fill's facts.
+func gather(set *SourceSet, sources []*Source, prev *Source, cap int) *Roster {
+	r := NewRoster(nil, cap)
+	for _, s := range sources {
+		r.Seat(s.ID, s)
+	}
+	set.From(r, -1, prev)
+	return r
+}
+
 // TestPickTable pins the selection rules on segment 0: the ranking order,
 // the two classes, the fallback between them and the escape hatch. The
 // first four cases are the real node's pickConn regressions (PRs 3 and 9)
@@ -98,7 +111,7 @@ func TestPickTable(t *testing.T) {
 			[]*Source{src(1, holdsNothing, wholeClip)}, none, noCap, false, 1},
 		{"a source at the upload cap is not in the set",
 			[]*Source{src(1, load(2)), src(2, load(1), score(1))}, none, 2, false, 2},
-		{"equal in everything: the lowest ID, whatever the build order",
+		{"equal in everything: the lowest ID, whatever the list order",
 			[]*Source{src(3), src(1), src(2)}, none, noCap, false, 1},
 	}
 	for _, tc := range cases {
@@ -112,10 +125,7 @@ func TestPickTable(t *testing.T) {
 		if tc.prev != none && prev == nil {
 			prev = src(tc.prev)
 		}
-		set.Reset(prev, tc.cap)
-		for _, s := range tc.sources {
-			set.Add(s)
-		}
+		gather(&set, tc.sources, prev, tc.cap)
 		if tc.fallback {
 			set.Fallback = cdn
 		}
@@ -136,7 +146,10 @@ func TestPickTable(t *testing.T) {
 // emulation has no score and sees every upload and every duplicate send;
 // the node scores, sees only its own downloads, and has no stickiness or
 // relays (DESIGN.md §4c's fact table) — and must be given the same
-// choice wherever the situation is expressible in both.
+// choice wherever the situation is expressible in both. Each stack's facts
+// go through a roster of its own shape: the emulation's has a slot per
+// peer from the start, the node's seats each connection in the lowest
+// free slot as it arrives.
 func TestStacksAgree(t *testing.T) {
 	type remote struct {
 		holds       bool
@@ -167,12 +180,18 @@ func TestStacksAgree(t *testing.T) {
 		"nobody holds it":               {[]remote{{false, 0, false}, {false, 0, true}}, -1},
 		"least loaded of the penalised": {[]remote{{true, 2, true}, {true, 1, true}}, 1},
 	} {
-		for stack, facts := range map[string]func(int, remote) *Source{"emulation": asEmulation, "node": asNode} {
-			var set SourceSet
-			set.Reset(nil, 0)
-			for id, r := range tc.remotes {
-				set.Add(facts(id, r))
-			}
+		var emulation []*Source
+		node := NewRoster(nil, 0)
+		for id, r := range tc.remotes {
+			emulation = append(emulation, asEmulation(id, r))
+			node.Seat(id, asNode(id, r))
+		}
+		var set SourceSet
+		for stack, gatherFacts := range map[string]func(){
+			"emulation": func() { gather(&set, emulation, nil, 0) },
+			"node":      func() { set.From(node, -1, nil) },
+		} {
+			gatherFacts()
 			got := -1
 			if s := set.Pick(0); s != nil {
 				got = s.ID
@@ -218,8 +237,7 @@ func TestFill(t *testing.T) {
 		pool := NewPool(have(0))
 		pool.Start(2, &Source{})
 		var set SourceSet
-		set.Reset(nil, 0)
-		set.Add(&Source{ID: 1, Have: have(3, 5, 6)})
+		gather(&set, []*Source{{ID: 1, Have: have(3, 5, 6)}}, nil, 0)
 		f := fillAll(&set, &pool, 1, 3, 7)
 		// 1 has no source, 2 is in flight, 4 has no source; the pool of 3
 		// holds 2, 3 and 5, and 6 is never looked at.
@@ -231,8 +249,7 @@ func TestFill(t *testing.T) {
 		pool := NewPool(have())
 		pool.Start(0, &Source{})
 		var set SourceSet
-		set.Reset(nil, 0)
-		set.Add(&Source{ID: 1, Have: have(1)})
+		gather(&set, []*Source{{ID: 1, Have: have(1)}}, nil, 0)
 		if f := fillAll(&set, &pool, 1, 1, 7); f.selections != 0 || f.blocked {
 			t.Errorf("a fill of a full pool made a selection: %+v", f)
 		}
@@ -240,8 +257,7 @@ func TestFill(t *testing.T) {
 	t.Run("the scan cuts at the frontier without a whole-clip source", func(t *testing.T) {
 		pool := NewPool(have())
 		var set SourceSet
-		set.Reset(nil, 0)
-		set.Add(&Source{ID: 1, Have: have(0)})
+		gather(&set, []*Source{{ID: 1, Have: have(0)}}, nil, 0)
 		f := fillAll(&set, &pool, 0, 4, 1)
 		// 0 launches, 1 is sourceless, 2 is past the frontier: cut.
 		if f.selections != 3 || !f.cut || !f.blocked || f.lastSeg != 2 || pool.InFlight != 1 {
@@ -249,14 +265,17 @@ func TestFill(t *testing.T) {
 		}
 	})
 	t.Run("a whole-clip source or a fallback carries the scan past the frontier", func(t *testing.T) {
-		for name, arm := range map[string]func(*SourceSet){
-			"whole-clip": func(set *SourceSet) { set.Add(&Source{ID: 1, Have: have(), WholeClip: true}) },
-			"fallback":   func(set *SourceSet) { set.Fallback = &Source{ID: -1, WholeClip: true} },
+		for name, arm := range map[string]struct {
+			sources  []*Source
+			fallback *Source
+		}{
+			"whole-clip": {sources: []*Source{{ID: 1, Have: have(), WholeClip: true}}},
+			"fallback":   {fallback: &Source{ID: -1, WholeClip: true}},
 		} {
 			pool := NewPool(have())
 			var set SourceSet
-			set.Reset(nil, 0)
-			arm(&set)
+			gather(&set, arm.sources, nil, 0)
+			set.Fallback = arm.fallback
 			f := fillAll(&set, &pool, 0, 2, -1)
 			want := []int{0, 1}
 			if name == "fallback" {
@@ -272,9 +291,7 @@ func TestFill(t *testing.T) {
 		a := &Source{ID: 1, Have: have(0, 1, 2, 3), Sending: make([]int, 8)}
 		b := &Source{ID: 2, Have: have(0, 1, 2, 3), Uploads: 1, Sending: make([]int, 8)}
 		var set SourceSet
-		set.Reset(nil, 2)
-		set.Add(a)
-		set.Add(b)
+		gather(&set, []*Source{a, b}, nil, 2)
 		f := fillAll(&set, &pool, 0, 4, 7)
 		// a is idler and then sticky; its second upload fills it, b becomes
 		// sticky and is filled by one more; nobody is left for segment 3.
@@ -412,17 +429,11 @@ func refPick(sources []*Source, prev, fallback *Source) *Source {
 
 // TestPickExhaustive checks Pick on every combination of facts for up to
 // three sources on one segment, every previous source and the fallback
-// on and off: through the set's own roster under every order of Add (so
-// every slot permutation) and through a driver's roster, the pick must be
-// the reference's, and a pick among equals must be the lowest ID.
+// on and off, with the sources seated in every slot permutation (IDs
+// follow slots): the pick must be the reference's, and a pick among
+// equals must be the lowest ID.
 func TestPickExhaustive(t *testing.T) {
 	states := factStates()
-	table := make([][]*Source, 3)
-	for id := range table {
-		for _, f := range states {
-			table[id] = append(table[id], factSource(id, f))
-		}
-	}
 	cdn := &Source{ID: -1, WholeClip: true}
 	name := func(s *Source) string {
 		if s == nil {
@@ -433,59 +444,48 @@ func TestPickExhaustive(t *testing.T) {
 	orders := [][][]int{permutations(0), permutations(1), permutations(2), permutations(3)}
 	var set SourceSet
 	combos := 0
-	var check func(sources []*Source)
-	check = func(sources []*Source) {
-		r := NewRoster(sources, exhaustiveCap)
-		for _, prev := range append([]*Source{nil}, sources...) {
-			for _, fallback := range []*Source{nil, cdn} {
-				combos++
-				want := refPick(sources, prev, fallback)
-				where := func() string {
-					var facts []int
-					for _, s := range sources {
-						f := 0
-						for i, g := range table[s.ID] {
-							if g == s {
-								f = states[i]
-							}
-						}
-						facts = append(facts, f)
+	var check func(facts []int)
+	check = func(facts []int) {
+		for o, order := range orders[len(facts)] {
+			// order[slot] is the entry of facts seated in slot.
+			sources := make([]*Source, len(facts))
+			for slot, i := range order {
+				sources[slot] = factSource(slot, facts[i])
+			}
+			r := NewRoster(sources, exhaustiveCap)
+			for _, prev := range append([]*Source{nil}, sources...) {
+				for _, fallback := range []*Source{nil, cdn} {
+					if o == 0 {
+						combos++
 					}
-					return fmt.Sprintf("facts %b, prev %s, fallback %v", facts, name(prev), fallback != nil)
-				}
-				set.From(r, -1, prev)
-				set.Fallback = fallback
-				if got := set.Pick(0); got != want {
-					t.Fatalf("%s: roster picks %s, reference %s", where(), name(got), name(want))
-				}
-				for _, order := range orders[len(sources)] {
-					set.Reset(prev, exhaustiveCap)
-					for _, i := range order {
-						set.Add(sources[i])
+					want := refPick(sources, prev, fallback)
+					where := func() string {
+						return fmt.Sprintf("facts %b in slots %v, prev %s, fallback %v", facts, order, name(prev), fallback != nil)
 					}
+					set.From(r, -1, prev)
 					set.Fallback = fallback
 					if got := set.Pick(0); got != want {
-						t.Fatalf("%s, added in order %v: picks %s, reference %s", where(), order, name(got), name(want))
+						t.Fatalf("%s: picks %s, reference %s", where(), name(got), name(want))
 					}
-				}
-				if want == nil || want == fallback || want == prev {
-					continue
-				}
-				wp := want.progress(0)
-				for _, s := range sources {
-					p := s.progress(0)
-					if s != want && s != prev && s.Uploads == want.Uploads && p == wp &&
-						s.Quarantined == want.Quarantined && s.ID < want.ID {
-						t.Fatalf("%s: picks %s over its equal %s", where(), name(want), name(s))
+					if want == nil || want == fallback || want == prev {
+						continue
+					}
+					wp := want.progress(0)
+					for _, s := range sources {
+						p := s.progress(0)
+						if s != want && s != prev && s.Uploads == want.Uploads && p == wp &&
+							s.Quarantined == want.Quarantined && s.ID < want.ID {
+							t.Fatalf("%s: picks %s over its equal %s", where(), name(want), name(s))
+						}
 					}
 				}
 			}
 		}
-		if len(sources) == len(table) {
+		if len(facts) == len(orders)-1 {
 			return
 		}
-		for _, s := range table[len(sources)] {
-			check(append(sources, s))
+		for _, f := range states {
+			check(append(facts, f))
 		}
 	}
 	check(nil)

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,10 +21,11 @@ type conn struct {
 	wr     *wire.Writer // reusable encode buffer, guarded by wmu
 	closed atomic.Bool  // set by close
 
-	// src is the remote as the scheduler sees it: ID the connection's
-	// arrival number, Have the remote's bitfield, Uploads our own downloads
-	// in flight on it (all of its load a node can see), Score and
-	// Quarantined as of the last schedule.
+	// src is the remote as the scheduler sees it: ID its roster slot, Have
+	// the remote's bitfield, Uploads our own downloads in flight on it (all
+	// of its load a node can see), Score and Quarantined as of the last
+	// schedule. It is the conn's own, not its slot's, so a download that
+	// ends after a drop cannot touch the slot's next conn.
 	src core.Source // guarded by node.mu
 
 	// Upload-slot state: serving marks an occupied unchoke slot, waiting
@@ -69,9 +71,7 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 		raw.Close()
 		return fmt.Errorf("peer: at the %d-connection limit", maxConns)
 	}
-	n.conns[id] = c
-	c.src.Owner, c.src.ID = c, n.connSeq
-	n.connSeq++
+	n.seatLocked(c)
 	n.mu.Unlock()
 
 	if err := c.send(&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.EncodeBitfield(n.store.Bitfield())}); err != nil {
@@ -89,13 +89,31 @@ func (n *Node) startConn(raw net.Conn, id wire.PeerID) error {
 	return nil
 }
 
+// seatLocked adds c to the connection set, its source in the lowest free
+// roster slot; unseatLocked takes it out, if it is still there, and frees
+// the slot (n.mu held).
+func (n *Node) seatLocked(c *conn) {
+	var used uint64
+	for _, o := range n.conns {
+		used |= 1 << o.src.ID
+	}
+	c.src.Owner, c.src.ID = c, bits.TrailingZeros64(^used)
+	n.conns[c.id] = c
+	n.roster.Seat(c.src.ID, &c.src)
+}
+
+func (n *Node) unseatLocked(c *conn) {
+	if n.conns[c.id] == c {
+		delete(n.conns, c.id)
+		n.roster.Mark(c.src.ID, false, false)
+	}
+}
+
 // dropConn removes the connection and reschedules its downloads.
 func (n *Node) dropConn(c *conn) {
 	var unchoke *conn
 	n.mu.Lock()
-	if n.conns[c.id] == c {
-		delete(n.conns, c.id)
-	}
+	n.unseatLocked(c)
 	unchoke = n.releaseSlotLocked(c)
 	if c.waiting {
 		c.waiting = false
@@ -170,61 +188,64 @@ func (c *conn) close() {
 }
 
 // readLoop processes inbound messages until the connection fails or the
-// remote breaks the protocol (a bad bitfield, a HAVE past the clip, an
-// unexpected message type). Its Reader is the only one on c.raw after the
-// handshake: it reads ahead, so a second reader would lose frames. The
-// Reader and Message are reused across iterations, and m's payload
-// aliases the Reader's buffer until the next ReadInto — every handler
-// finishes with it before returning (onPiece copies into the download
-// buffer, the bitfield is decoded into a fresh slice), so the
+// remote breaks the protocol. Its Reader is the only one on c.raw after
+// the handshake: it reads ahead, so a second reader would lose frames.
+// The Reader and Message are reused across iterations, so the
 // steady-state receive path is allocation-free.
 func (c *conn) readLoop() {
 	rd := wire.NewReader(c.raw)
 	var msg wire.Message
-	for {
-		m := &msg
-		if rd.ReadInto(m) != nil {
-			return
-		}
-		switch m.Type {
-		case wire.MsgBitfield:
-			have, err := wire.DecodeBitfield(m.Bitfield, c.node.store.Segments())
-			if err != nil {
-				return
-			}
-			c.node.mu.Lock()
-			copy(c.src.Have, have)
-			c.node.mu.Unlock()
-			c.node.schedule()
-		case wire.MsgHave:
-			idx := int(m.Index)
-			if idx >= c.node.store.Segments() {
-				return
-			}
-			c.node.mu.Lock()
-			c.src.Have[idx] = true
-			c.node.mu.Unlock()
-			c.node.schedule()
-		case wire.MsgRequest:
-			if c.serveBlock(m) != nil {
-				return
-			}
-		case wire.MsgPiece:
-			c.node.onPiece(c, m)
-		case wire.MsgChoke:
-			c.node.abandonDownloadsOn(c)
-		case wire.MsgUnchoke:
-			c.node.mu.Lock()
-			c.choked = false
-			c.node.mu.Unlock()
-			c.node.schedule()
-		case wire.MsgCancel, wire.MsgKeepAlive,
-			wire.MsgInterested, wire.MsgNotInterested:
-			// Accepted for protocol compatibility.
-		default:
-			return
-		}
+	for rd.ReadInto(&msg) == nil && c.handle(&msg) {
 	}
+}
+
+// handle acts on one inbound message and reports whether the remote kept
+// to the protocol. m's payload aliases the Reader's buffer until the next
+// ReadInto; onPiece copies it, the bitfield is decoded into a fresh slice.
+// A holding goes into c.src.Have and c's Hold row together.
+func (c *conn) handle(m *wire.Message) bool {
+	n := c.node
+	switch m.Type {
+	case wire.MsgBitfield:
+		have, err := wire.DecodeBitfield(m.Bitfield, n.store.Segments())
+		if err != nil {
+			return false
+		}
+		n.mu.Lock()
+		for idx, h := range have {
+			c.src.Have[idx] = h
+			n.roster.SetHold(c.src.ID, idx, h)
+		}
+		n.mu.Unlock()
+		n.schedule()
+	case wire.MsgHave:
+		idx := int(m.Index)
+		if idx >= n.store.Segments() {
+			return false
+		}
+		n.mu.Lock()
+		c.src.Have[idx] = true
+		n.roster.SetHold(c.src.ID, idx, true)
+		n.mu.Unlock()
+		n.schedule()
+	case wire.MsgRequest:
+		return c.serveBlock(m) == nil
+	case wire.MsgPiece:
+		n.onPiece(c, m)
+	case wire.MsgChoke:
+		n.abandonDownloadsOn(c)
+	case wire.MsgUnchoke:
+		n.mu.Lock()
+		c.choked = false
+		n.mu.Unlock()
+		n.schedule()
+	case wire.MsgCancel, wire.MsgKeepAlive,
+		wire.MsgInterested, wire.MsgNotInterested:
+		// Accepted for protocol compatibility.
+	default:
+		return false
+	}
+	return true
 }
 
 // serveBlock answers a block request from the store, subject to the

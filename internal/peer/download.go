@@ -85,22 +85,18 @@ func (n *Node) schedule() {
 const maxConcurrentPerConn = 2
 
 // buildSourceSetLocked gathers the socket's facts for a fill at now (n.mu
-// held): every connection that is open and has not choked us, with its
-// reputation as of now, full at maxConcurrentPerConn of our downloads.
-// Each Add writes the conn's bitfield into the set's own roster, O(clip
-// segments) per conn, since a node has no roster kept across schedules. A
-// conn closed by a verify failure stays in n.conns until its asynchronous
-// dropConn; skipping it keeps the immediate reschedule off the dead conn.
+// held) in O(conns + words): each conn's reputation as of now and its
+// presence, open and unchoked, marked per fill since close sets c.closed
+// without n.mu (a conn a verify failure closed stays in n.conns until its
+// dropConn). The roster's Hold rows and Open bits, full at
+// maxConcurrentPerConn of our downloads, are kept as events happen.
 func (n *Node) buildSourceSetLocked(now time.Duration) {
-	n.set.Reset(nil, maxConcurrentPerConn)
 	for _, c := range n.conns {
-		if c.choked || c.closed.Load() {
-			continue
-		}
 		c.src.Score = n.rep.Score(c.id, now)
 		c.src.Quarantined = n.rep.Quarantined(c.id, now)
-		n.set.Add(&c.src)
+		n.roster.Mark(c.src.ID, !c.choked && !c.closed.Load(), false)
 	}
+	n.set.From(n.roster, -1, nil)
 }
 
 // launchLocked registers the download of segment idx from c (n.mu held);

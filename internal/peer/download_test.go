@@ -36,9 +36,10 @@ func newIdleLeecher(t *testing.T, m *container.Manifest, store SegmentStore, cfg
 	return n
 }
 
-// addFakeConn registers a hand-built connection whose remote end only
-// drains what the node sends, so the test controls exactly which
-// segments appear servable and whether the remote has choked us.
+// addFakeConn registers a hand-built connection, seated as startConn
+// seats one, whose remote end only drains what the node sends, so the
+// test controls exactly which segments appear servable and whether the
+// remote has choked us.
 func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn {
 	t.Helper()
 	server, client := net.Pipe()
@@ -51,12 +52,11 @@ func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn
 		id:     pid,
 		raw:    server,
 		wr:     wire.NewWriter(server),
-		src:    core.Source{ID: int(id), Have: append([]bool(nil), have...)},
+		src:    core.Source{Have: append([]bool(nil), have...)},
 		choked: choked,
 	}
-	c.src.Owner = c
 	n.mu.Lock()
-	n.conns[pid] = c
+	n.seatLocked(c)
 	n.mu.Unlock()
 	return c
 }

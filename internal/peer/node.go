@@ -119,14 +119,16 @@ type Node struct {
 	// handles are lock-free; its transition methods run under mu.
 	qoe *trace.QoE
 
-	mu      sync.Mutex // guards conns, connSeq, active, pool, set, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
-	conns   map[wire.PeerID]*conn
-	connSeq int                  // connections registered so far: the next conn's source ID
-	active  map[int]*segDownload // in-flight segment downloads
-	// pool is this node as the scheduler sees it: Have mirrors the store,
-	// Fetching active's keys. set is schedule's source-set scratch.
-	pool core.Pool
-	set  core.SourceSet
+	mu     sync.Mutex // guards conns, roster, active, pool, set, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
+	conns  map[wire.PeerID]*conn
+	active map[int]*segDownload // in-flight segment downloads
+	// roster seats each conn's source in the conn's slot for the node's
+	// life. pool is this node as the scheduler sees it, which roster
+	// tracks as a non-member: Have mirrors the store, Fetching active's
+	// keys. set is schedule's source-set scratch.
+	roster *core.Roster
+	pool   core.Pool
+	set    core.SourceSet
 	// rep scores remote peers by ID — the stable identity a repeat
 	// offender keeps across reconnects. The scheduler deprioritizes high
 	// scores and skips quarantined peers, so a peer serving corrupt data
@@ -216,6 +218,8 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 	if err != nil {
 		return nil, err
 	}
+	roster, pool := core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(store.Bitfield())
+	roster.Track(&pool, -1)
 	ctx, cancel := context.WithCancel(context.Background())
 	// Build the player before the Node exists so every post-construction
 	// access to the guarded play field goes through n.mu.
@@ -249,7 +253,8 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		qoe:       trace.NewQoE(cfg.Trace, cfg.Metrics, "p2p", m.Splicing, nil, 1),
 		conns:     make(map[wire.PeerID]*conn),
 		active:    make(map[int]*segDownload),
-		pool:      core.NewPool(store.Bitfield()),
+		roster:    roster,
+		pool:      pool,
 		dialState: make(map[string]*dialBackoff),
 		rep:       reputation.NewTable[wire.PeerID](*cfg.Reputation),
 		play:      play,

@@ -62,12 +62,12 @@ func pick(n *Node, idx int) *conn {
 	return nil
 }
 
-// drop removes c from the connection set and its downloads from the pool,
-// as dropConn does.
+// drop removes c from the connection set, as dropConn does, and all its
+// downloads from the pool.
 func drop(n *Node, c *conn) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.conns, c.id)
+	n.unseatLocked(c)
 	for idx, d := range n.active {
 		if d.conn == c {
 			n.dropActiveLocked(idx)
@@ -159,19 +159,25 @@ func TestPickConnQuarantineAndEscapeHatch(t *testing.T) {
 }
 
 // Equal score and equal load must break on the lowest source ID — the
-// oldest connection — every time. The parent ranged over the conns map
-// and kept the first best it met, so the choice among equals followed
-// Go's randomized map order.
+// lowest roster slot — every time, whatever the conns map's randomized
+// order. A conn takes the lowest free slot, so among conns that never
+// left it is the oldest, and a newcomer takes a dropped conn's place.
 func TestPickTieBreaksOnLowestID(t *testing.T) {
 	m := pickManifest(t)
 	for rep := 0; rep < 100; rep++ {
 		n := offlineLeecher(t, m, nil)
-		var lowest *conn
+		var conns []*conn
 		for _, id := range []byte("hgfedcba") {
-			lowest = holder(t, n, id)
+			conns = append(conns, holder(t, n, id))
 		}
-		if got := pick(n, 0); got != lowest {
-			t.Fatalf("repetition %d: picked conn %q among equals, want the lowest ID %q", rep, got.id[0], lowest.id[0])
+		if got := pick(n, 0); got != conns[0] {
+			t.Fatalf("repetition %d: picked conn %q among equals, want the oldest %q", rep, got.id[0], conns[0].id[0])
+		}
+		drop(n, conns[0])
+		drop(n, conns[1])
+		late := holder(t, n, 'z')
+		if got := pick(n, 0); got != late || late.src.ID != 0 {
+			t.Fatalf("repetition %d: picked conn %q among equals, want %q in the freed slot 0 (slot %d)", rep, got.id[0], late.id[0], late.src.ID)
 		}
 	}
 }

@@ -111,7 +111,8 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if n.store, err = NewStore(len(m.Segments)); err != nil {
 		t.Fatal(err)
 	}
-	n.pool = core.NewPool(n.store.Bitfield())
+	n.roster, n.pool = core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(n.store.Bitfield())
+	n.roster.Track(&n.pool, -1)
 	if n.est, err = core.NewAggregateMeter(core.DefaultEWMAAlpha); err != nil {
 		t.Fatal(err)
 	}

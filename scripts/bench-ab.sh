@@ -9,8 +9,11 @@
 # which side goes first (odd pairs parent first, even pairs change first).
 # Each side builds its own cmd/bench from its own checkout. Every pair is
 # judged by the change's `-compare`; the script prints each pair's
-# medians and verdicts, then the pairs' verdict on wall_s in one
-# last line:
+# medians and verdicts, then, for each of setup_s, wall_s and cpu_s, the
+# median of each side's pair medians with the parent's interquartile
+# range, and the median Δ of the parent-first and of the change-first
+# pairs apart (an order effect shows as the two disagreeing by more than
+# the spread). The last line is the pairs' verdict on wall_s:
 #
 #   wins k/N, Δmedian vs parent IQR: met|not met
 #
@@ -64,11 +67,13 @@ while [ "$i" -le "$PAIRS" ]; do
     awk -v w="$WORKLOAD" -v i="$i" 'BEGIN { printf "pair %d:", i }
         $1 == w { printf " %s %s -> %s (%s %s);", $2, $4, $8, $12, $13 }
         END { print "" }' "$cmp"
-    awk -v w="$WORKLOAD" '$1 == w && $2 == "wall_s" { print $4, $8 }' "$cmp" >> "$WORK/results/medians.txt"
+    awk -v w="$WORKLOAD" -v i="$i" '$1 == w && ($2 == "setup_s" || $2 == "wall_s" || $2 == "cpu_s") { print i, $2, $4, $8 }' \
+        "$cmp" >> "$WORK/results/medians.txt"
     i=$((i + 1))
 done
 
-# The 9-of-10 rule, with cmd/bench's quantiles (position q·(n+1)).
+# The summaries and the 9-of-10 rule, with cmd/bench's quantiles (position
+# q·(n+1)). Each line of medians.txt: <pair> <metric> <parent> <change>.
 awk '
 function quantile(a, n, q,    pos, lo) {
     if (n == 1) return a[1]
@@ -82,12 +87,35 @@ function sort(a, n,    i, j, t) {
     for (i = 2; i <= n; i++)
         for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 }
-{ n++; p[n] = $1; c[n] = $2; if ($2 < $1) wins++ }
+# pct: the change from a to b, in percent; "-" from zero.
+function pct(a, b) { return a == 0 ? "-" : sprintf("%+.1f%%", 100 * (b - a) / a) }
+# median of the Δ% of the pairs of metric m that ran the parent first
+# (odd = 1) or the change first (odd = 0); "-" when there are none.
+function orderDelta(m, odd,    k, j, d) {
+    for (j = 1; j <= n[m]; j++)
+        if (pair[m, j] % 2 == odd && p[m, j] != 0) d[++k] = 100 * (c[m, j] - p[m, j]) / p[m, j]
+    if (k == 0) return "-"
+    sort(d, k)
+    return sprintf("%+.1f%%", quantile(d, k, 0.5))
+}
+{
+    m = $2; j = ++n[m]; pair[m, j] = $1; p[m, j] = $3; c[m, j] = $4
+    if (m == "wall_s" && $4 < $3) wins++
+}
 END {
-    sort(p, n); sort(c, n)
-    pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-    iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-    met = (wins * 10 >= n * 9 && pm - cm > iqr) ? "met" : "not met"
-    printf "wall_s median parent %.4g change %.4g (%+.1f%%), parent IQR %.4g\n", pm, cm, 100 * (cm - pm) / pm, iqr
-    printf "wins %d/%d, Δmedian vs parent IQR: %s\n", wins, n, met
+    split("setup_s wall_s cpu_s", metrics, " ")
+    for (x = 1; x <= 3; x++) {
+        m = metrics[x]
+        if (!n[m]) continue
+        parentFirst = orderDelta(m, 1); changeFirst = orderDelta(m, 0)
+        for (j = 1; j <= n[m]; j++) { ps[j] = p[m, j]; cs[j] = c[m, j] }
+        sort(ps, n[m]); sort(cs, n[m])
+        pm = quantile(ps, n[m], 0.5); cm = quantile(cs, n[m], 0.5)
+        iqr = quantile(ps, n[m], 0.75) - quantile(ps, n[m], 0.25)
+        printf "%s median parent %.4g change %.4g (%s), parent IQR %.4g; median Δ parent-first %s, change-first %s\n",
+            m, pm, cm, pct(pm, cm), iqr, parentFirst, changeFirst
+        if (m == "wall_s") { wpm = pm; wcm = cm; wiqr = iqr; wn = n[m] }
+    }
+    met = (wins * 10 >= wn * 9 && wpm - wcm > wiqr) ? "met" : "not met"
+    printf "wins %d/%d, Δmedian vs parent IQR: %s\n", wins, wn, met
 }' "$WORK/results/medians.txt"
