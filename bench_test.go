@@ -46,8 +46,8 @@ func BenchmarkFig2StallsBySplicing(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("2s")[0], "stalls@128kBps(2s)")
-	b.ReportMetric(last.Series("4s")[0], "stalls@128kBps(4s)")
+	b.ReportMetric(last.Values["2s"][0], "stalls@128kBps(2s)")
+	b.ReportMetric(last.Values["4s"][0], "stalls@128kBps(4s)")
 }
 
 // BenchmarkFig3StallDuration regenerates Figure 3 (total stall duration).
@@ -61,7 +61,7 @@ func BenchmarkFig3StallDuration(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("gop")[0], "stallSec@128kBps(gop)")
+	b.ReportMetric(last.Values["gop"][0], "stallSec@128kBps(gop)")
 }
 
 // BenchmarkFig4StartupTime regenerates Figure 4 (startup time by segment
@@ -76,8 +76,8 @@ func BenchmarkFig4StartupTime(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("2s")[0], "startupSec@128kBps(2s)")
-	b.ReportMetric(last.Series("8s")[0], "startupSec@128kBps(8s)")
+	b.ReportMetric(last.Values["2s"][0], "startupSec@128kBps(2s)")
+	b.ReportMetric(last.Values["8s"][0], "startupSec@128kBps(8s)")
 }
 
 // BenchmarkFig5DownloadPolicies regenerates Figure 5 (adaptive pooling vs
@@ -92,8 +92,8 @@ func BenchmarkFig5DownloadPolicies(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("adaptive")[0], "stalls@128kBps(adaptive)")
-	b.ReportMetric(last.Series("pool-8")[0], "stalls@128kBps(pool-8)")
+	b.ReportMetric(last.Values["adaptive"][0], "stalls@128kBps(adaptive)")
+	b.ReportMetric(last.Values["pool-8"][0], "stalls@128kBps(pool-8)")
 }
 
 // BenchmarkFig2StallsSerial is BenchmarkFig2StallsBySplicing pinned to the
@@ -111,7 +111,7 @@ func BenchmarkFig2StallsSerial(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("2s")[0], "stalls@128kBps(2s)")
+	b.ReportMetric(last.Values["2s"][0], "stalls@128kBps(2s)")
 }
 
 // BenchmarkSegmentsCached measures the memoized Segments path: after the
@@ -143,8 +143,8 @@ func BenchmarkAblation(b *testing.B) {
 				}
 				last = res
 			}
-			b.ReportMetric(last.Series("stalls@256")[0], "stalls@256kBps")
-			b.ReportMetric(last.Series("startup s@256")[0], "startupSec@256kBps")
+			b.ReportMetric(last.Values["stalls@256"][0], "stalls@256kBps")
+			b.ReportMetric(last.Values["startup s@256"][0], "startupSec@256kBps")
 		})
 	}
 }
@@ -362,5 +362,5 @@ func BenchmarkFig6AdaptiveSplicing(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Series("adaptive")[1], "waitSec@512kBps(adaptive)")
+	b.ReportMetric(last.Values["adaptive"][1], "waitSec@512kBps(adaptive)")
 }

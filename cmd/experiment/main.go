@@ -25,9 +25,10 @@ import (
 	"p2psplice/internal/container"
 	"p2psplice/internal/core"
 	"p2psplice/internal/experiment"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/peer"
+	"p2psplice/internal/player"
 	"p2psplice/internal/shaper"
+	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/tracereport"
 	"p2psplice/internal/tracker"
@@ -57,7 +58,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiment:", err)
 			os.Exit(1)
 		}
-		emu, sum := v.emulated, metrics.Summarize(v.real)
+		emu, sum := v.emulated, simpeer.Summarize(v.real)
 		fmt.Printf("%-10s | %10s | %12s | %12s\n", "stack", "stalls", "stall sec", "startup sec")
 		fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "emulated", emu.Stalls, emu.StallSeconds, emu.StartupSecs)
 		fmt.Printf("%-10s | %10.1f | %12.1f | %12.1f\n", "real TCP", sum.MeanStalls, sum.MeanStallSeconds, sum.MeanStartupSeconds)
@@ -267,11 +268,12 @@ const (
 	realTimeout = 3 * time.Minute
 )
 
-// validation is the -real comparison: the emulated sweep point, one
-// playback sample per real viewer, and the real half's wall time.
+// validation is the -real comparison: the emulated sweep point, each real
+// viewer's playback metrics once its download completed, and the real
+// half's wall time.
 type validation struct {
 	emulated experiment.Point
-	real     []metrics.PlaybackSample
+	real     []player.Metrics
 	realWall time.Duration
 }
 
@@ -355,10 +357,7 @@ func runRealValidation() (validation, error) {
 		if err := n.WaitComplete(ctx); err != nil {
 			return out, fmt.Errorf("viewer %d: %w", i+1, err)
 		}
-		pm := n.Playback()
-		out.real = append(out.real, metrics.PlaybackSample{
-			Peer: i + 1, Startup: pm.StartupTime, Stalls: pm.Stalls, TotalStall: pm.TotalStall, Finished: true,
-		})
+		out.real = append(out.real, n.Playback())
 	}
 	out.realWall = time.Since(start)
 	return out, nil

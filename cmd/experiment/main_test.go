@@ -53,18 +53,20 @@ func TestSelectFigures(t *testing.T) {
 var realRun = sync.OnceValues(runRealValidation)
 
 // TestRealValidationFinishes: every real viewer of -real's workload
-// finishes with a startup above zero.
+// completes its download (runRealValidation records a viewer only once
+// WaitComplete returns) with a startup above zero. Playback may still be
+// running then, so the player's state is not checked.
 func TestRealValidationFinishes(t *testing.T) {
 	v, err := realRun()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(v.real) != realViewers {
-		t.Fatalf("got %d real samples, want %d", len(v.real), realViewers)
+		t.Fatalf("got %d completed viewers, want %d", len(v.real), realViewers)
 	}
-	for _, s := range v.real {
-		if !s.Finished || s.Startup <= 0 {
-			t.Errorf("viewer %d: finished %v, startup %v", s.Peer, s.Finished, s.Startup)
+	for i, m := range v.real {
+		if m.StartupTime <= 0 {
+			t.Errorf("viewer %d: startup %v", i+1, m.StartupTime)
 		}
 	}
 }

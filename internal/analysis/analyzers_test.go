@@ -37,7 +37,7 @@ func TestWireerrOutOfScope(t *testing.T) {
 }
 
 func TestFloatcmp(t *testing.T) {
-	analysistest.Run(t, "testdata/floatcmp", "p2psplice/internal/metrics", analysis.Floatcmp)
+	analysistest.Run(t, "testdata/floatcmp", "p2psplice/internal/experiment", analysis.Floatcmp)
 }
 
 func TestFloatcmpOutOfScope(t *testing.T) {

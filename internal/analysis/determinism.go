@@ -27,7 +27,6 @@ var DeterministicPackages = []string{
 	"p2psplice/internal/splicer",
 	"p2psplice/internal/media",
 	"p2psplice/internal/experiment",
-	"p2psplice/internal/metrics",
 	"p2psplice/internal/trace",
 	"p2psplice/internal/fault",
 	"p2psplice/internal/tracereport",

@@ -7,7 +7,7 @@ import (
 )
 
 // Floatcmp flags == and != between floating-point operands in the
-// metrics and experiment packages. The reproduction's stall counts and
+// simpeer and experiment packages. The reproduction's stall counts and
 // startup-delay aggregates come out of floating-point accumulation;
 // exact equality on such values silently misclassifies results that
 // differ by one ULP. Compare against an epsilon, or restructure so the
@@ -16,9 +16,9 @@ import (
 // flagged: a sum that "should" be zero rarely is.
 var Floatcmp = &Analyzer{
 	Name: "floatcmp",
-	Doc:  "flag ==/!= between floating-point operands in metrics and experiment packages",
+	Doc:  "flag ==/!= between floating-point operands in simpeer and experiment packages",
 	Match: matchPaths(
-		"p2psplice/internal/metrics",
+		"p2psplice/internal/simpeer",
 		"p2psplice/internal/experiment",
 	),
 	Run: runFloatcmp,

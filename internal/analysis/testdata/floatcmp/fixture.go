@@ -1,6 +1,6 @@
 // Fixture for the floatcmp analyzer, type-checked as if it were package
-// p2psplice/internal/metrics.
-package metrics
+// p2psplice/internal/experiment.
+package experiment
 
 func eq(a, b float64) bool {
 	return a == b // want "floating-point"

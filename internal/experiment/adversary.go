@@ -81,7 +81,7 @@ func (p Params) adversaryMod(lv AdversaryLevel, rep *reputation.Config) func(*si
 // polluters (60% per-attempt pollution), at a fixed 256 kB/s. The
 // measure is combined badness — startup time plus total stall seconds —
 // over the honest viewers only (adversarial nodes are excluded from the
-// swarm samples). Not one of the paper's figures; it probes how much of
+// run's Summary). Not one of the paper's figures; it probes how much of
 // the splicing schemes' QoE survives pollution, and how much the
 // reputation subsystem buys back.
 func (p Params) FigAdversary(levels []AdversaryLevel) (*FigureResult, error) {

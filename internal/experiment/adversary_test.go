@@ -61,7 +61,7 @@ func TestFigAdversaryShape(t *testing.T) {
 		t.Fatalf("figure has %d series, want %d", len(res.Values), len(wantSeries))
 	}
 	for _, name := range wantSeries {
-		vals := res.Series(name)
+		vals := res.Values[name]
 		if len(vals) != len(levels) {
 			t.Fatalf("series %q has %d values for %d levels", name, len(vals), len(levels))
 		}
@@ -78,7 +78,7 @@ func TestFigAdversaryShape(t *testing.T) {
 	// rep-on and rep-off see identical swarms, so their measurements are
 	// bit-identical.
 	for _, scheme := range []string{"gop", "4s"} {
-		on, off := res.Series(scheme + " rep-on")[0], res.Series(scheme + " rep-off")[0]
+		on, off := res.Values[scheme+" rep-on"][0], res.Values[scheme+" rep-off"][0]
 		if on != off {
 			t.Errorf("%s: honest-swarm badness differs with reputation on (%v) vs off (%v)",
 				scheme, on, off)

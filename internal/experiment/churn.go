@@ -32,7 +32,7 @@ const churnMeanOffline = 8 * time.Second
 // runs after the cell's seed is set, so the fault schedule derives from
 // the cell's own seed — every run sees a different but bit-reproducible
 // plan. Only odd-numbered leechers churn; the measured cohort (crashed
-// peers are excluded from playback samples) observes the swarm-side
+// peers are excluded from the run's Summary) observes the swarm-side
 // damage — lost sources and re-requests — not its own dead air.
 func (p Params) churnMod(lv ChurnLevel) func(*simpeer.SwarmConfig) {
 	return func(cfg *simpeer.SwarmConfig) {

@@ -28,7 +28,7 @@ func TestFigChurnShape(t *testing.T) {
 		t.Fatalf("figure has %d series, want %d", len(res.Values), len(wantSeries))
 	}
 	for _, name := range wantSeries {
-		vals := res.Series(name)
+		vals := res.Values[name]
 		if len(vals) != len(levels) {
 			t.Fatalf("series %q has %d values for %d levels", name, len(vals), len(levels))
 		}

@@ -12,7 +12,6 @@ import (
 
 	"p2psplice/internal/core"
 	"p2psplice/internal/media"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/trace"
@@ -170,10 +169,7 @@ func (p Params) Sweep(sp splicer.Splicer, policy core.Policy, bandwidthsKB []int
 
 // FigureResult is a rendered figure plus its raw series for assertions.
 type FigureResult struct {
-	Figure metrics.Figure
+	Figure Table
 	// Values maps series name to per-x numeric values.
 	Values map[string][]float64
 }
-
-// Series returns the numeric series for name, or nil.
-func (f *FigureResult) Series(name string) []float64 { return f.Values[name] }

@@ -74,7 +74,7 @@ func TestFig2StallsDecreaseWithBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"gop", "2s", "4s", "8s"} {
-		vals := res.Series(name)
+		vals := res.Values[name]
 		if len(vals) != 2 {
 			t.Fatalf("series %q has %d values", name, len(vals))
 		}
@@ -97,7 +97,7 @@ func TestFig3SeriesComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"gop", "2s", "4s", "8s"} {
-		if len(res.Series(name)) != 2 {
+		if len(res.Values[name]) != 2 {
 			t.Errorf("series %q incomplete", name)
 		}
 	}
@@ -109,7 +109,7 @@ func TestFig4StartupShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, s4, s8 := res.Series("2s"), res.Series("4s"), res.Series("8s")
+	s2, s4, s8 := res.Values["2s"], res.Values["4s"], res.Values["8s"]
 	// Startup grows with segment duration at every bandwidth.
 	for i := range s2 {
 		if !(s2[i] < s4[i] && s4[i] < s8[i]) {
@@ -168,10 +168,10 @@ func TestSpliceOverheadTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gop := res.Series("gop")[0]
-	s2 := res.Series("2s")[0]
-	s4 := res.Series("4s")[0]
-	s8 := res.Series("8s")[0]
+	gop := res.Values["gop"][0]
+	s2 := res.Values["2s"][0]
+	s4 := res.Values["4s"][0]
+	s8 := res.Values["8s"][0]
 	if gop != 0 {
 		t.Errorf("GOP overhead = %v%%, want 0", gop)
 	}
@@ -245,11 +245,11 @@ func TestFig6AdaptiveTracksBestFixed(t *testing.T) {
 	if err := res.Figure.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	adaptive := res.Series("adaptive")
+	adaptive := res.Values["adaptive"]
 	for i := range adaptive {
-		best := res.Series("2s")[i]
+		best := res.Values["2s"][i]
 		for _, name := range []string{"4s", "8s"} {
-			if v := res.Series(name)[i]; v < best {
+			if v := res.Values[name][i]; v < best {
 				best = v
 			}
 		}

@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
 	"p2psplice/internal/core"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 )
@@ -101,6 +101,20 @@ func formatCount(v float64) string { return strconv.Itoa(int(v + 0.5)) }
 // formatTenths renders a value to one decimal.
 func formatTenths(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
 
+// formatSeconds renders a seconds value compactly for tables.
+func formatSeconds(s float64) string {
+	switch {
+	case math.Abs(s) < 1e-9:
+		// Values this close to zero are rounding residue from float
+		// accumulation; render them as an exact zero.
+		return "0"
+	case s < 10:
+		return fmt.Sprintf("%.1f", s)
+	default:
+		return fmt.Sprintf("%.0f", s)
+	}
+}
+
 // The Point fields the figures plot.
 func stallsOf(pt Point) float64       { return pt.Stalls }
 func stallSecondsOf(pt Point) float64 { return pt.StallSeconds }
@@ -135,7 +149,7 @@ func (p Params) Fig2Stalls(bandwidths []int64) (*FigureResult, error) {
 // the same sweep as Figure 2.
 func (p Params) Fig3StallDuration(bandwidths []int64) (*FigureResult, error) {
 	return p.splicingFigure("Figure 3", "Figure 3: Total stall duration for different bandwidths",
-		bandwidths, measure{of: stallSecondsOf, format: metrics.FormatSeconds})
+		bandwidths, measure{of: stallSecondsOf, format: formatSeconds})
 }
 
 // Fig4Startup reproduces Figure 4: startup time for 2/4/8 s segments with
@@ -148,7 +162,7 @@ func (p Params) Fig4Startup(bandwidths []int64) (*FigureResult, error) {
 		bandwidths = Fig4Bandwidths
 	}
 	f := bandwidthFigure("Figure 4: Startup time for different bandwidths", bandwidths,
-		measure{of: startupOf, format: metrics.FormatSeconds})
+		measure{of: startupOf, format: formatSeconds})
 	farSeeder := func(cfg *simpeer.SwarmConfig) {
 		cfg.SeederAccessDelay = 475 * time.Millisecond
 		cfg.LossRate = 0
@@ -225,7 +239,7 @@ func splicingByPooling(mod func(level int) func(*simpeer.SwarmConfig)) []levelSe
 func (p Params) levelFigure(name, title, xLabel string, levels []string,
 	series []levelSeries) (*FigureResult, error) {
 	f := figure{title: title, xLabel: xLabel, x: levels,
-		measures: []measure{{of: combinedBadness, format: metrics.FormatSeconds}}}
+		measures: []measure{{of: combinedBadness, format: formatSeconds}}}
 	for _, s := range series {
 		f.rows = append(f.rows, row{name: s.name, at: func(i int) (cell, error) {
 			return p.cellFor(name+"/"+s.name+"/"+levels[i], s.sp, levelBandwidthKB, s.policy, s.mod(i))
@@ -255,7 +269,7 @@ func (p Params) SpliceOverheadTable() (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig := metrics.Figure{
+	fig := Table{
 		Title:   "Section II: splicing technique comparison",
 		XLabel:  "technique",
 		XValues: []string{},

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"p2psplice/internal/core"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 	"p2psplice/internal/trace"
@@ -235,7 +234,7 @@ func (p Params) run(f figure) (*FigureResult, error) {
 		return nil, err
 	}
 	res := &FigureResult{
-		Figure: metrics.Figure{Title: f.title, XLabel: f.xLabel, XValues: f.x},
+		Figure: Table{Title: f.title, XLabel: f.xLabel, XValues: f.x},
 		Values: make(map[string][]float64, len(f.measures)*len(f.rows)),
 	}
 	for _, m := range f.measures {
@@ -274,8 +273,20 @@ func averageCells(bandwidthKB int64, outs []cellOut) Point {
 	}
 	return Point{
 		BandwidthKB:  bandwidthKB,
-		Stalls:       metrics.Mean(stalls),
-		StallSeconds: metrics.Mean(stallSecs),
-		StartupSecs:  metrics.Mean(startups),
+		Stalls:       mean(stalls),
+		StallSeconds: mean(stallSecs),
+		StartupSecs:  mean(startups),
 	}
+}
+
+// mean returns the arithmetic mean of xs (0 for empty input).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

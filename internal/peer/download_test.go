@@ -250,7 +250,7 @@ func TestDuplicatePieceCompletesOnce(t *testing.T) {
 	if hs.puts != 1 {
 		t.Fatalf("segment 0 stored %d times, want 1", hs.puts)
 	}
-	if got := reg.Counter("segments_done").Value(); got != 1 {
+	if got := counter(reg, "segments_done"); got != 1 {
 		t.Fatalf("segments_done = %d, want 1", got)
 	}
 	if got := n.Stats().DownloadedBytes; got != int64(len(blob)) {
@@ -395,10 +395,10 @@ func TestNodeTraceAndMetrics(t *testing.T) {
 		t.Fatalf("%d %s events for %d segments: %v",
 			names[trace.EvSegComplete], trace.EvSegComplete, len(m.Segments), names)
 	}
-	if got := reg.Counter("segments_done").Value(); got != int64(len(m.Segments)) {
+	if got := counter(reg, "segments_done"); got != int64(len(m.Segments)) {
 		t.Fatalf("segments_done = %d, want %d", got, len(m.Segments))
 	}
-	if got := reg.Counter("bytes_rx").Value(); got <= 0 {
+	if got := counter(reg, "bytes_rx"); got <= 0 {
 		t.Fatalf("bytes_rx = %d, want > 0", got)
 	}
 }

@@ -404,7 +404,7 @@ func TestUploadSlotsChokeAndUnchoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := p1.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgPiece {
-		t.Fatalf("probe 1 got %s, want piece", got.Type)
+		t.Fatalf("probe 1 got message type %d, want piece (%d)", got.Type, wire.MsgPiece)
 	}
 
 	// Probe 2 must be choked while probe 1 holds the slot.
@@ -413,20 +413,20 @@ func TestUploadSlotsChokeAndUnchoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := p2.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgChoke {
-		t.Fatalf("probe 2 got %s, want choke", got.Type)
+		t.Fatalf("probe 2 got message type %d, want choke (%d)", got.Type, wire.MsgChoke)
 	}
 
 	// Probe 1 disconnects: its slot must pass to probe 2 via unchoke.
 	p1.c.Close()
 	if got := p2.readUntil(t, wire.MsgUnchoke); got.Type != wire.MsgUnchoke {
-		t.Fatalf("probe 2 got %s, want unchoke", got.Type)
+		t.Fatalf("probe 2 got message type %d, want unchoke (%d)", got.Type, wire.MsgUnchoke)
 	}
 	// And probe 2 can now be served.
 	if err := wire.NewWriter(p2.c).WriteMsg(&wire.Message{Type: wire.MsgRequest, Index: 0, Offset: 0, Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p2.readUntil(t, wire.MsgPiece, wire.MsgChoke); got.Type != wire.MsgPiece {
-		t.Fatalf("probe 2 after unchoke got %s, want piece", got.Type)
+		t.Fatalf("probe 2 after unchoke got message type %d, want piece (%d)", got.Type, wire.MsgPiece)
 	}
 }
 

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -302,5 +303,68 @@ func TestDialBackoffSchedule(t *testing.T) {
 	}
 	if !n.shouldDialLocked(addr, now) {
 		t.Error("dial refused after a success cleared the state")
+	}
+}
+
+// A node at maxConns dials nobody: startConn would refuse the conn after
+// the handshake, and the refusal would back a healthy address off and
+// count as a dial failure.
+func TestNoDialAtConnectionCap(t *testing.T) {
+	m, _ := testSwarmData(t, 8*time.Second, 2*time.Second)
+	reg := trace.NewRegistry()
+	cfg := fastConfig()
+	cfg.Metrics = reg
+	n := newIdleLeecher(t, m, nil, cfg)
+	for i := range maxConns {
+		addFakeConn(t, n, byte(i+1), make([]bool, len(m.Segments)), false)
+	}
+
+	// A live peer that answers the handshake, listed at the tracker so
+	// every announce keeps it in the node's cache.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var liveID wire.PeerID
+	copy(liveID[:], "LIVE-CACHED-PEER----")
+	var accepted atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				defer c.Close()
+				h, err := wire.ReadHandshake(c)
+				if err != nil {
+					return
+				}
+				_ = wire.WriteHandshake(c, wire.Handshake{InfoHash: h.InfoHash, PeerID: liveID})
+				_, _ = io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	if _, err := n.trk.Announce(n.infoHash, liveID, ln.Addr().String(), true); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.cachedPeers = append(n.cachedPeers, tracker.PeerInfo{PeerID: liveID.String(), Addr: ln.Addr().String(), Seeder: true})
+	n.mu.Unlock()
+
+	n.reconnectPeers()
+	if got := accepted.Load(); got != 0 {
+		t.Errorf("the live peer accepted %d dials from a node at the cap", got)
+	}
+	if got := counter(reg, "dial_failures"); got != 0 {
+		t.Errorf("dial_failures = %d, want 0", got)
+	}
+	n.mu.Lock()
+	backoffs := len(n.dialState)
+	n.mu.Unlock()
+	if backoffs != 0 {
+		t.Errorf("%d addresses backed off; a refusal at the cap is not a dial failure", backoffs)
 	}
 }

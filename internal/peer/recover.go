@@ -47,13 +47,15 @@ func (n *Node) noteDialLocked(addr string, now time.Duration, err error) {
 
 // connectKnownPeers dials every listed peer this node is not already
 // connected to, skipping addresses still inside a dial-backoff window.
+// At maxConns it dials nothing: startConn would refuse the conn after
+// the handshake, and the refusal would back a healthy address off.
 func (n *Node) connectKnownPeers(peers []tracker.PeerInfo) {
 	for _, p := range peers {
 		if n.hasConn(p.PeerID) {
 			continue
 		}
 		n.mu.Lock()
-		ok := !n.closed && n.shouldDialLocked(p.Addr, n.now())
+		ok := !n.closed && len(n.conns) < maxConns && n.shouldDialLocked(p.Addr, n.now())
 		n.mu.Unlock()
 		if !ok {
 			continue

@@ -13,7 +13,9 @@ import (
 // conn, with the predicates a per-fill rebuild would apply: Hold is the
 // remote's bitfield, Open is below maxConcurrentPerConn of our downloads
 // on it, and, as of a fill, present is registered, unchoked and not
-// closed. A slot no conn holds is absent.
+// closed. A slot no conn holds is absent. The node's two download
+// records agree too: the pool fetches exactly the segments n.active
+// holds.
 func checkNodeRoster(n *Node, fail func(format string, args ...any)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -25,6 +27,14 @@ func checkNodeRoster(n *Node, fail func(format string, args ...any)) {
 			return
 		}
 		seated[c.src.ID] = c
+	}
+	if n.pool.InFlight != len(n.active) {
+		fail("pool: %d in flight, %d active downloads", n.pool.InFlight, len(n.active))
+	}
+	for idx, fetching := range n.pool.Fetching {
+		if active := n.active[idx] != nil; fetching != active {
+			fail("seg %d: pool fetching %v, active %v", idx, fetching, active)
+		}
 	}
 	loads := map[*conn]int{}
 	for _, d := range n.active {

@@ -82,7 +82,7 @@ func TestNodeTraceThroughAnalyzer(t *testing.T) {
 	b.AddEvents(events)
 	totals := map[string]int64{}
 	for _, s := range b.Snap().Series {
-		totals[s.Name] = s.Total()
+		totals[s.Name] = tsTotal(s)
 	}
 	if got := totals[trace.TSSegmentsCompleted]; got != int64(len(m.Segments)) {
 		t.Errorf("%s total = %d, want %d", trace.TSSegmentsCompleted, got, len(m.Segments))
@@ -168,4 +168,24 @@ func TestStallClassifiedBeforePoolShrinks(t *testing.T) {
 	if cause, k := causes[0].ArgStr("cause", ""), causes[0].ArgInt64("inflight", -1); cause != trace.CauseSlowFlow || k != 1 {
 		t.Errorf("stall attributed %s inflight=%d, want %s inflight=1", cause, k, trace.CauseSlowFlow)
 	}
+}
+
+// tsTotal is a series' observation count summed over its windows.
+func tsTotal(s trace.TSSeriesStat) int64 {
+	var n int64
+	for _, w := range s.Windows {
+		n += w.Count
+	}
+	return n
+}
+
+// counter is the value of the counter named name in reg's snapshot, 0 if
+// it is absent.
+func counter(reg *trace.Registry, name string) int64 {
+	for _, s := range reg.Snap().Stats {
+		if s.Name == name && s.Kind == "counter" {
+			return s.Value
+		}
+	}
+	return 0
 }

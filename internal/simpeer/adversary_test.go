@@ -128,11 +128,11 @@ func TestStaleHaveLiarQuarantineAndAttribution(t *testing.T) {
 	if res.Adversarial != 1 {
 		t.Fatalf("Adversarial = %d, want 1", res.Adversarial)
 	}
-	if len(res.Samples) != cfg.Leechers-1 {
-		t.Fatalf("got %d honest samples, want %d", len(res.Samples), cfg.Leechers-1)
+	if len(measuredPeers(res)) != cfg.Leechers-1 {
+		t.Fatalf("got %d honest samples, want %d", len(measuredPeers(res)), cfg.Leechers-1)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("honest peer %d did not finish despite the liar being quarantinable", s.Peer)
 		}
 	}
@@ -183,10 +183,10 @@ func TestAllOtherLeechersAdversarialLiveness(t *testing.T) {
 	if res.Adversarial != 3 {
 		t.Fatalf("Adversarial = %d, want 3", res.Adversarial)
 	}
-	if len(res.Samples) != 1 {
-		t.Fatalf("got %d honest samples, want 1", len(res.Samples))
+	if len(measuredPeers(res)) != 1 {
+		t.Fatalf("got %d honest samples, want 1", len(measuredPeers(res)))
 	}
-	if !res.Samples[0].Finished {
+	if !finished(measuredPeers(res)[0]) {
 		t.Fatal("the honest peer did not finish with every other leecher a corrupter")
 	}
 	tls := trace.BuildTimeline(buf.Events())
@@ -212,10 +212,10 @@ func TestSoleSourceEscapeHatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 1 {
-		t.Fatalf("got %d samples, want 1", len(res.Samples))
+	if len(measuredPeers(res)) != 1 {
+		t.Fatalf("got %d samples, want 1", len(measuredPeers(res)))
 	}
-	if !res.Samples[0].Finished {
+	if !finished(measuredPeers(res)[0]) {
 		t.Fatal("viewer did not finish off a quarantined sole source — escape hatch broken")
 	}
 	quarantines := 0

@@ -184,8 +184,8 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 
 // setAdversary opens an adversary window on a peer: it misbehaves AS A
 // SOURCE per ev.Adversary until the window closes. The flag is sticky
-// (adversarial) so collection can exclude the peer's own playback from
-// honest-swarm samples. Stale-have/slowloris windows change apparent
+// (adversarial) so the run's Summary can exclude the peer's own playback
+// from the honest swarm's. Stale-have/slowloris windows change apparent
 // availability (the liar now claims every segment), so every pool is
 // refilled — that is the lure.
 func (s *swarm) setAdversary(p *peerState, ev fault.Event) {

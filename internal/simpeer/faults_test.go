@@ -35,7 +35,7 @@ func TestEmptyFaultPlanIsInert(t *testing.T) {
 
 // A mid-stream crash must return the crashed peer's in-flight segments to
 // the pool immediately; the survivors finish, the crashed peer rejoins
-// with its store intact and finishes too, but is excluded from Samples.
+// with its store intact and finishes too, but is excluded from its Summary.
 func TestPeerCrashAndRejoin(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, 30*time.Second, 1)
 	cfg := baseConfig(256 * 1024)
@@ -52,14 +52,14 @@ func TestPeerCrashAndRejoin(t *testing.T) {
 	if res.Crashed != 1 {
 		t.Fatalf("Crashed = %d, want 1", res.Crashed)
 	}
-	if len(res.Samples) != cfg.Leechers-1 {
-		t.Fatalf("got %d samples, want %d (crashed peer excluded)", len(res.Samples), cfg.Leechers-1)
+	if len(measuredPeers(res)) != cfg.Leechers-1 {
+		t.Fatalf("got %d samples, want %d (crashed peer excluded)", len(measuredPeers(res)), cfg.Leechers-1)
 	}
-	for _, s := range res.Samples {
+	for _, s := range measuredPeers(res) {
 		if s.Peer == 2 {
-			t.Fatal("crashed peer 2 appears in Samples")
+			t.Fatal("crashed peer 2 is measured")
 		}
-		if !s.Finished {
+		if !finished(s) {
 			t.Errorf("survivor peer %d did not finish through the crash", s.Peer)
 		}
 	}
@@ -104,15 +104,15 @@ func TestSeederOutageSurvived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seeder is not a leecher: its crash must not shrink Samples.
-	if len(res.Samples) != cfg.Leechers {
-		t.Fatalf("got %d samples, want %d", len(res.Samples), cfg.Leechers)
+	// The seeder is not a leecher: its crash must not shrink the measured set.
+	if len(measuredPeers(res)) != cfg.Leechers {
+		t.Fatalf("got %d samples, want %d", len(measuredPeers(res)), cfg.Leechers)
 	}
 	if res.Crashed != 0 {
 		t.Fatalf("Crashed = %d, want 0 (only the seeder crashed)", res.Crashed)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish through the seeder outage", s.Peer)
 		}
 	}
@@ -131,11 +131,11 @@ func TestTrackerOutageDefersJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != cfg.Leechers {
-		t.Fatalf("got %d samples, want %d", len(res.Samples), cfg.Leechers)
+	if len(measuredPeers(res)) != cfg.Leechers {
+		t.Fatalf("got %d samples, want %d", len(measuredPeers(res)), cfg.Leechers)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish after the deferred join", s.Peer)
 		}
 	}
@@ -239,8 +239,8 @@ func TestLinkFlapAttributionAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish after the link flap", s.Peer)
 		}
 	}
@@ -288,11 +288,11 @@ func TestDepartWhileDownloading(t *testing.T) {
 	if res.Departed == 0 {
 		t.Fatal("mean-20s churn over a 1-minute clip produced no departures at this seed; pick another seed")
 	}
-	if len(res.Samples)+res.Departed != cfg.Leechers {
-		t.Fatalf("samples (%d) + departed (%d) != leechers (%d)", len(res.Samples), res.Departed, cfg.Leechers)
+	if len(measuredPeers(res))+res.Departed != cfg.Leechers {
+		t.Fatalf("samples (%d) + departed (%d) != leechers (%d)", len(measuredPeers(res)), res.Departed, cfg.Leechers)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("survivor peer %d did not finish after departures", s.Peer)
 		}
 	}
@@ -336,8 +336,8 @@ func TestBackoffRetryCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("never-crashed peer %d did not finish under churn with backoff", s.Peer)
 		}
 	}

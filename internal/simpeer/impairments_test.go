@@ -35,8 +35,8 @@ func TestBurstLossAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish through the burst window", s.Peer)
 		}
 	}
@@ -82,8 +82,8 @@ func TestCorruptionDiscardAndAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish through the corruption window", s.Peer)
 		}
 	}

@@ -56,8 +56,8 @@ func TestMetricsMatchPlaybackSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Fatalf("peer %d did not finish; histogram pairing below assumes completion", s.Peer)
 		}
 	}
@@ -77,13 +77,13 @@ func TestMetricsMatchPlaybackSamples(t *testing.T) {
 			poolCount = h.Count
 		}
 	}
-	if want := int64(len(res.Samples)); startupCount != want {
+	if want := int64(len(measuredPeers(res))); startupCount != want {
 		t.Errorf("startup observations = %d, want %d (one per finished peer)", startupCount, want)
 	}
 	wantStalls, wantStallTime := 0, time.Duration(0)
-	for _, s := range res.Samples {
-		wantStalls += s.Stalls
-		wantStallTime += s.TotalStall
+	for _, s := range measuredPeers(res) {
+		wantStalls += s.Metrics.Stalls
+		wantStallTime += s.Metrics.TotalStall
 	}
 	if stallCount != int64(wantStalls) {
 		t.Errorf("stall observations = %d, samples report %d", stallCount, wantStalls)
@@ -93,7 +93,7 @@ func TestMetricsMatchPlaybackSamples(t *testing.T) {
 		t.Errorf("stall seconds sum = %dµs, samples report %dµs", stallSumUS, wantStallTime.Microseconds())
 	}
 	// Every leecher downloaded every segment once.
-	if want := int64(len(res.Samples) * len(segs)); segCount != want {
+	if want := int64(len(measuredPeers(res)) * len(segs)); segCount != want {
 		t.Errorf("segment observations = %d, want %d", segCount, want)
 	}
 	if poolCount == 0 {

@@ -69,8 +69,8 @@ type peerState struct {
 	// a window is open on this peer — misbehavior AS A SOURCE: corrupter
 	// and polluter serves fail verification at the requester, stale-have
 	// and slowloris serves hang as pending downloads until the serve
-	// timeout. adversarial is sticky so collection can exclude the peer's
-	// own playback from honest-swarm samples.
+	// timeout. adversarial is sticky so the run's Summary can exclude the
+	// peer's own playback from the honest swarm's.
 	advKind     fault.AdversaryKind
 	advPct      float64 // polluter corruption probability, percent
 	adversarial bool

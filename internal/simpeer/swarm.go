@@ -11,7 +11,6 @@ import (
 
 	"p2psplice/internal/core"
 	"p2psplice/internal/fault"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
 	"p2psplice/internal/reputation"
@@ -192,14 +191,15 @@ type PeerResult struct {
 	Metrics     player.Metrics
 }
 
+// measured reports whether the peer's playback counts in its run's
+// Summary: it stayed in the swarm, never crashed (a crash window is dead
+// air, not a playback stall) and ran no adversary window.
+func (p PeerResult) measured() bool { return !p.Departed && p.Crashes == 0 && !p.Adversarial }
+
 // Result is the outcome of one emulated run.
 type Result struct {
-	// Samples holds one entry per leecher that stayed in the swarm and
-	// never crashed, in peer order. Crashed peers are excluded because a
-	// crash window is dead air, not a playback stall.
-	Samples []metrics.PlaybackSample
-	// Peers holds detailed per-leecher results (departed and crashed
-	// peers included).
+	// Peers holds one entry per leecher, in peer order, departed and
+	// crashed peers included.
 	Peers []PeerResult
 	// EndTime is the virtual time at which the last event fired.
 	EndTime time.Duration
@@ -208,13 +208,66 @@ type Result struct {
 	// Crashed counts leechers that suffered at least one injected crash
 	// (and did not also depart).
 	Crashed int
-	// Adversarial counts leechers excluded from Samples because they ran
-	// an adversary window (their playback measures nothing honest).
+	// Adversarial counts leechers that ran an adversary window (and
+	// neither departed nor crashed).
 	Adversarial int
 }
 
-// Summary aggregates the non-departed samples.
-func (r *Result) Summary() metrics.Summary { return metrics.Summarize(r.Samples) }
+// Summary aggregates the playback of the peers the run measured, in peer
+// order.
+func (r *Result) Summary() Summary {
+	var ms []player.Metrics
+	for _, p := range r.Peers {
+		if p.measured() {
+			ms = append(ms, p.Metrics)
+		}
+	}
+	return Summarize(ms)
+}
+
+// Summary aggregates playback metrics: one run's measured peers, or a
+// real swarm's viewers.
+type Summary struct {
+	N                  int
+	MeanStalls         float64
+	MaxStalls          int
+	MeanStallSeconds   float64
+	MaxStallSeconds    float64
+	MeanStartupSeconds float64
+	MaxStartupSeconds  float64
+	Unfinished         int
+}
+
+// Summarize aggregates ms in order. An empty slice yields a zero Summary.
+func Summarize(ms []player.Metrics) Summary {
+	var s Summary
+	s.N = len(ms)
+	if s.N == 0 {
+		return s
+	}
+	for _, m := range ms {
+		s.MeanStalls += float64(m.Stalls)
+		s.MeanStallSeconds += m.TotalStall.Seconds()
+		s.MeanStartupSeconds += m.StartupTime.Seconds()
+		if m.Stalls > s.MaxStalls {
+			s.MaxStalls = m.Stalls
+		}
+		if v := m.TotalStall.Seconds(); v > s.MaxStallSeconds {
+			s.MaxStallSeconds = v
+		}
+		if v := m.StartupTime.Seconds(); v > s.MaxStartupSeconds {
+			s.MaxStartupSeconds = v
+		}
+		if m.State != player.StateFinished {
+			s.Unfinished++
+		}
+	}
+	n := float64(s.N)
+	s.MeanStalls /= n
+	s.MeanStallSeconds /= n
+	s.MeanStartupSeconds /= n
+	return s
+}
 
 const (
 	// maxEvents bounds one run's engine events (a runaway-simulation guard).
@@ -616,29 +669,16 @@ func (s *swarm) collect() *Result {
 	horizon := end + clip + time.Second
 	res := &Result{EndTime: end}
 	for _, p := range s.peers[1:] {
-		m := p.player.Metrics(horizon)
-		res.Peers = append(res.Peers, PeerResult{Peer: p.id, Departed: p.departed, Crashes: p.crashes, Adversarial: p.adversarial, Metrics: m})
-		if p.departed {
+		res.Peers = append(res.Peers, PeerResult{Peer: p.id, Departed: p.departed, Crashes: p.crashes,
+			Adversarial: p.adversarial, Metrics: p.player.Metrics(horizon)})
+		switch {
+		case p.departed:
 			res.Departed++
-			continue
-		}
-		if p.crashes > 0 {
+		case p.crashes > 0:
 			res.Crashed++
-			continue
-		}
-		if p.adversarial {
-			// An adversary's own playback measures nothing about the honest
-			// swarm (it may even be self-sabotaged); keep it out of Samples.
+		case p.adversarial:
 			res.Adversarial++
-			continue
 		}
-		res.Samples = append(res.Samples, metrics.PlaybackSample{
-			Peer:       p.id,
-			Startup:    m.StartupTime,
-			Stalls:     m.Stalls,
-			TotalStall: m.TotalStall,
-			Finished:   m.State == player.StateFinished,
-		})
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package simpeer
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,20 @@ import (
 	"p2psplice/internal/player"
 	"p2psplice/internal/splicer"
 )
+
+// measuredPeers returns the peers res's Summary aggregates, in peer order.
+func measuredPeers(res *Result) []PeerResult {
+	var out []PeerResult
+	for _, p := range res.Peers {
+		if p.measured() {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// finished reports whether p played the whole clip.
+func finished(p PeerResult) bool { return p.Metrics.State == player.StateFinished }
 
 // segmentsFor splices the standard test clip and converts to SegmentMeta.
 func segmentsFor(t *testing.T, sp splicer.Splicer, clip time.Duration, seed int64) []SegmentMeta {
@@ -51,15 +66,15 @@ func TestRunSwarmCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 4 {
-		t.Fatalf("got %d samples, want 4", len(res.Samples))
+	if len(measuredPeers(res)) != 4 {
+		t.Fatalf("got %d samples, want 4", len(measuredPeers(res)))
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish", s.Peer)
 		}
-		if s.Startup <= 0 {
-			t.Errorf("peer %d startup %v, want positive", s.Peer, s.Startup)
+		if s.Metrics.StartupTime <= 0 {
+			t.Errorf("peer %d startup %v, want positive", s.Peer, s.Metrics.StartupTime)
 		}
 	}
 	if res.EndTime <= 0 {
@@ -82,9 +97,9 @@ func TestRunSwarmDeterministic(t *testing.T) {
 	if a.EndTime != b.EndTime {
 		t.Errorf("EndTime differs: %v vs %v", a.EndTime, b.EndTime)
 	}
-	for i := range a.Samples {
-		if a.Samples[i] != b.Samples[i] {
-			t.Errorf("sample %d differs: %+v vs %+v", i, a.Samples[i], b.Samples[i])
+	for i := range a.Peers {
+		if !reflect.DeepEqual(a.Peers[i], b.Peers[i]) {
+			t.Errorf("peer %d differs: %+v vs %+v", i, a.Peers[i], b.Peers[i])
 		}
 	}
 }
@@ -153,8 +168,8 @@ func TestChurnDepartsPeers(t *testing.T) {
 		t.Errorf("only %d peers remain, want >= %d", active, cfg.Churn.MinRemaining)
 	}
 	// Survivors must still finish: the seeder never departs.
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("surviving peer %d did not finish", s.Peer)
 		}
 	}
@@ -170,8 +185,8 @@ func TestUploadCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish under upload cap", s.Peer)
 		}
 	}
@@ -185,8 +200,8 @@ func TestRarestFirstCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish with rarest-first", s.Peer)
 		}
 	}
@@ -200,8 +215,8 @@ func TestEWMAEstimatorPathCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish with EWMA estimation", s.Peer)
 		}
 	}
@@ -243,8 +258,8 @@ func TestVariableBandwidthSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish under variable bandwidth", s.Peer)
 		}
 	}
@@ -306,16 +321,16 @@ func TestHeterogeneousBandwidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish", s.Peer)
 		}
 	}
 	// The slow peer should wait longer than the fast ones.
 	var slow, fastSum time.Duration
 	var fastN int
-	for _, s := range res.Samples {
-		wait := s.Startup + s.TotalStall
+	for _, s := range measuredPeers(res) {
+		wait := s.Metrics.StartupTime + s.Metrics.TotalStall
 		if s.Peer == 1 {
 			slow = wait
 		} else {
@@ -340,8 +355,8 @@ func TestFreshConnectionsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish with fresh connections", s.Peer)
 		}
 	}
@@ -355,8 +370,8 @@ func TestUnlimitedUploadSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish with unlimited slots", s.Peer)
 		}
 	}
@@ -371,17 +386,12 @@ func TestDepartedPeersExcludedFromSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples)+res.Departed != cfg.Leechers {
-		t.Errorf("samples (%d) + departed (%d) != leechers (%d)",
-			len(res.Samples), res.Departed, cfg.Leechers)
+	if n := res.Summary().N; n+res.Departed != cfg.Leechers {
+		t.Errorf("summarized (%d) + departed (%d) != leechers (%d)", n, res.Departed, cfg.Leechers)
 	}
 	for _, pr := range res.Peers {
-		if pr.Departed {
-			for _, smp := range res.Samples {
-				if smp.Peer == pr.Peer {
-					t.Errorf("departed peer %d appears in samples", pr.Peer)
-				}
-			}
+		if pr.Departed && pr.measured() {
+			t.Errorf("departed peer %d is measured", pr.Peer)
 		}
 	}
 }
@@ -406,11 +416,11 @@ func TestRunSwarmOnTopologySpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 4 {
-		t.Fatalf("got %d samples, want 4 (one per leecher)", len(res.Samples))
+	if len(measuredPeers(res)) != 4 {
+		t.Fatalf("got %d samples, want 4 (one per leecher)", len(measuredPeers(res)))
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish", s.Peer)
 		}
 	}
@@ -455,8 +465,8 @@ func TestCDNOneSegmentAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Errorf("peer %d did not finish with CDN assist", s.Peer)
 		}
 	}

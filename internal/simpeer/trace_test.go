@@ -52,8 +52,8 @@ func TestStallAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Samples {
-		if !s.Finished {
+	for _, s := range measuredPeers(res) {
+		if !finished(s) {
 			t.Fatalf("peer %d did not finish; stall pairing below assumes completion", s.Peer)
 		}
 	}
@@ -101,8 +101,8 @@ func TestStallAttribution(t *testing.T) {
 	// Cross-check against the result samples: traced stall counts must match
 	// the player-reported per-peer stall totals.
 	wantStalls := 0
-	for _, s := range res.Samples {
-		wantStalls += s.Stalls
+	for _, s := range measuredPeers(res) {
+		wantStalls += s.Metrics.Stalls
 	}
 	if nBegin != wantStalls {
 		t.Errorf("traced %d stalls, samples report %d", nBegin, wantStalls)

@@ -39,9 +39,11 @@ func TestTelemetryInert(t *testing.T) {
 	}
 	var total, completions int64
 	for _, s := range obs.Series.Series {
-		total += s.Total()
-		if s.Name == TSCompletions {
-			completions = s.Total()
+		for _, w := range s.Windows {
+			total += w.Count
+			if s.Name == TSCompletions {
+				completions += w.Count
+			}
 		}
 	}
 	if total == 0 {

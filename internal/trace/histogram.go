@@ -86,14 +86,6 @@ func (h Histogram) Observe(v int64) {
 //lint:hotpath called per QoE event; the benchmarks assert 0 allocs/op
 func (h Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Count returns the number of observations.
-func (h Histogram) Count() int64 {
-	if h.h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.h.count)
-}
-
 // snapshot copies the live state into a HistStat.
 func (h *histState) snapshot(name string) HistStat {
 	st := HistStat{Name: name, Scale: h.scale}

@@ -53,17 +53,14 @@ func TestHistogramCountSum(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 100, 4096} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
-	}
-	if sum := r.Snap().Hists[0].Sum; sum != 4202 {
-		t.Fatalf("Sum = %d, want 4202", sum)
+	if hs := r.Snap().Hists[0]; hs.Count != 5 || hs.Sum != 4202 {
+		t.Fatalf("Count, Sum = %d, %d, want 5, 4202", hs.Count, hs.Sum)
 	}
 	// Same name returns the same underlying histogram.
 	h2 := r.Histogram("bytes")
 	h2.Observe(10)
-	if h.Count() != 6 {
-		t.Fatalf("shared state: Count = %d, want 6", h.Count())
+	if n := r.Snap().Hists[0].Count; n != 6 {
+		t.Fatalf("shared state: Count = %d, want 6", n)
 	}
 }
 
@@ -180,13 +177,13 @@ func TestNilRegistryHistogramIsNoOp(t *testing.T) {
 	h := r.Histogram("x")
 	h.Observe(5)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 {
-		t.Fatalf("nil-registry histogram recorded: count=%d", h.Count())
+	if h.h != nil {
+		t.Fatal("nil-registry histogram holds storage")
 	}
 	sh := r.SecondsHistogram("y")
 	sh.ObserveDuration(time.Second)
-	if sh.Count() != 0 {
-		t.Fatal("nil-registry seconds histogram recorded")
+	if sh.h != nil {
+		t.Fatal("nil-registry seconds histogram holds storage")
 	}
 	r.SetHelp("x", "help")
 	snap := r.Snap()
@@ -432,4 +429,15 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 		!strings.Contains(err.Error(), "line 2") {
 		t.Errorf("malformed line error = %v", err)
 	}
+}
+
+// histCount is the observation count of the histogram named name in
+// snap, 0 if it is absent.
+func histCount(snap RegistrySnapshot, name string) int64 {
+	for _, h := range snap.Hists {
+		if h.Name == name {
+			return h.Count
+		}
+	}
+	return 0
 }

@@ -55,7 +55,7 @@ func FuzzPromRoundTrip(f *testing.F) {
 		for _, s := range snap.Series {
 			label := `{series="` + s.Name + `"}`
 			reg.Gauge("fz_ts_windows" + label).Set(int64(len(s.Windows)))
-			reg.Gauge("fz_ts_observations" + label).Set(s.Total())
+			reg.Gauge("fz_ts_observations" + label).Set(tsTotal(s))
 			reg.Gauge("fz_ts_clamped" + label).Set(s.Clamped)
 		}
 
@@ -85,7 +85,7 @@ func FuzzPromRoundTrip(f *testing.F) {
 		check(`fz_bytes_bucket{le="+Inf"}`, float64(len(raw)))
 		for _, s := range snap.Series {
 			check(`fz_ts_windows{series="`+s.Name+`"}`, float64(len(s.Windows)))
-			check(`fz_ts_observations{series="`+s.Name+`"}`, float64(s.Total()))
+			check(`fz_ts_observations{series="`+s.Name+`"}`, float64(tsTotal(s)))
 			check(`fz_ts_clamped{series="`+s.Name+`"}`, float64(s.Clamped))
 		}
 	})

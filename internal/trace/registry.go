@@ -25,14 +25,6 @@ func (c Counter) Add(delta int64) {
 // Inc increments the counter by one.
 func (c Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c Counter) Value() int64 {
-	if c.v == nil {
-		return 0
-	}
-	return atomic.LoadInt64(c.v)
-}
-
 // Gauge is an atomic instantaneous value. The zero Gauge is a no-op.
 type Gauge struct {
 	v *int64

@@ -142,7 +142,7 @@ func TestQoETransition(t *testing.T) {
 	if len(classified) != 1 || classified[0] != sec(3) {
 		t.Errorf("classify ran at %v, want once at %v", classified, sec(3))
 	}
-	if n := reg.SecondsHistogram(`t_stall_seconds{cause="` + CauseFrozenFlow + `"}`).Count(); n != 1 {
+	if n := histCount(reg.Snap(), `t_stall_seconds{cause="`+CauseFrozenFlow+`"}`); n != 1 {
 		t.Errorf("stall histogram for %s counts %d stalls, want 1", CauseFrozenFlow, n)
 	}
 }

@@ -271,15 +271,6 @@ type TSSeriesStat struct {
 	Windows []TSWindow `json:"windows"`
 }
 
-// Total returns the series' total observation count across windows.
-func (s TSSeriesStat) Total() int64 {
-	var n int64
-	for _, w := range s.Windows {
-		n += w.Count
-	}
-	return n
-}
-
 // TSSnapshot is one coherent view of every series. Like
 // RegistrySnapshot it is the single read path: the CSV export and the
 // text report render from the same Snap() result, so they cannot

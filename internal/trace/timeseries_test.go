@@ -156,3 +156,12 @@ func TestTimeSeriesConcurrentDeterministic(t *testing.T) {
 		t.Fatal("empty CSV")
 	}
 }
+
+// tsTotal is a series' observation count summed over its windows.
+func tsTotal(s TSSeriesStat) int64 {
+	var n int64
+	for _, w := range s.Windows {
+		n += w.Count
+	}
+	return n
+}

@@ -326,7 +326,13 @@ func TestServerCaps(t *testing.T) {
 			t.Errorf("peer %d = %+v, want id %s", i, p, id)
 		}
 	}
-	if got := reg.Counter("tracker_announce_errors_total").Value(); got != 2 {
+	var got int64
+	for _, s := range reg.Snap().Stats {
+		if s.Name == "tracker_announce_errors_total" {
+			got = s.Value
+		}
+	}
+	if got != 2 {
 		t.Errorf("error counter = %d, want 2 (one publish, one announce)", got)
 	}
 }

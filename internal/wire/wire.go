@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
@@ -60,16 +59,6 @@ const (
 	MsgCancel
 	MsgKeepAlive
 )
-
-// String returns the message type name.
-func (t MessageType) String() string {
-	names := [...]string{"choke", "unchoke", "interested", "not-interested",
-		"have", "bitfield", "request", "piece", "cancel", "keep-alive"}
-	if int(t) < len(names) {
-		return names[t]
-	}
-	return fmt.Sprintf("MessageType(%d)", uint8(t))
-}
 
 // Message is one decoded wire message. Fields are populated according to
 // Type: Have uses Index; Request/Cancel use Index/Offset/Length; Piece uses

@@ -25,24 +25,24 @@ func TestMessageRoundTrip(t *testing.T) {
 	wr, rd := NewWriter(&buf), NewReader(&buf)
 	for _, m := range msgs {
 		if err := wr.WriteMsg(m); err != nil {
-			t.Fatalf("WriteMsg(%s): %v", m.Type, err)
+			t.Fatalf("WriteMsg(type %d): %v", m.Type, err)
 		}
 	}
 	for _, want := range msgs {
 		var got Message
 		if err := rd.ReadInto(&got); err != nil {
-			t.Fatalf("ReadInto(%s): %v", want.Type, err)
+			t.Fatalf("ReadInto(type %d): %v", want.Type, err)
 		}
 		if got.Type != want.Type || got.Index != want.Index || got.Offset != want.Offset {
 			t.Errorf("round-trip mismatch: got %+v want %+v", got, want)
 		}
 		if want.Type == MsgRequest || want.Type == MsgCancel {
 			if got.Length != want.Length {
-				t.Errorf("%s length %d, want %d", want.Type, got.Length, want.Length)
+				t.Errorf("type %d length %d, want %d", want.Type, got.Length, want.Length)
 			}
 		}
 		if !bytes.Equal(got.Data, want.Data) || !bytes.Equal(got.Bitfield, want.Bitfield) {
-			t.Errorf("%s payload mismatch", want.Type)
+			t.Errorf("type %d payload mismatch", want.Type)
 		}
 	}
 	if buf.Len() != 0 {
@@ -183,15 +183,6 @@ func TestBlockCount(t *testing.T) {
 		if got := BlockCount(tt.size, tt.block); got != tt.want {
 			t.Errorf("BlockCount(%d, %d) = %d, want %d", tt.size, tt.block, got, tt.want)
 		}
-	}
-}
-
-func TestMessageTypeString(t *testing.T) {
-	if MsgPiece.String() != "piece" || MsgKeepAlive.String() != "keep-alive" {
-		t.Error("message type names wrong")
-	}
-	if MessageType(200).String() != "MessageType(200)" {
-		t.Error("unknown type name wrong")
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"p2psplice/internal/debughttp"
 	"p2psplice/internal/experiment"
 	"p2psplice/internal/media"
-	"p2psplice/internal/metrics"
 	"p2psplice/internal/peer"
 	"p2psplice/internal/player"
 	"p2psplice/internal/shaper"
@@ -67,8 +66,6 @@ type (
 	Splicer = splicer.Splicer
 	// Segment is one spliced piece.
 	Segment = splicer.Segment
-	// SpliceStats summarizes a splicing's overhead and size spread.
-	SpliceStats = splicer.Stats
 	// GOPSplicer emits one segment per closed GOP.
 	GOPSplicer = splicer.GOPSplicer
 	// DurationSplicer cuts fixed-duration, frame-accurate segments.
@@ -77,19 +74,11 @@ type (
 	AdaptiveSplicer = splicer.AdaptiveSplicer
 )
 
-// SpliceByGOP cuts v at closed-GOP boundaries (zero byte overhead).
-func SpliceByGOP(v *Video) ([]Segment, error) {
-	return splicer.GOPSplicer{}.Splice(v)
-}
-
 // SpliceByDuration cuts v into fixed-duration segments, re-encoding the
 // first frame of each mid-GOP cut as an I frame.
 func SpliceByDuration(v *Video, target time.Duration) ([]Segment, error) {
 	return splicer.DurationSplicer{Target: target}.Splice(v)
 }
-
-// ComputeSpliceStats summarizes segments.
-func ComputeSpliceStats(segs []Segment) SpliceStats { return splicer.ComputeStats(segs) }
 
 // Container & manifest (internal/container).
 type (
@@ -119,20 +108,7 @@ type (
 	AdaptivePool = core.AdaptivePool
 	// FixedPool always keeps K downloads in flight.
 	FixedPool = core.FixedPool
-	// BandwidthEstimator is an EWMA over completed transfers.
-	BandwidthEstimator = core.BandwidthEstimator
 )
-
-// MaxSegmentBytes is the paper's Section IV rule for hybrid CDN systems:
-// the largest stall-free segment is W = B*T.
-func MaxSegmentBytes(bandwidth int64, buffered time.Duration) int64 {
-	return core.MaxSegmentBytes(bandwidth, buffered)
-}
-
-// NewBandwidthEstimator returns an EWMA estimator with smoothing alpha.
-func NewBandwidthEstimator(alpha float64) (*BandwidthEstimator, error) {
-	return core.NewBandwidthEstimator(alpha)
-}
 
 // Playback (internal/player).
 type (
@@ -177,9 +153,6 @@ func SegmentsForSwarm(segs []Segment) []SegmentMeta {
 	}
 	return out
 }
-
-// PaperParams returns the paper's Section V experiment setup.
-func PaperParams() ExperimentParams { return experiment.DefaultParams() }
 
 // QuickParams returns a scaled-down experiment setup for smoke runs.
 func QuickParams() ExperimentParams { return experiment.QuickParams() }
@@ -290,6 +263,3 @@ func BuildSwarmData(cfg EncoderConfig, clip time.Duration, seed int64, sp Splice
 func OptimalSegmentDuration(v *Video, bandwidth int64, requestLag time.Duration, safety float64) (time.Duration, error) {
 	return splicer.OptimalDuration(v, bandwidth, requestLag, safety)
 }
-
-// PlaybackSample is one viewer's playback outcome.
-type PlaybackSample = metrics.PlaybackSample
