@@ -52,69 +52,96 @@ func steadyNetwork(tb testing.TB, clusters int) *Network {
 	return n
 }
 
-// The three kinds of pass, each as one op over a warmed network.
+// The kinds of pass, each as one op over a warmed network.
 
-// hitPass repeats one dirty pair on an unchanged graph: after the first
-// pass, the cached region reused whole.
-func hitPass(tb testing.TB) func() {
+// meshPass repeats one dirty pair on an unchanged mesh: one component
+// filled from its lists as they stand.
+func meshPass(tb testing.TB) func() {
 	n := steadyNetwork(tb, 1)
 	a, b := n.nodes[0].up, n.nodes[1].down
 	return func() { n.reallocateOn(a, b) }
 }
 
-// missPass alternates between two disjoint clusters, so every pass finds
-// the other cluster cached: a walk and, at eight flows, the fallback sort.
-func missPass(tb testing.TB) func() {
+// twoComponentPass dirties one link in each of two disjoint clusters: two
+// fills, and their flows merged in ID order for the apply.
+func twoComponentPass(tb testing.TB) func() {
 	n := steadyNetwork(tb, 2)
-	i := 0
+	a, b := n.nodes[0].up, n.nodes[4].down
+	if a.comp == b.comp {
+		tb.Fatal("the two clusters share a component")
+	}
+	return func() { n.reallocateOn(a, b) }
+}
+
+// rejoin puts f, detached, back on its links as its own replacement: the
+// next ID, the same endpoints. It is what StartTransfer and activate do,
+// without StartTransfer's allocations.
+func rejoin(n *Network, f *Flow) {
+	f.id, n.flowSeq = n.flowSeq, n.flowSeq+1
+	f.flowsIdx, n.flows = len(n.flows), append(n.flows, f)
+	f.upIdx, f.lup.flows = len(f.lup.flows), append(f.lup.flows, f)
+	f.downIdx, f.ldown.flows = len(f.ldown.flows), append(f.ldown.flows, f)
+	f.onLinks = true
+	n.join(f)
+}
+
+// leaveAndRejoin returns the op that takes f off its links and puts it
+// back as its own replacement, with the pass each change triggers.
+func leaveAndRejoin(n *Network, f *Flow) func() {
 	return func() {
-		i ^= 4
-		n.reallocateOn(n.nodes[i].up, n.nodes[i+1].down)
+		n.detach(f)
+		n.reallocateOn(f.lup, f.ldown)
+		rejoin(n, f)
+		n.reallocateOn(f.lup, f.ldown)
 	}
 }
 
 // churnPass takes one viewer-to-viewer flow of the star swarm off its
-// links and puts it back as its own replacement (the next ID, the same
-// endpoints), with the pass each change triggers: what a viewer finishing
-// a download and starting the next does to the allocator — two walks whose
-// order comes from the previous region — without StartTransfer's
-// allocations. The flows are unbounded, so a changed rate schedules no
-// completion timer.
+// links and puts it back, cycling through the viewers: what a viewer
+// finishing a download and starting the next does to the allocator. Both
+// links stay busy, so the leave runs the split search, which meets. The
+// flows are unbounded, so a changed rate schedules no completion timer.
 func churnPass(tb testing.TB) func() {
 	eng, n := starSwarm(tb, 0, 0)
 	eng.RunUntil(60 * time.Second)
-	var viewers []*Flow
+	var ops []func()
 	for _, f := range n.flows {
 		if f.src != 0 {
-			viewers = append(viewers, f)
+			ops = append(ops, leaveAndRejoin(n, f))
 		}
 	}
 	i := 0
 	return func() {
-		f := viewers[i%len(viewers)]
+		ops[i%len(ops)]()
 		i++
-		lup, ldown := f.lup, f.ldown
-		n.detach(f)
-		n.reallocateOn(lup, ldown)
-		f.id, n.flowSeq = n.flowSeq, n.flowSeq+1
-		f.flowsIdx, n.flows = len(n.flows), append(n.flows, f)
-		f.upIdx, lup.flows = len(lup.flows), append(lup.flows, f)
-		f.downIdx, ldown.flows = len(ldown.flows), append(ldown.flows, f)
-		f.onLinks = true
-		n.graphGen++
-		n.reallocateOn(lup, ldown)
 	}
 }
 
+// bridgePass takes the one unbounded flow between two disjoint clusters
+// off its links and puts it back: a leave whose split search splits the
+// component in two, a pass over both, and a join that merges them again.
+func bridgePass(tb testing.TB) func() {
+	n := steadyNetwork(tb, 2)
+	bridge, err := n.StartTransfer(0, 7, 0, TransferOptions{Unbounded: true}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n.eng.RunUntil(120 * time.Second)
+	if c := bridge.lup.comp; c != bridge.ldown.comp || len(c.flows) != 17 {
+		tb.Fatal("the bridge does not join the two clusters")
+	}
+	return leaveAndRejoin(n, bridge)
+}
+
 // TestZeroAllocReallocate pins the steady-state incremental pass at zero
-// allocations, whichever way it comes by its region: region collection,
-// key sorts, the sweep over the previous region, component fills, and the
-// keep-timer apply path all run on reused scratch.
+// allocations, and the joins and leaves between passes: component fills,
+// the merged apply, the split search and the keep-timer apply path all
+// run on reused scratch and reused components.
 func TestZeroAllocReallocate(t *testing.T) {
-	for name, pass := range map[string]func(testing.TB) func(){"hit": hitPass, "miss": missPass, "churn": churnPass} {
+	for name, pass := range map[string]func(testing.TB) func(){"mesh": meshPass, "two components": twoComponentPass, "churn": churnPass, "bridge": bridgePass} {
 		op := pass(t)
 		for i := 0; i < 64; i++ {
-			op() // grow both region buffers (and every churned link's list) to the high-water mark
+			op() // grow the scratch (and every churned link's list) to the high-water mark
 		}
 		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
 			t.Errorf("%s: steady-state reallocateOn allocated %.1f times per op, want 0", name, allocs)
@@ -249,22 +276,25 @@ func BenchmarkHotpathTransferCycle(b *testing.B) {
 }
 
 // BenchmarkHotpathReallocate is one dirty pair repeated over the unchanged
-// mesh: the cost of a pass that reuses the cached region, which is the
-// fill and the keep-timer apply.
-func BenchmarkHotpathReallocate(b *testing.B) { benchPass(b, hitPass(b)) }
+// mesh: the fill and the keep-timer apply.
+func BenchmarkHotpathReallocate(b *testing.B) { benchPass(b, meshPass(b)) }
 
-// BenchmarkHotpathReallocateMiss is the pass that finds another cluster
-// cached: the walk and the fallback sort on top of the fill.
-func BenchmarkHotpathReallocateMiss(b *testing.B) { benchPass(b, missPass(b)) }
+// BenchmarkHotpathReallocateTwoComponents is a pass whose dirty links lie
+// in two clusters: two fills and the merged apply.
+func BenchmarkHotpathReallocateTwoComponents(b *testing.B) { benchPass(b, twoComponentPass(b)) }
 
 // BenchmarkHotpathReallocateStarChurn is a flow leaving and its
-// replacement joining the star swarm's one component: two passes, each a
-// walk ordered by a sweep over the previous region.
+// replacement joining the star swarm's one component: a split search
+// that meets, an insertion by ID, and two passes.
 func BenchmarkHotpathReallocateStarChurn(b *testing.B) { benchPass(b, churnPass(b)) }
+
+// BenchmarkHotpathReallocateBridge is a bridge leaving two clusters (a
+// split) and rejoining them (a merge), with the pass each triggers.
+func BenchmarkHotpathReallocateBridge(b *testing.B) { benchPass(b, bridgePass(b)) }
 
 func benchPass(b *testing.B, op func()) {
 	for i := 0; i < 64; i++ {
-		op() // warm the region scratch to its high-water mark
+		op() // warm the scratch to its high-water mark
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -282,9 +312,8 @@ func BenchmarkHotpathReallocateStar(b *testing.B) {
 	eng, n := starSwarm(b, 1<<40, 0)
 	eng.RunUntil(60 * time.Second)
 	la, lb := n.nodes[0].up, n.nodes[1].down
-	n.reallocateOn(la, lb) // warm the region scratch to its high-water mark
-	if len(n.compBounds) != 1 || len(n.regionFlows) != 27 || len(n.regionLinks) != 18 {
-		b.Fatalf("star region is %d components, %d flows, %d links; want 1, 27, 18", len(n.compBounds), len(n.regionFlows), len(n.regionLinks))
+	if c := la.comp; c != lb.comp || len(c.flows) != 27 || len(c.links) != 18 {
+		b.Fatalf("star component is %d flows over %d links; want one of 27 over 18", len(c.flows), len(c.links))
 	}
 	benchPass(b, func() { n.reallocateOn(la, lb) })
 }

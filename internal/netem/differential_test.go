@@ -18,9 +18,10 @@ import (
 // lockstep and requiring every flow's state to be bit-identical after
 // every single event. It is shared by TestQuickIncrementalMatchesFull
 // (randomized scripts) and FuzzReallocate (fuzzer-mutated scripts). The
-// two networks share the collection and fill code, so the incremental
-// one is also held to the test-only reference (fillref_test.go): its fill
-// after every event, its region inside every pass.
+// two networks share the fill code and the canonical order, so the
+// incremental one is also held to the test-only reference
+// (fillref_test.go): its fill and components after every event, its
+// region inside every pass.
 
 // diffPair is the paired incremental/full network under test.
 type diffPair struct {
@@ -68,7 +69,8 @@ func differentialScript(data []byte) error {
 
 // differentialScriptWith is differentialScript with the fill that is
 // checked against the reference named, and the incremental network's
-// passes wrapped in region, so a test can seed a mutant of either. A
+// joins and leaves followed by region, so a test can seed a mutant of
+// either. A
 // non-nil obs observes the incremental network's flows; the full oracle
 // stays unobserved.
 func differentialScriptWith(data []byte, fill fillFunc, region regionMutant, obs *remainingCheck) error {
@@ -247,7 +249,7 @@ func (p *diffPair) lockstep(k int) error {
 // also checks conservation on the incremental network: the rates through
 // any link must not exceed its concurrency-derated capacity, and that its
 // fill and the regions of its passes since the last compare match the
-// reference.
+// reference, and its components are the reference walk's.
 func (p *diffPair) compare(where string) error {
 	if *p.regionErr != nil {
 		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), *p.regionErr)
@@ -295,6 +297,9 @@ func (p *diffPair) compare(where string) error {
 		}
 	}
 	if err := checkFill(p.netA, p.fill); err != nil {
+		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), err)
+	}
+	if err := checkComponents(p.netA); err != nil {
 		return fmt.Errorf("%s at %v: %w", where, p.engA.Now(), err)
 	}
 	return p.checkConservation(where)

@@ -6,11 +6,12 @@ import "testing"
 // differential harness: each input decodes into a flow-event script
 // (transfer starts, engine steps, cancellations, capacity changes, link
 // flaps, scheduled fault plans) replayed against a paired incremental
-// network and reallocateFull oracle. Any rate or state divergence, or a
-// link carrying more than its derated capacity, fails the run. Seed
-// corpus entries cover each opcode family, and each shape of component
-// change the cached region has to follow (region_test.go), so the fuzzer
-// starts from structurally valid scripts.
+// network and reallocateFull oracle. Any rate or state divergence, a
+// component other than the walk's, or a link carrying more than its
+// derated capacity, fails the run. Seed corpus entries cover each opcode
+// family, and each shape of change the persistent components have to
+// follow (region_test.go), so the fuzzer starts from structurally valid
+// scripts.
 func FuzzReallocate(f *testing.F) {
 	// seed/node header, then op-heavy tails exercising each opcode class.
 	f.Add([]byte{1, 2, 3, 10, 20, 30, 40, 0, 1, 0, 128, 3, 200, 3, 255})
