@@ -36,11 +36,15 @@ func TestBuildAndRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%d): %v", sg.Index, err)
 		}
-		if cs.PayloadBytes() != sg.Bytes() {
-			t.Errorf("segment %d payload %d, want %d", sg.Index, cs.PayloadBytes(), sg.Bytes())
+		if int64(len(cs.Payload)) != sg.Bytes() {
+			t.Errorf("segment %d payload %d, want %d", sg.Index, len(cs.Payload), sg.Bytes())
 		}
-		if cs.Duration() != sg.Duration() {
-			t.Errorf("segment %d duration %v, want %v", sg.Index, cs.Duration(), sg.Duration())
+		var d time.Duration
+		for _, f := range cs.Frames {
+			d += f.Duration
+		}
+		if d != sg.Duration() {
+			t.Errorf("segment %d duration %v, want %v", sg.Index, d, sg.Duration())
 		}
 		blob, err := EncodeBytes(cs)
 		if err != nil {
@@ -292,16 +296,21 @@ func TestChecksumMatchesManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := cs.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
 	blob, err := EncodeBytes(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sum[:], blob[len(blob)-32:]) {
-		t.Error("Checksum() does not match encoded trailer")
+	body, trailer := blob[:len(blob)-sha256.Size], blob[len(blob)-sha256.Size:]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
+		t.Error("the encoded trailer is not the SHA-256 of what precedes it")
+	}
+	info := ClipInfo{Duration: v.Duration(), BytesPerSecond: v.Config.BytesPerSecond, Seed: v.Seed}
+	m, _, err := BuildManifest(info, "4s", segs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(blob); m.Segments[0].SHA256 != hex.EncodeToString(sum[:]) {
+		t.Error("the manifest's digest is not the SHA-256 of the encoded segment, trailer included")
 	}
 }
 

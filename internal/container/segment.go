@@ -64,30 +64,6 @@ type FrameInfo struct {
 	Duration time.Duration
 }
 
-// Duration returns the display duration of the segment.
-func (s *Segment) Duration() time.Duration {
-	var d time.Duration
-	for _, f := range s.Frames {
-		d += f.Duration
-	}
-	return d
-}
-
-// PayloadBytes returns the payload length.
-func (s *Segment) PayloadBytes() int64 { return int64(len(s.Payload)) }
-
-// Checksum returns the SHA-256 digest of the encoded container.
-func (s *Segment) Checksum() ([checksumLen]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, s); err != nil {
-		return [checksumLen]byte{}, err
-	}
-	b := buf.Bytes()
-	var sum [checksumLen]byte
-	copy(sum[:], b[len(b)-checksumLen:])
-	return sum, nil
-}
-
 // Build materializes a spliced segment into a container, generating a
 // deterministic pseudo-payload from (seed, segment index). Two seeders
 // holding the same clip seed produce byte-identical containers, so swarm
@@ -114,17 +90,11 @@ func Build(seg splicer.Segment, seed int64) (*Segment, error) {
 	return out, nil
 }
 
-// Encode writes the container to w: magic, header, frame index, payload,
-// and a SHA-256 trailer over everything preceding it.
-func Encode(w io.Writer, s *Segment) error {
-	_, err := encode(w, s)
-	return err
-}
-
-// encode is Encode returning the SHA-256 of the whole encoding, trailer
-// included — the manifest's digest. sha256's Sum does not reset the hash,
-// so the state that produced the trailer continues over it: each byte is
-// hashed once.
+// encode writes the container to w: magic, header, frame index, payload,
+// and a SHA-256 trailer over everything preceding it. It returns the
+// SHA-256 of the whole encoding, trailer included — the manifest's
+// digest. sha256's Sum does not reset the hash, so the state that
+// produced the trailer continues over it: each byte is hashed once.
 func encode(w io.Writer, s *Segment) (sum [checksumLen]byte, err error) {
 	if len(s.Frames) == 0 {
 		return sum, fmt.Errorf("container: segment %d has no frames", s.Index)

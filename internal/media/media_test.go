@@ -109,7 +109,8 @@ func TestSynthesizeGOPDurationSpread(t *testing.T) {
 	// GOPs. Check the synthetic clip exhibits that spread.
 	v := mustSynthesize(t, DefaultEncoderConfig(), 2*time.Minute, 3)
 	var min, max time.Duration = time.Hour, 0
-	for _, d := range v.GOPDurations() {
+	for _, g := range v.GOPs {
+		d := g.Duration()
 		if d < min {
 			min = d
 		}
@@ -175,26 +176,6 @@ func TestSynthesizeErrors(t *testing.T) {
 	}
 }
 
-func TestGOPAt(t *testing.T) {
-	v := mustSynthesize(t, DefaultEncoderConfig(), time.Minute, 11)
-	for gi, g := range v.GOPs {
-		mid := g.Start() + g.Duration()/2
-		got, err := v.GOPAt(mid)
-		if err != nil {
-			t.Fatalf("GOPAt(%v): %v", mid, err)
-		}
-		if got != gi {
-			t.Errorf("GOPAt(%v) = %d, want %d", mid, got, gi)
-		}
-	}
-	if _, err := v.GOPAt(-time.Second); err == nil {
-		t.Error("GOPAt(-1s): want error")
-	}
-	if _, err := v.GOPAt(v.Duration()); err == nil {
-		t.Error("GOPAt(end): want error")
-	}
-}
-
 func TestSceneModelCoversDuration(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	total := 90 * time.Second
@@ -243,9 +224,6 @@ func TestVideoAccessors(t *testing.T) {
 	if len(frames) != v.FrameCount() {
 		t.Errorf("Frames() len %d, want %d", len(frames), v.FrameCount())
 	}
-	if v.MaxGOPBytes() <= 0 {
-		t.Error("MaxGOPBytes should be positive")
-	}
 	if v.MeanIFrameBytes() <= 0 {
 		t.Error("MeanIFrameBytes should be positive")
 	}
@@ -265,7 +243,7 @@ func TestVideoAccessors(t *testing.T) {
 
 func TestEmptyVideoHelpers(t *testing.T) {
 	var v Video
-	if v.MaxGOPBytes() != 0 || v.MeanIFrameBytes() != 0 || v.TotalBytes() != 0 {
+	if v.MeanIFrameBytes() != 0 || v.TotalBytes() != 0 {
 		t.Error("empty video helpers should return 0")
 	}
 	if err := v.Validate(); err == nil {

@@ -48,45 +48,6 @@ func (v *Video) Frames() []Frame {
 	return out
 }
 
-// GOPDurations returns the duration of each GOP in order.
-func (v *Video) GOPDurations() []time.Duration {
-	out := make([]time.Duration, len(v.GOPs))
-	for i, g := range v.GOPs {
-		out[i] = g.Duration()
-	}
-	return out
-}
-
-// MaxGOPBytes returns the size of the largest GOP. It returns 0 for an
-// empty video.
-func (v *Video) MaxGOPBytes() int64 {
-	var m int64
-	for _, g := range v.GOPs {
-		if b := g.Bytes(); b > m {
-			m = b
-		}
-	}
-	return m
-}
-
-// GOPAt returns the index of the GOP whose display interval contains pts.
-func (v *Video) GOPAt(pts time.Duration) (int, error) {
-	if pts < 0 || pts >= v.ClipDuration {
-		return 0, fmt.Errorf("media: pts %v outside clip [0, %v)", pts, v.ClipDuration)
-	}
-	// GOPs are ordered and contiguous; binary search by start time.
-	lo, hi := 0, len(v.GOPs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if v.GOPs[mid].Start() <= pts {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
-}
-
 // Validate checks structural invariants: contiguous, valid closed GOPs whose
 // frames cover [0, ClipDuration) exactly.
 func (v *Video) Validate() error {

@@ -5,7 +5,8 @@ package netem
 // node, so those flows freeze in place — bytes already accrued stay
 // accrued, completion timers are cancelled, and the next reallocation
 // after the link returns revives them. Flow freeze/unfreeze events are
-// emitted for the observer so traces show the outage's blast radius.
+// emitted for the observer so traces show the outage's blast radius: a
+// freeze for each flow the outage stops, an unfreeze for each it restarts.
 func (n *Network) SetLinkDown(id NodeID, down bool) error {
 	if err := n.checkID(id); err != nil {
 		return err
@@ -17,8 +18,8 @@ func (n *Network) SetLinkDown(id NodeID, down bool) error {
 	n.reallocateOn(n.nodes[id].up, n.nodes[id].down)
 	// Observer contract: emit after the state change and reallocation so
 	// rates are current. Only active flows touching the node are
-	// affected; a flow whose other endpoint is also down stays frozen on
-	// link-up, so skip its unfreeze.
+	// affected, and only those that were moving (down) or now move (up):
+	// an RTO freeze or the other endpoint's outage stops one either way.
 	kind := FlowEventFreeze
 	if !down {
 		kind = FlowEventUnfreeze
@@ -27,8 +28,12 @@ func (n *Network) SetLinkDown(id NodeID, down bool) error {
 		if f.state != flowActive || (f.src != id && f.dst != id) {
 			continue
 		}
-		if !down && (f.frozen || f.LinkDown()) {
-			continue // still frozen for another reason
+		other := f.src
+		if other == id {
+			other = f.dst
+		}
+		if f.frozen || n.nodes[other].offline {
+			continue // stopped for another reason
 		}
 		n.emitFlow(f, kind)
 	}

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -107,5 +108,88 @@ func TestLinkDownUnknownNode(t *testing.T) {
 	}
 	if n.LinkIsDown(5) {
 		t.Error("LinkIsDown on unknown node must be false")
+	}
+}
+
+// TestFreezeEventsBracketStops holds the freeze and unfreeze events to the
+// time a flow is stopped, by an RTO or a downed link: for each flow they
+// alternate, starting with a freeze, and no unfreeze is emitted while the
+// flow's link is down. The first run is the probe that showed the
+// mistake: a flow that RTO-freezes at 1 s and whose downlink goes down at
+// 1.05 s for 19 s. The others flap random links under a certain RTO
+// hazard, so freezes and outages overlap every way, both endpoints go
+// down together, and flows activate while their link is down.
+func TestFreezeEventsBracketStops(t *testing.T) {
+	type (
+		start struct {
+			src, dst NodeID
+			at       time.Duration
+		}
+		flap struct {
+			node     NodeID
+			at, span time.Duration
+		}
+	)
+	run := func(seed int64, nodes int, starts []start, flaps []flap) {
+		eng := sim.New(seed)
+		cfg := defaultModel
+		cfg.handshakeRTTs = 0
+		cfg.timeoutHazard = 1
+		cfg.concurrencyFreeFlows = 0
+		n := newWith(eng, cfg)
+		for i := 0; i < nodes; i++ {
+			addNode(t, n, 100_000, 100_000, 10*time.Millisecond, 0)
+		}
+		stopped := map[int]bool{} // by flow ID: its last event of the two was a freeze
+		freezes := 0
+		n.SetFlowObserver(func(ev FlowEvent) {
+			switch ev.Kind {
+			case FlowEventFreeze:
+				if stopped[ev.Flow] {
+					t.Errorf("seed %d: flow %d frozen again at %v without an unfreeze", seed, ev.Flow, ev.At)
+				}
+				stopped[ev.Flow] = true
+				freezes++
+			case FlowEventUnfreeze:
+				if !stopped[ev.Flow] {
+					t.Errorf("seed %d: flow %d unfrozen at %v without a freeze", seed, ev.Flow, ev.At)
+				}
+				if n.LinkIsDown(ev.Src) || n.LinkIsDown(ev.Dst) {
+					t.Errorf("seed %d: flow %d unfrozen at %v while its link is down (rate %v)", seed, ev.Flow, ev.At, ev.Rate)
+				}
+				stopped[ev.Flow] = false
+			}
+		})
+		for _, s := range starts {
+			eng.At(s.at, func() {
+				if _, err := n.StartTransfer(s.src, s.dst, 2_000_000, TransferOptions{}, nil); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		for _, f := range flaps {
+			eng.At(f.at, func() { _ = n.SetLinkDown(f.node, true) })
+			eng.At(f.at+f.span, func() { _ = n.SetLinkDown(f.node, false) })
+		}
+		if err := eng.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if freezes == 0 {
+			t.Errorf("seed %d: no freeze event", seed)
+		}
+	}
+	run(1, 2, []start{{0, 1, 0}}, []flap{{1, 1050 * time.Millisecond, 19 * time.Second}})
+	for seed := int64(2); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var starts []start
+		var flaps []flap
+		for i := 0; i < 8; i++ {
+			src := NodeID(r.Intn(4))
+			starts = append(starts, start{src, (src + NodeID(1+r.Intn(3))) % 4, time.Duration(r.Intn(20)) * 250 * time.Millisecond})
+		}
+		for i := 0; i < 6; i++ {
+			flaps = append(flaps, flap{NodeID(r.Intn(4)), time.Duration(r.Intn(400)) * 50 * time.Millisecond, time.Duration(1+r.Intn(100)) * 50 * time.Millisecond})
+		}
+		run(seed, 4, starts, flaps)
 	}
 }

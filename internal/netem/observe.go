@@ -13,9 +13,12 @@ const (
 	FlowEventSetup FlowEventKind = iota
 	// FlowEventActivate fires when the first payload byte can move.
 	FlowEventActivate
-	// FlowEventFreeze fires when an RTO freeze stops the flow.
+	// FlowEventFreeze fires when an RTO freeze or a downed link stops a
+	// moving flow, or a flow activates on a downed link.
 	FlowEventFreeze
-	// FlowEventUnfreeze fires when an RTO freeze ends.
+	// FlowEventUnfreeze fires when a stopped flow moves again: its RTO
+	// freeze ends or its link comes back, and nothing else stops it.
+	// Freezes and unfreezes of one flow alternate.
 	FlowEventUnfreeze
 	// FlowEventRamp fires at each slow-start doubling.
 	FlowEventRamp

@@ -66,12 +66,13 @@ func TestQuickDurationOverheadAccounting(t *testing.T) {
 		}
 		var total, overhead int64
 		for _, s := range segs {
-			if s.Overhead() < 0 && !s.InsertedIFrame {
+			extra := s.Bytes() - s.SourceBytes
+			if extra < 0 && !s.InsertedIFrame {
 				t.Logf("segment %d negative overhead without insertion", s.Index)
 				return false
 			}
 			total += s.Bytes()
-			overhead += s.Overhead()
+			overhead += extra
 		}
 		return total == v.TotalBytes()+overhead
 	}

@@ -77,12 +77,6 @@ func (s Segment) Bytes() int64 {
 	return n
 }
 
-// Overhead returns the extra bytes this segment transfers relative to the
-// source stream (zero unless an I frame was inserted).
-func (s Segment) Overhead() int64 {
-	return s.Bytes() - s.SourceBytes
-}
-
 // End returns the presentation time at which the segment's last frame ends.
 func (s Segment) End() time.Duration {
 	return s.Start + s.Duration()

@@ -33,14 +33,6 @@ func (s Stats) OverheadRatio() float64 {
 	return float64(s.OverheadBytes) / float64(s.SourceBytes)
 }
 
-// MeanBytes returns the average segment transfer size.
-func (s Stats) MeanBytes() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.TotalBytes / int64(s.Count)
-}
-
 // String renders a one-line summary.
 func (s Stats) String() string {
 	return fmt.Sprintf("segments=%d bytes=%d overhead=%.2f%% size=[%d..%d] dur=[%v..%v]",

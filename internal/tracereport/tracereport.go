@@ -88,7 +88,7 @@ type StallStats struct {
 // FlowStats summarizes the netem flow lifecycle events. FrozenUS sums
 // freeze->unfreeze spans; ActiveUS sums activate->complete/cancel
 // spans. UtilizationPct is the share of active flow time not spent
-// frozen in an RTO.
+// stopped by an RTO or a downed link.
 type FlowStats struct {
 	Setups         int64   `json:"setups"`
 	Completes      int64   `json:"completes"`
