@@ -59,8 +59,8 @@ reach: | $(ARTIFACTS)
 
 # identity: the bit-identity gate for a change that must not move the
 # emulation — build PARENT and the working tree, run the fixed artifact
-# set on both (scripts/identity.sh lists it), print "identical" or the
-# first differing file and line.
+# set on both (scripts/identity.sh lists it), print "identical" or every
+# differing file with its first differing line, then how many differ.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/identity.sh "$(PARENT)"
@@ -149,7 +149,9 @@ adversary-smoke:
 
 # Short fuzz pass over every fuzz target (Target:./pkg pairs); go's
 # fuzzer accepts one -fuzz pattern per package invocation, so targets run
-# sequentially, and the first failing one fails the pass.
+# sequentially, and the first failing one fails the pass. Minimizing each
+# new interesting input may take 60 s by default, which would spend a
+# short pass minimizing instead of fuzzing; 1 s bounds it.
 FUZZ_TARGETS = \
 	FuzzRead:./internal/wire \
 	FuzzReadHandshake:./internal/wire \
@@ -162,5 +164,5 @@ FUZZ_TARGETS = \
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
-		( set -x; $(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) "$${t#*:}" ); \
+		( set -x; $(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s "$${t#*:}" ); \
 	done

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"p2psplice/internal/container"
-	"p2psplice/internal/core"
 	"p2psplice/internal/media"
 	"p2psplice/internal/player"
 	"p2psplice/internal/splicer"
@@ -166,8 +165,8 @@ func TestClientStreamsWholeClip(t *testing.T) {
 	if err := c.Load(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Variants(); len(got) != 3 {
-		t.Fatalf("Variants = %v", got)
+	if got := c.names; len(got) != 3 {
+		t.Fatalf("variants = %v", got)
 	}
 	// A virtual clock makes the whole session instantaneous and gives the
 	// client a generous buffer so it climbs the duration ladder.
@@ -305,12 +304,13 @@ func TestTimelinePlayerStallAccounting(t *testing.T) {
 	if pm.FinishedAt != 14*time.Second {
 		t.Errorf("FinishedAt = %v, want 14s", pm.FinishedAt)
 	}
-	// The estimator runs on the same clock: segment 0 took 1 s, segment 1
+	// The meter runs on the same clock: segment 0 took 1 s, segment 1
 	// took 7 s, and segment 2 landed in no time, which Observe ignores.
-	a := core.DefaultEWMAAlpha
+	// Both observations are at the meter's smoothing factor, 0.3.
+	const a = 0.3
 	want := int64(a*(float64(m.Segments[1].Bytes)/7) + (1-a)*float64(m.Segments[0].Bytes))
-	if got := c.est.Estimate(); got != want || c.est.Samples() != 2 {
-		t.Errorf("bandwidth estimate %d B/s from %d samples, want %d B/s from 2", got, c.est.Samples(), want)
+	if got := c.est.Estimate(0); got != want {
+		t.Errorf("bandwidth estimate %d B/s, want %d B/s from two observations", got, want)
 	}
 }
 

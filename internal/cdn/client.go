@@ -83,7 +83,8 @@ type Client struct {
 
 	names     []string
 	manifests []*container.Manifest
-	est       *core.BandwidthEstimator
+	// est sees one fetch at a time, so it observes each fetch whole.
+	est core.AggregateMeter
 	// now is the playback clock (monotone since Stream start); injectable
 	// for tests.
 	now func() time.Duration
@@ -94,11 +95,7 @@ func NewClient(base string, httpClient *http.Client) (*Client, error) {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	est, err := core.NewBandwidthEstimator(core.DefaultEWMAAlpha)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{base: base, http: httpClient, est: est}, nil
+	return &Client{base: base, http: httpClient}, nil
 }
 
 // Load fetches the variant list and manifests.
@@ -133,9 +130,6 @@ func (c *Client) Load(ctx context.Context) error {
 	c.manifests = manifests
 	return nil
 }
-
-// Variants returns the loaded variant names.
-func (c *Client) Variants() []string { return append([]string(nil), c.names...) }
 
 // StreamResult summarizes a playback session.
 type StreamResult struct {
@@ -183,10 +177,7 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bandwidth := c.est.Estimate()
-		if bandwidth <= 0 {
-			bandwidth = c.manifests[0].Video.BytesPerSecond
-		}
+		bandwidth := c.est.Estimate(c.manifests[0].Video.BytesPerSecond)
 		choice, ok := ChooseSegment(c.manifests, c.names, frontier, bandwidth, pl.BufferedAhead(now()))
 		if !ok {
 			return nil, fmt.Errorf("cdn: no variant has a boundary at %v", frontier)

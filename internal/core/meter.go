@@ -6,42 +6,45 @@ import (
 )
 
 // AggregateMeter measures the *aggregate* download bandwidth across all
-// concurrent transfers, which is the B that Equation 1 needs.
+// concurrent transfers, which is the B that Equation 1 needs. Every client
+// keeps one: the real node, the CDN client and an estimating emulated
+// peer. The paper simulated a known bandwidth on GENI and cites
+// Libswift-style estimation for the real world; the experiment harness
+// ablates this meter against that oracle.
 //
 // Observing each segment in isolation — Observe(size, ownElapsed) — is
 // systematically wrong under pooling: when k segments share one access
 // link, each one's private rate is ~B/k, so the EWMA converges to B/k,
 // Equation 1 computes a pool of max(floor((B/k)·T/W), 1), and the pool
-// collapses toward 1 exactly when pooling matters. The meter instead
-// accumulates delivered bytes across *all* in-flight transfers and, at
-// each completion, observes delivered/elapsed over the busy interval
-// since the last observation — the aggregate link rate, independent of
-// how many transfers shared it.
+// collapses toward 1 exactly when pooling matters. A pooling client
+// instead brackets each transfer with Start and Finish and Delivers the
+// bytes every transfer moves; at each Finish the meter observes
+// delivered/elapsed over the busy interval since the last observation —
+// the aggregate link rate, independent of how many transfers shared it.
+// A client that fetches one segment at a time may Observe each fetch
+// directly.
 //
 // The meter is clock-agnostic: callers pass the current time (virtual or
 // wall) to Start/Finish, so it is unit-testable and usable from the
-// deterministic emulation. Methods are safe for concurrent use.
+// deterministic emulation. The zero value is ready to use. Methods are
+// safe for concurrent use.
 type AggregateMeter struct {
 	mu        sync.Mutex // guards est, inflight, busyStart and delivered
-	est       *BandwidthEstimator
+	est       float64    // bytes/second; 0 until the first observation
 	inflight  int
 	busyStart time.Duration // start of the current measurement window
 	delivered int64         // payload bytes since busyStart
 }
 
+// ewmaAlpha is the smoothing factor: responsive enough to track
+// congestion onset within a few segment downloads without chasing
+// single-transfer noise.
+const ewmaAlpha = 0.3
+
 // minMeterWindow is the shortest interval worth observing: windows below
 // it (e.g. two transfers completing in the same burst) fold into the
 // next observation instead of producing a noisy near-zero-division rate.
 const minMeterWindow = 20 * time.Millisecond
-
-// NewAggregateMeter returns a meter smoothing with alpha in (0, 1].
-func NewAggregateMeter(alpha float64) (*AggregateMeter, error) {
-	est, err := NewBandwidthEstimator(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateMeter{est: est}, nil
-}
 
 // Start records that a transfer began at now. The first transfer of a
 // busy period opens a fresh measurement window; idle time between busy
@@ -76,7 +79,7 @@ func (m *AggregateMeter) Finish(now time.Duration) {
 	}
 	elapsed := now - m.busyStart
 	if m.delivered > 0 && elapsed >= minMeterWindow {
-		m.est.Observe(m.delivered, elapsed)
+		m.observeLocked(m.delivered, elapsed)
 		m.busyStart = now
 		m.delivered = 0
 	}
@@ -86,19 +89,37 @@ func (m *AggregateMeter) Finish(now time.Duration) {
 	}
 }
 
-// Estimate returns the aggregate bandwidth estimate in bytes/second, or
-// 0 before the first observation.
-func (m *AggregateMeter) Estimate() int64 {
+// Observe folds one transfer of n bytes taking elapsed time into the
+// estimate, for a client whose transfers never overlap. Non-positive
+// inputs are ignored.
+func (m *AggregateMeter) Observe(n int64, elapsed time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.est.Estimate()
+	m.observeLocked(n, elapsed)
 }
 
-// Samples returns the number of rate observations folded in.
-func (m *AggregateMeter) Samples() int {
+// observeLocked is Observe with m.mu held.
+func (m *AggregateMeter) observeLocked(n int64, elapsed time.Duration) {
+	if n <= 0 || elapsed <= 0 {
+		return
+	}
+	rate := float64(n) / elapsed.Seconds()
+	if m.est == 0 {
+		m.est = rate
+	} else {
+		m.est = ewmaAlpha*rate + (1-ewmaAlpha)*m.est
+	}
+}
+
+// Estimate returns the aggregate bandwidth estimate in bytes/second, or
+// fallback before the first observation.
+func (m *AggregateMeter) Estimate(fallback int64) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.est.Samples()
+	if m.est == 0 {
+		return fallback
+	}
+	return int64(m.est)
 }
 
 // InFlight returns the number of transfers currently counted as active.

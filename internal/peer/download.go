@@ -45,13 +45,10 @@ func (n *Node) schedule() {
 		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
 		// before its first sample), T the playback buffer, W the size of first.
 		f = trace.PoolFacts{
-			Bandwidth: n.est.Estimate(),
+			Bandwidth: n.est.Estimate(n.manifest.Video.BytesPerSecond),
 			Buffered:  n.play.BufferedAhead(now),
 			SegBytes:  n.manifest.Segments[first].Bytes,
 			InFlight:  n.pool.InFlight,
-		}
-		if f.Bandwidth <= 0 {
-			f.Bandwidth = n.manifest.Video.BytesPerSecond
 		}
 		f.Target = n.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
 		n.qoe.PoolK.Observe(int64(f.Target))

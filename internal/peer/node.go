@@ -138,7 +138,7 @@ type Node struct {
 	// replaces.
 	rep           *reputation.Table[wire.PeerID]
 	play          *player.Player // nil for seeders
-	est           *core.AggregateMeter
+	est           core.AggregateMeter
 	stats         Stats
 	servingConns  int     // occupied upload slots
 	chokedWaiters []*conn // FIFO of choked requesters awaiting a slot
@@ -210,14 +210,6 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 	if err != nil {
 		return nil, err
 	}
-	// The pool-size formula needs the *aggregate* download bandwidth, so
-	// the node meters delivered bytes across all concurrent transfers
-	// rather than observing each segment with its own elapsed time (which
-	// converges to B/k under k-way pooling).
-	est, err := core.NewAggregateMeter(core.DefaultEWMAAlpha)
-	if err != nil {
-		return nil, err
-	}
 	roster, pool := core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(store.Bitfield())
 	roster.Track(&pool, -1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -258,7 +250,6 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		dialState: make(map[string]*dialBackoff),
 		rep:       reputation.NewTable[wire.PeerID](*cfg.Reputation),
 		play:      play,
-		est:       est,
 		completeC: make(chan struct{}),
 		ctx:       ctx,
 		cancel:    cancel,

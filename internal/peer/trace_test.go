@@ -113,9 +113,6 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	}
 	n.roster, n.pool = core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(n.store.Bitfield())
 	n.roster.Track(&n.pool, -1)
-	if n.est, err = core.NewAggregateMeter(core.DefaultEWMAAlpha); err != nil {
-		t.Fatal(err)
-	}
 	durations := make([]time.Duration, len(m.Segments))
 	for i, s := range m.Segments {
 		durations[i] = s.Duration

@@ -174,9 +174,6 @@ func (p *Player) setState(to State, at time.Duration) {
 	}
 }
 
-// SegmentCount returns the number of segments in the clip.
-func (p *Player) SegmentCount() int { return len(p.durations) }
-
 // ClipDuration returns the total clip duration.
 func (p *Player) ClipDuration() time.Duration { return p.prefix[len(p.durations)] }
 
@@ -271,26 +268,9 @@ func (p *Player) BufferedAhead(now time.Duration) time.Duration {
 	return p.frontier() - p.pos
 }
 
-// Contiguous returns the count of leading downloaded segments.
-func (p *Player) Contiguous() int { return p.contiguous }
-
 // NextMissing returns the index of the first segment not yet downloaded,
-// or SegmentCount() if everything is downloaded.
+// or the segment count if everything is downloaded.
 func (p *Player) NextMissing() int { return p.contiguous }
-
-// Completed reports whether segment idx has been downloaded.
-func (p *Player) Completed(idx int) bool {
-	if idx < 0 || idx >= len(p.completed) {
-		return false
-	}
-	return p.completed[idx]
-}
-
-// State returns the playback state at now.
-func (p *Player) State(now time.Duration) State {
-	p.advanceTo(now)
-	return p.state
-}
 
 // Metrics returns a snapshot of the playback measures at now. An
 // in-progress stall contributes to Stalls and TotalStall but not to

@@ -38,7 +38,7 @@ func TestStartupTime(t *testing.T) {
 	if err := p.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.State(sec(1)); got != StateWaiting {
+	if got := p.Metrics(sec(1)).State; got != StateWaiting {
 		t.Errorf("state = %v, want waiting", got)
 	}
 	if err := p.OnSegmentComplete(0, sec(2.5)); err != nil {
@@ -150,17 +150,17 @@ func TestOutOfOrderCompletionNoResume(t *testing.T) {
 	if err := p.OnSegmentComplete(2, sec(5)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.State(sec(6)); got != StateStalled {
+	if got := p.Metrics(sec(6)).State; got != StateStalled {
 		t.Errorf("state = %v, want still stalled", got)
 	}
 	// Segment 1 closes the gap at t=8: contiguous jumps to 3, resume.
 	if err := p.OnSegmentComplete(1, sec(8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Contiguous(); got != 3 {
+	if got := p.NextMissing(); got != 3 {
 		t.Errorf("contiguous = %d, want 3", got)
 	}
-	if got := p.State(sec(8)); got != StatePlaying {
+	if got := p.Metrics(sec(8)).State; got != StatePlaying {
 		t.Errorf("state = %v, want playing", got)
 	}
 	m := p.Metrics(sec(8))
@@ -202,7 +202,7 @@ func TestStartThreshold(t *testing.T) {
 	if err := p.OnSegmentComplete(0, sec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.State(sec(1)); got != StateWaiting {
+	if got := p.Metrics(sec(1)).State; got != StateWaiting {
 		t.Errorf("after 1 segment: state = %v, want waiting", got)
 	}
 	if err := p.OnSegmentComplete(1, sec(3)); err != nil {
@@ -247,11 +247,8 @@ func TestDuplicateAndInvalidCompletions(t *testing.T) {
 	if err := p.OnSegmentComplete(4, 0); err == nil {
 		t.Error("out-of-range index: want error")
 	}
-	if p.Completed(-1) || p.Completed(99) {
-		t.Error("out-of-range Completed should be false")
-	}
-	if !p.Completed(0) || p.Completed(1) {
-		t.Error("Completed flags wrong")
+	if !p.completed[0] || p.completed[1] {
+		t.Error("completed flags wrong")
 	}
 }
 
@@ -300,8 +297,8 @@ func TestZeroLengthStallNotCounted(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	p := four(t)
-	if p.SegmentCount() != 4 {
-		t.Errorf("SegmentCount = %d, want 4", p.SegmentCount())
+	if len(p.durations) != 4 {
+		t.Errorf("segment count = %d, want 4", len(p.durations))
 	}
 	if p.ClipDuration() != sec(16) {
 		t.Errorf("ClipDuration = %v, want 16s", p.ClipDuration())

@@ -34,8 +34,10 @@ type peerState struct {
 	inFlight []download
 	// done is the OnComplete of every transfer p downloads, bound once at
 	// setup: the in-flight record holding the Flow names its segment.
-	done     func(*netem.Flow)
-	est      *core.BandwidthEstimator
+	done func(*netem.Flow)
+	// est meters p's aggregate download rate, Eq. 1's B, as the real
+	// node's does; nil for an oracle peer, which neither feeds nor reads it.
+	est      *core.AggregateMeter
 	joined   time.Duration
 	departed bool
 
@@ -105,42 +107,64 @@ type peerState struct {
 // serve-timeout event numbered serve; pending records which adversary
 // kind opened it, for attribution. dropFlight clears the record before
 // the Flow's OnComplete or Cancel returns, after which netem reuses it.
+// fed is how many of the flow's bytes p's meter has been delivered.
 type download struct {
 	flow    *netem.Flow
 	src     *peerState
 	pending fault.AdversaryKind
 	serve   int
+	fed     int64
 }
 
-// initialBandwidthGuess is the B an estimating leecher feeds the policy
-// before its first download completes.
-const initialBandwidthGuess = 64 * 1024
-
-// bandwidth returns the B fed into the pooling policy.
+// bandwidth returns the B fed into the pooling policy: the access rate for
+// an oracle peer, else the meter's estimate, the clip rate before its
+// first sample.
 func (s *swarm) bandwidth(p *peerState) int64 {
-	if s.cfg.OracleBandwidth {
+	if p.est == nil {
 		if p.rate > 0 {
 			return p.rate
 		}
 		return s.cfg.BandwidthBytesPerSec
 	}
-	if b := p.est.Estimate(); b > 0 {
-		return b
+	return p.est.Estimate(s.clipRate)
+}
+
+// feedMeter delivers to p's meter the bytes each of p's flows moved since
+// the last feed. It runs before every meter Finish and before a flow of p
+// is cancelled, since a Flow must not be read after Cancel returns:
+// flows sharing a link finish near-together, so a Finish that saw only
+// its own flow's bytes would observe B/k. p's downloads all lie between
+// its first missing segment and the availability frontier.
+func (s *swarm) feedMeter(p *peerState) {
+	if p.est == nil {
+		return
 	}
-	return initialBandwidthGuess
+	for idx := p.pool.First; idx <= s.frontier; idx++ {
+		d := &p.inFlight[idx]
+		if d.flow == nil {
+			continue
+		}
+		moved := d.flow.Size() - d.flow.Remaining()
+		p.est.Deliver(moved - d.fed)
+		d.fed = moved
+	}
 }
 
 // dropFlight removes p's download of segment idx and returns the upload
-// slot it held to its source. The caller cancels the flow if it is live.
-// It is the one place the pool shrinks, and it syncs the player first, so
-// a stall this call reveals is attributed with the download still in the
-// pool (see trace.StallFacts). The sync moves no player state: advanceTo
-// computes the stall instant exactly.
+// slot it held to its source. The caller feeds p's meter first and
+// cancels the flow if it is live. It is the one place the pool shrinks,
+// and it syncs the player first, so a stall this call reveals is
+// attributed with the download still in the pool (see trace.StallFacts).
+// The sync moves no player state: advanceTo computes the stall instant
+// exactly.
 func (p *peerState) dropFlight(idx int, now time.Duration) {
 	p.player.Position(now)
 	src := p.inFlight[idx].src
 	p.inFlight[idx] = download{}
 	p.pool.Drop(idx, &src.src)
+	if p.est != nil {
+		p.est.Finish(now)
+	}
 }
 
 // nextWanted returns the index of the next segment to request, or -1. The
@@ -351,6 +375,9 @@ func (s *swarm) retry(p *peerState) {
 // scheduler enters it into p's pool and src's load.
 func (s *swarm) startDownload(p, src *peerState, idx int) {
 	p.lastSrc = &src.src
+	if p.est != nil {
+		p.est.Start(s.eng.Now())
+	}
 	if idx > s.frontier {
 		s.frontier = idx
 	}
@@ -410,6 +437,7 @@ func (s *swarm) onServeTimeout(p *peerState, idx, serve int) {
 		return // already reaped by crash/departure teardown
 	}
 	src := d.src
+	s.feedMeter(p)
 	p.dropFlight(idx, s.eng.Now())
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvServeTimeout,
@@ -441,26 +469,14 @@ func (s *swarm) flightOf(p *peerState, f *netem.Flow) int {
 func (s *swarm) onDownloadComplete(p *peerState, f *netem.Flow) {
 	idx := s.flightOf(p, f)
 	src := p.inFlight[idx].src
-	// k counts the finishing flow too: it is this peer's concurrency while
-	// the segment was in transit.
-	k := int64(p.pool.InFlight)
 	now := s.eng.Now()
+	s.feedMeter(p)
 	p.dropFlight(idx, now)
 	if p.departed {
 		return
 	}
-	// Eq. 1 wants the peer's aggregate download bandwidth B, but one flow
-	// of a k-way pool delivers only ~B/k: feeding per-flow throughput into
-	// the estimator made it converge to B/k, inflating the pool size and
-	// over-subscribing the access link. Scaling the observed bytes by the
-	// in-flight count recovers the aggregate rate — the emulation twin of
-	// the real stack's core.AggregateMeter.
-	if k < 1 {
-		k = 1
-	}
-	p.est.Observe(f.Size()*k, f.Elapsed())
-	// Inside a corruption window the bytes arrive (the estimator above
-	// sees real link throughput) but the segment can fail container
+	// Inside a corruption window the bytes arrive (the meter has seen
+	// them as real link throughput) but the segment can fail container
 	// checksum verification, in which case it goes back to the pool and
 	// is fetched again. Whether THIS attempt is corrupted is a pure hash
 	// of (seed, peer, segment, attempt) — see fault.CorruptDraw — so the

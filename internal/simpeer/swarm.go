@@ -86,7 +86,7 @@ type SwarmConfig struct {
 	Policy core.Policy
 	// OracleBandwidth, when true, feeds the configured link bandwidth into
 	// the policy (the paper "simulated the bandwidth on GENI"). When false,
-	// leechers estimate bandwidth with an EWMA over completed downloads.
+	// leechers estimate it with core.AggregateMeter, as the real node does.
 	OracleBandwidth bool
 	// ResumeBuffer is the player's rebuffering depth after a stall (see
 	// player.Config.ResumeThreshold). Zero resumes on the next segment.
@@ -373,6 +373,9 @@ type swarm struct {
 	frontier int
 	roster   *core.Roster
 	set      core.SourceSet
+	// clipRate is the clip's mean byte rate, an estimating peer's B before
+	// its meter's first sample.
+	clipRate int64
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
 	// warm-up would otherwise be a manifest flash crowd.
@@ -462,9 +465,14 @@ func (s *swarm) setup() error {
 	}
 
 	durations := make([]time.Duration, len(s.segs))
+	var clipBytes int64
+	var clip time.Duration
 	for i, sg := range s.segs {
 		durations[i] = sg.Duration
+		clipBytes += sg.Bytes
+		clip += sg.Duration
 	}
+	s.clipRate = int64(float64(clipBytes) / clip.Seconds())
 
 	for i := 1; i <= len(leecherNCs); i++ {
 		nc := leecherNCs[i-1]
@@ -483,10 +491,6 @@ func (s *swarm) setup() error {
 		if err != nil {
 			return err
 		}
-		est, err := core.NewBandwidthEstimator(core.DefaultEWMAAlpha)
-		if err != nil {
-			return err
-		}
 		p := &peerState{
 			id:       i,
 			rate:     rate,
@@ -494,7 +498,9 @@ func (s *swarm) setup() error {
 			src:      core.Source{ID: i, Have: make([]bool, len(s.segs)), Sending: make([]int, len(s.segs))},
 			player:   pl,
 			inFlight: make([]download, len(s.segs)),
-			est:      est,
+		}
+		if !s.cfg.OracleBandwidth {
+			p.est = new(core.AggregateMeter)
 		}
 		p.src.Owner = p
 		p.done = func(f *netem.Flow) { s.onDownloadComplete(p, f) }
@@ -611,6 +617,7 @@ func (s *swarm) depart(p *peerState) {
 func (s *swarm) cancelPeerFlows(p *peerState) {
 	// Abort this peer's downloads, returning the upload slots it held, in
 	// segment order: cancellation order influences event sequencing.
+	s.feedMeter(p)
 	for idx, d := range p.inFlight {
 		if d.src == nil {
 			continue
@@ -635,6 +642,7 @@ func (s *swarm) cancelUploadsFrom(p *peerState) {
 		if q == p || q.departed {
 			continue
 		}
+		s.feedMeter(q)
 		for idx, d := range q.inFlight {
 			if d.src != p {
 				continue

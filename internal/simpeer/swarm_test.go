@@ -222,6 +222,87 @@ func TestEWMAEstimatorPathCompletes(t *testing.T) {
 	}
 }
 
+// scriptedPool is a policy whose pool size the test sets as it goes.
+type scriptedPool struct{ k *int }
+
+func (scriptedPool) Name() string                               { return "scripted" }
+func (p scriptedPool) PoolSize(int64, time.Duration, int64) int { return *p.k }
+
+// TestMeterSeesAggregateRate drives one estimating leecher on a 256 KiB/s
+// link through the two schedules a per-completion rescale gets wrong, and
+// reads its meter right after the completion. A segment that ran alone
+// and finished just after three more launched moved at the link rate, not
+// four times it. k flows that share the link and finish at one instant
+// moved k segments in that time, so the first Finish must not see B/k.
+func TestMeterSeesAggregateRate(t *testing.T) {
+	const rate = 256 << 10
+	segs := make([]SegmentMeta, 8)
+	for i := range segs {
+		segs[i] = SegmentMeta{Bytes: 1 << 20, Duration: 4 * time.Second}
+	}
+	start := func(t *testing.T, k *int) (*swarm, *peerState) {
+		cfg := baseConfig(rate)
+		cfg.Leechers, cfg.LossRate, cfg.JoinSpread = 1, 0, 0
+		cfg.OracleBandwidth = false
+		cfg.Policy = scriptedPool{k}
+		sw, err := newSwarm(cfg, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw, sw.peers[1]
+	}
+	// runUntilStored steps the engine to the instant p stores segment idx.
+	runUntilStored := func(sw *swarm, p *peerState, idx int) {
+		for !p.src.Have[idx] {
+			sw.eng.Step()
+		}
+	}
+	within := func(t *testing.T, p *peerState) {
+		t.Helper()
+		if got := p.est.Estimate(0); got < rate*8/10 || got > rate*12/10 {
+			t.Errorf("meter estimates %d B/s on a %d B/s link (want within 20%%)", got, rate)
+		}
+	}
+
+	t.Run("alone then three launches", func(t *testing.T) {
+		k := 1
+		sw, p := start(t, &k)
+		// Once segment 0 is well under way, plan three launches for 10 ms
+		// before it finishes: they are still in request set-up when it does.
+		sw.eng.RunUntil(time.Second)
+		f := p.inFlight[0].flow
+		if f == nil {
+			t.Fatal("segment 0 not in flight at 1s")
+		}
+		eta := time.Duration(float64(f.Remaining()) / rate * float64(time.Second))
+		sw.eng.Schedule(eta-10*time.Millisecond, func() {
+			k = 4
+			sw.fill(p)
+			if p.pool.InFlight != 4 {
+				t.Fatalf("%d in flight after the launches, want 4", p.pool.InFlight)
+			}
+		})
+		runUntilStored(sw, p, 0)
+		within(t, p)
+	})
+
+	// Three flows: netem's RTO-freeze hazard spares up to three on a link,
+	// so they share it evenly and finish at one instant.
+	t.Run("k finish together", func(t *testing.T) {
+		k := 3
+		sw, p := start(t, &k)
+		runUntilStored(sw, p, 0)
+		at := sw.eng.Now()
+		for idx := 1; idx < k; idx++ {
+			runUntilStored(sw, p, idx)
+			if sw.eng.Now() != at {
+				t.Fatalf("segment %d finished at %v, segment 0 at %v", idx, sw.eng.Now(), at)
+			}
+		}
+		within(t, p)
+	})
+}
+
 func TestCrossTrafficSlowsPlayback(t *testing.T) {
 	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, time.Minute, 8)
 	run := func(cross int) float64 {

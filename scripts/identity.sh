@@ -15,9 +15,11 @@
 # — and compares the two trees file by file with wall-clock fields
 # (elapsed, elapsed_ms) blanked. Paths only one side wrote go to
 # $WORK/only.list ("-" parent, "+" change); every common file is still
-# compared. Prints "identical" and exits 0 when the sets match, or the
-# first differing file and line, or "file sets differ", and exits 1. A
-# change that intends a difference quotes that output and says why.
+# compared. Prints "identical" and exits 0 when the sets match. Otherwise
+# it prints every differing file with its first differing line, then how
+# many differ (also listed in $WORK/diff.list), or "file sets differ", and
+# exits 1. A change that intends a difference quotes that output and says
+# why.
 #
 # usage: identity.sh <parent-rev> [work-dir]     (make identity PARENT=<rev>)
 set -eu
@@ -54,6 +56,16 @@ mkdir -p "$WORK/parent/quick" "$WORK/change/quick"
 produce "$WORK/parent-src" "$WORK/parent"
 produce . "$WORK/change"
 
+# show <file> <line>: that line, cut to 200 characters, or a marker past
+# the file's end.
+show() {
+    if [ "$2" -gt "$(wc -l < "$1")" ]; then
+        echo "(end of file)"
+    else
+        sed -n "${2}p" "$1" | cut -c1-200
+    fi
+}
+
 # blank <file>: the file with wall-clock fields blanked.
 blank() { sed -e 's/"elapsed_ms": *[0-9.]*/"elapsed_ms": 0/' -e 's/elapsed [0-9.]*[a-zµ]*s)/elapsed)/' "$1"; }
 
@@ -69,18 +81,27 @@ if [ -s "$WORK/only.list" ]; then
         "$(grep -c '^+' "$WORK/only.list" || true) only in the change (all in $WORK/only.list):"
     head -5 "$WORK/only.list"
 fi
+: > "$WORK/diff.list"
 while read -r f; do
     blank "$WORK/parent/$f" > "$WORK/a"
     blank "$WORK/change/$f" > "$WORK/b"
     if ! cmp -s "$WORK/a" "$WORK/b"; then
-        line=$(cmp "$WORK/a" "$WORK/b" | sed 's/.*line //')
-        echo "identity: first difference: $f line $line"
-        echo "  parent: $(sed -n "${line}p" "$WORK/a" | cut -c1-200)"
-        echo "  change: $(sed -n "${line}p" "$WORK/b" | cut -c1-200)"
-        exit 1
+        echo "$f" >> "$WORK/diff.list"
+        # cmp names the first differing line, or the last line of a file
+        # that ends where the other goes on, so the difference is the next.
+        out=$(cmp "$WORK/a" "$WORK/b" 2>&1) || true
+        line=$(echo "$out" | sed -n 's/.*line \([0-9]*\).*/\1/p')
+        case $out in *EOF*) line=$((${line:-0} + 1)) ;; esac
+        echo "identity: differs: $f line $line"
+        echo "  parent: $(show "$WORK/a" "$line")"
+        echo "  change: $(show "$WORK/b" "$line")"
     fi
 done < "$WORK/common.list"
 n=$(wc -l < "$WORK/common.list")
+if [ -s "$WORK/diff.list" ]; then
+    echo "identity: $(wc -l < "$WORK/diff.list") of $n common artifacts vs $PARENT differ (listed in $WORK/diff.list)"
+    exit 1
+fi
 if [ -s "$WORK/only.list" ]; then
     echo "identity: $n common artifacts vs $PARENT: identical; file sets differ"
     exit 1
