@@ -160,7 +160,8 @@ FUZZ_TARGETS = \
 	FuzzPlan:./internal/fault \
 	FuzzReallocate:./internal/netem \
 	FuzzQueue:./internal/sim \
-	FuzzPromRoundTrip:./internal/trace
+	FuzzPromRoundTrip:./internal/trace \
+	FuzzDownloads:./internal/core
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -61,10 +61,7 @@ func main() {
 	}()
 	fmt.Println("CDN origin on", ln.Addr(), "with variants", origin.VariantNames())
 
-	client, err := p2psplice.NewCDNClient("http://"+ln.Addr().String(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
+	client := p2psplice.NewCDNClient("http://"+ln.Addr().String(), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := client.Load(ctx); err != nil {

@@ -156,10 +156,7 @@ func TestChooseSegmentPrefersLargestWithinBound(t *testing.T) {
 func TestClientStreamsWholeClip(t *testing.T) {
 	v := testVideo(t)
 	_, srv := newOriginServer(t, v, 2*time.Second, 4*time.Second, 8*time.Second)
-	c, err := NewClient(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(srv.URL, srv.Client())
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := c.Load(ctx); err != nil {
@@ -206,10 +203,7 @@ func TestClientStreamsWholeClip(t *testing.T) {
 
 func TestClientErrors(t *testing.T) {
 	ctx := context.Background()
-	c, err := NewClient("http://127.0.0.1:1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient("http://127.0.0.1:1", nil)
 	if _, err := c.Stream(ctx); err == nil {
 		t.Error("Stream before Load: want error")
 	}
@@ -235,10 +229,7 @@ func TestClientErrors(t *testing.T) {
 	}
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
-	c2, err := NewClient(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := NewClient(srv.URL, srv.Client())
 	if err := c2.Load(ctx); err == nil {
 		t.Error("mismatched clip durations: want error")
 	}
@@ -274,10 +265,7 @@ func TestTimelinePlayerStallAccounting(t *testing.T) {
 		o.Handler().ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
 	if err := c.Load(ctx); err != nil {
 		t.Fatal(err)

@@ -91,11 +91,11 @@ type Client struct {
 }
 
 // NewClient returns a client for the origin at base.
-func NewClient(base string, httpClient *http.Client) (*Client, error) {
+func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{base: base, http: httpClient}, nil
+	return &Client{base: base, http: httpClient}
 }
 
 // Load fetches the variant list and manifests.

@@ -228,7 +228,7 @@ func transferCycle(tb testing.TB) (cycle func(), first *Flow, ramps *int, elapse
 			*ramps++
 		}
 	})
-	done := func(f *Flow) { *elapsed = f.Elapsed() }
+	done := func(*Flow) { *elapsed = eng.Now() }
 	var last *Flow
 	cycle = func() {
 		f, err := n.StartTransfer(0, 1, 3<<20, TransferOptions{}, done)

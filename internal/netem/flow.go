@@ -25,17 +25,14 @@ type Flow struct {
 	dst  NodeID
 	size int64
 
-	state      flowState
-	remaining  float64
-	rate       float64 // current allocated rate, bytes/s
-	rampCap    float64 // slow-start cap, doubles per RTT
-	lossCap    float64 // Mathis bound; +Inf when the path is loss-free
-	rampMax    float64 // stop ramping once rampCap exceeds this
-	rtt        time.Duration
-	started    time.Duration // creation time (setup start)
-	activated  time.Duration // first payload byte
-	lastUpdate time.Duration
-	onLinks    bool // joined the link flow lists (reached flowActive)
+	state     flowState
+	remaining float64
+	rate      float64 // current allocated rate, bytes/s
+	rampCap   float64 // slow-start cap, doubles per RTT
+	lossCap   float64 // Mathis bound; +Inf when the path is loss-free
+	rampMax   float64 // stop ramping once rampCap exceeds this
+	rtt       time.Duration
+	onLinks   bool // joined the link flow lists (reached flowActive)
 
 	// Progress is anchored at the last rate change: remaining(t) is
 	// recomputed as anchorRemaining - rate*(t-anchorAt) rather than
@@ -122,8 +119,6 @@ func (n *Network) StartTransfer(src, dst NodeID, size int64, opts TransferOption
 		size:       size,
 		remaining:  float64(size),
 		rtt:        rtt,
-		started:    n.eng.Now(),
-		lastUpdate: n.eng.Now(),
 		onComplete: onComplete,
 		flowTimers: f.flowTimers,
 	}
@@ -216,15 +211,6 @@ func (f *Flow) Remaining() int64 {
 	return int64(math.Ceil(f.remaining))
 }
 
-// Elapsed returns how long the flow has existed (setup included) up to its
-// completion, cancellation, or the current instant.
-func (f *Flow) Elapsed() time.Duration {
-	if f.state == flowDone || f.state == flowCancelled {
-		return f.lastUpdate - f.started
-	}
-	return f.net.eng.Now() - f.started
-}
-
 // Cancel aborts the flow (peer departure, shutdown). OnComplete does not
 // fire. Cancelling a flow inside its own OnComplete is a no-op; after
 // Cancel or OnComplete returns, the handle belongs to the Network.
@@ -255,9 +241,7 @@ func (f *Flow) activate() {
 		return
 	}
 	f.state = flowActive
-	f.activated = f.net.eng.Now()
-	f.lastUpdate = f.activated
-	f.anchorAt = f.activated
+	f.anchorAt = f.net.eng.Now()
 	f.anchorRemaining = f.remaining
 	f.onLinks = true
 	f.lup = f.net.nodes[f.src].up
@@ -458,8 +442,8 @@ func (l *link) removeFlow(i int) {
 //
 //lint:hotpath under Remaining
 func (n *Network) advance(f *Flow) {
-	if now := n.eng.Now(); f.state <= flowActive { // setup or active
-		f.remaining, f.lastUpdate = f.remainingAt(now), now
+	if f.state <= flowActive { // setup or active
+		f.remaining = f.remainingAt(n.eng.Now())
 	}
 }
 

@@ -482,9 +482,6 @@ func TestFlowAccessors(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 	eng.RunUntil(500 * time.Millisecond)
-	if got := f.Elapsed(); got != 500*time.Millisecond {
-		t.Errorf("Elapsed = %v, want 500ms", got)
-	}
 	rem := f.Remaining()
 	if rem <= 0 || rem >= 100_000 {
 		t.Errorf("Remaining = %d mid-transfer", rem)
@@ -495,9 +492,6 @@ func TestFlowAccessors(t *testing.T) {
 	eng.RunUntil(5 * time.Second)
 	if f.state != flowDone || f.Remaining() != 0 {
 		t.Error("flow should be done with zero remaining")
-	}
-	if got := f.Elapsed(); got != time.Second {
-		t.Errorf("final Elapsed = %v, want 1s", got)
 	}
 	if len(n.flows) != 0 {
 		t.Errorf("%d live flows after completion, want 0", len(n.flows))

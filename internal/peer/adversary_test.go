@@ -225,7 +225,9 @@ func TestCorrupterQuarantinedAndViewerRecovers(t *testing.T) {
 	waitFor(t, "a quarantine trace event", 10*time.Second, func() bool {
 		return countRepEvents(buf, trace.EvQuarantine) >= 1
 	})
-	snap := viewer.Reputation()
+	viewer.mu.Lock()
+	snap := viewer.rep.Snapshot(viewer.now())
+	viewer.mu.Unlock()
 	if len(snap) == 0 || snap[0].Key != evil.id || snap[0].Quarantines < 1 {
 		t.Fatalf("reputation snapshot does not show the quarantined corrupter: %+v", snap)
 	}

@@ -124,7 +124,7 @@ func (n *Node) dropConn(c *conn) {
 			}
 		}
 	}
-	orphaned := n.orphanLocked(c)
+	orphaned := n.dl.Lose(&c.src, n.now(), n.forgetLocked)
 	n.mu.Unlock()
 	if unchoke != nil {
 		if err := unchoke.send(&wire.Message{Type: wire.MsgUnchoke}); err != nil {
@@ -134,20 +134,6 @@ func (n *Node) dropConn(c *conn) {
 	if orphaned > 0 {
 		n.schedule()
 	}
-}
-
-// orphanLocked takes every download assigned to c out of the pool (n.mu
-// held) and reports how many there were. A complete one needs c no more:
-// onPiece is verifying it, and ends it either way.
-func (n *Node) orphanLocked(c *conn) (orphaned int) {
-	for idx, d := range n.active {
-		if d.conn == c && !d.complete() {
-			n.dropActiveLocked(idx)
-			n.est.Finish(n.now())
-			orphaned++
-		}
-	}
-	return orphaned
 }
 
 // send writes one message, serialized against concurrent senders. The
@@ -347,7 +333,7 @@ func (n *Node) reapIdleSlots() {
 func (n *Node) abandonDownloadsOn(c *conn) {
 	n.mu.Lock()
 	c.choked = true
-	orphaned := n.orphanLocked(c)
+	orphaned := n.dl.Lose(&c.src, n.now(), n.forgetLocked)
 	n.mu.Unlock()
 	if orphaned > 0 {
 		n.schedule()

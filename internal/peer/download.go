@@ -9,23 +9,14 @@ import (
 	"p2psplice/internal/wire"
 )
 
-// segDownload tracks one in-flight segment transfer. started and progress
-// are on the playback clock (n.now), like every other time the scheduler
-// reads.
+// segDownload is the socket side of one in-flight segment download; its
+// Flight in n.dl holds the rest.
 type segDownload struct {
-	index     int
-	size      int
-	conn      *conn
-	buf       []byte // becomes the stored segment once verified
-	blocks    []bool // received flags
-	remaining int
-	started   time.Duration
-	progress  time.Duration // last block arrival (watchdog)
+	index  int
+	conn   *conn
+	buf    []byte // becomes the stored segment once verified
+	blocks []bool // received flags
 }
-
-// complete reports that every block has arrived (n.mu held): onPiece is
-// verifying and storing the segment, and ends the download when done.
-func (d *segDownload) complete() bool { return d.remaining == 0 }
 
 // schedule tops up the download pool: the real stack's driver of
 // internal/core's scheduler, as simpeer.fill is the emulation's. Called on
@@ -40,15 +31,15 @@ func (n *Node) schedule() {
 	var f trace.PoolFacts // zero unless a segment is wanted
 
 	n.mu.Lock()
-	first, now := n.pool.FirstWanted(), n.now()
+	first, now := n.dl.Pool.FirstWanted(), n.now()
 	if !n.closed && first >= 0 {
 		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
 		// before its first sample), T the playback buffer, W the size of first.
 		f = trace.PoolFacts{
-			Bandwidth: n.est.Estimate(n.manifest.Video.BytesPerSecond),
+			Bandwidth: n.dl.Meter.Estimate(n.manifest.Video.BytesPerSecond),
 			Buffered:  n.play.BufferedAhead(now),
 			SegBytes:  n.manifest.Segments[first].Bytes,
-			InFlight:  n.pool.InFlight,
+			InFlight:  n.dl.Pool.InFlight,
 		}
 		f.Target = n.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
 		n.qoe.PoolK.Observe(int64(f.Target))
@@ -56,7 +47,7 @@ func (n *Node) schedule() {
 			n.buildSourceSetLocked(now)
 			// The node cannot see a swarm-wide availability frontier, so
 			// the scan never cuts early.
-			f.Blocked = n.set.Fill(&n.pool, first, f.Target, len(n.pool.Have)-1, func(idx int, src *core.Source, _ bool) {
+			f.Blocked = n.set.Fill(&n.dl.Pool, first, f.Target, len(n.dl.Pool.Have)-1, func(idx int, src *core.Source, _ bool) {
 				if src != nil {
 					launches = append(launches, n.launchLocked(src.Owner.(*conn), idx, now))
 				}
@@ -99,36 +90,26 @@ func (n *Node) buildSourceSetLocked(now time.Duration) {
 // launchLocked registers the download of segment idx from c (n.mu held);
 // the scheduler enters it into the pool and c's load.
 func (n *Node) launchLocked(c *conn, idx int, now time.Duration) *segDownload {
-	size := int(n.manifest.Segments[idx].Bytes)
+	size := n.manifest.Segments[idx].Bytes
 	d := &segDownload{
-		index:    idx,
-		size:     size,
-		conn:     c,
-		buf:      make([]byte, size),
-		blocks:   make([]bool, wire.BlockCount(int64(size), wire.DefaultBlockLen)),
-		started:  now,
-		progress: now,
+		index:  idx,
+		conn:   c,
+		buf:    make([]byte, size),
+		blocks: make([]bool, wire.BlockCount(size, wire.DefaultBlockLen)),
 	}
-	d.remaining = len(d.blocks)
 	n.active[idx] = d
-	n.est.Start(now)
+	n.dl.Launch(idx, &c.src, size, now)
 	return d
 }
 
-// dropActiveLocked removes segment idx from the download pool (n.mu
-// held): the one place the pool shrinks. It syncs the player first, so a
-// stall this call reveals is attributed with the download still in the
-// pool (see trace.StallFacts).
-func (n *Node) dropActiveLocked(idx int) {
-	n.play.Position(n.now())
-	n.pool.Drop(idx, &n.active[idx].conn.src)
-	delete(n.active, idx)
-}
+// forgetLocked drops the socket side of segment idx's download, which is
+// ending (n.mu held).
+func (n *Node) forgetLocked(idx int) { delete(n.active, idx) }
 
 // requestAllBlocks pipelines every block request for a segment, in one
 // write.
 func (n *Node) requestAllBlocks(d *segDownload) {
-	if err := d.conn.sendRequests(d.index, d.size); err != nil {
+	if err := d.conn.sendRequests(d.index, len(d.buf)); err != nil {
 		d.conn.close()
 	}
 }
@@ -139,7 +120,6 @@ func (n *Node) requestAllBlocks(d *segDownload) {
 // schedule in between launches it again.
 func (n *Node) onPiece(c *conn, m *wire.Message) {
 	idx := int(m.Index)
-	var elapsed time.Duration
 
 	n.mu.Lock()
 	d, ok := n.active[idx]
@@ -150,7 +130,7 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 	// A block is DefaultBlockLen bytes, the segment's last one the rest
 	// (the wire admits no empty PIECE, so none lies past the end).
 	off := int(m.Offset)
-	if off%wire.DefaultBlockLen != 0 || len(m.Data) != min(wire.DefaultBlockLen, d.size-off) {
+	if off%wire.DefaultBlockLen != 0 || len(m.Data) != min(wire.DefaultBlockLen, len(d.buf)-off) {
 		n.mu.Unlock()
 		c.close()
 		return
@@ -163,18 +143,12 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		return
 	}
 	d.blocks[block] = true
-	d.remaining--
 	copy(d.buf[off:], m.Data)
-	d.progress = n.now()
+	n.dl.Deliver(idx, int64(len(m.Data)), n.now())
 	n.stats.DownloadedBytes += int64(len(m.Data))
-	n.est.Deliver(int64(len(m.Data)))
 	n.nm.blocksRx.Inc()
 	n.nm.bytesRx.Add(int64(len(m.Data)))
-	done := d.complete()
-	if done {
-		elapsed = d.progress - d.started
-		n.est.Finish(d.progress)
-	}
+	done := n.dl.Flight(idx).Done()
 	n.mu.Unlock()
 	if !done {
 		return
@@ -186,14 +160,15 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		// The remote served data that does not match the manifest: drop it
 		// and re-download from someone else.
 		n.mu.Lock()
-		n.dropActiveLocked(idx)
+		f := n.dl.End(idx, n.now(), false)
+		n.forgetLocked(idx)
 		n.stats.VerifyFailures++
 		n.mu.Unlock()
 		n.nm.verifyFails.Inc()
 		n.emit(trace.CatPool, trace.EvVerifyFail, idx)
 		// Score the offender across reconnects: the peer ID, not the conn,
 		// is the stable identity a repeat corrupter keeps.
-		n.observePeer(c.id, reputation.ObsVerifyFail)
+		n.observePeer(c.id, f.Charge(core.Rejected, n.rep.Config()))
 		c.close()
 		n.schedule()
 		return
@@ -203,7 +178,8 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		// immediate reschedule it would sit undownloaded until some
 		// unrelated event (or the watchdog) next ran the scheduler.
 		n.mu.Lock()
-		n.dropActiveLocked(idx)
+		n.dl.End(idx, n.now(), false)
+		n.forgetLocked(idx)
 		n.stats.StoreFailures++
 		n.mu.Unlock()
 		n.nm.storeFails.Inc()
@@ -211,17 +187,15 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 		n.schedule()
 		return
 	}
-	// Stored: the download leaves the pool as the segment becomes held, in
-	// one step, so no schedule sees it as neither.
 	n.mu.Lock()
-	n.dropActiveLocked(idx)
-	n.pool.Store(idx)
+	f := n.dl.End(idx, n.now(), true)
+	n.forgetLocked(idx)
 	n.mu.Unlock()
 	// A verified completion earns the server credit, unless it crawled in
 	// below the slow-serve floor.
-	n.observePeer(c.id, n.rep.Config().ServeObservation(int64(d.size), elapsed))
+	n.observePeer(c.id, f.Charge(core.Verified, n.rep.Config()))
 	n.nm.segsDone.Inc()
-	n.qoe.Segment(n.now(), -1, idx, int64(d.size), elapsed)
+	n.qoe.Segment(n.now(), -1, idx, f.Size, f.Last-f.Started)
 	n.mu.Lock()
 	// Errors are impossible: idx was validated against the store size.
 	_ = n.play.OnSegmentComplete(idx, n.now())
@@ -236,33 +210,28 @@ func (n *Node) onPiece(c *conn, m *wire.Message) {
 }
 
 // expireStalled abandons downloads that have made no progress within the
-// timeout so the watchdog can retry them on another connection. A complete
-// download being verified is onPiece's to end.
+// timeout so the watchdog can retry them on another connection. A
+// download whose last byte came is being verified: onPiece ends it.
 func (n *Node) expireStalled() {
-	var stalled []*segDownload
+	var stalled []core.Flight
+	var segs []int
 	n.mu.Lock()
 	now := n.now()
-	for idx, d := range n.active {
-		if !d.complete() && now-d.progress > n.cfg.DownloadTimeout {
-			n.dropActiveLocked(idx)
-			n.est.Finish(now)
+	for idx := range n.active {
+		if f := n.dl.Flight(idx); !f.Done() && now-f.Last > n.cfg.DownloadTimeout {
+			stalled = append(stalled, n.dl.End(idx, now, false))
+			segs = append(segs, idx)
+			n.forgetLocked(idx)
 			n.stats.ExpiredDownloads++
-			stalled = append(stalled, d)
 		}
 	}
 	n.mu.Unlock()
-	for _, d := range stalled {
+	for i, f := range stalled {
 		n.nm.expired.Inc()
-		n.emit(trace.CatPool, trace.EvTimeout, d.index)
-		// Not a single block arrived: the remote advertised the segment and
-		// accepted the requests but served nothing — a stale HAVE, which
-		// scores harder than a transfer that died partway.
-		obs := reputation.ObsTimeout
-		if d.remaining == len(d.blocks) {
-			obs = reputation.ObsStaleHave
-		}
-		n.observePeer(d.conn.id, obs)
-		d.conn.close()
+		n.emit(trace.CatPool, trace.EvTimeout, segs[i])
+		c := f.Src.Owner.(*conn)
+		n.observePeer(c.id, f.Charge(core.Expired, n.rep.Config()))
+		c.close()
 	}
 	if len(stalled) > 0 {
 		// close() on an already-dead conn is a no-op (its dropConn ran long

@@ -161,10 +161,10 @@ func newWindowLeecher(t *testing.T, k int, two bool) (*Node, *hookPutStore, *con
 func injectDownload(n *Node, c *conn, idx int, age time.Duration) {
 	n.mu.Lock()
 	if n.active[idx] != nil {
-		n.dropActiveLocked(idx)
-		n.est.Finish(n.now())
+		n.dl.End(idx, n.now(), false)
+		n.forgetLocked(idx)
 	}
-	n.pool.Start(idx, &c.src)
+	n.dl.Pool.Start(idx, &c.src)
 	n.launchLocked(c, idx, n.now()-age)
 	n.mu.Unlock()
 }
@@ -216,7 +216,7 @@ func TestVerifyWindowDoesNotRelaunch(t *testing.T) {
 		during = activeIndices(n)
 		n.mu.Lock()
 		d := n.active[i]
-		claimed = d != nil && d.complete()
+		claimed = d != nil && n.dl.Flight(i).Done()
 		n.mu.Unlock()
 		return nil
 	}
@@ -302,12 +302,12 @@ func TestConnLostInVerifyWindow(t *testing.T) {
 			feedSegment(n, ca, 0, blob)
 
 			n.mu.Lock()
-			inflight, active, uploads := n.pool.InFlight, len(n.active), ca.src.Uploads
+			inflight, active, uploads := n.dl.Pool.InFlight, len(n.active), ca.src.Uploads
 			n.mu.Unlock()
 			if inflight != 0 || active != 0 || uploads != 0 {
 				t.Errorf("pool.InFlight %d, active %d, conn uploads %d; want all 0", inflight, active, uploads)
 			}
-			if got := n.est.InFlight(); got != 0 {
+			if got := n.dl.Meter.InFlight(); got != 0 {
 				t.Errorf("meter in flight %d, want 0", got)
 			}
 			if !hs.Bitfield()[0] {

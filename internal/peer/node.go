@@ -119,15 +119,15 @@ type Node struct {
 	// handles are lock-free; its transition methods run under mu.
 	qoe *trace.QoE
 
-	mu     sync.Mutex // guards conns, roster, active, pool, set, play, est, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
+	mu     sync.Mutex // guards conns, roster, active, dl, set, play, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
 	conns  map[wire.PeerID]*conn
-	active map[int]*segDownload // in-flight segment downloads
+	active map[int]*segDownload // the socket side of each download in flight
 	// roster seats each conn's source in the conn's slot for the node's
-	// life. pool is this node as the scheduler sees it, which roster
-	// tracks as a non-member: Have mirrors the store, Fetching active's
-	// keys. set is schedule's source-set scratch.
+	// life. dl is this node as a downloader: its pool, which roster tracks
+	// as a non-member (Have mirrors the store, Fetching active's keys), its
+	// meter and its flights. set is schedule's source-set scratch.
 	roster *core.Roster
-	pool   core.Pool
+	dl     *core.Downloads
 	set    core.SourceSet
 	// rep scores remote peers by ID — the stable identity a repeat
 	// offender keeps across reconnects. The scheduler deprioritizes high
@@ -138,7 +138,6 @@ type Node struct {
 	// replaces.
 	rep           *reputation.Table[wire.PeerID]
 	play          *player.Player // nil for seeders
-	est           core.AggregateMeter
 	stats         Stats
 	servingConns  int     // occupied upload slots
 	chokedWaiters []*conn // FIFO of choked requesters awaiting a slot
@@ -210,8 +209,6 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 	if err != nil {
 		return nil, err
 	}
-	roster, pool := core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(store.Bitfield())
-	roster.Track(&pool, -1)
 	ctx, cancel := context.WithCancel(context.Background())
 	// Build the player before the Node exists so every post-construction
 	// access to the guarded play field goes through n.mu.
@@ -231,6 +228,8 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 			return nil, err
 		}
 	}
+	roster, dl := core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(store.Bitfield(), play)
+	roster.Track(&dl.Pool, -1)
 	n := &Node{
 		cfg:       cfg,
 		trk:       trk,
@@ -246,7 +245,7 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 		conns:     make(map[wire.PeerID]*conn),
 		active:    make(map[int]*segDownload),
 		roster:    roster,
-		pool:      pool,
+		dl:        dl,
 		dialState: make(map[string]*dialBackoff),
 		rep:       reputation.NewTable[wire.PeerID](*cfg.Reputation),
 		play:      play,
@@ -289,9 +288,6 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
-
-// PeerID returns the node's identity.
-func (n *Node) PeerID() wire.PeerID { return n.peerID }
 
 // InfoHash returns the swarm identity.
 func (n *Node) InfoHash() wire.InfoHash { return n.infoHash }
@@ -362,14 +358,6 @@ func (n *Node) SetServeDuplication(on bool) {
 		name = trace.EvDuplicate
 	}
 	n.emit(trace.CatFault, name, -1)
-}
-
-// Reputation snapshots the node's per-peer reputation table on the
-// playback clock (first-observation order).
-func (n *Node) Reputation() []reputation.PeerStats[wire.PeerID] {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rep.Snapshot(n.now())
 }
 
 // Done returns a channel closed when every segment has been downloaded.

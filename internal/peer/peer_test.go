@@ -268,7 +268,7 @@ func TestNodeAccessorsAndWaitCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seeder.Close()
-	if seeder.PeerID() == (wire.PeerID{}) {
+	if seeder.peerID == (wire.PeerID{}) {
 		t.Error("zero peer id")
 	}
 	if seeder.Manifest() == nil || len(seeder.Manifest().Segments) != len(blobs) {

@@ -43,7 +43,7 @@ func pickNode(t *testing.T) *Node {
 // holder registers a fake connection whose remote holds every segment.
 func holder(t *testing.T, n *Node, id byte) *conn {
 	t.Helper()
-	all := make([]bool, len(n.pool.Have))
+	all := make([]bool, len(n.dl.Pool.Have))
 	for i := range all {
 		all[i] = true
 	}
@@ -70,7 +70,8 @@ func drop(n *Node, c *conn) {
 	n.unseatLocked(c)
 	for idx, d := range n.active {
 		if d.conn == c {
-			n.dropActiveLocked(idx)
+			n.dl.End(idx, n.now(), false)
+			n.forgetLocked(idx)
 		}
 	}
 }
@@ -189,7 +190,7 @@ func TestPickTieBreaksOnLowestID(t *testing.T) {
 // what a node cannot see.
 func TestNodeGathersSourceFacts(t *testing.T) {
 	n := pickNode(t)
-	segs := len(n.pool.Have)
+	segs := len(n.dl.Pool.Have)
 	only := func(i int) []bool { h := make([]bool, segs); h[i] = true; return h }
 	choked := addFakeConn(t, n, 'a', only(0), true)
 	closed := addFakeConn(t, n, 'b', only(1), false)
@@ -229,9 +230,10 @@ func TestNodeGathersSourceFacts(t *testing.T) {
 	// Finishing a download returns the load.
 	drop(n, open)
 	n.mu.Lock()
-	n.dropActiveLocked(1)
+	n.dl.End(1, n.now(), false)
+	n.forgetLocked(1)
 	n.mu.Unlock()
-	if full.src.Uploads != 1 || n.pool.InFlight != 1 || !n.pool.Wanted(1) {
-		t.Errorf("after one drop: load %d, in flight %d, wanted(1)=%v", full.src.Uploads, n.pool.InFlight, n.pool.Wanted(1))
+	if full.src.Uploads != 1 || n.dl.Pool.InFlight != 1 || !n.dl.Pool.Wanted(1) {
+		t.Errorf("after one drop: load %d, in flight %d, wanted(1)=%v", full.src.Uploads, n.dl.Pool.InFlight, n.dl.Pool.Wanted(1))
 	}
 }

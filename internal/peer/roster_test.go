@@ -28,10 +28,10 @@ func checkNodeRoster(n *Node, fail func(format string, args ...any)) {
 		}
 		seated[c.src.ID] = c
 	}
-	if n.pool.InFlight != len(n.active) {
-		fail("pool: %d in flight, %d active downloads", n.pool.InFlight, len(n.active))
+	if n.dl.Pool.InFlight != len(n.active) {
+		fail("pool: %d in flight, %d active downloads", n.dl.Pool.InFlight, len(n.active))
 	}
-	for idx, fetching := range n.pool.Fetching {
+	for idx, fetching := range n.dl.Pool.Fetching {
 		if active := n.active[idx] != nil; fetching != active {
 			fail("seg %d: pool fetching %v, active %v", idx, fetching, active)
 		}
@@ -132,8 +132,8 @@ func TestNodeRosterMatchesConns(t *testing.T) {
 			what = "download end"
 			n.mu.Lock()
 			for idx := range n.active {
-				n.dropActiveLocked(idx)
-				n.est.Finish(n.now())
+				n.dl.End(idx, n.now(), false)
+				n.forgetLocked(idx)
 				break
 			}
 			n.mu.Unlock()
@@ -162,7 +162,7 @@ func TestLateDropSparesTheSlotsNextConn(t *testing.T) {
 	a := holder(t, n, 'a')
 	injectDownload(n, a, 0, 0)
 	n.mu.Lock()
-	n.active[0].remaining = 0 // every block in: onPiece is verifying it
+	n.dl.Deliver(0, n.dl.Flight(0).Size, n.now()) // every block in: onPiece is verifying it
 	n.mu.Unlock()
 	a.close()
 	n.dropConn(a)
@@ -174,7 +174,8 @@ func TestLateDropSparesTheSlotsNextConn(t *testing.T) {
 	}
 
 	n.mu.Lock()
-	n.dropActiveLocked(0)
+	n.dl.End(0, n.now(), false)
+	n.forgetLocked(0)
 	_, open, _, _ := n.roster.Bits(b.src.ID, 0)
 	n.mu.Unlock()
 	if b.src.Uploads != 2 || open || a.src.Uploads != 0 {

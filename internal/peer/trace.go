@@ -80,16 +80,18 @@ func (n *Node) playbackTransitionLocked(t player.Transition) {
 // zero, and trace.StallFacts.Cause names the cause.
 func (n *Node) stallFactsLocked(time.Duration) trace.StallFacts {
 	now := n.now()
-	f := trace.StallFacts{InFlight: len(n.active)}
+	f := trace.StallFacts{InFlight: n.dl.Pool.InFlight}
 	if f.InFlight > 0 {
 		f.AllQuarantined = true
-		for _, d := range n.active {
-			f.AllQuarantined = f.AllQuarantined && n.rep.Quarantined(d.conn.id, now)
+		for idx := n.dl.Pool.First; idx < len(n.dl.Pool.Have); idx++ {
+			if src := n.dl.Flight(idx).Src; src != nil {
+				f.AllQuarantined = f.AllQuarantined && n.rep.Quarantined(src.Owner.(*conn).id, now)
+			}
 		}
 		return f
 	}
-	next := n.pool.First
-	if next == len(n.pool.Have) {
+	next := n.dl.Pool.First
+	if next == len(n.dl.Pool.Have) {
 		f.NothingMissing = true
 		return f
 	}

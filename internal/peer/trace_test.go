@@ -111,8 +111,6 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if n.store, err = NewStore(len(m.Segments)); err != nil {
 		t.Fatal(err)
 	}
-	n.roster, n.pool = core.NewRoster(nil, maxConcurrentPerConn), core.NewPool(n.store.Bitfield())
-	n.roster.Track(&n.pool, -1)
 	durations := make([]time.Duration, len(m.Segments))
 	for i, s := range m.Segments {
 		durations[i] = s.Duration
@@ -124,6 +122,8 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if err := n.play.Start(0); err != nil {
 		t.Fatal(err)
 	}
+	n.roster, n.dl = core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(n.store.Bitfield(), n.play)
+	n.roster.Track(&n.dl.Pool, -1)
 	return n
 }
 

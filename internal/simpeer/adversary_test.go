@@ -244,3 +244,52 @@ func TestSoleSourceEscapeHatch(t *testing.T) {
 		t.Errorf("no peer_quarantined stalls despite escape-hatch downloads; causes: %v", causes)
 	}
 }
+
+// A verified segment is stored in the step that takes it out of the pool,
+// before its source is charged: a quarantine that charge raises refills
+// every pool, and p's must not want the segment it is completing. Here a
+// slow serve's cost alone quarantines, and at the higher floor every
+// completion is slow. Before the fix p re-launched the segment between
+// those two steps (at 64 KiB/s), and at 1 GiB/s a duplicate's completion
+// found no record of it in flight (a panic). No segment is re-launched
+// while it completes, and every leecher stores every segment once.
+func TestQuarantineAtCompletionStoresOnce(t *testing.T) {
+	segs := segmentsFor(t, splicer.DurationSplicer{Target: 4 * time.Second}, time.Minute, 1)
+	for _, floor := range []int64{64 << 10, 1 << 30} {
+		cfg := baseConfig(256 * 1024)
+		rep := reputation.Default()
+		rep.SlowServeCost, rep.QuarantineScore = 10, 10
+		rep.SlowServeBytesPerSec = floor
+		cfg.Reputation = &rep
+		buf := trace.NewBuffer()
+		cfg.Tracer = trace.New(buf)
+		res, err := RunSwarm(cfg, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A launch never completes at its own instant (request set-up
+		// takes an RTT), so a pick at a completion's instant is a
+		// re-launch of the segment being completed.
+		picked := map[[2]int]time.Duration{}
+		stored := map[[2]int]int{}
+		for _, ev := range buf.Events() {
+			key := [2]int{ev.Peer, ev.Seg}
+			switch ev.Name {
+			case trace.EvSourcePick:
+				picked[key] = ev.At
+			case trace.EvSegComplete:
+				stored[key]++
+				if at, ok := picked[key]; ok && at == ev.At {
+					t.Errorf("floor %d B/s: peer %d re-launched segment %d at %v while completing it", floor, ev.Peer, ev.Seg, at)
+				}
+			}
+		}
+		for _, p := range res.Peers {
+			for idx := range segs {
+				if n := stored[[2]int{p.Peer, idx}]; n != 1 {
+					t.Errorf("floor %d B/s: peer %d stored segment %d %d times, want 1", floor, p.Peer, idx, n)
+				}
+			}
+		}
+	}
+}

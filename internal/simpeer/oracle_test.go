@@ -43,7 +43,7 @@ func refSourceProgress(s *swarm, q *peerState, idx int) float64 {
 		return -1
 	}
 	d := q.inFlight[idx]
-	if d.flow == nil {
+	if d.flow == nil || !q.dl.Pool.Fetching[idx] {
 		return -1
 	}
 	size := d.flow.Size()
@@ -108,8 +108,8 @@ func refPickSourceFrom(s *swarm, p *peerState, idx int, allowQuarantined bool) *
 }
 
 func refCDNEligible(p *peerState) bool {
-	for _, d := range p.inFlight {
-		if d.src != nil && d.src.isCDN {
+	for idx := range p.inFlight {
+		if src := p.dl.Flight(idx).Src; src != nil && src.Owner.(*peerState).isCDN {
 			return false
 		}
 	}
@@ -146,12 +146,12 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		// departed and adversarial ones included — holds or fetches anything.
 		for _, q := range sw.peers[1:] {
 			for j := sw.frontier + 1; j < len(sw.segs); j++ {
-				if q.src.Have[j] || q.inFlight[j].src != nil {
+				if q.src.Have[j] || q.dl.Flight(j).Src != nil {
 					fail("t=%v: peer%d has or fetches seg%d past the frontier %d", now, q.id, j, sw.frontier)
 				}
 			}
 		}
-		if !p.pool.Wanted(idx) {
+		if !p.dl.Pool.Wanted(idx) {
 			fail("t=%v: peer%d selecting for unwanted seg%d", now, p.id, idx)
 		}
 		checkRoster(sw, func(format string, args ...any) { fail("t=%v: "+format, append([]any{now}, args...)...) })
@@ -159,7 +159,7 @@ func attachOracle(sw *swarm, st *oracleStats, fail func(format string, args ...a
 		if beyond {
 			st.cuts++
 			for j := idx; j < len(sw.segs); j++ {
-				if !p.pool.Wanted(j) {
+				if !p.dl.Pool.Wanted(j) {
 					fail("t=%v: peer%d does not want seg%d past the frontier %d", now, p.id, j, sw.frontier)
 				}
 				if ref := refPickSource(sw, p, j); ref != nil {
@@ -214,7 +214,7 @@ func checkRoster(sw *swarm, fail func(format string, args ...any)) {
 		}
 		for idx := range sw.segs {
 			hold, _, _, _ := sw.roster.Bits(q.id, idx)
-			fetching := q.pool.Fetching != nil && q.pool.Fetching[idx]
+			fetching := q.dl != nil && q.dl.Pool.Fetching[idx]
 			if want := q.src.Have[idx] || fetching; hold != want {
 				fail("peer%d seg%d: roster hold %v, have %v fetching %v", q.id, idx, hold, q.src.Have[idx], fetching)
 			}

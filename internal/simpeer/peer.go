@@ -7,7 +7,6 @@ import (
 	"p2psplice/internal/fault"
 	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
-	"p2psplice/internal/reputation"
 	"p2psplice/internal/sim"
 	"p2psplice/internal/trace"
 )
@@ -27,17 +26,14 @@ type peerState struct {
 
 	// Leecher-only fields.
 	player *player.Player
-	// pool is this node as a downloader (its Have is src.Have). inFlight
-	// holds the download behind each segment pool.Fetching marks, a zero
-	// record elsewhere; index order is the deterministic teardown order.
-	pool     core.Pool
+	// dl is this node as a downloader (its Pool.Have is src.Have).
+	// inFlight holds the netem side of each flight, read only while its
+	// segment is Fetching; index order is the deterministic teardown order.
+	dl       *core.Downloads
 	inFlight []download
 	// done is the OnComplete of every transfer p downloads, bound once at
 	// setup: the in-flight record holding the Flow names its segment.
-	done func(*netem.Flow)
-	// est meters p's aggregate download rate, Eq. 1's B, as the real
-	// node's does; nil for an oracle peer, which neither feeds nor reads it.
-	est      *core.AggregateMeter
+	done     func(*netem.Flow)
 	joined   time.Duration
 	departed bool
 
@@ -101,69 +97,56 @@ type peerState struct {
 	serves int
 }
 
-// download is one in-flight segment transfer with its chosen source; src
-// is nil in a free slot. flow is nil for a pending adversary serve
-// (stale-have or slowloris): no bytes move, and the entry is reaped by the
-// serve-timeout event numbered serve; pending records which adversary
-// kind opened it, for attribution. dropFlight clears the record before
-// the Flow's OnComplete or Cancel returns, after which netem reuses it.
-// fed is how many of the flow's bytes p's meter has been delivered.
+// download is the netem side of one of p's flights, meaningful while the
+// segment is Fetching and overwritten by its next launch. flow is nil for
+// a pending adversary serve (stale-have or slowloris): no bytes move, and
+// the flight is reaped by the serve-timeout event numbered serve; pending
+// records which adversary kind opened it, for attribution. A cancelled or
+// completed Flow belongs to netem again, so nothing reads flow once its
+// flight has ended.
 type download struct {
 	flow    *netem.Flow
-	src     *peerState
 	pending fault.AdversaryKind
 	serve   int
-	fed     int64
 }
 
 // bandwidth returns the B fed into the pooling policy: the access rate for
 // an oracle peer, else the meter's estimate, the clip rate before its
 // first sample.
 func (s *swarm) bandwidth(p *peerState) int64 {
-	if p.est == nil {
+	if s.cfg.OracleBandwidth {
 		if p.rate > 0 {
 			return p.rate
 		}
 		return s.cfg.BandwidthBytesPerSec
 	}
-	return p.est.Estimate(s.clipRate)
+	return p.dl.Meter.Estimate(s.clipRate)
 }
 
-// feedMeter delivers to p's meter the bytes each of p's flows moved since
-// the last feed. It runs before every meter Finish and before a flow of p
-// is cancelled, since a Flow must not be read after Cancel returns:
-// flows sharing a link finish near-together, so a Finish that saw only
-// its own flow's bytes would observe B/k. p's downloads all lie between
-// its first missing segment and the availability frontier.
-func (s *swarm) feedMeter(p *peerState) {
-	if p.est == nil {
+// feed delivers to p's flights the bytes each of their flows moved since
+// the last feed. It runs before every End and before a flow of p is
+// cancelled, since a Flow must not be read after Cancel returns: flows
+// sharing a link finish near-together, so a window that closed on its own
+// flow's bytes alone would observe B/k. An oracle peer's meter is never
+// read, so it reads no flow. p's downloads all lie between its first
+// missing segment and the availability frontier.
+func (s *swarm) feed(p *peerState) {
+	if s.cfg.OracleBandwidth {
 		return
 	}
-	for idx := p.pool.First; idx <= s.frontier; idx++ {
-		d := &p.inFlight[idx]
-		if d.flow == nil {
-			continue
+	now := s.eng.Now()
+	for idx := p.dl.Pool.First; idx <= s.frontier; idx++ {
+		if f := p.inFlight[idx].flow; f != nil && p.dl.Pool.Fetching[idx] {
+			p.dl.Deliver(idx, f.Size()-f.Remaining()-p.dl.Flight(idx).Received, now)
 		}
-		moved := d.flow.Size() - d.flow.Remaining()
-		p.est.Deliver(moved - d.fed)
-		d.fed = moved
 	}
 }
 
-// dropFlight removes p's download of segment idx and returns the upload
-// slot it held to its source. The caller feeds p's meter first and
-// cancels the flow if it is live. It is the one place the pool shrinks,
-// and it syncs the player first, so a stall this call reveals is
-// attributed with the download still in the pool (see trace.StallFacts).
-// The sync moves no player state: advanceTo computes the stall instant
-// exactly.
-func (p *peerState) dropFlight(idx int, now time.Duration) {
-	p.player.Position(now)
-	src := p.inFlight[idx].src
-	p.inFlight[idx] = download{}
-	p.pool.Drop(idx, &src.src)
-	if p.est != nil {
-		p.est.Finish(now)
+// stop cancels the flow of p's flight idx, if it has one: the netem half
+// of ending a flight early, before End.
+func (p *peerState) stop(idx int) {
+	if f := p.inFlight[idx].flow; f != nil {
+		f.Cancel()
 	}
 }
 
@@ -173,7 +156,7 @@ func (p *peerState) dropFlight(idx int, now time.Duration) {
 //
 //lint:hotpath runs at the top of every fill
 func (s *swarm) nextWanted(p *peerState) int {
-	first := p.pool.FirstWanted()
+	first := p.dl.Pool.FirstWanted()
 	if first < 0 || s.cfg.Selection != SelectRarestFirst {
 		return first
 	}
@@ -181,7 +164,7 @@ func (s *swarm) nextWanted(p *peerState) int {
 	best, bestHolders := first, int(^uint(0)>>1)
 	seen := 0
 	for idx := first; idx < len(s.segs) && seen < rarestWindow; idx++ {
-		if !p.pool.Wanted(idx) {
+		if !p.dl.Pool.Wanted(idx) {
 			continue
 		}
 		seen++
@@ -281,8 +264,8 @@ func (s *swarm) remark(q *peerState) {
 //
 //lint:hotpath part of the source-set build
 func (s *swarm) cdnEligible(p *peerState) bool {
-	for idx := p.pool.First; idx <= s.frontier; idx++ {
-		if d := &p.inFlight[idx]; d.src != nil && d.src.isCDN {
+	for idx := p.dl.Pool.First; idx <= s.frontier; idx++ {
+		if p.dl.Flight(idx).Src == &s.cdn.src {
 			return false
 		}
 	}
@@ -304,7 +287,7 @@ func (s *swarm) fill(p *peerState) {
 	}
 	f := trace.PoolFacts{
 		Bandwidth: s.bandwidth(p), Buffered: p.player.BufferedAhead(now),
-		SegBytes: s.segs[next].Bytes, InFlight: p.pool.InFlight,
+		SegBytes: s.segs[next].Bytes, InFlight: p.dl.Pool.InFlight,
 	}
 	f.Target = s.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
 	s.qoe.PoolK.Observe(int64(f.Target))
@@ -314,7 +297,7 @@ func (s *swarm) fill(p *peerState) {
 	// The pool is the next `target` wanted segments with an eligible source;
 	// the scheduler decides which and from whom.
 	s.buildSourceSet(p, now)
-	f.Blocked = s.set.Fill(&p.pool, next, f.Target, s.frontier, func(idx int, from *core.Source, cut bool) {
+	f.Blocked = s.set.Fill(&p.dl.Pool, next, f.Target, s.frontier, func(idx int, from *core.Source, cut bool) {
 		if s.pickCheck != nil {
 			s.pickCheck(p, idx, from, cut)
 		}
@@ -375,9 +358,7 @@ func (s *swarm) retry(p *peerState) {
 // scheduler enters it into p's pool and src's load.
 func (s *swarm) startDownload(p, src *peerState, idx int) {
 	p.lastSrc = &src.src
-	if p.est != nil {
-		p.est.Start(s.eng.Now())
-	}
+	p.dl.Launch(idx, &src.src, s.segs[idx].Bytes, s.eng.Now())
 	if idx > s.frontier {
 		s.frontier = idx
 	}
@@ -390,7 +371,7 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	if src.lying() {
 		p.serves++
 		serve := p.serves
-		p.inFlight[idx] = download{src: src, pending: src.advKind, serve: serve}
+		p.inFlight[idx] = download{pending: src.advKind, serve: serve}
 		if s.cfg.Tracer.Enabled() {
 			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 				trace.Int64("flow", -1),
@@ -405,7 +386,7 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 		// Unreachable: nodes and sizes are validated at setup.
 		panic("simpeer: start transfer: " + err.Error())
 	}
-	p.inFlight[idx] = download{flow: flow, src: src}
+	p.inFlight[idx] = download{flow: flow}
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 			trace.Int64("flow", int64(flow.ID())),
@@ -429,26 +410,22 @@ func (s *swarm) serveTimeout() time.Duration {
 
 // onServeTimeout reaps pending serve number serve if it is still in
 // flight — its source never delivered: the segment returns to the pool,
-// the source is charged (stale-have for a silent liar, slow-serve for a
-// slowloris trickle), and the requester refills immediately.
+// the source is charged for an expired flight, and the requester refills
+// immediately.
 func (s *swarm) onServeTimeout(p *peerState, idx, serve int) {
 	d := p.inFlight[idx]
-	if d.serve != serve {
+	if !p.dl.Pool.Fetching[idx] || d.serve != serve {
 		return // already reaped by crash/departure teardown
 	}
-	src := d.src
-	s.feedMeter(p)
-	p.dropFlight(idx, s.eng.Now())
+	s.feed(p)
+	done := p.dl.End(idx, s.eng.Now(), false)
+	src := done.Src.Owner.(*peerState)
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvServeTimeout,
 			trace.Int64("src", int64(src.id)),
 			trace.Str("kind", d.pending.String()))
 	}
-	obs := reputation.ObsStaleHave
-	if d.pending == fault.AdvSlowloris {
-		obs = reputation.ObsSlowServe
-	}
-	s.observeRep(src, obs)
+	s.observeRep(src, &done, core.Expired)
 	if !p.departed && !p.crashed {
 		s.fill(p)
 	}
@@ -457,69 +434,41 @@ func (s *swarm) onServeTimeout(p *peerState, idx, serve int) {
 // flightOf returns the segment whose download is f. p's downloads all lie
 // between its first missing segment and the availability frontier.
 func (s *swarm) flightOf(p *peerState, f *netem.Flow) int {
-	for idx := p.pool.First; idx <= s.frontier; idx++ {
-		if p.inFlight[idx].flow == f {
+	for idx := p.dl.Pool.First; idx <= s.frontier; idx++ {
+		if p.inFlight[idx].flow == f && p.dl.Pool.Fetching[idx] {
 			return idx
 		}
 	}
-	panic("simpeer: a completed flow is not in flight") // unreachable: dropFlight clears a record before its Flow is released
+	panic("simpeer: a completed flow is not in flight") // unreachable: a cancelled flow never completes
 }
 
-// onDownloadComplete handles a finished segment transfer.
+// onDownloadComplete handles a finished segment transfer: the flight ends,
+// storing its segment unless verification rejects it, and only then is
+// its source charged, the completion recorded and every pool refilled.
+// (A departed or crashed peer's flows were cancelled: none completes.)
 func (s *swarm) onDownloadComplete(p *peerState, f *netem.Flow) {
 	idx := s.flightOf(p, f)
-	src := p.inFlight[idx].src
 	now := s.eng.Now()
-	s.feedMeter(p)
-	p.dropFlight(idx, now)
-	if p.departed {
+	s.feed(p)
+	fl := p.dl.Flight(idx)
+	p.dl.Deliver(idx, fl.Size-fl.Received, now) // all of an oracle peer's bytes
+	src := fl.Src.Owner.(*peerState)
+	attempt, rejected := s.verify(p, src, idx)
+	done := p.dl.End(idx, now, !rejected)
+	if rejected {
+		if s.cfg.Tracer.Enabled() {
+			s.emit(p.id, idx, trace.CatPool, trace.EvVerifyFail,
+				trace.Int64("attempt", int64(attempt)),
+				trace.Int64("src", int64(src.id)))
+		}
+		s.observeRep(src, &done, core.Rejected)
+		// Not a completion: no segment metrics, no player update. Refill
+		// so the re-request launches immediately.
+		s.fill(p)
 		return
 	}
-	// Inside a corruption window the bytes arrive (the meter has seen
-	// them as real link throughput) but the segment can fail container
-	// checksum verification, in which case it goes back to the pool and
-	// is fetched again. Whether THIS attempt is corrupted is a pure hash
-	// of (seed, peer, segment, attempt) — see fault.CorruptDraw — so the
-	// outcome is identical across runs and -workers values and consumes
-	// no engine randomness. An adversarial source fails verification the
-	// same way: always for a corrupter, per-attempt via the equally pure
-	// fault.PolluteDraw for a polluter. Either way the requester's
-	// inference is the same — "this source served me garbage" — so the
-	// source is charged a reputation verify-fail.
-	advSrc := src.advKind == fault.AdvCorrupter || src.advKind == fault.AdvPolluter
-	if (p.corruptPct > 0 || advSrc) && !p.src.Have[idx] {
-		if p.segAttempts == nil {
-			p.segAttempts = make([]int, len(s.segs))
-		}
-		attempt := p.segAttempts[idx]
-		p.segAttempts[idx] = attempt + 1
-		discard := false
-		if p.corruptPct > 0 && fault.CorruptDraw(s.cfg.Seed, p.id, idx, attempt)*100 < p.corruptPct {
-			discard = true
-			p.corruptDiscards++
-		}
-		if !discard && advSrc {
-			discard = src.advKind == fault.AdvCorrupter ||
-				fault.PolluteDraw(s.cfg.Seed, src.id, p.id, idx, attempt)*100 < src.advPct
-		}
-		if discard {
-			if s.cfg.Tracer.Enabled() {
-				s.emit(p.id, idx, trace.CatPool, trace.EvVerifyFail,
-					trace.Int64("attempt", int64(attempt)),
-					trace.Int64("src", int64(src.id)))
-			}
-			s.observeRep(src, reputation.ObsVerifyFail)
-			// Not a completion: no segment metrics, no have/player update.
-			// Refill so the re-request launches immediately.
-			s.fill(p)
-			return
-		}
-	}
-	if s.rep != nil {
-		s.observeRep(src, s.rep.Config().ServeObservation(f.Size(), f.Elapsed()))
-	}
-	s.qoe.Segment(now, p.id, idx, f.Size(), f.Elapsed(), src.id)
-	p.pool.Store(idx)
+	s.observeRep(src, &done, core.Verified)
+	s.qoe.Segment(now, p.id, idx, done.Size, done.Last-done.Started, src.id)
 	if err := p.player.OnSegmentComplete(idx, now); err != nil {
 		panic("simpeer: segment complete: " + err.Error()) // unreachable
 	}
@@ -535,11 +484,41 @@ func (s *swarm) onDownloadComplete(p *peerState, f *netem.Flow) {
 	}
 }
 
+// verify reports whether p's completed download of segment idx from src
+// fails verification, and which attempt at idx it was. Inside a
+// corruption window the bytes arrive (the meter has seen them as real
+// link throughput) but the segment can fail container checksum
+// verification, in which case it goes back to the pool and is fetched
+// again. Whether THIS attempt is corrupted is a pure hash of (seed, peer,
+// segment, attempt) — see fault.CorruptDraw — so the outcome is identical
+// across runs and -workers values and consumes no engine randomness. An
+// adversarial source fails verification the same way: always for a
+// corrupter, per-attempt via the equally pure fault.PolluteDraw for a
+// polluter. Either way the requester's inference is the same — "this
+// source served me garbage" — so the source is charged a verify failure.
+func (s *swarm) verify(p, src *peerState, idx int) (attempt int, rejected bool) {
+	advSrc := src.advKind == fault.AdvCorrupter || src.advKind == fault.AdvPolluter
+	if p.corruptPct <= 0 && !advSrc {
+		return 0, false
+	}
+	if p.segAttempts == nil {
+		p.segAttempts = make([]int, len(s.segs))
+	}
+	attempt = p.segAttempts[idx]
+	p.segAttempts[idx] = attempt + 1
+	if p.corruptPct > 0 && fault.CorruptDraw(s.cfg.Seed, p.id, idx, attempt)*100 < p.corruptPct {
+		p.corruptDiscards++
+		return attempt, true
+	}
+	return attempt, advSrc && (src.advKind == fault.AdvCorrupter ||
+		fault.PolluteDraw(s.cfg.Seed, src.id, p.id, idx, attempt)*100 < src.advPct)
+}
+
 // allDownloadsDone reports whether every non-departed leecher holds every
 // segment.
 func (s *swarm) allDownloadsDone() bool {
 	for _, q := range s.peers[1:] {
-		if !q.departed && q.pool.First != len(s.segs) {
+		if !q.departed && q.dl.Pool.First != len(s.segs) {
 			return false
 		}
 	}

@@ -1,6 +1,9 @@
 package simpeer
 
-import "p2psplice/internal/reputation"
+import (
+	"p2psplice/internal/core"
+	"p2psplice/internal/reputation"
+)
 
 // This file is the emulation's reputation glue: observations recorded
 // against download sources and quarantine enforcement (cancel the
@@ -11,15 +14,16 @@ import "p2psplice/internal/reputation"
 // every entry point is a no-op and the run is bit-identical to
 // pre-reputation behavior (the inertness tests enforce it).
 
-// observeRep records one observation about a download source and
-// enforces any resulting quarantine. The CDN is never scored: it is
-// infrastructure, not a peer, and quarantining the fallback of last
-// resort could only hurt liveness.
-func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
+// observeRep charges src for flight f, which ended e, and enforces any
+// resulting quarantine. The CDN is never scored: it is infrastructure,
+// not a peer, and quarantining the fallback of last resort could only
+// hurt liveness.
+func (s *swarm) observeRep(src *peerState, f *core.Flight, e core.Ending) {
 	if s.rep == nil || src.isCDN {
 		return
 	}
 	now := s.eng.Now()
+	obs := f.Charge(e, s.rep.Config())
 	up := s.rep.Observe(src.id, now, obs)
 	s.qoe.Reputation(now, src.id, "", obs, up)
 	if obs != reputation.ObsSuccess {

@@ -499,15 +499,12 @@ func (s *swarm) setup() error {
 			player:   pl,
 			inFlight: make([]download, len(s.segs)),
 		}
-		if !s.cfg.OracleBandwidth {
-			p.est = new(core.AggregateMeter)
-		}
 		p.src.Owner = p
+		p.dl = core.NewDownloads(p.src.Have, pl)
 		p.done = func(f *netem.Flow) { s.onDownloadComplete(p, f) }
 		p.retryFn = func() { s.retry(p) }
-		p.pool = core.NewPool(p.src.Have)
 		if !s.cfg.DisableRelay {
-			p.src.Fetching = p.pool.Fetching
+			p.src.Fetching = p.dl.Pool.Fetching
 			p.src.Relay = func(idx int) float64 { return s.relayProgress(p, idx) }
 		}
 		s.peers = append(s.peers, p)
@@ -525,7 +522,7 @@ func (s *swarm) setup() error {
 	}
 	s.roster = core.NewRoster(srcs, s.slots)
 	for _, p := range s.peers[1:] {
-		s.roster.Track(&p.pool, p.id)
+		s.roster.Track(&p.dl.Pool, p.id)
 	}
 
 	// Cross traffic: unbounded flows from dedicated nodes into leechers.
@@ -615,43 +612,35 @@ func (s *swarm) depart(p *peerState) {
 // the affected segments to their requesters' pools immediately (no
 // timeout wait). Shared by departure (churn) and crash (fault plan).
 func (s *swarm) cancelPeerFlows(p *peerState) {
-	// Abort this peer's downloads, returning the upload slots it held, in
-	// segment order: cancellation order influences event sequencing.
-	s.feedMeter(p)
-	for idx, d := range p.inFlight {
-		if d.src == nil {
-			continue
+	// Abort this peer's downloads, returning the upload slots they held,
+	// in segment order: cancellation order influences event sequencing.
+	if p.dl != nil {
+		s.feed(p)
+		now := s.eng.Now()
+		for idx := p.dl.Pool.First; idx < len(s.segs); idx++ {
+			if p.dl.Pool.Fetching[idx] {
+				p.stop(idx)
+				p.dl.End(idx, now, false)
+			}
 		}
-		if d.flow != nil { // pending adversary serves have no flow
-			d.flow.Cancel()
-		}
-		p.dropFlight(idx, s.eng.Now())
 	}
 	// Abort uploads served by this peer: every other leecher loses any
 	// in-flight download sourced here and will re-request elsewhere.
 	s.cancelUploadsFrom(p)
 }
 
-// cancelUploadsFrom aborts every in-flight download sourced from p,
-// returning the affected segments to their requesters' pools. Shared by
-// crash/departure teardown and quarantine enforcement (a just-
-// quarantined source should not keep serving what selectors would no
+// cancelUploadsFrom ends every download sourced from p whose last byte
+// has not arrived, returning the affected segments to their requesters'
+// pools. Shared by crash/departure teardown and quarantine enforcement (a
+// just-quarantined source should not keep serving what selectors would no
 // longer assign it).
 func (s *swarm) cancelUploadsFrom(p *peerState) {
 	for _, q := range s.peers[1:] {
 		if q == p || q.departed {
 			continue
 		}
-		s.feedMeter(q)
-		for idx, d := range q.inFlight {
-			if d.src != p {
-				continue
-			}
-			if d.flow != nil {
-				d.flow.Cancel()
-			}
-			q.dropFlight(idx, s.eng.Now())
-		}
+		s.feed(q)
+		q.dl.Lose(&p.src, s.eng.Now(), q.stop)
 	}
 }
 

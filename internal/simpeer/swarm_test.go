@@ -259,7 +259,7 @@ func TestMeterSeesAggregateRate(t *testing.T) {
 	}
 	within := func(t *testing.T, p *peerState) {
 		t.Helper()
-		if got := p.est.Estimate(0); got < rate*8/10 || got > rate*12/10 {
+		if got := p.dl.Meter.Estimate(0); got < rate*8/10 || got > rate*12/10 {
 			t.Errorf("meter estimates %d B/s on a %d B/s link (want within 20%%)", got, rate)
 		}
 	}
@@ -278,8 +278,8 @@ func TestMeterSeesAggregateRate(t *testing.T) {
 		sw.eng.Schedule(eta-10*time.Millisecond, func() {
 			k = 4
 			sw.fill(p)
-			if p.pool.InFlight != 4 {
-				t.Fatalf("%d in flight after the launches, want 4", p.pool.InFlight)
+			if p.dl.Pool.InFlight != 4 {
+				t.Fatalf("%d in flight after the launches, want 4", p.dl.Pool.InFlight)
 			}
 		})
 		runUntilStored(sw, p, 0)

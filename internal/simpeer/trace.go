@@ -102,7 +102,7 @@ func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
 // below are tested against at as well as against the live state.
 func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 	f := trace.StallFacts{
-		InFlight:    p.pool.InFlight,
+		InFlight:    p.dl.Pool.InFlight,
 		OwnCrash:    p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt),
 		OwnLinkDown: s.net.LinkIsDown(p.node) || (p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt),
 		// A window that made this peer throw away verified-bad segments.
@@ -138,10 +138,12 @@ func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 	}
 	f.AllQuarantined = s.rep != nil
 	f.Burst = s.inBurstWindow(p, at)
-	for _, d := range p.inFlight {
-		switch {
-		case d.src == nil:
+	for idx := p.dl.Pool.First; idx < len(p.inFlight); idx++ {
+		if !p.dl.Pool.Fetching[idx] {
 			continue
+		}
+		d, src := p.inFlight[idx], p.dl.Flight(idx).Src.Owner.(*peerState)
+		switch {
 		case d.flow == nil:
 			// A pending adversary serve: the source accepted the request
 			// and is serving nothing (stale-have) or a trickle (slowloris).
@@ -157,8 +159,8 @@ func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 				f.LinkDown++
 			}
 		}
-		f.AllQuarantined = f.AllQuarantined && !d.src.isCDN && s.rep.Quarantined(d.src.id, at)
-		f.Burst = f.Burst || s.inBurstWindow(d.src, at)
+		f.AllQuarantined = f.AllQuarantined && !src.isCDN && s.rep.Quarantined(src.id, at)
+		f.Burst = f.Burst || s.inBurstWindow(src, at)
 	}
 	return f
 }

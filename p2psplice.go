@@ -230,7 +230,7 @@ type (
 func NewCDNOrigin() *CDNOrigin { return cdn.NewOrigin() }
 
 // NewCDNClient returns a duration-adaptive streaming client.
-func NewCDNClient(base string, httpClient *http.Client) (*CDNClient, error) {
+func NewCDNClient(base string, httpClient *http.Client) *CDNClient {
 	return cdn.NewClient(base, httpClient)
 }
 
