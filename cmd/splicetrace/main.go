@@ -24,9 +24,7 @@
 //	splicetrace timeseries DIR [-window D] [-peers N] [-csv] [-o FILE]
 //	    Rebuild the windowed virtual-time telemetry (buffer occupancy,
 //	    in-flight flows, stalled peers, pool targets, completions per
-//	    window) from a trace directory, as a summary report or CSV. The
-//	    rebuild is bit-identical to what an in-process TimeSeries
-//	    recorded during the same runs.
+//	    window) from a trace directory, as a summary report or CSV.
 //
 // Reports are deterministic: the same trace directory yields
 // byte-identical output across runs, machines, and the -workers value

@@ -33,12 +33,7 @@ type Policy interface {
 // every in-flight segment must finish within T seconds, and T seconds of
 // bandwidth B can carry at most B·T/W segments. At startup, after a stall, or
 // when the buffer has drained (T = 0), the peer downloads exactly one segment.
-type AdaptivePool struct {
-	// MaxPool optionally caps the pool (0 means uncapped). The paper's
-	// Section IV notes that very large pools overload uploading peers; the
-	// cap models that operational limit.
-	MaxPool int
-}
+type AdaptivePool struct{}
 
 var _ Policy = AdaptivePool{}
 
@@ -53,9 +48,6 @@ func (p AdaptivePool) PoolSize(bandwidth int64, buffered time.Duration, segmentB
 	k := int(float64(bandwidth) * buffered.Seconds() / float64(segmentBytes))
 	if k < 1 {
 		k = 1
-	}
-	if p.MaxPool > 0 && k > p.MaxPool {
-		k = p.MaxPool
 	}
 	return k
 }

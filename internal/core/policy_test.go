@@ -35,16 +35,6 @@ func TestAdaptivePoolFormula(t *testing.T) {
 	}
 }
 
-func TestAdaptivePoolCap(t *testing.T) {
-	p := AdaptivePool{MaxPool: 3}
-	if got := p.PoolSize(10<<20, 10*time.Second, 1024); got != 3 {
-		t.Errorf("capped PoolSize = %d, want 3", got)
-	}
-	if got := p.PoolSize(1024, time.Second, 1024); got != 1 {
-		t.Errorf("PoolSize = %d, want 1", got)
-	}
-}
-
 func TestFixedPool(t *testing.T) {
 	if got := (FixedPool{K: 4}).PoolSize(0, 0, 0); got != 4 {
 		t.Errorf("FixedPool(4) = %d, want 4", got)

@@ -11,14 +11,16 @@ import (
 // Fig6AdaptiveSplicing runs the experiment the paper proposes as future work
 // ("an adaptive splicing technique will be able to increase the performance
 // of P2P video streaming"): instead of one fixed segment duration for every
-// deployment, the seeder splices the clip per swarm using the Section IV
-// bound — target duration = B·T/rate, clamped — and the figure compares that
-// against the fixed 2 s / 4 s / 8 s splicings across the bandwidth sweep.
+// deployment, the seeder splices the clip per swarm with
+// splicer.OptimalDuration at that sweep point's bandwidth, and the figure
+// compares that against the fixed 2 s / 4 s / 8 s splicings across the
+// bandwidth sweep.
 //
-// The adaptive splicer uses each sweep point's bandwidth with a 4-second
-// buffer-depth assumption, so at 128 kB/s it picks small segments (fast
-// startup, cheap stalls) and at 1024 kB/s it picks large ones (low overhead,
-// high throughput).
+// OptimalDuration picks the smallest duration whose overhead-inflated
+// demand fits 60% of the link (50 ms request lag), and below break-even the
+// minimum-demand duration of at most 8 s. So the target falls as bandwidth
+// rises: 8 s at 128 kB/s, where streaming is not sustainable and overhead
+// dominates, and 1 s from 512 kB/s up, where startup does.
 func (p Params) Fig6AdaptiveSplicing(bandwidths []int64) (*FigureResult, error) {
 	if len(bandwidths) == 0 {
 		bandwidths = Fig2Bandwidths

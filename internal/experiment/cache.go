@@ -15,9 +15,8 @@ import (
 // every series of every sweep — Figures 2 and 3 alone splice the identical
 // video eight times. Synthesis and splicing are deterministic functions of
 // (encoder config, clip duration, video seed) and the splicer, so this file
-// memoizes both process-wide. Entries are created under a mutex and filled
-// through sync.Once, so concurrent workers that race on a cold key
-// synthesize exactly once and everyone blocks on the same entry.
+// memoizes both process-wide, and concurrent workers that race on a cold
+// key synthesize exactly once.
 //
 // Cached values are shared: the *media.Video is handed out as-is (splicers
 // and the swarm treat videos as read-only), while segment-meta slices are
@@ -45,91 +44,73 @@ func splicerIdentity(sp splicer.Splicer) string {
 	return fmt.Sprintf("%T%+v", sp, sp)
 }
 
-type videoEntry struct {
+// memo maps each key to a value computed at most once. Entries are
+// created under the mutex and filled through their own sync.Once outside
+// it, so concurrent workers that race on a cold key fill it exactly once
+// and everyone blocks on the same entry, while distinct keys fill in
+// parallel. Errors are memoized like values.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex // guards m
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
 	once sync.Once
-	v    *media.Video
+	v    V
 	err  error
 }
 
-type segEntry struct {
-	once sync.Once
-	segs []simpeer.SegmentMeta
-	err  error
-}
-
-// clipCache memoizes synthesized videos and spliced segment metadata.
-type clipCache struct {
-	mu     sync.Mutex // guards videos and segs
-	videos map[videoKey]*videoEntry
-	segs   map[segKey]*segEntry
-}
-
-// globalClips is the process-wide cache behind Params.Video and
-// Params.Segments. Experiments across figures (and benchmark iterations)
-// share it; keys carry every input that determines the output, so sharing
-// cannot change results.
-var globalClips = &clipCache{
-	videos: make(map[videoKey]*videoEntry),
-	segs:   make(map[segKey]*segEntry),
-}
-
-// videoEntryFor returns the (possibly new) entry for k.
-func (c *clipCache) videoEntryFor(k videoKey) *videoEntry {
+// get returns k's value, calling fill on first use.
+func (c *memo[K, V]) get(k K, fill func() (V, error)) (V, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.videos[k]
+	e, ok := c.m[k]
 	if !ok {
-		e = &videoEntry{}
-		c.videos[k] = e
+		if c.m == nil {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		c.m[k] = e
 	}
-	return e
-}
-
-// segEntryFor returns the (possibly new) entry for k.
-func (c *clipCache) segEntryFor(k segKey) *segEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.segs[k]
-	if !ok {
-		e = &segEntry{}
-		c.segs[k] = e
-	}
-	return e
-}
-
-// video returns the memoized clip for k, synthesizing on first use.
-func (c *clipCache) video(k videoKey) (*media.Video, error) {
-	e := c.videoEntryFor(k)
-	e.once.Do(func() {
-		e.v, e.err = media.Synthesize(k.enc, k.dur, k.seed)
-	})
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = fill() })
 	return e.v, e.err
 }
 
-// segments returns a fresh copy of the memoized segment metadata for k,
-// splicing on first use. The copy keeps callers from aliasing each other's
-// slices (SegmentMeta elements are plain values, so a shallow copy is a
-// full one).
-func (c *clipCache) segments(k segKey, sp splicer.Splicer) ([]simpeer.SegmentMeta, error) {
-	e := c.segEntryFor(k)
-	e.once.Do(func() {
-		v, err := c.video(k.video)
+// videos and spliced are the process-wide memos behind Params.Video and
+// Params.Segments. Experiments across figures (and benchmark iterations)
+// share them; keys carry every input that determines the output, so
+// sharing cannot change results.
+var (
+	videos  memo[videoKey, *media.Video]
+	spliced memo[segKey, []simpeer.SegmentMeta]
+)
+
+// cachedVideo returns the memoized clip for k, synthesizing on first use.
+func cachedVideo(k videoKey) (*media.Video, error) {
+	return videos.get(k, func() (*media.Video, error) { return media.Synthesize(k.enc, k.dur, k.seed) })
+}
+
+// cachedSegments returns a fresh copy of the memoized segment metadata for
+// k, splicing on first use. The copy keeps callers from aliasing each
+// other's slices (SegmentMeta elements are plain values, so a shallow copy
+// is a full one).
+func cachedSegments(k segKey, sp splicer.Splicer) ([]simpeer.SegmentMeta, error) {
+	segs, err := spliced.get(k, func() ([]simpeer.SegmentMeta, error) {
+		v, err := cachedVideo(k.video)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		segs, err := sp.Splice(v)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.segs = segmentMeta(segs)
+		return segmentMeta(segs), nil
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	out := make([]simpeer.SegmentMeta, len(e.segs))
-	copy(out, e.segs)
+	out := make([]simpeer.SegmentMeta, len(segs))
+	copy(out, segs)
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,5 +197,37 @@ func TestVideoCacheReturnsSameClip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v1.Frames(), direct.Frames()) {
 		t.Error("cached video differs from direct synthesis")
+	}
+}
+
+// TestMemoFillsOncePerKey: goroutines racing on one cold key run its fill
+// exactly once and all see that fill's value; a second key fills apart.
+func TestMemoFillsOncePerKey(t *testing.T) {
+	var c memo[int, int]
+	var fills atomic.Int64
+	fill := func(v int) func() (int, error) {
+		return func() (int, error) { fills.Add(1); return v, nil }
+	}
+	const goroutines = 16
+	var wg sync.WaitGroup
+	got := make([]int, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], _ = c.get(7, fill(100+g))
+		}(g)
+	}
+	wg.Wait()
+	if n := fills.Load(); n != 1 {
+		t.Fatalf("%d fills for one key, want 1", n)
+	}
+	for g, v := range got {
+		if v != got[0] {
+			t.Fatalf("goroutine %d saw %d, goroutine 0 saw %d", g, v, got[0])
+		}
+	}
+	if v, _ := c.get(8, fill(-1)); v != -1 || fills.Load() != 2 {
+		t.Fatalf("second key: value %d after %d fills, want -1 after 2", v, fills.Load())
 	}
 }

@@ -58,14 +58,6 @@ type Params struct {
 	// shared accumulation safe — and, because histogram totals are exact
 	// integer sums, deterministic — under the parallel runner.
 	Metrics *trace.Registry
-	// Series, when non-nil, attaches this windowed time-series recorder
-	// to every cell's swarm: per-window buffer occupancy, in-flight
-	// flows, stalled peers, pool targets, and segment completions
-	// accumulate across the sweep in virtual time. Observational only,
-	// like Metrics: figure values are bit-identical with it set or nil
-	// (TestTimeSeriesInert), and its commutative integer windows make the
-	// shared accumulation deterministic under the parallel runner.
-	Series *trace.TimeSeries
 }
 
 // DefaultParams mirrors the paper's Section V setup.
@@ -97,7 +89,7 @@ func QuickParams() Params {
 // function of the encoder config, duration, and seed). The returned video
 // is shared — treat it as read-only, as every splicer does.
 func (p Params) Video() (*media.Video, error) {
-	return globalClips.video(p.videoKey())
+	return cachedVideo(p.videoKey())
 }
 
 // Segments splices the experiment clip with sp and returns the swarm-level
@@ -106,7 +98,7 @@ func (p Params) Video() (*media.Video, error) {
 // video seed, splicer identity); each call returns a fresh copy of the
 // cached slice, so callers never alias each other's state.
 func (p Params) Segments(sp splicer.Splicer) ([]simpeer.SegmentMeta, error) {
-	return globalClips.segments(segKey{video: p.videoKey(), splicerID: splicerIdentity(sp)}, sp)
+	return cachedSegments(segKey{video: p.videoKey(), splicerID: splicerIdentity(sp)}, sp)
 }
 
 // The paper's link loss and a VLC-like player's rebuffering depth: every
@@ -139,20 +131,6 @@ type Point struct {
 	Stalls       float64
 	StallSeconds float64
 	StartupSecs  float64
-}
-
-// runPoint executes Runs repetitions at one sweep point (on the worker
-// pool when Runs > 1 and Workers allows) and averages. label attributes
-// failures to the figure and series that scheduled the point.
-func (p Params) runPoint(label string, segs []simpeer.SegmentMeta, bandwidthKB int64,
-	policy core.Policy, mod func(*simpeer.SwarmConfig)) (Point, error) {
-	points, err := p.points([]row{{at: func(int) (cell, error) {
-		return cell{label: label, segs: segs, bandwidthKB: bandwidthKB, policy: policy, mod: mod}, nil
-	}}}, 1)
-	if err != nil {
-		return Point{}, err
-	}
-	return points[0][0], nil
 }
 
 // Sweep runs one series over the bandwidth axis, fanning the (bandwidth ×

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"p2psplice/internal/core"
+	"p2psplice/internal/simpeer"
 	"p2psplice/internal/splicer"
 )
 
@@ -15,6 +16,20 @@ func testParams() Params {
 	p.ClipDuration = 30 * time.Second
 	p.Leechers = 5
 	return p
+}
+
+// runPoint executes Runs repetitions at one sweep point (on the worker
+// pool when Runs > 1 and Workers allows) and averages. label attributes
+// failures to the figure and series that scheduled the point.
+func (p Params) runPoint(label string, segs []simpeer.SegmentMeta, bandwidthKB int64,
+	policy core.Policy, mod func(*simpeer.SwarmConfig)) (Point, error) {
+	points, err := p.points([]row{{at: func(int) (cell, error) {
+		return cell{label: label, segs: segs, bandwidthKB: bandwidthKB, policy: policy, mod: mod}, nil
+	}}}, 1)
+	if err != nil {
+		return Point{}, err
+	}
+	return points[0][0], nil
 }
 
 func TestSegments(t *testing.T) {

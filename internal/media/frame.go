@@ -58,11 +58,6 @@ type Frame struct {
 	Duration time.Duration
 }
 
-// End returns the presentation time at which the frame stops displaying.
-func (f Frame) End() time.Duration {
-	return f.PTS + f.Duration
-}
-
 // GOP is a closed Group of Pictures: an I frame followed by P/B frames.
 // A closed GOP is independently decodable, so it is the smallest unit the
 // GOP-based splicer may emit.

@@ -236,8 +236,8 @@ func TestVideoAccessors(t *testing.T) {
 	}
 	// End of last frame equals clip duration.
 	last := frames[len(frames)-1]
-	if last.End() != v.Duration() {
-		t.Errorf("last frame ends at %v, want %v", last.End(), v.Duration())
+	if end := last.PTS + last.Duration; end != v.Duration() {
+		t.Errorf("last frame ends at %v, want %v", end, v.Duration())
 	}
 }
 

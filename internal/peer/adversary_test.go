@@ -225,11 +225,16 @@ func TestCorrupterQuarantinedAndViewerRecovers(t *testing.T) {
 	waitFor(t, "a quarantine trace event", 10*time.Second, func() bool {
 		return countRepEvents(buf, trace.EvQuarantine) >= 1
 	})
+	for _, ev := range buf.Events() {
+		if ev.Cat == trace.CatRep && ev.Name == trace.EvQuarantine && ev.ArgStr(trace.ArgPeer, "") != evil.id.String() {
+			t.Fatalf("quarantine_begin names %q, not the corrupter %s", ev.ArgStr(trace.ArgPeer, ""), evil.id)
+		}
+	}
 	viewer.mu.Lock()
-	snap := viewer.rep.Snapshot(viewer.now())
+	state := viewer.rep.State(evil.id, viewer.now())
 	viewer.mu.Unlock()
-	if len(snap) == 0 || snap[0].Key != evil.id || snap[0].Quarantines < 1 {
-		t.Fatalf("reputation snapshot does not show the quarantined corrupter: %+v", snap)
+	if state != reputation.Quarantined {
+		t.Fatalf("corrupter's standing is %v, want quarantined", state)
 	}
 
 	seeder2, err := Seed(trk, m, blobs, fastConfig())

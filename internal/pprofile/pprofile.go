@@ -55,14 +55,6 @@ type FuncStat struct {
 	Cum int64
 }
 
-// FlatPercent returns f's flat cost as a percentage of total.
-func (f FuncStat) FlatPercent(total int64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(f.Flat) / float64(total)
-}
-
 // Parse reads a pprof profile, gzipped (as runtime/pprof writes it) or
 // raw.
 func Parse(data []byte) (*Profile, error) {
@@ -371,12 +363,4 @@ func parseProfile(data []byte) (*Profile, error) {
 		return a.Name < b.Name
 	})
 	return p, nil
-}
-
-// Top returns the first n functions (or all, if fewer).
-func (p *Profile) Top(n int) []FuncStat {
-	if n > len(p.Functions) {
-		n = len(p.Functions)
-	}
-	return p.Functions[:n]
 }

@@ -102,15 +102,6 @@ func TestParseSynthetic(t *testing.T) {
 			t.Errorf("functions[%d] = %+v, want %+v", i, p.Functions[i], w)
 		}
 	}
-	if pct := p.Functions[0].FlatPercent(p.Total); pct != 75 {
-		t.Errorf("hot flat%% = %v, want 75", pct)
-	}
-	if top := p.Top(1); len(top) != 1 || top[0].Name != "main.hot" {
-		t.Errorf("Top(1) = %+v", top)
-	}
-	if top := p.Top(10); len(top) != 2 {
-		t.Errorf("Top(10) = %+v", top)
-	}
 }
 
 func TestParseTruncated(t *testing.T) {

@@ -17,9 +17,8 @@
 // Determinism contract (DESIGN.md §9.5): the table never reads a clock —
 // callers pass `now` explicitly (sim time or playback time) — and never
 // draws randomness, so identical observation sequences produce
-// identical scores, states, and snapshots. Snapshot iterates peers in
-// first-observation order, not map order. The package is registered in
-// splicelint's DeterministicPackages.
+// identical scores and states. The package is registered in splicelint's
+// DeterministicPackages.
 package reputation
 
 import (
@@ -162,20 +161,6 @@ const (
 	Quarantined
 )
 
-// String returns the canonical trace name of the state.
-func (s State) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Probation:
-		return "probation"
-	case Quarantined:
-		return "quarantined"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // Update reports the effect of one observation.
 type Update struct {
 	Score       float64       // decayed score after the observation
@@ -196,9 +181,6 @@ type entry struct {
 	at            time.Duration // instant score was last current
 	quarUntil     time.Duration
 	probationLeft int
-	penalties     int64
-	successes     int64
-	quarantines   int64
 }
 
 // Table tracks reputation for peers keyed by K. It performs no locking:
@@ -207,7 +189,6 @@ type entry struct {
 type Table[K comparable] struct {
 	cfg     Config
 	entries map[K]*entry
-	order   []K // first-observation order, for deterministic Snapshot
 }
 
 // NewTable builds a table with the given config.
@@ -223,7 +204,6 @@ func (t *Table[K]) get(k K) *entry {
 	if e == nil {
 		e = &entry{}
 		t.entries[k] = e
-		t.order = append(t.order, k)
 	}
 	return e
 }
@@ -262,7 +242,6 @@ func (t *Table[K]) Observe(k K, now time.Duration, obs Observation) Update {
 	t.decay(e, now)
 	var up Update
 	if obs == ObsSuccess {
-		e.successes++
 		if e.probationLeft > 0 && now >= e.quarUntil {
 			e.probationLeft--
 			if e.probationLeft == 0 {
@@ -276,12 +255,10 @@ func (t *Table[K]) Observe(k K, now time.Duration, obs Observation) Update {
 			}
 		}
 	} else {
-		e.penalties++
 		e.score += t.cfg.cost(obs)
 		if now >= e.quarUntil && t.cfg.Enabled() && e.score >= t.cfg.QuarantineScore {
 			e.quarUntil = now + t.cfg.QuarantineFor
 			e.probationLeft = t.cfg.ProbationSuccesses
-			e.quarantines++
 			up.Quarantined = true
 		}
 	}
@@ -324,32 +301,4 @@ func (t *Table[K]) State(k K, now time.Duration) State {
 //lint:hotpath selectors ask once per candidate source per scheduling pass
 func (t *Table[K]) Quarantined(k K, now time.Duration) bool {
 	return t.State(k, now) == Quarantined
-}
-
-// PeerStats is one peer's row in a Snapshot.
-type PeerStats[K comparable] struct {
-	Key         K
-	Score       float64
-	State       State
-	Penalties   int64
-	Successes   int64
-	Quarantines int64
-}
-
-// Snapshot returns every observed peer's stats in first-observation
-// order — deterministic for identical observation sequences.
-func (t *Table[K]) Snapshot(now time.Duration) []PeerStats[K] {
-	out := make([]PeerStats[K], 0, len(t.order))
-	for _, k := range t.order {
-		e := t.entries[k]
-		out = append(out, PeerStats[K]{
-			Key:         k,
-			Score:       t.Score(k, now),
-			State:       t.stateOf(e, now),
-			Penalties:   e.penalties,
-			Successes:   e.successes,
-			Quarantines: e.quarantines,
-		})
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package reputation
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -118,46 +117,18 @@ func TestPenaltyDuringProbationRequarantines(t *testing.T) {
 	if !up.Quarantined || up.Until != after+cfg.QuarantineFor {
 		t.Fatalf("probation penalty did not re-quarantine: %+v", up)
 	}
-	snap := tb.Snapshot(after)
-	if len(snap) != 1 || snap[0].Quarantines != 2 {
-		t.Fatalf("expected 2 quarantine windows in snapshot, got %+v", snap)
+	if got := tb.State(1, after+cfg.QuarantineFor-1); got != Quarantined {
+		t.Fatalf("state inside the reopened window: %v, want quarantined", got)
 	}
 }
 
-func TestSnapshotDeterministicInsertionOrder(t *testing.T) {
-	run := func() []PeerStats[int] {
-		tb := NewTable[int](Default())
-		for _, k := range []int{5, 2, 9, 2, 5, 7} {
-			tb.Observe(k, time.Second, ObsVerifyFail)
-		}
-		tb.Observe(9, 2*time.Second, ObsSuccess)
-		return tb.Snapshot(3 * time.Second)
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("identical observation sequences produced different snapshots")
-	}
-	wantOrder := []int{5, 2, 9, 7}
-	for i, ps := range a {
-		if ps.Key != wantOrder[i] {
-			t.Fatalf("snapshot order %v, want first-observation order %v", a, wantOrder)
-		}
-	}
-	if a[0].Penalties != 2 || a[2].Successes != 1 {
-		t.Fatalf("snapshot counters wrong: %+v", a)
-	}
-}
-
-func TestObservationAndStateNames(t *testing.T) {
+func TestObservationNames(t *testing.T) {
 	names := map[string]string{
 		ObsSuccess.String():    "success",
 		ObsVerifyFail.String(): "verify_fail",
 		ObsStaleHave.String():  "stale_have",
 		ObsSlowServe.String():  "slow_serve",
 		ObsTimeout.String():    "timeout",
-		Healthy.String():       "healthy",
-		Probation.String():     "probation",
-		Quarantined.String():   "quarantined",
 	}
 	for got, want := range names {
 		if got != want {

@@ -105,10 +105,10 @@ type SwarmConfig struct {
 	DisableRelay bool
 	// FreshConnectionPerSegment opens a new TCP connection for every
 	// segment request (1.5 RTT handshake before the first byte) instead of
-	// the default persistent peer connections (0.5 RTT request latency,
-	// with slow-start restart after idle still applying). The paper's
-	// observation that 2 s segments create "many small TCP connections"
-	// is ablated with this flag.
+	// the default persistent peer connections (0.5 RTT request latency).
+	// Either way every transfer ramps from a fresh 10-MSS window, idle or
+	// not (ROADMAP item 17). The paper's observation that 2 s segments
+	// create "many small TCP connections" is ablated with this flag.
 	FreshConnectionPerSegment bool
 	// Churn optionally makes leechers depart.
 	Churn ChurnModel
@@ -156,12 +156,6 @@ type SwarmConfig struct {
 	// scheme under test (e.g. "gop", "4s") so one registry can compare
 	// schemes. Empty omits the label.
 	MetricsScheme string
-	// Series optionally receives windowed virtual-time telemetry (buffer
-	// occupancy, in-flight flows, stalled peers, pool targets, segment
-	// completions per window — trace.TS* series). Like Tracer and Metrics
-	// it is a pure observer: the run is bit-identical with and without it
-	// (TestTimeSeriesInert). Nil disables.
-	Series *trace.TimeSeries
 }
 
 // validate checks what only simpeer reads; netem.NodeConfig.Validate
@@ -326,7 +320,7 @@ func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	if err := sw.setup(); err != nil {
 		return nil, err
 	}
-	sw.qoe = trace.NewQoE(cfg.Tracer, cfg.Metrics, "sim", cfg.MetricsScheme, cfg.Series, len(sw.peers)-1)
+	sw.qoe = trace.NewQoE(cfg.Tracer, cfg.Metrics, "sim", cfg.MetricsScheme, nil, len(sw.peers)-1)
 	return sw, nil
 }
 
@@ -342,8 +336,8 @@ type swarm struct {
 	// cross holds background traffic flows; they are cancelled once every
 	// leecher has finished downloading so the event queue can drain.
 	cross []*netem.Flow
-	// qoe records playback telemetry into cfg.Tracer, cfg.Metrics and
-	// cfg.Series (each may be nil). Observer-owned: nothing in scheduling
+	// qoe records playback telemetry into cfg.Tracer and cfg.Metrics
+	// (either may be nil). Observer-owned: nothing in scheduling
 	// reads it. The two reputation counters are no-ops without a registry.
 	qoe          *trace.QoE
 	repPenalties trace.Counter
@@ -564,9 +558,9 @@ func (s *swarm) join(p *peerState) {
 		return
 	}
 	p.joined = s.eng.Now()
-	if s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil || s.cfg.Series != nil {
-		// The observer feeds the trace stream, the QoE histograms, and the
-		// windowed time series; any consumer alone needs it attached.
+	if s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil {
+		// The observer feeds the trace stream and the QoE histograms;
+		// either consumer alone needs it attached.
 		classify := func(at time.Duration) trace.StallFacts { return s.stallFacts(p, at) }
 		p.player.SetObserver(func(tr player.Transition) { s.qoe.Transition(tr, p.id, p.joined, classify) })
 	}

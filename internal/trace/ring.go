@@ -134,17 +134,6 @@ func (r *Ring) Emit(ev Event) {
 	r.size++
 }
 
-// Events returns a copy of the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
-}
-
 // Len returns the number of retained events.
 func (r *Ring) Len() int {
 	r.mu.Lock()

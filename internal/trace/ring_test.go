@@ -101,3 +101,14 @@ func TestRingWithSampler(t *testing.T) {
 		t.Errorf("ring holds %d events, want %d admitted", r.Len(), c.Sampled)
 	}
 }
+
+// Events returns a copy of the retained events, oldest first.
+func (r *Ring) Events() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Event, 0, r.size)
+	for i := 0; i < r.size; i++ {
+		out = append(out, r.buf[(r.start+i)%len(r.buf)])
+	}
+	return out
+}

@@ -14,7 +14,7 @@ import (
 	"p2psplice/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the link-flap golden file")
+var updateGolden = flag.Bool("update", false, "rewrite the pinned trace golden files")
 
 const linkFlapGoldenPath = "testdata/linkflap.golden"
 

@@ -8,8 +8,8 @@ import (
 
 // This file rebuilds the windowed time series from trace events alone,
 // by replaying each log into the recorder the live run wrote through
-// (trace.QoE). Replay and live are the same code, so a run's rebuilt
-// snapshot is bit-identical to its in-process one, and a trace
+// (trace.QoE). Windows quantize to JSONL's microseconds, so a log
+// rebuilds the same snapshot from memory as from its JSONL, and a trace
 // directory written by the experiment runner yields the same
 // byte-for-byte CSV on every rerun and worker count.
 
