@@ -4,7 +4,7 @@ FUZZTIME ?= 30s
 # by git) instead of littering the repo root.
 ARTIFACTS ?= artifacts
 
-.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-ab profile-figures bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
+.PHONY: all build test race vet fmt-check lint lint-audit loc reach identity bench-ab profile-figures profile-stream bench-alloc bench-harness fuzz-smoke bench-json trace-smoke fault-smoke burst-smoke adversary-smoke metrics-smoke timeseries-smoke
 
 all: build vet fmt-check lint test
 
@@ -84,6 +84,16 @@ profile-figures: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkPaperFiguresSerial$$' -benchtime=1x \
 		-cpuprofile $(ARTIFACTS)/figures.cpu.pprof -o $(ARTIFACTS)/p2psplice.test .
 	$(GO) tool pprof -top -nodecount=25 $(ARTIFACTS)/figures.cpu.pprof
+
+# profile-stream: where the real stack spends its CPU streaming a clip —
+# BenchmarkStreamLoopback (a 120 s clip at 1 MiB/s to two viewers over
+# loopback TCP) ten times under -cpuprofile
+# ($(ARTIFACTS)/stream.cpu.pprof), then pprof's top 25 functions. Not a CI
+# step.
+profile-stream: | $(ARTIFACTS)
+	$(GO) test -run='^$$' -bench='^BenchmarkStreamLoopback$$' -benchtime=10x \
+		-cpuprofile $(ARTIFACTS)/stream.cpu.pprof -o $(ARTIFACTS)/p2psplice.test .
+	$(GO) tool pprof -top -nodecount=25 $(ARTIFACTS)/stream.cpu.pprof
 
 # bench-alloc: the //lint:hotpath contract, measured. The BenchmarkHotpath*
 # benchmarks must report 0 allocs/op and the zero-alloc tests (which

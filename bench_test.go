@@ -11,6 +11,8 @@ package p2psplice
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -252,6 +254,53 @@ func BenchmarkWirePieceRoundTrip(b *testing.B) {
 		}
 		if err := rd.ReadInto(&got); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamLoopback streams a 120 s clip at 1 MiB/s, spliced into
+// 2 s segments, from a seeder to two viewers over loopback TCP, each
+// iteration with a fresh in-process tracker: the real stack's unit of
+// work, as cmd/bench's stream_loopback workload runs it. The clip is
+// published before the timer starts. `make profile-stream` profiles it.
+func BenchmarkStreamLoopback(b *testing.B) {
+	enc := DefaultEncoderConfig()
+	enc.BytesPerSecond = 1 << 20
+	_, m, blobs, err := BuildSwarmData(enc, 120*time.Second, 42, DurationSplicer{Target: 2 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := NodeConfig{AnnounceInterval: 200 * time.Millisecond}
+	b.SetBytes(2 * m.TotalBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		streamOnce(b, m, blobs, cfg)
+	}
+}
+
+// streamOnce runs one tracker, one seeder and two viewers until both
+// viewers hold every segment, then closes them all.
+func streamOnce(b *testing.B, m *Manifest, blobs [][]byte, cfg NodeConfig) {
+	srv := httptest.NewServer(NewTracker().Handler())
+	defer srv.Close()
+	trk := NewTrackerClient(srv.URL, srv.Client())
+	seeder, err := Seed(trk, m, blobs, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer seeder.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var viewers [2]*Node
+	for i := range viewers {
+		if viewers[i], err = Join(trk, seeder.InfoHash(), cfg); err != nil {
+			b.Fatal(err)
+		}
+		defer viewers[i].Close()
+	}
+	for i, v := range viewers {
+		if err := v.WaitComplete(ctx); err != nil {
+			b.Fatalf("viewer %d: %v", i, err)
 		}
 	}
 }

@@ -17,8 +17,8 @@ type conn struct {
 	node   *Node
 	id     wire.PeerID
 	raw    net.Conn
-	wmu    sync.Mutex   // serializes writes
-	wr     *wire.Writer // reusable encode buffer, guarded by wmu
+	wmu    sync.Mutex   // serializes writes; never taken under node.mu
+	wr     *wire.Writer // reusable encode buffer and PIECE queue, guarded by wmu
 	closed atomic.Bool  // set by close
 
 	// src is the remote as the scheduler sees it: ID its roster slot, Have
@@ -136,15 +136,19 @@ func (n *Node) dropConn(c *conn) {
 	}
 }
 
-// send writes one message, serialized against concurrent senders. The
-// shared Writer keeps the steady-state send path allocation-free.
+// send writes one message, after any queued PIECE frames, serialized
+// against concurrent senders. The shared Writer keeps the steady-state
+// send path allocation-free.
 func (c *conn) send(m *wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.bindWrite(); err != nil {
 		return err
 	}
-	return c.wr.WriteMsg(m)
+	if err := c.wr.WriteMsg(m); err != nil {
+		return err
+	}
+	return c.flushLocked()
 }
 
 // sendRequests writes the wire.DefaultBlockLen block requests for all size
@@ -155,7 +159,36 @@ func (c *conn) sendRequests(idx, size int) error {
 	if err := c.bindWrite(); err != nil {
 		return err
 	}
-	return c.wr.WriteRequests(uint32(idx), size, wire.DefaultBlockLen)
+	if err := c.wr.WriteRequests(uint32(idx), size, wire.DefaultBlockLen); err != nil {
+		return err
+	}
+	return c.flushLocked()
+}
+
+// flush writes the queued PIECE frames, serialized like send.
+func (c *conn) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flushLocked()
+}
+
+// flushLocked writes the queued PIECE frames in one vectored write under
+// one deadline (c.wmu held), then charges the node's upload counter with
+// the payload bytes written since the last flush: a send writes the
+// queue ahead of its own frame.
+func (c *conn) flushLocked() error {
+	if c.wr.Queued() > 0 {
+		if err := c.bindWrite(); err != nil {
+			return err
+		}
+	}
+	sent, err := c.wr.Flush()
+	if sent > 0 {
+		c.node.mu.Lock()
+		c.node.stats.UploadedBytes += int64(sent)
+		c.node.mu.Unlock()
+	}
+	return err
 }
 
 // bindWrite gives the next write (c.wmu held) DownloadTimeout to finish.
@@ -176,12 +209,14 @@ func (c *conn) close() {
 // readLoop processes inbound messages until the connection fails or the
 // remote breaks the protocol. Its Reader is the only one on c.raw after
 // the handshake: it reads ahead, so a second reader would lose frames.
-// The Reader and Message are reused across iterations, so the
-// steady-state receive path is allocation-free.
+// The PIECE frames serveBlock queues go out whenever the Reader runs dry,
+// so a REQUEST burst is answered in a few vectored writes. The Reader and
+// Message are reused across iterations, so the steady-state receive path
+// is allocation-free.
 func (c *conn) readLoop() {
 	rd := wire.NewReader(c.raw)
 	var msg wire.Message
-	for rd.ReadInto(&msg) == nil && c.handle(&msg) {
+	for (rd.HasFrame() || c.flush() == nil) && rd.ReadInto(&msg) == nil && c.handle(&msg) {
 	}
 }
 
@@ -236,7 +271,9 @@ func (c *conn) handle(m *wire.Message) bool {
 
 // serveBlock answers a block request from the store, subject to the
 // node's upload slots: a requester that cannot get a slot is choked and
-// retries after MsgUnchoke.
+// retries after MsgUnchoke. The PIECE is queued, its payload a view of
+// the store, and written by the next flush; a full queue is flushed at
+// once.
 func (c *conn) serveBlock(m *wire.Message) error {
 	n := c.node
 	n.mu.Lock()
@@ -269,19 +306,18 @@ func (c *conn) serveBlock(m *wire.Message) error {
 		// The receiver's block ledger must count it once.
 		sends = 2
 	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	for i := 0; i < sends; i++ {
-		if err := c.send(&wire.Message{
-			Type:   wire.MsgPiece,
-			Index:  m.Index,
-			Offset: m.Offset,
-			Data:   data,
-		}); err != nil {
+		if err := c.wr.QueuePiece(m.Index, m.Offset, data); err != nil {
 			return err
 		}
+		if c.wr.Queued() == wire.MaxQueued {
+			if err := c.flushLocked(); err != nil {
+				return err
+			}
+		}
 	}
-	n.mu.Lock()
-	n.stats.UploadedBytes += int64(sends) * int64(len(data))
-	n.mu.Unlock()
 	return nil
 }
 

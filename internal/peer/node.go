@@ -157,7 +157,8 @@ type Node struct {
 }
 
 // Seed publishes the manifest to the tracker and serves the given segment
-// blobs. The returned node runs until Close.
+// blobs. The node serves the blobs themselves, not a copy: the caller
+// must not write to them after Seed. The returned node runs until Close.
 func Seed(trk *tracker.Client, m *container.Manifest, blobs [][]byte, cfg Config) (*Node, error) {
 	if trk == nil {
 		return nil, errors.New("peer: nil tracker client")

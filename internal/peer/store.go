@@ -17,8 +17,9 @@ import (
 //
 // Ownership: Put takes blob over — the caller never writes to it again, so
 // a store may keep it rather than copy it (Store does; the node's download
-// buffer becomes the stored segment). Block may return a view of stored
-// bytes rather than a copy (Store does), so callers only read it.
+// buffer becomes the stored segment). NewFullStore takes a seeder's blobs
+// over by the same rule. Block may return a view of stored bytes rather
+// than a copy (Store does), so callers only read it.
 type SegmentStore interface {
 	// Segments returns the store capacity.
 	Segments() int
@@ -52,7 +53,9 @@ func NewStore(n int) (*Store, error) {
 	return &Store{blobs: make([][]byte, n)}, nil
 }
 
-// NewFullStore returns a store pre-populated with every segment (a seeder).
+// NewFullStore returns a store pre-populated with every segment (a
+// seeder). Like Put, it keeps each blob itself, not a copy: the caller
+// must not write to blobs[i] again.
 func NewFullStore(blobs [][]byte) (*Store, error) {
 	s, err := NewStore(len(blobs))
 	if err != nil {
@@ -62,9 +65,7 @@ func NewFullStore(blobs [][]byte) (*Store, error) {
 		if len(b) == 0 {
 			return nil, fmt.Errorf("peer: seed segment %d is empty", i)
 		}
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		s.blobs[i] = cp
+		s.blobs[i] = b
 	}
 	s.count = len(blobs)
 	return s, nil

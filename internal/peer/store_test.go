@@ -75,18 +75,25 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-func TestFullStoreCopiesInput(t *testing.T) {
-	src := [][]byte{[]byte("hello")}
+// TestFullStoreTakesBlobsOver pins NewFullStore's ownership rule: the
+// store keeps the caller's blobs, so Block is a view into the caller's
+// slice, and an empty or nil blob is still rejected.
+func TestFullStoreTakesBlobsOver(t *testing.T) {
+	src := [][]byte{[]byte("hello"), []byte("world")}
 	s, err := NewFullStore(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src[0][0] = 'X'
-	b, err := s.Block(0, 0, 5)
+	b, err := s.Block(1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != "hello" {
-		t.Errorf("store aliased caller buffer: %q", b)
+	if &b[0] != &src[1][1] {
+		t.Error("Block is a copy, want a view into the caller's blob")
+	}
+	for _, blobs := range [][][]byte{{[]byte("a"), {}}, {nil, []byte("b")}} {
+		if _, err := NewFullStore(blobs); err == nil {
+			t.Errorf("NewFullStore(%q): want error for an empty blob", blobs)
+		}
 	}
 }

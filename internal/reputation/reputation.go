@@ -164,7 +164,6 @@ const (
 // Update reports the effect of one observation.
 type Update struct {
 	Score       float64       // decayed score after the observation
-	State       State         // standing after the observation
 	Quarantined bool          // this observation opened a quarantine window
 	Until       time.Duration // end of the current/last quarantine window
 	Cleared     bool          // this observation completed probation
@@ -263,7 +262,6 @@ func (t *Table[K]) Observe(k K, now time.Duration, obs Observation) Update {
 		}
 	}
 	up.Score = e.score
-	up.State = t.stateOf(e, now)
 	up.Until = e.quarUntil
 	return up
 }

@@ -11,8 +11,9 @@ func TestZeroConfigDisabledNeverQuarantines(t *testing.T) {
 	}
 	tb := NewTable[int](Config{VerifyFailCost: 4})
 	for i := 0; i < 100; i++ {
-		up := tb.Observe(1, time.Duration(i)*time.Second, ObsVerifyFail)
-		if up.Quarantined || up.State == Quarantined {
+		at := time.Duration(i) * time.Second
+		up := tb.Observe(1, at, ObsVerifyFail)
+		if up.Quarantined || tb.State(1, at) == Quarantined {
 			t.Fatal("disabled config quarantined a peer")
 		}
 	}
@@ -27,7 +28,7 @@ func TestScoresAccumulateAndQuarantine(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		up = tb.Observe("evil", now, ObsVerifyFail)
 	}
-	if !up.Quarantined || up.State != Quarantined {
+	if !up.Quarantined || tb.State("evil", now) != Quarantined {
 		t.Fatalf("three rapid verify failures did not quarantine: %+v", up)
 	}
 	if want := now + cfg.QuarantineFor; up.Until != want {
@@ -87,7 +88,7 @@ func TestSuccessRewardAndProbationClear(t *testing.T) {
 		up = tb.Observe(1, 0, ObsVerifyFail)
 		entered = entered || up.Quarantined
 	}
-	if !entered || up.State != Quarantined {
+	if !entered || tb.State(1, 0) != Quarantined {
 		t.Fatalf("expected quarantine, got %+v", up)
 	}
 	after := up.Until
@@ -97,7 +98,7 @@ func TestSuccessRewardAndProbationClear(t *testing.T) {
 		}
 		up = tb.Observe(1, after, ObsSuccess)
 	}
-	if !up.Cleared || up.Score != 0 || up.State != Healthy {
+	if !up.Cleared || up.Score != 0 || tb.State(1, after) != Healthy {
 		t.Fatalf("probation did not clear: %+v", up)
 	}
 }

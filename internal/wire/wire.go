@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 )
 
 // Sentinel decode/encode errors. The hot-path Encode/Decode/EncodedLen
@@ -257,6 +258,20 @@ func (rd *Reader) ReadInto(m *Message) error {
 	return m.Decode(body)
 }
 
+// HasFrame reports whether the read-ahead buffer holds a complete frame,
+// so that the next ReadInto returns without reading from the stream. A
+// frame too large for the buffer never counts as held.
+//
+//lint:hotpath asked once per message by the peer read loop
+func (rd *Reader) HasFrame() bool {
+	n := rd.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, err := rd.br.Peek(4)
+	return err == nil && uint64(n) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 // midFrame reports a stream that ended inside a frame as ErrUnexpectedEOF.
 func midFrame(err error) error {
 	if err == io.EOF {
@@ -266,19 +281,127 @@ func midFrame(err error) error {
 }
 
 // Writer encodes messages to a stream through one reusable buffer:
-// after warm-up, WriteMsg performs zero heap allocations per message.
-// Not safe for concurrent use; callers serialize (the peer connection
-// holds its write mutex around WriteMsg).
+// after warm-up, its methods perform zero heap allocations per message.
+// Besides writing a frame at once, it queues PIECE frames without copying
+// their payload and writes the queue in one vectored write. Not safe for
+// concurrent use; callers serialize (the peer connection holds its write
+// mutex around every call).
 type Writer struct {
 	w   io.Writer
 	buf []byte
+
+	// The PIECE queue: each frame is two buffers in bufs, its header (a
+	// pieceHeaderLen slot of hdrs) and its payload, which the caller
+	// lends until the flush; a WriteMsg or WriteRequests frame may follow
+	// them as a last buffer. out is the copy net.Buffers.WriteTo consumes.
+	hdrs []byte
+	bufs net.Buffers
+	out  net.Buffers
+	// sent counts the PIECE payload bytes written since Flush last
+	// returned them.
+	sent int
 }
+
+// MaxQueued bounds a Writer's PIECE queue: 32 default blocks, 512 KiB per
+// vectored write. Measured with the root BenchmarkStreamLoopback on two
+// vCPUs (three rounds of ten streams each), caps of 1, 8, 32 and 128
+// frames came within 4 % of one another in time per stream; 8 and 32 were
+// the fastest and 32 spent the least CPU.
+const MaxQueued = 32
+
+// ErrQueueFull reports a QueuePiece on a queue already holding MaxQueued
+// frames: the caller flushes first.
+var ErrQueueFull = errors.New("wire: piece queue is full")
+
+// pieceHeaderLen is a PIECE frame's size without its payload.
+const pieceHeaderLen = 5 + 8
 
 // NewWriter returns a Writer encoding to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// WriteMsg encodes m and writes the frame to the underlying stream.
-// I/O errors are returned unwrapped.
+// Queued returns the number of PIECE frames queued and not yet flushed.
+func (wr *Writer) Queued() int { return len(wr.bufs) / 2 }
+
+// QueuePiece queues the PIECE frame for data at (index, offset) without
+// copying data: the caller must leave data unchanged until the next
+// Flush, WriteMsg or WriteRequests has written it. The frame's bytes are
+// those WriteMsg would write for the same message.
+//
+//lint:hotpath the per-block serve: the benchmarks assert 0 allocs/op
+func (wr *Writer) QueuePiece(index, offset uint32, data []byte) error {
+	if len(data) == 0 || len(data) > MaxBlockLen {
+		return ErrPieceSize
+	}
+	if wr.hdrs == nil {
+		wr.hdrs = make([]byte, MaxQueued*pieceHeaderLen)
+		wr.bufs = make(net.Buffers, 0, 2*MaxQueued+1)
+	}
+	q := wr.Queued()
+	if q == MaxQueued {
+		return ErrQueueFull
+	}
+	h := wr.hdrs[q*pieceHeaderLen : (q+1)*pieceHeaderLen]
+	binary.BigEndian.PutUint32(h[0:4], uint32(pieceHeaderLen-4+len(data)))
+	h[4] = byte(MsgPiece)
+	binary.BigEndian.PutUint32(h[5:9], index)
+	binary.BigEndian.PutUint32(h[9:13], offset)
+	wr.bufs = append(wr.bufs, h, data)
+	return nil
+}
+
+// Flush writes every queued frame to the stream as one net.Buffers write
+// (writev(2) on a TCP conn; a stream without vectored writes gets one
+// Write per buffer) and empties the queue. It returns the PIECE payload
+// bytes written since the previous Flush — by this write, a partial one
+// included, or ahead of a WriteMsg or WriteRequests frame. An empty queue
+// costs no write. I/O errors are returned unwrapped.
+//
+//lint:hotpath the per-batch serve: the benchmarks assert 0 allocs/op
+func (wr *Writer) Flush() (int, error) {
+	err := wr.writeQueue()
+	sent := wr.sent
+	wr.sent = 0
+	return sent, err
+}
+
+// writeQueue writes the queue, counts the PIECE payload bytes that got
+// out and empties it. The write consumes the buffers it is handed, so the
+// count reads each payload's length back from its frame header.
+//
+//lint:hotpath the per-batch serve: the benchmarks assert 0 allocs/op
+func (wr *Writer) writeQueue() error {
+	if len(wr.bufs) == 0 {
+		return nil
+	}
+	q := wr.Queued()
+	wr.out = wr.bufs
+	n, err := wr.out.WriteTo(wr.w)
+	for i := 0; i < q && n > pieceHeaderLen; i++ {
+		plen := int64(binary.BigEndian.Uint32(wr.hdrs[i*pieceHeaderLen:])) - (pieceHeaderLen - 4)
+		n -= pieceHeaderLen
+		wr.sent += int(min(n, plen))
+		n -= plen
+	}
+	clear(wr.bufs)
+	wr.bufs = wr.bufs[:0]
+	return err
+}
+
+// write writes one encoded frame after any queued frames, in one write,
+// so frames never interleave and keep their order.
+//
+//lint:hotpath under WriteMsg and WriteRequests
+func (wr *Writer) write(frame []byte) error {
+	if len(wr.bufs) == 0 {
+		_, err := wr.w.Write(frame)
+		return err
+	}
+	wr.bufs = append(wr.bufs, frame)
+	return wr.writeQueue()
+}
+
+// WriteMsg encodes m and writes the frame to the underlying stream,
+// after any queued frames. I/O errors are returned unwrapped.
 //
 //lint:hotpath the per-message write: the benchmarks assert 0 allocs/op
 func (wr *Writer) WriteMsg(m *Message) error {
@@ -293,10 +416,7 @@ func (wr *Writer) WriteMsg(m *Message) error {
 	if _, err := m.Encode(buf); err != nil {
 		return err
 	}
-	if _, err := wr.w.Write(buf); err != nil {
-		return err
-	}
-	return nil
+	return wr.write(buf)
 }
 
 // requestFrameLen is the encoded size of a REQUEST frame.
@@ -304,8 +424,9 @@ const requestFrameLen = 5 + 12
 
 // WriteRequests writes the REQUEST frames for every block of segment
 // index — size bytes cut into blockLen blocks, the last one short — as one
-// write to the underlying stream: a segment's requests cost one syscall,
-// not one each. I/O errors are returned unwrapped.
+// write to the underlying stream, after any queued frames: a segment's
+// requests cost one syscall, not one each. I/O errors are returned
+// unwrapped.
 //
 //lint:hotpath the per-segment request burst: the benchmarks assert 0 allocs/op
 func (wr *Writer) WriteRequests(index uint32, size, blockLen int) error {
@@ -329,8 +450,5 @@ func (wr *Writer) WriteRequests(index uint32, size, blockLen int) error {
 		}
 		w += k
 	}
-	if _, err := wr.w.Write(buf); err != nil {
-		return err
-	}
-	return nil
+	return wr.write(buf)
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"net"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -257,5 +260,254 @@ func TestWriteRequests(t *testing.T) {
 		if err := NewWriter(io.Discard).WriteRequests(0, 100, blockLen); err != ErrRequestLength {
 			t.Errorf("block length %d: err %v, want ErrRequestLength", blockLen, err)
 		}
+	}
+}
+
+// batchStep is one write of a serve path's frame mix: a PIECE to queue, a
+// REQUEST burst of size bytes of segment m.Index, or m itself, then an
+// explicit Flush if flush is set.
+type batchStep struct {
+	m     Message
+	queue bool
+	burst int
+	flush bool
+}
+
+// batchBlock is the mix's PIECE payload size: small, so one blob yields
+// more frames in a row than a queue holds.
+const batchBlock = 1000
+
+// batchScript mixes PIECE frames, whose payloads are views of blob, with
+// HAVE and CHOKE frames and REQUEST bursts, each kind written both on an
+// empty and on a non-empty queue.
+func batchScript(blob []byte) []batchStep {
+	var steps []batchStep
+	off := 0
+	queue := func(k int) {
+		for ; k > 0 && off < len(blob); k-- {
+			n := min(batchBlock, len(blob)-off)
+			steps = append(steps, batchStep{m: Message{Type: MsgPiece, Index: 2, Offset: uint32(off), Data: blob[off : off+n]}, queue: true})
+			off += n
+		}
+	}
+	steps = append(steps, batchStep{m: Message{Type: MsgHave, Index: 1}})
+	queue(MaxQueued + 3)
+	steps = append(steps, batchStep{m: Message{Type: MsgChoke}})
+	steps = append(steps, batchStep{m: Message{Index: 5}, burst: 3*DefaultBlockLen + 7})
+	queue(4)
+	steps = append(steps, batchStep{m: Message{Index: 6}, burst: 2 * DefaultBlockLen})
+	queue(2)
+	steps = append(steps, batchStep{m: Message{Type: MsgHave, Index: 9}, flush: true})
+	queue(MaxQueued)
+	steps = append(steps, batchStep{m: Message{Type: MsgUnchoke}, flush: true})
+	queue(len(blob))
+	return steps
+}
+
+// frames expands the script into the messages a reader must decode.
+func (s batchStep) frames() []Message {
+	if s.burst == 0 {
+		return []Message{s.m}
+	}
+	var out []Message
+	for off := 0; off < s.burst; off += DefaultBlockLen {
+		out = append(out, Message{Type: MsgRequest, Index: s.m.Index, Offset: uint32(off), Length: uint32(min(DefaultBlockLen, s.burst-off))})
+	}
+	return out
+}
+
+// playBatched writes the script through the queue as the peer serve path
+// does — flushing a full queue at once — and returns the PIECE payload
+// bytes the flushes reported.
+func playBatched(t *testing.T, wr *Writer, steps []batchStep) int {
+	t.Helper()
+	sent := 0
+	flush := func() {
+		n, err := wr.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+	}
+	for _, s := range steps {
+		var err error
+		switch {
+		case s.queue:
+			err = wr.QueuePiece(s.m.Index, s.m.Offset, s.m.Data)
+			if err == nil && wr.Queued() == MaxQueued {
+				flush()
+			}
+		case s.burst > 0:
+			err = wr.WriteRequests(s.m.Index, s.burst, DefaultBlockLen)
+		default:
+			err = wr.WriteMsg(&s.m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.flush {
+			flush()
+		}
+	}
+	flush()
+	return sent
+}
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(tb testing.TB) (client, server net.Conn) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	if client, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		tb.Fatal(err)
+	}
+	if server, err = ln.Accept(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestQueuedPiecesMatchWriteMsg pins the PIECE queue to WriteMsg's bytes:
+// the serve path's frame mix, queued and flushed over a bytes.Buffer and
+// over a loopback TCP pair (the writev path), is byte for byte what
+// WriteMsg writes for the same messages, reads back unchanged one byte at
+// a time, and every payload byte is reported by exactly one Flush.
+func TestQueuedPiecesMatchWriteMsg(t *testing.T) {
+	blob := make([]byte, (2*MaxQueued+9)*batchBlock+123)
+	rand.New(rand.NewSource(1)).Read(blob)
+	steps := batchScript(blob)
+
+	var want bytes.Buffer
+	var frames []Message
+	ref := NewWriter(&want)
+	for _, s := range steps {
+		for _, m := range s.frames() {
+			if err := ref.WriteMsg(&m); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, m)
+		}
+	}
+
+	var viaBuffer bytes.Buffer
+	if sent := playBatched(t, NewWriter(&viaBuffer), steps); sent != len(blob) {
+		t.Errorf("bytes.Buffer: flushes reported %d payload bytes, want %d", sent, len(blob))
+	}
+
+	client, server := tcpPair(t)
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(server) // a short read shows as a mismatch below
+		got <- b
+	}()
+	if sent := playBatched(t, NewWriter(client), steps); sent != len(blob) {
+		t.Errorf("TCP: flushes reported %d payload bytes, want %d", sent, len(blob))
+	}
+	client.Close()
+	viaTCP := <-got
+
+	for name, b := range map[string][]byte{"bytes.Buffer": viaBuffer.Bytes(), "TCP": viaTCP} {
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Errorf("%s: queued frames (%d bytes) differ from WriteMsg's (%d bytes)", name, len(b), want.Len())
+			continue
+		}
+		rd := NewReader(iotest.OneByteReader(bytes.NewReader(b)))
+		for i, w := range frames {
+			var m Message
+			if err := rd.ReadInto(&m); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(m, w) {
+				t.Fatalf("%s: frame %d = %+v, want %+v", name, i, m, w)
+			}
+		}
+		if err := rd.ReadInto(&Message{}); err != io.EOF {
+			t.Errorf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+func TestQueuePieceRejects(t *testing.T) {
+	wr := NewWriter(io.Discard)
+	for _, data := range [][]byte{nil, make([]byte, MaxBlockLen+1)} {
+		if err := wr.QueuePiece(0, 0, data); err != ErrPieceSize {
+			t.Errorf("%d-byte payload: err %v, want ErrPieceSize", len(data), err)
+		}
+	}
+	data := []byte{1}
+	for i := 0; i < MaxQueued; i++ {
+		if err := wr.QueuePiece(0, uint32(i), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wr.QueuePiece(0, MaxQueued, data); err != ErrQueueFull {
+		t.Errorf("queue of %d: err %v, want ErrQueueFull", MaxQueued, err)
+	}
+	if sent, err := wr.Flush(); sent != MaxQueued || err != nil || wr.Queued() != 0 {
+		t.Errorf("Flush = %d, %v with %d still queued, want %d, nil, 0", sent, err, wr.Queued(), MaxQueued)
+	}
+}
+
+// TestHasFrame: a Reader holds a frame once it has buffered all of it,
+// to the last byte, and never before its first read.
+func TestHasFrame(t *testing.T) {
+	var have bytes.Buffer
+	if err := NewWriter(&have).WriteMsg(&Message{Type: MsgHave, Index: 7}); err != nil {
+		t.Fatal(err)
+	}
+	frame := have.Bytes()
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   []bool // HasFrame before each read, and after the last
+	}{
+		{"two frames", append(append([]byte{}, frame...), frame...), []bool{false, true, false}},
+		{"a frame and all but one byte of the next", append(append([]byte{}, frame...), frame[:len(frame)-1]...), []bool{false, false}},
+	} {
+		rd := NewReader(bytes.NewReader(tc.stream))
+		for i, want := range tc.want {
+			if got := rd.HasFrame(); got != want {
+				t.Errorf("%s: after %d reads: HasFrame = %v, want %v", tc.name, i, got, want)
+			}
+			if i < len(tc.want)-1 {
+				if err := rd.ReadInto(&Message{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// failAfter takes n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	k := min(len(p), w.n)
+	w.n -= k
+	if k < len(p) {
+		return k, io.ErrShortWrite
+	}
+	return k, nil
+}
+
+// TestFlushCountsPartialWrite: a flush that fails part-way reports only
+// the payload bytes the stream took, a payload cut short included.
+func TestFlushCountsPartialWrite(t *testing.T) {
+	data := bytes.Repeat([]byte{1}, 100)
+	wr := NewWriter(&failAfter{n: 2*pieceHeaderLen + len(data) + 40})
+	for i := uint32(0); i < 3; i++ {
+		if err := wr.QueuePiece(0, i*100, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent, err := wr.Flush(); sent != len(data)+40 || err != io.ErrShortWrite {
+		t.Errorf("Flush = %d, %v, want %d, io.ErrShortWrite", sent, err, len(data)+40)
+	}
+	if wr.Queued() != 0 {
+		t.Errorf("%d frames still queued after a failed flush, want 0", wr.Queued())
 	}
 }

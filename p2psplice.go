@@ -205,7 +205,9 @@ func NewTrackerClient(base string, httpClient *http.Client) *TrackerClient {
 	return tracker.NewClient(base, httpClient)
 }
 
-// Seed publishes a manifest and serves its segments.
+// Seed publishes a manifest and serves its segments. The node serves the
+// blobs themselves, not a copy: the caller must not write to them after
+// Seed.
 func Seed(trk *TrackerClient, m *Manifest, blobs [][]byte, cfg NodeConfig) (*Node, error) {
 	return peer.Seed(trk, m, blobs, cfg)
 }
