@@ -44,10 +44,12 @@ lint-audit: | $(ARTIFACTS)
 	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/lint-audit.sh
 
 # loc: the size ledger — non-blank Go lines per package, non-test and
-# test. A PR that deletes code quotes its before/after rows in CHANGES.md.
+# test; with PARENT=<rev>, each package's parent and change counts and
+# their delta. A PR that deletes code quotes its before/after rows in
+# CHANGES.md.
 loc: | $(ARTIFACTS)
-	sh scripts/loc.sh > $(ARTIFACTS)/loc.txt
-	@tail -n 2 $(ARTIFACTS)/loc.txt
+	sh scripts/loc.sh $(PARENT) > $(ARTIFACTS)/loc.txt
+	@if [ -n "$(PARENT)" ]; then cat $(ARTIFACTS)/loc.txt; else tail -n 2 $(ARTIFACTS)/loc.txt; fi
 
 # reach: the reachability ledger — root-module functions that no program
 # (main packages plus cmd/bench) links and only tests reach, with the rows

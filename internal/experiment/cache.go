@@ -104,7 +104,7 @@ func cachedSegments(k segKey, sp splicer.Splicer) ([]simpeer.SegmentMeta, error)
 		if err != nil {
 			return nil, err
 		}
-		return segmentMeta(segs), nil
+		return SegmentsForSwarm(segs), nil
 	})
 	if err != nil {
 		return nil, err
@@ -114,9 +114,9 @@ func cachedSegments(k segKey, sp splicer.Splicer) ([]simpeer.SegmentMeta, error)
 	return out, nil
 }
 
-// segmentMeta converts spliced segments to swarm-level metadata, with wire
-// sizes accounting for the container framing.
-func segmentMeta(segs []splicer.Segment) []simpeer.SegmentMeta {
+// SegmentsForSwarm converts spliced segments to swarm-level metadata,
+// with wire sizes accounting for the container framing.
+func SegmentsForSwarm(segs []splicer.Segment) []simpeer.SegmentMeta {
 	out := make([]simpeer.SegmentMeta, len(segs))
 	for i, s := range segs {
 		out[i] = simpeer.SegmentMeta{

@@ -4,8 +4,8 @@
 // outage, a link flap, a burst-loss, corruption, adversary or
 // duplication window, or a link-rate step. Consumers read a Plan as
 // Edges, the instants windows begin and end: the emulated stack
-// compiles them against the sim clock (internal/simpeer); the real
-// stack fires the same edges on wall-clock timers (Scheduler).
+// compiles them against the sim clock (internal/simpeer). Tests of the
+// real stack fire their faults themselves.
 //
 // Determinism contract (DESIGN.md §9.2): generators draw only from their
 // own seeded rand.Rand, never a global or engine RNG, so a Plan is a
@@ -57,11 +57,10 @@ const (
 	// party, which is what per-peer reputation must detect.
 	KindAdversary
 	// KindDuplicate is a duplicated-delivery window on a node: every
-	// PIECE it serves is sent twice. Receivers must be idempotent — no
-	// double-counted bytes, no state corruption (the pumba netem
-	// "duplication" impairment). Per-packet duplication is below the
-	// fluid flow model's granularity, so the emulation traces the window
-	// without behavioral effect; the real stack delivers real duplicates.
+	// PIECE it serves is delivered twice, so receivers must be
+	// idempotent (the pumba netem "duplication" impairment). Per-packet
+	// duplication is below the fluid flow model's granularity, so the
+	// emulation only traces the window; no stack duplicates deliveries.
 	KindDuplicate
 )
 
@@ -405,8 +404,8 @@ func Slowloris(node int, start, dur time.Duration, trickleBytesPerSec int64) Pla
 	return window(Event{At: start, Dur: dur, Kind: KindAdversary, Node: node, Adversary: AdvSlowloris, BytesPerSec: trickleBytesPerSec})
 }
 
-// Duplication opens a duplicated-delivery window on a node for
-// [start, start+dur): every PIECE it serves is sent twice.
+// Duplication opens a duplicated-delivery window (KindDuplicate) on a
+// node for [start, start+dur).
 func Duplication(node int, start, dur time.Duration) Plan {
 	return window(Event{At: start, Dur: dur, Kind: KindDuplicate, Node: node})
 }

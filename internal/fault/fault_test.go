@@ -3,7 +3,6 @@ package fault
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -252,41 +251,6 @@ func TestBackoffDeterministicCappedJittered(t *testing.T) {
 	// Huge attempt counts must not overflow into negative delays.
 	if d := b.Delay(1, 1, 400); d <= 0 || d > time.Duration(float64(b.Cap)*1.26) {
 		t.Fatalf("attempt 400: delay %v escaped the cap", d)
-	}
-}
-
-func TestSchedulerFiresAndStops(t *testing.T) {
-	var mu sync.Mutex
-	fired := map[string]int{}
-	p := Merge(
-		TrackerOutage(0, 10*time.Millisecond),
-		LinkFlap(1, 5*time.Second, time.Second), // must be cancelled by Stop
-	)
-	s := Start(p, func(e Edge) {
-		mu.Lock()
-		fired[e.Name()]++
-		mu.Unlock()
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		done := fired["tracker_down"] == 1 && fired["tracker_up"] == 1
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("scheduler did not fire near-term edges in time")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fired) != 2 {
-		t.Fatalf("Stop did not cancel the pending edges: fired %v", fired)
 	}
 }
 

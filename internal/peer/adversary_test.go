@@ -429,66 +429,3 @@ func TestSlowServePenalizedWithoutQuarantine(t *testing.T) {
 		t.Fatal("QuarantineScore 0 must never quarantine")
 	}
 }
-
-// Duplicated PIECE delivery (fault.KindDuplicate driven through
-// fault.Start into SetServeDuplication): every block arrives twice and
-// the receiver's ledger must count it once — DownloadedBytes equals the
-// clip's exact byte size, not double.
-func TestDuplicatePieceDeliveryIsIdempotent(t *testing.T) {
-	m, blobs := testSwarmData(t, 4*time.Second, 2*time.Second)
-	trk := newTracker(t)
-	sbuf := trace.NewBuffer()
-	scfg := fastConfig()
-	scfg.Trace = trace.New(sbuf)
-	seeder, err := Seed(trk, m, blobs, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seeder.Close()
-
-	plan := fault.Duplication(0, 0, time.Minute)
-	fired := make(chan struct{}, 2)
-	sched := fault.Start(plan, func(e fault.Edge) {
-		seeder.SetServeDuplication(!e.End)
-		fired <- struct{}{}
-	})
-	defer sched.Stop()
-	<-fired // the window is open before the viewer joins
-
-	viewer, err := Join(trk, seeder.InfoHash(), fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viewer.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := viewer.WaitComplete(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	var total int64
-	for _, b := range blobs {
-		total += int64(len(b))
-	}
-	if got := viewer.Stats().DownloadedBytes; got != total {
-		t.Fatalf("DownloadedBytes = %d, want exactly %d: duplicated blocks must not double-count", got, total)
-	}
-	// The viewer completes on the first copy of the last block; the seeder
-	// may still be writing the second.
-	deadline := time.Now().Add(5 * time.Second)
-	for seeder.Stats().UploadedBytes < 2*total && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := seeder.Stats().UploadedBytes; got < 2*total {
-		t.Fatalf("seeder UploadedBytes = %d, want >= %d (every PIECE sent twice)", got, 2*total)
-	}
-	dupTraced := false
-	for _, ev := range sbuf.Events() {
-		if ev.Cat == trace.CatFault && ev.Name == trace.EvDuplicate {
-			dupTraced = true
-		}
-	}
-	if !dupTraced {
-		t.Error("opening the duplication window emitted no duplicate_start fault event")
-	}
-}

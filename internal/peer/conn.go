@@ -291,7 +291,6 @@ func (c *conn) serveBlock(m *wire.Message) error {
 		}
 	}
 	c.lastServe = n.now()
-	dup := n.serveDuplicate
 	n.mu.Unlock()
 
 	data, err := n.store.Block(int(m.Index), int(m.Offset), int(m.Length))
@@ -300,23 +299,13 @@ func (c *conn) serveBlock(m *wire.Message) error {
 		// peer; drop the connection rather than serve garbage.
 		return err
 	}
-	sends := 1
-	if dup {
-		// Duplicated-delivery fault window: every PIECE goes out twice.
-		// The receiver's block ledger must count it once.
-		sends = 2
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	for i := 0; i < sends; i++ {
-		if err := c.wr.QueuePiece(m.Index, m.Offset, data); err != nil {
-			return err
-		}
-		if c.wr.Queued() == wire.MaxQueued {
-			if err := c.flushLocked(); err != nil {
-				return err
-			}
-		}
+	if err := c.wr.QueuePiece(m.Index, m.Offset, data); err != nil {
+		return err
+	}
+	if c.wr.Queued() == wire.MaxQueued {
+		return c.flushLocked()
 	}
 	return nil
 }

@@ -234,27 +234,45 @@ func TestVerifyWindowDoesNotRelaunch(t *testing.T) {
 	}
 }
 
-// A PIECE repeated (the KindDuplicate fault) while its completed segment
-// is verified, or after it is stored, completes the segment exactly once.
+// A repeated PIECE (the KindDuplicate fault) completes its segment
+// exactly once, storing it once and counting its bytes once: whether
+// every block of the in-flight segment arrives twice, or the last block
+// is repeated while the completed segment is verified and again after it
+// is stored.
 func TestDuplicatePieceCompletesOnce(t *testing.T) {
-	n, hs, ca, blob, reg := newWindowLeecher(t, 1, false)
-	last := (len(blob) - 1) / wire.DefaultBlockLen * wire.DefaultBlockLen
-	again := func() {
-		n.onPiece(ca, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: uint32(last), Data: blob[last:]})
+	piece := func(blob []byte, off int) *wire.Message {
+		return &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: uint32(off), Data: blob[off:min(off+wire.DefaultBlockLen, len(blob))]}
 	}
-	hs.hook = func(int) error { again(); return nil }
-	injectDownload(n, ca, 0, 0)
-	feedSegment(n, ca, 0, blob)
-	again()
+	for name, feed := range map[string]func(n *Node, hs *hookPutStore, ca *conn, blob []byte){
+		"every_block_twice": func(n *Node, _ *hookPutStore, ca *conn, blob []byte) {
+			for off := 0; off < len(blob); off += wire.DefaultBlockLen {
+				n.onPiece(ca, piece(blob, off))
+				n.onPiece(ca, piece(blob, off))
+			}
+		},
+		"last_block_in_and_after_verify": func(n *Node, hs *hookPutStore, ca *conn, blob []byte) {
+			last := (len(blob) - 1) / wire.DefaultBlockLen * wire.DefaultBlockLen
+			again := func() { n.onPiece(ca, piece(blob, last)) }
+			hs.hook = func(int) error { again(); return nil }
+			feedSegment(n, ca, 0, blob)
+			again()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n, hs, ca, blob, reg := newWindowLeecher(t, 1, false)
+			injectDownload(n, ca, 0, 0)
+			feed(n, hs, ca, blob)
 
-	if hs.puts != 1 {
-		t.Fatalf("segment 0 stored %d times, want 1", hs.puts)
-	}
-	if got := counter(reg, "segments_done"); got != 1 {
-		t.Fatalf("segments_done = %d, want 1", got)
-	}
-	if got := n.Stats().DownloadedBytes; got != int64(len(blob)) {
-		t.Fatalf("DownloadedBytes = %d, want %d: a repeat counted twice", got, len(blob))
+			if hs.puts != 1 {
+				t.Fatalf("segment 0 stored %d times, want 1", hs.puts)
+			}
+			if got := counter(reg, "segments_done"); got != 1 {
+				t.Fatalf("segments_done = %d, want 1", got)
+			}
+			if got := n.Stats().DownloadedBytes; got != int64(len(blob)) {
+				t.Fatalf("DownloadedBytes = %d, want exactly %d: a repeat counted twice", got, len(blob))
+			}
+		})
 	}
 }
 

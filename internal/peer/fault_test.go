@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"p2psplice/internal/fault"
 	"p2psplice/internal/shaper"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracker"
@@ -118,8 +117,8 @@ func waitStoreCount(t *testing.T, n *Node, want int, timeout time.Duration) {
 // The acceptance scenario for the real stack: a leecher completes its
 // download through a mid-stream seeder crash plus tracker outage,
 // sourcing the rest from another leecher via the cached peer list. The
-// faults are driven by a wall-clock fault.Scheduler, the same plan
-// machinery the emulated stack compiles against the sim clock.
+// test fires both faults itself, closing the tracker server and the
+// seeder mid-stream.
 func TestSurvivesSeederCrashAndTrackerOutage(t *testing.T) {
 	m, blobs := testSwarmData(t, 6*time.Second, 2*time.Second)
 	srv := httptest.NewServer(tracker.NewServer().Handler())
@@ -163,27 +162,10 @@ func TestSurvivesSeederCrashAndTrackerOutage(t *testing.T) {
 	}
 
 	// Mid-stream: the seeder crashes and the tracker goes away, together.
-	// Neither comes back within the test: only the windows' beginnings fire.
-	plan := fault.Merge(fault.TrackerOutage(0, time.Hour), fault.SeederOutage(0, time.Hour))
-	fired := make(chan fault.Kind, 2)
-	sched := fault.Start(plan, func(e fault.Edge) {
-		switch e.Kind {
-		case fault.KindTrackerDown:
-			srv.CloseClientConnections()
-			srv.Close()
-		case fault.KindPeerCrash:
-			_ = seeder.Close()
-		}
-		fired <- e.Kind
-	})
-	defer sched.Stop()
-	for i := 0; i < 2; i++ {
-		select {
-		case <-fired:
-		case <-ctx.Done():
-			t.Fatal("fault plan never fired")
-		}
-	}
+	// Neither comes back within the test.
+	srv.CloseClientConnections()
+	srv.Close()
+	_ = seeder.Close()
 
 	// The leecher must still finish: announces fail (and are retried with
 	// backoff), the cached peer list keeps it attached to l1, and every

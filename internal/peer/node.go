@@ -119,7 +119,7 @@ type Node struct {
 	// handles are lock-free; its transition methods run under mu.
 	qoe *trace.QoE
 
-	mu     sync.Mutex // guards conns, roster, active, dl, set, play, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState, rep and serveDuplicate
+	mu     sync.Mutex // guards conns, roster, active, dl, set, play, stats, servingConns, chokedWaiters, closed, trackerDown, cachedPeers, dialState and rep
 	conns  map[wire.PeerID]*conn
 	active map[int]*segDownload // the socket side of each download in flight
 	// roster seats each conn's source in the conn's slot for the node's
@@ -142,14 +142,11 @@ type Node struct {
 	servingConns  int     // occupied upload slots
 	chokedWaiters []*conn // FIFO of choked requesters awaiting a slot
 	closed        bool
-	// serveDuplicate, while set, makes serveBlock send every PIECE twice
-	// (the KindDuplicate fault): receivers must be idempotent.
-	serveDuplicate bool
-	trackerDown    bool                    // last announce failed; degraded to cachedPeers
-	cachedPeers    []tracker.PeerInfo      // last successful announce result
-	dialState      map[string]*dialBackoff // per-address reconnect backoff
-	completeC      chan struct{}           // closed when the store completes
-	completeOnce   sync.Once
+	trackerDown   bool                    // last announce failed; degraded to cachedPeers
+	cachedPeers   []tracker.PeerInfo      // last successful announce result
+	dialState     map[string]*dialBackoff // per-address reconnect backoff
+	completeC     chan struct{}           // closed when the store completes
+	completeOnce  sync.Once
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -340,25 +337,6 @@ func (n *Node) Ready() error {
 		return errors.New("no live peer connections")
 	}
 	return nil
-}
-
-// SetServeDuplication opens (on) or closes a duplicated-delivery fault
-// window: while open, serveBlock sends every PIECE twice. Wired to
-// fault.KindDuplicate by the fault harness; receivers must be idempotent
-// (blocks are counted once however often they arrive).
-func (n *Node) SetServeDuplication(on bool) {
-	n.mu.Lock()
-	changed := n.serveDuplicate != on
-	n.serveDuplicate = on
-	n.mu.Unlock()
-	if !changed {
-		return
-	}
-	name := trace.EvDuplicateEnd
-	if on {
-		name = trace.EvDuplicate
-	}
-	n.emit(trace.CatFault, name, -1)
 }
 
 // Done returns a channel closed when every segment has been downloaded.

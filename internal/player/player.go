@@ -54,10 +54,6 @@ type Config struct {
 	// SegmentDurations lists the display duration of every segment in
 	// playback order. Must be non-empty with positive entries.
 	SegmentDurations []time.Duration
-	// StartThreshold is how many leading segments must be buffered before
-	// playback begins. Values below 1 default to 1 (the paper's player
-	// starts as soon as the first segment arrives).
-	StartThreshold int
 	// ResumeThreshold is the rebuffering depth: after a stall begins,
 	// playback resumes only once this much contiguous video is buffered
 	// ahead (or the clip tail is fully downloaded). Zero resumes as soon
@@ -110,7 +106,6 @@ type Player struct {
 	durations []time.Duration
 	prefix    []time.Duration // prefix[i] = total duration of segments [0, i)
 	completed []bool
-	threshold int
 	observer  func(Transition)
 
 	state      State
@@ -130,22 +125,13 @@ func New(cfg Config) (*Player, error) {
 	if len(cfg.SegmentDurations) == 0 {
 		return nil, fmt.Errorf("player: no segments")
 	}
-	threshold := cfg.StartThreshold
-	if threshold < 1 {
-		threshold = 1
-	}
 	if cfg.ResumeThreshold < 0 {
 		return nil, fmt.Errorf("player: negative resume threshold %v", cfg.ResumeThreshold)
-	}
-	if threshold > len(cfg.SegmentDurations) {
-		return nil, fmt.Errorf("player: start threshold %d exceeds %d segments",
-			threshold, len(cfg.SegmentDurations))
 	}
 	p := &Player{
 		durations: append([]time.Duration(nil), cfg.SegmentDurations...),
 		completed: make([]bool, len(cfg.SegmentDurations)),
 		prefix:    make([]time.Duration, len(cfg.SegmentDurations)+1),
-		threshold: threshold,
 		resume:    cfg.ResumeThreshold,
 	}
 	for i, d := range p.durations {
@@ -189,7 +175,7 @@ func (p *Player) Start(now time.Duration) error {
 	p.startedAt = now
 	p.last = now
 	// Segments may have arrived before the viewer pressed play.
-	if p.contiguous >= p.threshold {
+	if p.contiguous > 0 {
 		p.startup = 0
 		p.setState(StatePlaying, now)
 	}
@@ -237,7 +223,8 @@ func (p *Player) OnSegmentComplete(idx int, now time.Duration) error {
 	}
 	switch p.state {
 	case StateWaiting:
-		if p.contiguous >= p.threshold {
+		// Like the paper's player, playback starts on the first segment.
+		if p.contiguous > 0 {
 			p.startup = now - p.startedAt
 			p.setState(StatePlaying, now)
 		}

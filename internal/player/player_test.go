@@ -28,9 +28,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{SegmentDurations: []time.Duration{0}}); err == nil {
 		t.Error("zero duration: want error")
 	}
-	if _, err := New(Config{SegmentDurations: []time.Duration{sec(1)}, StartThreshold: 2}); err == nil {
-		t.Error("threshold > segments: want error")
-	}
 }
 
 func TestStartupTime(t *testing.T) {
@@ -188,29 +185,6 @@ func TestBufferedAhead(t *testing.T) {
 	}
 	if got := p.BufferedAhead(sec(3)); got != sec(5) {
 		t.Errorf("BufferedAhead at 3s = %v, want 5s", got)
-	}
-}
-
-func TestStartThreshold(t *testing.T) {
-	p, err := New(Config{SegmentDurations: []time.Duration{sec(2), sec(2), sec(2)}, StartThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.OnSegmentComplete(0, sec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Metrics(sec(1)).State; got != StateWaiting {
-		t.Errorf("after 1 segment: state = %v, want waiting", got)
-	}
-	if err := p.OnSegmentComplete(1, sec(3)); err != nil {
-		t.Fatal(err)
-	}
-	m := p.Metrics(sec(3))
-	if m.StartupTime != sec(3) || m.State != StatePlaying {
-		t.Errorf("startup = %v state = %v, want 3s playing", m.StartupTime, m.State)
 	}
 }
 

@@ -26,7 +26,6 @@ func TestQuickPlayerInvariants(t *testing.T) {
 		}
 		p, err := New(Config{
 			SegmentDurations: durs,
-			StartThreshold:   1 + r.Intn(2),
 			ResumeThreshold:  time.Duration(r.Intn(6000)) * time.Millisecond,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package simpeer
 
 import (
 	"fmt"
+	"time"
 
 	"p2psplice/internal/fault"
 	"p2psplice/internal/trace"
@@ -12,6 +13,28 @@ import (
 // dips, and tracker outages. Every injected fault and recovery is a
 // typed CatFault trace event so timelines show fault → stall (or
 // fault → masked) causality.
+
+// faultWindow remembers the most recent window of one fault on one
+// peer. Player stalls surface lazily, so a stall observed after a window
+// closed may have begun inside it: attribution asks the window, not just
+// the live state.
+type faultWindow struct {
+	opened   int // windows begun so far
+	from, to time.Duration
+	open     bool
+}
+
+func (w *faultWindow) begin(at time.Duration) {
+	w.opened++
+	w.from, w.open = at, true
+}
+
+func (w *faultWindow) end(at time.Duration) { w.to, w.open = at, false }
+
+// covers reports whether the most recent window was open at at.
+func (w *faultWindow) covers(at time.Duration) bool {
+	return w.opened > 0 && at >= w.from && (w.open || at < w.to)
+}
 
 // compileFaults validates the configured plan and schedules one engine
 // event per edge — each window's beginning and its end. An empty plan
@@ -80,8 +103,7 @@ func (s *swarm) crash(p *peerState) {
 	}
 	p.crashed = true
 	s.remark(p)
-	p.crashes++
-	p.lastCrashAt = s.eng.Now()
+	p.crash.begin(s.eng.Now())
 	s.emit(p.id, -1, trace.CatFault, trace.EvPeerCrash)
 	s.cancelPeerFlows(p)
 	s.fillAll()
@@ -100,7 +122,7 @@ func (s *swarm) rejoin(p *peerState) {
 	}
 	p.crashed = false
 	s.remark(p)
-	p.rejoinedAt = s.eng.Now()
+	p.crash.end(s.eng.Now())
 	p.retryAttempt = 0
 	s.emit(p.id, -1, trace.CatFault, trace.EvPeerRejoin)
 	// Its segments are visible again and it wants the rest: refill everyone.
@@ -118,10 +140,9 @@ func (s *swarm) setLink(p *peerState, down bool) {
 	name := trace.EvLinkUp
 	if down {
 		name = trace.EvLinkDown
-		p.linkDowns++
-		p.lastLinkDownAt = s.eng.Now()
+		p.linkDown.begin(s.eng.Now())
 	} else {
-		p.linkUpAt = s.eng.Now()
+		p.linkDown.end(s.eng.Now())
 	}
 	s.emit(p.id, -1, trace.CatFault, name)
 	if !down {
@@ -172,13 +193,13 @@ func (s *swarm) setBurstLoss(p *peerState, m *fault.GEModel) {
 func (s *swarm) setCorrupt(p *peerState, pct float64) {
 	if pct > 0 {
 		p.corruptPct = pct
-		p.corruptStartAt = s.eng.Now()
+		p.corrupt.begin(s.eng.Now())
 		s.emit(p.id, -1, trace.CatFault, trace.EvCorrupt,
 			trace.Float64("percent", pct))
 		return
 	}
 	p.corruptPct = 0
-	p.corruptEndAt = s.eng.Now()
+	p.corrupt.end(s.eng.Now())
 	s.emit(p.id, -1, trace.CatFault, trace.EvCorruptEnd)
 }
 
@@ -216,8 +237,7 @@ func (s *swarm) clearAdversary(p *peerState) {
 // setDuplicate opens or closes a duplicated-delivery window. Per-packet
 // duplication is below the fluid flow model's granularity — receivers
 // in the emulation are trivially idempotent — so the window is traced
-// for timeline parity with the real stack (where serveBlock really does
-// send every PIECE twice) without behavioral effect here.
+// without behavioral effect.
 func (s *swarm) setDuplicate(p *peerState, on bool) {
 	name := trace.EvDuplicateEnd
 	if on {

@@ -7,6 +7,7 @@ import (
 	"p2psplice/internal/fault"
 	"p2psplice/internal/netem"
 	"p2psplice/internal/player"
+	"p2psplice/internal/reputation"
 	"p2psplice/internal/sim"
 	"p2psplice/internal/trace"
 )
@@ -39,24 +40,17 @@ type peerState struct {
 
 	// Crash state (fault plans only). A crashed peer keeps its segment
 	// store across rejoin (process-restart model) but serves and fetches
-	// nothing while down. lastCrashAt/rejoinedAt bound the most recent
-	// outage so retroactively-observed player stalls inside the window
-	// attribute to the crash.
-	crashed     bool
-	crashes     int
-	lastCrashAt time.Duration
-	rejoinedAt  time.Duration
-	// Link-flap window bounds, kept for the same retroactive stall
-	// attribution (netem owns the live down/up flag).
-	linkDowns      int
-	lastLinkDownAt time.Duration
-	linkUpAt       time.Duration
-	// Corruption window state (fault plans only). corruptPct > 0 while a
-	// window is open on this peer; the bounds and discard counters give
-	// retroactively-observed stalls inside the window their cause.
+	// nothing while down.
+	crashed bool
+	// The most recent window of each fault on this peer: stall
+	// attribution reads them, and crash.opened is the peer's crash count.
+	// netem owns the live link-down flag. burst is observer-owned:
+	// written only by onLossState and never read by scheduling.
+	crash, linkDown, corrupt, burst faultWindow
+	// Corruption state (fault plans only). corruptPct > 0 while a window
+	// is open on this peer; corruptDiscards counts the segments its
+	// windows made it throw away.
 	corruptPct      float64
-	corruptStartAt  time.Duration
-	corruptEndAt    time.Duration
 	corruptDiscards int
 	// segAttempts counts download attempts per segment so every retry of
 	// a discarded segment gets a fresh deterministic corruption draw
@@ -72,12 +66,6 @@ type peerState struct {
 	advKind     fault.AdversaryKind
 	advPct      float64 // polluter corruption probability, percent
 	adversarial bool
-	// Burst-loss window observations. Observer-owned: written only by
-	// onLossState (attached only when tracing or metering) and read only
-	// by stall attribution, never by scheduling.
-	geBursts int
-	geBadAt  time.Duration
-	geGoodAt time.Duration
 	// retryAttempt counts consecutive blocked fills for backoff; any
 	// successful launch resets it.
 	retryAttempt int
@@ -394,18 +382,15 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	}
 }
 
-// defaultServeTimeout bounds how long a pending request may hang before
-// the requester gives up on the source — behavior that exists with or
-// without reputation (otherwise a stale-have liar would pin its victims
-// forever).
-const defaultServeTimeout = 4 * time.Second
-
-// serveTimeout resolves the pending-request timeout.
+// serveTimeout resolves the pending-request timeout: how long a pending
+// request may hang before the requester gives up on the source. It
+// applies with or without reputation (otherwise a stale-have liar would
+// pin its victims forever), at reputation's default when none is set.
 func (s *swarm) serveTimeout() time.Duration {
 	if s.cfg.Reputation != nil && s.cfg.Reputation.ServeTimeout > 0 {
 		return s.cfg.Reputation.ServeTimeout
 	}
-	return defaultServeTimeout
+	return reputation.Default().ServeTimeout
 }
 
 // onServeTimeout reaps pending serve number serve if it is still in

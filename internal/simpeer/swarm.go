@@ -660,12 +660,12 @@ func (s *swarm) collect() *Result {
 	horizon := end + clip + time.Second
 	res := &Result{EndTime: end}
 	for _, p := range s.peers[1:] {
-		res.Peers = append(res.Peers, PeerResult{Peer: p.id, Departed: p.departed, Crashes: p.crashes,
+		res.Peers = append(res.Peers, PeerResult{Peer: p.id, Departed: p.departed, Crashes: p.crash.opened,
 			Adversarial: p.adversarial, Metrics: p.player.Metrics(horizon)})
 		switch {
 		case p.departed:
 			res.Departed++
-		case p.crashes > 0:
+		case p.crash.opened > 0:
 			res.Crashed++
 		case p.adversarial:
 			res.Adversarial++

@@ -61,10 +61,9 @@ func (s *swarm) onLossState(ev netem.LossStateEvent) {
 	if peer >= 0 {
 		p := s.peers[peer]
 		if ev.Bad {
-			p.geBursts++
-			p.geBadAt = ev.At
-		} else if p.geBursts > 0 {
-			p.geGoodAt = ev.At
+			p.burst.begin(ev.At)
+		} else {
+			p.burst.end(ev.At)
 		}
 	}
 	if s.cfg.Tracer.Enabled() {
@@ -82,15 +81,7 @@ func (s *swarm) onLossState(ev netem.LossStateEvent) {
 // Gilbert–Elliott bad state now, or was at the (possibly retroactive)
 // stall timestamp at, per the windows onLossState recorded.
 func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
-	if s.net.LossStateBad(p.node) {
-		return true
-	}
-	if p.geBursts == 0 || at < p.geBadAt {
-		return false
-	}
-	// geGoodAt <= geBadAt means the recovery transition has not fired
-	// (or fired for an earlier burst): the window is still open.
-	return p.geGoodAt <= p.geBadAt || at < p.geGoodAt
+	return s.net.LossStateBad(p.node) || p.burst.covers(at)
 }
 
 // stallFacts gathers what attribution needs to know about p's stall that
@@ -103,10 +94,11 @@ func (s *swarm) inBurstWindow(p *peerState, at time.Duration) bool {
 func (s *swarm) stallFacts(p *peerState, at time.Duration) trace.StallFacts {
 	f := trace.StallFacts{
 		InFlight:    p.dl.Pool.InFlight,
-		OwnCrash:    p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt),
-		OwnLinkDown: s.net.LinkIsDown(p.node) || (p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt),
-		// A window that made this peer throw away verified-bad segments.
-		Corrupting: p.corruptDiscards > 0 && at >= p.corruptStartAt && (p.corruptPct > 0 || at < p.corruptEndAt),
+		OwnCrash:    p.crashed || p.crash.covers(at),
+		OwnLinkDown: s.net.LinkIsDown(p.node) || p.linkDown.covers(at),
+		// Only a window that made this peer throw away verified-bad
+		// segments.
+		Corrupting: p.corruptDiscards > 0 && p.corrupt.covers(at),
 	}
 	if f.OwnCrash || f.OwnLinkDown || f.Corrupting {
 		return f // Cause looks no further: the pool is sized, not inspected

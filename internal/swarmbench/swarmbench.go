@@ -99,10 +99,11 @@ type Config struct {
 	TimeSeriesWindow time.Duration
 
 	// TraceCapacity, when positive, attaches a bounded sampled event
-	// ring to every shard: completion events pass a pure hash sampler
-	// (seeded by the shard seed, never the workload RNG) and land in a
-	// fixed-capacity ring. Result.Trace accounts for every event —
-	// sampled, rejected, or evicted — so the bound is honest.
+	// counter (trace.Ring) to every shard: completion events pass a pure
+	// hash sampler (seeded by the shard seed, never the workload RNG) and
+	// are counted against a fixed capacity. Result.Trace accounts for
+	// every event — sampled, rejected, or beyond the capacity — so the
+	// bound is honest.
 	TraceCapacity int
 	// TraceSampleRate is the sampler keep probability in [0,1]. Only
 	// meaningful with TraceCapacity > 0.
@@ -148,7 +149,8 @@ type Result struct {
 	// Trace sums per-shard ring admission counters; zero unless
 	// Config.TraceCapacity was set.
 	Trace trace.RingCounts
-	// TraceRetained is the event count still held across shard rings.
+	// TraceRetained sums each shard ring's Len: the admitted events
+	// within its capacity.
 	TraceRetained int
 }
 

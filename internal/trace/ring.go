@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // HashSampler decides event admission as a pure function of its seed and
 // the event's identity (category, name, peer, segment) — never an
@@ -79,73 +76,54 @@ func splitmixTrace(x uint64) uint64 {
 }
 
 // RingCounts reports a Ring's admission accounting. Sampled + Rejected
-// equals the number of Emit calls; Dropped counts admitted events later
-// evicted by capacity.
+// equals the number of Emit calls; Dropped counts admitted events beyond
+// the ring's capacity.
 type RingCounts struct {
 	Sampled  int64 `json:"sampled"`
 	Rejected int64 `json:"rejected"`
 	Dropped  int64 `json:"dropped"`
 }
 
-// Ring is a bounded in-memory Sink: a fixed-capacity circular buffer
-// holding the most recent admitted events, with an optional HashSampler
-// in front. It replaces the unbounded Buffer for swarm-scale runs —
-// memory is fixed at capacity events no matter how long the run is, and
-// the explicit sampled/rejected/dropped counters make the bound honest:
-// nothing disappears without being counted.
+// Ring is a bounded counting Sink for swarm-scale runs: an optional
+// HashSampler in front of a capacity. It keeps no events, only counts:
+// its memory is fixed no matter how long the run is, and the explicit
+// sampled/rejected/dropped counters make the bound honest: nothing
+// disappears without being counted.
 type Ring struct {
-	mu      sync.Mutex // guards buf, start, size
-	buf     []Event
-	start   int
-	size    int
-	sampler *HashSampler
-	// counters are atomics so Counts() needs no lock ordering with Emit.
-	sampled  int64
-	rejected int64
-	dropped  int64
+	capacity int64
+	sampler  *HashSampler
+	// counters are atomics: Emit runs on any goroutine and takes no lock.
+	sampled  atomic.Int64
+	rejected atomic.Int64
 }
 
-// NewRing returns a Ring holding at most capacity admitted events
-// (minimum 1). sampler may be nil to admit everything.
+// NewRing returns a Ring whose capacity (minimum 1) bounds Len. sampler
+// may be nil to admit everything.
 func NewRing(capacity int, sampler *HashSampler) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity), sampler: sampler}
+	return &Ring{capacity: int64(max(capacity, 1)), sampler: sampler}
 }
 
-// Emit runs the sampler and, on admission, appends ev, evicting the
-// oldest event when full.
+// Emit runs the sampler and counts ev as admitted or rejected.
 func (r *Ring) Emit(ev Event) {
-	if !r.sampler.Keep(ev) {
-		atomic.AddInt64(&r.rejected, 1)
-		return
+	if r.sampler.Keep(ev) {
+		r.sampled.Add(1)
+	} else {
+		r.rejected.Add(1)
 	}
-	atomic.AddInt64(&r.sampled, 1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.size == len(r.buf) {
-		r.buf[r.start] = ev
-		r.start = (r.start + 1) % len(r.buf)
-		atomic.AddInt64(&r.dropped, 1)
-		return
-	}
-	r.buf[(r.start+r.size)%len(r.buf)] = ev
-	r.size++
 }
 
-// Len returns the number of retained events.
+// Len returns the number of admitted events the capacity holds:
+// min(sampled, capacity).
 func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
+	return int(min(r.sampled.Load(), r.capacity))
 }
 
 // Counts returns the admission accounting.
 func (r *Ring) Counts() RingCounts {
+	sampled := r.sampled.Load()
 	return RingCounts{
-		Sampled:  atomic.LoadInt64(&r.sampled),
-		Rejected: atomic.LoadInt64(&r.rejected),
-		Dropped:  atomic.LoadInt64(&r.dropped),
+		Sampled:  sampled,
+		Rejected: r.rejected.Load(),
+		Dropped:  max(sampled-r.capacity, 0),
 	}
 }

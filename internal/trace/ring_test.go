@@ -1,30 +1,51 @@
 package trace
 
 import (
-	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
 
+// TestRingBoundsAndEviction pins the counting Ring: Len is min(sampled,
+// capacity) and Dropped the admitted events beyond the capacity, with
+// and without a sampler in front.
 func TestRingBoundsAndEviction(t *testing.T) {
-	r := NewRing(3, nil)
-	for i := 0; i < 5; i++ {
-		r.Emit(Event{At: time.Duration(i), Peer: i, Seg: -1, Cat: CatPool, Name: EvPoolFill})
-	}
-	evs := r.Events()
-	if len(evs) != 3 || r.Len() != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
-	}
-	var peers []int
-	for _, ev := range evs {
-		peers = append(peers, ev.Peer)
-	}
-	if !reflect.DeepEqual(peers, []int{2, 3, 4}) {
-		t.Errorf("retained peers %v, want oldest-first [2 3 4]", peers)
-	}
-	counts := r.Counts()
-	if counts.Sampled != 5 || counts.Rejected != 0 || counts.Dropped != 2 {
-		t.Errorf("counts = %+v, want sampled=5 rejected=0 dropped=2", counts)
+	// keepPlayer admits every CatPlayer event and rejects every CatFlow one.
+	keepPlayer := NewHashSampler(1, 0, map[string]float64{CatPlayer: 1})
+	for _, tc := range []struct {
+		name           string
+		capacity       int
+		sampler        *HashSampler
+		kept, rejected int // CatPlayer and CatFlow events emitted
+		wantLen        int
+		want           RingCounts
+	}{
+		{"capacity 1", 1, nil, 5, 0, 1, RingCounts{Sampled: 5, Dropped: 4}},
+		{"capacity 0 is 1", 0, nil, 2, 0, 1, RingCounts{Sampled: 2, Dropped: 1}},
+		{"below capacity", 3, nil, 2, 0, 2, RingCounts{Sampled: 2}},
+		{"at capacity", 3, nil, 3, 0, 3, RingCounts{Sampled: 3}},
+		{"past capacity", 3, nil, 5, 0, 3, RingCounts{Sampled: 5, Dropped: 2}},
+		{"sampled capacity 1", 1, keepPlayer, 3, 4, 1, RingCounts{Sampled: 3, Rejected: 4, Dropped: 2}},
+		{"sampled at capacity", 3, keepPlayer, 3, 2, 3, RingCounts{Sampled: 3, Rejected: 2}},
+		{"sampled past capacity", 3, keepPlayer, 5, 5, 3, RingCounts{Sampled: 5, Rejected: 5, Dropped: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRing(tc.capacity, tc.sampler)
+			for i := 0; i < max(tc.kept, tc.rejected); i++ {
+				if i < tc.kept {
+					r.Emit(Event{At: time.Duration(i), Peer: i, Seg: -1, Cat: CatPlayer, Name: EvStallBegin})
+				}
+				if i < tc.rejected {
+					r.Emit(Event{At: time.Duration(i), Peer: i, Seg: -1, Cat: CatFlow, Name: EvFlowComplete})
+				}
+			}
+			if got := r.Len(); got != tc.wantLen {
+				t.Errorf("Len = %d, want %d", got, tc.wantLen)
+			}
+			if got := r.Counts(); got != tc.want {
+				t.Errorf("Counts = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -98,17 +119,28 @@ func TestRingWithSampler(t *testing.T) {
 		t.Errorf("admitted fraction %.3f at rate 0.25, want ~0.25", frac)
 	}
 	if r.Len() != int(c.Sampled) {
-		t.Errorf("ring holds %d events, want %d admitted", r.Len(), c.Sampled)
+		t.Errorf("Len = %d, want the %d admitted", r.Len(), c.Sampled)
 	}
 }
 
-// Events returns a copy of the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
+// Emit runs on any goroutine: concurrent emitters lose no count.
+func TestRingConcurrentEmit(t *testing.T) {
+	r := NewRing(100, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r.Emit(Event{Cat: CatPlayer, Name: EvStallBegin, Peer: i, Seg: -1})
+			}
+		}()
 	}
-	return out
+	wg.Wait()
+	if got, want := r.Counts(), (RingCounts{Sampled: 200, Dropped: 100}); got != want {
+		t.Errorf("Counts = %+v, want %+v", got, want)
+	}
+	if got := r.Len(); got != 100 {
+		t.Errorf("Len = %d, want 100", got)
+	}
 }

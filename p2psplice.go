@@ -144,14 +144,7 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*SwarmResult, error) {
 // SegmentsForSwarm converts spliced segments into emulation metadata,
 // accounting for container framing on the wire.
 func SegmentsForSwarm(segs []Segment) []SegmentMeta {
-	out := make([]SegmentMeta, len(segs))
-	for i, s := range segs {
-		out[i] = SegmentMeta{
-			Bytes:    container.WireSize(len(s.Frames), s.Bytes()),
-			Duration: s.Duration(),
-		}
-	}
-	return out
+	return experiment.SegmentsForSwarm(segs)
 }
 
 // QuickParams returns a scaled-down experiment setup for smoke runs.
