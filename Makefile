@@ -70,7 +70,8 @@ identity:
 
 # bench-ab: a perf claim's alternating pairs — PAIRS untraced passes of
 # WORKLOAD on PARENT and on the working tree, alternating which goes first,
-# each pair judged by -compare, then the 9-of-10 verdict on wall_s. Takes
+# each pair judged by -compare, then the paired verdict on wall_s
+# (scripts/bench-verdict.awk, which also reads recorded pairs). Takes
 # minutes; not a CI step. One recipe, scripts/bench-ab.sh.
 PAIRS ?= 10
 SEED  ?= 1

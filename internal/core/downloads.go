@@ -5,13 +5,14 @@ import (
 
 	"p2psplice/internal/player"
 	"p2psplice/internal/reputation"
+	"p2psplice/internal/trace"
 )
 
-// The download lifecycle: what happens to one of Eq. 1's k downloads
-// between the scheduler's choice and its end. Both stacks keep one
-// Downloads and move each download through Launch, Deliver and End; only
-// their I/O (netem flows and serve timers, blocks and conns) stays per
-// stack. Every download ends in End, and every source charge is Charge.
+// The download lifecycle: Eq. 1's k for a downloader's pool, and what
+// happens to each of the k downloads between the scheduler's choice and its
+// end. Both stacks keep one Downloads; only their I/O (netem flows and serve
+// timers, blocks and conns) stays per stack. Every pool is sized in Fill,
+// every download ends in End, and every source charge is Charge.
 
 // Flight is one segment download in flight. Times are on the
 // downloader's clock.
@@ -58,7 +59,8 @@ func (f *Flight) Charge(e Ending, c reputation.Config) reputation.Observation {
 }
 
 // Downloads is one downloader's segments in flight: its scheduler Pool,
-// its aggregate Meter (Eq. 1's B) and a Flight per fetching segment.
+// its aggregate Meter (Eq. 1's B), its Policy, its clip and a Flight per
+// fetching segment.
 // A flight is open from Launch to End, and Fetching in the pool all that
 // time, its last byte's verification included.
 type Downloads struct {
@@ -66,23 +68,55 @@ type Downloads struct {
 	Meter AggregateMeter
 	// play is synced before a flight ends (nil: no player).
 	play    *player.Player
+	policy  Policy
+	sizes   []int64  // each segment's bytes: a flight's size, Eq. 1's W
+	rate    int64    // the clip's mean byte rate, B before the first sample
 	flights []Flight // by segment; zero where not in flight
 }
 
-// NewDownloads returns the downloads of a downloader that holds have and
-// plays on play (nil for none).
-func NewDownloads(have []bool, play *player.Player) *Downloads {
-	return &Downloads{Pool: NewPool(have), play: play, flights: make([]Flight, len(have))}
+// NewDownloads returns the downloads of a downloader that holds have,
+// plays on play (nil for none) and sizes its pool by policy, over a clip
+// whose segments are sizes bytes and durations long.
+func NewDownloads(have []bool, play *player.Player, policy Policy, sizes []int64, durations []time.Duration) *Downloads {
+	var bytes int64
+	var clip time.Duration
+	for i := range sizes {
+		bytes, clip = bytes+sizes[i], clip+durations[i]
+	}
+	return &Downloads{Pool: NewPool(have), play: play, policy: policy, sizes: sizes,
+		rate: int64(float64(bytes) / clip.Seconds()), flights: make([]Flight, len(have))}
+}
+
+// Bandwidth is B as the meter estimates it, the clip's mean byte rate
+// (Σ bytes / Σ durations) before its first sample.
+func (d *Downloads) Bandwidth() int64 { return d.Meter.Estimate(d.rate) }
+
+// Fill is one pool decision: Eq. 1's k from B, T and W, the size of
+// first, the first wanted segment; only if fewer than k are in flight,
+// prepare gathers the source set and its Fill scans first..frontier, visit
+// launching each selection that has a source and ending no flight.
+//
+//lint:hotpath runs once per fill
+func (d *Downloads) Fill(bandwidth int64, buffered time.Duration, first, frontier int, prepare func() *SourceSet, visit func(idx int, src *Source, cut bool)) (f trace.PoolFacts) {
+	w := d.sizes[first]
+	k := d.policy.PoolSize(bandwidth, buffered, w)
+	n := d.Pool.InFlight
+	f = trace.PoolFacts{Bandwidth: bandwidth, Buffered: buffered, SegBytes: w, Target: k, InFlight: n}
+	if n < k {
+		f.Blocked = prepare().Fill(&d.Pool, first, k, frontier, visit)
+		f.Launched = d.Pool.InFlight - n
+	}
+	return f
 }
 
 // Flight returns the flight of segment idx, zero if it is not in flight.
 // The record is the lifecycle's: callers read it and write nothing.
 func (d *Downloads) Flight(idx int) *Flight { return &d.flights[idx] }
 
-// Launch opens the flight of segment idx, size bytes from src, at now:
-// the scheduler's Fill has entered it into the pool.
-func (d *Downloads) Launch(idx int, src *Source, size int64, now time.Duration) {
-	d.flights[idx] = Flight{Src: src, Started: now, Last: now, Size: size}
+// Launch opens the flight of segment idx from src at now: the scheduler's
+// Fill has entered it into the pool.
+func (d *Downloads) Launch(idx int, src *Source, now time.Duration) {
+	d.flights[idx] = Flight{Src: src, Started: now, Last: now, Size: d.sizes[idx]}
 	d.Meter.Start(now)
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"p2psplice/internal/player"
 	"p2psplice/internal/reputation"
+	"p2psplice/internal/trace"
 )
 
 // FuzzDownloads drives one Downloads over 3 sources and 4 segments with a
@@ -28,9 +30,9 @@ func FuzzDownloads(f *testing.F) {
 		cfg.SlowServeBytesPerSec = 16 << 10
 		size := func(idx int) int64 { return 1000 * int64(idx+1) }
 
-		durations := make([]time.Duration, segs)
+		durations, sizes := make([]time.Duration, segs), make([]int64, segs)
 		for i := range durations {
-			durations[i] = time.Second
+			durations[i], sizes[i] = time.Second, size(i)
 		}
 		play, err := player.New(player.Config{SegmentDurations: durations})
 		if err != nil {
@@ -43,7 +45,7 @@ func FuzzDownloads(f *testing.F) {
 		for i := range sources {
 			sources[i] = &Source{ID: i, Have: make([]bool, segs)}
 		}
-		d := NewDownloads(make([]bool, segs), play)
+		d := NewDownloads(make([]bool, segs), play, FixedPool{K: 1}, sizes, durations)
 
 		// The model: each open flight's source, start, last delivery and
 		// bytes received.
@@ -124,7 +126,7 @@ func FuzzDownloads(f *testing.F) {
 				if !d.Pool.Wanted(idx) {
 					continue
 				}
-				d.Launch(idx, src, size(idx), now)
+				d.Launch(idx, src, now)
 				d.Pool.Start(idx, src)
 				open[idx], from[idx], started[idx], last[idx] = true, src, now, now
 			case 1:
@@ -176,4 +178,96 @@ func FuzzDownloads(f *testing.F) {
 			check(step, what)
 		}
 	})
+}
+
+// TestFillDecision is Eq. 1's one call site over a grid: for each policy,
+// B, T and W and every in-flight count from 0 to k+1, Fill reports the
+// inputs with k = PoolSize(B, T, W), W read from the clip at the first
+// wanted segment; with no room neither the preparer nor visit runs; with
+// room the set is prepared once and the pool topped up to k, and Launched
+// is the number of visits that had a source. Segment 1 has no source, so
+// a fill that gets past segment 0 visits it without launching it.
+func TestFillDecision(t *testing.T) {
+	const segs = 64
+	durations := make([]time.Duration, segs)
+	holder := &Source{ID: 1, Have: make([]bool, segs)}
+	for i := range durations {
+		durations[i], holder.Have[i] = time.Second, i != 1
+	}
+	elsewhere := &Source{ID: 2}
+	for _, policy := range []Policy{AdaptivePool{}, FixedPool{K: 1}, FixedPool{K: 2}, FixedPool{K: 8}} {
+		for _, b := range []int64{0, 96_000, 400_000} {
+			for _, buffered := range []time.Duration{0, 1500 * time.Millisecond, 4 * time.Second} {
+				for _, w := range []int64{100_000, 250_000} {
+					// Segment 0, the first wanted, is W bytes; the rest are
+					// another size, so a W read elsewhere changes k.
+					sizes := make([]int64, segs)
+					for i := range sizes {
+						sizes[i] = 2*w + 1
+					}
+					sizes[0] = w
+					k := policy.PoolSize(b, buffered, w)
+					for n := 0; n <= k+1; n++ {
+						name := fmt.Sprintf("%s B=%d T=%v W=%d in flight %d", policy.Name(), b, buffered, w, n)
+						d := NewDownloads(make([]bool, segs), nil, policy, sizes, durations)
+						// n downloads in flight, on segments 2.. that the fill
+						// must step over.
+						for idx := 2; idx < 2+n; idx++ {
+							d.Launch(idx, elsewhere, 0)
+							d.Pool.Start(idx, elsewhere)
+						}
+						var set SourceSet
+						prepared, visits, sourced := 0, 0, 0
+						f := d.Fill(b, buffered, 0, segs-1, func() *SourceSet {
+							prepared++
+							gather(&set, []*Source{holder}, nil, 0)
+							return &set
+						}, func(idx int, src *Source, _ bool) {
+							visits++
+							if src != nil {
+								sourced++
+								d.Launch(idx, src, 0)
+							}
+						})
+						want := trace.PoolFacts{Bandwidth: b, Buffered: buffered, SegBytes: w, Target: k, InFlight: n}
+						blocked := 0
+						if n < k {
+							want.Launched, want.Blocked = k-n, k-n > 1
+						}
+						if want.Blocked {
+							blocked = 1
+						}
+						if f != want {
+							t.Fatalf("%s: facts %+v, want %+v", name, f, want)
+						}
+						switch {
+						case n >= k && (prepared != 0 || visits != 0):
+							t.Fatalf("%s: no room, yet the set was prepared %d times and %d selections visited", name, prepared, visits)
+						case n < k && prepared != 1:
+							t.Fatalf("%s: the set was prepared %d times, want once", name, prepared)
+						case f.Launched != sourced || visits != sourced+blocked:
+							t.Fatalf("%s: %d launched, %d visits, %d with a source", name, f.Launched, visits, sourced)
+						case d.Pool.InFlight != max(n, k) || d.Meter.InFlight() != d.Pool.InFlight:
+							t.Fatalf("%s: pool %d, meter %d in flight, want %d", name, d.Pool.InFlight, d.Meter.InFlight(), max(n, k))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Before its meter's first sample a downloader's B is the clip's mean
+// byte rate, Σ bytes / Σ durations; after, the meter's estimate.
+func TestBandwidthBeforeFirstSample(t *testing.T) {
+	sizes := []int64{300_000, 100_000, 150_001}
+	durations := []time.Duration{2 * time.Second, time.Second, 1500 * time.Millisecond}
+	d := NewDownloads(make([]bool, 3), nil, AdaptivePool{}, sizes, durations)
+	if got, want := d.Bandwidth(), int64(122_222); got != want {
+		t.Errorf("B before a sample = %d, want the clip rate %d", got, want)
+	}
+	d.Meter.Observe(64_000, time.Second)
+	if got := d.Bandwidth(); got != 64_000 {
+		t.Errorf("B after one 64 kB/s sample = %d", got)
+	}
 }

@@ -21,44 +21,35 @@ type segDownload struct {
 // schedule tops up the download pool: the real stack's driver of
 // internal/core's scheduler, as simpeer.fill is the emulation's. Called on
 // join, on every have/bitfield/piece/unchoke event and by the watchdog, it
-// gathers the node's facts under n.mu, then records a fill that had room and
-// sends its block requests unlocked.
+// gathers the node's facts under n.mu, then records the decision and sends
+// its block requests unlocked.
 func (n *Node) schedule() {
 	if n.seeder {
 		return
 	}
 	var launches []*segDownload
-	var f trace.PoolFacts // zero unless a segment is wanted
+	var f trace.PoolFacts
 
 	n.mu.Lock()
 	first, now := n.dl.Pool.FirstWanted(), n.now()
-	if !n.closed && first >= 0 {
-		// Eq. 1's live inputs: B from the aggregate meter (the clip rate
-		// before its first sample), T the playback buffer, W the size of first.
-		f = trace.PoolFacts{
-			Bandwidth: n.dl.Meter.Estimate(n.manifest.Video.BytesPerSecond),
-			Buffered:  n.play.BufferedAhead(now),
-			SegBytes:  n.manifest.Segments[first].Bytes,
-			InFlight:  n.dl.Pool.InFlight,
-		}
-		f.Target = n.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
-		n.qoe.PoolK.Observe(int64(f.Target))
-		if f.InFlight < f.Target {
+	decided := !n.closed && first >= 0
+	if decided {
+		// Eq. 1's live inputs: B from the aggregate meter, T the playback
+		// buffer. The node cannot see a swarm-wide availability frontier,
+		// so the scan never cuts early.
+		f = n.dl.Fill(n.dl.Bandwidth(), n.play.BufferedAhead(now), first, len(n.dl.Pool.Have)-1, func() *core.SourceSet {
 			n.buildSourceSetLocked(now)
-			// The node cannot see a swarm-wide availability frontier, so
-			// the scan never cuts early.
-			f.Blocked = n.set.Fill(&n.dl.Pool, first, f.Target, len(n.dl.Pool.Have)-1, func(idx int, src *core.Source, _ bool) {
-				if src != nil {
-					launches = append(launches, n.launchLocked(src.Owner.(*conn), idx, now))
-				}
-			})
-			f.Launched = len(launches)
-		}
+			return &n.set
+		}, func(idx int, src *core.Source, _ bool) {
+			if src != nil {
+				launches = append(launches, n.launchLocked(src.Owner.(*conn), idx, now))
+			}
+		})
 	}
 	n.nm.activeDowns.Set(int64(len(n.active)))
 	n.mu.Unlock()
 
-	if f.InFlight < f.Target {
+	if decided {
 		n.qoe.PoolDecision(now, -1, first, f)
 	}
 	n.nm.schedCalls.Inc()
@@ -98,7 +89,7 @@ func (n *Node) launchLocked(c *conn, idx int, now time.Duration) *segDownload {
 		blocks: make([]bool, wire.BlockCount(size, wire.DefaultBlockLen)),
 	}
 	n.active[idx] = d
-	n.dl.Launch(idx, &c.src, size, now)
+	n.dl.Launch(idx, &c.src, now)
 	return d
 }
 
@@ -251,10 +242,4 @@ func (n *Node) observePeer(id wire.PeerID, obs reputation.Observation) {
 	up := n.rep.Observe(id, at, obs)
 	n.mu.Unlock()
 	n.qoe.Reputation(at, -1, id.String(), obs, up)
-	if obs != reputation.ObsSuccess {
-		n.nm.repPenalties.Inc()
-	}
-	if up.Quarantined {
-		n.nm.quarantines.Inc()
-	}
 }

@@ -210,12 +210,12 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 	ctx, cancel := context.WithCancel(context.Background())
 	// Build the player before the Node exists so every post-construction
 	// access to the guarded play field goes through n.mu.
+	sizes, durations := make([]int64, len(m.Segments)), make([]time.Duration, len(m.Segments))
+	for i, s := range m.Segments {
+		sizes[i], durations[i] = s.Bytes, s.Duration
+	}
 	var play *player.Player
 	if !seeder {
-		durations := make([]time.Duration, len(m.Segments))
-		for i, s := range m.Segments {
-			durations[i] = s.Duration
-		}
 		play, err = player.New(player.Config{SegmentDurations: durations})
 		if err != nil {
 			cancel()
@@ -226,7 +226,7 @@ func newNode(trk *tracker.Client, ih wire.InfoHash, m *container.Manifest, store
 			return nil, err
 		}
 	}
-	roster, dl := core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(store.Bitfield(), play)
+	roster, dl := core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(store.Bitfield(), play, cfg.Policy, sizes, durations)
 	roster.Track(&dl.Pool, -1)
 	n := &Node{
 		cfg:       cfg,

@@ -25,10 +25,6 @@ type nodeMetrics struct {
 	// dials (post-backoff attempts included).
 	announceFails trace.Counter
 	dialFails     trace.Counter
-	// Reputation counters: penalties recorded against remote peers and
-	// quarantine windows opened.
-	repPenalties trace.Counter
-	quarantines  trace.Counter
 
 	announceRTT trace.Histogram // p2p_announce_rtt_seconds
 }
@@ -49,8 +45,6 @@ func newNodeMetrics(r *trace.Registry) nodeMetrics {
 
 		announceFails: r.Counter("announce_failures"),
 		dialFails:     r.Counter("dial_failures"),
-		repPenalties:  r.Counter("rep_penalties"),
-		quarantines:   r.Counter("rep_quarantines"),
 
 		announceRTT: r.SecondsHistogram("p2p_announce_rtt_seconds"),
 	}

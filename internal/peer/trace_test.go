@@ -9,6 +9,7 @@ import (
 	"p2psplice/internal/core"
 	"p2psplice/internal/player"
 	"p2psplice/internal/shaper"
+	"p2psplice/internal/simpeer"
 	"p2psplice/internal/trace"
 	"p2psplice/internal/tracereport"
 )
@@ -111,9 +112,9 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if n.store, err = NewStore(len(m.Segments)); err != nil {
 		t.Fatal(err)
 	}
-	durations := make([]time.Duration, len(m.Segments))
+	sizes, durations := make([]int64, len(m.Segments)), make([]time.Duration, len(m.Segments))
 	for i, s := range m.Segments {
-		durations[i] = s.Duration
+		sizes[i], durations[i] = s.Bytes, s.Duration
 	}
 	if n.play, err = player.New(player.Config{SegmentDurations: durations}); err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func offlineLeecher(t *testing.T, m *container.Manifest, tr *trace.Tracer) *Node
 	if err := n.play.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	n.roster, n.dl = core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(n.store.Bitfield(), n.play)
+	n.roster, n.dl = core.NewRoster(nil, maxConcurrentPerConn), core.NewDownloads(n.store.Bitfield(), n.play, n.cfg.Policy, sizes, durations)
 	n.roster.Track(&n.dl.Pool, -1)
 	return n
 }
@@ -185,4 +186,40 @@ func counter(reg *trace.Registry, name string) int64 {
 		}
 	}
 	return 0
+}
+
+// Before its meter's first sample, B is the same on both stacks for the
+// same clip: the clip's mean wire rate, Σ bytes / Σ durations, not the
+// coded rate the manifest's video header states. The first pool_fill of a
+// node and of an estimating emulated peer carry the B that Eq. 1 read.
+func TestPreSampleBandwidthMatchesEmulation(t *testing.T) {
+	m, _ := testSwarmData(t, 20*time.Second, 2*time.Second)
+	buf := trace.NewBuffer()
+	offlineLeecher(t, m, trace.New(buf)).schedule()
+
+	segs := make([]simpeer.SegmentMeta, len(m.Segments))
+	for i, s := range m.Segments {
+		segs[i] = simpeer.SegmentMeta{Bytes: s.Bytes, Duration: s.Duration}
+	}
+	simBuf := trace.NewBuffer()
+	cfg := simpeer.SwarmConfig{Seed: 1, Leechers: 1, BandwidthBytesPerSec: 128 << 10,
+		Policy: core.AdaptivePool{}, Tracer: trace.New(simBuf)}
+	if _, err := simpeer.RunSwarm(cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+
+	firstB := func(events []trace.Event, peer int) int64 {
+		for _, ev := range events {
+			if ev.Name == trace.EvPoolFill && ev.Peer == peer {
+				return ev.ArgInt64("bandwidth", -1)
+			}
+		}
+		t.Fatalf("no pool_fill event of peer %d", peer)
+		return 0
+	}
+	node, emulated := firstB(buf.Events(), -1), firstB(simBuf.Events(), 1)
+	if node != emulated {
+		t.Errorf("B before the first sample: node %d B/s, emulation %d B/s (coded rate %d B/s)",
+			node, emulated, m.Video.BytesPerSecond)
+	}
 }

@@ -99,16 +99,12 @@ type download struct {
 }
 
 // bandwidth returns the B fed into the pooling policy: the access rate for
-// an oracle peer, else the meter's estimate, the clip rate before its
-// first sample.
+// an oracle peer, else the meter's estimate (Downloads.Bandwidth).
 func (s *swarm) bandwidth(p *peerState) int64 {
 	if s.cfg.OracleBandwidth {
-		if p.rate > 0 {
-			return p.rate
-		}
-		return s.cfg.BandwidthBytesPerSec
+		return p.rate
 	}
-	return p.dl.Meter.Estimate(s.clipRate)
+	return p.dl.Bandwidth()
 }
 
 // feed delivers to p's flights the bytes each of their flows moved since
@@ -273,25 +269,17 @@ func (s *swarm) fill(p *peerState) {
 	if next == -1 {
 		return // everything downloaded or in flight
 	}
-	f := trace.PoolFacts{
-		Bandwidth: s.bandwidth(p), Buffered: p.player.BufferedAhead(now),
-		SegBytes: s.segs[next].Bytes, InFlight: p.dl.Pool.InFlight,
-	}
-	f.Target = s.cfg.Policy.PoolSize(f.Bandwidth, f.Buffered, f.SegBytes)
-	s.qoe.PoolK.Observe(int64(f.Target))
-	if f.InFlight >= f.Target {
-		return
-	}
-	// The pool is the next `target` wanted segments with an eligible source;
-	// the scheduler decides which and from whom.
-	s.buildSourceSet(p, now)
-	f.Blocked = s.set.Fill(&p.dl.Pool, next, f.Target, s.frontier, func(idx int, from *core.Source, cut bool) {
+	// The pool is the next k wanted segments with an eligible source; the
+	// scheduler decides which and from whom.
+	f := p.dl.Fill(s.bandwidth(p), p.player.BufferedAhead(now), next, s.frontier, func() *core.SourceSet {
+		s.buildSourceSet(p, now)
+		return &s.set
+	}, func(idx int, from *core.Source, cut bool) {
 		if s.pickCheck != nil {
 			s.pickCheck(p, idx, from, cut)
 		}
 		if from != nil {
 			s.startDownload(p, from.Owner.(*peerState), idx)
-			f.Launched++
 		}
 	})
 	if f.Launched > 0 {
@@ -346,7 +334,7 @@ func (s *swarm) retry(p *peerState) {
 // scheduler enters it into p's pool and src's load.
 func (s *swarm) startDownload(p, src *peerState, idx int) {
 	p.lastSrc = &src.src
-	p.dl.Launch(idx, &src.src, s.segs[idx].Bytes, s.eng.Now())
+	p.dl.Launch(idx, &src.src, s.eng.Now())
 	if idx > s.frontier {
 		s.frontier = idx
 	}

@@ -1,9 +1,6 @@
 package simpeer
 
-import (
-	"p2psplice/internal/core"
-	"p2psplice/internal/reputation"
-)
+import "p2psplice/internal/core"
 
 // This file is the emulation's reputation glue: observations recorded
 // against download sources and quarantine enforcement (cancel the
@@ -26,13 +23,9 @@ func (s *swarm) observeRep(src *peerState, f *core.Flight, e core.Ending) {
 	obs := f.Charge(e, s.rep.Config())
 	up := s.rep.Observe(src.id, now, obs)
 	s.qoe.Reputation(now, src.id, "", obs, up)
-	if obs != reputation.ObsSuccess {
-		s.repPenalties.Inc()
-	}
 	if !up.Quarantined {
 		return
 	}
-	s.quarantines.Inc()
 	// A quarantined source should not keep serving what selection would
 	// no longer assign it: abort its uploads so the victims re-request
 	// from healthy sources immediately instead of finishing doomed (or

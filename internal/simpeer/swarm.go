@@ -312,11 +312,7 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	eng := sim.New(cfg.Seed)
 	sw := &swarm{eng: eng, net: netem.New(eng), cfg: cfg, segs: segs,
-		repPenalties: cfg.Metrics.Counter("sim_rep_penalties_total"),
-		quarantines:  cfg.Metrics.Counter("sim_quarantines_total"),
-		frontier:     -1, manifestBytes: defaultManifestBytes}
-	cfg.Metrics.SetHelp("sim_rep_penalties_total", "Reputation penalty observations recorded.")
-	cfg.Metrics.SetHelp("sim_quarantines_total", "Quarantine windows opened on peers.")
+		frontier: -1, manifestBytes: defaultManifestBytes}
 	if err := sw.setup(); err != nil {
 		return nil, err
 	}
@@ -338,10 +334,8 @@ type swarm struct {
 	cross []*netem.Flow
 	// qoe records playback telemetry into cfg.Tracer and cfg.Metrics
 	// (either may be nil). Observer-owned: nothing in scheduling
-	// reads it. The two reputation counters are no-ops without a registry.
-	qoe          *trace.QoE
-	repPenalties trace.Counter
-	quarantines  trace.Counter
+	// reads it.
+	qoe *trace.QoE
 	// nodeToPeer attributes netem flow events to peer IDs; populated only
 	// when tracing.
 	nodeToPeer map[netem.NodeID]int
@@ -367,9 +361,6 @@ type swarm struct {
 	frontier int
 	roster   *core.Roster
 	set      core.SourceSet
-	// clipRate is the clip's mean byte rate, an estimating peer's B before
-	// its meter's first sample.
-	clipRate int64
 	// manifestBytes is what a joining peer fetches from the seeder first:
 	// defaultManifestBytes, except in the 1 000-peer alloc benchmark, whose
 	// warm-up would otherwise be a manifest flash crowd.
@@ -458,15 +449,10 @@ func (s *swarm) setup() error {
 		s.cdn.isCDN = true
 	}
 
-	durations := make([]time.Duration, len(s.segs))
-	var clipBytes int64
-	var clip time.Duration
+	durations, sizes := make([]time.Duration, len(s.segs)), make([]int64, len(s.segs))
 	for i, sg := range s.segs {
-		durations[i] = sg.Duration
-		clipBytes += sg.Bytes
-		clip += sg.Duration
+		durations[i], sizes[i] = sg.Duration, sg.Bytes
 	}
-	s.clipRate = int64(float64(clipBytes) / clip.Seconds())
 
 	for i := 1; i <= len(leecherNCs); i++ {
 		nc := leecherNCs[i-1]
@@ -494,7 +480,7 @@ func (s *swarm) setup() error {
 			inFlight: make([]download, len(s.segs)),
 		}
 		p.src.Owner = p
-		p.dl = core.NewDownloads(p.src.Have, pl)
+		p.dl = core.NewDownloads(p.src.Have, pl, s.cfg.Policy, sizes, durations)
 		p.done = func(f *netem.Flow) { s.onDownloadComplete(p, f) }
 		p.retryFn = func() { s.retry(p) }
 		if !s.cfg.DisableRelay {

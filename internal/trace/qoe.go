@@ -9,23 +9,23 @@ import (
 
 // QoE is the telemetry recorder: the one writer of the QoE schema for
 // the emulation (prefix "sim"), the real node (prefix "p2p") and trace
-// replay. It registers the five <prefix>_* histogram families (see
-// NewQoE) and the six TS* windowed series, keeps the open-stall state
-// their values depend on, and alone constructs the events of its entry
-// points — Transition, Segment, PoolDecision, Reputation — which Replay
-// reads back through the same methods, so the three backends cannot
-// disagree about what happened or how it is spelled. Any backend may be
-// nil: its handles are then no-ops, so recording sites run the same
-// statements whatever is attached (the inertness tests prove it).
+// replay. It registers the five <prefix>_* histogram families, two
+// counters (see NewQoE) and the six TS* windowed series, keeps the
+// open-stall state their values depend on, and alone constructs the
+// events of its entry points — Transition, Segment, PoolDecision,
+// Reputation — which Replay reads back through the same methods, so the
+// three backends cannot disagree about what happened or how it is
+// spelled. Any backend may be nil: its handles are then no-ops, so
+// recording sites run the same statements whatever is attached (the
+// inertness tests prove it).
 // Transition keeps per-peer state without a lock; callers serialize it
 // (the emulation is single-threaded, the real node holds its mutex across
 // every player call). The rest touch only atomic handles and the sink.
 type QoE struct {
-	// PoolK is the schedulers' to observe, on every Eq. 1 answer: one that
-	// finds the pool already full records nothing else.
-	PoolK Histogram
-
 	tr            *Tracer
+	poolK         Histogram
+	repPenalties  Counter
+	quarantines   Counter
 	segSeconds    Histogram
 	segBytes      Histogram
 	bufferedUS    TSSeries
@@ -62,9 +62,13 @@ func NewQoE(tr *Tracer, reg *Registry, prefix, scheme string, ts *TimeSeries, vi
 	reg.SetHelp(prefix+"_segment_download_seconds", "Per-segment transfer latency.")
 	reg.SetHelp(prefix+"_segment_bytes", "Per-segment wire size.")
 	reg.SetHelp(prefix+"_pool_size_k", "Equation 1 pool-size decisions.")
+	reg.SetHelp(prefix+"_rep_penalties_total", "Reputation penalty observations recorded.")
+	reg.SetHelp(prefix+"_quarantines_total", "Quarantine windows opened on peers.")
 	q := &QoE{
-		PoolK:         reg.Histogram(prefix + "_pool_size_k"),
 		tr:            tr,
+		poolK:         reg.Histogram(prefix + "_pool_size_k"),
+		repPenalties:  reg.Counter(prefix + "_rep_penalties_total"),
+		quarantines:   reg.Counter(prefix + "_quarantines_total"),
 		segSeconds:    reg.SecondsHistogram(prefix + "_segment_download_seconds" + label),
 		segBytes:      reg.Histogram(prefix + "_segment_bytes" + label),
 		bufferedUS:    ts.Gauge(TSBufferOccupancyUS),
@@ -176,8 +180,8 @@ func (q *QoE) Segment(at time.Duration, peer, seg int, bytes int64, elapsed time
 	}
 }
 
-// PoolFacts is one pool decision that found room to act: Eq. 1's inputs
-// and answer, and what the scheduler made of it.
+// PoolFacts is one pool decision: Eq. 1's inputs and answer, and what
+// the scheduler made of it. It had room to act when InFlight < Target.
 type PoolFacts struct {
 	Bandwidth int64         // B, bytes/s
 	Buffered  time.Duration // T, the playback lead
@@ -188,10 +192,14 @@ type PoolFacts struct {
 	Blocked   bool          // a wanted segment had holders but none eligible
 }
 
-// PoolDecision records a fill of peer's pool starting at segment seg.
-// The series sample exactly what the pool_fill event carries, so series
-// rebuilt from a trace are bit-identical to the live ones.
+// PoolDecision records a decision on peer's pool from segment seg: each
+// observes pool_size_k; one with room also samples the series, exactly
+// what its pool_fill event carries, so rebuilt series equal live ones.
 func (q *QoE) PoolDecision(at time.Duration, peer, seg int, f PoolFacts) {
+	q.poolK.Observe(int64(f.Target))
+	if f.InFlight >= f.Target {
+		return
+	}
 	q.bufferedUS.Observe(at, f.Buffered.Microseconds())
 	q.poolTarget.Observe(at, int64(f.Target))
 	q.inflight.Observe(at, int64(f.InFlight+f.Launched))
@@ -213,10 +221,16 @@ func (q *QoE) PoolDecision(at time.Duration, peer, seg int, f PoolFacts) {
 
 // Reputation records what one observation did to a remote peer's
 // standing: the penalty (anything but a success), a completed probation,
-// an opened quarantine window, in that order. The emulation names the
-// peer by id; the real node passes -1 and the wire id. Nothing here feeds
-// a histogram or series, so Replay has no case for these events.
+// an opened quarantine window, in that order, counting the penalty and
+// the quarantine. The emulation names the peer by id; the real node
+// passes -1 and the wire id.
 func (q *QoE) Reputation(at time.Duration, peer int, wireID string, obs reputation.Observation, up reputation.Update) {
+	if obs != reputation.ObsSuccess {
+		q.repPenalties.Inc()
+	}
+	if up.Quarantined {
+		q.quarantines.Inc()
+	}
 	if !q.tr.Enabled() {
 		return
 	}
@@ -245,8 +259,8 @@ func (q *QoE) QuarantineEnd(at time.Duration, peer int) {
 // the recorder through the methods the live run used, emitting nothing.
 // Events match by name, so a log from either stack replays, with or
 // without peer ids. Replaying a complete in-memory log reproduces the
-// live histograms and series exactly — except pool_size_k, because a
-// fill that returns at a full pool emits no event.
+// live histograms, counters and series exactly — except pool_size_k,
+// because a decision at a full pool emits no event.
 func (q *QoE) Replay(events []Event) {
 	defer func(tr *Tracer) { q.tr = tr }(q.tr)
 	q.tr = nil
@@ -262,6 +276,10 @@ func (q *QoE) Replay(events []Event) {
 				InFlight: int(ev.ArgInt64("inflight", 0)),
 				Launched: int(ev.ArgInt64("launched", 0)),
 			})
+		case EvRepPenalty:
+			q.repPenalties.Inc()
+		case EvQuarantine:
+			q.quarantines.Inc()
 		case EvSegComplete:
 			q.Segment(ev.At, ev.Peer, ev.Seg, ev.ArgInt64(ArgBytes, 0), us(ev, ArgElapsedUS))
 		case EvStartup:

@@ -11,9 +11,10 @@ import (
 
 // Every entry point of the recorder, driven with the facts each stack
 // supplies — the emulation's peer ids, the real node's -1 and wire id —
-// must read back through Replay into the same histograms and series: a
-// key spelled differently by the writer and the reader fails here.
-// pool_size_k is the schedulers' own observation and has no event.
+// must read back through Replay into the same histograms, counters and
+// series: a key spelled differently by the writer and the reader fails
+// here. The exception is pool_size_k: every decision observes it, but one
+// at a full pool emits no event and samples no series.
 func TestRecorderRoundTrips(t *testing.T) {
 	tsCfg := TimeSeriesConfig{Window: time.Second, MaxWindows: 64}
 	buf, reg, ts := NewBuffer(), NewRegistry(), NewTimeSeries(tsCfg)
@@ -35,6 +36,11 @@ func TestRecorderRoundTrips(t *testing.T) {
 			Bandwidth: 128 << 10, Buffered: sec(2.5), SegBytes: 256 << 10,
 			Target: 3, InFlight: 1, Launched: 2, Blocked: true,
 		})
+		for _, full := range []int{3, 4} { // at k, and above it after k fell
+			live.PoolDecision(sec(2), who.peer, 1, PoolFacts{
+				Bandwidth: 64 << 10, Buffered: sec(0.5), SegBytes: 256 << 10, Target: 3, InFlight: full,
+			})
+		}
 		live.Segment(sec(4), who.peer, 0, 256<<10, sec(1.75), who.from...)
 		live.Transition(player.Transition{From: player.StateWaiting, To: player.StatePlaying, At: sec(4)}, who.peer, sec(1), classify)
 		live.Transition(player.Transition{From: player.StatePlaying, To: player.StateStalled, At: sec(6)}, who.peer, sec(1), classify)
@@ -77,9 +83,20 @@ func TestRecorderRoundTrips(t *testing.T) {
 		}
 	}
 
+	liveSnap := reg.Snap()
+	for name, want := range map[string]int64{"t_rep_penalties_total": 4, "t_quarantines_total": 2} {
+		if got := statValue(liveSnap, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 	reg2, ts2 := NewRegistry(), NewTimeSeries(tsCfg)
 	NewQoE(nil, reg2, "t", "2s", ts2, 2).Replay(events)
-	if got, want := reg2.Snap(), reg.Snap(); !reflect.DeepEqual(got, want) {
+	replayed := reg2.Snap()
+	// Six decisions observed k live, the two with room in the replay.
+	if live, rebuilt := poolK(&liveSnap), poolK(&replayed); live.Count != 6 || rebuilt.Count != 2 {
+		t.Errorf("pool_size_k counts %d live and %d replayed, want every decision (6) and those with room (2)", live.Count, rebuilt.Count)
+	}
+	if got, want := replayed, liveSnap; !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed registry differs:\nlive:     %+v\nreplayed: %+v", want, got)
 	}
 	if got, want := ts2.Snap(), ts.Snap(); !reflect.DeepEqual(got, want) {
@@ -90,4 +107,25 @@ func TestRecorderRoundTrips(t *testing.T) {
 			t.Errorf("series %s recorded nothing: the round trip is vacuous for it", s.Name)
 		}
 	}
+}
+
+// poolK removes the t_pool_size_k histogram from snap and returns it.
+func poolK(snap *RegistrySnapshot) HistStat {
+	for i, h := range snap.Hists {
+		if h.Name == "t_pool_size_k" {
+			snap.Hists = append(snap.Hists[:i], snap.Hists[i+1:]...)
+			return h
+		}
+	}
+	return HistStat{}
+}
+
+// statValue is the value of the stat named name in snap, 0 if absent.
+func statValue(snap RegistrySnapshot, name string) int64 {
+	for _, st := range snap.Stats {
+		if st.Name == name {
+			return st.Value
+		}
+	}
+	return 0
 }

@@ -9,19 +9,19 @@
 # which side goes first (odd pairs parent first, even pairs change first).
 # Each side builds its own cmd/bench from its own checkout. Every pair is
 # judged by the change's `-compare`; the script prints each pair's
-# medians and verdicts, then, for each of setup_s, wall_s and cpu_s, the
-# median of each side's pair medians with the parent's interquartile
-# range, and the median Δ of the parent-first and of the change-first
-# pairs apart (an order effect shows as the two disagreeing by more than
-# the spread). The last line is the pairs' verdict on wall_s:
+# medians and verdicts, then scripts/bench-verdict.awk reads the pairs'
+# medians: for each of setup_s, wall_s and cpu_s the median of each side's
+# pair medians with the parent's interquartile range and the median Δ of
+# the parent-first and of the change-first pairs apart (information), and
+# last the verdict on wall_s from the per-pair log-ratios:
 #
-#   wins k/N, Δmedian vs parent IQR: met|not met
+#   wall_s log-ratio over N pairs: sign test k/N wins, p = …;
+#   Hodges–Lehmann …, one-sided 95% upper bound …: met|not met
 #
-# where a win is a pair whose change median is lower, and "met" means at
-# least nine in ten pairs are wins and the median of the change's pair
-# medians is below the parent's by more than the interquartile range of
-# the parent's pair medians. Takes minutes (each pass measures for 15 s),
-# so it is not a CI step. Results files stay under WORK.
+# (one line), "met" when the upper bound of the shift is below zero. The
+# awk file runs on any recorded medians.txt by itself. Takes minutes (each
+# pass measures for 15 s), so it is not a CI step. Results files stay
+# under WORK.
 #
 # usage: bench-ab.sh <parent-rev> <workload> [pairs] [seed] [work-dir]
 #        (make bench-ab PARENT=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=1])
@@ -72,50 +72,4 @@ while [ "$i" -le "$PAIRS" ]; do
     i=$((i + 1))
 done
 
-# The summaries and the 9-of-10 rule, with cmd/bench's quantiles (position
-# q·(n+1)). Each line of medians.txt: <pair> <metric> <parent> <change>.
-awk '
-function quantile(a, n, q,    pos, lo) {
-    if (n == 1) return a[1]
-    pos = q * (n + 1)
-    if (pos <= 1) return a[1]
-    if (pos >= n) return a[n]
-    lo = int(pos)
-    return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
-}
-function sort(a, n,    i, j, t) {
-    for (i = 2; i <= n; i++)
-        for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-}
-# pct: the change from a to b, in percent; "-" from zero.
-function pct(a, b) { return a == 0 ? "-" : sprintf("%+.1f%%", 100 * (b - a) / a) }
-# median of the Δ% of the pairs of metric m that ran the parent first
-# (odd = 1) or the change first (odd = 0); "-" when there are none.
-function orderDelta(m, odd,    k, j, d) {
-    for (j = 1; j <= n[m]; j++)
-        if (pair[m, j] % 2 == odd && p[m, j] != 0) d[++k] = 100 * (c[m, j] - p[m, j]) / p[m, j]
-    if (k == 0) return "-"
-    sort(d, k)
-    return sprintf("%+.1f%%", quantile(d, k, 0.5))
-}
-{
-    m = $2; j = ++n[m]; pair[m, j] = $1; p[m, j] = $3; c[m, j] = $4
-    if (m == "wall_s" && $4 < $3) wins++
-}
-END {
-    split("setup_s wall_s cpu_s", metrics, " ")
-    for (x = 1; x <= 3; x++) {
-        m = metrics[x]
-        if (!n[m]) continue
-        parentFirst = orderDelta(m, 1); changeFirst = orderDelta(m, 0)
-        for (j = 1; j <= n[m]; j++) { ps[j] = p[m, j]; cs[j] = c[m, j] }
-        sort(ps, n[m]); sort(cs, n[m])
-        pm = quantile(ps, n[m], 0.5); cm = quantile(cs, n[m], 0.5)
-        iqr = quantile(ps, n[m], 0.75) - quantile(ps, n[m], 0.25)
-        printf "%s median parent %.4g change %.4g (%s), parent IQR %.4g; median Δ parent-first %s, change-first %s\n",
-            m, pm, cm, pct(pm, cm), iqr, parentFirst, changeFirst
-        if (m == "wall_s") { wpm = pm; wcm = cm; wiqr = iqr; wn = n[m] }
-    }
-    met = (wins * 10 >= wn * 9 && wpm - wcm > wiqr) ? "met" : "not met"
-    printf "wins %d/%d, Δmedian vs parent IQR: %s\n", wins, wn, met
-}' "$WORK/results/medians.txt"
+awk -f "$(dirname "$0")/bench-verdict.awk" "$WORK/results/medians.txt"
