@@ -140,7 +140,7 @@ timeseries-smoke:
 # wait for /healthz, and validate the /metrics Prometheus exposition
 # (parses + key QoE/transport series present) via `splicetrace scrape`.
 metrics-smoke:
-	GO="$(GO)" sh scripts/metrics-smoke.sh
+	GO="$(GO)" ARTIFACTS="$(ARTIFACTS)" sh scripts/metrics-smoke.sh
 
 # fault-smoke, burst-smoke, adversary-smoke: the extension figures (churn:
 # seeded fault injection; burst: Gilbert–Elliott burst loss + segment

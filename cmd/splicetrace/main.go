@@ -217,7 +217,6 @@ func cmdTimeSeries(args []string) error {
 	fs := flag.NewFlagSet("timeseries", flag.ExitOnError)
 	window := fs.Duration("window", time.Second, "aggregation window width (virtual time)")
 	peers := fs.Int("peers", 0, "leechers per run for the stall fraction (0 infers per file)")
-	maxWindows := fs.Int("max-windows", 1024, "window budget per series; later observations clamp")
 	asCSV := fs.Bool("csv", false, "emit one CSV row per (series, window) instead of the summary")
 	out := fs.String("o", "", "write to this file instead of stdout")
 	pos, err := parseArgs(fs, args)
@@ -228,9 +227,8 @@ func cmdTimeSeries(args []string) error {
 		return fmt.Errorf("timeseries: want exactly one trace directory, got %d args", len(pos))
 	}
 	snap, err := tracereport.BuildTimeSeriesDir(pos[0], tracereport.TimeSeriesOptions{
-		Window:     *window,
-		MaxWindows: *maxWindows,
-		Peers:      *peers,
+		Window: *window,
+		Peers:  *peers,
 	})
 	if err != nil {
 		return err

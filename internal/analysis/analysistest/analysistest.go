@@ -12,12 +12,9 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -169,38 +166,13 @@ func (m *fixtureModule) load(path string) (*analysis.Package, error) {
 		return pkg, nil
 	}
 	dir := m.dirs[path]
-	ents, err := os.ReadDir(dir)
+	pkg, err := analysis.CheckDir(m.fset, dir, path, m)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
+	if pkg == nil {
 		return nil, fmt.Errorf("analysistest: no fixture files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: m}
-	tpkg, err := conf.Check(path, m.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysistest: type-check %s: %w", dir, err)
-	}
-	pkg := &analysis.Package{Path: path, Dir: dir, Fset: m.fset, Files: files, Types: tpkg, Info: info}
 	m.pkgs[path] = pkg
 	return pkg, nil
 }

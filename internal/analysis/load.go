@@ -205,6 +205,17 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	l.busy[path] = true
 	defer delete(l.busy, path)
 
+	pkg, err := CheckDir(l.Fset, dir, path, importerFunc(l.importFor))
+	if pkg != nil {
+		l.pkgs[path] = pkg
+	}
+	return pkg, err
+}
+
+// CheckDir parses the non-test .go files in dir and type-checks them as
+// the package path, resolving imports through imp. It returns nil, nil
+// when dir holds no such file.
+func CheckDir(fset *token.FileSet, dir, path string, imp types.Importer) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
@@ -215,7 +226,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
@@ -233,14 +244,12 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: importerFunc(l.importFor)}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.pkgs[path] = pkg
-	return pkg, nil
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // Closure expands pkgs to their full module-internal dependency

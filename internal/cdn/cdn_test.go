@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,66 @@ func TestClientStreamsWholeClip(t *testing.T) {
 		if last.Variant == "2s" {
 			t.Logf("note: client never climbed the ladder: %+v", res.Choices)
 		}
+	}
+}
+
+// Before its first sample the client's B is the clip's wire rate, Σ bytes
+// / Σ durations, as on both P2P stacks, not the coded rate the manifest
+// states. Only the first decision reads it, at T = 0, where the smallest
+// segment wins whatever B is, so the streamed choices are those the
+// coded rate gives.
+func TestClientFallbackIsWireRate(t *testing.T) {
+	v := testVideo(t)
+	o, _ := newOriginServer(t, v, 2*time.Second, 4*time.Second, 8*time.Second)
+	// Every segment takes 250 ms on the clock, so each fetch is a sample.
+	var clock atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/segment/") {
+			clock.Add(int64(250 * time.Millisecond))
+		}
+		o.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	load := func() *Client {
+		t.Helper()
+		c := NewClient(srv.URL, srv.Client())
+		if err := c.Load(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		c.now = func() time.Duration { return time.Duration(clock.Load()) }
+		return c
+	}
+	stream := func(c *Client) []Choice {
+		t.Helper()
+		clock.Store(0)
+		res, err := c.Stream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Choices
+	}
+
+	c := load()
+	var bytes int64
+	var clip time.Duration
+	for _, s := range c.manifests[0].Segments {
+		bytes, clip = bytes+s.Bytes, clip+s.Duration
+	}
+	wire, coded := int64(float64(bytes)/clip.Seconds()), c.manifests[0].Video.BytesPerSecond
+	if wire == coded {
+		t.Fatalf("wire rate equals the coded rate %d B/s; the test cannot tell them apart", coded)
+	}
+	if c.rate != wire {
+		t.Errorf("B before the first sample = %d B/s, want the wire rate %d B/s", c.rate, wire)
+	}
+	got := stream(c)
+	c = load()
+	c.rate = coded
+	if want := stream(c); !reflect.DeepEqual(got, want) {
+		t.Errorf("choices moved with B before the first sample:\nwire rate:  %+v\ncoded rate: %+v", got, want)
+	}
+	if got[0].Variant != "2s" || got[len(got)-1].Variant == "2s" {
+		t.Errorf("choices %+v: want the 2s segment first and a climb after", got)
 	}
 }
 

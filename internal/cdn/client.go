@@ -85,6 +85,9 @@ type Client struct {
 	manifests []*container.Manifest
 	// est sees one fetch at a time, so it observes each fetch whole.
 	est core.AggregateMeter
+	// rate is the clip's wire rate (core.WireRate), B before the first
+	// sample.
+	rate int64
 	// now is the playback clock (monotone since Stream start); injectable
 	// for tests.
 	now func() time.Duration
@@ -126,8 +129,14 @@ func (c *Client) Load(ctx context.Context) error {
 			return fmt.Errorf("cdn: variant %q covers %v, others %v", names[i], m.Video.Duration, clip)
 		}
 	}
+	segs := manifests[0].Segments
+	sizes, durations := make([]int64, len(segs)), make([]time.Duration, len(segs))
+	for i, s := range segs {
+		sizes[i], durations[i] = s.Bytes, s.Duration
+	}
 	c.names = names
 	c.manifests = manifests
+	c.rate = core.WireRate(sizes, durations)
 	return nil
 }
 
@@ -177,7 +186,7 @@ func (c *Client) Stream(ctx context.Context) (*StreamResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bandwidth := c.est.Estimate(c.manifests[0].Video.BytesPerSecond)
+		bandwidth := c.est.Estimate(c.rate)
 		choice, ok := ChooseSegment(c.manifests, c.names, frontier, bandwidth, pl.BufferedAhead(now()))
 		if !ok {
 			return nil, fmt.Errorf("cdn: no variant has a boundary at %v", frontier)

@@ -78,13 +78,19 @@ type Downloads struct {
 // plays on play (nil for none) and sizes its pool by policy, over a clip
 // whose segments are sizes bytes and durations long.
 func NewDownloads(have []bool, play *player.Player, policy Policy, sizes []int64, durations []time.Duration) *Downloads {
+	return &Downloads{Pool: NewPool(have), play: play, policy: policy, sizes: sizes,
+		rate: WireRate(sizes, durations), flights: make([]Flight, len(have))}
+}
+
+// WireRate is a clip's mean byte rate on the wire, Σ sizes / Σ durations
+// over its segments: every client's B before its first sample.
+func WireRate(sizes []int64, durations []time.Duration) int64 {
 	var bytes int64
 	var clip time.Duration
 	for i := range sizes {
 		bytes, clip = bytes+sizes[i], clip+durations[i]
 	}
-	return &Downloads{Pool: NewPool(have), play: play, policy: policy, sizes: sizes,
-		rate: int64(float64(bytes) / clip.Seconds()), flights: make([]Flight, len(have))}
+	return int64(float64(bytes) / clip.Seconds())
 }
 
 // Bandwidth is B as the meter estimates it, the clip's mean byte rate

@@ -25,7 +25,7 @@ func TestTimeSeriesIdenticalAcrossWorkers(t *testing.T) {
 		if _, err := p.Fig2Stalls([]int64{128}); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := tracereport.BuildTimeSeriesDir(p.TraceDir, tracereport.TimeSeriesOptions{Window: time.Second, MaxWindows: 512})
+		snap, err := tracereport.BuildTimeSeriesDir(p.TraceDir, tracereport.TimeSeriesOptions{Window: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,9 @@ func TestNodeTraceThroughAnalyzer(t *testing.T) {
 	// The node records the pool decisions the emulation does, so its log
 	// rebuilds the decision series too, not only the player's.
 	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{})
-	b.AddEvents(events)
+	if err := b.AddEvents(events); err != nil {
+		t.Fatal(err)
+	}
 	totals := map[string]int64{}
 	for _, s := range b.Snap().Series {
 		totals[s.Name] = tsTotal(s)

@@ -31,14 +31,13 @@ func TestTimeSeriesCoherent(t *testing.T) {
 		plans = append(plans, fault.BurstLoss(n, 5*time.Second, 80*time.Second, geTest))
 	}
 	cfg.Faults = fault.Merge(plans...)
-	tsCfg := trace.TimeSeriesConfig{Window: time.Second, MaxWindows: 512}
 	reg, buf := trace.NewRegistry(), trace.NewBuffer()
 	cfg.Metrics, cfg.MetricsScheme, cfg.Tracer = reg, "4s", trace.New(buf)
 	if _, err := RunSwarm(cfg, segs); err != nil {
 		t.Fatal(err)
 	}
 
-	reg2, ts2 := trace.NewRegistry(), trace.NewTimeSeries(tsCfg)
+	reg2, ts2 := trace.NewRegistry(), trace.NewTimeSeries(time.Second)
 	trace.NewQoE(nil, reg2, "sim", "4s", ts2, cfg.Leechers).Replay(buf.Events())
 
 	qoeHists := func(r *trace.Registry) map[string]trace.HistStat {
@@ -89,8 +88,10 @@ func TestTimeSeriesCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{Window: time.Second, MaxWindows: 512})
-	b.AddEvents(events)
+	b := tracereport.NewTimeSeriesBuilder(tracereport.TimeSeriesOptions{Window: time.Second})
+	if err := b.AddEvents(events); err != nil {
+		t.Fatal(err)
+	}
 	if derived := b.Snap(); !reflect.DeepEqual(memSeries, derived) {
 		t.Errorf("JSONL-derived time series differs from the in-memory replay:\nreplayed: %+v\nderived:  %+v", memSeries, derived)
 	}

@@ -11,16 +11,14 @@
 // full-recompute cost; see DESIGN.md §10 for the honest framing.
 //
 // A run is split into independent shards, each with its own sim.Engine
-// and netem.Network. Shards never share links, so they can be simulated
-// by a worker pool; per-shard digests are combined in shard order, making
-// the result byte-identical regardless of worker count or interleaving.
+// and netem.Network. Shards never share links; they are simulated one
+// after another in shard order, and per-shard digests are combined in
+// that order.
 package swarmbench
 
 import (
 	"hash/fnv"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"p2psplice/internal/netem"
@@ -86,16 +84,11 @@ type Config struct {
 	// full-recompute baseline can be sampled without waiting out a full
 	// 10k-peer drain.
 	MaxEvents int
-	// Workers is the number of goroutines simulating shards. Default
-	// GOMAXPROCS. Has no effect on the digest.
-	Workers int
 
 	// TimeSeriesWindow, when positive, attaches one windowed virtual-time
 	// telemetry recorder (completions, in-flight fetches, pending queue
-	// depth per window, 1024 windows) that every shard observes into.
-	// Windows aggregate commutatively, so Result.Series is identical for
-	// every Workers value, and the recorder is a pure observer: the digest
-	// is bit-identical with and without it.
+	// depth per window) that every shard observes into. The recorder is a
+	// pure observer: the digest is bit-identical with and without it.
 	TimeSeriesWindow time.Duration
 
 	// TraceCapacity, when positive, attaches a bounded sampled event
@@ -125,9 +118,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 8
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -170,34 +160,15 @@ func Run(cfg Config) (Result, error) {
 	cfg.applyDefaults()
 	var ts *trace.TimeSeries
 	if cfg.TimeSeriesWindow > 0 {
-		ts = trace.NewTimeSeries(trace.TimeSeriesConfig{Window: cfg.TimeSeriesWindow})
+		ts = trace.NewTimeSeries(cfg.TimeSeriesWindow)
 	}
-	shards := make([]shardResult, cfg.Shards)
-	errs := make([]error, cfg.Shards)
-	idx := make(chan int, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		idx <- i
-	}
-	close(idx)
-
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				shards[i], errs[i] = runShard(cfg, i, ts)
-			}
-		}()
-	}
-	wg.Wait()
-
 	res := Result{Peers: cfg.Peers, Shards: cfg.Shards}
 	h := fnv.New64a()
 	var buf [8]byte
-	for i, s := range shards {
-		if errs[i] != nil {
-			return Result{}, errs[i]
+	for i := 0; i < cfg.Shards; i++ {
+		s, err := runShard(cfg, i, ts)
+		if err != nil {
+			return Result{}, err
 		}
 		res.Events += s.events
 		res.Completed += s.completed
@@ -262,7 +233,7 @@ func runShard(cfg Config, shard int, ts *trace.TimeSeries) (shardResult, error) 
 
 	// Observability attachments. Both are pure observers: neither draws
 	// from rng nor feeds the digest, and the sampler hashes the shard
-	// seed — not an RNG stream — so verdicts are worker-independent.
+	// seed — not an RNG stream — so verdicts depend on the shard alone.
 	ss := newSwarmSeries(ts)
 	var ring *trace.Ring
 	if cfg.TraceCapacity > 0 {

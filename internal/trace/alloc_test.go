@@ -43,9 +43,10 @@ func BenchmarkHotpathHistogramObserve(b *testing.B) {
 
 // TestZeroAllocTimeSeriesObserve pins the TimeSeries observe path — on
 // counter, gauge, and per-window histogram series, and on the nil handle —
-// at zero heap allocations per observation.
+// at zero heap allocations per observation into an existing window
+// (AllocsPerRun's warm-up call grows each series to its window).
 func TestZeroAllocTimeSeriesObserve(t *testing.T) {
-	ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 64})
+	ts := NewTimeSeries(time.Second)
 	c := ts.Counter("c")
 	g := ts.Gauge("g")
 	h := ts.Histogram("h")
@@ -75,10 +76,12 @@ func TestZeroAllocSamplerKeep(t *testing.T) {
 }
 
 // BenchmarkHotpathTimeSeriesObserve is the -benchmem gate for the
-// windowed observe path.
+// windowed observe path, in steady state: the series already spans the
+// 200 windows the loop observes into.
 func BenchmarkHotpathTimeSeriesObserve(b *testing.B) {
-	ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 256})
+	ts := NewTimeSeries(time.Second)
 	g := ts.Gauge("g")
+	g.Observe(199*time.Second, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,8 +91,9 @@ func BenchmarkHotpathTimeSeriesObserve(b *testing.B) {
 
 // BenchmarkHotpathTimeSeriesHistObserve gates the bucketed variant.
 func BenchmarkHotpathTimeSeriesHistObserve(b *testing.B) {
-	ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 256})
+	ts := NewTimeSeries(time.Second)
 	h := ts.Histogram("h")
+	h.Observe(199*time.Second, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var jl jsonlLine
 		if err := json.Unmarshal([]byte(line), &jl); err != nil {
 			return nil, fmt.Errorf("line %d: %v", lineNo, err)
+		}
+		if jl.TUs > math.MaxInt64/1000 || jl.TUs < math.MinInt64/1000 {
+			return nil, fmt.Errorf("line %d: t_us %d overflows a time.Duration", lineNo, jl.TUs)
 		}
 		ev := Event{
 			At:   time.Duration(jl.TUs) * time.Microsecond,

@@ -41,12 +41,12 @@ func FuzzPromRoundTrip(f *testing.F) {
 
 		// Windowed telemetry published into the same registry as
 		// inline-labelled gauges, one family with a series per label.
-		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Millisecond, MaxWindows: 32})
+		ts := NewTimeSeries(time.Millisecond)
 		ctr := ts.Counter(TSSegmentsCompleted)
 		g := ts.Gauge(TSBufferOccupancyUS)
 		ph := ts.Histogram(TSPoolTargetK)
 		for _, b := range raw {
-			at := time.Duration(b) * 3170 * time.Microsecond // exercises the clamp path
+			at := time.Duration(b) * 3170 * time.Microsecond // up to 809 windows
 			ctr.Observe(at, int64(b))
 			g.Observe(at, int64(b)-128)
 			ph.Observe(at, int64(b%9))
@@ -56,7 +56,6 @@ func FuzzPromRoundTrip(f *testing.F) {
 			label := `{series="` + s.Name + `"}`
 			reg.Gauge("fz_ts_windows" + label).Set(int64(len(s.Windows)))
 			reg.Gauge("fz_ts_observations" + label).Set(tsTotal(s))
-			reg.Gauge("fz_ts_clamped" + label).Set(s.Clamped)
 		}
 
 		var buf strings.Builder
@@ -86,7 +85,6 @@ func FuzzPromRoundTrip(f *testing.F) {
 		for _, s := range snap.Series {
 			check(`fz_ts_windows{series="`+s.Name+`"}`, float64(len(s.Windows)))
 			check(`fz_ts_observations{series="`+s.Name+`"}`, float64(tsTotal(s)))
-			check(`fz_ts_clamped{series="`+s.Name+`"}`, float64(s.Clamped))
 		}
 	})
 }

@@ -16,8 +16,7 @@ import (
 // here. The exception is pool_size_k: every decision observes it, but one
 // at a full pool emits no event and samples no series.
 func TestRecorderRoundTrips(t *testing.T) {
-	tsCfg := TimeSeriesConfig{Window: time.Second, MaxWindows: 64}
-	buf, reg, ts := NewBuffer(), NewRegistry(), NewTimeSeries(tsCfg)
+	buf, reg, ts := NewBuffer(), NewRegistry(), NewTimeSeries(time.Second)
 	live := NewQoE(New(buf), reg, "t", "2s", ts, 2)
 
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -89,7 +88,7 @@ func TestRecorderRoundTrips(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	reg2, ts2 := NewRegistry(), NewTimeSeries(tsCfg)
+	reg2, ts2 := NewRegistry(), NewTimeSeries(time.Second)
 	NewQoE(nil, reg2, "t", "2s", ts2, 2).Replay(events)
 	replayed := reg2.Snap()
 	// Six decisions observed k live, the two with room in the replay.

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,39 +15,21 @@ import (
 // TimeSeries answers "when" — buffer occupancy over the run, in-flight
 // flows per second, the stall fraction as a swarm warms up.
 //
-// The determinism contract matches the rest of the package (DESIGN.md
-// §8): observing reads no clock (every observation carries its own
-// virtual timestamp), draws from no RNG, and aggregates only with
-// commutative integer operations (sums, counts, CAS min/max, bucket
-// increments), so concurrent observers produce bit-identical windows in
-// any interleaving. A nil *TimeSeries is valid and hands out no-op
-// handles, so instrumented code never branches on whether the layer is
-// attached.
+// A TimeSeries is a fold over one goroutine's observations: it reads no
+// clock (every observation carries its own virtual timestamp), draws
+// from no RNG and aggregates only with integer sums, counts, min/max and
+// bucket increments, so the same observations give the same windows.
+// Its producers are a trace replay and a swarmbench run, each on one
+// goroutine; a TimeSeries is not safe for concurrent use. A nil
+// *TimeSeries is valid and hands out no-op handles, so instrumented code
+// never branches on whether the layer is attached.
 //
-// Storage is preallocated at registration time: the observe path indexes
-// a fixed array and issues atomic adds — zero allocations, zero locks
-// (//lint:hotpath; the alloc benchmarks gate it). Observations past the
-// last window clamp into it and are counted in Clamped rather than
-// silently dropped or, worse, grown into (growth would allocate on the
-// hot path and make memory a function of run length).
+// Each series is a slice of windows that grows to the last window
+// observed. Observing into an existing window allocates nothing
+// (//lint:hotpath; the alloc benchmarks gate it).
 type TimeSeries struct {
-	window     time.Duration
-	maxWindows int
-	mu         sync.Mutex // guards series; handles update lock-free
-	series     map[string]*tsSeries
-}
-
-// TimeSeriesConfig sizes a TimeSeries.
-type TimeSeriesConfig struct {
-	// Window is the aggregation window width in virtual time
-	// (default 1s, truncated to whole microseconds, minimum 1µs —
-	// windowing runs at the trace layer's microsecond resolution so
-	// trace-derived series bucket identically).
-	Window time.Duration
-	// MaxWindows bounds the preallocated window count per series
-	// (default 1024). Observations beyond Window*MaxWindows clamp into
-	// the final window and increment the series' Clamped counter.
-	MaxWindows int
+	window time.Duration
+	series map[string]*tsSeries
 }
 
 // Series kinds.
@@ -78,71 +59,39 @@ const (
 	TSSegmentsCompleted = "sim_segments_completed"
 )
 
-// NewTimeSeries returns an empty TimeSeries. Zero config fields take
-// the documented defaults.
-func NewTimeSeries(cfg TimeSeriesConfig) *TimeSeries {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
+// NewTimeSeries returns an empty TimeSeries of window-wide windows in
+// virtual time: default 1s, truncated to whole microseconds, minimum
+// 1µs. Windowing runs at the trace layer's microsecond resolution, so
+// trace-derived series bucket identically.
+func NewTimeSeries(window time.Duration) *TimeSeries {
+	if window <= 0 {
+		window = time.Second
 	}
 	// Observations bucket by whole microseconds, so the reported width
 	// is whole microseconds too.
-	cfg.Window = cfg.Window.Truncate(time.Microsecond)
-	if cfg.Window < time.Microsecond {
-		cfg.Window = time.Microsecond
+	window = window.Truncate(time.Microsecond)
+	if window < time.Microsecond {
+		window = time.Microsecond
 	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = 1024
-	}
-	return &TimeSeries{
-		window:     cfg.Window,
-		maxWindows: cfg.MaxWindows,
-		series:     map[string]*tsSeries{},
-	}
+	return &TimeSeries{window: window, series: map[string]*tsSeries{}}
 }
 
-// tsCell is one window's aggregate for one series. All fields are
-// atomics; min/max use CAS loops. Exact integer aggregation commutes,
-// so parallel shards and worker pools fold into identical cells.
-type tsCell struct {
-	count int64
-	sum   int64
-	min   int64 // math.MaxInt64 when empty
-	max   int64 // math.MinInt64 when empty
-}
-
-// tsSeries is the shared storage behind one named series.
+// tsSeries is the storage behind one named series.
 type tsSeries struct {
 	name    string
 	kind    string
-	window  int64 // window width in microseconds (copied for the hot path)
-	cells   []tsCell
-	buckets [][histSlots]int64 // hist kind only; len(cells) entries
-	hi      int64              // atomic: highest window index observed, -1 when empty
-	clamped int64              // atomic: observations clamped into the last window
+	window  int64              // window width in microseconds (copied for the hot path)
+	windows []TSWindow         // windows 0 through the last observed; Buckets unset
+	buckets [][histSlots]int64 // hist kind only; one per window
 }
 
 func (ts *TimeSeries) register(name, kind string) TSSeries {
 	if ts == nil {
 		return TSSeries{}
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	s := ts.series[name]
 	if s == nil {
-		s = &tsSeries{
-			name:   name,
-			kind:   kind,
-			window: ts.window.Microseconds(),
-			cells:  make([]tsCell, ts.maxWindows),
-			hi:     -1,
-		}
-		for i := range s.cells {
-			atomic.StoreInt64(&s.cells[i].min, math.MaxInt64)
-			atomic.StoreInt64(&s.cells[i].max, math.MinInt64)
-		}
-		if kind == TSKindHist {
-			s.buckets = make([][histSlots]int64, ts.maxWindows)
-		}
+		s = &tsSeries{name: name, kind: kind, window: ts.window.Microseconds()}
 		ts.series[name] = s
 	}
 	if s.kind != kind {
@@ -151,61 +100,33 @@ func (ts *TimeSeries) register(name, kind string) TSSeries {
 	return TSSeries{s: s}
 }
 
-// windowIndex maps a virtual timestamp to a window slot, clamping out-of
-// range observations into the boundary windows (counting high clamps).
-// Timestamps quantize to microseconds first — the trace layer's native
-// resolution — so series rebuilt from JSONL events bucket identically to
-// the in-process recorder.
+// observe folds one value into the window containing at, growing the
+// series to that window first. Timestamps quantize to microseconds — the
+// trace layer's native resolution — so series rebuilt from JSONL events
+// bucket identically to the in-process recorder; a negative one falls in
+// window 0.
 //
-//lint:hotpath runs on every observation
-func (s *tsSeries) windowIndex(at time.Duration) int {
-	w := at.Microseconds() / s.window
-	if w < 0 {
-		return 0
-	}
-	if w >= int64(len(s.cells)) {
-		atomic.AddInt64(&s.clamped, 1)
-		return len(s.cells) - 1
-	}
-	return int(w)
-}
-
-// raiseHi lifts the high-water window index to at least w.
-//
-//lint:hotpath runs on every observation
-func (s *tsSeries) raiseHi(w int64) {
-	for {
-		cur := atomic.LoadInt64(&s.hi)
-		if cur >= w || atomic.CompareAndSwapInt64(&s.hi, cur, w) {
-			return
-		}
-	}
-}
-
-// observe folds one value into the window containing at.
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
+//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op into existing windows
 func (s *tsSeries) observe(at time.Duration, v int64) {
-	w := s.windowIndex(at)
-	c := &s.cells[w]
-	atomic.AddInt64(&c.count, 1)
-	atomic.AddInt64(&c.sum, v)
-	for {
-		cur := atomic.LoadInt64(&c.min)
-		if v >= cur || atomic.CompareAndSwapInt64(&c.min, cur, v) {
-			break
+	w := max(at.Microseconds()/s.window, 0)
+	if n := w + 1 - int64(len(s.windows)); n > 0 {
+		s.windows = append(s.windows, make([]TSWindow, n)...)
+		if s.kind == TSKindHist {
+			s.buckets = append(s.buckets, make([][histSlots]int64, n)...)
 		}
 	}
-	for {
-		cur := atomic.LoadInt64(&c.max)
-		if v <= cur || atomic.CompareAndSwapInt64(&c.max, cur, v) {
-			break
-		}
+	c := &s.windows[w]
+	if c.Count == 0 || v < c.Min {
+		c.Min = v
 	}
+	if c.Count == 0 || v > c.Max {
+		c.Max = v
+	}
+	c.Count++
+	c.Sum += v
 	if s.buckets != nil {
-		atomic.AddInt64(&s.buckets[w][histBucketIndex(v)], 1)
+		s.buckets[w][histBucketIndex(v)]++
 	}
-	s.raiseHi(int64(w))
 }
 
 // TSSeries is a handle on one named series; Counter, Gauge or Histogram
@@ -261,13 +182,12 @@ func (w TSWindow) Hist(name string, scale float64) HistStat {
 	return st
 }
 
-// TSSeriesStat is one series' snapshot: dense windows 0..hi plus the
-// clamp counter.
+// TSSeriesStat is one series' snapshot: dense windows 0 through the
+// last observed.
 type TSSeriesStat struct {
 	Name    string     `json:"name"`
 	Kind    string     `json:"kind"`
 	Scale   float64    `json:"scale"`
-	Clamped int64      `json:"clamped"`
 	Windows []TSWindow `json:"windows"`
 }
 
@@ -283,16 +203,14 @@ type TSSnapshot struct {
 }
 
 // Snap returns the full snapshot: series sorted by name, each with its
-// dense window list (empty trailing windows trimmed at the high-water
-// mark). A nil TimeSeries yields an empty snapshot.
+// dense window list through the last window observed. A nil TimeSeries
+// yields an empty snapshot.
 func (ts *TimeSeries) Snap() TSSnapshot {
 	var snap TSSnapshot
 	if ts == nil {
 		return snap
 	}
 	snap.WindowNanos = int64(ts.window)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	for _, s := range ts.series {
 		snap.Series = append(snap.Series, s.snapshot())
 	}
@@ -305,27 +223,11 @@ func (s *tsSeries) snapshot() TSSeriesStat {
 		Name:    s.name,
 		Kind:    s.kind,
 		Scale:   1, // every series records raw units
-		Clamped: atomic.LoadInt64(&s.clamped),
+		Windows: slices.Clone(s.windows),
 	}
-	hi := atomic.LoadInt64(&s.hi)
-	for w := int64(0); w <= hi; w++ {
-		c := &s.cells[w]
-		win := TSWindow{
-			Count: atomic.LoadInt64(&c.count),
-			Sum:   atomic.LoadInt64(&c.sum),
-		}
-		if win.Count > 0 {
-			win.Min = atomic.LoadInt64(&c.min)
-			win.Max = atomic.LoadInt64(&c.max)
-		}
-		if s.buckets != nil {
-			b := new([histSlots]int64)
-			for i := range b {
-				b[i] = atomic.LoadInt64(&s.buckets[w][i])
-			}
-			win.Buckets = b
-		}
-		st.Windows = append(st.Windows, win)
+	for w := range s.buckets {
+		b := s.buckets[w]
+		st.Windows[w].Buckets = &b
 	}
 	return st
 }
@@ -364,7 +266,7 @@ func (snap TSSnapshot) WriteCSV(w io.Writer) error {
 }
 
 // WriteText renders a per-series summary: window span, totals, overall
-// min/max, and the clamp counter. Byte-stable for the same snapshot.
+// min/max. Byte-stable for the same snapshot.
 func (snap TSSnapshot) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "time series: %d series, window %s\n",
 		len(snap.Series), time.Duration(snap.WindowNanos)); err != nil {
@@ -388,8 +290,8 @@ func (snap TSSnapshot) WriteText(w io.Writer) error {
 		if total == 0 {
 			min, max = 0, 0
 		}
-		if _, err := fmt.Fprintf(w, "  %-28s %-7s windows=%d count=%d sum=%d min=%d max=%d clamped=%d\n",
-			s.Name, s.Kind, len(s.Windows), total, sum, min, max, s.Clamped); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-28s %-7s windows=%d count=%d sum=%d min=%d max=%d\n",
+			s.Name, s.Kind, len(s.Windows), total, sum, min, max); err != nil {
 			return err
 		}
 	}

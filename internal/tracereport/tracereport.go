@@ -190,7 +190,7 @@ type flowState struct {
 
 // walkDir calls fn with every *.jsonl under dir, sorted by name — the
 // order every directory-level result is defined over.
-func walkDir(dir string, fn func(name string, events []trace.Event)) error {
+func walkDir(dir string, fn func(name string, events []trace.Event) error) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
 		return fmt.Errorf("tracereport: %w", err)
@@ -206,10 +206,12 @@ func walkDir(dir string, fn func(name string, events []trace.Event)) error {
 		}
 		events, err := trace.ReadJSONL(f)
 		f.Close()
+		if err == nil {
+			err = fn(filepath.Base(path), events)
+		}
 		if err != nil {
 			return fmt.Errorf("tracereport: %s: %w", filepath.Base(path), err)
 		}
-		fn(filepath.Base(path), events)
 	}
 	return nil
 }
@@ -218,7 +220,11 @@ func walkDir(dir string, fn func(name string, events []trace.Event)) error {
 // them into one Analysis.
 func AnalyzeDir(dir string) (*Analysis, error) {
 	a := newAccum()
-	if err := walkDir(dir, a.addFile); err != nil {
+	err := walkDir(dir, func(name string, events []trace.Event) error {
+		a.addFile(name, events)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return a.finish(), nil

@@ -3,21 +3,24 @@
 # quickstart real-TCP swarm with -debug-addr, waits for /healthz, then
 # uses `splicetrace scrape` to validate the Prometheus exposition and
 # require the key QoE/transport series the paper's figures summarize.
+# Both binaries are built into $ARTIFACTS/bin.
 set -eu
 
 ADDR="${METRICS_SMOKE_ADDR:-127.0.0.1:16060}"
 GO="${GO:-go}"
+BIN="${ARTIFACTS:-artifacts}/bin"
+mkdir -p "$BIN"
 
-"$GO" build -o /tmp/metrics-smoke-quickstart ./examples/quickstart
-"$GO" build -o /tmp/metrics-smoke-splicetrace ./cmd/splicetrace
+"$GO" build -o "$BIN/metrics-smoke-quickstart" ./examples/quickstart
+"$GO" build -o "$BIN/metrics-smoke-splicetrace" ./cmd/splicetrace
 
-/tmp/metrics-smoke-quickstart -debug-addr "$ADDR" -linger 60s &
+"$BIN/metrics-smoke-quickstart" -debug-addr "$ADDR" -linger 60s &
 QS_PID=$!
 trap 'kill "$QS_PID" 2>/dev/null || true' EXIT INT TERM
 
 # Wait for the debug endpoint (the swarm itself streams in ~2s).
 i=0
-until /tmp/metrics-smoke-splicetrace scrape "http://$ADDR" >/dev/null 2>&1; do
+until "$BIN/metrics-smoke-splicetrace" scrape "http://$ADDR" >/dev/null 2>&1; do
     i=$((i + 1))
     if [ "$i" -ge 60 ]; then
         echo "metrics-smoke: debug endpoint never came up on $ADDR" >&2
@@ -29,7 +32,7 @@ done
 # Give the stream a moment to complete so the QoE histograms are filled.
 sleep 5
 
-/tmp/metrics-smoke-splicetrace scrape "http://$ADDR" \
+"$BIN/metrics-smoke-splicetrace" scrape "http://$ADDR" \
     -series p2p_startup_seconds_count \
     -series 'p2p_segment_download_seconds_count{scheme="2s"}' \
     -series 'p2p_segment_bytes_count{scheme="2s"}' \

@@ -3,12 +3,13 @@
 # quick Figure 2 must be byte-stable and its stalls fully attributed. Runs
 # the traced figure into each directory (at the given -workers count, if
 # any), renders the view's machine form twice from the first directory and
-# once from every further one, and byte-compares them all: the analysis is
-# deterministic, and the windowing is commutative integer aggregation, so
-# neither reruns nor parallelism may move a byte. With a reference, the
-# machine form must also equal that file of the first directory — the
-# aggregate cmd/experiment wrote itself. Figure values are bit-identical
-# with tracing on or off (DESIGN.md §8). Last, the view's text form.
+# once from every further one, and byte-compares them all: each cell's log
+# is fixed by its seed and splicetrace reads a directory's logs in name
+# order, so neither reruns nor the -workers count may move a byte. With a
+# reference, the machine form must also equal that file of the first
+# directory — the aggregate cmd/experiment wrote itself. Figure values are
+# bit-identical with tracing on or off (DESIGN.md §8). Last, the view's
+# text form.
 #
 # usage: trace-smoke.sh <view> <-json|-csv> <stem> <text> <reference|-> <dir>[:<workers>]...
 # Artifacts land in $ARTIFACTS as <dir>/, <stem>-a.<ext>, <stem>-b.<ext>,
