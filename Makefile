@@ -91,12 +91,14 @@ profile-figures: | $(ARTIFACTS)
 # profile-stream: where the real stack spends its CPU streaming a clip —
 # BenchmarkStreamLoopback (a 120 s clip at 1 MiB/s to two viewers over
 # loopback TCP) ten times under -cpuprofile
-# ($(ARTIFACTS)/stream.cpu.pprof), then pprof's top 25 functions. Not a CI
-# step.
+# ($(ARTIFACTS)/stream.cpu.pprof), then pprof's top 25 functions and the
+# callers and callees of the byte path's hashes, copies and clears, so
+# each shows by the code that pays for it. Not a CI step.
 profile-stream: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkStreamLoopback$$' -benchtime=10x \
 		-cpuprofile $(ARTIFACTS)/stream.cpu.pprof -o $(ARTIFACTS)/p2psplice.test .
 	$(GO) tool pprof -top -nodecount=25 $(ARTIFACTS)/stream.cpu.pprof
+	$(GO) tool pprof -peek='sha256.Sum256|runtime.memmove|memclrNoHeapPointers' $(ARTIFACTS)/stream.cpu.pprof
 
 # bench-alloc: the //lint:hotpath contract, measured. The BenchmarkHotpath*
 # benchmarks must report 0 allocs/op and the zero-alloc tests (which

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"slices"
@@ -376,7 +377,8 @@ func TestWriteM3U8(t *testing.T) {
 // serialManifest is BuildManifest's reference: one segment after another,
 // each blob hashed whole after encoding.
 func serialManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Manifest, [][]byte, error) {
-	m := &Manifest{Version: ManifestVersion, Video: info, Splicing: splicing, Segments: make([]SegmentInfo, len(segs))}
+	m := &Manifest{Version: ManifestVersion, Video: info, Splicing: splicing, Segments: make([]SegmentInfo, len(segs)),
+		built: make([]builtBlob, len(segs))}
 	blobs := make([][]byte, len(segs))
 	for i, sg := range segs {
 		cs, err := Build(sg, info.Seed)
@@ -390,6 +392,7 @@ func serialManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Ma
 		sum := sha256.Sum256(blob)
 		m.Segments[i] = SegmentInfo{Index: sg.Index, Start: sg.Start, Duration: sg.Duration(),
 			Bytes: int64(len(blob)), SHA256: hex.EncodeToString(sum[:]), InsertedIFrame: sg.InsertedIFrame}
+		m.built[i] = builtBlob{entry: m.Segments[i], crc: crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))}
 		blobs[i] = blob
 	}
 	return m, blobs, nil
@@ -435,5 +438,48 @@ func TestVerifySegmentsReportsLowestFailure(t *testing.T) {
 	blobs[1], blobs[3] = blobs[3], blobs[1]
 	if err, want := m.VerifySegments(blobs), m.VerifySegment(1, blobs[1]); err == nil || err.Error() != want.Error() {
 		t.Errorf("VerifySegments = %v, want %v", err, want)
+	}
+}
+
+// VerifySegments decides a built manifest's blobs by BuildManifest's
+// record of them, and only while the entries are the ones it wrote: a
+// record made to match a substituted blob passes it, an edit to any entry
+// or a JSON round trip sends every blob through SHA-256, and that refuses
+// it.
+func TestVerifySegmentsUsesBuildRecord(t *testing.T) {
+	v, segs := testSegments(t)
+	m, blobs, err := BuildManifest(ClipInfo{Duration: v.Duration(), BytesPerSecond: v.Config.BytesPerSecond, Seed: v.Seed}, "4s", segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if err := m.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadManifest(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read.built != nil {
+		t.Error("a manifest read from JSON carries a build record")
+	}
+	sub := slices.Clone(blobs)
+	sub[0] = slices.Clone(blobs[0])
+	sub[0][len(sub[0])/2] ^= 0x80
+	m.built[0].crc = crc32.Checksum(sub[0], crc32.MakeTable(crc32.Castagnoli))
+	if err := m.VerifySegments(sub); err != nil {
+		t.Errorf("built manifest: the record did not decide blob 0: %v", err)
+	}
+	want := m.VerifySegment(0, sub[0])
+	if want == nil {
+		t.Fatal("SHA-256 passed a substituted blob")
+	}
+	edited := *m
+	edited.Segments = slices.Clone(m.Segments)
+	edited.Segments[len(segs)-1].InsertedIFrame = !edited.Segments[len(segs)-1].InsertedIFrame
+	for name, mm := range map[string]*Manifest{"edited entry": &edited, "read from JSON": read} {
+		if err := mm.VerifySegments(sub); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: VerifySegments = %v, want %v", name, err, want)
+		}
 	}
 }

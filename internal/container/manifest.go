@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +29,23 @@ type Manifest struct {
 	// Splicing is the splicer label that produced the segments ("gop", "4s"...).
 	Splicing string        `json:"splicing"`
 	Segments []SegmentInfo `json:"segments"`
+
+	// built is BuildManifest's record of the blobs it returned, one per
+	// entry, for VerifySegments' fast path. JSON carries none, so a
+	// manifest read or fetched is hashed in full.
+	built []builtBlob
 }
+
+// builtBlob is BuildManifest's record of one blob: the entry it wrote for
+// it and the blob's CRC-32C.
+type builtBlob struct {
+	entry SegmentInfo
+	crc   uint32
+}
+
+// castagnoli is the CRC-32C table: unseeded, so a blob's CRC is the same
+// in every process.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ClipInfo describes the source clip.
 type ClipInfo struct {
@@ -56,7 +74,10 @@ type SegmentInfo struct {
 // BuildManifest materializes every segment (via Build/Encode) and assembles
 // the manifest plus the encoded container blobs, keyed by segment index.
 // Segments are built over GOMAXPROCS workers; the result, and the error
-// of the lowest failing segment, are those of a serial loop.
+// of the lowest failing segment, are those of a serial loop. Each blob is
+// SHA-256-hashed once, for its entry, and in the same pass CRC-32C'd: the
+// manifest keeps a copy of the entries and the CRCs, so VerifySegments on
+// the returned blobs need not hash them again.
 func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Manifest, [][]byte, error) {
 	if len(segs) == 0 {
 		return nil, nil, fmt.Errorf("container: no segments")
@@ -66,6 +87,7 @@ func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Man
 		Video:    info,
 		Splicing: splicing,
 		Segments: make([]SegmentInfo, len(segs)),
+		built:    make([]builtBlob, len(segs)),
 	}
 	blobs := make([][]byte, len(segs))
 	err := forEach(len(segs), func(i int) error {
@@ -74,7 +96,7 @@ func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Man
 		if err != nil {
 			return fmt.Errorf("container: segment %d: %w", i, err)
 		}
-		blob, sum, err := encodeBytes(cs)
+		blob, sum, crc, err := encodeBytes(cs)
 		if err != nil {
 			return fmt.Errorf("container: segment %d: %w", i, err)
 		}
@@ -86,6 +108,7 @@ func BuildManifest(info ClipInfo, splicing string, segs []splicer.Segment) (*Man
 			SHA256:         hex.EncodeToString(sum[:]),
 			InsertedIFrame: sg.InsertedIFrame,
 		}
+		m.built[i] = builtBlob{entry: m.Segments[i], crc: crc}
 		blobs[i] = blob
 		return nil
 	})
@@ -185,8 +208,27 @@ func (m *Manifest) VerifySegment(idx int, blob []byte) error {
 // VerifySegments checks blobs[i] against manifest entry i for every i,
 // over GOMAXPROCS workers, and returns the error of the lowest failing
 // index, as a serial VerifySegment loop would.
+//
+// A manifest from BuildManifest whose entries are still the ones it wrote
+// checks a blob by its length and CRC-32C against the build's record
+// instead of its SHA-256: one fast pass over blobs hashed a moment ago.
+// The CRC catches every change confined to 32 consecutive bits and all
+// but about 2^-32 of other accidental changes; it is no defence against
+// a crafted blob, which a seeder's own blobs are not. Any mismatch falls
+// back to VerifySegment, so the verdict and error are the full check's.
+// A manifest read from JSON or the tracker, or one whose entries were
+// edited, is hashed in full.
 func (m *Manifest) VerifySegments(blobs [][]byte) error {
-	return forEach(len(blobs), func(i int) error { return m.VerifySegment(i, blobs[i]) })
+	built := m.built
+	if !slices.EqualFunc(built, m.Segments, func(b builtBlob, s SegmentInfo) bool { return b.entry == s }) {
+		built = nil
+	}
+	return forEach(len(blobs), func(i int) error {
+		if i < len(built) && int64(len(blobs[i])) == built[i].entry.Bytes && crc32.Checksum(blobs[i], castagnoli) == built[i].crc {
+			return nil
+		}
+		return m.VerifySegment(i, blobs[i])
+	})
 }
 
 // WriteJSON writes the manifest as indented JSON.

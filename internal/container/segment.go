@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"time"
 
@@ -90,38 +91,43 @@ func Build(seg splicer.Segment, seed int64) (*Segment, error) {
 	return out, nil
 }
 
+// encodeChunk is the payload slice encode writes at a time.
+const encodeChunk = 32 << 10
+
 // encode writes the container to w: magic, header, frame index, payload,
 // and a SHA-256 trailer over everything preceding it. It returns the
 // SHA-256 of the whole encoding, trailer included — the manifest's
-// digest. sha256's Sum does not reset the hash, so the state that
-// produced the trailer continues over it: each byte is hashed once.
-func encode(w io.Writer, s *Segment) (sum [checksumLen]byte, err error) {
+// digest — and the CRC-32C (Castagnoli) of the encoding, computed in the
+// same pass while the bytes are hot. sha256's Sum does not reset the
+// hash, so the state that produced the trailer continues over it: each
+// byte is hashed once.
+func encode(w io.Writer, s *Segment) (sum [checksumLen]byte, crc uint32, err error) {
 	if len(s.Frames) == 0 {
-		return sum, fmt.Errorf("container: segment %d has no frames", s.Index)
+		return sum, 0, fmt.Errorf("container: segment %d has no frames", s.Index)
 	}
 	if len(s.Frames) > MaxFrames {
-		return sum, fmt.Errorf("container: segment %d has %d frames, limit %d", s.Index, len(s.Frames), MaxFrames)
+		return sum, 0, fmt.Errorf("container: segment %d has %d frames, limit %d", s.Index, len(s.Frames), MaxFrames)
 	}
 	var total int64
 	for i, f := range s.Frames {
 		if f.Bytes <= 0 || f.Bytes > MaxPayload {
-			return sum, fmt.Errorf("container: segment %d frame %d has bad size %d", s.Index, i, f.Bytes)
+			return sum, 0, fmt.Errorf("container: segment %d frame %d has bad size %d", s.Index, i, f.Bytes)
 		}
 		if !f.Type.Valid() {
-			return sum, fmt.Errorf("container: segment %d frame %d has invalid type", s.Index, i)
+			return sum, 0, fmt.Errorf("container: segment %d frame %d has invalid type", s.Index, i)
 		}
 		total += f.Bytes
 	}
 	if total != int64(len(s.Payload)) {
-		return sum, fmt.Errorf("container: segment %d payload %d bytes, frame index says %d",
+		return sum, 0, fmt.Errorf("container: segment %d payload %d bytes, frame index says %d",
 			s.Index, len(s.Payload), total)
 	}
 
-	h := sha256.New()
-	mw := io.MultiWriter(w, h)
+	h, c := sha256.New(), crc32.New(castagnoli)
+	mw := io.MultiWriter(w, h, c)
 
 	if _, err := mw.Write(Magic[:]); err != nil {
-		return sum, fmt.Errorf("container: write magic: %w", err)
+		return sum, 0, fmt.Errorf("container: write magic: %w", err)
 	}
 	var flags uint8
 	if s.InsertedIFrame {
@@ -134,49 +140,56 @@ func encode(w io.Writer, s *Segment) (sum [checksumLen]byte, err error) {
 	binary.BigEndian.PutUint64(hdr[9:17], uint64(s.Start))
 	binary.BigEndian.PutUint64(hdr[17:25], uint64(len(s.Payload)))
 	if _, err := mw.Write(hdr); err != nil {
-		return sum, fmt.Errorf("container: write header: %w", err)
+		return sum, 0, fmt.Errorf("container: write header: %w", err)
 	}
 
 	entry := make([]byte, frameEntryLen)
 	for i, f := range s.Frames {
 		if f.Duration < 0 || f.Duration > time.Duration(1<<32-1) {
-			return sum, fmt.Errorf("container: segment %d frame %d duration %v out of range", s.Index, i, f.Duration)
+			return sum, 0, fmt.Errorf("container: segment %d frame %d duration %v out of range", s.Index, i, f.Duration)
 		}
 		entry[0] = byte(f.Type)
 		binary.BigEndian.PutUint32(entry[1:5], uint32(f.Bytes))
 		binary.BigEndian.PutUint32(entry[5:9], uint32(f.Duration))
 		if _, err := mw.Write(entry); err != nil {
-			return sum, fmt.Errorf("container: write frame index: %w", err)
+			return sum, 0, fmt.Errorf("container: write frame index: %w", err)
 		}
 	}
-	if _, err := mw.Write(s.Payload); err != nil {
-		return sum, fmt.Errorf("container: write payload: %w", err)
+	// The payload goes through in chunks, so that both hashes read each
+	// chunk while the copy has left it in cache.
+	for p := s.Payload; len(p) > 0; {
+		k := min(len(p), encodeChunk)
+		if _, err := mw.Write(p[:k]); err != nil {
+			return sum, 0, fmt.Errorf("container: write payload: %w", err)
+		}
+		p = p[k:]
 	}
 	trailer := h.Sum(nil)
 	if _, err := w.Write(trailer); err != nil {
-		return sum, fmt.Errorf("container: write checksum: %w", err)
+		return sum, 0, fmt.Errorf("container: write checksum: %w", err)
 	}
 	h.Write(trailer)
+	c.Write(trailer)
 	h.Sum(sum[:0]) // appends into sum's array
-	return sum, nil
+	return sum, c.Sum32(), nil
 }
 
 // EncodeBytes encodes s into a fresh byte slice.
 func EncodeBytes(s *Segment) ([]byte, error) {
-	blob, _, err := encodeBytes(s)
+	blob, _, _, err := encodeBytes(s)
 	return blob, err
 }
 
 // encodeBytes encodes s into a fresh byte slice and returns it with its
-// SHA-256.
-func encodeBytes(s *Segment) ([]byte, [checksumLen]byte, error) {
+// SHA-256 and CRC-32C.
+func encodeBytes(s *Segment) ([]byte, [checksumLen]byte, uint32, error) {
 	var buf bytes.Buffer
 	buf.Grow(MagicLen + headerLen + len(s.Frames)*frameEntryLen + len(s.Payload) + checksumLen)
-	sum, err := encode(&buf, s)
+	sum, crc, err := encode(&buf, s)
 	if err != nil {
-		return nil, sum, err
+		return nil, sum, 0, err
 	}
-	return buf.Bytes(), sum, nil
+	return buf.Bytes(), sum, crc, nil
 }
 
 // Decode reads one container from r, verifying the magic and checksum.

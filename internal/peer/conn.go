@@ -210,19 +210,22 @@ func (c *conn) close() {
 // remote breaks the protocol. Its Reader is the only one on c.raw after
 // the handshake: it reads ahead, so a second reader would lose frames.
 // The PIECE frames serveBlock queues go out whenever the Reader runs dry,
-// so a REQUEST burst is answered in a few vectored writes. The Reader and
-// Message are reused across iterations, so the steady-state receive path
-// is allocation-free.
+// so a REQUEST burst is answered in a few vectored writes. A PIECE the
+// node accepts is read straight into its segment buffer (pieceDst). The
+// Reader and Message are reused across iterations, so the steady-state
+// receive path is allocation-free.
 func (c *conn) readLoop() {
-	rd := wire.NewReader(c.raw)
+	rd, dst := wire.NewReader(c.raw), c.pieceDst
 	var msg wire.Message
-	for (rd.HasFrame() || c.flush() == nil) && rd.ReadInto(&msg) == nil && c.handle(&msg) {
+	for (rd.HasFrame() || c.flush() == nil) && rd.ReadDirect(&msg, dst) == nil && c.handle(&msg) {
 	}
 }
 
 // handle acts on one inbound message and reports whether the remote kept
-// to the protocol. m's payload aliases the Reader's buffer until the next
-// ReadInto; onPiece copies it, the bitfield is decoded into a fresh slice.
+// to the protocol. A PIECE's payload is already in its segment buffer
+// (pieceDst) or aliases the Reader's buffer until the next read, and
+// onPiece copies it there if it accepts it; the bitfield is decoded into
+// a fresh slice.
 // A holding goes into c.src.Have and c's Hold row together.
 func (c *conn) handle(m *wire.Message) bool {
 	n := c.node

@@ -105,36 +105,69 @@ func (n *Node) requestAllBlocks(d *segDownload) {
 	}
 }
 
+// blockLocked judges a PIECE of size bytes at (idx, off) arriving on c
+// (n.mu held). It returns the download and block the PIECE fills, or nil
+// with whether the remote broke the protocol: a block is DefaultBlockLen
+// bytes at a block-aligned offset, the segment's last one the rest (the
+// wire admits no empty PIECE, so none lies past the end). A block for a
+// download that is not c's, or one already received, is ignored: a stale
+// block from an abandoned download, or a repeat (the KindDuplicate
+// fault), which counts once and cannot complete a segment already being
+// verified a second time.
+func (n *Node) blockLocked(c *conn, idx, off, size int) (d *segDownload, block int, bad bool) {
+	d, ok := n.active[idx]
+	if !ok || d.conn != c {
+		return nil, 0, false
+	}
+	if off%wire.DefaultBlockLen != 0 || size != min(wire.DefaultBlockLen, len(d.buf)-off) {
+		return nil, 0, true
+	}
+	block = off / wire.DefaultBlockLen
+	if d.blocks[block] {
+		return nil, 0, false
+	}
+	return d, block, false
+}
+
+// pieceDst is c's wire.PieceDst: it lends the slice of the segment buffer
+// that a PIECE onPiece would accept fills, so the payload lands there
+// straight from the socket, and nil for any PIECE onPiece would refuse or
+// ignore, so no refused byte reaches a buffer. Only c's read loop writes
+// the blocks of c's downloads and verifies them, so the lent slice needs
+// no lock: a download that ends mid-read leaves its bytes in a buffer
+// nothing else uses, and a relaunch allocates a fresh one.
+func (c *conn) pieceDst(index, offset uint32, size int) []byte {
+	n, off := c.node, int(offset)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	d, _, _ := n.blockLocked(c, int(index), off, size)
+	if d == nil {
+		return nil
+	}
+	return d.buf[off : off+size : off+size]
+}
+
 // onPiece integrates an arriving block. The block that completes a
 // segment ends its transfer; the download itself stays in the pool, still
 // Fetching, until the segment is verified and stored (or rejected), so no
-// schedule in between launches it again.
+// schedule in between launches it again. A payload pieceDst lent is
+// already in place; any other is copied.
 func (n *Node) onPiece(c *conn, m *wire.Message) {
-	idx := int(m.Index)
+	idx, off := int(m.Index), int(m.Offset)
 
 	n.mu.Lock()
-	d, ok := n.active[idx]
-	if !ok || d.conn != c {
+	d, block, bad := n.blockLocked(c, idx, off, len(m.Data))
+	if d == nil {
 		n.mu.Unlock()
-		return // stale block from an abandoned download
-	}
-	// A block is DefaultBlockLen bytes, the segment's last one the rest
-	// (the wire admits no empty PIECE, so none lies past the end).
-	off := int(m.Offset)
-	if off%wire.DefaultBlockLen != 0 || len(m.Data) != min(wire.DefaultBlockLen, len(d.buf)-off) {
-		n.mu.Unlock()
-		c.close()
-		return
-	}
-	block := off / wire.DefaultBlockLen
-	if d.blocks[block] {
-		// A repeat (the KindDuplicate fault) counts once, and cannot
-		// complete a segment already being verified a second time.
-		n.mu.Unlock()
+		if bad {
+			c.close()
+		}
 		return
 	}
 	d.blocks[block] = true
-	copy(d.buf[off:], m.Data)
+	if dst := d.buf[off:]; &dst[0] != &m.Data[0] {
+		copy(dst, m.Data)
+	}
 	n.dl.Deliver(idx, int64(len(m.Data)), n.now())
 	n.stats.DownloadedBytes += int64(len(m.Data))
 	n.nm.blocksRx.Inc()

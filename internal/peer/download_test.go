@@ -1,9 +1,11 @@
 package peer
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,6 +44,14 @@ func newIdleLeecher(t *testing.T, m *container.Manifest, store SegmentStore, cfg
 // remote has choked us.
 func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn {
 	t.Helper()
+	c, _ := addPipeConn(t, n, id, have, choked)
+	return c
+}
+
+// addPipeConn is addFakeConn returning the remote end too, for a test to
+// write frames on that c.readLoop reads.
+func addPipeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) (*conn, net.Conn) {
+	t.Helper()
 	server, client := net.Pipe()
 	t.Cleanup(func() { server.Close(); client.Close() })
 	go io.Copy(io.Discard, client) //nolint — drains pipelined requests
@@ -58,7 +68,7 @@ func addFakeConn(t *testing.T, n *Node, id byte, have []bool, choked bool) *conn
 	n.mu.Lock()
 	n.seatLocked(c)
 	n.mu.Unlock()
-	return c
+	return c, client
 }
 
 func activeIndices(n *Node) map[int]*conn {
@@ -301,6 +311,228 @@ func TestShortPieceClosesConn(t *testing.T) {
 	}
 	if st := n.Stats(); st.DownloadedBytes != 0 || st.VerifyFailures != 0 {
 		t.Errorf("DownloadedBytes %d, VerifyFailures %d after short PIECEs; want 0, 0", st.DownloadedBytes, st.VerifyFailures)
+	}
+}
+
+// frames encodes ms as they go on the wire.
+func frames(t *testing.T, ms ...*wire.Message) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	wr := wire.NewWriter(&buf)
+	for _, m := range ms {
+		if err := wr.WriteMsg(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// readFrom runs c's read loop over stream, written on c's remote end,
+// until the remote closes after it or the node closes c.
+func readFrom(c *conn, remote net.Conn, stream []byte) {
+	go func() {
+		remote.Write(stream) //nolint — fails once the node closed c
+		remote.Close()
+	}()
+	c.readLoop()
+}
+
+// holdsAll is the bitfield of a remote holding every segment of n's clip.
+func holdsAll(n *Node) []bool {
+	all := make([]bool, n.store.Segments())
+	for i := range all {
+		all[i] = true
+	}
+	return all
+}
+
+// addPipeSource adds a pipe conn holding every segment, for a test to
+// write frames on and run its read loop.
+func addPipeSource(t *testing.T, n *Node) (*conn, net.Conn) {
+	t.Helper()
+	return addPipeConn(t, n, 'p', holdsAll(n), false)
+}
+
+// The read loop lends a PIECE's payload a block of its segment buffer
+// only when onPiece would accept the PIECE: one that fails any of its
+// checks leaves a canary-filled buffer untouched and keeps onPiece's
+// verdict, the conn closed for a PIECE of the wrong size or place, the
+// PIECE ignored for a block already received or a download that is not
+// the conn's. (TestShortPieceClosesConn's setup, read off the socket.)
+func TestRefusedPieceLeavesBufferUntouched(t *testing.T) {
+	const canary = 0xC5
+	const block = wire.DefaultBlockLen
+	for _, tc := range []struct {
+		name           string
+		setup          func(n *Node, cp, cb *conn) (owner *conn) // of segment 0's download
+		idx, off, size int                                       // the PIECE
+		verdict        string
+	}{
+		{"accepted", nil, 0, 0, block, "accepted"},
+		{"misaligned offset", nil, 0, 1, block, "closed"},
+		{"short", nil, 0, 0, block - 1, "closed"},
+		{"long", nil, 0, 0, block + 1, "closed"},
+		{"already received", func(n *Node, cp, _ *conn) *conn {
+			n.mu.Lock()
+			n.active[0].blocks[0] = true
+			n.mu.Unlock()
+			return cp
+		}, 0, 0, block, "ignored"},
+		{"segment not active", nil, 1, 0, block, "ignored"},
+		{"another conn's download", func(n *Node, _, cb *conn) *conn {
+			injectDownload(n, cb, 0, 0)
+			return cb
+		}, 0, 0, block, "ignored"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _, _, blob, _ := newWindowLeecher(t, 1, false)
+			cp, remote := addPipeSource(t, n)
+			cb := addFakeConn(t, n, 'b', holdsAll(n), false)
+			injectDownload(n, cp, 0, 0)
+			owner := cp
+			if tc.setup != nil {
+				owner = tc.setup(n, cp, cb)
+			}
+			n.mu.Lock()
+			d := n.active[0]
+			for i := range d.buf {
+				d.buf[i] = canary
+			}
+			received := slices.Clone(d.blocks)
+			n.mu.Unlock()
+			if d.conn != owner {
+				t.Fatalf("segment 0 is on %s, want %s", d.conn.id, owner.id)
+			}
+
+			m := &wire.Message{Type: wire.MsgPiece, Index: uint32(tc.idx), Offset: uint32(tc.off), Data: blob[tc.off : tc.off+tc.size]}
+			lent := cp.pieceDst(m.Index, m.Offset, len(m.Data))
+			readFrom(cp, remote, frames(t, m))
+
+			accepted := tc.verdict == "accepted"
+			if (lent != nil) != accepted || lent != nil && &lent[0] != &d.buf[0] {
+				t.Errorf("pieceDst lent %d bytes, want a block of segment 0's buffer only if accepted", len(lent))
+			}
+			if closed := cp.closed.Load(); closed != (tc.verdict == "closed") {
+				t.Errorf("conn closed %v, verdict %s", closed, tc.verdict)
+			}
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			want, bytesIn := bytes.Repeat([]byte{canary}, len(d.buf)), int64(0)
+			if accepted {
+				copy(want, m.Data)
+				received[0], bytesIn = true, int64(len(m.Data))
+			}
+			if !bytes.Equal(d.buf, want) {
+				t.Error("segment 0's buffer changed other than by an accepted block")
+			}
+			if !slices.Equal(d.blocks, received) || n.stats.DownloadedBytes != bytesIn {
+				t.Errorf("blocks received %v, %d bytes counted; want %v, %d", d.blocks, n.stats.DownloadedBytes, received, bytesIn)
+			}
+		})
+	}
+}
+
+// A conn that dies mid-payload, its block part-read into the segment
+// buffer, leaves the block unmarked; the segment is relaunched on another
+// source and completes from it.
+func TestConnDiesMidPayload(t *testing.T) {
+	n, hs, _, blob, _ := newWindowLeecher(t, 1, true)
+	cp, remote := addPipeSource(t, n)
+	injectDownload(n, cp, 0, 0)
+	n.mu.Lock()
+	d := n.active[0]
+	n.mu.Unlock()
+
+	stream := frames(t, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: 0, Data: blob[:wire.DefaultBlockLen]})
+	readFrom(cp, remote, stream[:len(stream)-100])
+	n.mu.Lock()
+	marked := d.blocks[0]
+	n.mu.Unlock()
+	if marked || n.Stats().DownloadedBytes != 0 {
+		t.Fatalf("block 0 marked %v, %d bytes counted after a cut payload; want unmarked, 0", marked, n.Stats().DownloadedBytes)
+	}
+	cp.close()
+	n.dropConn(cp)
+
+	src, ok := activeIndices(n)[0]
+	if !ok || src == cp {
+		t.Fatalf("segment 0 relaunched %v on %v, want on a live conn", ok, src)
+	}
+	feedSegment(n, src, 0, blob)
+	if !hs.Bitfield()[0] || n.Stats().VerifyFailures != 0 {
+		t.Errorf("segment 0 held %v with %d verify failures, want held, 0", hs.Bitfield()[0], n.Stats().VerifyFailures)
+	}
+}
+
+// scriptReader returns its chunks, one per Read, calling before with the
+// index of the Read and its buffer ahead of each.
+type scriptReader struct {
+	chunks [][]byte
+	before func(i int, p []byte)
+	reads  int
+}
+
+func (r *scriptReader) Read(p []byte) (int, error) {
+	if r.reads == len(r.chunks) {
+		return 0, io.EOF
+	}
+	r.before(r.reads, p)
+	n := copy(p, r.chunks[r.reads])
+	if n < len(r.chunks[r.reads]) {
+		panic("scriptReader: chunk larger than the read")
+	}
+	r.reads++
+	return n, nil
+}
+
+// A download that expireStalled ends while its conn's reader is writing a
+// lent block goes on to complete on its relaunch: the relaunch gets a
+// fresh buffer, the rest of the late block lands in the abandoned one,
+// and onPiece then ignores that block.
+func TestExpiredDuringDirectReadCompletesOnRelaunch(t *testing.T) {
+	n, hs, _, blob, _ := newWindowLeecher(t, 1, true)
+	cp, _ := addPipeSource(t, n)
+	injectDownload(n, cp, 0, 0)
+	n.mu.Lock()
+	old := n.active[0]
+	n.mu.Unlock()
+
+	block := blob[:wire.DefaultBlockLen]
+	stream := frames(t, &wire.Message{Type: wire.MsgPiece, Index: 0, Offset: 0, Data: block})
+	cut := len(stream) - len(block)/2
+	var direct bool
+	rd := wire.NewReader(&scriptReader{
+		chunks: [][]byte{stream[:cut], stream[cut:]},
+		before: func(i int, p []byte) {
+			if i != 1 {
+				return
+			}
+			direct = &p[0] == &old.buf[len(block)/2]
+			n.mu.Lock()
+			n.dl.Flight(0).Last -= 2 * n.cfg.DownloadTimeout
+			n.mu.Unlock()
+			n.expireStalled()
+		},
+	})
+	var m wire.Message
+	if err := rd.ReadDirect(&m, cp.pieceDst); err != nil {
+		t.Fatal(err)
+	}
+	if !direct {
+		t.Fatal("the payload's tail was not read straight into the download's buffer")
+	}
+	cp.handle(&m)
+
+	n.mu.Lock()
+	d := n.active[0]
+	n.mu.Unlock()
+	if d == nil || d == old || d.conn == cp || &d.buf[0] == &old.buf[0] || slices.Contains(d.blocks, true) {
+		t.Fatal("segment 0 not relaunched with a fresh buffer on another conn, nothing received")
+	}
+	feedSegment(n, d.conn, 0, blob)
+	st := n.Stats()
+	if !hs.Bitfield()[0] || st.ExpiredDownloads != 1 || st.VerifyFailures != 0 || st.DownloadedBytes != int64(len(blob)) {
+		t.Errorf("segment 0 held %v; stats %+v; want held, 1 expired, 0 verify failures, %d bytes", hs.Bitfield()[0], st, len(blob))
 	}
 }
 

@@ -156,6 +156,14 @@ type Node struct {
 // Seed publishes the manifest to the tracker and serves the given segment
 // blobs. The node serves the blobs themselves, not a copy: the caller
 // must not write to them after Seed. The returned node runs until Close.
+//
+// Seed refuses an invalid manifest, a blob count that is not the
+// manifest's, and any blob whose size or checksum does not match its
+// entry (container.Manifest.VerifySegments): for the manifest and blobs
+// container.BuildManifest returned, with the entries unedited, that check
+// is a CRC-32C pass over the blobs instead of a second SHA-256; for any
+// other manifest it hashes every blob. A refused seed returns no node, so
+// nothing is served. Viewers SHA-256-verify every segment they receive.
 func Seed(trk *tracker.Client, m *container.Manifest, blobs [][]byte, cfg Config) (*Node, error) {
 	if trk == nil {
 		return nil, errors.New("peer: nil tracker client")

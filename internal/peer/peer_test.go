@@ -3,7 +3,9 @@ package peer
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,6 +195,59 @@ func TestSeedValidation(t *testing.T) {
 	}
 	if _, err := Join(nil, wire.InfoHash{}, Config{}); err == nil {
 		t.Error("nil tracker join: want error")
+	}
+
+	// BuildManifest's blobs are checked against its record of them, a
+	// manifest read back from JSON by SHA-256: each path refuses a blob
+	// or entry that no longer matches, with the full check's error, and
+	// returns no node.
+	var js bytes.Buffer
+	if err := m.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	read, err := container.ReadManifest(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(s *container.SegmentInfo)) *container.Manifest {
+		e := *m
+		e.Segments = slices.Clone(m.Segments)
+		edit(&e.Segments[1])
+		return &e
+	}
+	flip := func(blobs [][]byte) { blobs[1][100] ^= 0x01 }
+	for _, tc := range []struct {
+		name   string
+		m      *container.Manifest
+		tamper func(blobs [][]byte) // undone by a second call
+	}{
+		{"byte flipped in place", m, flip},
+		{"edited SHA256", edited(func(s *container.SegmentInfo) { s.SHA256 = m.Segments[0].SHA256 }), nil},
+		{"edited Bytes", edited(func(s *container.SegmentInfo) { s.Bytes-- }), nil},
+		{"read from JSON, byte flipped", read, flip},
+	} {
+		if tc.tamper != nil {
+			tc.tamper(blobs)
+		}
+		want := fmt.Sprintf("peer: seed data: %v", tc.m.VerifySegment(1, blobs[1]))
+		n, err := Seed(trk, tc.m, blobs, fastConfig())
+		if tc.tamper != nil {
+			tc.tamper(blobs)
+		}
+		if n != nil || err == nil || err.Error() != want {
+			t.Errorf("%s: Seed returned a node %v and error %v, want no node and %s", tc.name, n != nil, err, want)
+		}
+		if n != nil {
+			n.Close()
+		}
+	}
+	for name, good := range map[string]*container.Manifest{"built": m, "read from JSON": read} {
+		n, err := Seed(trk, good, blobs, fastConfig())
+		if err != nil {
+			t.Errorf("%s, blobs untouched: %v", name, err)
+			continue
+		}
+		n.Close()
 	}
 }
 

@@ -94,6 +94,38 @@ func TestZeroAllocReaderWriter(t *testing.T) {
 	if want := (Message{Type: MsgRequest, Index: 9, Offset: uint32(blocks-1) * DefaultBlockLen, Length: segmentBytes % DefaultBlockLen}); !reflect.DeepEqual(dec, want) {
 		t.Errorf("last request = %+v, want %+v", dec, want)
 	}
+
+	// ReadDirect: a PIECE into the lent block, then one it declines.
+	block := make([]byte, DefaultBlockLen)
+	lend := func(index, _ uint32, n int) []byte {
+		if index != m.Index || n != len(block) {
+			return nil
+		}
+		return block
+	}
+	declined := *m
+	declined.Index++
+	allocs = testing.AllocsPerRun(200, func() {
+		stream.Reset()
+		if err := wr.WriteMsg(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := wr.WriteMsg(&declined); err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.ReadDirect(&dec, lend); err != nil || &dec.Data[0] != &block[0] {
+			t.Fatalf("lent PIECE: %v, payload in the lent block %v", err, &dec.Data[0] == &block[0])
+		}
+		if err := rd.ReadDirect(&dec, lend); err != nil || dec.Index != declined.Index {
+			t.Fatalf("declined PIECE: %v, index %d", err, dec.Index)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WriteMsg+ReadDirect allocated %.1f times per frame pair, want 0", allocs)
+	}
+	if !bytes.Equal(block, m.Data) || !bytes.Equal(dec.Data, m.Data) {
+		t.Error("ReadDirect corrupted piece data")
+	}
 }
 
 // BenchmarkHotpathWireRoundTrip is the -benchmem gate for the wire hot
@@ -230,4 +262,50 @@ func BenchmarkHotpathWirePieceBatch(b *testing.B) {
 	}
 	client.Close()
 	b.ReportMetric(float64(<-done)/float64(b.N+1), "held-frames/op")
+}
+
+// BenchmarkHotpathWirePieceInto is the gate for the receive path over a
+// loopback TCP pair: one segment's PIECE frames, written in vectored
+// batches of MaxQueued, read by ReadDirect straight into the segment's
+// buffer — 0 allocs/op after warm-up on both ends.
+func BenchmarkHotpathWirePieceInto(b *testing.B) {
+	client, server := tcpPair(b)
+	blob := bytes.Repeat([]byte{0xCD}, segmentBytes)
+	go func() {
+		wr := NewWriter(client)
+		for off := 0; ; off = (off + DefaultBlockLen) % len(blob) {
+			if err := wr.QueuePiece(0, uint32(off), blob[off:min(off+DefaultBlockLen, len(blob))]); err != nil {
+				return
+			}
+			if wr.Queued() == MaxQueued {
+				if _, err := wr.Flush(); err != nil {
+					return // the reader closed
+				}
+			}
+		}
+	}()
+	seg := make([]byte, segmentBytes)
+	lend := func(_, offset uint32, n int) []byte { return seg[offset : int(offset)+n] }
+	rd := NewReader(server)
+	var m Message
+	blocks := (segmentBytes + DefaultBlockLen - 1) / DefaultBlockLen
+	read := func() {
+		for i := 0; i < blocks; i++ {
+			if err := rd.ReadDirect(&m, lend); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	read() // the warm-up segment
+	b.SetBytes(segmentBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	b.StopTimer()
+	server.Close()
+	if !bytes.Equal(seg, blob) {
+		b.Error("segment read back differs from the one sent")
+	}
 }

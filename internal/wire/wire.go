@@ -11,7 +11,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -201,75 +200,162 @@ func (m *Message) Decode(body []byte) error {
 const readBufLen = 64 << 10
 
 // Reader decodes frames from a stream into caller-supplied Messages. It
-// reads ahead through one buffer, so it owns the stream: bytes it has
-// buffered are gone from r. After warm-up, ReadInto performs zero heap
-// allocations per message. Not safe for concurrent use.
+// reads ahead through its own buffer, so it owns the stream: bytes it has
+// buffered are gone from r. After warm-up, ReadInto and ReadDirect
+// perform zero heap allocations per message. Not safe for concurrent use.
 type Reader struct {
-	br  *bufio.Reader
-	buf []byte // frames larger than br's buffer
+	r      io.Reader
+	buf    []byte // read-ahead: buf[lo:hi] is read and not yet decoded
+	lo, hi int
+	big    []byte // frames larger than buf
+	// lent records that the last frame's payload was read into a
+	// destination PieceDst lent: the next fill then reads no further
+	// than one PIECE header, so that the next payload can go to its
+	// destination too rather than into buf.
+	lent bool
 }
 
 // NewReader returns a Reader decoding from r.
-func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, readBufLen)} }
+func NewReader(r io.Reader) *Reader { return &Reader{r: r, buf: make([]byte, readBufLen)} }
+
+// PieceDst looks up where the n-byte payload of the PIECE at (index,
+// offset) goes: a slice of exactly n bytes that the Reader fills, or nil
+// to leave the payload in the Reader's buffer.
+type PieceDst func(index, offset uint32, n int) []byte
 
 // ReadInto reads one message into m. m's Data and Bitfield alias the
-// Reader's buffers and are valid only until the next ReadInto; callers
-// that retain payload bytes must copy them first. A frame that fits the
+// Reader's buffers and are valid only until the next read; callers that
+// retain payload bytes must copy them first. A frame that fits the
 // read-ahead buffer is decoded in place; a larger one (a 128 KiB piece, a
 // 1 MiB bitfield) is copied into a buffer that grows to the stream's
 // high-water frame size. I/O errors are returned unwrapped, with
 // io.ReadFull's convention: io.EOF only at a frame boundary.
 //
 //lint:hotpath the per-message read: the benchmarks assert 0 allocs/op
-func (rd *Reader) ReadInto(m *Message) error {
-	hdr, err := rd.br.Peek(4)
-	if err != nil {
-		if len(hdr) == 0 {
+func (rd *Reader) ReadInto(m *Message) error { return rd.ReadDirect(m, nil) }
+
+// ReadDirect reads one message into m as ReadInto does, except that once
+// a PIECE's header is decoded it asks dst for the payload's destination.
+// A slice of exactly the payload's length gets the bytes already
+// buffered and then the rest straight from the stream, and m.Data is
+// that slice; otherwise the payload is buffered as ReadInto buffers it.
+// After a payload read that way, the next read from the stream stops at
+// the following PIECE header, so a run of lent PIECEs is copied once,
+// by the kernel. The frames accepted and the errors returned are
+// ReadInto's; a read that fails mid-payload may have written part of the
+// destination.
+//
+//lint:hotpath the per-message read: the benchmarks assert 0 allocs/op
+func (rd *Reader) ReadDirect(m *Message, dst PieceDst) error {
+	if err := rd.fill(4); err != nil {
+		if rd.hi == rd.lo {
 			return err // the stream ended, or failed, between frames
 		}
 		return midFrame(err)
 	}
-	length := binary.BigEndian.Uint32(hdr)
+	length := binary.BigEndian.Uint32(rd.buf[rd.lo:])
 	if length == 0 || length > 9+MaxBlockLen && length > 1+MaxBitfieldLen {
 		return ErrFrameLength
 	}
-	if n := 4 + int(length); n <= rd.br.Size() {
-		frame, err := rd.br.Peek(n)
-		if err != nil {
-			return midFrame(err)
-		}
-		// Discarding only advances the read position: frame's bytes stay
-		// put until the next ReadInto reads from the stream.
-		if _, err := rd.br.Discard(n); err != nil {
+	if dst != nil && length > 9 && length <= 9+MaxBlockLen {
+		if ok, err := rd.readLent(m, length, dst); ok || err != nil {
 			return err
 		}
-		return m.Decode(frame[4:])
 	}
-	if _, err := rd.br.Discard(4); err != nil {
+	rd.lent = false
+	if n := 4 + int(length); n <= len(rd.buf) {
+		if err := rd.fill(n); err != nil {
+			return midFrame(err)
+		}
+		// Only the next read moves the buffered bytes: frame stays put
+		// until then.
+		frame := rd.buf[rd.lo+4 : rd.lo+n]
+		rd.lo += n
+		return m.Decode(frame)
+	}
+	rd.lo += 4
+	if uint32(cap(rd.big)) < length {
+		rd.big = make([]byte, length)
+	}
+	body := rd.big[:length]
+	if err := rd.readFull(body); err != nil {
 		return err
-	}
-	if uint32(cap(rd.buf)) < length {
-		rd.buf = make([]byte, length)
-	}
-	body := rd.buf[:length]
-	if _, err := io.ReadFull(rd.br, body); err != nil {
-		return midFrame(err)
 	}
 	return m.Decode(body)
 }
 
+// readLent reads the frame of the given length, whose prefix is
+// buffered, into m with its payload in dst's slice, if the frame is a
+// PIECE and dst lends one. It reports whether it did.
+//
+//lint:hotpath under ReadDirect, per PIECE frame
+func (rd *Reader) readLent(m *Message, length uint32, dst PieceDst) (bool, error) {
+	if err := rd.fill(5); err != nil {
+		return false, midFrame(err)
+	}
+	if MessageType(rd.buf[rd.lo+4]) != MsgPiece {
+		return false, nil
+	}
+	if err := rd.fill(pieceHeaderLen); err != nil {
+		return false, midFrame(err)
+	}
+	h := rd.buf[rd.lo+5 : rd.lo+pieceHeaderLen]
+	index, offset := binary.BigEndian.Uint32(h[0:4]), binary.BigEndian.Uint32(h[4:8])
+	n := int(length) - 9
+	data := dst(index, offset, n)
+	if len(data) != n {
+		return false, nil
+	}
+	rd.lo += pieceHeaderLen
+	if err := rd.readFull(data); err != nil {
+		return true, err
+	}
+	rd.lent = true
+	*m = Message{Type: MsgPiece, Index: index, Offset: offset, Data: data}
+	return true, nil
+}
+
+// fill reads from the stream until at least n bytes (n <= len(buf)) are
+// buffered. It reads as far ahead as the buffer allows, but after a lent
+// payload no further than one PIECE header. Errors are io.ReadAtLeast's.
+//
+//lint:hotpath under ReadDirect, per stream read
+func (rd *Reader) fill(n int) error {
+	if rd.hi-rd.lo >= n {
+		return nil
+	}
+	rd.hi = copy(rd.buf, rd.buf[rd.lo:rd.hi])
+	rd.lo = 0
+	limit := len(rd.buf)
+	if rd.lent {
+		limit = max(n, pieceHeaderLen)
+	}
+	k, err := io.ReadAtLeast(rd.r, rd.buf[rd.hi:limit], n-rd.hi)
+	rd.hi += k
+	return err
+}
+
+// readFull fills p with the bytes already buffered and then straight
+// from the stream, reporting a short stream as io.ErrUnexpectedEOF.
+//
+//lint:hotpath under ReadDirect, per large or lent payload
+func (rd *Reader) readFull(p []byte) error {
+	k := copy(p, rd.buf[rd.lo:rd.hi])
+	rd.lo += k
+	if _, err := io.ReadFull(rd.r, p[k:]); err != nil {
+		return midFrame(err)
+	}
+	return nil
+}
+
 // HasFrame reports whether the read-ahead buffer holds a complete frame,
-// so that the next ReadInto returns without reading from the stream. A
+// so that the next read returns without reading from the stream. A
 // frame too large for the buffer never counts as held.
 //
 //lint:hotpath asked once per message by the peer read loop
 func (rd *Reader) HasFrame() bool {
-	n := rd.br.Buffered()
-	if n < 4 {
-		return false
-	}
-	hdr, err := rd.br.Peek(4)
-	return err == nil && uint64(n) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+	n := rd.hi - rd.lo
+	return n >= 4 && uint64(n) >= 4+uint64(binary.BigEndian.Uint32(rd.buf[rd.lo:]))
 }
 
 // midFrame reports a stream that ended inside a frame as ErrUnexpectedEOF.

@@ -200,7 +200,10 @@ func NewTrackerClient(base string, httpClient *http.Client) *TrackerClient {
 
 // Seed publishes a manifest and serves its segments. The node serves the
 // blobs themselves, not a copy: the caller must not write to them after
-// Seed.
+// Seed. It refuses blobs that do not match the manifest: blobs from
+// BuildManifest or BuildSwarmData, with the manifest unedited, are checked
+// by CRC-32C against the build's record of them, any others by SHA-256
+// (see peer.Seed).
 func Seed(trk *TrackerClient, m *Manifest, blobs [][]byte, cfg NodeConfig) (*Node, error) {
 	return peer.Seed(trk, m, blobs, cfg)
 }
